@@ -19,20 +19,19 @@ import sys
 from fractions import Fraction
 
 from . import analysis
-from .domain import ContractError
+from .domain import US_PER_MS, ContractError
 from .harness import (
+    POLICY_NAMES,
     ConfigError,
     ExperimentConfig,
     TableResult,
     emit_csv,
+    parse_alpha,
     parse_config,
     run_experiment,
-    run_sandwich,
 )
 from .netmodel import TopologyError
 from .sro import Backend, RevealRequest, SroConfig, SroError, generate_proof, sro_init, verify
-
-US_PER_MS = 1000
 
 
 def _emit(result: TableResult, output: str | None):
@@ -57,7 +56,7 @@ def _alpha_grid(args):
         return [Fraction(args.dnet_ms, args.dnoise_ms)]
     if args.alpha is None:
         raise ContractError("pass --alpha, or both --dnet-ms and --dnoise-ms, or --curve")
-    return [Fraction(args.alpha)]
+    return [parse_alpha(args.alpha)]
 
 
 def _cmd_bounds(args) -> int:
@@ -81,17 +80,16 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    dnoise_ms = args.dnet_ms * args.dnoise
-    policy = {
-        "pompe": "pompe",
-        "receive": "receive",
-        "leader": f"leader:{args.slot_ms}",
-        "bercow": f"bercow:{dnoise_ms}",
-    }[args.policy]
+    # --dnoise scales bercow's noise width; the leader rotates once per slot
+    spec = args.policy
+    if args.policy == "bercow":
+        spec += f":{args.dnet_ms * args.dnoise}"
+    elif args.policy == "leader":
+        spec += f":{args.slot_ms}"
     config = ExperimentConfig(
         scenario="sandwich",
         topology=args.topology,
-        policies=(policy,),
+        policies=(spec,),
         delta_net_ms=args.dnet_ms,
         slot_ms=args.slot_ms,
         trials=args.trials,
@@ -99,7 +97,7 @@ def _cmd_attack(args) -> int:
         origins=tuple(args.origins.split(",")),
         colluders=args.colluders,
     )
-    _emit(run_sandwich(config), args.output)
+    _emit(run_experiment(config), args.output)
     return 0
 
 
@@ -147,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="attack scenarios")
     attack_sub = p.add_subparsers(dest="attack_kind", required=True)
     ps = attack_sub.add_parser("sandwich", help="bracketing attack on an AMM pool")
-    ps.add_argument("--policy", required=True, choices=("pompe", "bercow", "leader", "receive"))
+    ps.add_argument("--policy", required=True, choices=POLICY_NAMES)
     ps.add_argument("--dnoise", type=int, default=5, help="noise width as a multiple of dnet")
     ps.add_argument("--trials", type=int, default=10_000)
     ps.add_argument("--dnet-ms", type=int, default=300)

@@ -10,6 +10,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 MAX_TIMESTAMP = 2**63 - 1
+US_PER_MS = 1000
 
 
 class ContractError(ValueError):

@@ -1,12 +1,20 @@
 """Experiment runner: deterministic configs in, CSV tables out.
 
 A config file is line-oriented ``key = value`` text, one experiment per
-file.  Scenario kinds: geo_bias, tradeoff_curve, sandwich, liquidation,
-bounds_table.  Every run is fully determined by (config, seed): reruns
-produce byte-identical output files.
+file; an unknown key is an error.  Scenario kinds: geo_bias,
+tradeoff_curve, sandwich, liquidation, bounds_table.  Every run is fully
+determined by (config, seed): reruns produce byte-identical output files.
 
 Policy specs are strings: ``pompe``, ``receive``, ``leader:<period_ms>``,
 ``bercow:<noise_ms>``.
+
+Every simulated table cell goes through one trial driver,
+``_count_orders``: a scenario lists the cell's commands as
+(label, invoke_us, city) triples and reads its numbers from the counted
+ledger orders.  The cell's tags -- ``("geo", pair_index, spec)``,
+``("gap", spec, gap_ms)`` or ``("sand", spec)`` -- fix trial t's command
+ids, ``make_command_id(*tags, t, label)``, and its seed,
+``_trial_seed(seed, *tags, t)``; changing either changes the CSVs.
 """
 
 from __future__ import annotations
@@ -15,8 +23,10 @@ import csv
 import hashlib
 import io
 import os
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -31,14 +41,14 @@ from .consensus import (
     order_receive_all_correct,
     run_slotted,
 )
-from .domain import Invocation, ScoreInput, make_command_id
+from .domain import US_PER_MS, Invocation, ScoreInput, make_command_id
 from .netmodel import CityTopology, bundled_topology, load_topology
 from .sro import Backend, SroConfig, sro_init
 
 TOPOLOGY_DIR_ENV = "FAIRORDER_TOPOLOGY_DIR"
-US_PER_MS = 1000
 
 SCENARIOS = ("geo_bias", "tradeoff_curve", "sandwich", "liquidation", "bounds_table")
+POLICY_NAMES = ("pompe", "receive", "leader", "bercow")
 
 
 class ConfigError(ValueError):
@@ -70,10 +80,44 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if self.gaps_ms and list(self.gaps_ms) != sorted(self.gaps_ms):
             raise ConfigError("gap sweep must be monotone")
+        if self.colluders != "max" and not str(self.colluders).isdecimal():
+            raise ConfigError(f"colluders must be a node count or 'max', got {self.colluders!r}")
+        for spec in self.policies:
+            parse_policy(spec)
+        for alpha in self.alphas:
+            parse_alpha(alpha)
+
+
+def _names(text):
+    return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+def _ints(text):
+    return tuple(int(x) for x in _names(text))
+
+
+# config-file key -> (ExperimentConfig field, parser of the value text)
+CONFIG_KEYS = {
+    "scenario": ("scenario", str),
+    "topology": ("topology", str),
+    "policies": ("policies", _names),
+    "dnet_ms": ("delta_net_ms", int),
+    "slot_ms": ("slot_ms", int),
+    "trials": ("trials", int),
+    "seed": ("seed", int),
+    "origins": ("origins", _names),
+    "gaps_ms": ("gaps_ms", _ints),
+    "colluders": ("colluders", str),
+    "offsets_ms": ("offsets_ms", _ints),
+    "prize_usd": ("prize_usd", int),
+    "bounds_n": ("bounds_n", _ints),
+    "alphas": ("alphas", _names),
+    "output": ("output", str),
+}
 
 
 def parse_config(path) -> ExperimentConfig:
-    values = {}
+    fields = {"scenario": ""}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -81,41 +125,24 @@ def parse_config(path) -> ExperimentConfig:
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-
-    def split(key, default):
-        if key not in values:
-            return default
-        return tuple(part.strip() for part in values[key].split(",") if part.strip())
-
-    def num_list(key, default):
-        return tuple(int(x) for x in split(key, default))
-
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key not in CONFIG_KEYS:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            name, parse = CONFIG_KEYS[key]
+            try:
+                fields[name] = parse(value)
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from exc
     try:
-        return ExperimentConfig(
-            scenario=values.get("scenario", ""),
-            topology=values.get("topology", "bundled"),
-            policies=split("policies", ("pompe",)),
-            delta_net_ms=int(values.get("dnet_ms", 300)),
-            slot_ms=int(values.get("slot_ms", 1500)),
-            trials=int(values.get("trials", 10_000)),
-            seed=int(values.get("seed", 0)),
-            origins=split("origins", ()),
-            gaps_ms=num_list("gaps_ms", ()),
-            colluders=values.get("colluders", "0"),
-            offsets_ms=num_list("offsets_ms", (1, 25)),
-            prize_usd=int(values.get("prize_usd", 200_000)),
-            bounds_n=num_list("bounds_n", (2, 3)),
-            alphas=split("alphas", ("1/5",)),
-            output=values.get("output", ""),
-        )
+        return ExperimentConfig(**fields)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
 def parse_policy(spec: str) -> OrderingPolicy:
     name, _, arg = spec.partition(":")
+    if arg and not arg.isdecimal():
+        raise ConfigError(f"policy {spec!r}: the argument must be whole milliseconds")
     if name == "pompe":
         return OrderingPolicy.pompe()
     if name == "receive":
@@ -126,7 +153,15 @@ def parse_policy(spec: str) -> OrderingPolicy:
         if not arg:
             raise ConfigError("bercow policy needs a noise width, e.g. bercow:1500")
         return OrderingPolicy.bercow(int(arg) * US_PER_MS)
-    raise ConfigError(f"unknown policy {spec!r}")
+    raise ConfigError(f"unknown policy {spec!r}; pick from {POLICY_NAMES}")
+
+
+def parse_alpha(text) -> Fraction:
+    """An exact ratio such as ``1/5`` or ``0.2``."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"alpha must be an exact ratio such as 1/5, got {text!r}") from exc
 
 
 def resolve_topology(name: str) -> CityTopology:
@@ -148,8 +183,7 @@ class TableResult:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(self.header)
-        for row in self.rows:
-            writer.writerow(row)
+        writer.writerows(self.rows)
         return buf.getvalue()
 
 
@@ -160,14 +194,6 @@ def emit_csv(result: TableResult, path):
             fh.write(result.to_csv_text())
     except OSError as exc:
         raise OSError(f"writing {path}: {exc}") from exc
-
-
-def emit_plot_data(result: TableResult, path, x=0, series=1, y=2):
-    """Long-format (x, series, y) projection of a table, for plotting tools."""
-    out = TableResult(header=("x", "series", "y"))
-    for row in result.rows:
-        out.rows.append((row[x], row[series], row[y]))
-    emit_csv(out, path)
 
 
 def _fmt_prob(x) -> str:
@@ -185,44 +211,55 @@ def _sro_for(topology: CityTopology, seed: int):
     return f, handle
 
 
-def _mk_invocation(t_us: int, *id_parts) -> Invocation:
-    return Invocation(
-        command_id=make_command_id(*id_parts),
-        payload=b"",
-        invoke_time=t_us,
-        relevant_features=ScoreInput(invocation_time=t_us),
-    )
-
-
-def _run_policy_once(
-    policy, placed, topology, f, sro, delta_net_us, slot_us, trial_seed, plan=None
-):
-    """One trial under any policy; returns the ledger."""
-    if policy.kind in (PolicyKind.POMPE_MEDIAN, PolicyKind.BERCOW_NOISE):
-        sim = SimulationRun(
-            topology=topology,
-            policy=policy,
-            delta_net_us=delta_net_us,
-            slot_interval_us=slot_us,
-            f=f,
-            invocations=placed,
-            sro=sro,
-            rng_seed=trial_seed,
-            adversary=plan or AdversaryPlan(),
-        )
-        return run_slotted(sim).ledger
-    rng = np.random.default_rng(trial_seed)
-    if policy.kind is PolicyKind.LEADER_ROTATION:
-        return order_leader_rotation(
-            placed, topology, policy.rotation_period_us, delta_net_us, rng
-        )
-    return order_receive_all_correct(placed, topology, delta_net_us, rng)
-
-
 def _trial_seed(config_seed: int, *tags) -> list:
     # hash() is salted per process; a digest keeps trial streams stable across runs
     digest = hashlib.sha256(repr(tags).encode()).digest()
     return [config_seed & 0xFFFFFFFFFFFFFFFF, int.from_bytes(digest[:8], "big")]
+
+
+def _count_orders(config, topology, f, sro, spec, tags, commands, colluders=()) -> Counter:
+    """Run ``config.trials`` trials of one table cell; count the ledger orders.
+
+    ``commands`` lists the cell's (label, invoke_us, city) triples; each
+    order is counted as the tuple of labels in ledger order.  Under the
+    median-timestamp policies, ``colluders`` bracket the first command with
+    the other two.
+    """
+    policy = parse_policy(spec)
+    delta_net_us = config.delta_net_ms * US_PER_MS
+    slot_us = config.slot_ms * US_PER_MS
+    slotted = policy.kind in (PolicyKind.POMPE_MEDIAN, PolicyKind.BERCOW_NOISE)
+    counts = Counter()
+    for trial in range(config.trials):
+        labels = {make_command_id(*tags, trial, label): label for label, _, _ in commands}
+        placed = [
+            PlacedInvocation(Invocation(cid, b"", t_us, ScoreInput(t_us)), city)
+            for cid, (_, t_us, city) in zip(labels, commands)
+        ]
+        trial_seed = _trial_seed(config.seed, *tags, trial)
+        if slotted:
+            plan = AdversaryPlan()
+            if colluders:
+                victim, *attackers = [(p.invocation, p.origin_city) for p in placed]
+                plan = private_relay_placement(
+                    victim, attackers, colluders, topology, delta_net_us, f
+                )
+            sim = SimulationRun(
+                topology=topology, policy=policy, delta_net_us=delta_net_us,
+                slot_interval_us=slot_us, f=f, invocations=placed, sro=sro,
+                rng_seed=trial_seed, adversary=plan,
+            )
+            ledger = run_slotted(sim).ledger
+        elif policy.kind is PolicyKind.LEADER_ROTATION:
+            rng = np.random.default_rng(trial_seed)
+            ledger = order_leader_rotation(
+                placed, topology, policy.rotation_period_us, delta_net_us, rng
+            )
+        else:
+            rng = np.random.default_rng(trial_seed)
+            ledger = order_receive_all_correct(placed, topology, delta_net_us, rng)
+        counts[tuple(labels[cid] for cid in ledger.entries)] += 1
+    return counts
 
 
 def run_geo_bias(config: ExperimentConfig) -> TableResult:
@@ -231,37 +268,19 @@ def run_geo_bias(config: ExperimentConfig) -> TableResult:
         raise ConfigError("geo_bias needs at least two origin cities")
     topology = resolve_topology(config.topology)
     f, sro = _sro_for(topology, config.seed)
-    delta_net_us = config.delta_net_ms * US_PER_MS
-    slot_us = config.slot_ms * US_PER_MS
-    t0 = slot_us // 2  # mid-slot, away from boundaries
+    t0 = config.slot_ms * US_PER_MS // 2  # mid-slot, away from boundaries
     result = TableResult(header=("city_a", "city_b", "policy", "pr_a_first", "diff", "trials"))
-    for pi, pair in enumerate(_pairs(config.origins)):
-        city_a, city_b = pair
+    for pi, (city_a, city_b) in enumerate(combinations(config.origins, 2)):
         for spec in config.policies:
-            policy = parse_policy(spec)
-            wins_a = 0
-            for trial in range(config.trials):
-                inv_a = _mk_invocation(t0, "geo", pi, spec, trial, "a")
-                inv_b = _mk_invocation(t0, "geo", pi, spec, trial, "b")
-                placed = [
-                    PlacedInvocation(inv_a, city_a),
-                    PlacedInvocation(inv_b, city_b),
-                ]
-                ledger = _run_policy_once(
-                    policy, placed, topology, f, sro, delta_net_us, slot_us,
-                    _trial_seed(config.seed, "geo", pi, spec, trial),
-                )
-                if ledger.precedes(inv_a.command_id, inv_b.command_id):
-                    wins_a += 1
-            pr_a = Fraction(wins_a, config.trials)
+            counts = _count_orders(
+                config, topology, f, sro, spec, ("geo", pi, spec),
+                (("a", t0, city_a), ("b", t0, city_b)),
+            )
+            pr_a = Fraction(counts["a", "b"], config.trials)
             result.rows.append(
                 (city_a, city_b, spec, _fmt_prob(pr_a), _fmt_prob(2 * pr_a - 1), config.trials)
             )
     return result
-
-
-def _pairs(origins):
-    return [(a, b) for i, a in enumerate(origins) for b in origins[i + 1 :]]
 
 
 def run_tradeoff_curve(config: ExperimentConfig) -> TableResult:
@@ -277,8 +296,7 @@ def run_tradeoff_curve(config: ExperimentConfig) -> TableResult:
         raise ConfigError("tradeoff_curve needs a gap sweep")
     topology = resolve_topology(config.topology)
     f, sro = _sro_for(topology, config.seed)
-    delta_net_us = config.delta_net_ms * US_PER_MS
-    slot_us = config.slot_ms * US_PER_MS
+    t0 = config.slot_ms * US_PER_MS // 2
 
     def quorum_median(city):
         delays = sorted(topology.delays_from(city))[: 2 * f + 1]
@@ -289,42 +307,19 @@ def run_tradeoff_curve(config: ExperimentConfig) -> TableResult:
         header=("gap_ms", "policy", "early_city", "pr_early_first", "trials")
     )
     for spec in config.policies:
-        policy = parse_policy(spec)
         for gap_ms in config.gaps_ms:
-            gap_us = gap_ms * US_PER_MS
-            t0 = slot_us // 2
-            wins_early = 0
-            for trial in range(config.trials):
-                inv_early = _mk_invocation(t0, "gap", spec, gap_ms, trial, "early")
-                inv_late = _mk_invocation(t0 + gap_us, "gap", spec, gap_ms, trial, "late")
-                placed = [
-                    PlacedInvocation(inv_early, slow),
-                    PlacedInvocation(inv_late, fast),
-                ]
-                ledger = _run_policy_once(
-                    policy, placed, topology, f, sro, delta_net_us, slot_us,
-                    _trial_seed(config.seed, "gap", spec, gap_ms, trial),
-                )
-                if ledger.precedes(inv_early.command_id, inv_late.command_id):
-                    wins_early += 1
-            result.rows.append(
-                (
-                    gap_ms,
-                    spec,
-                    slow,
-                    _fmt_prob(Fraction(wins_early, config.trials)),
-                    config.trials,
-                )
+            counts = _count_orders(
+                config, topology, f, sro, spec, ("gap", spec, gap_ms),
+                (("early", t0, slow), ("late", t0 + gap_ms * US_PER_MS, fast)),
             )
+            pr_early = Fraction(counts["early", "late"], config.trials)
+            result.rows.append((gap_ms, spec, slow, _fmt_prob(pr_early), config.trials))
     return result
 
 
 def _colluder_ids(config: ExperimentConfig, topology: CityTopology, f: int):
-    if config.colluders == "max":
-        count = f
-    else:
-        count = int(config.colluders)
-    if count < 0 or count > f:
+    count = f if config.colluders == "max" else int(config.colluders)
+    if count > f:
         raise ConfigError(f"colluders must be in [0, f={f}]")
     n = topology.n_nodes
     return tuple(range(n - count, n))
@@ -339,56 +334,36 @@ def run_sandwich(config: ExperimentConfig) -> TableResult:
     """
     if len(config.origins) != 2:
         raise ConfigError("sandwich needs (victim_city, attacker_city) origins")
+    if len(config.offsets_ms) != 2:
+        raise ConfigError("sandwich needs two offsets_ms, one per attacker command")
     victim_city, attacker_city = config.origins
     topology = resolve_topology(config.topology)
     f, sro = _sro_for(topology, config.seed)
-    delta_net_us = config.delta_net_ms * US_PER_MS
-    slot_us = config.slot_ms * US_PER_MS
     colluders = _colluder_ids(config, topology, f)
     scenario = attacks.default_scenario()
-    offsets_us = tuple(ms * US_PER_MS for ms in config.offsets_ms)
-    t0 = slot_us // 2
+    t0 = config.slot_ms * US_PER_MS // 2
+    buy_us, sell_us = (t0 + ms * US_PER_MS for ms in config.offsets_ms)
+    commands = (
+        (attacks.VICTIM, t0, victim_city),
+        (attacks.ATTACKER_BUY, buy_us, attacker_city),
+        (attacks.ATTACKER_SELL, sell_us, attacker_city),
+    )
     result = TableResult(
         header=("policy", "order", "frequency", "victim_usd", "attacker_usd")
     )
     table = attacks.payoff_table(scenario)
     for spec in config.policies:
-        policy = parse_policy(spec)
-        counts = {order: 0 for order in attacks.PERMUTATIONS}
-        for trial in range(config.trials):
-            i1 = _mk_invocation(t0, "sand", spec, trial, "i1")
-            i2 = _mk_invocation(t0 + offsets_us[0], "sand", spec, trial, "i2")
-            i3 = _mk_invocation(t0 + offsets_us[1], "sand", spec, trial, "i3")
-            placed = [
-                PlacedInvocation(i1, victim_city),
-                PlacedInvocation(i2, attacker_city),
-                PlacedInvocation(i3, attacker_city),
-            ]
-            plan = None
-            if colluders and policy.kind in (PolicyKind.POMPE_MEDIAN, PolicyKind.BERCOW_NOISE):
-                plan = private_relay_placement(
-                    (i1, victim_city), ((i2, attacker_city), (i3, attacker_city)),
-                    colluders, topology, delta_net_us, f,
-                )
-            ledger = _run_policy_once(
-                policy, placed, topology, f, sro, delta_net_us, slot_us,
-                _trial_seed(config.seed, "sand", spec, trial), plan=plan,
-            )
-            label = {i1.command_id: "i1", i2.command_id: "i2", i3.command_id: "i3"}
-            counts[tuple(label[c] for c in ledger.entries)] += 1
-        freqs = {order: Fraction(c, config.trials) for order, c in counts.items()}
+        counts = _count_orders(
+            config, topology, f, sro, spec, ("sand", spec), commands, colluders
+        )
+        freqs = {order: Fraction(counts[order], config.trials) for order in attacks.PERMUTATIONS}
         expected = attacks.expected_attacker_profit(scenario, freqs)
         for order in attacks.PERMUTATIONS:
             victim_usd, attacker_usd = table[order]
-            result.rows.append(
-                (
-                    spec,
-                    "-".join(order),
-                    _fmt_prob(freqs[order]),
-                    _fmt_usd(victim_usd),
-                    _fmt_usd(attacker_usd),
-                )
-            )
+            result.rows.append((
+                spec, "-".join(order), _fmt_prob(freqs[order]),
+                _fmt_usd(victim_usd), _fmt_usd(attacker_usd),
+            ))
         result.rows.append((spec, "expected", "1.000000", "", _fmt_usd(expected)))
     return result
 
@@ -415,7 +390,7 @@ def run_bounds_table(config: ExperimentConfig) -> TableResult:
     )
     for n in config.bounds_n:
         for alpha_text in config.alphas:
-            alpha = Fraction(alpha_text)
+            alpha = parse_alpha(alpha_text)
             eps = analysis.epsilon_general(n, alpha)
             lower, upper = analysis.order_prob_bounds(n, alpha)
             delta_noise_us = int(delta_net_us / alpha)

@@ -16,11 +16,9 @@ import logging
 from dataclasses import dataclass
 from importlib import resources
 
-from .domain import ContractError
+from .domain import US_PER_MS, ContractError
 
 log = logging.getLogger(__name__)
-
-US_PER_MS = 1000
 
 
 class TopologyError(ValueError):
@@ -98,12 +96,10 @@ class DelayModel:
 
     jitter_ms: half-width of a uniform per-observation jitter, or None.
     clock_drift_max_us: bound on a fixed per-node clock offset.
-    rng_stream: label separating this model's randomness from other streams.
     """
 
     jitter_ms: float | None = None
     clock_drift_max_us: int = 0
-    rng_stream: str = "net"
 
     def sample_drifts(self, n_nodes: int, rng) -> tuple:
         if self.clock_drift_max_us == 0:

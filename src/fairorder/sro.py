@@ -401,6 +401,3 @@ def verify(k: int, proof: Proof, r: bytes) -> bool:
     except (AttributeError, TypeError, ValueError, ContractError):
         return False
 
-
-def produce_share(node: DprfNode, k: int, signatures) -> Share:
-    return node.produce_share(k, signatures)

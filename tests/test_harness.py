@@ -11,7 +11,6 @@ from fairorder.harness import (
     ExperimentConfig,
     TableResult,
     emit_csv,
-    emit_plot_data,
     parse_config,
     parse_policy,
     resolve_topology,
@@ -89,12 +88,6 @@ class TestEmit:
         out = tmp_path / "empty.csv"
         emit_csv(TableResult(header=("a", "b")), out)
         assert out.read_text() == "a,b\n"
-
-    def test_plot_data_projection(self, tmp_path):
-        result = TableResult(header=("x", "s", "y"), rows=[(1, "p", 0.5)])
-        out = tmp_path / "plot.csv"
-        emit_plot_data(result, out)
-        assert out.read_text() == "x,series,y\n1,p,0.5\n"
 
     def test_io_error_carries_path(self, tmp_path):
         blocker = tmp_path / "blocker"
@@ -274,6 +267,32 @@ class TestCli:
     def test_bad_alpha_is_config_error(self, capsys):
         assert main(["bounds", "--n", "2", "--alpha", "3"]) == 3
         assert "category=config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, config_line",
+        [
+            (["bounds", "--n", "2", "--alpha", "abc"], None),
+            (["attack", "sandwich", "--policy", "pompe", "--colluders", "lots"], None),
+            (["simulate"], "scenario = geo_bias\npolicies = bercow:abc"),
+            (["simulate"], "scenario = sandwich\ncolluders = lots"),
+            (["simulate"], "scenario = bounds_table\nalphas = abc"),
+            (["simulate"], "scenario = sandwich\noffsets_ms = 1"),
+            (["simulate"], "scenario = geo_bias\ntrails = 2"),
+        ],
+        ids=["alpha", "attack-colluders", "policy-arg", "colluders", "alphas",
+             "one-offset", "unknown-key"],
+    )
+    def test_bad_input_is_config_error(self, tmp_path, capsys, argv, config_line):
+        if config_line is not None:
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(
+                f"{config_line}\ntrials = 2\norigins = munich,london\n"
+                f"output = {tmp_path}/out.csv\n"
+            )
+            argv = argv + [str(cfg)]
+        assert main(argv) == 3
+        assert "error category=config" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
 
 def test_run_experiment_dispatch():
