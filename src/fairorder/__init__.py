@@ -1,7 +1,6 @@
 """Ordered consensus with equal opportunity: simulator, oracle, analysis."""
 
 from .analysis import (
-    BoundQuery,
     delta_linearizability,
     epsilon_general,
     epsilon_pair,
@@ -21,11 +20,9 @@ from .consensus import (
 from .domain import (
     Invocation,
     Ledger,
-    ScoreInput,
     Slot,
     TimestampedCommand,
     median_timestamp,
-    score,
     tie_break,
 )
 from .netmodel import CityTopology, DelayModel, bundled_topology, load_topology, observe
@@ -33,7 +30,6 @@ from .sro import Backend, RevealRequest, SroConfig, generate_proof, reveal, sro_
 
 __all__ = [
     "Backend",
-    "BoundQuery",
     "CityTopology",
     "DelayModel",
     "Invocation",
@@ -42,7 +38,6 @@ __all__ = [
     "PlacedInvocation",
     "PolicyKind",
     "RevealRequest",
-    "ScoreInput",
     "SimulationRun",
     "Slot",
     "SroConfig",
@@ -62,7 +57,6 @@ __all__ = [
     "order_receive_all_correct",
     "reveal",
     "run_slotted",
-    "score",
     "sro_init",
     "tie_break",
     "verify",

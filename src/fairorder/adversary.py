@@ -38,9 +38,6 @@ class AdversaryPlan:
     node_overrides: dict = field(default_factory=dict)
     quorum_bias: dict = field(default_factory=dict)
 
-    def is_empty(self) -> bool:
-        return not (self.ats_overrides or self.node_overrides or self.quorum_bias)
-
 
 def clamp_to_window(ats: int, invoke_time: int, delta_net_us: int) -> int:
     return min(max(ats, invoke_time), invoke_time + delta_net_us)

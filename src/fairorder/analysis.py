@@ -45,25 +45,6 @@ def _check_alpha(alpha: Fraction, inclusive_one: bool):
         raise ContractError(f"alpha must be in {bound}, got {alpha}")
 
 
-@dataclass(frozen=True)
-class BoundQuery:
-    """A bound evaluation point: n simultaneous commands at a given noise ratio."""
-
-    n: int
-    delta_net_us: int
-    delta_noise_us: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ContractError("bound queries need n >= 2")
-        if not (0 < self.delta_net_us < self.delta_noise_us):
-            raise ContractError("need 0 < delta_net < delta_noise")
-
-    @property
-    def alpha(self) -> Fraction:
-        return Fraction(self.delta_net_us, self.delta_noise_us)
-
-
 def epsilon_pair(alpha) -> Fraction:
     """Worst-case |Pr[i1 first] - Pr[i2 first]| for two simultaneous commands."""
     a = _rational(alpha)

@@ -153,8 +153,3 @@ def liquidation_expected_values(prob_first, prize_usd) -> list:
         raise ContractError("probabilities must sum to 1")
     prize = Fraction(prize_usd)
     return [p * prize for p in probs]
-
-
-def usd_cents(x) -> Fraction:
-    """Round an exact dollar amount to whole cents (for display)."""
-    return Fraction(round(Fraction(x) * 100), 100)

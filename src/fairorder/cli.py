@@ -18,15 +18,13 @@ import hashlib
 import sys
 from fractions import Fraction
 
-from . import analysis
-from .domain import US_PER_MS, ContractError
+from .domain import ContractError
 from .harness import (
     POLICY_NAMES,
     ConfigError,
     ExperimentConfig,
     TableResult,
     emit_csv,
-    parse_alpha,
     parse_config,
     run_experiment,
 )
@@ -49,33 +47,24 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _alpha_grid(args):
+def _alpha_grid(args) -> tuple:
     if args.curve:
-        return [Fraction(i, 20) for i in range(1, 20)]
-    if args.dnet_ms and args.dnoise_ms:
-        return [Fraction(args.dnet_ms, args.dnoise_ms)]
+        return tuple(str(Fraction(i, 20)) for i in range(1, 20))
+    if args.dnoise_ms:
+        return (str(Fraction(args.dnet_ms, args.dnoise_ms)),)
     if args.alpha is None:
-        raise ContractError("pass --alpha, or both --dnet-ms and --dnoise-ms, or --curve")
-    return [parse_alpha(args.alpha)]
+        raise ContractError("pass --alpha, --dnoise-ms or --curve")
+    return (args.alpha,)
 
 
 def _cmd_bounds(args) -> int:
-    result = TableResult(header=("alpha", "n", "epsilon", "lower", "upper", "delta"))
-    dnoise_us = args.dnoise_ms * US_PER_MS if args.dnoise_ms else None
-    for alpha in _alpha_grid(args):
-        eps = analysis.epsilon_general(args.n, alpha)
-        lower, upper = analysis.order_prob_bounds(args.n, alpha)
-        if dnoise_us:
-            delta = analysis.delta_linearizability(
-                int(alpha * dnoise_us), dnoise_us
-            )
-        else:
-            delta = float(1 + alpha)  # in units of the noise width
-        result.rows.append(
-            (str(alpha), args.n, f"{float(eps):.6f}", f"{float(lower):.6f}",
-             f"{float(upper):.6f}", delta)
-        )
-    _emit(result, args.output)
+    config = ExperimentConfig(
+        scenario="bounds_table",
+        delta_net_ms=args.dnet_ms,
+        bounds_n=(args.n,),
+        alphas=_alpha_grid(args),
+    )
+    _emit(run_experiment(config), args.output)
     return 0
 
 
@@ -136,8 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="closed-form bound table")
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--alpha", help="exact ratio, e.g. 1/5 or 0.2")
-    p.add_argument("--dnet-ms", type=int, default=0)
-    p.add_argument("--dnoise-ms", type=int, default=0)
+    p.add_argument("--dnet-ms", type=int, default=300)
+    p.add_argument("--dnoise-ms", type=int, default=0, help="sets alpha = dnet / dnoise")
     p.add_argument("--curve", action="store_true", help="sweep alpha over (0, 1)")
     p.add_argument("--output")
     p.set_defaults(fn=_cmd_bounds)

@@ -1,4 +1,4 @@
-"""Core vocabulary: invocations, timestamps, slots, ledgers, scores.
+"""Core vocabulary: invocations, timestamps, slots, ledgers.
 
 All times are integer microseconds. Timestamps must fit in 63 bits so that
 sums with noise never overflow on any platform.
@@ -31,65 +31,12 @@ def median_timestamp(timestamps) -> int:
 
 
 @dataclass(frozen=True)
-class ScoreInput:
-    """The relevant features of one invocation: its time plus optional extras."""
-
-    invocation_time: int
-    extra_features: tuple = ()  # ordered (name, value) pairs
-
-    def __post_init__(self):
-        names = [name for name, _ in self.extra_features]
-        if len(names) != len(set(names)):
-            raise ContractError(f"duplicate feature names: {names}")
-
-
-@dataclass(frozen=True)
-class TimeOnly:
-    """Score = invocation time, unchanged."""
-
-
-@dataclass(frozen=True)
-class LinearCombination:
-    """Score = round(w_time * time + sum_i w_i * feature_i).
-
-    weights[0] applies to invocation_time; weights[1:] align with
-    extra_features in order.
-    """
-
-    weights: tuple
-
-
-ScoreFormula = TimeOnly | LinearCombination
-
-
-def score(inp: ScoreInput, formula: ScoreFormula) -> int:
-    """Map relevant features to an integer score (microsecond-equivalent units).
-
-    Pure in ScoreInput: two invocations with equal relevant features always
-    score equally, whatever their identity or origin.
-    """
-    if isinstance(formula, TimeOnly):
-        return inp.invocation_time
-    if isinstance(formula, LinearCombination):
-        if len(formula.weights) != 1 + len(inp.extra_features):
-            raise ContractError(
-                f"expected {1 + len(inp.extra_features)} weights, got {len(formula.weights)}"
-            )
-        total = formula.weights[0] * inp.invocation_time
-        for w, (_, value) in zip(formula.weights[1:], inp.extra_features):
-            total += w * value
-        return round(total)
-    raise ContractError(f"unknown score formula: {formula!r}")
-
-
-@dataclass(frozen=True)
 class Invocation:
-    """A client command with its true send time and relevant features."""
+    """A client command and its true send time, the one feature ordering may use."""
 
     command_id: bytes
     payload: bytes
     invoke_time: int
-    relevant_features: ScoreInput
 
     def __post_init__(self):
         if self.invoke_time < 0:

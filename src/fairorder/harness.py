@@ -41,14 +41,14 @@ from .consensus import (
     order_receive_all_correct,
     run_slotted,
 )
-from .domain import US_PER_MS, Invocation, ScoreInput, make_command_id
+from .domain import US_PER_MS, Invocation, make_command_id
 from .netmodel import CityTopology, bundled_topology, load_topology
 from .sro import Backend, SroConfig, sro_init
 
 TOPOLOGY_DIR_ENV = "FAIRORDER_TOPOLOGY_DIR"
 
 SCENARIOS = ("geo_bias", "tradeoff_curve", "sandwich", "liquidation", "bounds_table")
-POLICY_NAMES = ("pompe", "receive", "leader", "bercow")
+POLICY_NAMES = tuple(kind.value for kind in PolicyKind)
 
 
 class ConfigError(ValueError):
@@ -78,6 +78,14 @@ class ExperimentConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}; pick from {SCENARIOS}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        # under 1 ms no delay bound can hold and a slot is empty; a negative
+        # gap would make the "early" command the late one
+        if self.delta_net_ms < 1:
+            raise ConfigError(f"dnet_ms must be >= 1, got {self.delta_net_ms}")
+        if self.slot_ms < 1:
+            raise ConfigError(f"slot_ms must be >= 1, got {self.slot_ms}")
+        if any(gap < 0 for gap in self.gaps_ms):
+            raise ConfigError(f"gaps_ms entries must be >= 0, got {self.gaps_ms}")
         if self.gaps_ms and list(self.gaps_ms) != sorted(self.gaps_ms):
             raise ConfigError("gap sweep must be monotone")
         if self.colluders != "max" and not str(self.colluders).isdecimal():
@@ -233,7 +241,7 @@ def _count_orders(config, topology, f, sro, spec, tags, commands, colluders=()) 
     for trial in range(config.trials):
         labels = {make_command_id(*tags, trial, label): label for label, _, _ in commands}
         placed = [
-            PlacedInvocation(Invocation(cid, b"", t_us, ScoreInput(t_us)), city)
+            PlacedInvocation(Invocation(cid, b"", t_us), city)
             for cid, (_, t_us, city) in zip(labels, commands)
         ]
         trial_seed = _trial_seed(config.seed, *tags, trial)

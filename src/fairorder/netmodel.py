@@ -84,11 +84,6 @@ class CityTopology:
             self._delay_cache[origin] = hit
         return hit
 
-    def max_delay_us(self) -> int:
-        return max(
-            self.delay_us(a, b) for a in self.city_names for b in self.city_names
-        )
-
 
 @dataclass(frozen=True)
 class DelayModel:

@@ -294,9 +294,6 @@ class SroHandle:
                 for i in range(1, config.n + 1)
             ]
 
-    def signing_key(self, node_id: int) -> bytes:
-        return self._signing_keys[node_id]
-
     def signatures_valid(self, k: int, signatures) -> bool:
         valid_ids = set()
         for node_id, tag in signatures:
@@ -319,9 +316,6 @@ class SroHandle:
 
     def _seeded_value(self, k: int) -> bytes:
         return _hash(b"reveal", self.__seed, _k_bytes(k))
-
-    def _combine(self, shares) -> bytes:
-        return combine_shares(self.group, shares)
 
     def reveal(self, req: RevealRequest) -> bytes:
         """The unique 64-byte value for slot k, or an error leaking nothing."""
@@ -346,7 +340,7 @@ class SroHandle:
             raise InsufficientValidShares(
                 f"only {len(collected)} valid shares, need {self.config.quorum}"
             )
-        value = self._combine(collected)
+        value = combine_shares(self.group, collected)
         self._revealed[req.k] = value
         return value
 

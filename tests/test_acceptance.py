@@ -139,15 +139,13 @@ def _joint_four_city_orders():
         order_receive_all_correct,
         run_slotted,
     )
-    from fairorder.domain import Invocation, ScoreInput, make_command_id
+    from fairorder.domain import Invocation, make_command_id
     from fairorder.netmodel import bundled_topology
 
     topology = bundled_topology()
     f = (topology.n_nodes - 1) // 3
     placed = [
-        PlacedInvocation(
-            Invocation(make_command_id(c), b"", 750_000, ScoreInput(invocation_time=750_000)), c
-        )
+        PlacedInvocation(Invocation(make_command_id(c), b"", 750_000), c)
         for c in GEO_CITIES
     ]
     lookup = {p.invocation.command_id: p.origin_city for p in placed}

@@ -17,7 +17,7 @@ from fairorder.adversary import (
     private_relay_placement,
 )
 from fairorder.analysis import order_prob_bounds
-from fairorder.domain import ContractError, Invocation, ScoreInput, make_command_id
+from fairorder.domain import ContractError, Invocation, make_command_id
 from fairorder.netmodel import bundled_topology
 
 DNET = 300_000
@@ -25,7 +25,7 @@ DNOISE = 1_500_000
 
 
 def inv(label, t=0):
-    return Invocation(make_command_id(label), b"", t, ScoreInput(invocation_time=t))
+    return Invocation(make_command_id(label), b"", t)
 
 
 class TestWorstCasePair:
@@ -121,7 +121,7 @@ class TestPrivateRelay:
         plan = private_relay_placement(
             self.victim, self.legs, (), self.topology, DNET, self.f
         )
-        assert plan.is_empty()
+        assert plan == AdversaryPlan()
 
     def test_too_many_colluders(self):
         with pytest.raises(ContractError):
@@ -157,6 +157,3 @@ class TestPrivateRelay:
                 i for i, _ in (self.legs[0], self.legs[1]) if i.command_id == cmd_id
             )
             assert invocation.invoke_time <= ts <= invocation.invoke_time + DNET
-
-    def test_plan_default_empty(self):
-        assert AdversaryPlan().is_empty()

@@ -10,7 +10,6 @@ from fairorder.analysis import (
     ADAPTIVE_UPPER,
     HONEST,
     LOWER_BOUND,
-    BoundQuery,
     delta_linearizability,
     epsilon_general,
     epsilon_pair,
@@ -83,14 +82,6 @@ class TestClosedForms:
         for n in (2, 3, 5):
             ratio = epsilon_general(n, alpha) * factorial(n) / (2 * n * alpha)
             assert Fraction(99, 100) <= ratio <= Fraction(101, 100)
-
-    def test_bound_query(self):
-        q = BoundQuery(n=3, delta_net_us=300_000, delta_noise_us=1_500_000)
-        assert q.alpha == Fraction(1, 5)
-        with pytest.raises(ContractError):
-            BoundQuery(n=3, delta_net_us=300_000, delta_noise_us=300_000)
-        with pytest.raises(ContractError):
-            BoundQuery(n=1, delta_net_us=1, delta_noise_us=2)
 
 
 class TestIntegrator:

@@ -15,7 +15,6 @@ from fairorder.attacks import (
     sandwich_profits,
     swap_buy_a,
     swap_sell_a,
-    usd_cents,
 )
 from fairorder.domain import ContractError
 
@@ -133,7 +132,3 @@ class TestLiquidation:
     def test_probs_must_sum_to_one(self):
         with pytest.raises(ContractError):
             liquidation_expected_values([Fraction(1, 2), Fraction(1, 4)], 200_000)
-
-
-def test_usd_cents_rounding():
-    assert usd_cents(Fraction(400, 6)) == Fraction(6667, 100)

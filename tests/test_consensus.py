@@ -18,7 +18,7 @@ from fairorder.consensus import (
     order_receive_all_correct,
     run_slotted,
 )
-from fairorder.domain import ContractError, Invocation, ScoreInput, make_command_id
+from fairorder.domain import ContractError, Invocation, make_command_id
 from fairorder.netmodel import CityTopology, bundled_topology, parse_topology
 from fairorder.sro import Backend, SroConfig, sro_init
 
@@ -28,7 +28,7 @@ SEED = bytes(range(32))
 
 
 def inv(label, t):
-    return Invocation(make_command_id(label), b"", t, ScoreInput(invocation_time=t))
+    return Invocation(make_command_id(label), b"", t)
 
 
 def small_topology(n=4):

@@ -7,13 +7,9 @@ from hypothesis import strategies as st
 from fairorder.domain import (
     ContractError,
     Invocation,
-    LinearCombination,
-    ScoreInput,
-    TimeOnly,
     TimestampedCommand,
     make_command_id,
     median_timestamp,
-    score,
     tie_break,
     tie_break_key,
 )
@@ -23,12 +19,7 @@ def make_cmd(ident, quorum, noise=0):
     values = sorted(ts for _, ts in quorum)
     ats = values[len(values) // 2]
     return TimestampedCommand(
-        invocation=Invocation(
-            command_id=make_command_id(ident),
-            payload=b"",
-            invoke_time=0,
-            relevant_features=ScoreInput(invocation_time=0),
-        ),
+        invocation=Invocation(command_id=make_command_id(ident), payload=b"", invoke_time=0),
         node_timestamps=tuple(quorum),
         assigned_ts=ats,
         noise=noise,
@@ -70,30 +61,6 @@ class TestMedian:
         base = median_timestamp(values)
         assert median_timestamp(list(reversed(values))) == base
         assert median_timestamp(sorted(values)) == base
-
-
-class TestScore:
-    def test_time_only_identity(self):
-        assert score(ScoreInput(invocation_time=1000), TimeOnly()) == 1000
-
-    def test_linear_combination(self):
-        inp = ScoreInput(invocation_time=1000, extra_features=(("fee", 5),))
-        assert score(inp, LinearCombination(weights=(1, -10))) == 950
-
-    def test_weight_mismatch(self):
-        inp = ScoreInput(invocation_time=1000, extra_features=(("fee", 5),))
-        with pytest.raises(ContractError):
-            score(inp, LinearCombination(weights=(1,)))
-
-    def test_pure_in_relevant_features(self):
-        a = ScoreInput(invocation_time=123, extra_features=(("fee", 4),))
-        b = ScoreInput(invocation_time=123, extra_features=(("fee", 4),))
-        formula = LinearCombination(weights=(1, 3))
-        assert score(a, formula) == score(b, formula)
-
-    def test_duplicate_feature_names(self):
-        with pytest.raises(ContractError):
-            ScoreInput(invocation_time=0, extra_features=(("x", 1), ("x", 2)))
 
 
 class TestTieBreak:
@@ -141,12 +108,12 @@ class TestTieBreak:
 class TestTypes:
     def test_invoke_time_nonnegative(self):
         with pytest.raises(ContractError):
-            Invocation(b"x", b"", -1, ScoreInput(invocation_time=0))
+            Invocation(b"x", b"", -1)
 
     def test_timestamped_command_checks_median(self):
         with pytest.raises(ContractError):
             TimestampedCommand(
-                invocation=Invocation(b"x", b"", 0, ScoreInput(invocation_time=0)),
+                invocation=Invocation(b"x", b"", 0),
                 node_timestamps=((0, 1), (1, 2), (2, 3)),
                 assigned_ts=3,
                 noise=0,
@@ -156,7 +123,7 @@ class TestTypes:
     def test_timestamped_command_checks_sum(self):
         with pytest.raises(ContractError):
             TimestampedCommand(
-                invocation=Invocation(b"x", b"", 0, ScoreInput(invocation_time=0)),
+                invocation=Invocation(b"x", b"", 0),
                 node_timestamps=((0, 1), (1, 2), (2, 3)),
                 assigned_ts=2,
                 noise=5,

@@ -49,6 +49,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(scenario="quantum")
 
+    @pytest.mark.parametrize(
+        "field, value, key",
+        [("delta_net_ms", 0, "dnet_ms"), ("slot_ms", 0, "slot_ms"), ("gaps_ms", (-1, 0), "gaps_ms")],
+    )
+    def test_delay_bounds_must_hold(self, field, value, key):
+        with pytest.raises(ConfigError, match=key):
+            small(**{field: value})
+
     def test_gap_sweep_must_be_monotone(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(scenario="tradeoff_curve", gaps_ms=(5, 1))
@@ -243,6 +251,19 @@ class TestCli:
         assert main(["bounds", "--n", "2", "--curve"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 20
 
+    def test_bounds_cli_is_the_bounds_table(self, capsys):
+        assert main(["bounds", "--n", "2", "--alpha", "1/5"]) == 0
+        expected = run_experiment(
+            ExperimentConfig(scenario="bounds_table", bounds_n=(2,), alphas=("1/5",))
+        )
+        assert capsys.readouterr().out == expected.to_csv_text()
+
+    def test_bounds_dnoise_sets_alpha(self, capsys):
+        assert main(["bounds", "--n", "3", "--dnet-ms", "300", "--dnoise-ms", "1500"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["n,alpha,epsilon,lower,upper,delta_us",
+                         "3,1/5,0.198667,0.085333,0.284000,1800000"]
+
     def test_attack_cli(self, tmp_path):
         out = tmp_path / "sandwich.csv"
         code = main(
@@ -278,9 +299,15 @@ class TestCli:
             (["simulate"], "scenario = bounds_table\nalphas = abc"),
             (["simulate"], "scenario = sandwich\noffsets_ms = 1"),
             (["simulate"], "scenario = geo_bias\ntrails = 2"),
+            (["simulate"], "scenario = geo_bias\ndnet_ms = -5"),
+            (["simulate"], "scenario = tradeoff_curve\ngaps_ms = -500,0"),
+            (["simulate"], "scenario = geo_bias\npolicies = receive\nslot_ms = 0"),
+            (["attack", "sandwich", "--policy", "pompe", "--dnet-ms", "0"], None),
+            (["bounds", "--alpha", "1/5", "--dnet-ms", "-3"], None),
         ],
         ids=["alpha", "attack-colluders", "policy-arg", "colluders", "alphas",
-             "one-offset", "unknown-key"],
+             "one-offset", "unknown-key", "dnet", "negative-gap", "slot",
+             "attack-dnet", "bounds-dnet"],
     )
     def test_bad_input_is_config_error(self, tmp_path, capsys, argv, config_line):
         if config_line is not None:

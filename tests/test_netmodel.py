@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from fairorder.domain import Invocation, ScoreInput, make_command_id
+from fairorder.domain import Invocation, make_command_id
 from fairorder.netmodel import (
     CityTopology,
     ClampStats,
@@ -18,7 +18,7 @@ DNET = 300_000
 
 
 def inv(t=1_000_000):
-    return Invocation(make_command_id("inv", t), b"", t, ScoreInput(invocation_time=t))
+    return Invocation(make_command_id("inv", t), b"", t)
 
 
 def two_city(delay_ms=50, intra_us=1000):
@@ -35,7 +35,8 @@ class TestBundled:
 
     def test_max_delay_is_canberra_oulu(self):
         topo = bundled_topology()
-        assert topo.max_delay_us() == 296_000
+        cities = topo.city_names
+        assert max(topo.delay_us(a, b) for a in cities for b in cities) == 296_000
         assert topo.delay_us("canberra", "oulu") == 296_000
         assert topo.delay_us("oulu", "canberra") == 296_000
 
