@@ -8,6 +8,9 @@ each decided command receives uniform noise keyed by its own id, so its
 final position cannot depend on other commands or on anything the nodes
 chose before the seed existed.  A command is emitted (stable) once any
 decided slot's interval end exceeds its noised timestamp.
+``count_slotted_orders`` counts the ledger orders of many such runs that
+differ only in their command ids, computing what the ids do not affect
+once.
 
 Two simplified baselines are provided for comparison: rotating-leader
 ordering (each leader emits what it has received, in its own receive
@@ -18,6 +21,7 @@ if every node received it first; ties resolved by median receive time).
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -148,11 +152,15 @@ def _noised_slot(ts_us: int, origin_us: int, interval_us: int) -> int:
     return (ts_us - origin_us) // interval_us
 
 
-def run_slotted(sim: SimulationRun) -> RunResult:
-    """Execute per-slot agreement and return the stable ledger.
+def _timestamp_invocations(sim: SimulationRun):
+    """Each invocation's submitted quorum and assigned timestamp, in order.
 
-    Deterministic in (invocations, rng_seed, oracle seed): replaying a run
-    reproduces every timestamp, noise draw, and emission byte for byte.
+    Per invocation: the nodes observe it, colluders' reports replace theirs,
+    the client picks its (possibly biased) quorum, the median becomes the
+    assigned timestamp unless the plan overrides it, and the result must
+    not precede the first slot, whose index k decides it.  Returns
+    ``[(invocation, quorum, ats, k)]`` and the clamp statistics of the
+    observations.
     """
     if sim.policy.kind not in (PolicyKind.POMPE_MEDIAN, PolicyKind.BERCOW_NOISE):
         raise ContractError("run_slotted handles the median-timestamp policies only")
@@ -163,8 +171,7 @@ def run_slotted(sim: SimulationRun) -> RunResult:
     drifts = sim.delay_model.sample_drifts(sim.n, rng)
     quorum_size = 2 * sim.f + 1
     plan = sim.adversary
-
-    by_slot: dict = {}
+    stamped = []
     for placed in sim.invocations:
         inv = placed.invocation
         stamps = observe(
@@ -188,13 +195,38 @@ def run_slotted(sim: SimulationRun) -> RunResult:
                 f"assigned timestamp {ats} precedes the first slot at {sim.slot_origin_us}"
             )
         k = _noised_slot(ats, sim.slot_origin_us, sim.slot_interval_us)
+        stamped.append((inv, quorum, ats, k))
+    return stamped, stats
+
+
+def _ledger_key(policy: OrderingPolicy, slot_seed: bytes, ats: int, command_id: bytes):
+    """A decided command's ledger sort key: (modified_ts, tie key, command id).
+
+    ``slot_seed`` is the revealed seed of the slot that decided the command.
+    """
+    if policy.kind is PolicyKind.BERCOW_NOISE:
+        noise = noise_from_seed(slot_seed, command_id, policy.noise_width_us)
+    else:
+        noise = 0
+    return (ats + noise, tie_break_key(slot_seed[:32], command_id), command_id)
+
+
+def run_slotted(sim: SimulationRun) -> RunResult:
+    """Execute per-slot agreement and return the stable ledger.
+
+    Deterministic in (invocations, rng_seed, oracle seed): replaying a run
+    reproduces every timestamp, noise draw, and emission byte for byte.
+    """
+    stamped, stats = _timestamp_invocations(sim)
+    by_slot: dict = {}
+    for inv, quorum, ats, k in stamped:
         by_slot.setdefault(k, []).append((inv, quorum, ats))
 
     ledger = Ledger()
     commands: dict = {}
     emission_slot: dict = {}
     slots: list = []
-    pending: list = []  # (modified_ts, tie_key, command_id)
+    pending: list = []  # ledger keys (modified_ts, tie_key, command_id)
     k = min(by_slot)
     last_needed = max(by_slot)
     while k <= last_needed or pending:
@@ -204,22 +236,17 @@ def run_slotted(sim: SimulationRun) -> RunResult:
         slot_seed = sim.sro.reveal(RevealRequest(k, certificate))
         decided = []
         for inv, quorum, ats in by_slot.get(k, ()):
-            if sim.policy.kind is PolicyKind.BERCOW_NOISE:
-                noise = noise_from_seed(slot_seed, inv.command_id, sim.policy.noise_width_us)
-            else:
-                noise = 0
+            key = _ledger_key(sim.policy, slot_seed, ats, inv.command_id)
             cmd = TimestampedCommand(
                 invocation=inv,
                 node_timestamps=quorum,
                 assigned_ts=ats,
-                noise=noise,
-                modified_ts=ats + noise,
+                noise=key[0] - ats,
+                modified_ts=key[0],
             )
             decided.append(cmd)
             commands[inv.command_id] = cmd
-            pending.append(
-                (cmd.modified_ts, tie_break_key(slot_seed[:32], inv.command_id), inv.command_id)
-            )
+            pending.append(key)
             last_needed = max(
                 last_needed,
                 _noised_slot(cmd.modified_ts, sim.slot_origin_us, sim.slot_interval_us),
@@ -242,6 +269,62 @@ def run_slotted(sim: SimulationRun) -> RunResult:
         ledger.stable_watermark = end
         k += 1
     return RunResult(ledger, commands, slots, emission_slot, stats)
+
+
+def count_slotted_orders(sim: SimulationRun, trial_ids) -> Counter:
+    """``run_slotted``'s ledger orders over many trials of one run, counted.
+
+    Trial t is ``sim`` with its invocations renamed to the ids
+    ``trial_ids[t]`` (one per invocation, in order); the adversary plan is
+    keyed by the ids in ``sim.invocations`` and follows the renaming.  An
+    order is a tuple of indices into ``sim.invocations``; the counts equal
+    those of ``run_slotted`` on every renamed run.
+
+    Ids feed only the noise and the tie keys, so the timestamps and the
+    decided slots' certificates and seeds are computed once, and a trial
+    costs one ledger key per command and one sort.  That sort is the
+    ledger: a command decided in slot k_d is emitted by slot
+    floor((modified_ts - origin) / interval), which is >= k_d because
+    modified_ts >= assigned_ts, and each slot emits its ripe keys sorted
+    after every earlier slot's, all of which are smaller.
+
+    Checks, once per run: each command's ``TimestampedCommand`` checks on
+    the largest noise a trial can draw (so a run whose noised timestamps
+    could overflow is rejected even if no trial's do), and each decided
+    slot's ``Slot`` checks and certificate verification in ``reveal``.
+    The empty slots ``run_slotted`` walks until the last emission are
+    neither certified nor revealed here: no key depends on their seeds.
+    """
+    stamped, _ = _timestamp_invocations(sim)
+    max_noise = max(sim.policy.noise_width_us - 1, 0)
+    by_slot: dict = {}
+    for inv, quorum, ats, k in stamped:
+        cmd = TimestampedCommand(
+            invocation=inv, node_timestamps=quorum, assigned_ts=ats,
+            noise=max_noise, modified_ts=ats + max_noise,
+        )
+        by_slot.setdefault(k, []).append(cmd)
+    seeds = {}
+    for k, decided in by_slot.items():
+        start = sim.slot_origin_us + k * sim.slot_interval_us
+        certificate = sim.sro.quorum_signatures(k)
+        Slot(  # built for its checks: interval membership, distinct signers
+            index=k,
+            interval_start=start,
+            interval_end=start + sim.slot_interval_us,
+            decided_commands=tuple(decided),
+            decision_certificate=certificate,
+        )
+        seeds[k] = sim.sro.reveal(RevealRequest(k, certificate))
+    hoisted = [(seeds[k], ats) for _, _, ats, k in stamped]
+    counts = Counter()
+    for ids in trial_ids:
+        keys = sorted(
+            (_ledger_key(sim.policy, seed, ats, command_id), i)
+            for i, ((seed, ats), command_id) in enumerate(zip(hoisted, ids, strict=True))
+        )
+        counts[tuple(i for _, i in keys)] += 1
+    return counts
 
 
 def _receive_matrix(placed_invocations, topology, delay_model, delta_net_us, rng, stats=None):

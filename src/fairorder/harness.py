@@ -13,8 +13,11 @@ Every simulated table cell goes through one trial driver,
 (label, invoke_us, city) triples and reads its numbers from the counted
 ledger orders.  The cell's tags -- ``("geo", pair_index, spec)``,
 ``("gap", spec, gap_ms)`` or ``("sand", spec)`` -- fix trial t's command
-ids, ``make_command_id(*tags, t, label)``, and its seed,
-``_trial_seed(seed, *tags, t)``; changing either changes the CSVs.
+ids, ``make_command_id(*tags, t, label)``; under the leader and receive
+policies they also fix its seed, ``_trial_seed(seed, *tags, t)``.
+Changing either changes the CSVs.  The median-timestamp policies draw
+nothing per trial but the ids, so their cells are counted in one batch by
+``consensus.count_slotted_orders``.
 """
 
 from __future__ import annotations
@@ -37,9 +40,9 @@ from .consensus import (
     PlacedInvocation,
     PolicyKind,
     SimulationRun,
+    count_slotted_orders,
     order_leader_rotation,
     order_receive_all_correct,
-    run_slotted,
 )
 from .domain import US_PER_MS, Invocation, make_command_id
 from .netmodel import CityTopology, bundled_topology, load_topology
@@ -235,38 +238,48 @@ def _count_orders(config, topology, f, sro, spec, tags, commands, colluders=()) 
     """
     policy = parse_policy(spec)
     delta_net_us = config.delta_net_ms * US_PER_MS
-    slot_us = config.slot_ms * US_PER_MS
-    slotted = policy.kind in (PolicyKind.POMPE_MEDIAN, PolicyKind.BERCOW_NOISE)
+    labels = [label for label, _, _ in commands]
+    trial_ids = (
+        [make_command_id(*tags, trial, label) for label in labels]
+        for trial in range(config.trials)
+    )
+    if policy.kind in (PolicyKind.POMPE_MEDIAN, PolicyKind.BERCOW_NOISE):
+        # one template run; each trial renames its commands
+        placed = [
+            PlacedInvocation(Invocation(label.encode(), b"", t_us), city)
+            for label, t_us, city in commands
+        ]
+        plan = AdversaryPlan()
+        if colluders:
+            victim, *attackers = [(p.invocation, p.origin_city) for p in placed]
+            plan = private_relay_placement(
+                victim, attackers, colluders, topology, delta_net_us, f
+            )
+        # rng_seed is never drawn from: the harness keeps the default
+        # DelayModel, which has no jitter or drift.  (config.seed may be
+        # negative, which numpy rejects.)
+        sim = SimulationRun(
+            topology=topology, policy=policy, delta_net_us=delta_net_us,
+            slot_interval_us=config.slot_ms * US_PER_MS, f=f, invocations=placed,
+            sro=sro, rng_seed=0, adversary=plan,
+        )
+        orders = count_slotted_orders(sim, trial_ids)
+        return Counter({tuple(labels[i] for i in order): n for order, n in orders.items()})
     counts = Counter()
-    for trial in range(config.trials):
-        labels = {make_command_id(*tags, trial, label): label for label, _, _ in commands}
+    for trial, ids in enumerate(trial_ids):
         placed = [
             PlacedInvocation(Invocation(cid, b"", t_us), city)
-            for cid, (_, t_us, city) in zip(labels, commands)
+            for cid, (_, t_us, city) in zip(ids, commands)
         ]
-        trial_seed = _trial_seed(config.seed, *tags, trial)
-        if slotted:
-            plan = AdversaryPlan()
-            if colluders:
-                victim, *attackers = [(p.invocation, p.origin_city) for p in placed]
-                plan = private_relay_placement(
-                    victim, attackers, colluders, topology, delta_net_us, f
-                )
-            sim = SimulationRun(
-                topology=topology, policy=policy, delta_net_us=delta_net_us,
-                slot_interval_us=slot_us, f=f, invocations=placed, sro=sro,
-                rng_seed=trial_seed, adversary=plan,
-            )
-            ledger = run_slotted(sim).ledger
-        elif policy.kind is PolicyKind.LEADER_ROTATION:
-            rng = np.random.default_rng(trial_seed)
+        rng = np.random.default_rng(_trial_seed(config.seed, *tags, trial))
+        if policy.kind is PolicyKind.LEADER_ROTATION:
             ledger = order_leader_rotation(
                 placed, topology, policy.rotation_period_us, delta_net_us, rng
             )
         else:
-            rng = np.random.default_rng(trial_seed)
             ledger = order_receive_all_correct(placed, topology, delta_net_us, rng)
-        counts[tuple(labels[cid] for cid in ledger.entries)] += 1
+        label_of = dict(zip(ids, labels))
+        counts[tuple(label_of[cid] for cid in ledger.entries)] += 1
     return counts
 
 

@@ -1,4 +1,6 @@
 import hashlib
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,13 +15,14 @@ from fairorder.consensus import (
     SimulationRun,
     all_correct_precedence,
     assert_no_far_inversions,
+    count_slotted_orders,
     noise_from_seed,
     order_leader_rotation,
     order_receive_all_correct,
     run_slotted,
 )
-from fairorder.domain import ContractError, Invocation, make_command_id
-from fairorder.netmodel import CityTopology, bundled_topology, parse_topology
+from fairorder.domain import MAX_TIMESTAMP, ContractError, Invocation, make_command_id
+from fairorder.netmodel import CityTopology, DelayModel, bundled_topology, parse_topology
 from fairorder.sro import Backend, SroConfig, sro_init
 
 DNET = 300_000
@@ -202,6 +205,63 @@ class TestRunSlotted:
         placed = [PlacedInvocation(cmd, "solo")]
         result = run_slotted(sim_for(placed, OrderingPolicy.pompe(), adversary=plan))
         assert result.commands[cmd.command_id].assigned_ts == 100_000 + DNET
+
+
+class TestCountSlottedOrders:
+    def test_equals_run_slotted_on_renamed_runs(self):
+        # Every plan kind, jitter and drift, and commands decided in slots 0
+        # and 1: the counts are those of run_slotted on each renamed run.
+        topology = bundled_topology()
+        f = (topology.n_nodes - 1) // 3
+        cmds = [inv("x", 1_100_000), inv("y", 1_250_000), inv("z", 1_550_000)]
+        cities = ("tokyo", "london", "washington")
+        placed = [PlacedInvocation(c, city) for c, city in zip(cmds, cities)]
+        plan = AdversaryPlan(
+            ats_overrides={cmds[0].command_id: 1_390_000},
+            node_overrides={(cmds[1].command_id, 0): 1_250_000},
+            quorum_bias={cmds[1].command_id: "high"},
+        )
+        sim = replace(
+            sim_for(placed, OrderingPolicy.bercow(SLOT), topology=topology, f=f,
+                    adversary=plan, seed=5),
+            delay_model=DelayModel(jitter_ms=20.0, clock_drift_max_us=3_000),
+        )
+        trial_ids = [[make_command_id("t", t, i) for i in range(3)] for t in range(200)]
+        want = Counter()
+        for ids in trial_ids:
+            rename = {c.command_id: cid for c, cid in zip(cmds, ids)}
+            renamed = replace(
+                sim,
+                invocations=[
+                    PlacedInvocation(replace(p.invocation, command_id=cid), p.origin_city)
+                    for p, cid in zip(placed, ids)
+                ],
+                adversary=AdversaryPlan(
+                    ats_overrides={rename[c]: ts for c, ts in plan.ats_overrides.items()},
+                    node_overrides={
+                        (rename[c], node): ts for (c, node), ts in plan.node_overrides.items()
+                    },
+                    quorum_bias={rename[c]: bias for c, bias in plan.quorum_bias.items()},
+                ),
+            )
+            result = run_slotted(renamed)
+            assert len({slot.index for slot in result.slots if slot.decided_commands}) == 2
+            want[tuple(ids.index(cid) for cid in result.ledger.entries)] += 1
+        assert len(want) > 1
+        assert count_slotted_orders(sim, trial_ids) == want
+
+    def test_rejects_noise_that_could_overflow(self):
+        # ats fits in 63 bits, ats + the largest noise a trial can draw does not
+        t = MAX_TIMESTAMP - DNET - SLOT
+        placed = [PlacedInvocation(inv("a", t), "solo")]
+        count_slotted_orders(sim_for(placed, OrderingPolicy.pompe()), [[b"a"]])
+        with pytest.raises(ContractError, match="overflow"):
+            count_slotted_orders(sim_for(placed, OrderingPolicy.bercow(2 * SLOT)), [[b"a"]])
+
+    def test_one_id_per_invocation(self):
+        placed = [PlacedInvocation(inv("a", 100_000), "solo")]
+        with pytest.raises(ValueError):
+            count_slotted_orders(sim_for(placed, OrderingPolicy.pompe()), [[b"a", b"b"]])
 
 
 class TestLeaderRotation:

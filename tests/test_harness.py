@@ -1,15 +1,24 @@
 import os
+import random
+from collections import Counter
 from fractions import Fraction
 from importlib import resources
 
 import pytest
 
+from fairorder import adversary, consensus
+from fairorder.adversary import AdversaryPlan, private_relay_placement
 from fairorder.analysis import epsilon_pair
 from fairorder.cli import main
+from fairorder.consensus import PlacedInvocation, SimulationRun, run_slotted
+from fairorder.domain import US_PER_MS, Invocation, make_command_id
 from fairorder.harness import (
     ConfigError,
     ExperimentConfig,
     TableResult,
+    _colluder_ids,
+    _count_orders,
+    _sro_for,
     emit_csv,
     parse_config,
     parse_policy,
@@ -20,6 +29,7 @@ from fairorder.harness import (
     run_sandwich,
     run_tradeoff_curve,
 )
+from fairorder.sro import SroHandle
 
 CONFIG_DIR = resources.files("fairorder.data") / "configs"
 
@@ -207,10 +217,113 @@ class TestSandwich:
         expected = [row for row in rows if row[1] == "expected"][0]
         assert float(expected[4]) < 0.35 * 800
 
+    def test_negative_seed(self):
+        # The CSV written before the slotted cells were batched.
+        config = small(
+            scenario="sandwich", policies=("bercow:1500",),
+            origins=("munich", "london"), trials=40, colluders="max", seed=-1,
+        )
+        assert run_sandwich(config).to_csv_text().splitlines() == [
+            "policy,order,frequency,victim_usd,attacker_usd",
+            "bercow:1500,i1-i2-i3,0.325000,300.00,0.00",
+            "bercow:1500,i1-i3-i2,0.075000,300.00,0.00",
+            "bercow:1500,i2-i1-i3,0.100000,-500.00,800.00",
+            "bercow:1500,i2-i3-i1,0.200000,300.00,0.00",
+            "bercow:1500,i3-i1-i2,0.100000,700.00,-400.00",
+            "bercow:1500,i3-i2-i1,0.200000,300.00,0.00",
+            "bercow:1500,expected,1.000000,,40.00",
+        ]
+
     def test_colluder_count_validated(self):
         config = small(scenario="sandwich", origins=("munich", "london"), colluders="99")
         with pytest.raises(ConfigError):
             run_sandwich(config)
+
+
+def per_trial_counts(config, topology, f, sro, spec, tags, commands, colluders):
+    """One ``run_slotted`` per trial, each with its own adversary plan.
+
+    The reference for the batched slotted path of ``_count_orders``; also
+    returns the decided slot indices of every trial's run.
+    """
+    policy = parse_policy(spec)
+    delta_net_us = config.delta_net_ms * US_PER_MS
+    counts, decided_slots = Counter(), set()
+    for trial in range(config.trials):
+        labels = {make_command_id(*tags, trial, label): label for label, _, _ in commands}
+        placed = [
+            PlacedInvocation(Invocation(cid, b"", t_us), city)
+            for cid, (_, t_us, city) in zip(labels, commands)
+        ]
+        plan = AdversaryPlan()
+        if colluders:
+            victim, *attackers = [(p.invocation, p.origin_city) for p in placed]
+            plan = private_relay_placement(
+                victim, attackers, colluders, topology, delta_net_us, f
+            )
+        result = run_slotted(SimulationRun(
+            topology=topology, policy=policy, delta_net_us=delta_net_us,
+            slot_interval_us=config.slot_ms * US_PER_MS, f=f, invocations=placed,
+            sro=sro, rng_seed=trial, adversary=plan,
+        ))
+        counts[tuple(labels[cid] for cid in result.ledger.entries)] += 1
+        decided_slots.update(slot.index for slot in result.slots if slot.decided_commands)
+    return counts, decided_slots
+
+
+class TestSlottedEngine:
+    @pytest.mark.parametrize("spec", ["pompe", "bercow:300", "bercow:1500", "bercow:5000"])
+    @pytest.mark.parametrize("n_commands, colluders", [(2, "0"), (3, "max")])
+    def test_counts_equal_per_trial_runs(self, spec, n_commands, colluders):
+        # One command is invoked more than dnet before a slot boundary and
+        # one at or after it, so every cell decides commands in two slots.
+        rnd = random.Random(f"{spec}/{n_commands}")
+        config = small(scenario="sandwich", trials=60, colluders=colluders)
+        topology = resolve_topology(config.topology)
+        f, sro = _sro_for(topology, config.seed)
+        slot_us, dnet_us = config.slot_ms * US_PER_MS, config.delta_net_ms * US_PER_MS
+        for cell in range(3):
+            times = [
+                slot_us - dnet_us - rnd.randrange(1, 100 * US_PER_MS),
+                slot_us + rnd.randrange(0, 100 * US_PER_MS),
+            ]
+            times += [slot_us + rnd.randrange(-dnet_us, dnet_us)] * (n_commands - 2)
+            rnd.shuffle(times)
+            commands = tuple(
+                (label, t_us, rnd.choice(topology.city_names))
+                for label, t_us in zip(("v", "x", "y"), times)
+            )
+            tags = ("engine", spec, cell)
+            colluder_ids = _colluder_ids(config, topology, f)
+            want, decided_slots = per_trial_counts(
+                config, topology, f, sro, spec, tags, commands, colluder_ids
+            )
+            got = _count_orders(config, topology, f, sro, spec, tags, commands, colluder_ids)
+            assert got == want, commands
+            assert len(decided_slots) >= 2
+
+    def test_stamps_and_reveals_once_per_cell(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (consensus, adversary):
+            monkeypatch.setattr(module, "observe", counting("observe", module.observe))
+        monkeypatch.setattr(SroHandle, "reveal", counting("reveal", SroHandle.reveal))
+        per_trials = {}
+        for trials in (5, 50):
+            calls.clear()
+            run_sandwich(small(
+                scenario="sandwich", policies=("bercow:1500",),
+                origins=("munich", "london"), trials=trials, colluders="max",
+            ))
+            per_trials[trials] = dict(calls)
+        assert per_trials[5]["reveal"] >= 1
+        assert per_trials[5] == per_trials[50]
 
 
 class TestLiquidation:
@@ -272,6 +385,12 @@ class TestCli:
         )
         assert code == 0
         assert out.read_text().startswith("policy,order,frequency")
+
+    @pytest.mark.parametrize("policy", ["pompe", "bercow", "leader", "receive"])
+    def test_attack_cli_negative_seed(self, policy, capsys):
+        assert main(["attack", "sandwich", "--policy", policy, "--trials", "5",
+                     "--seed", "-1"]) == 0
+        assert capsys.readouterr().out.startswith("policy,order,frequency")
 
     def test_sro_demo_both_backends(self, capsys):
         assert main(["sro-demo", "--backend", "seeded", "--k", "3"]) == 0
