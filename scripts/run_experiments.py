@@ -4,11 +4,10 @@
 Usage:
     python scripts/run_experiments.py [--only geo_bias,sandwich] [--trials N]
 
-A full run took 43-58 s in four runs on 2 cores of an Intel Xeon under
-Python 3.11 (geo_bias and tradeoff_curve 19-28 s each, the rest under
-3 s together), about four fifths of it in the leader and receive
-baselines, which run trial by trial; pass --trials to downscale for a
-quick look.
+A full run took 20-23 s in four runs on 2 cores of an Intel Xeon under
+Python 3.11 (geo_bias and tradeoff_curve 8-11 s each, the rest under 3 s
+together); every table cell is counted in one batch.  Pass --trials to
+downscale for a quick look.
 """
 
 import argparse

@@ -193,10 +193,14 @@ ADAPTIVE_UPPER = "adaptive_upper"
 
 
 def _simulate_fixed(ats_norm, target_order, trials, rng) -> np.ndarray:
-    noise = rng.random((trials, len(ats_norm)))
-    modified = noise + np.asarray(ats_norm, dtype=float)
-    ordered = modified[:, list(target_order)]
-    return np.all(np.diff(ordered, axis=1) > 0, axis=1)
+    # in place and pairwise: one trials x n array at peak, not four
+    modified = rng.random((trials, len(ats_norm)))
+    modified += np.asarray(ats_norm, dtype=float)
+    order = list(target_order)
+    hits = np.ones(trials, dtype=bool)
+    for a, b in zip(order, order[1:]):
+        hits &= modified[:, b] > modified[:, a]
+    return hits
 
 
 def _simulate_adaptive_upper(n, alpha, trials, rng) -> np.ndarray:

@@ -16,6 +16,8 @@ Two simplified baselines are provided for comparison: rotating-leader
 ordering (each leader emits what it has received, in its own receive
 order) and all-correct receive ordering (a command precedes another only
 if every node received it first; ties resolved by median receive time).
+``count_baseline_orders`` counts their ledger orders over many trials,
+building the receive matrix once.
 """
 
 from __future__ import annotations
@@ -327,16 +329,47 @@ def count_slotted_orders(sim: SimulationRun, trial_ids) -> Counter:
     return counts
 
 
-def _receive_matrix(placed_invocations, topology, delay_model, delta_net_us, rng, stats=None):
+_LEADER_TIE_SEED = b"leader"
+_RECEIVE_TIE_SEED = b"receive"
+
+
+def _receive_matrix(placed_invocations, topology, delay_model, delta_net_us, rng):
+    """Each invocation's per-node receive times, in invocation order."""
     drifts = delay_model.sample_drifts(topology.n_nodes, rng)
-    out = {}
+    out = []
     for placed in placed_invocations:
         stamps = observe(
             placed.invocation, placed.origin_city, topology, delay_model,
-            delta_net_us, rng=rng, drifts=drifts, stats=stats,
+            delta_net_us, rng=rng, drifts=drifts,
         )
-        out[placed.invocation.command_id] = [ts for _, ts in stamps]
+        out.append([ts for _, ts in stamps])
     return out
+
+
+def _rotation(rng, n: int, rotation_period_us: int, schedule=None, phase_us=None):
+    """The leader schedule and the rotation phase, each drawn from ``rng``
+    (schedule first) unless given."""
+    if schedule is None:
+        schedule = rng.permutation(n).tolist()
+    if phase_us is None:
+        phase_us = int(rng.integers(0, rotation_period_us))
+    return schedule, phase_us
+
+
+def _leader_key(times, invoke_time, schedule, phase_us, rotation_period_us, tie_seed, cmd_id):
+    """A command's ledger key under leader rotation: (period, leader's
+    receive time, tie key, command id).
+
+    Period p's leader is ``schedule[p % len(schedule)]``; the command joins
+    the batch of the first period, from the one it was invoked in, whose
+    leader received it before the period ended.
+    """
+    p = (invoke_time - phase_us) // rotation_period_us
+    while True:
+        received = times[schedule[p % len(schedule)]]
+        if received < phase_us + (p + 1) * rotation_period_us:
+            return (p, received, tie_break_key(tie_seed, cmd_id), cmd_id)
+        p += 1
 
 
 def order_leader_rotation(
@@ -346,7 +379,7 @@ def order_leader_rotation(
     delta_net_us: int,
     rng,
     delay_model: DelayModel = DelayModel(),
-    tie_seed: bytes = b"leader",
+    tie_seed: bytes = _LEADER_TIE_SEED,
     schedule=None,
     phase_us=None,
 ) -> Ledger:
@@ -361,31 +394,17 @@ def order_leader_rotation(
         raise ContractError("rotation period must be positive")
     if not placed_invocations:
         return Ledger()
-    n = topology.n_nodes
     receive = _receive_matrix(placed_invocations, topology, delay_model, delta_net_us, rng)
-    if schedule is None:
-        schedule = [int(x) for x in rng.permutation(n)]
-    phase = int(rng.integers(0, rotation_period_us)) if phase_us is None else phase_us
-    batches: dict = {}
-    for placed in placed_invocations:
-        cmd_id = placed.invocation.command_id
-        times = receive[cmd_id]
-        p = (placed.invocation.invoke_time - phase) // rotation_period_us
-        while True:
-            leader = schedule[p % n]
-            if times[leader] < phase + (p + 1) * rotation_period_us:
-                batches.setdefault(p, []).append(
-                    (times[leader], tie_break_key(tie_seed, cmd_id), cmd_id)
-                )
-                break
-            p += 1
-    ledger = Ledger()
-    for p in sorted(batches):
-        for _, _, cmd_id in sorted(batches[p]):
-            ledger.entries.append(cmd_id)
-    if batches:
-        last = max(batches)
-        ledger.stable_watermark = phase + (last + 1) * rotation_period_us
+    schedule, phase = _rotation(rng, topology.n_nodes, rotation_period_us, schedule, phase_us)
+    keys = sorted(
+        _leader_key(
+            times, placed.invocation.invoke_time, schedule, phase, rotation_period_us,
+            tie_seed, placed.invocation.command_id,
+        )
+        for placed, times in zip(placed_invocations, receive)
+    )
+    ledger = Ledger(entries=[cmd_id for *_, cmd_id in keys])
+    ledger.stable_watermark = phase + (keys[-1][0] + 1) * rotation_period_us
     return ledger
 
 
@@ -400,13 +419,23 @@ def all_correct_precedence(receive: dict):
     return pairs
 
 
+def _median_receive(times) -> int:
+    return sorted(times)[len(times) // 2]
+
+
+def _receive_key(median_us: int, tie_seed: bytes, cmd_id: bytes):
+    """A command's ledger key under all-correct receive order: (median
+    receive time, tie key, command id)."""
+    return (median_us, tie_break_key(tie_seed, cmd_id), cmd_id)
+
+
 def order_receive_all_correct(
     placed_invocations,
     topology: CityTopology,
     delta_net_us: int,
     rng,
     delay_model: DelayModel = DelayModel(),
-    tie_seed: bytes = b"receive",
+    tie_seed: bytes = _RECEIVE_TIE_SEED,
 ) -> Ledger:
     """All-correct receive-order baseline.
 
@@ -419,20 +448,74 @@ def order_receive_all_correct(
     if not placed_invocations:
         return Ledger()
     receive = _receive_matrix(placed_invocations, topology, delay_model, delta_net_us, rng)
-
-    def sort_key(cmd_id):
-        times = sorted(receive[cmd_id])
-        return (times[len(times) // 2], tie_break_key(tie_seed, cmd_id), cmd_id)
-
-    ordered = sorted(receive, key=sort_key)
+    ids = [placed.invocation.command_id for placed in placed_invocations]
+    keys = sorted(
+        _receive_key(_median_receive(times), tie_seed, cmd_id)
+        for cmd_id, times in zip(ids, receive)
+    )
+    ordered = [cmd_id for *_, cmd_id in keys]
     position = {cmd_id: i for i, cmd_id in enumerate(ordered)}
-    for a, b in all_correct_precedence(receive):
+    for a, b in all_correct_precedence(dict(zip(ids, receive))):
         if position[a] > position[b]:  # pragma: no cover - median order extends the relation
             raise AssertionError("output violates all-correct receive precedence")
     ledger = Ledger(entries=ordered)
-    if ordered:
-        ledger.stable_watermark = max(max(receive[c]) for c in receive) + 1
+    ledger.stable_watermark = max(max(times) for times in receive) + 1
     return ledger
+
+
+def count_baseline_orders(
+    placed_invocations,
+    topology: CityTopology,
+    policy: OrderingPolicy,
+    delta_net_us: int,
+    trial_ids,
+    trial_seeds,
+    delay_model: DelayModel = DelayModel(),
+) -> Counter:
+    """The leader and receive baselines' ledger orders over many trials, counted.
+
+    Trial t orders ``placed_invocations`` renamed to the ids ``trial_ids[t]``
+    (one per invocation, in order); leader rotation draws its schedule and
+    phase from ``np.random.default_rng(trial_seeds[t])``, and the receive
+    policy never reads ``trial_seeds``.  An order is a tuple of indices into
+    ``placed_invocations``; the counts equal those of
+    ``order_leader_rotation`` and ``order_receive_all_correct`` on every
+    renamed trial.
+
+    Under the default ``DelayModel`` the receive matrix depends only on each
+    invocation's city and invoke time, so it is built, and the all-correct
+    precedence checked, once: on the median order, since a strictly smaller
+    median puts a command first in every trial.  Any other delay model
+    draws from the trial's rng, so it is rejected.
+    """
+    if policy.kind not in (PolicyKind.LEADER_ROTATION, PolicyKind.RECEIVE_ORDER):
+        raise ContractError("count_baseline_orders handles the leader and receive policies only")
+    if delay_model != DelayModel():
+        raise ContractError("batched baselines need the default DelayModel (no jitter or drift)")
+    receive = _receive_matrix(placed_invocations, topology, delay_model, delta_net_us, None)
+    counts = Counter()
+    if policy.kind is PolicyKind.LEADER_ROTATION:
+        period = policy.rotation_period_us
+        invoke = [placed.invocation.invoke_time for placed in placed_invocations]
+        for ids, seed in zip(trial_ids, trial_seeds, strict=True):
+            schedule, phase = _rotation(np.random.default_rng(seed), topology.n_nodes, period)
+            keys = sorted(
+                (_leader_key(times, t, schedule, phase, period, _LEADER_TIE_SEED, cmd_id), i)
+                for i, (times, t, cmd_id) in enumerate(zip(receive, invoke, ids, strict=True))
+            )
+            counts[tuple(i for _, i in keys)] += 1
+        return counts
+    medians = [_median_receive(times) for times in receive]
+    for a, b in all_correct_precedence(dict(enumerate(receive))):
+        if medians[a] >= medians[b]:  # pragma: no cover - as in order_receive_all_correct
+            raise AssertionError("median order violates all-correct receive precedence")
+    for ids in trial_ids:
+        keys = sorted(
+            (_receive_key(median, _RECEIVE_TIE_SEED, cmd_id), i)
+            for i, (median, cmd_id) in enumerate(zip(medians, ids, strict=True))
+        )
+        counts[tuple(i for _, i in keys)] += 1
+    return counts
 
 
 def assert_no_far_inversions(result: RunResult, delta_us: int):

@@ -13,11 +13,13 @@ Every simulated table cell goes through one trial driver,
 (label, invoke_us, city) triples and reads its numbers from the counted
 ledger orders.  The cell's tags -- ``("geo", pair_index, spec)``,
 ``("gap", spec, gap_ms)`` or ``("sand", spec)`` -- fix trial t's command
-ids, ``make_command_id(*tags, t, label)``; under the leader and receive
-policies they also fix its seed, ``_trial_seed(seed, *tags, t)``.
-Changing either changes the CSVs.  The median-timestamp policies draw
-nothing per trial but the ids, so their cells are counted in one batch by
-``consensus.count_slotted_orders``.
+ids, ``make_command_id(*tags, t, label)``; under the leader policy they
+also fix the seed its schedule and phase are drawn from,
+``_trial_seed(seed, *tags, t)``.  Changing either changes the CSVs.  No
+cell runs trial by trial: ``consensus.count_slotted_orders`` (median and
+noised-median policies) and ``consensus.count_baseline_orders`` (leader
+and receive) compute what the ids do not affect once per cell and count
+every trial's ledger order in one batch.
 """
 
 from __future__ import annotations
@@ -31,8 +33,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-
 from . import analysis, attacks
 from .adversary import AdversaryPlan, private_relay_placement
 from .consensus import (
@@ -40,9 +40,8 @@ from .consensus import (
     PlacedInvocation,
     PolicyKind,
     SimulationRun,
+    count_baseline_orders,
     count_slotted_orders,
-    order_leader_rotation,
-    order_receive_all_correct,
 )
 from .domain import US_PER_MS, Invocation, make_command_id
 from .netmodel import CityTopology, bundled_topology, load_topology
@@ -243,12 +242,12 @@ def _count_orders(config, topology, f, sro, spec, tags, commands, colluders=()) 
         [make_command_id(*tags, trial, label) for label in labels]
         for trial in range(config.trials)
     )
+    # one template cell; each trial renames its commands
+    placed = [
+        PlacedInvocation(Invocation(label.encode(), b"", t_us), city)
+        for label, t_us, city in commands
+    ]
     if policy.kind in (PolicyKind.POMPE_MEDIAN, PolicyKind.BERCOW_NOISE):
-        # one template run; each trial renames its commands
-        placed = [
-            PlacedInvocation(Invocation(label.encode(), b"", t_us), city)
-            for label, t_us, city in commands
-        ]
         plan = AdversaryPlan()
         if colluders:
             victim, *attackers = [(p.invocation, p.origin_city) for p in placed]
@@ -264,23 +263,12 @@ def _count_orders(config, topology, f, sro, spec, tags, commands, colluders=()) 
             sro=sro, rng_seed=0, adversary=plan,
         )
         orders = count_slotted_orders(sim, trial_ids)
-        return Counter({tuple(labels[i] for i in order): n for order, n in orders.items()})
-    counts = Counter()
-    for trial, ids in enumerate(trial_ids):
-        placed = [
-            PlacedInvocation(Invocation(cid, b"", t_us), city)
-            for cid, (_, t_us, city) in zip(ids, commands)
-        ]
-        rng = np.random.default_rng(_trial_seed(config.seed, *tags, trial))
-        if policy.kind is PolicyKind.LEADER_ROTATION:
-            ledger = order_leader_rotation(
-                placed, topology, policy.rotation_period_us, delta_net_us, rng
-            )
-        else:
-            ledger = order_receive_all_correct(placed, topology, delta_net_us, rng)
-        label_of = dict(zip(ids, labels))
-        counts[tuple(label_of[cid] for cid in ledger.entries)] += 1
-    return counts
+    else:
+        trial_seeds = (_trial_seed(config.seed, *tags, trial) for trial in range(config.trials))
+        orders = count_baseline_orders(
+            placed, topology, policy, delta_net_us, trial_ids, trial_seeds
+        )
+    return Counter({tuple(labels[i] for i in order): n for order, n in orders.items()})
 
 
 def run_geo_bias(config: ExperimentConfig) -> TableResult:

@@ -48,6 +48,11 @@ class CityTopology:
                 if city not in known:
                     raise TopologyError(f"delay entry references unknown city {city!r}")
         object.__setattr__(self, "_delay_cache", {})
+        object.__setattr__(self, "_city_names", tuple(names))
+        object.__setattr__(
+            self, "_node_cities",
+            tuple(name for name, count in self.cities for _ in range(count)),
+        )
 
     @property
     def n_nodes(self) -> int:
@@ -55,14 +60,11 @@ class CityTopology:
 
     @property
     def city_names(self) -> tuple:
-        return tuple(name for name, _ in self.cities)
+        return self._city_names
 
     def node_cities(self) -> tuple:
         """City of each node id, in city-block order."""
-        out = []
-        for name, count in self.cities:
-            out.extend([name] * count)
-        return tuple(out)
+        return self._node_cities
 
     def delay_us(self, a: str, b: str) -> int:
         if a not in self.city_names or b not in self.city_names:

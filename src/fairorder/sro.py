@@ -268,6 +268,7 @@ class SroHandle:
         self._signing_keys = {i: node_signing_key(rng_seed, i) for i in range(config.n)}
         self._certificates = {}  # k -> frozenset, memoized full-quorum signatures
         self._revealed = {}  # k -> value; sound by uniqueness, saves recombination
+        self._verified = set()  # (k, frozenset) that passed signatures_valid
         if config.backend is Backend.SEEDED_HASH:
             self.__seed = _hash(b"sro-seed", rng_seed)[:32]
             self.group = None
@@ -295,12 +296,21 @@ class SroHandle:
             ]
 
     def signatures_valid(self, k: int, signatures) -> bool:
+        # The keys never change after init, so the check is a pure function
+        # of (k, signatures); an equal frozenset that passed it passes again.
+        memo = (k, signatures) if isinstance(signatures, frozenset) else None
+        if memo is not None and memo in self._verified:
+            return True
         valid_ids = set()
         for node_id, tag in signatures:
             key = self._signing_keys.get(node_id)
             if key is not None and hmac.compare_digest(tag, sign_slot(key, k)):
                 valid_ids.add(node_id)
-        return len(valid_ids) >= self.config.quorum
+        if len(valid_ids) < self.config.quorum:
+            return False
+        if memo is not None:
+            self._verified.add(memo)
+        return True
 
     def quorum_signatures(self, k: int, node_ids=None) -> frozenset:
         """Signatures over k from n - f nodes (all nodes would sign an agreed slot)."""

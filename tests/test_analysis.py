@@ -10,6 +10,7 @@ from fairorder.analysis import (
     ADAPTIVE_UPPER,
     HONEST,
     LOWER_BOUND,
+    _simulate_fixed,
     delta_linearizability,
     epsilon_general,
     epsilon_pair,
@@ -164,6 +165,30 @@ class TestMonteCarlo:
         lower = float(order_prob_bounds(3, Fraction(1, 5))[0])
         est, se = order_prob_monte_carlo(LOWER_BOUND, 3, 0.2, (0, 1, 2), 400_000, rng)
         assert abs(est - lower) < 4 * se
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_fixed_hits_equal_diff_formulation(self, n):
+        def diff_reference(ats_norm, target_order, trials, rng):
+            noise = rng.random((trials, len(ats_norm)))
+            modified = noise + np.asarray(ats_norm, dtype=float)
+            ordered = modified[:, list(target_order)]
+            return np.all(np.diff(ordered, axis=1) > 0, axis=1)
+
+        class CoarseRng:  # noise on a grid of quarters: many exact ties
+            def __init__(self, seed):
+                self.rng = np.random.default_rng(seed)
+
+            def random(self, shape):
+                return np.floor(self.rng.random(shape) * 4) / 4
+
+        pick = np.random.default_rng(n)
+        for case in range(20):
+            ats = pick.random(n) * pick.choice([0.0, 0.25, 1.0])
+            order = tuple(pick.permutation(n).tolist())
+            for make_rng in (np.random.default_rng, CoarseRng):
+                got = _simulate_fixed(ats, order, 2000, make_rng(case))
+                want = diff_reference(ats, order, 2000, make_rng(case))
+                assert np.array_equal(got, want)
 
     def test_unknown_strategy(self):
         with pytest.raises(ContractError):

@@ -15,6 +15,7 @@ from fairorder.consensus import (
     SimulationRun,
     all_correct_precedence,
     assert_no_far_inversions,
+    count_baseline_orders,
     count_slotted_orders,
     noise_from_seed,
     order_leader_rotation,
@@ -262,6 +263,26 @@ class TestCountSlottedOrders:
         placed = [PlacedInvocation(inv("a", 100_000), "solo")]
         with pytest.raises(ValueError):
             count_slotted_orders(sim_for(placed, OrderingPolicy.pompe()), [[b"a", b"b"]])
+
+
+class TestCountBaselineOrders:
+    @pytest.mark.parametrize(
+        "delay_model", [DelayModel(jitter_ms=20.0), DelayModel(clock_drift_max_us=3_000)]
+    )
+    @pytest.mark.parametrize("policy", [OrderingPolicy.receive(), OrderingPolicy.leader(SLOT)])
+    def test_rejects_non_default_delay_model(self, policy, delay_model):
+        placed = [PlacedInvocation(inv("a", 100_000), "solo")]
+        with pytest.raises(ContractError, match="DelayModel"):
+            count_baseline_orders(
+                placed, small_topology(), policy, DNET, [[b"a"]], [[0, 0]], delay_model
+            )
+
+    def test_rejects_median_policies(self):
+        placed = [PlacedInvocation(inv("a", 100_000), "solo")]
+        with pytest.raises(ContractError):
+            count_baseline_orders(
+                placed, small_topology(), OrderingPolicy.pompe(), DNET, [[b"a"]], [[0, 0]]
+            )
 
 
 class TestLeaderRotation:

@@ -4,13 +4,21 @@ from collections import Counter
 from fractions import Fraction
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from fairorder import adversary, consensus
 from fairorder.adversary import AdversaryPlan, private_relay_placement
 from fairorder.analysis import epsilon_pair
 from fairorder.cli import main
-from fairorder.consensus import PlacedInvocation, SimulationRun, run_slotted
+from fairorder.consensus import (
+    PlacedInvocation,
+    PolicyKind,
+    SimulationRun,
+    order_leader_rotation,
+    order_receive_all_correct,
+    run_slotted,
+)
 from fairorder.domain import US_PER_MS, Invocation, make_command_id
 from fairorder.harness import (
     ConfigError,
@@ -19,6 +27,7 @@ from fairorder.harness import (
     _colluder_ids,
     _count_orders,
     _sro_for,
+    _trial_seed,
     emit_csv,
     parse_config,
     parse_policy,
@@ -324,6 +333,81 @@ class TestSlottedEngine:
             per_trials[trials] = dict(calls)
         assert per_trials[5]["reveal"] >= 1
         assert per_trials[5] == per_trials[50]
+
+
+def per_trial_baseline_counts(config, topology, spec, tags, commands):
+    """One ``order_leader_rotation`` or ``order_receive_all_correct`` per
+    trial, each with its own rng: the reference for the batched baseline
+    path of ``_count_orders``."""
+    policy = parse_policy(spec)
+    delta_net_us = config.delta_net_ms * US_PER_MS
+    counts = Counter()
+    for trial in range(config.trials):
+        labels = {make_command_id(*tags, trial, label): label for label, _, _ in commands}
+        placed = [
+            PlacedInvocation(Invocation(cid, b"", t_us), city)
+            for cid, (_, t_us, city) in zip(labels, commands)
+        ]
+        rng = np.random.default_rng(_trial_seed(config.seed, *tags, trial))
+        if policy.kind is PolicyKind.LEADER_ROTATION:
+            ledger = order_leader_rotation(
+                placed, topology, policy.rotation_period_us, delta_net_us, rng
+            )
+        else:
+            ledger = order_receive_all_correct(placed, topology, delta_net_us, rng)
+        counts[tuple(labels[cid] for cid in ledger.entries)] += 1
+    return counts
+
+
+class TestBaselineEngine:
+    @pytest.mark.parametrize("spec", ["receive", "leader:300", "leader:1500", "leader:5000"])
+    def test_counts_equal_per_trial_runs(self, spec):
+        rnd = random.Random(spec)
+        config = small(trials=60)
+        topology = resolve_topology(config.topology)
+        f, sro = _sro_for(topology, config.seed)
+        period_us = int(spec.partition(":")[2] or 1500) * US_PER_MS
+        dnet_us = config.delta_net_ms * US_PER_MS
+        # same city, same time: equal receive times, so only tie keys decide
+        cells = [(("a", 700 * US_PER_MS, "tokyo"), ("b", 700 * US_PER_MS, "tokyo"))]
+        for _ in range(4):
+            # invoked within dnet of each other: the leader and the phase
+            # decide who goes first
+            t = rnd.randrange(0, 3 * period_us)
+            cells.append(tuple(
+                (label, t + rnd.randrange(0, dnet_us), rnd.choice(topology.city_names))
+                for label in "vxy"[: rnd.choice((2, 3))]
+            ))
+        # more than a period apart: invoked in different leader periods
+        t = rnd.randrange(0, period_us)
+        cells.append((
+            ("v", t, rnd.choice(topology.city_names)),
+            ("x", t + period_us + rnd.randrange(1, period_us), rnd.choice(topology.city_names)),
+        ))
+        wants = []
+        for cell, commands in enumerate(cells):
+            tags = ("baseline", spec, cell)
+            wants.append(per_trial_baseline_counts(config, topology, spec, tags, commands))
+            got = _count_orders(config, topology, f, sro, spec, tags, commands)
+            assert got == wants[-1], commands
+        assert set(wants[0]) == {("a", "b"), ("b", "a")}
+
+    @pytest.mark.parametrize("spec", ["leader:1500", "receive"])
+    def test_observes_once_per_cell(self, spec, monkeypatch):
+        calls = Counter()
+        observe = consensus.observe
+
+        def counting(*args, **kwargs):
+            calls["observe"] += 1
+            return observe(*args, **kwargs)
+
+        monkeypatch.setattr(consensus, "observe", counting)
+        per_trials = {}
+        for trials in (5, 50):
+            calls.clear()
+            run_geo_bias(small(policies=(spec,), trials=trials))
+            per_trials[trials] = calls["observe"]
+        assert per_trials[5] == per_trials[50] == 2  # one pair of cities, one cell
 
 
 class TestLiquidation:

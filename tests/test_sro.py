@@ -80,6 +80,28 @@ class TestRevealGating:
         assert len(values) == 1
 
 
+class TestCertificateMemo:
+    @pytest.mark.parametrize("backend,field", [(Backend.SEEDED_HASH, None), (Backend.THRESHOLD_DPRF, 101)])
+    def test_flipped_tag_rejected_after_reveal(self, backend, field):
+        handle = handle_for(backend=backend, field=field)
+        good = handle.quorum_signatures(5)
+        handle.reveal(RevealRequest(5, good))
+        node, tag = min(good)
+        flipped = (good - {(node, tag)}) | {(node, bytes([tag[0] ^ 1]) + tag[1:])}
+        with pytest.raises(InvalidSignatureSet):
+            handle.reveal(RevealRequest(5, flipped))
+        assert not handle.signatures_valid(5, list(flipped))
+        assert not handle.signatures_valid(6, good)
+        assert handle.signatures_valid(5, list(good))
+
+    def test_threshold_reveals_and_verifies(self):
+        handle = handle_for(backend=Backend.THRESHOLD_DPRF, field=101)
+        for k in range(3):
+            value = reveal_k(handle, k)
+            assert verify(k, generate_proof(handle, k), value)
+            assert reveal_k(handle, k) == value
+
+
 class TestDeterminism:
     def test_same_seed_same_outputs(self):
         a, b = handle_for(), handle_for()
