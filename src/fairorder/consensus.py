@@ -10,14 +10,15 @@ chose before the seed existed.  A command is emitted (stable) once any
 decided slot's interval end exceeds its noised timestamp.
 ``count_slotted_orders`` counts the ledger orders of many such runs that
 differ only in their command ids, computing what the ids do not affect
-once.
+once and asking for a trial's ids only when they can change its order.
 
 Two simplified baselines are provided for comparison: rotating-leader
 ordering (each leader emits what it has received, in its own receive
 order) and all-correct receive ordering (a command precedes another only
 if every node received it first; ties resolved by median receive time).
 ``count_baseline_orders`` counts their ledger orders over many trials,
-building the receive matrix once.
+building the receive matrix once and, like ``count_slotted_orders``,
+reading a trial's ids only on a key-prefix tie.
 """
 
 from __future__ import annotations
@@ -93,10 +94,18 @@ def noise_from_seed(slot_seed: bytes, command_id: bytes, width_us: int) -> int:
     """
     if width_us <= 0:
         return 0
-    word = int.from_bytes(
-        hashlib.sha512(b"noise" + slot_seed + command_id).digest()[:8], "big"
-    )
-    return (word * width_us) >> 64
+    return _noise(_noise_state(slot_seed), command_id, width_us)
+
+
+def _noise_state(slot_seed: bytes):
+    """The slot's noise hash state; each command's noise extends a copy."""
+    return hashlib.sha512(b"noise" + slot_seed)
+
+
+def _noise(noise_state, command_id: bytes, width_us: int) -> int:
+    h = noise_state.copy()
+    h.update(command_id)
+    return (int.from_bytes(h.digest()[:8], "big") * width_us) >> 64
 
 
 @dataclass
@@ -273,29 +282,55 @@ def run_slotted(sim: SimulationRun) -> RunResult:
     return RunResult(ledger, commands, slots, emission_slot, stats)
 
 
-def count_slotted_orders(sim: SimulationRun, trial_ids) -> Counter:
+def _key_order(keys) -> tuple:
+    """Indices of ledger keys in ledger order."""
+    return tuple(sorted(range(len(keys)), key=keys.__getitem__))
+
+
+def _prefix_order(prefixes):
+    """``_key_order`` of the keys that start with ``prefixes``, or None if
+    two prefixes are equal: a ledger key is (id-free prefix, tie key,
+    command id), so only a prefix tie needs the command ids."""
+    if len(set(prefixes)) < len(prefixes):
+        return None
+    return _key_order(prefixes)
+
+
+def _check_id_count(trial_ids, n: int):
+    """Trial 0 names one id per invocation; checked even if no tie asks for ids."""
+    count = len(trial_ids(0))
+    if count != n:
+        raise ValueError(f"trial 0 has {count} command ids for {n} invocations")
+
+
+def count_slotted_orders(sim: SimulationRun, trials: int, trial_ids) -> Counter:
     """``run_slotted``'s ledger orders over many trials of one run, counted.
 
-    Trial t is ``sim`` with its invocations renamed to the ids
-    ``trial_ids[t]`` (one per invocation, in order); the adversary plan is
-    keyed by the ids in ``sim.invocations`` and follows the renaming.  An
-    order is a tuple of indices into ``sim.invocations``; the counts equal
-    those of ``run_slotted`` on every renamed run.
+    Trial t (0 <= t < ``trials``) is ``sim`` with its invocations renamed to
+    the ids ``trial_ids(t)`` (one per invocation, in order); the adversary
+    plan is keyed by the ids in ``sim.invocations`` and follows the
+    renaming.  An order is a tuple of indices into ``sim.invocations``; the
+    counts equal those of ``run_slotted`` on every renamed run.
 
     Ids feed only the noise and the tie keys, so the timestamps and the
     decided slots' certificates and seeds are computed once, and a trial
-    costs one ledger key per command and one sort.  That sort is the
+    costs at most one ledger key per command and one sort.  That sort is the
     ledger: a command decided in slot k_d is emitted by slot
     floor((modified_ts - origin) / interval), which is >= k_d because
     modified_ts >= assigned_ts, and each slot emits its ripe keys sorted
-    after every earlier slot's, all of which are smaller.
+    after every earlier slot's, all of which are smaller.  The key's
+    prefix, modified_ts, needs no id under ``pompe``: with distinct
+    assigned timestamps every trial has one order, counted without
+    asking for ids.  Under ``bercow`` each trial's ids key its noise, and
+    the tie keys are computed only for a trial whose modified_ts tie.
 
-    Checks, once per run: each command's ``TimestampedCommand`` checks on
-    the largest noise a trial can draw (so a run whose noised timestamps
-    could overflow is rejected even if no trial's do), and each decided
-    slot's ``Slot`` checks and certificate verification in ``reveal``.
-    The empty slots ``run_slotted`` walks until the last emission are
-    neither certified nor revealed here: no key depends on their seeds.
+    Checks, once per run: trial 0's id count, each command's
+    ``TimestampedCommand`` checks on the largest noise a trial can draw (so
+    a run whose noised timestamps could overflow is rejected even if no
+    trial's do), and each decided slot's ``Slot`` checks and certificate
+    verification in ``reveal``.  The empty slots ``run_slotted`` walks
+    until the last emission are neither certified nor revealed here: no key
+    depends on their seeds.
     """
     stamped, _ = _timestamp_invocations(sim)
     max_noise = max(sim.policy.noise_width_us - 1, 0)
@@ -319,13 +354,31 @@ def count_slotted_orders(sim: SimulationRun, trial_ids) -> Counter:
         )
         seeds[k] = sim.sro.reveal(RevealRequest(k, certificate))
     hoisted = [(seeds[k], ats) for _, _, ats, k in stamped]
+    _check_id_count(trial_ids, len(hoisted))
+    noised = []
+    if sim.policy.kind is PolicyKind.BERCOW_NOISE:
+        states = {k: _noise_state(seed) for k, seed in seeds.items()}
+        noised = [(states[k], ats) for _, _, ats, k in stamped]
+    else:
+        order = _prefix_order([ats for _, ats in hoisted])
+        if order is not None:
+            return Counter({order: trials})
+    width = sim.policy.noise_width_us
     counts = Counter()
-    for ids in trial_ids:
-        keys = sorted(
-            (_ledger_key(sim.policy, seed, ats, command_id), i)
-            for i, ((seed, ats), command_id) in enumerate(zip(hoisted, ids, strict=True))
-        )
-        counts[tuple(i for _, i in keys)] += 1
+    for t in range(trials):
+        ids = trial_ids(t)
+        order = None
+        if noised:
+            order = _prefix_order([
+                ats + _noise(state, cid, width)
+                for (state, ats), cid in zip(noised, ids, strict=True)
+            ])
+        if order is None:
+            order = _key_order([
+                _ledger_key(sim.policy, seed, ats, cid)
+                for (seed, ats), cid in zip(hoisted, ids, strict=True)
+            ])
+        counts[order] += 1
     return counts
 
 
@@ -356,9 +409,8 @@ def _rotation(rng, n: int, rotation_period_us: int, schedule=None, phase_us=None
     return schedule, phase_us
 
 
-def _leader_key(times, invoke_time, schedule, phase_us, rotation_period_us, tie_seed, cmd_id):
-    """A command's ledger key under leader rotation: (period, leader's
-    receive time, tie key, command id).
+def _leader_batch(times, invoke_time, schedule, phase_us, rotation_period_us):
+    """A command's (period, leader's receive time) under leader rotation.
 
     Period p's leader is ``schedule[p % len(schedule)]``; the command joins
     the batch of the first period, from the one it was invoked in, whose
@@ -368,8 +420,15 @@ def _leader_key(times, invoke_time, schedule, phase_us, rotation_period_us, tie_
     while True:
         received = times[schedule[p % len(schedule)]]
         if received < phase_us + (p + 1) * rotation_period_us:
-            return (p, received, tie_break_key(tie_seed, cmd_id), cmd_id)
+            return p, received
         p += 1
+
+
+def _leader_key(times, invoke_time, schedule, phase_us, rotation_period_us, tie_seed, cmd_id):
+    """A command's ledger key under leader rotation: (period, leader's
+    receive time, tie key, command id)."""
+    batch = _leader_batch(times, invoke_time, schedule, phase_us, rotation_period_us)
+    return (*batch, tie_break_key(tie_seed, cmd_id), cmd_id)
 
 
 def order_leader_rotation(
@@ -468,16 +527,18 @@ def count_baseline_orders(
     topology: CityTopology,
     policy: OrderingPolicy,
     delta_net_us: int,
+    trials: int,
     trial_ids,
-    trial_seeds,
+    trial_seed,
     delay_model: DelayModel = DelayModel(),
 ) -> Counter:
     """The leader and receive baselines' ledger orders over many trials, counted.
 
-    Trial t orders ``placed_invocations`` renamed to the ids ``trial_ids[t]``
-    (one per invocation, in order); leader rotation draws its schedule and
-    phase from ``np.random.default_rng(trial_seeds[t])``, and the receive
-    policy never reads ``trial_seeds``.  An order is a tuple of indices into
+    Trial t (0 <= t < ``trials``) orders ``placed_invocations`` renamed to
+    the ids ``trial_ids(t)`` (one per invocation, in order); leader rotation
+    draws its schedule and phase from
+    ``np.random.default_rng(trial_seed(t))``, and the receive policy never
+    calls ``trial_seed``.  An order is a tuple of indices into
     ``placed_invocations``; the counts equal those of
     ``order_leader_rotation`` and ``order_receive_all_correct`` on every
     renamed trial.
@@ -486,35 +547,47 @@ def count_baseline_orders(
     invocation's city and invoke time, so it is built, and the all-correct
     precedence checked, once: on the median order, since a strictly smaller
     median puts a command first in every trial.  Any other delay model
-    draws from the trial's rng, so it is rejected.
+    draws from the trial's rng, so it is rejected.  Ids only break ties of
+    the key prefix, (period, leader's receive time) or the median receive
+    time, so a trial's ids are asked for only on such a tie, and distinct
+    medians give every trial one order.  Trial 0's id count is checked
+    once.
     """
     if policy.kind not in (PolicyKind.LEADER_ROTATION, PolicyKind.RECEIVE_ORDER):
         raise ContractError("count_baseline_orders handles the leader and receive policies only")
     if delay_model != DelayModel():
         raise ContractError("batched baselines need the default DelayModel (no jitter or drift)")
     receive = _receive_matrix(placed_invocations, topology, delay_model, delta_net_us, None)
+    _check_id_count(trial_ids, len(receive))
     counts = Counter()
     if policy.kind is PolicyKind.LEADER_ROTATION:
-        period = policy.rotation_period_us
+        period, n = policy.rotation_period_us, topology.n_nodes
         invoke = [placed.invocation.invoke_time for placed in placed_invocations]
-        for ids, seed in zip(trial_ids, trial_seeds, strict=True):
-            schedule, phase = _rotation(np.random.default_rng(seed), topology.n_nodes, period)
-            keys = sorted(
-                (_leader_key(times, t, schedule, phase, period, _LEADER_TIE_SEED, cmd_id), i)
-                for i, (times, t, cmd_id) in enumerate(zip(receive, invoke, ids, strict=True))
-            )
-            counts[tuple(i for _, i in keys)] += 1
+        for t in range(trials):
+            schedule, phase = _rotation(np.random.default_rng(trial_seed(t)), n, period)
+            order = _prefix_order([
+                _leader_batch(times, it, schedule, phase, period)
+                for times, it in zip(receive, invoke)
+            ])
+            if order is None:
+                order = _key_order([
+                    _leader_key(times, it, schedule, phase, period, _LEADER_TIE_SEED, cmd_id)
+                    for times, it, cmd_id in zip(receive, invoke, trial_ids(t), strict=True)
+                ])
+            counts[order] += 1
         return counts
     medians = [_median_receive(times) for times in receive]
     for a, b in all_correct_precedence(dict(enumerate(receive))):
         if medians[a] >= medians[b]:  # pragma: no cover - as in order_receive_all_correct
             raise AssertionError("median order violates all-correct receive precedence")
-    for ids in trial_ids:
-        keys = sorted(
-            (_receive_key(median, _RECEIVE_TIE_SEED, cmd_id), i)
-            for i, (median, cmd_id) in enumerate(zip(medians, ids, strict=True))
-        )
-        counts[tuple(i for _, i in keys)] += 1
+    order = _prefix_order(medians)
+    if order is not None:
+        return Counter({order: trials})
+    for t in range(trials):
+        counts[_key_order([
+            _receive_key(median, _RECEIVE_TIE_SEED, cmd_id)
+            for median, cmd_id in zip(medians, trial_ids(t), strict=True)
+        ])] += 1
     return counts
 
 

@@ -43,19 +43,34 @@ class Invocation:
             raise ContractError("invoke_time must be >= 0")
 
 
-def make_command_id(*parts) -> bytes:
-    """Hash-sized unique id from arbitrary labels (ints, strs, bytes, tuples)."""
-    h = hashlib.sha256()
+def _hash_parts(h, parts):
+    """Feed each part to ``h``, length-prefixed; tuples and lists as their id."""
     for p in parts:
         if isinstance(p, (tuple, list)):
-            p = make_command_id(*p)
+            p = _hash_parts(hashlib.sha256(), p).digest()
         elif isinstance(p, int):
             p = p.to_bytes(8, "big", signed=True)
         elif isinstance(p, str):
             p = p.encode()
         h.update(len(p).to_bytes(4, "big"))
         h.update(p)
-    return h.digest()
+    return h
+
+
+def make_command_id(*parts) -> bytes:
+    """Hash-sized unique id from arbitrary labels (ints, strs, bytes, tuples)."""
+    return _hash_parts(hashlib.sha256(), parts).digest()
+
+
+def command_id_deriver(*tags):
+    """``derive(trial, label) == make_command_id(*tags, trial, label)``,
+    hashing ``tags`` once rather than once per id."""
+    prefix = _hash_parts(hashlib.sha256(), tags)
+
+    def derive(trial, label) -> bytes:
+        return _hash_parts(prefix.copy(), (trial, label)).digest()
+
+    return derive
 
 
 @dataclass(frozen=True)

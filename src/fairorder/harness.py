@@ -19,7 +19,11 @@ also fix the seed its schedule and phase are drawn from,
 cell runs trial by trial: ``consensus.count_slotted_orders`` (median and
 noised-median policies) and ``consensus.count_baseline_orders`` (leader
 and receive) compute what the ids do not affect once per cell and count
-every trial's ledger order in one batch.
+every trial's ledger order in one batch.  Ids are derived lazily, from
+the tags hashed once per cell (``command_id_deriver``), and only where
+they can matter: under ``bercow`` for every trial's noise, otherwise
+only for a trial whose id-free key prefix ties (and trial 0's, for the
+id-count check).
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 from . import analysis, attacks
@@ -43,7 +48,7 @@ from .consensus import (
     count_baseline_orders,
     count_slotted_orders,
 )
-from .domain import US_PER_MS, Invocation, make_command_id
+from .domain import US_PER_MS, Invocation, command_id_deriver
 from .netmodel import CityTopology, bundled_topology, load_topology
 from .sro import Backend, SroConfig, sro_init
 
@@ -238,10 +243,11 @@ def _count_orders(config, topology, f, sro, spec, tags, commands, colluders=()) 
     policy = parse_policy(spec)
     delta_net_us = config.delta_net_ms * US_PER_MS
     labels = [label for label, _, _ in commands]
-    trial_ids = (
-        [make_command_id(*tags, trial, label) for label in labels]
-        for trial in range(config.trials)
-    )
+    derive = command_id_deriver(*tags)
+
+    def trial_ids(trial):
+        return [derive(trial, label) for label in labels]
+
     # one template cell; each trial renames its commands
     placed = [
         PlacedInvocation(Invocation(label.encode(), b"", t_us), city)
@@ -262,11 +268,11 @@ def _count_orders(config, topology, f, sro, spec, tags, commands, colluders=()) 
             slot_interval_us=config.slot_ms * US_PER_MS, f=f, invocations=placed,
             sro=sro, rng_seed=0, adversary=plan,
         )
-        orders = count_slotted_orders(sim, trial_ids)
+        orders = count_slotted_orders(sim, config.trials, trial_ids)
     else:
-        trial_seeds = (_trial_seed(config.seed, *tags, trial) for trial in range(config.trials))
         orders = count_baseline_orders(
-            placed, topology, policy, delta_net_us, trial_ids, trial_seeds
+            placed, topology, policy, delta_net_us, config.trials, trial_ids,
+            partial(_trial_seed, config.seed, *tags),
         )
     return Counter({tuple(labels[i] for i in order): n for order, n in orders.items()})
 

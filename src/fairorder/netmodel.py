@@ -48,6 +48,7 @@ class CityTopology:
                 if city not in known:
                     raise TopologyError(f"delay entry references unknown city {city!r}")
         object.__setattr__(self, "_delay_cache", {})
+        object.__setattr__(self, "_n_nodes", sum(count for _, count in self.cities))
         object.__setattr__(self, "_city_names", tuple(names))
         object.__setattr__(
             self, "_node_cities",
@@ -56,7 +57,7 @@ class CityTopology:
 
     @property
     def n_nodes(self) -> int:
-        return sum(count for _, count in self.cities)
+        return self._n_nodes
 
     @property
     def city_names(self) -> tuple:

@@ -249,20 +249,40 @@ class TestCountSlottedOrders:
             assert len({slot.index for slot in result.slots if slot.decided_commands}) == 2
             want[tuple(ids.index(cid) for cid in result.ledger.entries)] += 1
         assert len(want) > 1
-        assert count_slotted_orders(sim, trial_ids) == want
+        assert count_slotted_orders(sim, len(trial_ids), trial_ids.__getitem__) == want
+
+    def test_noise_ties_take_the_full_key(self):
+        # a 2 µs noise width: about half the trials tie on modified_ts, and
+        # those are ordered by the tie keys, as in run_slotted
+        placed = [PlacedInvocation(inv(label, 100_000), "solo") for label in "ab"]
+        sim = sim_for(placed, OrderingPolicy.bercow(2))
+        trial_ids = [[make_command_id("w", t, i) for i in range(2)] for t in range(200)]
+        want = Counter()
+        for ids in trial_ids:
+            renamed = replace(sim, invocations=[
+                PlacedInvocation(replace(p.invocation, command_id=cid), p.origin_city)
+                for p, cid in zip(placed, ids)
+            ])
+            want[tuple(ids.index(cid) for cid in run_slotted(renamed).ledger.entries)] += 1
+        assert set(want) == {(0, 1), (1, 0)}
+        assert count_slotted_orders(sim, len(trial_ids), trial_ids.__getitem__) == want
 
     def test_rejects_noise_that_could_overflow(self):
         # ats fits in 63 bits, ats + the largest noise a trial can draw does not
         t = MAX_TIMESTAMP - DNET - SLOT
         placed = [PlacedInvocation(inv("a", t), "solo")]
-        count_slotted_orders(sim_for(placed, OrderingPolicy.pompe()), [[b"a"]])
+        count_slotted_orders(sim_for(placed, OrderingPolicy.pompe()), 1, lambda t: [b"a"])
         with pytest.raises(ContractError, match="overflow"):
-            count_slotted_orders(sim_for(placed, OrderingPolicy.bercow(2 * SLOT)), [[b"a"]])
+            count_slotted_orders(
+                sim_for(placed, OrderingPolicy.bercow(2 * SLOT)), 1, lambda t: [b"a"]
+            )
 
     def test_one_id_per_invocation(self):
         placed = [PlacedInvocation(inv("a", 100_000), "solo")]
         with pytest.raises(ValueError):
-            count_slotted_orders(sim_for(placed, OrderingPolicy.pompe()), [[b"a", b"b"]])
+            count_slotted_orders(
+                sim_for(placed, OrderingPolicy.pompe()), 1, lambda t: [b"a", b"b"]
+            )
 
 
 class TestCountBaselineOrders:
@@ -274,14 +294,27 @@ class TestCountBaselineOrders:
         placed = [PlacedInvocation(inv("a", 100_000), "solo")]
         with pytest.raises(ContractError, match="DelayModel"):
             count_baseline_orders(
-                placed, small_topology(), policy, DNET, [[b"a"]], [[0, 0]], delay_model
+                placed, small_topology(), policy, DNET, 1, lambda t: [b"a"],
+                lambda t: [0, 0], delay_model,
             )
 
     def test_rejects_median_policies(self):
         placed = [PlacedInvocation(inv("a", 100_000), "solo")]
         with pytest.raises(ContractError):
             count_baseline_orders(
-                placed, small_topology(), OrderingPolicy.pompe(), DNET, [[b"a"]], [[0, 0]]
+                placed, small_topology(), OrderingPolicy.pompe(), DNET, 1, lambda t: [b"a"],
+                lambda t: [0, 0],
+            )
+
+
+    @pytest.mark.parametrize("policy", [OrderingPolicy.receive(), OrderingPolicy.leader(SLOT)])
+    def test_one_id_per_invocation(self, policy):
+        # checked on trial 0 even though no tie ever asks for this cell's ids
+        placed = [PlacedInvocation(inv("a", 100_000), "solo")]
+        with pytest.raises(ValueError):
+            count_baseline_orders(
+                placed, small_topology(), policy, DNET, 1, lambda t: [b"a", b"b"],
+                lambda t: [0, 0],
             )
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -8,6 +9,7 @@ from fairorder.domain import (
     ContractError,
     Invocation,
     TimestampedCommand,
+    command_id_deriver,
     make_command_id,
     median_timestamp,
     tie_break,
@@ -133,3 +135,30 @@ class TestTypes:
     def test_noise_nonnegative(self):
         with pytest.raises(ContractError):
             make_cmd("x", [(0, 5), (1, 5), (2, 5)], noise=-1)
+
+
+class TestCommandIds:
+    def test_length_prefixed_encoding(self):
+        # each part is its 4-byte big-endian length and its bytes; an int is
+        # 8 bytes two's complement, a str its UTF-8, a tuple its own id
+        inner = hashlib.sha256(b"\x00\x00\x00\x01z").digest()
+        want = hashlib.sha256(
+            b"\x00\x00\x00\x03geo"
+            + b"\x00\x00\x00\x08" + (-2).to_bytes(8, "big", signed=True)
+            + b"\x00\x00\x00\x02\x00\xff"
+            + b"\x00\x00\x00\x20" + inner
+        ).digest()
+        assert make_command_id("geo", -2, b"\x00\xff", ("z",)) == want
+
+    @pytest.mark.parametrize("tags", [
+        (),
+        ("geo", 3, "bercow:1500"),
+        ("tag", -7, b"\x00raw", ("nested", (1, "deeper"), b"")),
+    ])
+    def test_deriver_equals_make_command_id(self, tags):
+        derive = command_id_deriver(*tags)
+        for trial in (0, 1, 999, -1):
+            for label in ("a", "victim", "é"):
+                assert derive(trial, label) == make_command_id(*tags, trial, label)
+        # a deriver hands out fresh copies: repeating a call repeats its id
+        assert derive(5, "a") == derive(5, "a") != derive(5, "b")

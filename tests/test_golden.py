@@ -1,6 +1,8 @@
-"""Golden pin: every bundled config's CSV, byte for byte, at a reduced trial count.
+"""Golden pin: every bundled config's CSV, byte for byte, at reduced trial counts.
 
-Any change to a byte of a bundled experiment's output fails here.  The full
+Any change to a byte of a bundled experiment's output fails here.  Three
+trials cover every config; 200 trials reach the per-trial paths of the
+simulated tables (noise, tie keys, leader draws) far more often.  The full
 trial counts are pinned by the committed ``results/*.csv``: regenerate them
 with ``python scripts/run_experiments.py`` and check ``git diff results/``.
 """
@@ -21,12 +23,26 @@ GOLDEN_SHA256 = {
     "sandwich": "f7eb93546c79f16c9e30bd1e0e75e5c96b4fe7fd7ad026794255a728de88ed47",
     "liquidation": "1935b4e2776d032b4f1091b1ef177b97923588cc5d8513c99c53e3beeeb14143",
 }
+MANY_TRIALS = 200
+GOLDEN_SHA256_MANY = {
+    "geo_bias": "af9f5f7abba50545bffc65e21c5e6f9c4138faa1d87004461f3b250bc1650dc1",
+    "tradeoff_curve": "ee9cbe6308babce3647736353e237d3ff991eefe2ba1c9bf7cc996a228054e56",
+    "sandwich": "1bfe4d0f804498e825375d902d8ec26a9efd17e797a3f0f3c1212549e85b3ae7",
+}
+
+
+def csv_sha256(name, trials):
+    config_dir = resources.files("fairorder.data") / "configs"
+    with resources.as_file(config_dir / f"{name}.cfg") as path:
+        config = replace(parse_config(path), trials=trials)
+    return hashlib.sha256(run_experiment(config).to_csv_text().encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
 def test_bundled_config_csv_is_byte_stable(name):
-    config_dir = resources.files("fairorder.data") / "configs"
-    with resources.as_file(config_dir / f"{name}.cfg") as path:
-        config = replace(parse_config(path), trials=TRIALS)
-    text = run_experiment(config).to_csv_text()
-    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[name]
+    assert csv_sha256(name, TRIALS) == GOLDEN_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256_MANY))
+def test_bundled_config_csv_is_byte_stable_at_many_trials(name):
+    assert csv_sha256(name, MANY_TRIALS) == GOLDEN_SHA256_MANY[name]

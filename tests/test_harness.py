@@ -7,7 +7,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from fairorder import adversary, consensus
+from fairorder import adversary, consensus, harness
 from fairorder.adversary import AdversaryPlan, private_relay_placement
 from fairorder.analysis import epsilon_pair
 from fairorder.cli import main
@@ -408,6 +408,73 @@ class TestBaselineEngine:
             run_geo_bias(small(policies=(spec,), trials=trials))
             per_trials[trials] = calls["observe"]
         assert per_trials[5] == per_trials[50] == 2  # one pair of cities, one cell
+
+
+class TestLazyIds:
+    @pytest.mark.parametrize(
+        "spec", ["pompe", "bercow:300", "bercow:1500", "receive", "leader:1500"]
+    )
+    def test_tie_cell_shows_both_orders(self, spec):
+        # same city, same instant: the id-free key prefix ties (under bercow,
+        # up to the id-keyed noise), so the ids decide every trial
+        config = small(trials=80)
+        topology = resolve_topology(config.topology)
+        f, sro = _sro_for(topology, config.seed)
+        commands = (("a", 700 * US_PER_MS, "tokyo"), ("b", 700 * US_PER_MS, "tokyo"))
+        tags = ("tie", spec)
+        if parse_policy(spec).kind in (PolicyKind.LEADER_ROTATION, PolicyKind.RECEIVE_ORDER):
+            want = per_trial_baseline_counts(config, topology, spec, tags, commands)
+        else:
+            want, _ = per_trial_counts(config, topology, f, sro, spec, tags, commands, ())
+        got = _count_orders(config, topology, f, sro, spec, tags, commands)
+        assert got == want
+        assert set(got) == {("a", "b"), ("b", "a")}
+
+    @pytest.mark.parametrize("spec", ["pompe", "receive"])
+    def test_tie_free_cell_derives_no_ids_per_trial(self, spec, monkeypatch):
+        derived = Counter()
+        deriver = harness.command_id_deriver
+
+        def counting_deriver(*tags):
+            derive = deriver(*tags)
+
+            def counting(trial, label):
+                derived[trial] += 1
+                return derive(trial, label)
+            return counting
+
+        monkeypatch.setattr(harness, "command_id_deriver", counting_deriver)
+        per_trials = {}
+        for trials in (5, 50):
+            derived.clear()
+            run_geo_bias(small(policies=(spec,), trials=trials))
+            per_trials[trials] = dict(derived)
+        # only trial 0's ids, for the id-count check
+        assert per_trials[5] == per_trials[50] == {0: 2}
+
+    @pytest.mark.parametrize("spec", ["bercow:300", "bercow:1500", "bercow:5000"])
+    def test_no_inversion_past_the_horizon(self, spec):
+        # acceptance criterion 4 through the package: the slowest city's
+        # command, invoked dnet + noise width + 1 µs before the fastest
+        # city's, is first in every trial
+        config = small(scenario="tradeoff_curve", trials=200)
+        topology = resolve_topology(config.topology)
+        f, sro = _sro_for(topology, config.seed)
+
+        def quorum_median(city):
+            delays = sorted(topology.delays_from(city))[: 2 * f + 1]
+            return delays[len(delays) // 2]
+
+        slow = max(topology.city_names, key=quorum_median)
+        fast = min(topology.city_names, key=quorum_median)
+        assert quorum_median(slow) > quorum_median(fast)
+        gap_us = config.delta_net_ms * US_PER_MS + parse_policy(spec).noise_width_us + 1
+        t0 = config.slot_ms * US_PER_MS // 2
+        counts = _count_orders(
+            config, topology, f, sro, spec, ("horizon", spec),
+            (("early", t0, slow), ("late", t0 + gap_us, fast)),
+        )
+        assert counts == Counter({("early", "late"): config.trials})
 
 
 class TestLiquidation:
