@@ -25,13 +25,12 @@ from .domain import (
     median_timestamp,
     tie_break,
 )
-from .netmodel import CityTopology, DelayModel, bundled_topology, load_topology, observe
+from .netmodel import CityTopology, bundled_topology, load_topology, observe
 from .sro import Backend, RevealRequest, SroConfig, generate_proof, reveal, sro_init, verify
 
 __all__ = [
     "Backend",
     "CityTopology",
-    "DelayModel",
     "Invocation",
     "Ledger",
     "OrderingPolicy",

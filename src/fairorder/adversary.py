@@ -14,12 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .domain import ContractError
-from .netmodel import DelayModel, observe
+from .netmodel import observe
 
 FAVOR_FIRST = "favor_first"
 FAVOR_SECOND = "favor_second"
 QUORUM_LOW = "low"
 QUORUM_HIGH = "high"
+# How far below and above the victim's predicted timestamp the colluders
+# place the two attacker commands, µs.
+RELAY_MARGIN_US = 1000
 
 
 @dataclass(frozen=True)
@@ -115,8 +118,6 @@ def private_relay_placement(
     topology,
     delta_net_us: int,
     f: int,
-    delay_model: DelayModel = DelayModel(),
-    margin_us: int = 1000,
 ) -> AdversaryPlan:
     """Colluding nodes straddle the victim's predicted assigned timestamp.
 
@@ -134,17 +135,17 @@ def private_relay_placement(
     if not colluders:
         return AdversaryPlan()
     victim_inv, victim_city = victim
-    stamps = observe(victim_inv, victim_city, topology, delay_model, delta_net_us)
+    stamps = observe(victim_inv, victim_city, topology, delta_net_us)
     quorum = sorted(ts for _, ts in stamps)[: 2 * f + 1]
     predicted = quorum[len(quorum) // 2]
     (early_inv, _), (late_inv, _) = attacker_cmds
     node_overrides = {}
     for node_id in colluders:
         node_overrides[(early_inv.command_id, node_id)] = clamp_to_window(
-            predicted - margin_us, early_inv.invoke_time, delta_net_us
+            predicted - RELAY_MARGIN_US, early_inv.invoke_time, delta_net_us
         )
         node_overrides[(late_inv.command_id, node_id)] = clamp_to_window(
-            predicted + margin_us, late_inv.invoke_time, delta_net_us
+            predicted + RELAY_MARGIN_US, late_inv.invoke_time, delta_net_us
         )
     return AdversaryPlan(
         node_overrides=node_overrides,

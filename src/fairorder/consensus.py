@@ -40,7 +40,7 @@ from .domain import (
     median_timestamp,
     tie_break_key,
 )
-from .netmodel import CityTopology, ClampStats, DelayModel, observe
+from .netmodel import CityTopology, ClampStats, observe
 from .sro import RevealRequest, SroHandle
 
 
@@ -117,8 +117,6 @@ class SimulationRun:
     f: int
     invocations: list  # [PlacedInvocation]
     sro: SroHandle
-    rng_seed: int
-    delay_model: DelayModel = field(default_factory=DelayModel)
     adversary: AdversaryPlan = field(default_factory=AdversaryPlan)
     slot_origin_us: int = 0
 
@@ -130,10 +128,6 @@ class SimulationRun:
             raise ContractError("slot interval must be positive")
         if self.sro.config.n != n or self.sro.config.f != self.f:
             raise ContractError("oracle was initialized for a different (n, f)")
-
-    @property
-    def n(self) -> int:
-        return self.topology.n_nodes
 
 
 @dataclass
@@ -177,18 +171,13 @@ def _timestamp_invocations(sim: SimulationRun):
         raise ContractError("run_slotted handles the median-timestamp policies only")
     if not sim.invocations:
         raise ContractError("no invocations to order")
-    rng = np.random.default_rng(sim.rng_seed)
     stats = ClampStats()
-    drifts = sim.delay_model.sample_drifts(sim.n, rng)
     quorum_size = 2 * sim.f + 1
     plan = sim.adversary
     stamped = []
     for placed in sim.invocations:
         inv = placed.invocation
-        stamps = observe(
-            inv, placed.origin_city, sim.topology, sim.delay_model,
-            sim.delta_net_us, rng=rng, drifts=drifts, stats=stats,
-        )
+        stamps = observe(inv, placed.origin_city, sim.topology, sim.delta_net_us, stats=stats)
         if plan.node_overrides:
             stamps = [
                 (node, plan.node_overrides.get((inv.command_id, node), ts))
@@ -225,7 +214,7 @@ def _ledger_key(policy: OrderingPolicy, slot_seed: bytes, ats: int, command_id: 
 def run_slotted(sim: SimulationRun) -> RunResult:
     """Execute per-slot agreement and return the stable ledger.
 
-    Deterministic in (invocations, rng_seed, oracle seed): replaying a run
+    Deterministic in (invocations, oracle seed): replaying a run
     reproduces every timestamp, noise draw, and emission byte for byte.
     """
     stamped, stats = _timestamp_invocations(sim)
@@ -386,17 +375,12 @@ _LEADER_TIE_SEED = b"leader"
 _RECEIVE_TIE_SEED = b"receive"
 
 
-def _receive_matrix(placed_invocations, topology, delay_model, delta_net_us, rng):
+def _receive_matrix(placed_invocations, topology, delta_net_us):
     """Each invocation's per-node receive times, in invocation order."""
-    drifts = delay_model.sample_drifts(topology.n_nodes, rng)
-    out = []
-    for placed in placed_invocations:
-        stamps = observe(
-            placed.invocation, placed.origin_city, topology, delay_model,
-            delta_net_us, rng=rng, drifts=drifts,
-        )
-        out.append([ts for _, ts in stamps])
-    return out
+    return [
+        [ts for _, ts in observe(p.invocation, p.origin_city, topology, delta_net_us)]
+        for p in placed_invocations
+    ]
 
 
 def _rotation(rng, n: int, rotation_period_us: int, schedule=None, phase_us=None):
@@ -424,11 +408,11 @@ def _leader_batch(times, invoke_time, schedule, phase_us, rotation_period_us):
         p += 1
 
 
-def _leader_key(times, invoke_time, schedule, phase_us, rotation_period_us, tie_seed, cmd_id):
+def _leader_key(times, invoke_time, schedule, phase_us, rotation_period_us, cmd_id):
     """A command's ledger key under leader rotation: (period, leader's
     receive time, tie key, command id)."""
     batch = _leader_batch(times, invoke_time, schedule, phase_us, rotation_period_us)
-    return (*batch, tie_break_key(tie_seed, cmd_id), cmd_id)
+    return (*batch, tie_break_key(_LEADER_TIE_SEED, cmd_id), cmd_id)
 
 
 def order_leader_rotation(
@@ -437,8 +421,6 @@ def order_leader_rotation(
     rotation_period_us: int,
     delta_net_us: int,
     rng,
-    delay_model: DelayModel = DelayModel(),
-    tie_seed: bytes = _LEADER_TIE_SEED,
     schedule=None,
     phase_us=None,
 ) -> Ledger:
@@ -453,12 +435,12 @@ def order_leader_rotation(
         raise ContractError("rotation period must be positive")
     if not placed_invocations:
         return Ledger()
-    receive = _receive_matrix(placed_invocations, topology, delay_model, delta_net_us, rng)
+    receive = _receive_matrix(placed_invocations, topology, delta_net_us)
     schedule, phase = _rotation(rng, topology.n_nodes, rotation_period_us, schedule, phase_us)
     keys = sorted(
         _leader_key(
             times, placed.invocation.invoke_time, schedule, phase, rotation_period_us,
-            tie_seed, placed.invocation.command_id,
+            placed.invocation.command_id,
         )
         for placed, times in zip(placed_invocations, receive)
     )
@@ -482,19 +464,16 @@ def _median_receive(times) -> int:
     return sorted(times)[len(times) // 2]
 
 
-def _receive_key(median_us: int, tie_seed: bytes, cmd_id: bytes):
+def _receive_key(median_us: int, cmd_id: bytes):
     """A command's ledger key under all-correct receive order: (median
     receive time, tie key, command id)."""
-    return (median_us, tie_break_key(tie_seed, cmd_id), cmd_id)
+    return (median_us, tie_break_key(_RECEIVE_TIE_SEED, cmd_id), cmd_id)
 
 
 def order_receive_all_correct(
     placed_invocations,
     topology: CityTopology,
     delta_net_us: int,
-    rng,
-    delay_model: DelayModel = DelayModel(),
-    tie_seed: bytes = _RECEIVE_TIE_SEED,
 ) -> Ledger:
     """All-correct receive-order baseline.
 
@@ -506,10 +485,10 @@ def order_receive_all_correct(
     """
     if not placed_invocations:
         return Ledger()
-    receive = _receive_matrix(placed_invocations, topology, delay_model, delta_net_us, rng)
+    receive = _receive_matrix(placed_invocations, topology, delta_net_us)
     ids = [placed.invocation.command_id for placed in placed_invocations]
     keys = sorted(
-        _receive_key(_median_receive(times), tie_seed, cmd_id)
+        _receive_key(_median_receive(times), cmd_id)
         for cmd_id, times in zip(ids, receive)
     )
     ordered = [cmd_id for *_, cmd_id in keys]
@@ -530,7 +509,6 @@ def count_baseline_orders(
     trials: int,
     trial_ids,
     trial_seed,
-    delay_model: DelayModel = DelayModel(),
 ) -> Counter:
     """The leader and receive baselines' ledger orders over many trials, counted.
 
@@ -543,21 +521,17 @@ def count_baseline_orders(
     ``order_leader_rotation`` and ``order_receive_all_correct`` on every
     renamed trial.
 
-    Under the default ``DelayModel`` the receive matrix depends only on each
-    invocation's city and invoke time, so it is built, and the all-correct
-    precedence checked, once: on the median order, since a strictly smaller
-    median puts a command first in every trial.  Any other delay model
-    draws from the trial's rng, so it is rejected.  Ids only break ties of
-    the key prefix, (period, leader's receive time) or the median receive
-    time, so a trial's ids are asked for only on such a tie, and distinct
-    medians give every trial one order.  Trial 0's id count is checked
-    once.
+    The receive matrix depends only on each invocation's city and invoke
+    time, so it is built, and the all-correct precedence checked, once: on
+    the median order, since a strictly smaller median puts a command first
+    in every trial.  Ids only break ties of the key prefix, (period,
+    leader's receive time) or the median receive time, so a trial's ids are
+    asked for only on such a tie, and distinct medians give every trial one
+    order.  Trial 0's id count is checked once.
     """
     if policy.kind not in (PolicyKind.LEADER_ROTATION, PolicyKind.RECEIVE_ORDER):
         raise ContractError("count_baseline_orders handles the leader and receive policies only")
-    if delay_model != DelayModel():
-        raise ContractError("batched baselines need the default DelayModel (no jitter or drift)")
-    receive = _receive_matrix(placed_invocations, topology, delay_model, delta_net_us, None)
+    receive = _receive_matrix(placed_invocations, topology, delta_net_us)
     _check_id_count(trial_ids, len(receive))
     counts = Counter()
     if policy.kind is PolicyKind.LEADER_ROTATION:
@@ -571,7 +545,7 @@ def count_baseline_orders(
             ])
             if order is None:
                 order = _key_order([
-                    _leader_key(times, it, schedule, phase, period, _LEADER_TIE_SEED, cmd_id)
+                    _leader_key(times, it, schedule, phase, period, cmd_id)
                     for times, it, cmd_id in zip(receive, invoke, trial_ids(t), strict=True)
                 ])
             counts[order] += 1
@@ -585,7 +559,7 @@ def count_baseline_orders(
         return Counter({order: trials})
     for t in range(trials):
         counts[_key_order([
-            _receive_key(median, _RECEIVE_TIE_SEED, cmd_id)
+            _receive_key(median, cmd_id)
             for median, cmd_id in zip(medians, trial_ids(t), strict=True)
         ])] += 1
     return counts

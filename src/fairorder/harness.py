@@ -133,6 +133,7 @@ CONFIG_KEYS = {
 
 def parse_config(path) -> ExperimentConfig:
     fields = {"scenario": ""}
+    seen = {}  # key -> line number of its first definition
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -143,6 +144,11 @@ def parse_config(path) -> ExperimentConfig:
             key, _, value = (part.strip() for part in line.partition("="))
             if key not in CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in seen:
+                raise ConfigError(
+                    f"{path}:{lineno}: key {key!r} repeats its definition on line {seen[key]}"
+                )
+            seen[key] = lineno
             name, parse = CONFIG_KEYS[key]
             try:
                 fields[name] = parse(value)
@@ -260,13 +266,10 @@ def _count_orders(config, topology, f, sro, spec, tags, commands, colluders=()) 
             plan = private_relay_placement(
                 victim, attackers, colluders, topology, delta_net_us, f
             )
-        # rng_seed is never drawn from: the harness keeps the default
-        # DelayModel, which has no jitter or drift.  (config.seed may be
-        # negative, which numpy rejects.)
         sim = SimulationRun(
             topology=topology, policy=policy, delta_net_us=delta_net_us,
             slot_interval_us=config.slot_ms * US_PER_MS, f=f, invocations=placed,
-            sro=sro, rng_seed=0, adversary=plan,
+            sro=sro, adversary=plan,
         )
         orders = count_slotted_orders(sim, config.trials, trial_ids)
     else:

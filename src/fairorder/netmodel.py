@@ -16,7 +16,7 @@ import logging
 from dataclasses import dataclass
 from importlib import resources
 
-from .domain import US_PER_MS, ContractError
+from .domain import US_PER_MS
 
 log = logging.getLogger(__name__)
 
@@ -88,24 +88,6 @@ class CityTopology:
         return hit
 
 
-@dataclass(frozen=True)
-class DelayModel:
-    """Stochastic perturbations on top of the base delay matrix.
-
-    jitter_ms: half-width of a uniform per-observation jitter, or None.
-    clock_drift_max_us: bound on a fixed per-node clock offset.
-    """
-
-    jitter_ms: float | None = None
-    clock_drift_max_us: int = 0
-
-    def sample_drifts(self, n_nodes: int, rng) -> tuple:
-        if self.clock_drift_max_us == 0:
-            return (0,) * n_nodes
-        m = self.clock_drift_max_us
-        return tuple(int(rng.integers(-m, m + 1)) for _ in range(n_nodes))
-
-
 @dataclass
 class ClampStats:
     """Counts raw timestamps that fell outside [T, T + delta_net]."""
@@ -118,39 +100,23 @@ def observe(
     invocation,
     origin_city: str,
     topology: CityTopology,
-    delay_model: DelayModel,
     delta_net_us: int,
-    rng=None,
-    drifts=None,
     stats: ClampStats | None = None,
 ):
     """Per-node receive timestamps for one invocation.
 
-    Each node sees T + delay(origin, node) + jitter + drift, clamped into
-    [T, T + delta_net]: after stabilization every correct node's timestamp
-    lies in that window, and the clamp enforces it while ``stats`` records
-    how often the raw model violated it.
+    Each node sees T + delay(origin, node), clamped into [T, T + delta_net]:
+    after stabilization every correct node's timestamp lies in that window,
+    and the clamp enforces it while ``stats`` records how often the base
+    delay exceeded delta_net.
     """
     if origin_city not in topology.city_names:
         raise TopologyError(f"unknown origin city {origin_city!r}")
     t = invocation.invoke_time
-    base = topology.delays_from(origin_city)
-    n = topology.n_nodes
-    if drifts is None:
-        drifts = (0,) * n
-    jitter_us = None
-    if delay_model.jitter_ms is not None:
-        if rng is None:
-            raise ContractError("jitter requires an rng")
-        half = delay_model.jitter_ms * US_PER_MS
-        jitter_us = rng.uniform(-half, half, size=n)
-    out = []
     hi = t + delta_net_us
-    for i in range(n):
-        raw = t + base[i] + drifts[i]
-        if jitter_us is not None:
-            raw += int(jitter_us[i])
-        ts = raw
+    out = []
+    for i, d in enumerate(topology.delays_from(origin_city)):
+        raw = ts = t + d
         if ts < t:
             ts = t
         elif ts > hi:

@@ -129,8 +129,6 @@ GEO_CITIES = ("washington", "london", "munich", "tokyo")
 
 def _joint_four_city_orders():
     """Ledger order of four simultaneous invocations under each baseline."""
-    import numpy as np
-
     from fairorder.adversary import AdversaryPlan
     from fairorder.consensus import (
         OrderingPolicy,
@@ -157,15 +155,12 @@ def _joint_four_city_orders():
         f=f,
         invocations=placed,
         sro=sro_init(SroConfig(n=topology.n_nodes, f=f, backend=Backend.SEEDED_HASH), SEED),
-        rng_seed=0,
         adversary=AdversaryPlan(),
     )
     median_order = tuple(lookup[c] for c in run_slotted(sim).ledger.entries)
     receive_order = tuple(
         lookup[c]
-        for c in order_receive_all_correct(
-            placed, topology, DNET_US, np.random.default_rng(0)
-        ).entries
+        for c in order_receive_all_correct(placed, topology, DNET_US).entries
     )
     return median_order, receive_order
 

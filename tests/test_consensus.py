@@ -23,7 +23,7 @@ from fairorder.consensus import (
     run_slotted,
 )
 from fairorder.domain import MAX_TIMESTAMP, ContractError, Invocation, make_command_id
-from fairorder.netmodel import CityTopology, DelayModel, bundled_topology, parse_topology
+from fairorder.netmodel import CityTopology, bundled_topology, parse_topology
 from fairorder.sro import Backend, SroConfig, sro_init
 
 DNET = 300_000
@@ -43,7 +43,7 @@ def sro_for(topology, f):
     return sro_init(SroConfig(n=topology.n_nodes, f=f, backend=Backend.SEEDED_HASH), SEED)
 
 
-def sim_for(placed, policy, topology=None, f=1, adversary=None, seed=1, slot_origin=0):
+def sim_for(placed, policy, topology=None, f=1, adversary=None, slot_origin=0):
     topology = topology or small_topology()
     return SimulationRun(
         topology=topology,
@@ -53,7 +53,6 @@ def sim_for(placed, policy, topology=None, f=1, adversary=None, seed=1, slot_ori
         f=f,
         invocations=placed,
         sro=sro_for(topology, f),
-        rng_seed=seed,
         adversary=adversary or AdversaryPlan(),
         slot_origin_us=slot_origin,
     )
@@ -74,7 +73,7 @@ class TestRunSlotted:
                 PlacedInvocation(inv(("late", seed), 200_000), "solo"),
                 PlacedInvocation(inv(("early", seed), 100_000), "solo"),
             ]
-            result = run_slotted(sim_for(placed, OrderingPolicy.pompe(), seed=seed))
+            result = run_slotted(sim_for(placed, OrderingPolicy.pompe()))
             assert result.ledger.entries == [
                 placed[1].invocation.command_id,
                 placed[0].invocation.command_id,
@@ -87,7 +86,7 @@ class TestRunSlotted:
         policy = OrderingPolicy.bercow(SLOT)
         for trial in range(50):
             placed = [PlacedInvocation(inv(("edge", trial), 1_400_000), "solo")]
-            result = run_slotted(sim_for(placed, policy, seed=trial))
+            result = run_slotted(sim_for(placed, policy))
             cmd = result.commands[placed[0].invocation.command_id]
             assert result.slots[0].decided_commands[0].command_id == cmd.command_id
             emitted_at = result.emission_slot[cmd.command_id]
@@ -129,8 +128,8 @@ class TestRunSlotted:
                 PlacedInvocation(inv(("c2", trial), 500_000), "solo"),
             ]
             extra = base + [PlacedInvocation(inv(("other", trial), 600_000), "solo")]
-            small = run_slotted(sim_for(base, policy, seed=trial))
-            big = run_slotted(sim_for(extra, policy, seed=trial))
+            small = run_slotted(sim_for(base, policy))
+            big = run_slotted(sim_for(extra, policy))
             id1, id2 = base[0].invocation.command_id, base[1].invocation.command_id
             assert small.ledger.precedes(id1, id2) == big.ledger.precedes(id1, id2)
 
@@ -165,7 +164,6 @@ class TestRunSlotted:
                 f=1,
                 invocations=[PlacedInvocation(inv("a", 0), "solo")],
                 sro=sro_init(SroConfig(n=7, f=2, backend=Backend.SEEDED_HASH), SEED),
-                rng_seed=0,
             )
 
     def test_noise_independent_of_assigned_rank(self):
@@ -196,7 +194,7 @@ class TestRunSlotted:
                 }
             )
             placed = [PlacedInvocation(early, "solo"), PlacedInvocation(late, "solo")]
-            result = run_slotted(sim_for(placed, policy, adversary=plan, seed=trial))
+            result = run_slotted(sim_for(placed, policy, adversary=plan))
             assert_no_far_inversions(result, delta)
             assert result.ledger.entries[0] == early.command_id
 
@@ -210,8 +208,8 @@ class TestRunSlotted:
 
 class TestCountSlottedOrders:
     def test_equals_run_slotted_on_renamed_runs(self):
-        # Every plan kind, jitter and drift, and commands decided in slots 0
-        # and 1: the counts are those of run_slotted on each renamed run.
+        # Every plan kind, and commands decided in slots 0 and 1: the counts
+        # are those of run_slotted on each renamed run.
         topology = bundled_topology()
         f = (topology.n_nodes - 1) // 3
         cmds = [inv("x", 1_100_000), inv("y", 1_250_000), inv("z", 1_550_000)]
@@ -222,11 +220,7 @@ class TestCountSlottedOrders:
             node_overrides={(cmds[1].command_id, 0): 1_250_000},
             quorum_bias={cmds[1].command_id: "high"},
         )
-        sim = replace(
-            sim_for(placed, OrderingPolicy.bercow(SLOT), topology=topology, f=f,
-                    adversary=plan, seed=5),
-            delay_model=DelayModel(jitter_ms=20.0, clock_drift_max_us=3_000),
-        )
+        sim = sim_for(placed, OrderingPolicy.bercow(SLOT), topology=topology, f=f, adversary=plan)
         trial_ids = [[make_command_id("t", t, i) for i in range(3)] for t in range(200)]
         want = Counter()
         for ids in trial_ids:
@@ -286,18 +280,6 @@ class TestCountSlottedOrders:
 
 
 class TestCountBaselineOrders:
-    @pytest.mark.parametrize(
-        "delay_model", [DelayModel(jitter_ms=20.0), DelayModel(clock_drift_max_us=3_000)]
-    )
-    @pytest.mark.parametrize("policy", [OrderingPolicy.receive(), OrderingPolicy.leader(SLOT)])
-    def test_rejects_non_default_delay_model(self, policy, delay_model):
-        placed = [PlacedInvocation(inv("a", 100_000), "solo")]
-        with pytest.raises(ContractError, match="DelayModel"):
-            count_baseline_orders(
-                placed, small_topology(), policy, DNET, 1, lambda t: [b"a"],
-                lambda t: [0, 0], delay_model,
-            )
-
     def test_rejects_median_policies(self):
         placed = [PlacedInvocation(inv("a", 100_000), "solo")]
         with pytest.raises(ContractError):
@@ -305,7 +287,6 @@ class TestCountBaselineOrders:
                 placed, small_topology(), OrderingPolicy.pompe(), DNET, 1, lambda t: [b"a"],
                 lambda t: [0, 0],
             )
-
 
     @pytest.mark.parametrize("policy", [OrderingPolicy.receive(), OrderingPolicy.leader(SLOT)])
     def test_one_id_per_invocation(self, policy):
@@ -362,16 +343,15 @@ class TestReceiveOrder:
             PlacedInvocation(inv("first", 0), "tokyo"),
             PlacedInvocation(inv("second", 10 * DNET), "washington"),
         ]
-        ledger = order_receive_all_correct(placed, topology, DNET, np.random.default_rng(0))
+        ledger = order_receive_all_correct(placed, topology, DNET)
         assert ledger.entries == [p.invocation.command_id for p in placed]
 
     def test_four_city_deterministic_order(self):
         topology = bundled_topology()
         cities = ("washington", "london", "munich", "tokyo")
         placed = [PlacedInvocation(inv(c, 100_000), c) for c in cities]
-        for seed in range(5):
-            ledger = order_receive_all_correct(placed, topology, DNET, np.random.default_rng(seed))
-            assert ledger.entries == [p.invocation.command_id for p in placed]
+        ledger = order_receive_all_correct(placed, topology, DNET)
+        assert ledger.entries == [p.invocation.command_id for p in placed]
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(2, 5), st.integers(2, 6), st.integers(0, 2**31))

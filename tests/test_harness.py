@@ -273,7 +273,7 @@ def per_trial_counts(config, topology, f, sro, spec, tags, commands, colluders):
         result = run_slotted(SimulationRun(
             topology=topology, policy=policy, delta_net_us=delta_net_us,
             slot_interval_us=config.slot_ms * US_PER_MS, f=f, invocations=placed,
-            sro=sro, rng_seed=trial, adversary=plan,
+            sro=sro, adversary=plan,
         ))
         counts[tuple(labels[cid] for cid in result.ledger.entries)] += 1
         decided_slots.update(slot.index for slot in result.slots if slot.decided_commands)
@@ -336,9 +336,9 @@ class TestSlottedEngine:
 
 
 def per_trial_baseline_counts(config, topology, spec, tags, commands):
-    """One ``order_leader_rotation`` or ``order_receive_all_correct`` per
-    trial, each with its own rng: the reference for the batched baseline
-    path of ``_count_orders``."""
+    """One ``order_leader_rotation`` (with the trial's own rng) or
+    ``order_receive_all_correct`` per trial: the reference for the batched
+    baseline path of ``_count_orders``."""
     policy = parse_policy(spec)
     delta_net_us = config.delta_net_ms * US_PER_MS
     counts = Counter()
@@ -348,13 +348,13 @@ def per_trial_baseline_counts(config, topology, spec, tags, commands):
             PlacedInvocation(Invocation(cid, b"", t_us), city)
             for cid, (_, t_us, city) in zip(labels, commands)
         ]
-        rng = np.random.default_rng(_trial_seed(config.seed, *tags, trial))
         if policy.kind is PolicyKind.LEADER_ROTATION:
+            rng = np.random.default_rng(_trial_seed(config.seed, *tags, trial))
             ledger = order_leader_rotation(
                 placed, topology, policy.rotation_period_us, delta_net_us, rng
             )
         else:
-            ledger = order_receive_all_correct(placed, topology, delta_net_us, rng)
+            ledger = order_receive_all_correct(placed, topology, delta_net_us)
         counts[tuple(labels[cid] for cid in ledger.entries)] += 1
     return counts
 
@@ -574,10 +574,11 @@ class TestCli:
             (["simulate"], "scenario = geo_bias\npolicies = receive\nslot_ms = 0"),
             (["attack", "sandwich", "--policy", "pompe", "--dnet-ms", "0"], None),
             (["bounds", "--alpha", "1/5", "--dnet-ms", "-3"], None),
+            (["simulate"], "scenario = geo_bias\ntrials = 3"),
         ],
         ids=["alpha", "attack-colluders", "policy-arg", "colluders", "alphas",
              "one-offset", "unknown-key", "dnet", "negative-gap", "slot",
-             "attack-dnet", "bounds-dnet"],
+             "attack-dnet", "bounds-dnet", "duplicate-key"],
     )
     def test_bad_input_is_config_error(self, tmp_path, capsys, argv, config_line):
         if config_line is not None:

@@ -1,13 +1,11 @@
 import logging
 
-import numpy as np
 import pytest
 
 from fairorder.domain import Invocation, make_command_id
 from fairorder.netmodel import (
     CityTopology,
     ClampStats,
-    DelayModel,
     TopologyError,
     bundled_topology,
     observe,
@@ -43,7 +41,7 @@ class TestBundled:
     def test_all_observations_within_delta_net(self):
         topo = bundled_topology()
         for city in topo.city_names:
-            stamps = observe(inv(), city, topo, DelayModel(), DNET)
+            stamps = observe(inv(), city, topo, DNET)
             assert len(stamps) == 80
             for _, ts in stamps:
                 assert 1_000_000 <= ts <= 1_000_000 + DNET
@@ -52,44 +50,33 @@ class TestBundled:
 class TestObserve:
     def test_zero_latency_all_equal_invoke_time(self):
         topo = CityTopology(cities=(("only", 4),), latency_us={}, intra_city_us=0)
-        stamps = observe(inv(77), "only", topo, DelayModel(), DNET)
+        stamps = observe(inv(77), "only", topo, DNET)
         assert [ts for _, ts in stamps] == [77, 77, 77, 77]
 
     def test_unknown_city(self):
         with pytest.raises(TopologyError):
-            observe(inv(), "atlantis", two_city(), DelayModel(), DNET)
-
-    def test_deterministic_given_seed(self):
-        topo = two_city()
-        model = DelayModel(jitter_ms=5.0)
-        a = observe(inv(), "alpha", topo, model, DNET, rng=np.random.default_rng(3))
-        b = observe(inv(), "alpha", topo, model, DNET, rng=np.random.default_rng(3))
-        assert a == b
-
-    def test_jitter_requires_rng(self):
-        from fairorder.domain import ContractError
-
-        with pytest.raises(ContractError):
-            observe(inv(), "alpha", two_city(), DelayModel(jitter_ms=1.0), DNET)
+            observe(inv(), "atlantis", two_city(), DNET)
 
     def test_clamp_counts_violations(self):
         topo = two_city(delay_ms=500)  # exceeds a 300 ms window
         stats = ClampStats()
-        stamps = observe(inv(0), "beta", topo, DelayModel(), DNET, stats=stats)
+        stamps = observe(inv(0), "beta", topo, DNET, stats=stats)
         assert stats.violations == 2  # the two alpha nodes
         assert stats.observations == 3
         assert all(0 <= ts <= DNET for _, ts in stamps)
 
-    def test_drift_shifts_and_clamps(self):
-        topo = two_city()
-        model = DelayModel(clock_drift_max_us=2000)
-        drifts = model.sample_drifts(3, np.random.default_rng(0))
-        assert all(-2000 <= d <= 2000 for d in drifts)
-        stamps = observe(inv(), "alpha", topo, model, DNET, drifts=drifts)
-        base = observe(inv(), "alpha", topo, DelayModel(), DNET)
-        for (n1, with_drift), (n2, plain) in zip(stamps, base):
-            assert n1 == n2
-            assert abs(with_drift - plain) <= 2000
+    def test_is_clamped_base_delay(self):
+        topo = bundled_topology()
+        t = 1_000_000
+        for dnet in (50_000, 300_000):
+            for city in topo.city_names:
+                delays = topo.delays_from(city)
+                stats = ClampStats()
+                assert observe(inv(t), city, topo, dnet, stats=stats) == [
+                    (i, min(max(t + d, t), t + dnet)) for i, d in enumerate(delays)
+                ]
+                assert stats.violations == sum(d > dnet for d in delays)
+                assert stats.observations == 80
 
 
 class TestParsing:
