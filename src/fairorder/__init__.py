@@ -17,16 +17,9 @@ from .consensus import (
     order_receive_all_correct,
     run_slotted,
 )
-from .domain import (
-    Invocation,
-    Ledger,
-    Slot,
-    TimestampedCommand,
-    median_timestamp,
-    tie_break,
-)
+from .domain import Invocation, Ledger, Slot, TimestampedCommand, median_timestamp
 from .netmodel import CityTopology, bundled_topology, load_topology, observe
-from .sro import Backend, RevealRequest, SroConfig, generate_proof, reveal, sro_init, verify
+from .sro import Backend, RevealRequest, SroConfig, sro_init, verify
 
 __all__ = [
     "Backend",
@@ -45,7 +38,6 @@ __all__ = [
     "delta_linearizability",
     "epsilon_general",
     "epsilon_pair",
-    "generate_proof",
     "load_topology",
     "median_timestamp",
     "observe",
@@ -54,9 +46,7 @@ __all__ = [
     "order_prob_integrate",
     "order_prob_monte_carlo",
     "order_receive_all_correct",
-    "reveal",
     "run_slotted",
     "sro_init",
-    "tie_break",
     "verify",
 ]

@@ -110,16 +110,6 @@ class _Piecewise:
     cs: tuple
     after: Fraction
 
-    def eval(self, x):
-        if x < self.xs[0]:
-            return Fraction(0)
-        if x >= self.xs[-1]:
-            return self.after
-        for i in range(len(self.cs)):
-            if self.xs[i] <= x < self.xs[i + 1]:
-                return _poly_eval(self.cs[i], x)
-        raise AssertionError("breakpoint scan failed")  # pragma: no cover
-
     def restrict(self, lo, hi) -> "_Piecewise":
         """This function as an integrand supported on [lo, hi]."""
         cuts = sorted({lo, hi} | {x for x in self.xs if lo < x < hi})
@@ -187,7 +177,6 @@ def order_prob_integrate(ats, delta_noise, target_order=None) -> Fraction:
 
 # --- Monte Carlo -----------------------------------------------------------
 
-HONEST = "honest"
 LOWER_BOUND = "lower_bound"
 ADAPTIVE_UPPER = "adaptive_upper"
 
@@ -230,20 +219,20 @@ def _simulate_adaptive_upper(n, alpha, trials, rng) -> np.ndarray:
 def order_prob_monte_carlo(strategy, n, alpha, target_order, trials, rng):
     """Binomial estimate (value, stderr) of Pr[target order] under a strategy.
 
-    ``strategy`` is one of the named strategies above, or an explicit tuple
-    of assigned timestamps normalized to a unit noise width (indexed by
-    command, like the integrator's ``ats``).  Unlike the integrator, this
-    handles the adaptive strategy, where later assignments depend on
-    observed noised values.
+    ``strategy`` is ``LOWER_BOUND`` (the target order's first n - 1
+    commands at the window end, its last at the start), ``ADAPTIVE_UPPER``
+    (the adaptive chain), or an explicit tuple of assigned timestamps
+    normalized to a unit noise width (indexed by command, like the
+    integrator's ``ats``); honest commands are the zero tuple.  Unlike the
+    integrator, this handles the adaptive strategy, where later assignments
+    depend on observed noised values.
     """
     if trials < 1000:
         raise ContractError("need at least 1000 trials for a usable estimate")
     alpha = float(alpha) if not isinstance(alpha, float) else alpha
     if target_order is None:
         target_order = tuple(range(n))
-    if strategy == HONEST:
-        hits = _simulate_fixed((0.0,) * n, target_order, trials, rng)
-    elif strategy == LOWER_BOUND:
+    if strategy == LOWER_BOUND:
         ats = [alpha] * n
         ats_by_pos = [alpha] * (n - 1) + [0.0]
         for pos, idx in enumerate(target_order):

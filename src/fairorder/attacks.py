@@ -79,8 +79,6 @@ class SandwichScenario:
     price_a: Fraction
     price_b: Fraction
     attacker_buy_a: Fraction
-    victim_invoke_us: int = 0
-    attacker_offsets_us: tuple = (0, 0)
 
     def __post_init__(self):
         for amount in (self.victim_buy_a, self.attacker_buy_a):

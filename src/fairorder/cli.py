@@ -29,7 +29,7 @@ from .harness import (
     run_experiment,
 )
 from .netmodel import TopologyError
-from .sro import Backend, RevealRequest, SroConfig, SroError, generate_proof, sro_init, verify
+from .sro import Backend, RevealRequest, SroConfig, SroError, sro_init, verify
 
 
 def _emit(result: TableResult, output: str | None):
@@ -96,7 +96,7 @@ def _cmd_sro_demo(args) -> int:
     handle = sro_init(config, hashlib.sha256(str(args.seed).encode()).digest())
     sigs = handle.quorum_signatures(args.k)
     value = handle.reveal(RevealRequest(args.k, sigs))
-    proof = generate_proof(handle, args.k)
+    proof = handle.generate_proof(args.k)
     ok = verify(args.k, proof, value)
     print(f"backend   {args.backend} (n={args.n}, f={args.f}, quorum={config.quorum})")
     print(f"value     {value.hex()}")
@@ -151,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--f", type=int, default=1)
     p.add_argument("--k", type=int, default=0)
-    p.add_argument("--test-field", type=int, help="small prime field for the threshold backend")
+    p.add_argument("--test-field", type=int, help="small prime p > n for the threshold backend")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_sro_demo)
     return parser

@@ -141,16 +141,3 @@ def tie_break_key(slot_seed: bytes, command_id: bytes) -> bytes:
     encode irrelevant features like network position.
     """
     return hashlib.sha256(slot_seed + command_id).digest()
-
-
-def tie_break(a: TimestampedCommand, b: TimestampedCommand, slot_seed: bytes) -> int:
-    """Total order on commands with equal modified_ts: -1, 0, or +1."""
-    if a.modified_ts != b.modified_ts:
-        raise ContractError("tie_break applies only to equal modified timestamps")
-    ka = (tie_break_key(slot_seed, a.command_id), a.command_id)
-    kb = (tie_break_key(slot_seed, b.command_id), b.command_id)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0

@@ -5,9 +5,11 @@ A topology file is line-oriented plain text::
     city <name> <node_count>
     delay <cityA> <cityB> <one_way_ms>
 
-Delays are one-way; a missing (A, B) entry falls back to (B, A).  The
-bundled ``ethereum80.topo`` replicates the public distribution of Ethereum
-nodes over 80 simulated nodes with representative inter-city delays.
+Delays are one-way; a missing (A, B) entry falls back to (B, A).  Each
+ordered pair may appear once, and never as (A, A): nodes within one city
+are ``intra_city_us`` apart.  The bundled ``ethereum80.topo`` replicates
+the public distribution of Ethereum nodes over 80 simulated nodes with
+representative inter-city delays.
 """
 
 from __future__ import annotations
@@ -132,6 +134,7 @@ def observe(
 def parse_topology(text: str, source: str = "<string>") -> CityTopology:
     cities = []
     latency = {}
+    defined = {}  # (cityA, cityB) -> line number of its delay entry
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -141,12 +144,18 @@ def parse_topology(text: str, source: str = "<string>") -> CityTopology:
             if parts[0] == "city" and len(parts) == 3:
                 cities.append((parts[1], int(parts[2])))
             elif parts[0] == "delay" and len(parts) == 4:
+                pair = (parts[1], parts[2])
                 ms = float(parts[3])
                 if ms < 0:
-                    raise TopologyError(f"{source}:{lineno}: negative latency")
-                latency[(parts[1], parts[2])] = int(round(ms * US_PER_MS))
+                    raise TopologyError("negative latency")
+                if pair[0] == pair[1]:
+                    raise TopologyError(f"self-delay for {pair[0]!r}; a city uses intra_city_us")
+                first = defined.setdefault(pair, lineno)
+                if first != lineno:
+                    raise TopologyError(f"delay {pair} repeats its definition on line {first}")
+                latency[pair] = int(round(ms * US_PER_MS))
             else:
-                raise TopologyError(f"{source}:{lineno}: unrecognized line {line!r}")
+                raise TopologyError(f"unrecognized line {line!r}")
         except (ValueError, IndexError) as exc:
             raise TopologyError(f"{source}:{lineno}: {exc}") from exc
     for (a, b), d in latency.items():

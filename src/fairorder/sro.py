@@ -117,13 +117,19 @@ class SroConfig:
     n: int
     f: int
     backend: Backend
-    test_field: int | None = None  # small prime p; None selects the production group
+    test_field: int | None = None  # small prime p > n; None selects the production group
 
     def __post_init__(self):
         if self.n < 3 * self.f + 1:
             raise ContractError(f"need n >= 3f+1, got n={self.n}, f={self.f}")
         if self.quorum <= self.f:
             raise ContractError("quorum must exceed f")
+        if self.test_field is not None:
+            if self.backend is Backend.SEEDED_HASH:
+                raise ContractError("test_field applies only to the threshold backend")
+            # shares sit at x = 1..n; x = p would be the secret itself
+            if self.test_field <= self.n:
+                raise ContractError(f"test_field must exceed n={self.n}, got {self.test_field}")
 
     @property
     def quorum(self) -> int:
@@ -150,7 +156,7 @@ class Share:
 
 @dataclass(frozen=True)
 class Proof:
-    """Verification material returned by generate_proof.
+    """Verification material returned by SroHandle.generate_proof.
 
     Seeded-hash backend: digest = HASH(value).  Threshold backend: the
     commitment set plus the quorum of shares that reproduce the value.
@@ -274,7 +280,8 @@ class SroHandle:
             self.group = None
             self.nodes = None
         else:
-            group = small_field_group(config.test_field) if config.test_field else production_group()
+            field = config.test_field
+            group = production_group() if field is None else small_field_group(field)
             self.group = group
             # Shamir polynomial of degree quorum-1 with poly(0) = s; the
             # master secret is dropped once shares and commitments exist.
@@ -373,14 +380,6 @@ class SroHandle:
 def sro_init(config: SroConfig, rng_seed: bytes) -> SroHandle:
     """Trusted key-generation ceremony; fully determined by rng_seed."""
     return SroHandle(config, rng_seed)
-
-
-def reveal(handle: SroHandle, req: RevealRequest) -> bytes:
-    return handle.reveal(req)
-
-
-def generate_proof(handle: SroHandle, k: int) -> Proof:
-    return handle.generate_proof(k)
 
 
 def verify(k: int, proof: Proof, r: bytes) -> bool:

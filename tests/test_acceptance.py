@@ -29,7 +29,6 @@ from fairorder.sro import (
     Share,
     SroConfig,
     combine_shares,
-    generate_proof,
     share_is_valid,
     sro_init,
     verify,
@@ -270,7 +269,7 @@ def test_criterion_7_sro_contract_suite():
     for case in range(1000):
         k = int(rng.integers(0, 2**32))
         value = seeded.reveal(RevealRequest(k, seeded.quorum_signatures(k)))
-        proof = generate_proof(seeded, k)
+        proof = seeded.generate_proof(k)
         if not verify(k, proof, value):
             problems.append(f"verify failed at k={k}")
             break

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from fairorder.analysis import (
     ADAPTIVE_UPPER,
-    HONEST,
     LOWER_BOUND,
+    _simulate_adaptive_upper,
     _simulate_fixed,
     delta_linearizability,
     epsilon_general,
@@ -138,11 +138,11 @@ class TestIntegrator:
 class TestMonteCarlo:
     def test_requires_enough_trials(self):
         with pytest.raises(ContractError):
-            order_prob_monte_carlo(HONEST, 2, 0.2, (0, 1), 10, np.random.default_rng(0))
+            order_prob_monte_carlo((0.0, 0.0), 2, 0.2, (0, 1), 10, np.random.default_rng(0))
 
     def test_honest_matches_uniform(self):
         rng = np.random.default_rng(1)
-        est, se = order_prob_monte_carlo(HONEST, 3, 0.2, (0, 1, 2), 100_000, rng)
+        est, se = order_prob_monte_carlo((0.0,) * 3, 3, 0.2, (0, 1, 2), 100_000, rng)
         assert abs(est - 1 / 6) < 4 * se
 
     def test_fixed_assignment_matches_integrator(self):
@@ -165,6 +165,30 @@ class TestMonteCarlo:
         lower = float(order_prob_bounds(3, Fraction(1, 5))[0])
         est, se = order_prob_monte_carlo(LOWER_BOUND, 3, 0.2, (0, 1, 2), 400_000, rng)
         assert abs(est - lower) < 4 * se
+
+    def test_lower_strategy_follows_target_order(self):
+        rng = np.random.default_rng(5)
+        lower = float(order_prob_bounds(3, Fraction(1, 5))[0])
+        est, se = order_prob_monte_carlo(LOWER_BOUND, 3, 0.2, (2, 0, 1), 400_000, rng)
+        assert abs(est - lower) < 4 * se
+
+    def test_adaptive_chain_then_window_end(self):
+        # Row 0 stays in the window: each command sits on the previous noised
+        # value.  Rows 1-2 escape at once (0.21 > alpha), so later commands go
+        # to the window end, 0.2: 0.205 lands before 0.21, 0.22 after it.
+        # Row 3 climbs the chain to 0.10 + 0.15 = 0.25 and escapes there, so
+        # the last command, at 0.2 + 0.01, lands before it.
+        rows = np.array(
+            [[0.10, 0.05, 0.009], [0.21, 0.005, 0.5], [0.21, 0.02, 0.5], [0.10, 0.15, 0.01]]
+        )
+
+        class RowsRng:
+            def random(self, shape):
+                assert rows.shape == shape
+                return rows
+
+        hits = _simulate_adaptive_upper(3, 0.2, 4, RowsRng())
+        assert hits.tolist() == [True, False, True, False]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_fixed_hits_equal_diff_formulation(self, n):

@@ -1,7 +1,9 @@
 import logging
+import re
 
 import pytest
 
+from fairorder.cli import main
 from fairorder.domain import Invocation, make_command_id
 from fairorder.netmodel import (
     CityTopology,
@@ -121,3 +123,22 @@ class TestParsing:
     def test_comments_and_blanks(self):
         topo = parse_topology("# hi\n\ncity a 1  # trailing\ncity b 1\ndelay a b 3\n")
         assert topo.n_nodes == 2
+
+    @pytest.mark.parametrize(
+        "delay_line, message",
+        [
+            ("delay a a 500", "x.topo:4: self-delay"),
+            ("delay a b 7", "x.topo:4: delay ('a', 'b') repeats its definition on line 3"),
+        ],
+        ids=["self-delay", "repeated-pair"],
+    )
+    def test_ignored_delay_line_rejected(self, tmp_path, capsys, delay_line, message):
+        text = f"city a 1\ncity b 1\ndelay a b 5\n{delay_line}\n"
+        with pytest.raises(TopologyError, match=re.escape(message)):
+            parse_topology(text, source="x.topo")
+        topo = tmp_path / "x.topo"
+        topo.write_text(text)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"scenario = geo_bias\ntopology = {topo}\ntrials = 2\norigins = a,b\n")
+        assert main(["simulate", str(cfg)]) == 3
+        assert "error category=config" in capsys.readouterr().err

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from fairorder.cli import main
 from fairorder.domain import ContractError
 from fairorder.sro import (
     Backend,
@@ -12,7 +13,6 @@ from fairorder.sro import (
     Share,
     SroConfig,
     combine_shares,
-    generate_proof,
     hash_to_field,
     production_group,
     share_is_valid,
@@ -44,6 +44,25 @@ class TestConfig:
     def test_seed_length_checked(self):
         with pytest.raises(ContractError):
             handle_for(seed=b"short")
+
+    @pytest.mark.parametrize(
+        "backend, field",
+        [
+            (Backend.THRESHOLD_DPRF, 0),
+            (Backend.THRESHOLD_DPRF, 2),
+            (Backend.THRESHOLD_DPRF, 3),
+            (Backend.SEEDED_HASH, 4),
+            (Backend.SEEDED_HASH, 101),
+        ],
+    )
+    def test_unusable_test_field_rejected(self, backend, field):
+        # 0 must not fall back to the production group, and the seeded backend
+        # has no field at all.  With p <= n two nodes share x mod p (p = 2
+        # fails to combine), and node p's share is the secret (p = 3, n = 4).
+        with pytest.raises(ContractError):
+            handle_for(backend=backend, field=field)
+        argv = ["sro-demo", "--backend", backend.value, "--test-field", str(field)]
+        assert main(argv) == 3
 
     def test_duplicate_signature_node_ids(self):
         handle = handle_for()
@@ -98,7 +117,7 @@ class TestCertificateMemo:
         handle = handle_for(backend=Backend.THRESHOLD_DPRF, field=101)
         for k in range(3):
             value = reveal_k(handle, k)
-            assert verify(k, generate_proof(handle, k), value)
+            assert verify(k, handle.generate_proof(k), value)
             assert reveal_k(handle, k) == value
 
 
@@ -222,7 +241,7 @@ class TestThresholdDprf:
         handle = handle_for(backend=Backend.THRESHOLD_DPRF)
         value = reveal_k(handle, 0)
         assert len(value) == 64
-        assert verify(0, generate_proof(handle, 0), value)
+        assert verify(0, handle.generate_proof(0), value)
 
     def test_test_group_construction(self):
         for p in (11, 53, 101):
@@ -242,7 +261,7 @@ class TestValidity:
     def test_proof_verifies_and_tamper_fails(self, backend, field):
         handle = handle_for(backend=backend, field=field)
         value = reveal_k(handle, 42)
-        proof = generate_proof(handle, 42)
+        proof = handle.generate_proof(42)
         assert verify(42, proof, value)
         tampered = bytes([value[0] ^ 1]) + value[1:]
         assert not verify(42, proof, tampered)
@@ -250,14 +269,14 @@ class TestValidity:
     def test_seeded_proof_tamper_fails(self):
         handle = handle_for()
         value = reveal_k(handle, 1)
-        proof = generate_proof(handle, 1)
+        proof = handle.generate_proof(1)
         bad = type(proof)(proof.backend, digest=bytes([proof.digest[0] ^ 1]) + proof.digest[1:])
         assert not verify(1, bad, value)
 
     def test_malformed_proof_returns_false(self):
         handle = handle_for(backend=Backend.THRESHOLD_DPRF, field=101)
         value = reveal_k(handle, 2)
-        proof = generate_proof(handle, 2)
+        proof = handle.generate_proof(2)
         assert not verify(2, type(proof)(proof.backend), value)
         hollow = type(proof)(
             proof.backend, group=proof.group, commitments=(), shares=proof.shares,
