@@ -4,9 +4,9 @@
 Usage:
     python scripts/run_experiments.py [--only geo_bias,sandwich] [--trials N]
 
-A full run took 7.5-11.1 s in three runs on 2 cores of an Intel Xeon
-under Python 3.11 (geo_bias 2.8-4.3 s, tradeoff_curve 3.9-5.6 s, the rest
-under 1 s together); every table cell is counted in one batch, and command
+A full run took 9.2-10.8 s in six runs on 2 cores of an Intel Xeon
+under Python 3.11 (in three of them, geo_bias 3.6-4.6 s, tradeoff_curve
+4.8-5.2 s, the rest under 1 s together); every table cell is counted in one batch, and command
 ids are hashed only where they can change an order.  Pass --trials to
 downscale for a quick look.
 """

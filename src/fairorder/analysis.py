@@ -45,6 +45,16 @@ def _check_alpha(alpha: Fraction, inclusive_one: bool):
         raise ContractError(f"alpha must be in {bound}, got {alpha}")
 
 
+def _target_order(target_order, n: int) -> tuple:
+    """``target_order`` (default 0, 1, ..., n-1), checked to be a
+    permutation of the n command indices."""
+    if target_order is None:
+        return tuple(range(n))
+    if sorted(target_order) != list(range(n)):
+        raise ContractError("target_order must be a permutation of command indices")
+    return tuple(target_order)
+
+
 def epsilon_pair(alpha) -> Fraction:
     """Worst-case |Pr[i1 first] - Pr[i2 first]| for two simultaneous commands."""
     a = _rational(alpha)
@@ -159,10 +169,7 @@ def order_prob_integrate(ats, delta_noise, target_order=None) -> Fraction:
     dn = _rational(delta_noise)
     if dn <= 0:
         raise ContractError("delta_noise must be positive")
-    if target_order is None:
-        target_order = tuple(range(n))
-    if sorted(target_order) != list(range(n)):
-        raise ContractError("target_order must be a permutation of command indices")
+    target_order = _target_order(target_order, n)
     norm = [ai / dn for ai in a]
     h = None
     for idx in target_order:
@@ -225,13 +232,18 @@ def order_prob_monte_carlo(strategy, n, alpha, target_order, trials, rng):
     normalized to a unit noise width (indexed by command, like the
     integrator's ``ats``); honest commands are the zero tuple.  Unlike the
     integrator, this handles the adaptive strategy, where later assignments
-    depend on observed noised values.
+    depend on observed noised values.  Like the closed forms, it rejects
+    n < 1, a ``target_order`` that is not a permutation of ``range(n)``,
+    and, for the two bound strategies, alpha outside (0, 1].
     """
     if trials < 1000:
         raise ContractError("need at least 1000 trials for a usable estimate")
+    if n < 1:
+        raise ContractError("n must be >= 1")
+    target_order = _target_order(target_order, n)
     alpha = float(alpha) if not isinstance(alpha, float) else alpha
-    if target_order is None:
-        target_order = tuple(range(n))
+    if strategy in (LOWER_BOUND, ADAPTIVE_UPPER):
+        _check_alpha(alpha, inclusive_one=True)
     if strategy == LOWER_BOUND:
         ats = [alpha] * n
         ats_by_pos = [alpha] * (n - 1) + [0.0]

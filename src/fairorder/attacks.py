@@ -129,12 +129,15 @@ def payoff_table(scenario: SandwichScenario) -> dict:
     return {order: sandwich_profits(scenario, order) for order in PERMUTATIONS}
 
 
-def expected_attacker_profit(scenario: SandwichScenario, permutation_probs) -> Fraction:
-    """Expected attacker P&L under a distribution over execution orders."""
+def expected_attacker_profit(table: dict, permutation_probs) -> Fraction:
+    """Expected attacker P&L under a distribution over execution orders.
+
+    ``table`` is a scenario's ``payoff_table``; a caller weighing several
+    distributions builds it once.
+    """
     total = sum(Fraction(p) for p in permutation_probs.values())
     if abs(total - 1) > Fraction(1, 10**9):
         raise ContractError(f"permutation probabilities sum to {float(total)}, not 1")
-    table = payoff_table(scenario)
     acc = Fraction(0)
     for order, prob in permutation_probs.items():
         key = tuple(order)

@@ -27,6 +27,7 @@ import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 
 import numpy as np
 
@@ -145,7 +146,7 @@ def _select_quorum(stamps, quorum_size: int, bias):
     Honest clients take the earliest responders; an adversarial client may
     instead pick the block of stamps that drags its median down or up.
     """
-    ordered = sorted(stamps, key=lambda item: (item[1], item[0]))
+    ordered = sorted(stamps, key=itemgetter(1, 0))
     if bias == QUORUM_HIGH:
         return tuple(ordered[-quorum_size:])
     if bias is not None and bias != QUORUM_LOW:

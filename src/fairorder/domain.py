@@ -43,17 +43,22 @@ class Invocation:
             raise ContractError("invoke_time must be >= 0")
 
 
+def _encode_part(p) -> bytes:
+    """One id part as hashed: its 4-byte length, then its bytes; an int is
+    8 bytes two's complement, a str its UTF-8, a tuple or list its own id."""
+    if isinstance(p, (tuple, list)):
+        p = make_command_id(*p)
+    elif isinstance(p, int):
+        p = p.to_bytes(8, "big", signed=True)
+    elif isinstance(p, str):
+        p = p.encode()
+    return len(p).to_bytes(4, "big") + p
+
+
 def _hash_parts(h, parts):
-    """Feed each part to ``h``, length-prefixed; tuples and lists as their id."""
+    """Feed each part to ``h``, encoded by ``_encode_part``."""
     for p in parts:
-        if isinstance(p, (tuple, list)):
-            p = _hash_parts(hashlib.sha256(), p).digest()
-        elif isinstance(p, int):
-            p = p.to_bytes(8, "big", signed=True)
-        elif isinstance(p, str):
-            p = p.encode()
-        h.update(len(p).to_bytes(4, "big"))
-        h.update(p)
+        h.update(_encode_part(p))
     return h
 
 
@@ -64,11 +69,20 @@ def make_command_id(*parts) -> bytes:
 
 def command_id_deriver(*tags):
     """``derive(trial, label) == make_command_id(*tags, trial, label)``,
-    hashing ``tags`` once rather than once per id."""
+    hashing ``tags`` once and encoding each label once rather than once per
+    id: an id costs one copy, one update and one digest.  Labels are memo
+    keys, so they must be hashable."""
     prefix = _hash_parts(hashlib.sha256(), tags)
+    labels = {}  # (type, label) -> encoding; typed so that 1 and 1.0 differ
 
     def derive(trial, label) -> bytes:
-        return _hash_parts(prefix.copy(), (trial, label)).digest()
+        key = (type(label), label)
+        encoded = labels.get(key)
+        if encoded is None:
+            encoded = labels[key] = _encode_part(label)
+        h = prefix.copy()
+        h.update(_encode_part(trial) + encoded)
+        return h.digest()
 
     return derive
 

@@ -23,7 +23,10 @@ every trial's ledger order in one batch.  Ids are derived lazily, from
 the tags hashed once per cell (``command_id_deriver``), and only where
 they can matter: under ``bercow`` for every trial's noise, otherwise
 only for a trial whose id-free key prefix ties (and trial 0's, for the
-id-count check).
+id-count check).  Work that no cell changes is done once: the bundled
+topology is parsed once per process, the topology memoizes each
+(city, invoke time, delta_net) receive vector that ``observe`` returns, and
+``run_sandwich`` builds its payoff table once per run.
 """
 
 from __future__ import annotations
@@ -358,7 +361,6 @@ def run_sandwich(config: ExperimentConfig) -> TableResult:
     topology = resolve_topology(config.topology)
     f, sro = _sro_for(topology, config.seed)
     colluders = _colluder_ids(config, topology, f)
-    scenario = attacks.default_scenario()
     t0 = config.slot_ms * US_PER_MS // 2
     buy_us, sell_us = (t0 + ms * US_PER_MS for ms in config.offsets_ms)
     commands = (
@@ -369,13 +371,13 @@ def run_sandwich(config: ExperimentConfig) -> TableResult:
     result = TableResult(
         header=("policy", "order", "frequency", "victim_usd", "attacker_usd")
     )
-    table = attacks.payoff_table(scenario)
+    table = attacks.payoff_table(attacks.default_scenario())
     for spec in config.policies:
         counts = _count_orders(
             config, topology, f, sro, spec, ("sand", spec), commands, colluders
         )
         freqs = {order: Fraction(counts[order], config.trials) for order in attacks.PERMUTATIONS}
-        expected = attacks.expected_attacker_profit(scenario, freqs)
+        expected = attacks.expected_attacker_profit(table, freqs)
         for order in attacks.PERMUTATIONS:
             victim_usd, attacker_usd = table[order]
             result.rows.append((

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
+from types import MappingProxyType
 
 from .domain import US_PER_MS
 
@@ -29,11 +31,20 @@ class TopologyError(ValueError):
 
 @dataclass(frozen=True)
 class CityTopology:
+    """Cities, their node counts and the one-way delays between them.
+
+    Immutable: ``latency_us`` is a read-only copy of the mapping passed in,
+    so one instance can be shared by every run in a process
+    (``bundled_topology`` does), and the per-instance memos of
+    ``delays_from`` and ``observe`` stay valid.
+    """
+
     cities: tuple  # ((name, node_count), ...)
-    latency_us: dict  # (cityA, cityB) -> one-way delay, µs
+    latency_us: dict  # (cityA, cityB) -> one-way delay, µs; read-only after init
     intra_city_us: int = US_PER_MS
 
     def __post_init__(self):
+        object.__setattr__(self, "latency_us", MappingProxyType(dict(self.latency_us)))
         if not self.cities:
             raise TopologyError("topology needs at least one city")
         names = [name for name, _ in self.cities]
@@ -50,6 +61,8 @@ class CityTopology:
                 if city not in known:
                     raise TopologyError(f"delay entry references unknown city {city!r}")
         object.__setattr__(self, "_delay_cache", {})
+        # (origin, invoke_time, delta_net_us) -> (observe's stamps, violations)
+        object.__setattr__(self, "_receive_cache", {})
         object.__setattr__(self, "_n_nodes", sum(count for _, count in self.cities))
         object.__setattr__(self, "_city_names", tuple(names))
         object.__setattr__(
@@ -105,30 +118,30 @@ def observe(
     delta_net_us: int,
     stats: ClampStats | None = None,
 ):
-    """Per-node receive timestamps for one invocation.
+    """Per-node receive timestamps for one invocation, as a fresh list.
 
     Each node sees T + delay(origin, node), clamped into [T, T + delta_net]:
     after stabilization every correct node's timestamp lies in that window,
     and the clamp enforces it while ``stats`` records how often the base
-    delay exceeded delta_net.
+    delay exceeded delta_net.  The result depends only on (origin, T,
+    delta_net), so the topology memoizes it; ``stats`` counts a repeat the
+    same as the first call.
     """
     if origin_city not in topology.city_names:
         raise TopologyError(f"unknown origin city {origin_city!r}")
     t = invocation.invoke_time
-    hi = t + delta_net_us
-    out = []
-    for i, d in enumerate(topology.delays_from(origin_city)):
-        raw = ts = t + d
-        if ts < t:
-            ts = t
-        elif ts > hi:
-            ts = hi
-        if stats is not None:
-            stats.observations += 1
-            if raw != ts:
-                stats.violations += 1
-        out.append((i, ts))
-    return out
+    key = (origin_city, t, delta_net_us)
+    hit = topology._receive_cache.get(key)
+    if hit is None:
+        raw = [t + d for d in topology.delays_from(origin_city)]
+        clamped = [min(max(ts, t), t + delta_net_us) for ts in raw]
+        violations = sum(r != c for r, c in zip(raw, clamped))
+        hit = topology._receive_cache[key] = (tuple(enumerate(clamped)), violations)
+    stamps, violations = hit
+    if stats is not None:
+        stats.observations += len(stamps)
+        stats.violations += violations
+    return list(stamps)
 
 
 def parse_topology(text: str, source: str = "<string>") -> CityTopology:
@@ -174,6 +187,8 @@ def load_topology(path) -> CityTopology:
         return parse_topology(fh.read(), source=str(path))
 
 
+@lru_cache(maxsize=None)
 def bundled_topology(name: str = "ethereum80.topo") -> CityTopology:
+    """A topology shipped in ``fairorder.data``, parsed once per process."""
     text = resources.files("fairorder.data").joinpath(name).read_text(encoding="utf-8")
     return parse_topology(text, source=name)

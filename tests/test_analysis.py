@@ -214,6 +214,25 @@ class TestMonteCarlo:
                 want = diff_reference(ats, order, 2000, make_rng(case))
                 assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize(
+        "strategy, n, alpha, target",
+        [
+            (LOWER_BOUND, 3, 0.2, (0, 0, 1)),
+            (ADAPTIVE_UPPER, 3, 0.2, (5, 7)),
+            (ADAPTIVE_UPPER, 3, 1.7, (0, 1, 2)),
+            ((0.0, 0.0, 0.0), 3, 0.2, (0, 1)),
+            (LOWER_BOUND, 0, 0.2, ()),
+            (LOWER_BOUND, 2, 0.0, (0, 1)),
+        ],
+        ids=[
+            "repeated-index", "indices-out-of-range", "alpha-above-one",
+            "short-target", "no-commands", "alpha-zero",
+        ],
+    )
+    def test_rejects_what_the_closed_forms_reject(self, strategy, n, alpha, target):
+        with pytest.raises(ContractError):
+            order_prob_monte_carlo(strategy, n, alpha, target, 1000, np.random.default_rng(0))
+
     def test_unknown_strategy(self):
         with pytest.raises(ContractError):
             order_prob_monte_carlo("telepathy", 2, 0.2, (0, 1), 1000, np.random.default_rng(0))

@@ -86,11 +86,11 @@ class TestSandwich:
 
     def test_point_mass_expected_profit(self):
         probs = {o: (1 if o == ("i2", "i1", "i3") else 0) for o in PERMUTATIONS}
-        assert expected_attacker_profit(default_scenario(), probs) == 800
+        assert expected_attacker_profit(payoff_table(default_scenario()), probs) == 800
 
     def test_uniform_expected_profit(self):
         probs = {o: Fraction(1, 6) for o in PERMUTATIONS}
-        assert expected_attacker_profit(default_scenario(), probs) == Fraction(400, 6)
+        assert expected_attacker_profit(payoff_table(default_scenario()), probs) == Fraction(400, 6)
 
     def test_bound_extremes_cap_profit(self):
         # Worst case allowed by the n=3 bounds at alpha = 1/5: winning order
@@ -102,14 +102,14 @@ class TestSandwich:
         probs = {o: rest for o in PERMUTATIONS}
         probs[("i2", "i1", "i3")] = upper
         probs[("i3", "i1", "i2")] = lower
-        value = expected_attacker_profit(default_scenario(), probs)
+        value = expected_attacker_profit(payoff_table(default_scenario()), probs)
         assert value == upper * 800 - lower * 400
         assert value < Fraction(200)
 
     def test_malformed_distribution(self):
         probs = {o: Fraction(1, 2) for o in PERMUTATIONS}
         with pytest.raises(ContractError):
-            expected_attacker_profit(default_scenario(), probs)
+            expected_attacker_profit(payoff_table(default_scenario()), probs)
 
     def test_scenario_validates_amounts(self):
         with pytest.raises(ContractError):

@@ -1,4 +1,5 @@
 import hashlib
+import random
 from collections import Counter
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairorder import consensus
 from fairorder.adversary import AdversaryPlan
 from fairorder.consensus import (
     OrderingPolicy,
@@ -297,6 +299,34 @@ class TestCountBaselineOrders:
                 placed, small_topology(), policy, DNET, 1, lambda t: [b"a", b"b"],
                 lambda t: [0, 0],
             )
+
+    def test_leader_draws_are_numpys_permutation_then_integers(self, monkeypatch):
+        # The committed leader rows rest on these draws: trial t's schedule is
+        # default_rng(trial_seed(t)).permutation(n) and its phase the next
+        # integers(0, period), so a numpy that changes either fails here.
+        drawn = []
+        rotation = consensus._rotation
+
+        def recording(*args, **kwargs):
+            drawn.append(rotation(*args, **kwargs))
+            return drawn[-1]
+
+        monkeypatch.setattr(consensus, "_rotation", recording)
+        rnd = random.Random(50)
+        seeds = [[rnd.getrandbits(64), rnd.getrandbits(64)] for _ in range(50)]
+        placed = [
+            PlacedInvocation(inv("a", 100_000), "tokyo"),
+            PlacedInvocation(inv("b", 100_000), "washington"),
+        ]
+        count_baseline_orders(
+            placed, bundled_topology(), OrderingPolicy.leader(SLOT), DNET, len(seeds),
+            lambda t: [b"a", b"b"], seeds.__getitem__,
+        )
+        want = []
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            want.append((rng.permutation(80).tolist(), int(rng.integers(0, SLOT))))
+        assert drawn == want
 
 
 class TestLeaderRotation:

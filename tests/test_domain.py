@@ -131,3 +131,19 @@ class TestCommandIds:
                 assert derive(trial, label) == make_command_id(*tags, trial, label)
         # a deriver hands out fresh copies: repeating a call repeats its id
         assert derive(5, "a") == derive(5, "a") != derive(5, "b")
+
+    @pytest.mark.parametrize("label", ["a", b"\x00raw", ("nested", (1, "deeper"), b"")])
+    def test_deriver_at_the_int64_limits(self, label):
+        derive = command_id_deriver("geo", 3, "bercow:1500")
+        # the first call encodes the label; the later ones reuse that encoding
+        for trial in (2**63 - 1, -(2**63), 0):
+            assert derive(trial, label) == make_command_id("geo", 3, "bercow:1500", trial, label)
+
+    def test_deriver_label_memo_is_typed(self):
+        # 1 and 1.0 are equal dict keys; only the int is a valid label
+        derive = command_id_deriver("geo")
+        assert derive(0, 1) == make_command_id("geo", 0, 1)
+        with pytest.raises(TypeError):
+            make_command_id("geo", 0, 1.0)
+        with pytest.raises(TypeError):
+            derive(0, 1.0)

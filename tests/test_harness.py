@@ -598,3 +598,17 @@ def test_run_experiment_dispatch():
         ExperimentConfig(scenario="bounds_table", bounds_n=(2,), alphas=("1/5",))
     )
     assert result.rows[0][0] == 2
+
+
+def test_runs_share_one_bundled_topology(monkeypatch):
+    resolved = []
+
+    def recording(name):
+        resolved.append(resolve_topology(name))
+        return resolved[-1]
+
+    monkeypatch.setattr(harness, "resolve_topology", recording)
+    config = small(policies=("pompe", "receive", "leader:1500", "bercow:1500"), trials=20)
+    first, second = (run_experiment(config).to_csv_text() for _ in range(2))
+    assert first == second
+    assert len(resolved) == 2 and resolved[0] is resolved[1]

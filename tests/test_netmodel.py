@@ -81,6 +81,51 @@ class TestObserve:
                 assert stats.observations == 80
 
 
+class TestReceiveMemo:
+    def test_repeat_is_an_equal_fresh_list(self):
+        topo = two_city()
+        first = observe(inv(0), "beta", topo, DNET)
+        second = observe(inv(0), "beta", topo, DNET)
+        assert first == second and first is not second
+        second[0] = (0, -1)
+        second.append((9, 9))
+        assert observe(inv(0), "beta", topo, DNET) == first
+
+    def test_stats_count_a_hit_like_a_miss(self):
+        topo = two_city(delay_ms=500)  # the two alpha nodes exceed the window
+        miss, hit = ClampStats(), ClampStats()
+        observe(inv(0), "beta", topo, DNET, stats=miss)
+        observe(inv(0), "beta", topo, DNET, stats=hit)
+        assert miss == hit == ClampStats(violations=2, observations=3)
+        observe(inv(0), "beta", topo, DNET, stats=hit)
+        assert hit == ClampStats(violations=4, observations=6)
+
+    def test_invoke_times_and_windows_do_not_collide(self):
+        topo = two_city(delay_ms=500)
+        cases = [(t, dnet) for t in (0, 7) for dnet in (DNET, 600_000)] * 2  # misses, then hits
+        for t, dnet in cases:
+            stats = ClampStats()
+            assert observe(inv(t), "beta", topo, dnet, stats=stats) == [
+                (i, min(max(t + d, t), t + dnet)) for i, d in enumerate(topo.delays_from("beta"))
+            ]
+            assert stats.violations == (2 if dnet == DNET else 0)
+
+
+class TestShared:
+    def test_topology_is_read_only(self):
+        latency = {("alpha", "beta"): 50_000}
+        topo = CityTopology(cities=(("alpha", 2), ("beta", 1)), latency_us=latency)
+        latency[("alpha", "beta")] = 1  # the topology holds its own copy
+        assert topo.delay_us("alpha", "beta") == 50_000
+        with pytest.raises(TypeError):
+            topo.latency_us[("alpha", "beta")] = 1
+        with pytest.raises(TypeError):
+            bundled_topology().latency_us[("canberra", "oulu")] = 0
+
+    def test_bundled_is_parsed_once(self):
+        assert bundled_topology() is bundled_topology()
+
+
 class TestParsing:
     def test_minimal_roundtrip(self):
         topo = parse_topology("city a 2\ncity b 1\ndelay a b 10\n")
