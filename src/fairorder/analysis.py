@@ -35,7 +35,10 @@ def _rational(x) -> Fraction:
         raise ContractError(
             "pass alpha as Fraction, int, or string (floats are not exact rationals)"
         )
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ContractError(f"expected an exact ratio such as 1/5, got {x!r}") from exc
 
 
 def _check_alpha(alpha: Fraction, inclusive_one: bool):
@@ -232,16 +235,18 @@ def order_prob_monte_carlo(strategy, n, alpha, target_order, trials, rng):
     normalized to a unit noise width (indexed by command, like the
     integrator's ``ats``); honest commands are the zero tuple.  Unlike the
     integrator, this handles the adaptive strategy, where later assignments
-    depend on observed noised values.  Like the closed forms, it rejects
-    n < 1, a ``target_order`` that is not a permutation of ``range(n)``,
-    and, for the two bound strategies, alpha outside (0, 1].
+    depend on observed noised values.  ``alpha`` is a float or, as for the
+    closed forms, an exact ratio such as ``"1/5"``.  Like the closed forms,
+    it rejects an unparsable alpha, n < 1, a ``target_order`` that is not a
+    permutation of ``range(n)``, and, for the two bound strategies, alpha
+    outside (0, 1].
     """
     if trials < 1000:
         raise ContractError("need at least 1000 trials for a usable estimate")
     if n < 1:
         raise ContractError("n must be >= 1")
     target_order = _target_order(target_order, n)
-    alpha = float(alpha) if not isinstance(alpha, float) else alpha
+    alpha = alpha if isinstance(alpha, float) else float(_rational(alpha))
     if strategy in (LOWER_BOUND, ADAPTIVE_UPPER):
         _check_alpha(alpha, inclusive_one=True)
     if strategy == LOWER_BOUND:

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
+from types import MappingProxyType
 
 from .domain import ContractError
 
@@ -129,11 +131,21 @@ def payoff_table(scenario: SandwichScenario) -> dict:
     return {order: sandwich_profits(scenario, order) for order in PERMUTATIONS}
 
 
+@lru_cache(maxsize=None)
+def default_payoff_table() -> MappingProxyType:
+    """``payoff_table(default_scenario())``, built once per process.
+
+    Read-only, so every run in a process can share it.
+    """
+    return MappingProxyType(payoff_table(default_scenario()))
+
+
 def expected_attacker_profit(table: dict, permutation_probs) -> Fraction:
     """Expected attacker P&L under a distribution over execution orders.
 
-    ``table`` is a scenario's ``payoff_table``; a caller weighing several
-    distributions builds it once.
+    ``table`` is a scenario's ``payoff_table``, or ``default_payoff_table()``
+    for the worked example; a caller weighing several distributions builds
+    it once.
     """
     total = sum(Fraction(p) for p in permutation_probs.values())
     if abs(total - 1) > Fraction(1, 10**9):

@@ -8,17 +8,20 @@ each decided command receives uniform noise keyed by its own id, so its
 final position cannot depend on other commands or on anything the nodes
 chose before the seed existed.  A command is emitted (stable) once any
 decided slot's interval end exceeds its noised timestamp.
-``count_slotted_orders`` counts the ledger orders of many such runs that
-differ only in their command ids, computing what the ids do not affect
-once and asking for a trial's ids only when they can change its order.
 
 Two simplified baselines are provided for comparison: rotating-leader
 ordering (each leader emits what it has received, in its own receive
 order) and all-correct receive ordering (a command precedes another only
 if every node received it first; ties resolved by median receive time).
-``count_baseline_orders`` counts their ledger orders over many trials,
-building the receive matrix once and, like ``count_slotted_orders``,
-reading a trial's ids only on a key-prefix tie.
+
+Every policy's ledger is a sort by one key rule, ``_key``: (id-free
+prefix, tie key, command id).  The prefix is the modified timestamp under
+the median policies, (period, leader's receive time) under leader
+rotation and the median receive time under receive ordering.
+``count_orders`` is the one engine: it counts the ledger orders of many
+trials of a run that differ only in their command ids (and, under leader
+rotation, in the rotation drawn), computing what the ids do not affect
+once and asking for a trial's ids only when they can change its order.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
@@ -127,6 +131,8 @@ class SimulationRun:
             raise ContractError(f"need n >= 3f+1 nodes, got n={n}, f={self.f}")
         if self.slot_interval_us <= 0:
             raise ContractError("slot interval must be positive")
+        if not self.invocations:
+            raise ContractError("no invocations to order")
         if self.sro.config.n != n or self.sro.config.f != self.f:
             raise ContractError("oracle was initialized for a different (n, f)")
 
@@ -170,8 +176,6 @@ def _timestamp_invocations(sim: SimulationRun):
     """
     if sim.policy.kind not in (PolicyKind.POMPE_MEDIAN, PolicyKind.BERCOW_NOISE):
         raise ContractError("run_slotted handles the median-timestamp policies only")
-    if not sim.invocations:
-        raise ContractError("no invocations to order")
     stats = ClampStats()
     quorum_size = 2 * sim.f + 1
     plan = sim.adversary
@@ -200,8 +204,14 @@ def _timestamp_invocations(sim: SimulationRun):
     return stamped, stats
 
 
+def _key(prefix, tie_seed: bytes, command_id: bytes):
+    """A command's ledger sort key under every policy: (id-free prefix, tie
+    key, command id).  Only the prefix differs between policies."""
+    return (prefix, tie_break_key(tie_seed, command_id), command_id)
+
+
 def _ledger_key(policy: OrderingPolicy, slot_seed: bytes, ats: int, command_id: bytes):
-    """A decided command's ledger sort key: (modified_ts, tie key, command id).
+    """A decided command's ledger sort key, prefixed by its modified_ts.
 
     ``slot_seed`` is the revealed seed of the slot that decided the command.
     """
@@ -209,7 +219,7 @@ def _ledger_key(policy: OrderingPolicy, slot_seed: bytes, ats: int, command_id: 
         noise = noise_from_seed(slot_seed, command_id, policy.noise_width_us)
     else:
         noise = 0
-    return (ats + noise, tie_break_key(slot_seed[:32], command_id), command_id)
+    return _key(ats + noise, slot_seed[:32], command_id)
 
 
 def run_slotted(sim: SimulationRun) -> RunResult:
@@ -272,106 +282,6 @@ def run_slotted(sim: SimulationRun) -> RunResult:
     return RunResult(ledger, commands, slots, emission_slot, stats)
 
 
-def _key_order(keys) -> tuple:
-    """Indices of ledger keys in ledger order."""
-    return tuple(sorted(range(len(keys)), key=keys.__getitem__))
-
-
-def _prefix_order(prefixes):
-    """``_key_order`` of the keys that start with ``prefixes``, or None if
-    two prefixes are equal: a ledger key is (id-free prefix, tie key,
-    command id), so only a prefix tie needs the command ids."""
-    if len(set(prefixes)) < len(prefixes):
-        return None
-    return _key_order(prefixes)
-
-
-def _check_id_count(trial_ids, n: int):
-    """Trial 0 names one id per invocation; checked even if no tie asks for ids."""
-    count = len(trial_ids(0))
-    if count != n:
-        raise ValueError(f"trial 0 has {count} command ids for {n} invocations")
-
-
-def count_slotted_orders(sim: SimulationRun, trials: int, trial_ids) -> Counter:
-    """``run_slotted``'s ledger orders over many trials of one run, counted.
-
-    Trial t (0 <= t < ``trials``) is ``sim`` with its invocations renamed to
-    the ids ``trial_ids(t)`` (one per invocation, in order); the adversary
-    plan is keyed by the ids in ``sim.invocations`` and follows the
-    renaming.  An order is a tuple of indices into ``sim.invocations``; the
-    counts equal those of ``run_slotted`` on every renamed run.
-
-    Ids feed only the noise and the tie keys, so the timestamps and the
-    decided slots' certificates and seeds are computed once, and a trial
-    costs at most one ledger key per command and one sort.  That sort is the
-    ledger: a command decided in slot k_d is emitted by slot
-    floor((modified_ts - origin) / interval), which is >= k_d because
-    modified_ts >= assigned_ts, and each slot emits its ripe keys sorted
-    after every earlier slot's, all of which are smaller.  The key's
-    prefix, modified_ts, needs no id under ``pompe``: with distinct
-    assigned timestamps every trial has one order, counted without
-    asking for ids.  Under ``bercow`` each trial's ids key its noise, and
-    the tie keys are computed only for a trial whose modified_ts tie.
-
-    Checks, once per run: trial 0's id count, each command's
-    ``TimestampedCommand`` checks on the largest noise a trial can draw (so
-    a run whose noised timestamps could overflow is rejected even if no
-    trial's do), and each decided slot's ``Slot`` checks and certificate
-    verification in ``reveal``.  The empty slots ``run_slotted`` walks
-    until the last emission are neither certified nor revealed here: no key
-    depends on their seeds.
-    """
-    stamped, _ = _timestamp_invocations(sim)
-    max_noise = max(sim.policy.noise_width_us - 1, 0)
-    by_slot: dict = {}
-    for inv, quorum, ats, k in stamped:
-        cmd = TimestampedCommand(
-            invocation=inv, node_timestamps=quorum, assigned_ts=ats,
-            noise=max_noise, modified_ts=ats + max_noise,
-        )
-        by_slot.setdefault(k, []).append(cmd)
-    seeds = {}
-    for k, decided in by_slot.items():
-        start = sim.slot_origin_us + k * sim.slot_interval_us
-        certificate = sim.sro.quorum_signatures(k)
-        Slot(  # built for its checks: interval membership, distinct signers
-            index=k,
-            interval_start=start,
-            interval_end=start + sim.slot_interval_us,
-            decided_commands=tuple(decided),
-            decision_certificate=certificate,
-        )
-        seeds[k] = sim.sro.reveal(RevealRequest(k, certificate))
-    hoisted = [(seeds[k], ats) for _, _, ats, k in stamped]
-    _check_id_count(trial_ids, len(hoisted))
-    noised = []
-    if sim.policy.kind is PolicyKind.BERCOW_NOISE:
-        states = {k: _noise_state(seed) for k, seed in seeds.items()}
-        noised = [(states[k], ats) for _, _, ats, k in stamped]
-    else:
-        order = _prefix_order([ats for _, ats in hoisted])
-        if order is not None:
-            return Counter({order: trials})
-    width = sim.policy.noise_width_us
-    counts = Counter()
-    for t in range(trials):
-        ids = trial_ids(t)
-        order = None
-        if noised:
-            order = _prefix_order([
-                ats + _noise(state, cid, width)
-                for (state, ats), cid in zip(noised, ids, strict=True)
-            ])
-        if order is None:
-            order = _key_order([
-                _ledger_key(sim.policy, seed, ats, cid)
-                for (seed, ats), cid in zip(hoisted, ids, strict=True)
-            ])
-        counts[order] += 1
-    return counts
-
-
 _LEADER_TIE_SEED = b"leader"
 _RECEIVE_TIE_SEED = b"receive"
 
@@ -409,13 +319,6 @@ def _leader_batch(times, invoke_time, schedule, phase_us, rotation_period_us):
         p += 1
 
 
-def _leader_key(times, invoke_time, schedule, phase_us, rotation_period_us, cmd_id):
-    """A command's ledger key under leader rotation: (period, leader's
-    receive time, tie key, command id)."""
-    batch = _leader_batch(times, invoke_time, schedule, phase_us, rotation_period_us)
-    return (*batch, tie_break_key(_LEADER_TIE_SEED, cmd_id), cmd_id)
-
-
 def order_leader_rotation(
     placed_invocations,
     topology: CityTopology,
@@ -439,14 +342,18 @@ def order_leader_rotation(
     receive = _receive_matrix(placed_invocations, topology, delta_net_us)
     schedule, phase = _rotation(rng, topology.n_nodes, rotation_period_us, schedule, phase_us)
     keys = sorted(
-        _leader_key(
-            times, placed.invocation.invoke_time, schedule, phase, rotation_period_us,
+        _key(
+            _leader_batch(
+                times, placed.invocation.invoke_time, schedule, phase, rotation_period_us
+            ),
+            _LEADER_TIE_SEED,
             placed.invocation.command_id,
         )
         for placed, times in zip(placed_invocations, receive)
     )
     ledger = Ledger(entries=[cmd_id for *_, cmd_id in keys])
-    ledger.stable_watermark = phase + (keys[-1][0] + 1) * rotation_period_us
+    last_period = keys[-1][0][0]
+    ledger.stable_watermark = phase + (last_period + 1) * rotation_period_us
     return ledger
 
 
@@ -463,12 +370,6 @@ def all_correct_precedence(receive: dict):
 
 def _median_receive(times) -> int:
     return sorted(times)[len(times) // 2]
-
-
-def _receive_key(median_us: int, cmd_id: bytes):
-    """A command's ledger key under all-correct receive order: (median
-    receive time, tie key, command id)."""
-    return (median_us, tie_break_key(_RECEIVE_TIE_SEED, cmd_id), cmd_id)
 
 
 def order_receive_all_correct(
@@ -489,7 +390,7 @@ def order_receive_all_correct(
     receive = _receive_matrix(placed_invocations, topology, delta_net_us)
     ids = [placed.invocation.command_id for placed in placed_invocations]
     keys = sorted(
-        _receive_key(_median_receive(times), cmd_id)
+        _key(_median_receive(times), _RECEIVE_TIE_SEED, cmd_id)
         for cmd_id, times in zip(ids, receive)
     )
     ordered = [cmd_id for *_, cmd_id in keys]
@@ -502,79 +403,148 @@ def order_receive_all_correct(
     return ledger
 
 
-def count_baseline_orders(
-    placed_invocations,
-    topology: CityTopology,
-    policy: OrderingPolicy,
-    delta_net_us: int,
-    trials: int,
-    trial_ids,
-    trial_seed,
-) -> Counter:
-    """The leader and receive baselines' ledger orders over many trials, counted.
+def _slotted_prefixes(sim: SimulationRun, trial_ids):
+    """``count_orders``'s setup under ``pompe`` and ``bercow``.
 
-    Trial t (0 <= t < ``trials``) orders ``placed_invocations`` renamed to
-    the ids ``trial_ids(t)`` (one per invocation, in order); leader rotation
-    draws its schedule and phase from
-    ``np.random.default_rng(trial_seed(t))``, and the receive policy never
-    calls ``trial_seed``.  An order is a tuple of indices into
-    ``placed_invocations``; the counts equal those of
-    ``order_leader_rotation`` and ``order_receive_all_correct`` on every
-    renamed trial.
+    Each command's tie seed is the revealed seed of the slot that decides
+    it; its key prefix is its modified_ts, a fixed list under ``pompe`` and
+    a function of the trial, whose ids key the noise, under ``bercow``.
+    Checks each command's ``TimestampedCommand`` on the largest noise a
+    trial can draw (so a run whose noised timestamps could overflow is
+    rejected even if no trial's do), and each decided slot's ``Slot`` and
+    certificate, the latter in ``reveal``.  The empty slots ``run_slotted``
+    walks until the last emission are neither certified nor revealed: no
+    key depends on their seeds.
+    """
+    stamped, _ = _timestamp_invocations(sim)
+    max_noise = max(sim.policy.noise_width_us - 1, 0)
+    by_slot: dict = {}
+    for inv, quorum, ats, k in stamped:
+        cmd = TimestampedCommand(
+            invocation=inv, node_timestamps=quorum, assigned_ts=ats,
+            noise=max_noise, modified_ts=ats + max_noise,
+        )
+        by_slot.setdefault(k, []).append(cmd)
+    seeds = {}
+    for k, decided in by_slot.items():
+        start = sim.slot_origin_us + k * sim.slot_interval_us
+        certificate = sim.sro.quorum_signatures(k)
+        Slot(  # built for its checks: interval membership, distinct signers
+            index=k,
+            interval_start=start,
+            interval_end=start + sim.slot_interval_us,
+            decided_commands=tuple(decided),
+            decision_certificate=certificate,
+        )
+        seeds[k] = sim.sro.reveal(RevealRequest(k, certificate))
+    tie_seeds = [seeds[k][:32] for *_, k in stamped]
+    if sim.policy.kind is PolicyKind.POMPE_MEDIAN:
+        return tie_seeds, [ats for _, _, ats, _ in stamped]
+    states = {k: _noise_state(seed) for k, seed in seeds.items()}
+    noised = [(states[k], ats) for _, _, ats, k in stamped]
+    width = sim.policy.noise_width_us
+
+    def modified_ts(t):
+        return [
+            ats + _noise(state, cid, width)
+            for (state, ats), cid in zip(noised, trial_ids(t), strict=True)
+        ]
+
+    return tie_seeds, modified_ts
+
+
+def _baseline_prefixes(sim: SimulationRun, trial_seed):
+    """``count_orders``'s setup under ``leader`` and ``receive``.
 
     The receive matrix depends only on each invocation's city and invoke
-    time, so it is built, and the all-correct precedence checked, once: on
-    the median order, since a strictly smaller median puts a command first
-    in every trial.  Ids only break ties of the key prefix, (period,
-    leader's receive time) or the median receive time, so a trial's ids are
-    asked for only on such a tie, and distinct medians give every trial one
-    order.  Trial 0's id count is checked once.
+    time, so it is built once.  Under ``receive`` the prefix is the fixed
+    median receive time, and the all-correct precedence is checked once,
+    on the median order: a strictly smaller median puts a command first in
+    every trial.  Under ``leader`` it is (period, leader's receive time) for
+    the schedule and phase drawn from ``default_rng(trial_seed(t))``.
     """
-    if policy.kind not in (PolicyKind.LEADER_ROTATION, PolicyKind.RECEIVE_ORDER):
-        raise ContractError("count_baseline_orders handles the leader and receive policies only")
-    receive = _receive_matrix(placed_invocations, topology, delta_net_us)
-    _check_id_count(trial_ids, len(receive))
+    plan = sim.adversary
+    if plan.ats_overrides or plan.node_overrides or plan.quorum_bias:
+        raise ContractError(f"the {sim.policy.kind.value} baseline takes no adversary plan")
+    receive = _receive_matrix(sim.invocations, sim.topology, sim.delta_net_us)
+    if sim.policy.kind is PolicyKind.RECEIVE_ORDER:
+        medians = [_median_receive(times) for times in receive]
+        for a, b in all_correct_precedence(dict(enumerate(receive))):
+            if medians[a] >= medians[b]:  # pragma: no cover - as in order_receive_all_correct
+                raise AssertionError("median order violates all-correct receive precedence")
+        return [_RECEIVE_TIE_SEED] * len(receive), medians
+    period, n = sim.policy.rotation_period_us, sim.topology.n_nodes
+    invoke = [placed.invocation.invoke_time for placed in sim.invocations]
+
+    def batches(t):
+        schedule, phase = _rotation(np.random.default_rng(trial_seed(t)), n, period)
+        return [
+            _leader_batch(times, it, schedule, phase, period)
+            for times, it in zip(receive, invoke)
+        ]
+
+    return [_LEADER_TIE_SEED] * len(receive), batches
+
+
+def _key_order(keys) -> tuple:
+    """Indices of ledger keys in ledger order."""
+    return tuple(sorted(range(len(keys)), key=keys.__getitem__))
+
+
+def _prefix_order(prefixes):
+    """``_key_order`` of the keys that start with ``prefixes``, or None if
+    two prefixes are equal: only a prefix tie needs the command ids."""
+    if len(set(prefixes)) < len(prefixes):
+        return None
+    return _key_order(prefixes)
+
+
+def count_orders(sim: SimulationRun, trials: int, trial_ids, trial_seed) -> Counter:
+    """The ledger orders of many trials of one run, counted, under any policy.
+
+    Trial t (0 <= t < ``trials``) is ``sim`` with its invocations renamed to
+    the ids ``trial_ids(t)`` (one per invocation, in order); under ``leader``
+    it draws its schedule and phase from
+    ``np.random.default_rng(trial_seed(t))``, and no other policy calls
+    ``trial_seed``.  The adversary plan is keyed by the ids in
+    ``sim.invocations`` and follows the renaming; ``leader`` and ``receive``
+    run honest and reject a non-empty plan.  An order is a tuple of indices
+    into ``sim.invocations``; the counts equal those of ``run_slotted``,
+    ``order_leader_rotation`` or ``order_receive_all_correct`` on every
+    renamed trial.
+
+    Each of those ledgers is one sort by ``_key``.  (For ``run_slotted``: a
+    command decided in slot k_d is emitted by slot
+    floor((modified_ts - origin) / interval) >= k_d, and each slot emits its
+    ripe keys sorted, after every earlier slot's smaller ones.)  A
+    per-policy setup makes the run's checks and computes once what the ids
+    do not affect: each command's tie seed and key prefix.  A prefix that no
+    trial changes and that has no tie gives every trial one order, counted
+    without ids; otherwise each trial sorts its prefixes and asks for its
+    ids only on a tie.  Trial 0's id count is checked even if no trial asks
+    for ids.
+    """
+    if sim.policy.kind in (PolicyKind.POMPE_MEDIAN, PolicyKind.BERCOW_NOISE):
+        tie_seeds, prefixes = _slotted_prefixes(sim, trial_ids)
+    else:
+        tie_seeds, prefixes = _baseline_prefixes(sim, trial_seed)
+    count = len(trial_ids(0))
+    if count != len(tie_seeds):
+        raise ValueError(f"trial 0 has {count} command ids for {len(tie_seeds)} invocations")
+    if callable(prefixes):
+        per_trial = map(prefixes, range(trials))
+    else:
+        order = _prefix_order(prefixes)
+        if order is not None:
+            return Counter({order: trials})
+        per_trial = repeat(prefixes, trials)
     counts = Counter()
-    if policy.kind is PolicyKind.LEADER_ROTATION:
-        period, n = policy.rotation_period_us, topology.n_nodes
-        invoke = [placed.invocation.invoke_time for placed in placed_invocations]
-        for t in range(trials):
-            schedule, phase = _rotation(np.random.default_rng(trial_seed(t)), n, period)
-            order = _prefix_order([
-                _leader_batch(times, it, schedule, phase, period)
-                for times, it in zip(receive, invoke)
+    for t, prefix in enumerate(per_trial):
+        order = _prefix_order(prefix)
+        if order is None:
+            order = _key_order([
+                _key(p, seed, cid)
+                for p, seed, cid in zip(prefix, tie_seeds, trial_ids(t), strict=True)
             ])
-            if order is None:
-                order = _key_order([
-                    _leader_key(times, it, schedule, phase, period, cmd_id)
-                    for times, it, cmd_id in zip(receive, invoke, trial_ids(t), strict=True)
-                ])
-            counts[order] += 1
-        return counts
-    medians = [_median_receive(times) for times in receive]
-    for a, b in all_correct_precedence(dict(enumerate(receive))):
-        if medians[a] >= medians[b]:  # pragma: no cover - as in order_receive_all_correct
-            raise AssertionError("median order violates all-correct receive precedence")
-    order = _prefix_order(medians)
-    if order is not None:
-        return Counter({order: trials})
-    for t in range(trials):
-        counts[_key_order([
-            _receive_key(median, cmd_id)
-            for median, cmd_id in zip(medians, trial_ids(t), strict=True)
-        ])] += 1
+        counts[order] += 1
     return counts
-
-
-def assert_no_far_inversions(result: RunResult, delta_us: int):
-    """Check no pair invoked more than delta apart is inverted in a ledger."""
-    order = {cmd_id: i for i, cmd_id in enumerate(result.ledger.entries)}
-    cmds = list(result.commands.values())
-    for a in cmds:
-        for b in cmds:
-            gap = b.invocation.invoke_time - a.invocation.invoke_time
-            if gap > delta_us and order[a.command_id] > order[b.command_id]:
-                raise AssertionError(
-                    f"inversion across {gap} µs gap "
-                    f"(> {delta_us}): {a.command_id.hex()[:8]} after {b.command_id.hex()[:8]}"
-                )

@@ -141,12 +141,6 @@ class Ledger:
     entries: list = field(default_factory=list)  # command_ids in output order
     stable_watermark: int = 0
 
-    def position(self, command_id: bytes) -> int:
-        return self.entries.index(command_id)
-
-    def precedes(self, first: bytes, second: bytes) -> bool:
-        return self.position(first) < self.position(second)
-
 
 def tie_break_key(slot_seed: bytes, command_id: bytes) -> bytes:
     """Deterministic per-command sort key for equal modified timestamps.

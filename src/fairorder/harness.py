@@ -16,17 +16,17 @@ ledger orders.  The cell's tags -- ``("geo", pair_index, spec)``,
 ids, ``make_command_id(*tags, t, label)``; under the leader policy they
 also fix the seed its schedule and phase are drawn from,
 ``_trial_seed(seed, *tags, t)``.  Changing either changes the CSVs.  No
-cell runs trial by trial: ``consensus.count_slotted_orders`` (median and
-noised-median policies) and ``consensus.count_baseline_orders`` (leader
-and receive) compute what the ids do not affect once per cell and count
-every trial's ledger order in one batch.  Ids are derived lazily, from
-the tags hashed once per cell (``command_id_deriver``), and only where
-they can matter: under ``bercow`` for every trial's noise, otherwise
-only for a trial whose id-free key prefix ties (and trial 0's, for the
-id-count check).  Work that no cell changes is done once: the bundled
-topology is parsed once per process, the topology memoizes each
-(city, invoke time, delta_net) receive vector that ``observe`` returns, and
-``run_sandwich`` builds its payoff table once per run.
+cell runs trial by trial: every policy's cell is one ``SimulationRun``
+and one call of the engine, ``consensus.count_orders``, which computes
+what the ids do not affect once per cell and counts every trial's ledger
+order in one batch.  Ids are derived lazily, from the tags hashed once
+per cell (``command_id_deriver``), and only where they can matter: under
+``bercow`` for every trial's noise, otherwise only for a trial whose
+id-free key prefix ties (and trial 0's, for the id-count check).  Work
+that no cell changes is done once: the bundled topology is parsed once
+per process, the topology memoizes each (city, invoke time, delta_net)
+receive vector that ``observe`` returns, and the sandwich payoff table is
+built once per process.
 """
 
 from __future__ import annotations
@@ -48,8 +48,7 @@ from .consensus import (
     PlacedInvocation,
     PolicyKind,
     SimulationRun,
-    count_baseline_orders,
-    count_slotted_orders,
+    count_orders,
 )
 from .domain import US_PER_MS, Invocation, command_id_deriver
 from .netmodel import CityTopology, bundled_topology, load_topology
@@ -262,24 +261,18 @@ def _count_orders(config, topology, f, sro, spec, tags, commands, colluders=()) 
         PlacedInvocation(Invocation(label.encode(), b"", t_us), city)
         for label, t_us, city in commands
     ]
-    if policy.kind in (PolicyKind.POMPE_MEDIAN, PolicyKind.BERCOW_NOISE):
-        plan = AdversaryPlan()
-        if colluders:
-            victim, *attackers = [(p.invocation, p.origin_city) for p in placed]
-            plan = private_relay_placement(
-                victim, attackers, colluders, topology, delta_net_us, f
-            )
-        sim = SimulationRun(
-            topology=topology, policy=policy, delta_net_us=delta_net_us,
-            slot_interval_us=config.slot_ms * US_PER_MS, f=f, invocations=placed,
-            sro=sro, adversary=plan,
-        )
-        orders = count_slotted_orders(sim, config.trials, trial_ids)
-    else:
-        orders = count_baseline_orders(
-            placed, topology, policy, delta_net_us, config.trials, trial_ids,
-            partial(_trial_seed, config.seed, *tags),
-        )
+    plan = AdversaryPlan()
+    if colluders and policy.kind in (PolicyKind.POMPE_MEDIAN, PolicyKind.BERCOW_NOISE):
+        victim, *attackers = [(p.invocation, p.origin_city) for p in placed]
+        plan = private_relay_placement(victim, attackers, colluders, topology, delta_net_us, f)
+    sim = SimulationRun(
+        topology=topology, policy=policy, delta_net_us=delta_net_us,
+        slot_interval_us=config.slot_ms * US_PER_MS, f=f, invocations=placed,
+        sro=sro, adversary=plan,
+    )
+    orders = count_orders(
+        sim, config.trials, trial_ids, partial(_trial_seed, config.seed, *tags)
+    )
     return Counter({tuple(labels[i] for i in order): n for order, n in orders.items()})
 
 
@@ -371,7 +364,7 @@ def run_sandwich(config: ExperimentConfig) -> TableResult:
     result = TableResult(
         header=("policy", "order", "frequency", "victim_usd", "attacker_usd")
     )
-    table = attacks.payoff_table(attacks.default_scenario())
+    table = attacks.default_payoff_table()
     for spec in config.policies:
         counts = _count_orders(
             config, topology, f, sro, spec, ("sand", spec), commands, colluders

@@ -236,3 +236,14 @@ class TestMonteCarlo:
     def test_unknown_strategy(self):
         with pytest.raises(ContractError):
             order_prob_monte_carlo("telepathy", 2, 0.2, (0, 1), 1000, np.random.default_rng(0))
+
+    def test_alpha_as_ratio_text(self):
+        # the closed forms take "1/5"; so does the estimator, as the same ratio
+        def estimate(alpha):
+            return order_prob_monte_carlo(
+                LOWER_BOUND, 2, alpha, (0, 1), 1000, np.random.default_rng(7)
+            )
+
+        assert estimate("1/5") == estimate(Fraction(1, 5))
+        with pytest.raises(ContractError):
+            estimate("abc")

@@ -16,9 +16,7 @@ from fairorder.consensus import (
     PolicyKind,
     SimulationRun,
     all_correct_precedence,
-    assert_no_far_inversions,
-    count_baseline_orders,
-    count_slotted_orders,
+    count_orders,
     noise_from_seed,
     order_leader_rotation,
     order_receive_all_correct,
@@ -43,6 +41,10 @@ def small_topology(n=4):
 
 def sro_for(topology, f):
     return sro_init(SroConfig(n=topology.n_nodes, f=f, backend=Backend.SEEDED_HASH), SEED)
+
+
+def no_seed(trial):
+    raise AssertionError("only leader rotation draws from a trial seed")
 
 
 def sim_for(placed, policy, topology=None, f=1, adversary=None, slot_origin=0):
@@ -132,8 +134,10 @@ class TestRunSlotted:
             extra = base + [PlacedInvocation(inv(("other", trial), 600_000), "solo")]
             small = run_slotted(sim_for(base, policy))
             big = run_slotted(sim_for(extra, policy))
-            id1, id2 = base[0].invocation.command_id, base[1].invocation.command_id
-            assert small.ledger.precedes(id1, id2) == big.ledger.precedes(id1, id2)
+            pair = {base[0].invocation.command_id, base[1].invocation.command_id}
+            assert [c for c in small.ledger.entries if c in pair] == [
+                c for c in big.ledger.entries if c in pair
+            ]
 
     def test_certificate_has_quorum_signatures(self):
         placed = [PlacedInvocation(inv("cert", 100_000), "solo")]
@@ -197,7 +201,6 @@ class TestRunSlotted:
             )
             placed = [PlacedInvocation(early, "solo"), PlacedInvocation(late, "solo")]
             result = run_slotted(sim_for(placed, policy, adversary=plan))
-            assert_no_far_inversions(result, delta)
             assert result.ledger.entries[0] == early.command_id
 
     def test_ats_override_clamped_to_window(self):
@@ -245,7 +248,7 @@ class TestCountSlottedOrders:
             assert len({slot.index for slot in result.slots if slot.decided_commands}) == 2
             want[tuple(ids.index(cid) for cid in result.ledger.entries)] += 1
         assert len(want) > 1
-        assert count_slotted_orders(sim, len(trial_ids), trial_ids.__getitem__) == want
+        assert count_orders(sim, len(trial_ids), trial_ids.__getitem__, no_seed) == want
 
     def test_noise_ties_take_the_full_key(self):
         # a 2 µs noise width: about half the trials tie on modified_ts, and
@@ -261,45 +264,20 @@ class TestCountSlottedOrders:
             ])
             want[tuple(ids.index(cid) for cid in run_slotted(renamed).ledger.entries)] += 1
         assert set(want) == {(0, 1), (1, 0)}
-        assert count_slotted_orders(sim, len(trial_ids), trial_ids.__getitem__) == want
+        assert count_orders(sim, len(trial_ids), trial_ids.__getitem__, no_seed) == want
 
     def test_rejects_noise_that_could_overflow(self):
         # ats fits in 63 bits, ats + the largest noise a trial can draw does not
         t = MAX_TIMESTAMP - DNET - SLOT
         placed = [PlacedInvocation(inv("a", t), "solo")]
-        count_slotted_orders(sim_for(placed, OrderingPolicy.pompe()), 1, lambda t: [b"a"])
+        count_orders(sim_for(placed, OrderingPolicy.pompe()), 1, lambda t: [b"a"], no_seed)
         with pytest.raises(ContractError, match="overflow"):
-            count_slotted_orders(
-                sim_for(placed, OrderingPolicy.bercow(2 * SLOT)), 1, lambda t: [b"a"]
-            )
-
-    def test_one_id_per_invocation(self):
-        placed = [PlacedInvocation(inv("a", 100_000), "solo")]
-        with pytest.raises(ValueError):
-            count_slotted_orders(
-                sim_for(placed, OrderingPolicy.pompe()), 1, lambda t: [b"a", b"b"]
+            count_orders(
+                sim_for(placed, OrderingPolicy.bercow(2 * SLOT)), 1, lambda t: [b"a"], no_seed
             )
 
 
 class TestCountBaselineOrders:
-    def test_rejects_median_policies(self):
-        placed = [PlacedInvocation(inv("a", 100_000), "solo")]
-        with pytest.raises(ContractError):
-            count_baseline_orders(
-                placed, small_topology(), OrderingPolicy.pompe(), DNET, 1, lambda t: [b"a"],
-                lambda t: [0, 0],
-            )
-
-    @pytest.mark.parametrize("policy", [OrderingPolicy.receive(), OrderingPolicy.leader(SLOT)])
-    def test_one_id_per_invocation(self, policy):
-        # checked on trial 0 even though no tie ever asks for this cell's ids
-        placed = [PlacedInvocation(inv("a", 100_000), "solo")]
-        with pytest.raises(ValueError):
-            count_baseline_orders(
-                placed, small_topology(), policy, DNET, 1, lambda t: [b"a", b"b"],
-                lambda t: [0, 0],
-            )
-
     def test_leader_draws_are_numpys_permutation_then_integers(self, monkeypatch):
         # The committed leader rows rest on these draws: trial t's schedule is
         # default_rng(trial_seed(t)).permutation(n) and its phase the next
@@ -318,15 +296,50 @@ class TestCountBaselineOrders:
             PlacedInvocation(inv("a", 100_000), "tokyo"),
             PlacedInvocation(inv("b", 100_000), "washington"),
         ]
-        count_baseline_orders(
-            placed, bundled_topology(), OrderingPolicy.leader(SLOT), DNET, len(seeds),
-            lambda t: [b"a", b"b"], seeds.__getitem__,
+        topology = bundled_topology()
+        sim = sim_for(
+            placed, OrderingPolicy.leader(SLOT), topology=topology, f=(topology.n_nodes - 1) // 3
         )
+        count_orders(sim, len(seeds), lambda t: [b"a", b"b"], seeds.__getitem__)
         want = []
         for seed in seeds:
             rng = np.random.default_rng(seed)
             want.append((rng.permutation(80).tolist(), int(rng.integers(0, SLOT))))
         assert drawn == want
+
+
+ALL_POLICIES = (
+    OrderingPolicy.pompe(),
+    OrderingPolicy.bercow(SLOT),
+    OrderingPolicy.leader(SLOT),
+    OrderingPolicy.receive(),
+)
+
+
+def policy_id(policy):
+    return policy.kind.value
+
+
+class TestCountOrders:
+    @pytest.mark.parametrize("policy", ALL_POLICIES, ids=policy_id)
+    def test_one_id_per_invocation(self, policy):
+        # checked on trial 0 even where no tie ever asks for this cell's ids
+        placed = [PlacedInvocation(inv("a", 100_000), "solo")]
+        with pytest.raises(ValueError, match="1 invocations"):
+            count_orders(sim_for(placed, policy), 1, lambda t: [b"a", b"b"], lambda t: [0, 0])
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES, ids=policy_id)
+    def test_every_policy_rejects_an_empty_run(self, policy):
+        with pytest.raises(ContractError, match="no invocations"):
+            sim_for([], policy)
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES[2:], ids=policy_id)
+    def test_baselines_reject_an_adversary_plan(self, policy):
+        cmd = inv("a", 100_000)
+        plan = AdversaryPlan(ats_overrides={cmd.command_id: 100_000})
+        sim = sim_for([PlacedInvocation(cmd, "solo")], policy, adversary=plan)
+        with pytest.raises(ContractError, match="no adversary plan"):
+            count_orders(sim, 1, lambda t: [b"a"], lambda t: [0, 0])
 
 
 class TestLeaderRotation:
@@ -361,7 +374,7 @@ class TestLeaderRotation:
             ledger = order_leader_rotation(
                 placed, topology, SLOT, DNET, np.random.default_rng(t)
             )
-            wins_w += ledger.precedes(w.command_id, tk.command_id)
+            wins_w += ledger.entries[0] == w.command_id
         diff = 2 * wins_w / trials - 1
         assert diff > 0.5
 

@@ -7,7 +7,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from fairorder import adversary, consensus, harness
+from fairorder import adversary, attacks, consensus, harness
 from fairorder.adversary import AdversaryPlan, private_relay_placement
 from fairorder.analysis import epsilon_pair
 from fairorder.cli import main
@@ -242,6 +242,28 @@ class TestSandwich:
             "bercow:1500,i3-i2-i1,0.200000,300.00,0.00",
             "bercow:1500,expected,1.000000,,40.00",
         ]
+
+    def test_payoff_table_built_once_per_process(self, monkeypatch):
+        built = []
+        payoff_table = attacks.payoff_table
+
+        def counting(scenario):
+            built.append(scenario)
+            return payoff_table(scenario)
+
+        monkeypatch.setattr(attacks, "payoff_table", counting)
+        attacks.default_payoff_table.cache_clear()
+        config = small(
+            scenario="sandwich", policies=("pompe", "receive"),
+            origins=("munich", "london"), trials=5,
+        )
+        first, second = (run_sandwich(config).to_csv_text() for _ in range(2))
+        assert first == second
+        assert len(built) == 1
+        table = attacks.default_payoff_table()
+        assert dict(table) == payoff_table(attacks.default_scenario())
+        with pytest.raises(TypeError):
+            table[attacks.PERMUTATIONS[0]] = (0, 0)
 
     def test_colluder_count_validated(self):
         config = small(scenario="sandwich", origins=("munich", "london"), colluders="99")
