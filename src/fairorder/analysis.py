@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import factorial, sqrt
 
 import numpy as np
@@ -30,15 +31,17 @@ from .domain import ContractError
 INTEGRATOR_MAX_N = 4
 
 
-def _rational(x) -> Fraction:
+def _rational(x, name="alpha") -> Fraction:
     if isinstance(x, float):
         raise ContractError(
-            "pass alpha as Fraction, int, or string (floats are not exact rationals)"
+            f"pass {name} as Fraction, int, or string (floats are not exact rationals)"
         )
     try:
         return Fraction(x)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ContractError(f"expected an exact ratio such as 1/5, got {x!r}") from exc
+        raise ContractError(
+            f"expected {name} as an exact ratio such as 1/5, got {x!r}"
+        ) from exc
 
 
 def _check_alpha(alpha: Fraction, inclusive_one: bool):
@@ -169,7 +172,7 @@ def order_prob_integrate(ats, delta_noise, target_order=None) -> Fraction:
     n = len(a)
     if not (1 <= n <= INTEGRATOR_MAX_N):
         raise ContractError(f"integrator supports 1 <= n <= {INTEGRATOR_MAX_N}, got {n}")
-    dn = _rational(delta_noise)
+    dn = _rational(delta_noise, "delta_noise")
     if dn <= 0:
         raise ContractError("delta_noise must be positive")
     target_order = _target_order(target_order, n)
@@ -190,15 +193,19 @@ def order_prob_integrate(ats, delta_noise, target_order=None) -> Fraction:
 LOWER_BOUND = "lower_bound"
 ADAPTIVE_UPPER = "adaptive_upper"
 
+# Rows per block: a block's arrays (2^14 doubles per command) stay in cache,
+# where whole (trials, n) arrays sent every pass out to memory.
+_CHUNK = 1 << 14
+
 
 def _simulate_fixed(ats_norm, target_order, trials, rng) -> np.ndarray:
-    # in place and pairwise: one trials x n array at peak, not four
-    modified = rng.random((trials, len(ats_norm)))
-    modified += np.asarray(ats_norm, dtype=float)
+    # command-major: each comparison below reads two contiguous rows
+    modified = rng.random((trials, len(ats_norm))).T.copy()
+    modified += np.asarray(ats_norm, dtype=float)[:, None]
     order = list(target_order)
     hits = np.ones(trials, dtype=bool)
     for a, b in zip(order, order[1:]):
-        hits &= modified[:, b] > modified[:, a]
+        hits &= modified[b] > modified[a]
     return hits
 
 
@@ -210,18 +217,15 @@ def _simulate_adaptive_upper(n, alpha, trials, rng) -> np.ndarray:
     window the next command is pinned exactly at it, and once a value
     escapes the window every later command is pushed to the window's end.
     """
-    noise = rng.random((trials, n))
+    noise = rng.random((trials, n)).T.copy()
     t_prev = np.zeros(trials)
     chained = np.ones(trials, dtype=bool)
     ok = np.ones(trials, dtype=bool)
-    t_cur = np.zeros(trials)
-    for i in range(n):
-        ats = np.where(chained, t_cur, alpha)
-        t_i = ats + noise[:, i]
+    for t_i in noise:
+        # a chained command sits on the previous noised value
+        t_i += np.where(chained, t_prev, alpha)
         ok &= chained | (t_i > t_prev)
-        escaped = chained & (t_i > alpha)
-        t_cur = np.where(chained, t_i, t_cur)
-        chained &= ~escaped
+        chained &= t_i <= alpha
         t_prev = t_i
     return ok
 
@@ -240,6 +244,11 @@ def order_prob_monte_carlo(strategy, n, alpha, target_order, trials, rng):
     it rejects an unparsable alpha, n < 1, a ``target_order`` that is not a
     permutation of ``range(n)``, and, for the two bound strategies, alpha
     outside (0, 1].
+
+    Trials are drawn and tested in blocks of ``_CHUNK`` rows, so memory is
+    O(``_CHUNK`` * n) however many trials run.  The blocks take consecutive
+    ``rng.random((rows, n))`` draws, which equal one ``rng.random((trials,
+    n))`` draw row for row, so the estimate does not depend on the block size.
     """
     if trials < 1000:
         raise ContractError("need at least 1000 trials for a usable estimate")
@@ -254,14 +263,18 @@ def order_prob_monte_carlo(strategy, n, alpha, target_order, trials, rng):
         ats_by_pos = [alpha] * (n - 1) + [0.0]
         for pos, idx in enumerate(target_order):
             ats[idx] = ats_by_pos[pos]
-        hits = _simulate_fixed(ats, target_order, trials, rng)
+        simulate = partial(_simulate_fixed, ats, target_order)
     elif strategy == ADAPTIVE_UPPER:
-        hits = _simulate_adaptive_upper(n, alpha, trials, rng)
+        simulate = partial(_simulate_adaptive_upper, n, alpha)
     elif isinstance(strategy, (tuple, list)):
         if len(strategy) != n:
             raise ContractError("fixed assignment length must equal n")
-        hits = _simulate_fixed([float(x) for x in strategy], target_order, trials, rng)
+        simulate = partial(_simulate_fixed, [float(x) for x in strategy], target_order)
     else:
         raise ContractError(f"unknown strategy {strategy!r}")
-    p = float(np.count_nonzero(hits)) / trials
+    hits = sum(
+        int(np.count_nonzero(simulate(min(_CHUNK, trials - start), rng)))
+        for start in range(0, trials, _CHUNK)
+    )
+    p = hits / trials
     return p, sqrt(max(p * (1 - p), 1e-12) / trials)

@@ -1,5 +1,6 @@
+import tracemalloc
 from fractions import Fraction
-from math import factorial
+from math import factorial, sqrt
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from fairorder.analysis import (
     ADAPTIVE_UPPER,
     LOWER_BOUND,
+    _CHUNK,
     _simulate_adaptive_upper,
     _simulate_fixed,
     delta_linearizability,
@@ -116,6 +118,16 @@ class TestIntegrator:
             order_prob_integrate([0.2, 0], 1)
         with pytest.raises(ContractError):
             order_prob_integrate([0, 0], 1, (0, 0))
+
+    def test_inexact_ratio_errors_name_the_parameter(self):
+        with pytest.raises(ContractError, match="pass delta_noise as"):
+            order_prob_integrate([0, 0], 0.5)
+        with pytest.raises(ContractError, match="expected delta_noise as"):
+            order_prob_integrate([0, 0], "abc")
+        with pytest.raises(ContractError, match="pass alpha as"):
+            order_prob_bounds(2, 0.5)
+        with pytest.raises(ContractError, match="expected alpha as"):
+            order_prob_bounds(2, "abc")
 
     def test_bound_sandwich_on_random_assignments(self):
         rng = np.random.default_rng(11)
@@ -247,3 +259,57 @@ class TestMonteCarlo:
         assert estimate("1/5") == estimate(Fraction(1, 5))
         with pytest.raises(ContractError):
             estimate("abc")
+
+    @pytest.mark.parametrize("trials", [1000, 2 * _CHUNK, 2 * _CHUNK + 7])
+    def test_blocks_equal_one_whole_array_draw(self, trials):
+        # The estimator before it drew in blocks: one (trials, n) draw and
+        # one pass over it.  Blocks take consecutive draws from the same
+        # stream, so each estimate must be equal, not merely close.
+        def whole_array(strategy, n, alpha, target, seed):
+            noise = np.random.default_rng(seed).random((trials, n))
+            hits = np.ones(trials, dtype=bool)
+            if strategy == ADAPTIVE_UPPER:
+                t_prev = np.zeros(trials)
+                chained = np.ones(trials, dtype=bool)
+                t_cur = np.zeros(trials)
+                for i in range(n):
+                    t_i = np.where(chained, t_cur, alpha) + noise[:, i]
+                    hits &= chained | (t_i > t_prev)
+                    escaped = chained & (t_i > alpha)
+                    t_cur = np.where(chained, t_i, t_cur)
+                    chained &= ~escaped
+                    t_prev = t_i
+            else:
+                if strategy == LOWER_BOUND:
+                    ats = [alpha] * n
+                    ats[target[-1]] = 0.0
+                else:
+                    ats = list(strategy)
+                modified = noise + np.asarray(ats)
+                for a, b in zip(target, target[1:]):
+                    hits &= modified[:, b] > modified[:, a]
+            p = float(np.count_nonzero(hits)) / trials
+            return p, sqrt(max(p * (1 - p), 1e-12) / trials)
+
+        for n in (2, 3, 4):
+            target = tuple(range(n))[1:] + (0,)
+            for strategy in (LOWER_BOUND, ADAPTIVE_UPPER, (0.3, 0.0, 0.1, 0.25)[:n]):
+                for seed in (0, 1, 2):
+                    got = order_prob_monte_carlo(
+                        strategy, n, 0.2, target, trials, np.random.default_rng(seed)
+                    )
+                    assert got == whole_array(strategy, n, 0.2, target, seed)
+
+    @pytest.mark.parametrize("strategy", [LOWER_BOUND, ADAPTIVE_UPPER])
+    def test_memory_does_not_grow_with_trials(self, strategy):
+        # 10^6 trials at n = 4 peaked at 32 MiB (LOWER_BOUND) and 72 MiB
+        # (ADAPTIVE_UPPER) as whole arrays; in blocks, at 1.7 and 1.0 MiB.
+        tracemalloc.start()
+        try:
+            order_prob_monte_carlo(
+                strategy, 4, 0.2, (0, 1, 2, 3), 10**6, np.random.default_rng(0)
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20

@@ -5,11 +5,15 @@ trials cover every config; 200 trials reach the per-trial paths of the
 simulated tables (noise, tie keys, leader draws) far more often.  The full
 trial counts are pinned by the committed ``results/*.csv``: regenerate them
 with ``python scripts/run_experiments.py`` and check ``git diff results/``.
+The Monte Carlo stream is pinned by ``scripts/bound_tightness.py``'s CSV at
+its default 10^6 trials per estimate.
 """
 
 import hashlib
+import importlib.util
 from dataclasses import replace
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -46,3 +50,18 @@ def test_bundled_config_csv_is_byte_stable(name):
 @pytest.mark.parametrize("name", sorted(GOLDEN_SHA256_MANY))
 def test_bundled_config_csv_is_byte_stable_at_many_trials(name):
     assert csv_sha256(name, MANY_TRIALS) == GOLDEN_SHA256_MANY[name]
+
+
+# 10^6 rows are 61 full Monte Carlo blocks and a ragged one per estimate.
+# The benchmark's bound_check batch pins the same bytes.
+TIGHTNESS_SHA256 = "070039d8073a3859f070b89cf36018e89238e2cc220e79b085821e455024b16b"
+
+
+def test_bound_tightness_csv_is_byte_stable(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "bound_tightness.py"
+    spec = importlib.util.spec_from_file_location("bound_tightness", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    out = tmp_path / "tightness.csv"
+    assert module.main(["--trials", "1000000", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TIGHTNESS_SHA256
