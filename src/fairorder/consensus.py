@@ -1,27 +1,27 @@
-"""Slotted agreement and the ordering policies under comparison.
+"""The ordering policies under comparison, and the one engine that runs them.
 
-``run_slotted`` drives an idealized per-slot agreement: commands whose
-median timestamps fall inside a slot's interval are decided together, a
-certificate of n - f signatures over the slot index materializes, and only
-then is the slot's random seed revealed.  With the noised-median policy
-each decided command receives uniform noise keyed by its own id, so its
-final position cannot depend on other commands or on anything the nodes
-chose before the seed existed.  A command is emitted (stable) once any
-decided slot's interval end exceeds its noised timestamp.
+``count_orders`` counts the ledger orders of many trials of one
+``SimulationRun``: trials differ only in their command ids and, under
+leader rotation, in the rotation drawn.  It serves every policy:
 
-Two simplified baselines are provided for comparison: rotating-leader
-ordering (each leader emits what it has received, in its own receive
-order) and all-correct receive ordering (a command precedes another only
-if every node received it first; ties resolved by median receive time).
+* ``pompe`` and ``bercow`` (median timestamps, idealized per-slot
+  agreement): a command's assigned timestamp is the median of its 2f+1
+  quorum, and slot k = ats // interval decides it.  The slot's seed is
+  revealed only after a certificate of n - f signatures over k exists.
+  Under ``bercow`` each command then adds uniform noise keyed by the seed
+  and its own id, so its position cannot depend on other commands or on
+  anything the nodes chose before the seed existed.
+* ``leader`` (rotating leader): each period's leader proposes, in its own
+  receive order, what it has received by the period's end.
+* ``receive`` (all-correct receive order): a command precedes another if
+  every node received it first; median receive time extends that relation.
 
-Every policy's ledger is a sort by one key rule, ``_key``: (id-free
-prefix, tie key, command id).  The prefix is the modified timestamp under
-the median policies, (period, leader's receive time) under leader
-rotation and the median receive time under receive ordering.
-``count_orders`` is the one engine: it counts the ledger orders of many
-trials of a run that differ only in their command ids (and, under leader
-rotation, in the rotation drawn), computing what the ids do not affect
-once and asking for a trial's ids only when they can change its order.
+Every ledger is a sort by one key rule, ``_key``: (id-free prefix, tie key,
+command id).  The prefix is the modified timestamp under the median
+policies, (period, leader's receive time) under leader rotation and the
+median receive time under receive ordering.  What the ids do not affect is
+computed once per run, and a trial's ids are asked for only when they can
+change its order.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .adversary import AdversaryPlan, QUORUM_HIGH, QUORUM_LOW, clamp_to_window
 from .domain import (
     ContractError,
     Invocation,
-    Ledger,
     Slot,
     TimestampedCommand,
     median_timestamp,
@@ -91,23 +90,14 @@ class PlacedInvocation:
     origin_city: str
 
 
-def noise_from_seed(slot_seed: bytes, command_id: bytes, width_us: int) -> int:
-    """Uniform integer in [0, width) from the slot seed, keyed per command.
-
-    64 bits of PRF output scaled by exact integer arithmetic: bias is at
-    most 2^-64 and the result is identical on every platform.
-    """
-    if width_us <= 0:
-        return 0
-    return _noise(_noise_state(slot_seed), command_id, width_us)
-
-
 def _noise_state(slot_seed: bytes):
     """The slot's noise hash state; each command's noise extends a copy."""
     return hashlib.sha512(b"noise" + slot_seed)
 
 
 def _noise(noise_state, command_id: bytes, width_us: int) -> int:
+    """Uniform integer in [0, width): 64 PRF bits scaled exactly, so the
+    bias is at most 2^-64 and the draw is the same on every platform."""
     h = noise_state.copy()
     h.update(command_id)
     return (int.from_bytes(h.digest()[:8], "big") * width_us) >> 64
@@ -123,7 +113,6 @@ class SimulationRun:
     invocations: list  # [PlacedInvocation]
     sro: SroHandle
     adversary: AdversaryPlan = field(default_factory=AdversaryPlan)
-    slot_origin_us: int = 0
 
     def __post_init__(self):
         n = self.topology.n_nodes
@@ -135,15 +124,6 @@ class SimulationRun:
             raise ContractError("no invocations to order")
         if self.sro.config.n != n or self.sro.config.f != self.f:
             raise ContractError("oracle was initialized for a different (n, f)")
-
-
-@dataclass
-class RunResult:
-    ledger: Ledger
-    commands: dict  # command_id -> TimestampedCommand
-    slots: list
-    emission_slot: dict  # command_id -> slot index whose decision emitted it
-    clamp_stats: ClampStats
 
 
 def _select_quorum(stamps, quorum_size: int, bias):
@@ -160,22 +140,16 @@ def _select_quorum(stamps, quorum_size: int, bias):
     return tuple(ordered[:quorum_size])
 
 
-def _noised_slot(ts_us: int, origin_us: int, interval_us: int) -> int:
-    return (ts_us - origin_us) // interval_us
-
-
 def _timestamp_invocations(sim: SimulationRun):
     """Each invocation's submitted quorum and assigned timestamp, in order.
 
     Per invocation: the nodes observe it, colluders' reports replace theirs,
     the client picks its (possibly biased) quorum, the median becomes the
     assigned timestamp unless the plan overrides it, and the result must
-    not precede the first slot, whose index k decides it.  Returns
-    ``[(invocation, quorum, ats, k)]`` and the clamp statistics of the
-    observations.
+    not precede the first slot, which starts at 0; slot k = ats // interval
+    decides it.  Returns ``[(invocation, quorum, ats, k)]`` and the clamp
+    statistics of the observations.
     """
-    if sim.policy.kind not in (PolicyKind.POMPE_MEDIAN, PolicyKind.BERCOW_NOISE):
-        raise ContractError("run_slotted handles the median-timestamp policies only")
     stats = ClampStats()
     quorum_size = 2 * sim.f + 1
     plan = sim.adversary
@@ -195,12 +169,9 @@ def _timestamp_invocations(sim: SimulationRun):
                 plan.ats_overrides[inv.command_id], inv.invoke_time, sim.delta_net_us
             )
             quorum = tuple((node, ats) for node, _ in quorum)
-        if ats < sim.slot_origin_us:
-            raise ContractError(
-                f"assigned timestamp {ats} precedes the first slot at {sim.slot_origin_us}"
-            )
-        k = _noised_slot(ats, sim.slot_origin_us, sim.slot_interval_us)
-        stamped.append((inv, quorum, ats, k))
+        if ats < 0:
+            raise ContractError(f"assigned timestamp {ats} precedes the first slot at 0")
+        stamped.append((inv, quorum, ats, ats // sim.slot_interval_us))
     return stamped, stats
 
 
@@ -208,78 +179,6 @@ def _key(prefix, tie_seed: bytes, command_id: bytes):
     """A command's ledger sort key under every policy: (id-free prefix, tie
     key, command id).  Only the prefix differs between policies."""
     return (prefix, tie_break_key(tie_seed, command_id), command_id)
-
-
-def _ledger_key(policy: OrderingPolicy, slot_seed: bytes, ats: int, command_id: bytes):
-    """A decided command's ledger sort key, prefixed by its modified_ts.
-
-    ``slot_seed`` is the revealed seed of the slot that decided the command.
-    """
-    if policy.kind is PolicyKind.BERCOW_NOISE:
-        noise = noise_from_seed(slot_seed, command_id, policy.noise_width_us)
-    else:
-        noise = 0
-    return _key(ats + noise, slot_seed[:32], command_id)
-
-
-def run_slotted(sim: SimulationRun) -> RunResult:
-    """Execute per-slot agreement and return the stable ledger.
-
-    Deterministic in (invocations, oracle seed): replaying a run
-    reproduces every timestamp, noise draw, and emission byte for byte.
-    """
-    stamped, stats = _timestamp_invocations(sim)
-    by_slot: dict = {}
-    for inv, quorum, ats, k in stamped:
-        by_slot.setdefault(k, []).append((inv, quorum, ats))
-
-    ledger = Ledger()
-    commands: dict = {}
-    emission_slot: dict = {}
-    slots: list = []
-    pending: list = []  # ledger keys (modified_ts, tie_key, command_id)
-    k = min(by_slot)
-    last_needed = max(by_slot)
-    while k <= last_needed or pending:
-        start = sim.slot_origin_us + k * sim.slot_interval_us
-        end = start + sim.slot_interval_us
-        certificate = sim.sro.quorum_signatures(k)
-        slot_seed = sim.sro.reveal(RevealRequest(k, certificate))
-        decided = []
-        for inv, quorum, ats in by_slot.get(k, ()):
-            key = _ledger_key(sim.policy, slot_seed, ats, inv.command_id)
-            cmd = TimestampedCommand(
-                invocation=inv,
-                node_timestamps=quorum,
-                assigned_ts=ats,
-                noise=key[0] - ats,
-                modified_ts=key[0],
-            )
-            decided.append(cmd)
-            commands[inv.command_id] = cmd
-            pending.append(key)
-            last_needed = max(
-                last_needed,
-                _noised_slot(cmd.modified_ts, sim.slot_origin_us, sim.slot_interval_us),
-            )
-        slots.append(
-            Slot(
-                index=k,
-                interval_start=start,
-                interval_end=end,
-                decided_commands=tuple(decided),
-                decision_certificate=certificate,
-            )
-        )
-        ripe = sorted(entry for entry in pending if entry[0] < end)
-        if ripe:
-            pending = [entry for entry in pending if entry[0] >= end]
-            for _, _, command_id in ripe:
-                ledger.entries.append(command_id)
-                emission_slot[command_id] = k
-        ledger.stable_watermark = end
-        k += 1
-    return RunResult(ledger, commands, slots, emission_slot, stats)
 
 
 _LEADER_TIE_SEED = b"leader"
@@ -294,14 +193,9 @@ def _receive_matrix(placed_invocations, topology, delta_net_us):
     ]
 
 
-def _rotation(rng, n: int, rotation_period_us: int, schedule=None, phase_us=None):
-    """The leader schedule and the rotation phase, each drawn from ``rng``
-    (schedule first) unless given."""
-    if schedule is None:
-        schedule = rng.permutation(n).tolist()
-    if phase_us is None:
-        phase_us = int(rng.integers(0, rotation_period_us))
-    return schedule, phase_us
+def _rotation(rng, n: int, rotation_period_us: int):
+    """The leader schedule, then the rotation phase, drawn from ``rng``."""
+    return rng.permutation(n).tolist(), int(rng.integers(0, rotation_period_us))
 
 
 def _leader_batch(times, invoke_time, schedule, phase_us, rotation_period_us):
@@ -319,44 +213,6 @@ def _leader_batch(times, invoke_time, schedule, phase_us, rotation_period_us):
         p += 1
 
 
-def order_leader_rotation(
-    placed_invocations,
-    topology: CityTopology,
-    rotation_period_us: int,
-    delta_net_us: int,
-    rng,
-    schedule=None,
-    phase_us=None,
-) -> Ledger:
-    """Rotating-leader baseline: each period's leader proposes, in its own
-    receive order, every command it has received by the period's end.
-
-    Leadership schedule and phase default to draws from ``rng``, modeling an
-    arbitrary alignment between invocations and the rotation; pass them
-    explicitly to pin a scenario.
-    """
-    if rotation_period_us <= 0:
-        raise ContractError("rotation period must be positive")
-    if not placed_invocations:
-        return Ledger()
-    receive = _receive_matrix(placed_invocations, topology, delta_net_us)
-    schedule, phase = _rotation(rng, topology.n_nodes, rotation_period_us, schedule, phase_us)
-    keys = sorted(
-        _key(
-            _leader_batch(
-                times, placed.invocation.invoke_time, schedule, phase, rotation_period_us
-            ),
-            _LEADER_TIE_SEED,
-            placed.invocation.command_id,
-        )
-        for placed, times in zip(placed_invocations, receive)
-    )
-    ledger = Ledger(entries=[cmd_id for *_, cmd_id in keys])
-    last_period = keys[-1][0][0]
-    ledger.stable_watermark = phase + (last_period + 1) * rotation_period_us
-    return ledger
-
-
 def all_correct_precedence(receive: dict):
     """Pairs (a, b) such that every node received a strictly before b."""
     ids = list(receive)
@@ -372,37 +228,6 @@ def _median_receive(times) -> int:
     return sorted(times)[len(times) // 2]
 
 
-def order_receive_all_correct(
-    placed_invocations,
-    topology: CityTopology,
-    delta_net_us: int,
-) -> Ledger:
-    """All-correct receive-order baseline.
-
-    Builds the (acyclic) relation "every node received a before b" and
-    emits a linear extension, ordering by median receive time and breaking
-    exact ties with the seeded hash.  Median receive time respects the
-    relation: if a beats b at every node, a's k-th order statistic is
-    strictly smaller than b's.
-    """
-    if not placed_invocations:
-        return Ledger()
-    receive = _receive_matrix(placed_invocations, topology, delta_net_us)
-    ids = [placed.invocation.command_id for placed in placed_invocations]
-    keys = sorted(
-        _key(_median_receive(times), _RECEIVE_TIE_SEED, cmd_id)
-        for cmd_id, times in zip(ids, receive)
-    )
-    ordered = [cmd_id for *_, cmd_id in keys]
-    position = {cmd_id: i for i, cmd_id in enumerate(ordered)}
-    for a, b in all_correct_precedence(dict(zip(ids, receive))):
-        if position[a] > position[b]:  # pragma: no cover - median order extends the relation
-            raise AssertionError("output violates all-correct receive precedence")
-    ledger = Ledger(entries=ordered)
-    ledger.stable_watermark = max(max(times) for times in receive) + 1
-    return ledger
-
-
 def _slotted_prefixes(sim: SimulationRun, trial_ids):
     """``count_orders``'s setup under ``pompe`` and ``bercow``.
 
@@ -412,9 +237,9 @@ def _slotted_prefixes(sim: SimulationRun, trial_ids):
     Checks each command's ``TimestampedCommand`` on the largest noise a
     trial can draw (so a run whose noised timestamps could overflow is
     rejected even if no trial's do), and each decided slot's ``Slot`` and
-    certificate, the latter in ``reveal``.  The empty slots ``run_slotted``
-    walks until the last emission are neither certified nor revealed: no
-    key depends on their seeds.
+    certificate, the latter in ``reveal``.  The empty slots a slot-by-slot
+    run walks until the last emission are neither certified nor revealed:
+    no key depends on their seeds.
     """
     stamped, _ = _timestamp_invocations(sim)
     max_noise = max(sim.policy.noise_width_us - 1, 0)
@@ -427,7 +252,7 @@ def _slotted_prefixes(sim: SimulationRun, trial_ids):
         by_slot.setdefault(k, []).append(cmd)
     seeds = {}
     for k, decided in by_slot.items():
-        start = sim.slot_origin_us + k * sim.slot_interval_us
+        start = k * sim.slot_interval_us
         certificate = sim.sro.quorum_signatures(k)
         Slot(  # built for its checks: interval membership, distinct signers
             index=k,
@@ -470,7 +295,7 @@ def _baseline_prefixes(sim: SimulationRun, trial_seed):
     if sim.policy.kind is PolicyKind.RECEIVE_ORDER:
         medians = [_median_receive(times) for times in receive]
         for a, b in all_correct_precedence(dict(enumerate(receive))):
-            if medians[a] >= medians[b]:  # pragma: no cover - as in order_receive_all_correct
+            if medians[a] >= medians[b]:  # pragma: no cover - see the docstring
                 raise AssertionError("median order violates all-correct receive precedence")
         return [_RECEIVE_TIE_SEED] * len(receive), medians
     period, n = sim.policy.rotation_period_us, sim.topology.n_nodes
@@ -509,14 +334,13 @@ def count_orders(sim: SimulationRun, trials: int, trial_ids, trial_seed) -> Coun
     ``trial_seed``.  The adversary plan is keyed by the ids in
     ``sim.invocations`` and follows the renaming; ``leader`` and ``receive``
     run honest and reject a non-empty plan.  An order is a tuple of indices
-    into ``sim.invocations``; the counts equal those of ``run_slotted``,
-    ``order_leader_rotation`` or ``order_receive_all_correct`` on every
-    renamed trial.
+    into ``sim.invocations``: the order in which the policy's ledger holds
+    the renamed trial's commands.
 
-    Each of those ledgers is one sort by ``_key``.  (For ``run_slotted``: a
-    command decided in slot k_d is emitted by slot
-    floor((modified_ts - origin) / interval) >= k_d, and each slot emits its
-    ripe keys sorted, after every earlier slot's smaller ones.)  A
+    Each policy's ledger is one sort by ``_key``.  (Under slot-by-slot
+    agreement, a command decided in slot k_d is emitted by slot
+    floor(modified_ts / interval) >= k_d, and each slot emits its ripe keys
+    sorted, after every earlier slot's smaller ones.)  A
     per-policy setup makes the run's checks and computes once what the ids
     do not affect: each command's tie seed and key prefix.  A prefix that no
     trial changes and that has no tie gives every trial one order, counted

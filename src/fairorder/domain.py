@@ -1,4 +1,4 @@
-"""Core vocabulary: invocations, timestamps, slots, ledgers.
+"""Core vocabulary: invocations, timestamps, slots, tie keys.
 
 All times are integer microseconds. Timestamps must fit in 63 bits so that
 sums with noise never overflow on any platform.
@@ -7,7 +7,7 @@ sums with noise never overflow on any platform.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 MAX_TIMESTAMP = 2**63 - 1
 US_PER_MS = 1000
@@ -132,14 +132,6 @@ class Slot:
         ids = {node for node, _ in self.decision_certificate}
         if len(ids) != len(self.decision_certificate):
             raise ContractError("duplicate node in decision certificate")
-
-
-@dataclass
-class Ledger:
-    """Final output order: command ids, stable up to the watermark."""
-
-    entries: list = field(default_factory=list)  # command_ids in output order
-    stable_watermark: int = 0
 
 
 def tie_break_key(slot_seed: bytes, command_id: bytes) -> bytes:

@@ -87,6 +87,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}; pick from {SCENARIOS}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if not -(2**63) <= self.seed < 2**63:  # seeds are hashed as 8 signed bytes
+            raise ConfigError(f"seed must fit in a signed 64-bit integer, got {self.seed}")
         # under 1 ms no delay bound can hold and a slot is empty; a negative
         # gap would make the "early" command the late one
         if self.delta_net_ms < 1:

@@ -15,6 +15,7 @@ representative inter-city delays.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -159,6 +160,8 @@ def parse_topology(text: str, source: str = "<string>") -> CityTopology:
             elif parts[0] == "delay" and len(parts) == 4:
                 pair = (parts[1], parts[2])
                 ms = float(parts[3])
+                if not math.isfinite(ms):
+                    raise TopologyError(f"non-finite latency {parts[3]!r}")
                 if ms < 0:
                     raise TopologyError("negative latency")
                 if pair[0] == pair[1]:

@@ -1,0 +1,175 @@
+"""Per-trial reference orderings, written from the paper's definitions.
+
+The tests compare the package's one ordering engine,
+``fairorder.consensus.count_orders``, with these: one run, one ledger,
+built from scratch with public ``domain``, ``netmodel``, ``adversary`` and
+``sro`` calls only.  The spec constants are restated here, not imported, so
+a change to the engine's noise, tie keys or leader draws shows up as a
+disagreement instead of being shared by both sides.
+"""
+
+import hashlib
+from dataclasses import dataclass, field
+
+from fairorder.adversary import QUORUM_HIGH, clamp_to_window
+from fairorder.domain import (
+    ContractError,
+    Slot,
+    TimestampedCommand,
+    median_timestamp,
+    tie_break_key,
+)
+from fairorder.netmodel import observe
+from fairorder.sro import RevealRequest
+
+NOISE_PREFIX = b"noise"
+SLOT_TIE_SEED_BYTES = 32  # a slot's tie keys are keyed by its seed's first 32 bytes
+LEADER_TIE_SEED = b"leader"
+RECEIVE_TIE_SEED = b"receive"
+
+
+@dataclass
+class Ledger:
+    """Final output order: command ids, stable up to the watermark."""
+
+    entries: list = field(default_factory=list)
+    stable_watermark: int = 0
+
+
+@dataclass
+class SlottedRun:
+    ledger: Ledger
+    commands: dict  # command_id -> TimestampedCommand
+    slots: list  # every slot walked, in index order
+    emission_slot: dict  # command_id -> index of the slot that emitted it
+
+
+def noise(slot_seed: bytes, command_id: bytes, width_us: int) -> int:
+    """Uniform integer in [0, width): the first 64 bits of
+    SHA-512("noise" || slot seed || command id), scaled exactly."""
+    digest = hashlib.sha512(NOISE_PREFIX + slot_seed + command_id).digest()
+    return (int.from_bytes(digest[:8], "big") * width_us) >> 64
+
+
+def _received(placed, topology, delta_net_us) -> list:
+    return [ts for _, ts in observe(placed.invocation, placed.origin_city, topology, delta_net_us)]
+
+
+def run_slotted(sim) -> SlottedRun:
+    """Per-slot agreement under the median policies (noise width 0 is ``pompe``).
+
+    A command's assigned timestamp is the median of its client's 2f+1
+    quorum (the earliest responders, or the highest under a "high" bias),
+    after colluders' reports and the plan's timestamp overrides; slot
+    ats // interval decides it.  Slots are walked in order from the first
+    decided one: each gathers its certificate, then reveals its seed, then
+    noises the commands it decided.  A command is emitted by the first slot
+    whose interval end exceeds its noised timestamp, and a slot emits its
+    ripe commands by (noised timestamp, tie key, id).
+    """
+    plan, interval, size = sim.adversary, sim.slot_interval_us, 2 * sim.f + 1
+    by_slot = {}
+    for placed in sim.invocations:
+        inv = placed.invocation
+        stamps = sorted(
+            (plan.node_overrides.get((inv.command_id, node), ts), node)
+            for node, ts in enumerate(_received(placed, sim.topology, sim.delta_net_us))
+        )
+        high = plan.quorum_bias.get(inv.command_id) == QUORUM_HIGH
+        chosen = stamps[-size:] if high else stamps[:size]
+        quorum = tuple((node, ts) for ts, node in chosen)
+        ats = median_timestamp(ts for ts, _ in chosen)
+        if inv.command_id in plan.ats_overrides:
+            override = plan.ats_overrides[inv.command_id]
+            ats = clamp_to_window(override, inv.invoke_time, sim.delta_net_us)
+            quorum = tuple((node, ats) for node, _ in quorum)
+        if ats < 0:
+            raise ContractError(f"assigned timestamp {ats} precedes the first slot")
+        by_slot.setdefault(ats // interval, []).append((inv, quorum, ats))
+
+    run = SlottedRun(Ledger(), {}, [], {})
+    pending = []  # (noised timestamp, tie key, id) of decided, unemitted commands
+    k, last = min(by_slot), max(by_slot)
+    while k <= last or pending:
+        end = (k + 1) * interval
+        certificate = sim.sro.quorum_signatures(k)
+        seed = sim.sro.reveal(RevealRequest(k, certificate))
+        decided = []
+        for inv, quorum, ats in by_slot.get(k, ()):
+            drawn = noise(seed, inv.command_id, sim.policy.noise_width_us)
+            cmd = TimestampedCommand(inv, quorum, ats, drawn, ats + drawn)
+            decided.append(cmd)
+            run.commands[inv.command_id] = cmd
+            tie = tie_break_key(seed[:SLOT_TIE_SEED_BYTES], inv.command_id)
+            pending.append((cmd.modified_ts, tie, inv.command_id))
+            last = max(last, cmd.modified_ts // interval)
+        run.slots.append(Slot(k, k * interval, end, tuple(decided), certificate))
+        for _, _, command_id in sorted(key for key in pending if key[0] < end):
+            run.ledger.entries.append(command_id)
+            run.emission_slot[command_id] = k
+        pending = [key for key in pending if key[0] >= end]
+        run.ledger.stable_watermark = end
+        k += 1
+    return run
+
+
+def order_leader_rotation(
+    placed_invocations, topology, rotation_period_us, delta_net_us, rng,
+    schedule=None, phase_us=None,
+) -> Ledger:
+    """Rotating-leader baseline: in each period its leader proposes, in its
+    own receive order, every command it has received by the period's end
+    that no earlier leader proposed.
+
+    Period p is [phase + p*period, phase + (p+1)*period) and its leader is
+    ``schedule[p % n]``.  The schedule (a permutation of the n nodes) and
+    then the phase are drawn from ``rng`` unless given.
+    """
+    if rotation_period_us <= 0:
+        raise ContractError("rotation period must be positive")
+    if schedule is None:
+        schedule = rng.permutation(topology.n_nodes).tolist()
+    if phase_us is None:
+        phase_us = int(rng.integers(0, rotation_period_us))
+    unproposed = {
+        p.invocation.command_id: _received(p, topology, delta_net_us) for p in placed_invocations
+    }
+    period = min((p.invocation.invoke_time - phase_us) // rotation_period_us
+                 for p in placed_invocations)
+    ledger = Ledger()
+    while unproposed:
+        leader = schedule[period % len(schedule)]
+        end = phase_us + (period + 1) * rotation_period_us
+        batch = sorted(
+            (times[leader], tie_break_key(LEADER_TIE_SEED, cid), cid)
+            for cid, times in unproposed.items()
+            if times[leader] < end
+        )
+        for *_, cid in batch:
+            ledger.entries.append(cid)
+            del unproposed[cid]
+        ledger.stable_watermark = end
+        period += 1
+    return ledger
+
+
+def order_receive_all_correct(placed_invocations, topology, delta_net_us) -> Ledger:
+    """All-correct receive-order baseline.
+
+    A linear extension of "every node received a before b": commands in
+    order of their median receive time (with n nodes, the (n//2 + 1)-th
+    smallest), exact ties broken by the seeded hash.  The median order
+    extends the relation, since a command that every node received first
+    has every order statistic strictly smaller; that is asserted.
+    """
+    received = {
+        p.invocation.command_id: _received(p, topology, delta_net_us) for p in placed_invocations
+    }
+    ordered = [cid for *_, cid in sorted(
+        (sorted(times)[len(times) // 2], tie_break_key(RECEIVE_TIE_SEED, cid), cid)
+        for cid, times in received.items()
+    )]
+    for i, later in enumerate(ordered):
+        for earlier in ordered[:i]:
+            assert not all(a < b for a, b in zip(received[later], received[earlier]))
+    return Ledger(ordered, max(max(times) for times in received.values()) + 1)

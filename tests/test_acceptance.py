@@ -128,14 +128,7 @@ GEO_CITIES = ("washington", "london", "munich", "tokyo")
 
 def _joint_four_city_orders():
     """Ledger order of four simultaneous invocations under each baseline."""
-    from fairorder.adversary import AdversaryPlan
-    from fairorder.consensus import (
-        OrderingPolicy,
-        PlacedInvocation,
-        SimulationRun,
-        order_receive_all_correct,
-        run_slotted,
-    )
+    from fairorder.consensus import OrderingPolicy, PlacedInvocation, SimulationRun, count_orders
     from fairorder.domain import Invocation, make_command_id
     from fairorder.netmodel import bundled_topology
 
@@ -145,23 +138,14 @@ def _joint_four_city_orders():
         PlacedInvocation(Invocation(make_command_id(c), b"", 750_000), c)
         for c in GEO_CITIES
     ]
-    lookup = {p.invocation.command_id: p.origin_city for p in placed}
-    sim = SimulationRun(
-        topology=topology,
-        policy=OrderingPolicy.pompe(),
-        delta_net_us=DNET_US,
-        slot_interval_us=1_500_000,
-        f=f,
-        invocations=placed,
-        sro=sro_init(SroConfig(n=topology.n_nodes, f=f, backend=Backend.SEEDED_HASH), SEED),
-        adversary=AdversaryPlan(),
-    )
-    median_order = tuple(lookup[c] for c in run_slotted(sim).ledger.entries)
-    receive_order = tuple(
-        lookup[c]
-        for c in order_receive_all_correct(placed, topology, DNET_US).entries
-    )
-    return median_order, receive_order
+    ids = [p.invocation.command_id for p in placed]
+    sro = sro_init(SroConfig(n=topology.n_nodes, f=f, backend=Backend.SEEDED_HASH), SEED)
+    orders = []
+    for policy in (OrderingPolicy.pompe(), OrderingPolicy.receive()):
+        sim = SimulationRun(topology, policy, DNET_US, 1_500_000, f, placed, sro)
+        (order,) = count_orders(sim, 1, lambda t: ids, lambda t: 0)
+        orders.append(tuple(GEO_CITIES[i] for i in order))
+    return tuple(orders)
 
 
 def test_criterion_5_geo_bias_reproduction():

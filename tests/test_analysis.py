@@ -15,7 +15,6 @@ from fairorder.analysis import (
     _simulate_fixed,
     delta_linearizability,
     epsilon_general,
-    epsilon_pair,
     order_prob_bounds,
     order_prob_integrate,
     order_prob_monte_carlo,
@@ -27,16 +26,16 @@ rationals = st.fractions(min_value=Fraction(1, 1000), max_value=1)
 
 class TestClosedForms:
     def test_pair_values(self):
-        assert epsilon_pair(1) == 1
-        assert epsilon_pair(Fraction(1, 5)) == Fraction(9, 25)
-        assert epsilon_pair(Fraction(1, 10**9)) < Fraction(1, 10**8)
+        assert epsilon_general(2, 1) == 1
+        assert epsilon_general(2, Fraction(1, 5)) == Fraction(9, 25)
+        assert epsilon_general(2, Fraction(1, 10**9)) < Fraction(1, 10**8)
 
     def test_pair_rejects_out_of_range(self):
         for bad in (0, 2, Fraction(-1, 2)):
             with pytest.raises(ContractError):
-                epsilon_pair(bad)
+                epsilon_general(2, bad)
         with pytest.raises(ContractError):
-            epsilon_pair(0.2)  # floats are not exact
+            epsilon_general(2, 0.2)  # floats are not exact
 
     def test_general_examples(self):
         assert epsilon_general(3, Fraction(1, 5)) == Fraction(1192, 6000)
@@ -45,7 +44,8 @@ class TestClosedForms:
     @settings(max_examples=100)
     @given(rationals)
     def test_general_reduces_to_pair(self, alpha):
-        assert epsilon_general(2, alpha) == epsilon_pair(alpha)
+        # the two-command spread is 1 - (1 - alpha)^2
+        assert epsilon_general(2, alpha) == 1 - (1 - alpha) ** 2
 
     def test_bounds_examples(self):
         lower, upper = order_prob_bounds(3, Fraction(1, 5))
@@ -109,9 +109,15 @@ class TestIntegrator:
         got = order_prob_integrate([300_000, 0], 1_500_000, (0, 1))
         assert got == Fraction(1, 2) * Fraction(4, 5) ** 2
 
-    def test_caps_at_four(self):
+    def test_exact_beyond_four_commands(self):
+        # n - 1 commands pushed to their window's end, the last at its start:
+        # the lower bound (1 - alpha)^n / n!, exactly
+        for n in range(5, 9):
+            for alpha in (Fraction(1, 10), Fraction(1, 5), Fraction(1, 2)):
+                ats = [alpha] * (n - 1) + [Fraction(0)]
+                assert order_prob_integrate(ats, 1) == (1 - alpha) ** n / factorial(n)
         with pytest.raises(ContractError):
-            order_prob_integrate([0] * 5, 1)
+            order_prob_integrate([], 1)
 
     def test_rejects_floats_and_bad_orders(self):
         with pytest.raises(ContractError):

@@ -1,15 +1,17 @@
 """Every public top-level function and class of the package has a caller
-outside the tests.
+outside the tests, and the test oracles use only the package's public names.
 
-A definition counts as used when its name, matched on word boundaries,
-appears in a Python file under ``src/``, ``scripts/`` or ``bench/`` other
-than at its own definition.  ``__init__.py`` re-exports do not count, and
-no definition is exempt: library code that only its own tests call is
+A definition counts as used when code under ``src/``, ``scripts/`` or
+``bench/`` refers to it: a name (``run_experiment``) or an attribute
+(``harness.run_experiment``).  Text does not count, so neither docstrings
+nor the bench tracer's table of names to wrap keep a definition alive, and
+neither do imports: an import that nothing uses refers to nothing.  No
+definition is exempt: library code that only its own tests call is
 deleted, not listed here.
 """
 
 import ast
-import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -17,30 +19,50 @@ PACKAGE = ROOT / "src" / "fairorder"
 CALLER_DIRS = ("src", "scripts", "bench")
 
 
-def _sources():
+def _trees():
     return {
-        path: path.read_text(encoding="utf-8")
+        path: ast.parse(path.read_text(encoding="utf-8"))
         for top in CALLER_DIRS
         for path in sorted((ROOT / top).rglob("*.py"))
-        if path.name != "__init__.py"
     }
 
 
-def _public_definitions(sources):
-    for path, text in sources.items():
-        if path.parent != PACKAGE:
-            continue
-        for node in ast.parse(text).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                yield path, node.name
+def _references(tree) -> Counter:
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
 
 
 def test_every_public_definition_has_a_caller_outside_tests():
-    sources = _sources()
-    unused = []
-    for path, name in _public_definitions(sources):
-        pattern = re.compile(rf"\b{re.escape(name)}\b")
-        references = sum(len(pattern.findall(text)) for text in sources.values())
-        if references <= 1:  # the definition's own name
-            unused.append(f"{path.relative_to(ROOT)}: {name}")
+    trees = _trees()
+    references = sum((_references(tree) for tree in trees.values()), Counter())
+    unused = [
+        f"{path.relative_to(ROOT)}: {node.name}"
+        for path, tree in trees.items()
+        if path.parent == PACKAGE
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and not references[node.name]
+    ]
     assert not unused, "referenced only by tests: " + ", ".join(unused)
+
+
+def test_reference_uses_only_public_names():
+    tree = ast.parse((ROOT / "tests" / "reference.py").read_text(encoding="utf-8"))
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("fairorder")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    private += [
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_") and not node.attr.startswith("__")
+    ]
+    assert not private, "tests/reference.py uses private names: " + ", ".join(private)

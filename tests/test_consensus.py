@@ -17,14 +17,11 @@ from fairorder.consensus import (
     SimulationRun,
     all_correct_precedence,
     count_orders,
-    noise_from_seed,
-    order_leader_rotation,
-    order_receive_all_correct,
-    run_slotted,
 )
 from fairorder.domain import MAX_TIMESTAMP, ContractError, Invocation, make_command_id
 from fairorder.netmodel import CityTopology, bundled_topology, parse_topology
 from fairorder.sro import Backend, SroConfig, sro_init
+from reference import noise, order_leader_rotation, order_receive_all_correct, run_slotted
 
 DNET = 300_000
 SLOT = 1_500_000
@@ -47,7 +44,7 @@ def no_seed(trial):
     raise AssertionError("only leader rotation draws from a trial seed")
 
 
-def sim_for(placed, policy, topology=None, f=1, adversary=None, slot_origin=0):
+def sim_for(placed, policy, topology=None, f=1, adversary=None):
     topology = topology or small_topology()
     return SimulationRun(
         topology=topology,
@@ -58,7 +55,6 @@ def sim_for(placed, policy, topology=None, f=1, adversary=None, slot_origin=0):
         invocations=placed,
         sro=sro_for(topology, f),
         adversary=adversary or AdversaryPlan(),
-        slot_origin_us=slot_origin,
     )
 
 
@@ -103,10 +99,10 @@ class TestRunSlotted:
 
     def test_noise_in_range_and_platform_stable(self):
         seed = hashlib.sha512(b"slot-seed").digest()
-        values = [noise_from_seed(seed, make_command_id("c", i), 1000) for i in range(500)]
+        values = [noise(seed, make_command_id("c", i), 1000) for i in range(500)]
         assert all(0 <= v < 1000 for v in values)
-        assert values == [noise_from_seed(seed, make_command_id("c", i), 1000) for i in range(500)]
-        assert noise_from_seed(seed, b"x", 0) == 0
+        assert values == [noise(seed, make_command_id("c", i), 1000) for i in range(500)]
+        assert noise(seed, b"x", 0) == 0
 
     def test_ledger_sorted_by_modified_then_tie(self):
         placed = [PlacedInvocation(inv(("m", i), 100_000 + 40_000 * i), "solo") for i in range(12)]
@@ -150,14 +146,14 @@ class TestRunSlotted:
             run_slotted(sim_for([], OrderingPolicy.pompe()))
 
     def test_command_before_first_slot_rejected(self):
-        placed = [PlacedInvocation(inv("early", 100_000), "solo")]
-        with pytest.raises(ContractError):
-            run_slotted(sim_for(placed, OrderingPolicy.pompe(), slot_origin=SLOT))
-
-    def test_wrong_policy_kind_rejected(self):
-        placed = [PlacedInvocation(inv("a", 100_000), "solo")]
-        with pytest.raises(ContractError):
-            run_slotted(sim_for(placed, OrderingPolicy.receive()))
+        # two of the three quorum reports sit below 0, so the median does
+        cmd = inv("early", 100_000)
+        plan = AdversaryPlan(node_overrides={(cmd.command_id, 0): -2, (cmd.command_id, 1): -1})
+        sim = sim_for([PlacedInvocation(cmd, "solo")], OrderingPolicy.pompe(), adversary=plan)
+        with pytest.raises(ContractError, match="precedes the first slot"):
+            count_orders(sim, 1, lambda t: [b"a"], no_seed)
+        with pytest.raises(ContractError, match="precedes the first slot"):
+            run_slotted(sim)
 
     def test_sro_shape_mismatch_rejected(self):
         topology = small_topology()
@@ -181,10 +177,10 @@ class TestRunSlotted:
         slot_seed = handle.reveal(RevealRequest(0, handle.quorum_signatures(0)))
         rng = np.random.default_rng(0)
         ats = rng.integers(0, SLOT, size=100_000)
-        noise = np.array(
-            [noise_from_seed(slot_seed, make_command_id("n", i), SLOT) for i in range(100_000)]
+        drawn = np.array(
+            [noise(slot_seed, make_command_id("n", i), SLOT) for i in range(100_000)]
         )
-        rho = np.corrcoef(np.argsort(np.argsort(ats)), np.argsort(np.argsort(noise)))[0, 1]
+        rho = np.corrcoef(np.argsort(np.argsort(ats)), np.argsort(np.argsort(drawn)))[0, 1]
         assert abs(rho) < 0.02
 
     def test_adversarial_runs_never_invert_far_pairs(self):

@@ -9,16 +9,9 @@ import pytest
 
 from fairorder import adversary, attacks, consensus, harness
 from fairorder.adversary import AdversaryPlan, private_relay_placement
-from fairorder.analysis import epsilon_pair
+from fairorder.analysis import epsilon_general
 from fairorder.cli import main
-from fairorder.consensus import (
-    PlacedInvocation,
-    PolicyKind,
-    SimulationRun,
-    order_leader_rotation,
-    order_receive_all_correct,
-    run_slotted,
-)
+from fairorder.consensus import PlacedInvocation, PolicyKind, SimulationRun
 from fairorder.domain import US_PER_MS, Invocation, make_command_id
 from fairorder.harness import (
     ConfigError,
@@ -39,6 +32,7 @@ from fairorder.harness import (
     run_tradeoff_curve,
 )
 from fairorder.sro import SroHandle
+from reference import order_leader_rotation, order_receive_all_correct, run_slotted
 
 CONFIG_DIR = resources.files("fairorder.data") / "configs"
 
@@ -146,7 +140,7 @@ class TestGeoBias:
     def test_bercow_diff_within_epsilon_bound(self):
         config = small(policies=("bercow:1500",), trials=400)
         (row,) = run_geo_bias(config).rows
-        bound = float(epsilon_pair(Fraction(300, 1500)))
+        bound = float(epsilon_general(2, Fraction(300, 1500)))
         sigma = 2 * (0.25 / config.trials) ** 0.5
         assert abs(float(row[4])) <= bound + 4 * sigma
 
@@ -597,10 +591,12 @@ class TestCli:
             (["attack", "sandwich", "--policy", "pompe", "--dnet-ms", "0"], None),
             (["bounds", "--alpha", "1/5", "--dnet-ms", "-3"], None),
             (["simulate"], "scenario = geo_bias\ntrials = 3"),
+            (["simulate"], f"scenario = sandwich\nseed = {2**63}"),
+            (["attack", "sandwich", "--policy", "pompe", "--seed", "99999999999999999999"], None),
         ],
         ids=["alpha", "attack-colluders", "policy-arg", "colluders", "alphas",
              "one-offset", "unknown-key", "dnet", "negative-gap", "slot",
-             "attack-dnet", "bounds-dnet", "duplicate-key"],
+             "attack-dnet", "bounds-dnet", "duplicate-key", "seed", "attack-seed"],
     )
     def test_bad_input_is_config_error(self, tmp_path, capsys, argv, config_line):
         if config_line is not None:

@@ -179,11 +179,21 @@ class TestParsing:
     )
     def test_ignored_delay_line_rejected(self, tmp_path, capsys, delay_line, message):
         text = f"city a 1\ncity b 1\ndelay a b 5\n{delay_line}\n"
-        with pytest.raises(TopologyError, match=re.escape(message)):
-            parse_topology(text, source="x.topo")
-        topo = tmp_path / "x.topo"
-        topo.write_text(text)
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(f"scenario = geo_bias\ntopology = {topo}\ntrials = 2\norigins = a,b\n")
-        assert main(["simulate", str(cfg)]) == 3
-        assert "error category=config" in capsys.readouterr().err
+        assert_rejected(text, message, tmp_path, capsys)
+
+    @pytest.mark.parametrize("ms", ["inf", "1e400"])
+    def test_non_finite_delay_rejected(self, tmp_path, capsys, ms):
+        text = f"city a 1\ncity b 1\ndelay a b {ms}\n"
+        assert_rejected(text, f"x.topo:3: non-finite latency '{ms}'", tmp_path, capsys)
+
+
+def assert_rejected(text, message, tmp_path, capsys):
+    """The parser raises ``message`` and ``fairorder simulate`` exits 3."""
+    with pytest.raises(TopologyError, match=re.escape(message)):
+        parse_topology(text, source="x.topo")
+    topo = tmp_path / "x.topo"
+    topo.write_text(text)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"scenario = geo_bias\ntopology = {topo}\ntrials = 2\norigins = a,b\n")
+    assert main(["simulate", str(cfg)]) == 3
+    assert "error category=config" in capsys.readouterr().err
