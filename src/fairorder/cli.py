@@ -18,9 +18,9 @@ import hashlib
 import sys
 from fractions import Fraction
 
+from .consensus import POLICY_NAMES
 from .domain import ContractError
 from .harness import (
-    POLICY_NAMES,
     ConfigError,
     ExperimentConfig,
     TableResult,

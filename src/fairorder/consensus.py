@@ -1,5 +1,8 @@
 """The ordering policies under comparison, and the one engine that runs them.
 
+``PolicyKind`` defines each policy once, and ``OrderingPolicy.parse``
+reads a spec -- ``pompe``, ``receive``, ``leader:<ms>`` or ``bercow:<ms>``.
+
 ``count_orders`` counts the ledger orders of many trials of one
 ``SimulationRun``: trials differ only in their command ids and, under
 leader rotation, in the rotation drawn.  It serves every policy:
@@ -37,6 +40,7 @@ import numpy as np
 
 from .adversary import AdversaryPlan, QUORUM_HIGH, QUORUM_LOW, clamp_to_window
 from .domain import (
+    US_PER_MS,
     ContractError,
     Invocation,
     Slot,
@@ -49,39 +53,52 @@ from .sro import RevealRequest, SroHandle
 
 
 class PolicyKind(Enum):
-    POMPE_MEDIAN = "pompe"
-    BERCOW_NOISE = "bercow"
-    LEADER_ROTATION = "leader"
-    RECEIVE_ORDER = "receive"
+    """Each ordering policy: its spec name, its one parameter (None if it
+    takes none; ms in a spec, µs in an ``OrderingPolicy``), and whether it
+    orders by quorum median timestamps, the only ordering an adversary plan
+    acts on."""
+
+    POMPE_MEDIAN = ("pompe", None, True)
+    BERCOW_NOISE = ("bercow", "noise width", True)
+    LEADER_ROTATION = ("leader", "rotation period", False)
+    RECEIVE_ORDER = ("receive", None, False)
+
+    def __new__(cls, spec_name, param, median_timestamps):
+        kind = object.__new__(cls)
+        kind._value_ = spec_name
+        kind.param = param
+        kind.median_timestamps = median_timestamps
+        return kind
+
+
+POLICY_NAMES = tuple(kind.value for kind in PolicyKind)
 
 
 @dataclass(frozen=True)
 class OrderingPolicy:
     kind: PolicyKind
-    noise_width_us: int = 0
-    rotation_period_us: int = 0
+    param_us: int = 0  # 0 for a kind that takes no parameter
 
     def __post_init__(self):
-        if self.kind is PolicyKind.BERCOW_NOISE and self.noise_width_us <= 0:
-            raise ContractError("noise width must be positive")
-        if self.kind is PolicyKind.LEADER_ROTATION and self.rotation_period_us <= 0:
-            raise ContractError("rotation period must be positive")
+        if self.kind.param is None and self.param_us != 0:
+            raise ContractError(f"the {self.kind.value} policy takes no parameter")
+        if self.kind.param is not None and self.param_us <= 0:
+            raise ContractError(f"{self.kind.param} must be positive")
 
     @classmethod
-    def pompe(cls):
-        return cls(PolicyKind.POMPE_MEDIAN)
+    def parse(cls, spec: str) -> OrderingPolicy:
+        """A policy from its spec; the parameter is in whole milliseconds."""
+        name, colon, arg = spec.partition(":")
+        kind = PolicyKind(name) if name in POLICY_NAMES else None
+        well_formed = kind is not None and (arg.isdecimal() if kind.param else not colon)
+        if not well_formed:
+            grammar = ", ".join(k.value + (":<ms>" if k.param else "") for k in PolicyKind)
+            raise ContractError(f"policy {spec!r}: write one of {grammar}")
+        return cls(kind, int(arg) * US_PER_MS if kind.param else 0)
 
-    @classmethod
-    def bercow(cls, noise_width_us: int):
-        return cls(PolicyKind.BERCOW_NOISE, noise_width_us=noise_width_us)
-
-    @classmethod
-    def leader(cls, rotation_period_us: int):
-        return cls(PolicyKind.LEADER_ROTATION, rotation_period_us=rotation_period_us)
-
-    @classmethod
-    def receive(cls):
-        return cls(PolicyKind.RECEIVE_ORDER)
+    @property
+    def median_timestamps(self) -> bool:
+        return self.kind.median_timestamps
 
 
 @dataclass(frozen=True)
@@ -109,21 +126,19 @@ class SimulationRun:
     policy: OrderingPolicy
     delta_net_us: int
     slot_interval_us: int
-    f: int
     invocations: list  # [PlacedInvocation]
     sro: SroHandle
     adversary: AdversaryPlan = field(default_factory=AdversaryPlan)
 
     def __post_init__(self):
-        n = self.topology.n_nodes
-        if n < 3 * self.f + 1:
-            raise ContractError(f"need n >= 3f+1 nodes, got n={n}, f={self.f}")
         if self.slot_interval_us <= 0:
             raise ContractError("slot interval must be positive")
         if not self.invocations:
             raise ContractError("no invocations to order")
-        if self.sro.config.n != n or self.sro.config.f != self.f:
-            raise ContractError("oracle was initialized for a different (n, f)")
+        if self.sro.config.n != self.topology.n_nodes:
+            raise ContractError("oracle was initialized for a different node count")
+        if not self.policy.median_timestamps and self.adversary != AdversaryPlan():
+            raise ContractError(f"the {self.policy.kind.value} baseline takes no adversary plan")
 
 
 def _select_quorum(stamps, quorum_size: int, bias):
@@ -151,7 +166,7 @@ def _timestamp_invocations(sim: SimulationRun):
     statistics of the observations.
     """
     stats = ClampStats()
-    quorum_size = 2 * sim.f + 1
+    quorum_size = 2 * sim.sro.config.f + 1
     plan = sim.adversary
     stamped = []
     for placed in sim.invocations:
@@ -242,7 +257,7 @@ def _slotted_prefixes(sim: SimulationRun, trial_ids):
     no key depends on their seeds.
     """
     stamped, _ = _timestamp_invocations(sim)
-    max_noise = max(sim.policy.noise_width_us - 1, 0)
+    max_noise = max(sim.policy.param_us - 1, 0)
     by_slot: dict = {}
     for inv, quorum, ats, k in stamped:
         cmd = TimestampedCommand(
@@ -267,7 +282,7 @@ def _slotted_prefixes(sim: SimulationRun, trial_ids):
         return tie_seeds, [ats for _, _, ats, _ in stamped]
     states = {k: _noise_state(seed) for k, seed in seeds.items()}
     noised = [(states[k], ats) for _, _, ats, k in stamped]
-    width = sim.policy.noise_width_us
+    width = sim.policy.param_us
 
     def modified_ts(t):
         return [
@@ -288,9 +303,6 @@ def _baseline_prefixes(sim: SimulationRun, trial_seed):
     every trial.  Under ``leader`` it is (period, leader's receive time) for
     the schedule and phase drawn from ``default_rng(trial_seed(t))``.
     """
-    plan = sim.adversary
-    if plan.ats_overrides or plan.node_overrides or plan.quorum_bias:
-        raise ContractError(f"the {sim.policy.kind.value} baseline takes no adversary plan")
     receive = _receive_matrix(sim.invocations, sim.topology, sim.delta_net_us)
     if sim.policy.kind is PolicyKind.RECEIVE_ORDER:
         medians = [_median_receive(times) for times in receive]
@@ -298,7 +310,7 @@ def _baseline_prefixes(sim: SimulationRun, trial_seed):
             if medians[a] >= medians[b]:  # pragma: no cover - see the docstring
                 raise AssertionError("median order violates all-correct receive precedence")
         return [_RECEIVE_TIE_SEED] * len(receive), medians
-    period, n = sim.policy.rotation_period_us, sim.topology.n_nodes
+    period, n = sim.policy.param_us, sim.topology.n_nodes
     invoke = [placed.invocation.invoke_time for placed in sim.invocations]
 
     def batches(t):
@@ -333,7 +345,7 @@ def count_orders(sim: SimulationRun, trials: int, trial_ids, trial_seed) -> Coun
     ``np.random.default_rng(trial_seed(t))``, and no other policy calls
     ``trial_seed``.  The adversary plan is keyed by the ids in
     ``sim.invocations`` and follows the renaming; ``leader`` and ``receive``
-    run honest and reject a non-empty plan.  An order is a tuple of indices
+    run honest (``SimulationRun`` rejects a plan for them).  An order is a tuple of indices
     into ``sim.invocations``: the order in which the policy's ledger holds
     the renamed trial's commands.
 
@@ -348,7 +360,7 @@ def count_orders(sim: SimulationRun, trials: int, trial_ids, trial_seed) -> Coun
     ids only on a tie.  Trial 0's id count is checked even if no trial asks
     for ids.
     """
-    if sim.policy.kind in (PolicyKind.POMPE_MEDIAN, PolicyKind.BERCOW_NOISE):
+    if sim.policy.median_timestamps:
         tie_seeds, prefixes = _slotted_prefixes(sim, trial_ids)
     else:
         tie_seeds, prefixes = _baseline_prefixes(sim, trial_seed)

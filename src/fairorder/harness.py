@@ -5,8 +5,9 @@ file; an unknown key is an error.  Scenario kinds: geo_bias,
 tradeoff_curve, sandwich, liquidation, bounds_table.  Every run is fully
 determined by (config, seed): reruns produce byte-identical output files.
 
-Policy specs are strings: ``pompe``, ``receive``, ``leader:<period_ms>``,
-``bercow:<noise_ms>``.
+Policy specs are strings, read by ``consensus.OrderingPolicy.parse``:
+``pompe``, ``receive``, ``leader:<period_ms>``, ``bercow:<noise_ms>``.
+``policies``, ``alphas`` and ``bounds_n`` must each list at least one entry.
 
 Every simulated table cell goes through one trial driver,
 ``_count_orders``: a scenario lists the cell's commands as
@@ -43,13 +44,7 @@ from itertools import combinations
 
 from . import analysis, attacks
 from .adversary import AdversaryPlan, private_relay_placement
-from .consensus import (
-    OrderingPolicy,
-    PlacedInvocation,
-    PolicyKind,
-    SimulationRun,
-    count_orders,
-)
+from .consensus import OrderingPolicy, PlacedInvocation, SimulationRun, count_orders
 from .domain import US_PER_MS, Invocation, command_id_deriver
 from .netmodel import CityTopology, bundled_topology, load_topology
 from .sro import Backend, SroConfig, sro_init
@@ -57,7 +52,6 @@ from .sro import Backend, SroConfig, sro_init
 TOPOLOGY_DIR_ENV = "FAIRORDER_TOPOLOGY_DIR"
 
 SCENARIOS = ("geo_bias", "tradeoff_curve", "sandwich", "liquidation", "bounds_table")
-POLICY_NAMES = tuple(kind.value for kind in PolicyKind)
 
 
 class ConfigError(ValueError):
@@ -101,8 +95,11 @@ class ExperimentConfig:
             raise ConfigError("gap sweep must be monotone")
         if self.colluders != "max" and not str(self.colluders).isdecimal():
             raise ConfigError(f"colluders must be a node count or 'max', got {self.colluders!r}")
+        for key in ("policies", "alphas", "bounds_n"):
+            if not getattr(self, key):
+                raise ConfigError(f"{key} must list at least one entry")
         for spec in self.policies:
-            parse_policy(spec)
+            OrderingPolicy.parse(spec)
         for alpha in self.alphas:
             parse_alpha(alpha)
 
@@ -162,23 +159,6 @@ def parse_config(path) -> ExperimentConfig:
         return ExperimentConfig(**fields)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-
-def parse_policy(spec: str) -> OrderingPolicy:
-    name, _, arg = spec.partition(":")
-    if arg and not arg.isdecimal():
-        raise ConfigError(f"policy {spec!r}: the argument must be whole milliseconds")
-    if name == "pompe":
-        return OrderingPolicy.pompe()
-    if name == "receive":
-        return OrderingPolicy.receive()
-    if name == "leader":
-        return OrderingPolicy.leader(int(arg or 1500) * US_PER_MS)
-    if name == "bercow":
-        if not arg:
-            raise ConfigError("bercow policy needs a noise width, e.g. bercow:1500")
-        return OrderingPolicy.bercow(int(arg) * US_PER_MS)
-    raise ConfigError(f"unknown policy {spec!r}; pick from {POLICY_NAMES}")
 
 
 def parse_alpha(text) -> Fraction:
@@ -250,7 +230,7 @@ def _count_orders(config, topology, f, sro, spec, tags, commands, colluders=()) 
     median-timestamp policies, ``colluders`` bracket the first command with
     the other two.
     """
-    policy = parse_policy(spec)
+    policy = OrderingPolicy.parse(spec)
     delta_net_us = config.delta_net_ms * US_PER_MS
     labels = [label for label, _, _ in commands]
     derive = command_id_deriver(*tags)
@@ -264,12 +244,12 @@ def _count_orders(config, topology, f, sro, spec, tags, commands, colluders=()) 
         for label, t_us, city in commands
     ]
     plan = AdversaryPlan()
-    if colluders and policy.kind in (PolicyKind.POMPE_MEDIAN, PolicyKind.BERCOW_NOISE):
+    if colluders and policy.median_timestamps:
         victim, *attackers = [(p.invocation, p.origin_city) for p in placed]
         plan = private_relay_placement(victim, attackers, colluders, topology, delta_net_us, f)
     sim = SimulationRun(
         topology=topology, policy=policy, delta_net_us=delta_net_us,
-        slot_interval_us=config.slot_ms * US_PER_MS, f=f, invocations=placed,
+        slot_interval_us=config.slot_ms * US_PER_MS, invocations=placed,
         sro=sro, adversary=plan,
     )
     orders = count_orders(

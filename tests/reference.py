@@ -67,7 +67,7 @@ def run_slotted(sim) -> SlottedRun:
     whose interval end exceeds its noised timestamp, and a slot emits its
     ripe commands by (noised timestamp, tie key, id).
     """
-    plan, interval, size = sim.adversary, sim.slot_interval_us, 2 * sim.f + 1
+    plan, interval, size = sim.adversary, sim.slot_interval_us, 2 * sim.sro.config.f + 1
     by_slot = {}
     for placed in sim.invocations:
         inv = placed.invocation
@@ -96,7 +96,7 @@ def run_slotted(sim) -> SlottedRun:
         seed = sim.sro.reveal(RevealRequest(k, certificate))
         decided = []
         for inv, quorum, ats in by_slot.get(k, ()):
-            drawn = noise(seed, inv.command_id, sim.policy.noise_width_us)
+            drawn = noise(seed, inv.command_id, sim.policy.param_us)
             cmd = TimestampedCommand(inv, quorum, ats, drawn, ats + drawn)
             decided.append(cmd)
             run.commands[inv.command_id] = cmd

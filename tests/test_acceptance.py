@@ -7,10 +7,9 @@ them live) and asserts both the stated tolerance and the runtime budget.
 import itertools
 import time
 from fractions import Fraction
-from math import factorial, sqrt
+from math import factorial
 
 import numpy as np
-import pytest
 
 from fairorder.analysis import (
     ADAPTIVE_UPPER,
@@ -141,8 +140,8 @@ def _joint_four_city_orders():
     ids = [p.invocation.command_id for p in placed]
     sro = sro_init(SroConfig(n=topology.n_nodes, f=f, backend=Backend.SEEDED_HASH), SEED)
     orders = []
-    for policy in (OrderingPolicy.pompe(), OrderingPolicy.receive()):
-        sim = SimulationRun(topology, policy, DNET_US, 1_500_000, f, placed, sro)
+    for policy in (OrderingPolicy.parse("pompe"), OrderingPolicy.parse("receive")):
+        sim = SimulationRun(topology, policy, DNET_US, 1_500_000, placed, sro)
         (order,) = count_orders(sim, 1, lambda t: ids, lambda t: 0)
         orders.append(tuple(GEO_CITIES[i] for i in order))
     return tuple(orders)

@@ -8,6 +8,10 @@ nor the bench tracer's table of names to wrap keep a definition alive, and
 neither do imports: an import that nothing uses refers to nothing.  No
 definition is exempt: library code that only its own tests call is
 deleted, not listed here.
+
+Every module under ``src/``, ``scripts/`` and ``tests/`` also references
+every name it imports, except the package's ``__init__.py``, whose
+imports are its re-exports.
 """
 
 import ast
@@ -17,12 +21,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fairorder"
 CALLER_DIRS = ("src", "scripts", "bench")
+IMPORTER_DIRS = ("src", "scripts", "tests")
 
 
-def _trees():
+def _trees(dirs=CALLER_DIRS):
     return {
         path: ast.parse(path.read_text(encoding="utf-8"))
-        for top in CALLER_DIRS
+        for top in dirs
         for path in sorted((ROOT / top).rglob("*.py"))
     }
 
@@ -66,3 +71,24 @@ def test_reference_uses_only_public_names():
         and node.attr.startswith("_") and not node.attr.startswith("__")
     ]
     assert not private, "tests/reference.py uses private names: " + ", ".join(private)
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def test_every_import_is_referenced():
+    unused = [
+        f"{path.relative_to(ROOT)}: {name}"
+        for path, tree in _trees(IMPORTER_DIRS).items()
+        if path != PACKAGE / "__init__.py"
+        for name in sorted(
+            set(_imported_names(tree))
+            - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        )
+    ]
+    assert not unused, "imported but never referenced: " + ", ".join(unused)

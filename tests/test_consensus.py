@@ -26,6 +26,8 @@ from reference import noise, order_leader_rotation, order_receive_all_correct, r
 DNET = 300_000
 SLOT = 1_500_000
 SEED = bytes(range(32))
+POMPE = OrderingPolicy(PolicyKind.POMPE_MEDIAN)
+BERCOW = OrderingPolicy(PolicyKind.BERCOW_NOISE, SLOT)
 
 
 def inv(label, t):
@@ -51,17 +53,44 @@ def sim_for(placed, policy, topology=None, f=1, adversary=None):
         policy=policy,
         delta_net_us=DNET,
         slot_interval_us=SLOT,
-        f=f,
         invocations=placed,
         sro=sro_for(topology, f),
         adversary=adversary or AdversaryPlan(),
     )
 
 
+class TestPolicyRegistry:
+    @pytest.mark.parametrize("spec, kind, param_us", [
+        ("pompe", PolicyKind.POMPE_MEDIAN, 0),
+        ("receive", PolicyKind.RECEIVE_ORDER, 0),
+        ("leader:1500", PolicyKind.LEADER_ROTATION, 1_500_000),
+        ("bercow:300", PolicyKind.BERCOW_NOISE, 300_000),
+        ("bercow:1500", PolicyKind.BERCOW_NOISE, 1_500_000),
+    ])
+    def test_documented_specs_parse(self, spec, kind, param_us):
+        assert OrderingPolicy.parse(spec) == OrderingPolicy(kind, param_us)
+
+    @pytest.mark.parametrize("spec", ["pompe:", "leader:", "leader:-5", ""])
+    def test_other_specs_rejected(self, spec):
+        # the config-file spellings are rows of the CLI's bad-input test
+        with pytest.raises(ContractError):
+            OrderingPolicy.parse(spec)
+
+    @pytest.mark.parametrize("kind, param_us", [
+        (PolicyKind.POMPE_MEDIAN, 5),
+        (PolicyKind.RECEIVE_ORDER, 5),
+        (PolicyKind.BERCOW_NOISE, 0),
+        (PolicyKind.LEADER_ROTATION, -1),
+    ])
+    def test_parameter_rule(self, kind, param_us):
+        with pytest.raises(ContractError):
+            OrderingPolicy(kind, param_us)
+
+
 class TestRunSlotted:
     def test_single_command_stable_in_its_slot(self):
         placed = [PlacedInvocation(inv("a", 700_000), "solo")]
-        result = run_slotted(sim_for(placed, OrderingPolicy.pompe()))
+        result = run_slotted(sim_for(placed, POMPE))
         assert result.ledger.entries == [placed[0].invocation.command_id]
         cmd = result.commands[placed[0].invocation.command_id]
         assert result.emission_slot[cmd.command_id] == 0
@@ -73,7 +102,7 @@ class TestRunSlotted:
                 PlacedInvocation(inv(("late", seed), 200_000), "solo"),
                 PlacedInvocation(inv(("early", seed), 100_000), "solo"),
             ]
-            result = run_slotted(sim_for(placed, OrderingPolicy.pompe()))
+            result = run_slotted(sim_for(placed, POMPE))
             assert result.ledger.entries == [
                 placed[1].invocation.command_id,
                 placed[0].invocation.command_id,
@@ -83,7 +112,7 @@ class TestRunSlotted:
         # Park a command near its slot's end so its noised timestamp crosses
         # the boundary; it must surface only when a slot covering the noised
         # value decides.
-        policy = OrderingPolicy.bercow(SLOT)
+        policy = BERCOW
         for trial in range(50):
             placed = [PlacedInvocation(inv(("edge", trial), 1_400_000), "solo")]
             result = run_slotted(sim_for(placed, policy))
@@ -106,7 +135,7 @@ class TestRunSlotted:
 
     def test_ledger_sorted_by_modified_then_tie(self):
         placed = [PlacedInvocation(inv(("m", i), 100_000 + 40_000 * i), "solo") for i in range(12)]
-        result = run_slotted(sim_for(placed, OrderingPolicy.bercow(SLOT)))
+        result = run_slotted(sim_for(placed, BERCOW))
         cmds = [result.commands[c] for c in result.ledger.entries]
         for a, b in zip(cmds, cmds[1:]):
             assert a.modified_ts <= b.modified_ts
@@ -115,13 +144,13 @@ class TestRunSlotted:
 
     def test_replay_is_deterministic(self):
         placed = [PlacedInvocation(inv(("r", i), 100_000 * (i + 1)), "solo") for i in range(6)]
-        a = run_slotted(sim_for(placed, OrderingPolicy.bercow(SLOT)))
-        b = run_slotted(sim_for(placed, OrderingPolicy.bercow(SLOT)))
+        a = run_slotted(sim_for(placed, BERCOW))
+        b = run_slotted(sim_for(placed, BERCOW))
         assert a.ledger.entries == b.ledger.entries
         assert a.ledger.stable_watermark == b.ledger.stable_watermark
 
     def test_consistency_unrelated_invocation_preserves_order(self):
-        policy = OrderingPolicy.bercow(SLOT)
+        policy = BERCOW
         for trial in range(50):
             base = [
                 PlacedInvocation(inv(("c1", trial), 500_000), "solo"),
@@ -137,19 +166,19 @@ class TestRunSlotted:
 
     def test_certificate_has_quorum_signatures(self):
         placed = [PlacedInvocation(inv("cert", 100_000), "solo")]
-        result = run_slotted(sim_for(placed, OrderingPolicy.pompe()))
+        result = run_slotted(sim_for(placed, POMPE))
         slot = result.slots[0]
         assert len(slot.decision_certificate) == 3  # n - f for n=4, f=1
 
     def test_empty_invocations_rejected(self):
         with pytest.raises(ContractError):
-            run_slotted(sim_for([], OrderingPolicy.pompe()))
+            run_slotted(sim_for([], POMPE))
 
     def test_command_before_first_slot_rejected(self):
         # two of the three quorum reports sit below 0, so the median does
         cmd = inv("early", 100_000)
         plan = AdversaryPlan(node_overrides={(cmd.command_id, 0): -2, (cmd.command_id, 1): -1})
-        sim = sim_for([PlacedInvocation(cmd, "solo")], OrderingPolicy.pompe(), adversary=plan)
+        sim = sim_for([PlacedInvocation(cmd, "solo")], POMPE, adversary=plan)
         with pytest.raises(ContractError, match="precedes the first slot"):
             count_orders(sim, 1, lambda t: [b"a"], no_seed)
         with pytest.raises(ContractError, match="precedes the first slot"):
@@ -160,10 +189,9 @@ class TestRunSlotted:
         with pytest.raises(ContractError):
             SimulationRun(
                 topology=topology,
-                policy=OrderingPolicy.pompe(),
+                policy=POMPE,
                 delta_net_us=DNET,
                 slot_interval_us=SLOT,
-                f=1,
                 invocations=[PlacedInvocation(inv("a", 0), "solo")],
                 sro=sro_init(SroConfig(n=7, f=2, backend=Backend.SEEDED_HASH), SEED),
             )
@@ -185,7 +213,7 @@ class TestRunSlotted:
 
     def test_adversarial_runs_never_invert_far_pairs(self):
         # Falsification attempt on the linearizability horizon, end to end.
-        policy = OrderingPolicy.bercow(SLOT)
+        policy = BERCOW
         delta = DNET + SLOT
         for trial in range(30):
             early, late = inv(("e", trial), 100_000), inv(("l", trial), 100_000 + delta + 1)
@@ -203,7 +231,7 @@ class TestRunSlotted:
         cmd = inv("clamp", 100_000)
         plan = AdversaryPlan(ats_overrides={cmd.command_id: 10**9})
         placed = [PlacedInvocation(cmd, "solo")]
-        result = run_slotted(sim_for(placed, OrderingPolicy.pompe(), adversary=plan))
+        result = run_slotted(sim_for(placed, POMPE, adversary=plan))
         assert result.commands[cmd.command_id].assigned_ts == 100_000 + DNET
 
 
@@ -221,7 +249,7 @@ class TestCountSlottedOrders:
             node_overrides={(cmds[1].command_id, 0): 1_250_000},
             quorum_bias={cmds[1].command_id: "high"},
         )
-        sim = sim_for(placed, OrderingPolicy.bercow(SLOT), topology=topology, f=f, adversary=plan)
+        sim = sim_for(placed, BERCOW, topology=topology, f=f, adversary=plan)
         trial_ids = [[make_command_id("t", t, i) for i in range(3)] for t in range(200)]
         want = Counter()
         for ids in trial_ids:
@@ -250,7 +278,7 @@ class TestCountSlottedOrders:
         # a 2 µs noise width: about half the trials tie on modified_ts, and
         # those are ordered by the tie keys, as in run_slotted
         placed = [PlacedInvocation(inv(label, 100_000), "solo") for label in "ab"]
-        sim = sim_for(placed, OrderingPolicy.bercow(2))
+        sim = sim_for(placed, OrderingPolicy(PolicyKind.BERCOW_NOISE, 2))
         trial_ids = [[make_command_id("w", t, i) for i in range(2)] for t in range(200)]
         want = Counter()
         for ids in trial_ids:
@@ -266,11 +294,10 @@ class TestCountSlottedOrders:
         # ats fits in 63 bits, ats + the largest noise a trial can draw does not
         t = MAX_TIMESTAMP - DNET - SLOT
         placed = [PlacedInvocation(inv("a", t), "solo")]
-        count_orders(sim_for(placed, OrderingPolicy.pompe()), 1, lambda t: [b"a"], no_seed)
+        count_orders(sim_for(placed, POMPE), 1, lambda t: [b"a"], no_seed)
+        wide = OrderingPolicy(PolicyKind.BERCOW_NOISE, 2 * SLOT)
         with pytest.raises(ContractError, match="overflow"):
-            count_orders(
-                sim_for(placed, OrderingPolicy.bercow(2 * SLOT)), 1, lambda t: [b"a"], no_seed
-            )
+            count_orders(sim_for(placed, wide), 1, lambda t: [b"a"], no_seed)
 
 
 class TestCountBaselineOrders:
@@ -294,7 +321,8 @@ class TestCountBaselineOrders:
         ]
         topology = bundled_topology()
         sim = sim_for(
-            placed, OrderingPolicy.leader(SLOT), topology=topology, f=(topology.n_nodes - 1) // 3
+            placed, OrderingPolicy(PolicyKind.LEADER_ROTATION, SLOT),
+            topology=topology, f=(topology.n_nodes - 1) // 3,
         )
         count_orders(sim, len(seeds), lambda t: [b"a", b"b"], seeds.__getitem__)
         want = []
@@ -305,10 +333,10 @@ class TestCountBaselineOrders:
 
 
 ALL_POLICIES = (
-    OrderingPolicy.pompe(),
-    OrderingPolicy.bercow(SLOT),
-    OrderingPolicy.leader(SLOT),
-    OrderingPolicy.receive(),
+    POMPE,
+    BERCOW,
+    OrderingPolicy(PolicyKind.LEADER_ROTATION, SLOT),
+    OrderingPolicy(PolicyKind.RECEIVE_ORDER),
 )
 
 
@@ -333,9 +361,8 @@ class TestCountOrders:
     def test_baselines_reject_an_adversary_plan(self, policy):
         cmd = inv("a", 100_000)
         plan = AdversaryPlan(ats_overrides={cmd.command_id: 100_000})
-        sim = sim_for([PlacedInvocation(cmd, "solo")], policy, adversary=plan)
         with pytest.raises(ContractError, match="no adversary plan"):
-            count_orders(sim, 1, lambda t: [b"a"], lambda t: [0, 0])
+            sim_for([PlacedInvocation(cmd, "solo")], policy, adversary=plan)
 
 
 class TestLeaderRotation:

@@ -1,4 +1,3 @@
-import os
 import random
 from collections import Counter
 from fractions import Fraction
@@ -11,8 +10,14 @@ from fairorder import adversary, attacks, consensus, harness
 from fairorder.adversary import AdversaryPlan, private_relay_placement
 from fairorder.analysis import epsilon_general
 from fairorder.cli import main
-from fairorder.consensus import PlacedInvocation, PolicyKind, SimulationRun
-from fairorder.domain import US_PER_MS, Invocation, make_command_id
+from fairorder.consensus import (
+    OrderingPolicy,
+    PlacedInvocation,
+    PolicyKind,
+    SimulationRun,
+    count_orders,
+)
+from fairorder.domain import US_PER_MS, ContractError, Invocation, make_command_id
 from fairorder.harness import (
     ConfigError,
     ExperimentConfig,
@@ -23,7 +28,6 @@ from fairorder.harness import (
     _trial_seed,
     emit_csv,
     parse_config,
-    parse_policy,
     resolve_topology,
     run_experiment,
     run_geo_bias,
@@ -70,6 +74,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             small(**{field: value})
 
+    @pytest.mark.parametrize("key", ["policies", "alphas", "bounds_n"])
+    def test_empty_list_rejected(self, key):
+        with pytest.raises(ConfigError, match=key):
+            small(**{key: ()})
+
     def test_gap_sweep_must_be_monotone(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(scenario="tradeoff_curve", gaps_ms=(5, 1))
@@ -81,13 +90,13 @@ class TestConfig:
             parse_config(path)
 
     def test_policy_parsing(self):
-        assert parse_policy("pompe").kind.value == "pompe"
-        assert parse_policy("bercow:1500").noise_width_us == 1_500_000
-        assert parse_policy("leader:500").rotation_period_us == 500_000
-        with pytest.raises(ConfigError):
-            parse_policy("bercow")
-        with pytest.raises(ConfigError):
-            parse_policy("anarchy")
+        assert OrderingPolicy.parse("pompe").kind.value == "pompe"
+        assert OrderingPolicy.parse("bercow:1500").param_us == 1_500_000
+        assert OrderingPolicy.parse("leader:500").param_us == 500_000
+        with pytest.raises(ContractError):
+            OrderingPolicy.parse("bercow")
+        with pytest.raises(ContractError):
+            OrderingPolicy.parse("anarchy")
 
     def test_topology_env_dir(self, tmp_path, monkeypatch):
         (tmp_path / "tiny.topo").write_text("city a 4\n")
@@ -265,15 +274,47 @@ class TestSandwich:
             run_sandwich(config)
 
 
-def per_trial_counts(config, topology, f, sro, spec, tags, commands, colluders):
+def cell_run(config, topology, f, sro, spec, commands, colluders=()):
+    """The cell's ``SimulationRun``, built as ``_count_orders`` builds it: one
+    template invocation per command, its id the label, and under the
+    median-timestamp policies the colluders' plan around the first command."""
+    policy = OrderingPolicy.parse(spec)
+    delta_net_us = config.delta_net_ms * US_PER_MS
+    placed = [
+        PlacedInvocation(Invocation(label.encode(), b"", t_us), city)
+        for label, t_us, city in commands
+    ]
+    plan = AdversaryPlan()
+    if colluders and policy.median_timestamps:
+        victim, *attackers = [(p.invocation, p.origin_city) for p in placed]
+        plan = private_relay_placement(victim, attackers, colluders, topology, delta_net_us, f)
+    return SimulationRun(
+        topology=topology, policy=policy, delta_net_us=delta_net_us,
+        slot_interval_us=config.slot_ms * US_PER_MS, invocations=placed,
+        sro=sro, adversary=plan,
+    )
+
+
+def assert_engine_matches_per_trial(config, sim, tags, commands, reference_orders):
+    """``count_orders`` on trial t of the cell alone gives the reference's
+    order of trial t, for every t."""
+    labels = [label for label, _, _ in commands]
+    for t, want in enumerate(reference_orders):
+        ids = [make_command_id(*tags, t, label) for label in labels]
+        seed = _trial_seed(config.seed, *tags, t)
+        got = count_orders(sim, 1, lambda _: ids, lambda _: seed)
+        assert got == Counter({tuple(map(labels.index, want)): 1}), (t, commands)
+
+
+def per_trial_orders(config, topology, f, sro, spec, tags, commands, colluders):
     """One ``run_slotted`` per trial, each with its own adversary plan.
 
-    The reference for the batched slotted path of ``_count_orders``; also
-    returns the decided slot indices of every trial's run.
+    The reference for the slotted path of ``count_orders``: each trial's
+    order of labels, and the decided slot indices of every trial's run.
     """
-    policy = parse_policy(spec)
+    policy = OrderingPolicy.parse(spec)
     delta_net_us = config.delta_net_ms * US_PER_MS
-    counts, decided_slots = Counter(), set()
+    orders, decided_slots = [], set()
     for trial in range(config.trials):
         labels = {make_command_id(*tags, trial, label): label for label, _, _ in commands}
         placed = [
@@ -288,12 +329,12 @@ def per_trial_counts(config, topology, f, sro, spec, tags, commands, colluders):
             )
         result = run_slotted(SimulationRun(
             topology=topology, policy=policy, delta_net_us=delta_net_us,
-            slot_interval_us=config.slot_ms * US_PER_MS, f=f, invocations=placed,
+            slot_interval_us=config.slot_ms * US_PER_MS, invocations=placed,
             sro=sro, adversary=plan,
         ))
-        counts[tuple(labels[cid] for cid in result.ledger.entries)] += 1
+        orders.append(tuple(labels[cid] for cid in result.ledger.entries))
         decided_slots.update(slot.index for slot in result.slots if slot.decided_commands)
-    return counts, decided_slots
+    return orders, decided_slots
 
 
 class TestSlottedEngine:
@@ -320,11 +361,13 @@ class TestSlottedEngine:
             )
             tags = ("engine", spec, cell)
             colluder_ids = _colluder_ids(config, topology, f)
-            want, decided_slots = per_trial_counts(
+            want, decided_slots = per_trial_orders(
                 config, topology, f, sro, spec, tags, commands, colluder_ids
             )
+            sim = cell_run(config, topology, f, sro, spec, commands, colluder_ids)
+            assert_engine_matches_per_trial(config, sim, tags, commands, want)
             got = _count_orders(config, topology, f, sro, spec, tags, commands, colluder_ids)
-            assert got == want, commands
+            assert got == Counter(want), commands
             assert len(decided_slots) >= 2
 
     def test_stamps_and_reveals_once_per_cell(self, monkeypatch):
@@ -351,13 +394,13 @@ class TestSlottedEngine:
         assert per_trials[5] == per_trials[50]
 
 
-def per_trial_baseline_counts(config, topology, spec, tags, commands):
+def per_trial_baseline_orders(config, topology, spec, tags, commands):
     """One ``order_leader_rotation`` (with the trial's own rng) or
-    ``order_receive_all_correct`` per trial: the reference for the batched
-    baseline path of ``_count_orders``."""
-    policy = parse_policy(spec)
+    ``order_receive_all_correct`` per trial: the reference for the baseline
+    path of ``count_orders``, each trial's order of labels."""
+    policy = OrderingPolicy.parse(spec)
     delta_net_us = config.delta_net_ms * US_PER_MS
-    counts = Counter()
+    orders = []
     for trial in range(config.trials):
         labels = {make_command_id(*tags, trial, label): label for label, _, _ in commands}
         placed = [
@@ -366,13 +409,11 @@ def per_trial_baseline_counts(config, topology, spec, tags, commands):
         ]
         if policy.kind is PolicyKind.LEADER_ROTATION:
             rng = np.random.default_rng(_trial_seed(config.seed, *tags, trial))
-            ledger = order_leader_rotation(
-                placed, topology, policy.rotation_period_us, delta_net_us, rng
-            )
+            ledger = order_leader_rotation(placed, topology, policy.param_us, delta_net_us, rng)
         else:
             ledger = order_receive_all_correct(placed, topology, delta_net_us)
-        counts[tuple(labels[cid] for cid in ledger.entries)] += 1
-    return counts
+        orders.append(tuple(labels[cid] for cid in ledger.entries))
+    return orders
 
 
 class TestBaselineEngine:
@@ -403,9 +444,11 @@ class TestBaselineEngine:
         wants = []
         for cell, commands in enumerate(cells):
             tags = ("baseline", spec, cell)
-            wants.append(per_trial_baseline_counts(config, topology, spec, tags, commands))
+            wants.append(per_trial_baseline_orders(config, topology, spec, tags, commands))
+            sim = cell_run(config, topology, f, sro, spec, commands)
+            assert_engine_matches_per_trial(config, sim, tags, commands, wants[-1])
             got = _count_orders(config, topology, f, sro, spec, tags, commands)
-            assert got == wants[-1], commands
+            assert got == Counter(wants[-1]), commands
         assert set(wants[0]) == {("a", "b"), ("b", "a")}
 
     @pytest.mark.parametrize("spec", ["leader:1500", "receive"])
@@ -438,12 +481,14 @@ class TestLazyIds:
         f, sro = _sro_for(topology, config.seed)
         commands = (("a", 700 * US_PER_MS, "tokyo"), ("b", 700 * US_PER_MS, "tokyo"))
         tags = ("tie", spec)
-        if parse_policy(spec).kind in (PolicyKind.LEADER_ROTATION, PolicyKind.RECEIVE_ORDER):
-            want = per_trial_baseline_counts(config, topology, spec, tags, commands)
+        sim = cell_run(config, topology, f, sro, spec, commands)
+        if sim.policy.median_timestamps:
+            want, _ = per_trial_orders(config, topology, f, sro, spec, tags, commands, ())
         else:
-            want, _ = per_trial_counts(config, topology, f, sro, spec, tags, commands, ())
+            want = per_trial_baseline_orders(config, topology, spec, tags, commands)
+        assert_engine_matches_per_trial(config, sim, tags, commands, want)
         got = _count_orders(config, topology, f, sro, spec, tags, commands)
-        assert got == want
+        assert got == Counter(want)
         assert set(got) == {("a", "b"), ("b", "a")}
 
     @pytest.mark.parametrize("spec", ["pompe", "receive"])
@@ -484,7 +529,7 @@ class TestLazyIds:
         slow = max(topology.city_names, key=quorum_median)
         fast = min(topology.city_names, key=quorum_median)
         assert quorum_median(slow) > quorum_median(fast)
-        gap_us = config.delta_net_ms * US_PER_MS + parse_policy(spec).noise_width_us + 1
+        gap_us = config.delta_net_ms * US_PER_MS + OrderingPolicy.parse(spec).param_us + 1
         t0 = config.slot_ms * US_PER_MS // 2
         counts = _count_orders(
             config, topology, f, sro, spec, ("horizon", spec),
@@ -593,10 +638,24 @@ class TestCli:
             (["simulate"], "scenario = geo_bias\ntrials = 3"),
             (["simulate"], f"scenario = sandwich\nseed = {2**63}"),
             (["attack", "sandwich", "--policy", "pompe", "--seed", "99999999999999999999"], None),
+            (["simulate"], "scenario = geo_bias\npolicies = pompe:300"),
+            (["simulate"], "scenario = geo_bias\npolicies = receive:7"),
+            (["simulate"], "scenario = geo_bias\npolicies = leader"),
+            (["simulate"], "scenario = geo_bias\npolicies = bercow"),
+            (["simulate"], "scenario = geo_bias\npolicies = bercow:0"),
+            (["simulate"], "scenario = geo_bias\npolicies = leader:0"),
+            (["simulate"], "scenario = geo_bias\npolicies = anarchy"),
+            (["simulate"], "scenario = geo_bias\npolicies ="),
+            (["simulate"], "scenario = sandwich\npolicies ="),
+            (["simulate"], "scenario = bounds_table\nalphas ="),
+            (["simulate"], "scenario = bounds_table\nbounds_n ="),
         ],
         ids=["alpha", "attack-colluders", "policy-arg", "colluders", "alphas",
              "one-offset", "unknown-key", "dnet", "negative-gap", "slot",
-             "attack-dnet", "bounds-dnet", "duplicate-key", "seed", "attack-seed"],
+             "attack-dnet", "bounds-dnet", "duplicate-key", "seed", "attack-seed",
+             "pompe-arg", "receive-arg", "bare-leader", "bare-bercow", "bercow-zero",
+             "leader-zero", "unknown-policy", "no-policies", "no-sandwich-policies",
+             "no-alphas", "no-bounds-n"],
     )
     def test_bad_input_is_config_error(self, tmp_path, capsys, argv, config_line):
         if config_line is not None:

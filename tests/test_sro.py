@@ -6,7 +6,6 @@ from fairorder.cli import main
 from fairorder.domain import ContractError
 from fairorder.sro import (
     Backend,
-    DprfNode,
     InsufficientValidShares,
     InvalidSignatureSet,
     RevealRequest,
