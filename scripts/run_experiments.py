@@ -4,11 +4,12 @@
 Usage:
     python scripts/run_experiments.py [--only geo_bias,sandwich] [--trials N]
 
-A full run took 9.2-10.8 s in six runs on 2 cores of an Intel Xeon
-under Python 3.11 (in three of them, geo_bias 3.6-4.6 s, tradeoff_curve
-4.8-5.2 s, the rest under 1 s together); every table cell is counted in one batch, and command
-ids are hashed only where they can change an order.  Pass --trials to
-downscale for a quick look.
+A full run took 6.6-10.1 s in six runs on 2 cores of a shared Intel Xeon
+under Python 3.11 (in three of them, geo_bias 2.7-3.9 s, tradeoff_curve
+3.4-3.7 s, the rest under 0.5 s together); every table cell is counted in
+one batch, command ids are hashed only where they can change an order,
+and a bercow trial does little besides its two hashes per command.  Pass
+--trials to downscale for a quick look.
 """
 
 import argparse

@@ -42,11 +42,9 @@ def _rational(x, name="alpha") -> Fraction:
         ) from exc
 
 
-def _check_alpha(alpha: Fraction, inclusive_one: bool):
-    hi_ok = alpha <= 1 if inclusive_one else alpha < 1
-    if not (0 < alpha and hi_ok):
-        bound = "(0, 1]" if inclusive_one else "(0, 1)"
-        raise ContractError(f"alpha must be in {bound}, got {alpha}")
+def _check_alpha(alpha: Fraction):
+    if not 0 < alpha <= 1:
+        raise ContractError(f"alpha must be in (0, 1], got {alpha}")
 
 
 def _target_order(target_order, n: int) -> tuple:
@@ -64,7 +62,7 @@ def epsilon_general(n: int, alpha) -> Fraction:
     if n < 1:
         raise ContractError("n must be >= 1")
     a = _rational(alpha)
-    _check_alpha(a, inclusive_one=True)
+    _check_alpha(a)
     return Fraction((1 + a) ** n - (1 - a) ** n - n * a**n, factorial(n))
 
 
@@ -77,7 +75,7 @@ def order_prob_bounds(n: int, alpha) -> tuple:
     if n < 1:
         raise ContractError("n must be >= 1")
     a = _rational(alpha)
-    _check_alpha(a, inclusive_one=True)
+    _check_alpha(a)
     if n == 1:
         return Fraction(1), Fraction(1)
     lower = Fraction((1 - a) ** n, factorial(n))
@@ -249,7 +247,7 @@ def order_prob_monte_carlo(strategy, n, alpha, target_order, trials, rng):
     target_order = _target_order(target_order, n)
     alpha = alpha if isinstance(alpha, float) else float(_rational(alpha))
     if strategy in (LOWER_BOUND, ADAPTIVE_UPPER):
-        _check_alpha(alpha, inclusive_one=True)
+        _check_alpha(alpha)
     if strategy == LOWER_BOUND:
         ats = [alpha] * n
         ats_by_pos = [alpha] * (n - 1) + [0.0]

@@ -33,7 +33,7 @@ import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import repeat
+from itertools import chain, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -105,19 +105,6 @@ class OrderingPolicy:
 class PlacedInvocation:
     invocation: Invocation
     origin_city: str
-
-
-def _noise_state(slot_seed: bytes):
-    """The slot's noise hash state; each command's noise extends a copy."""
-    return hashlib.sha512(b"noise" + slot_seed)
-
-
-def _noise(noise_state, command_id: bytes, width_us: int) -> int:
-    """Uniform integer in [0, width): 64 PRF bits scaled exactly, so the
-    bias is at most 2^-64 and the draw is the same on every platform."""
-    h = noise_state.copy()
-    h.update(command_id)
-    return (int.from_bytes(h.digest()[:8], "big") * width_us) >> 64
 
 
 @dataclass
@@ -243,13 +230,15 @@ def _median_receive(times) -> int:
     return sorted(times)[len(times) // 2]
 
 
-def _slotted_prefixes(sim: SimulationRun, trial_ids):
+def _slotted_prefixes(sim: SimulationRun):
     """``count_orders``'s setup under ``pompe`` and ``bercow``.
 
     Each command's tie seed is the revealed seed of the slot that decides
-    it; its key prefix is its modified_ts, a fixed list under ``pompe`` and
-    a function of the trial, whose ids key the noise, under ``bercow``.
-    Checks each command's ``TimestampedCommand`` on the largest noise a
+    it; its key prefix is its modified_ts, the assigned timestamp under
+    ``pompe`` and that plus the trial's noise under ``bercow``.  Returns the
+    tie seeds, the assigned timestamps, and each command's noise hash
+    state, keyed by its slot's seed, which a trial extends by the command's
+    id.  Checks each command's ``TimestampedCommand`` on the largest noise a
     trial can draw (so a run whose noised timestamps could overflow is
     rejected even if no trial's do), and each decided slot's ``Slot`` and
     certificate, the latter in ``reveal``.  The empty slots a slot-by-slot
@@ -277,20 +266,12 @@ def _slotted_prefixes(sim: SimulationRun, trial_ids):
             decision_certificate=certificate,
         )
         seeds[k] = sim.sro.reveal(RevealRequest(k, certificate))
-    tie_seeds = [seeds[k][:32] for *_, k in stamped]
-    if sim.policy.kind is PolicyKind.POMPE_MEDIAN:
-        return tie_seeds, [ats for _, _, ats, _ in stamped]
-    states = {k: _noise_state(seed) for k, seed in seeds.items()}
-    noised = [(states[k], ats) for _, _, ats, k in stamped]
-    width = sim.policy.param_us
-
-    def modified_ts(t):
-        return [
-            ats + _noise(state, cid, width)
-            for (state, ats), cid in zip(noised, trial_ids(t), strict=True)
-        ]
-
-    return tie_seeds, modified_ts
+    states = {k: hashlib.sha512(b"noise" + seed) for k, seed in seeds.items()}
+    return (
+        [seeds[k][:32] for *_, k in stamped],
+        [ats for _, _, ats, _ in stamped],
+        [states[k] for *_, k in stamped],
+    )
 
 
 def _baseline_prefixes(sim: SimulationRun, trial_seed):
@@ -323,64 +304,83 @@ def _baseline_prefixes(sim: SimulationRun, trial_seed):
     return [_LEADER_TIE_SEED] * len(receive), batches
 
 
-def _key_order(keys) -> tuple:
-    """Indices of ledger keys in ledger order."""
-    return tuple(sorted(range(len(keys)), key=keys.__getitem__))
+def _count_noised(assigned, noise_states, width_us, tie_seeds, per_trial_ids) -> Counter:
+    """The ``bercow`` kernel: per trial, one noise hash per command, one tie
+    check and one sort.
 
-
-def _prefix_order(prefixes):
-    """``_key_order`` of the keys that start with ``prefixes``, or None if
-    two prefixes are equal: only a prefix tie needs the command ids."""
-    if len(set(prefixes)) < len(prefixes):
-        return None
-    return _key_order(prefixes)
+    A command's noise is uniform in [0, width): the first 64 bits of
+    SHA-512("noise" || slot seed || command id), scaled exactly, so the
+    bias is at most 2^-64 and the draw is the same on every platform.  Its
+    key prefix is its assigned timestamp plus that noise; only a trial
+    whose prefixes tie sorts by the full ``_key``, on the ids it already has.
+    """
+    counts = Counter()
+    indices = range(len(assigned))
+    for ids in per_trial_ids:
+        prefix = []
+        for ats, state, cid in zip(assigned, noise_states, ids, strict=True):
+            h = state.copy()
+            h.update(cid)
+            prefix.append(ats + ((int.from_bytes(h.digest()[:8], "big") * width_us) >> 64))
+        if len(set(prefix)) < len(prefix):
+            prefix = [_key(p, seed, cid) for p, seed, cid in zip(prefix, tie_seeds, ids)]
+        counts[tuple(sorted(indices, key=prefix.__getitem__))] += 1
+    return counts
 
 
 def count_orders(sim: SimulationRun, trials: int, trial_ids, trial_seed) -> Counter:
     """The ledger orders of many trials of one run, counted, under any policy.
 
-    Trial t (0 <= t < ``trials``) is ``sim`` with its invocations renamed to
-    the ids ``trial_ids(t)`` (one per invocation, in order); under ``leader``
-    it draws its schedule and phase from
+    Trial t (0 <= t < ``trials``, at least one trial) is ``sim`` with its
+    invocations renamed to the ids ``trial_ids(t)`` (one per invocation, in
+    order); under ``leader`` it draws its schedule and phase from
     ``np.random.default_rng(trial_seed(t))``, and no other policy calls
     ``trial_seed``.  The adversary plan is keyed by the ids in
     ``sim.invocations`` and follows the renaming; ``leader`` and ``receive``
-    run honest (``SimulationRun`` rejects a plan for them).  An order is a tuple of indices
-    into ``sim.invocations``: the order in which the policy's ledger holds
-    the renamed trial's commands.
+    run honest (``SimulationRun`` rejects a plan for them).  An order is a
+    tuple of indices into ``sim.invocations``: the order in which the
+    policy's ledger holds the renamed trial's commands.
 
     Each policy's ledger is one sort by ``_key``.  (Under slot-by-slot
     agreement, a command decided in slot k_d is emitted by slot
     floor(modified_ts / interval) >= k_d, and each slot emits its ripe keys
-    sorted, after every earlier slot's smaller ones.)  A
-    per-policy setup makes the run's checks and computes once what the ids
-    do not affect: each command's tie seed and key prefix.  A prefix that no
-    trial changes and that has no tie gives every trial one order, counted
-    without ids; otherwise each trial sorts its prefixes and asks for its
-    ids only on a tie.  Trial 0's id count is checked even if no trial asks
-    for ids.
+    sorted, after every earlier slot's smaller ones.)  A per-policy setup
+    makes the run's checks and computes once what the ids do not affect:
+    each command's tie seed and key prefix.  Under ``bercow`` every trial
+    asks for its ids once, for its noise (``_count_noised``).  Otherwise a
+    prefix that no trial changes and that has no tie gives every trial one
+    order, counted without ids, and each other trial sorts its prefixes and
+    asks for its ids only on a tie.  Trial 0's id count is checked even if
+    no trial asks for ids.
     """
+    if trials < 1:
+        raise ContractError(f"trials must be >= 1, got {trials}")
     if sim.policy.median_timestamps:
-        tie_seeds, prefixes = _slotted_prefixes(sim, trial_ids)
+        tie_seeds, prefixes, noise_states = _slotted_prefixes(sim)
     else:
         tie_seeds, prefixes = _baseline_prefixes(sim, trial_seed)
-    count = len(trial_ids(0))
-    if count != len(tie_seeds):
-        raise ValueError(f"trial 0 has {count} command ids for {len(tie_seeds)} invocations")
+    first_ids = trial_ids(0)
+    if len(first_ids) != len(tie_seeds):
+        raise ValueError(
+            f"trial 0 has {len(first_ids)} command ids for {len(tie_seeds)} invocations"
+        )
+    if sim.policy.kind is PolicyKind.BERCOW_NOISE:
+        per_trial_ids = chain((first_ids,), map(trial_ids, range(1, trials)))
+        return _count_noised(prefixes, noise_states, sim.policy.param_us, tie_seeds,
+                             per_trial_ids)
+    indices = range(len(tie_seeds))
     if callable(prefixes):
         per_trial = map(prefixes, range(trials))
+    elif len(set(prefixes)) == len(prefixes):
+        return Counter({tuple(sorted(indices, key=prefixes.__getitem__)): trials})
     else:
-        order = _prefix_order(prefixes)
-        if order is not None:
-            return Counter({order: trials})
         per_trial = repeat(prefixes, trials)
     counts = Counter()
     for t, prefix in enumerate(per_trial):
-        order = _prefix_order(prefix)
-        if order is None:
-            order = _key_order([
+        if len(set(prefix)) < len(prefix):
+            prefix = [
                 _key(p, seed, cid)
                 for p, seed, cid in zip(prefix, tie_seeds, trial_ids(t), strict=True)
-            ])
-        counts[order] += 1
+            ]
+        counts[tuple(sorted(indices, key=prefix.__getitem__))] += 1
     return counts

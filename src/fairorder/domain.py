@@ -67,24 +67,24 @@ def make_command_id(*parts) -> bytes:
     return _hash_parts(hashlib.sha256(), parts).digest()
 
 
-def command_id_deriver(*tags):
-    """``derive(trial, label) == make_command_id(*tags, trial, label)``,
-    hashing ``tags`` once and encoding each label once rather than once per
-    id: an id costs one copy, one update and one digest.  Labels are memo
-    keys, so they must be hashable."""
+def command_id_deriver(tags, labels):
+    """``ids(trial) == [make_command_id(*tags, trial, label) for label in
+    labels]``, hashing ``tags`` once, encoding each label once per deriver
+    and the trial once per call: an id costs one copy, one update and one
+    digest."""
     prefix = _hash_parts(hashlib.sha256(), tags)
-    labels = {}  # (type, label) -> encoding; typed so that 1 and 1.0 differ
+    encoded = [_encode_part(label) for label in labels]
 
-    def derive(trial, label) -> bytes:
-        key = (type(label), label)
-        encoded = labels.get(key)
-        if encoded is None:
-            encoded = labels[key] = _encode_part(label)
-        h = prefix.copy()
-        h.update(_encode_part(trial) + encoded)
-        return h.digest()
+    def ids(trial) -> list:
+        trial = _encode_part(trial)
+        out = []
+        for label in encoded:
+            h = prefix.copy()
+            h.update(trial + label)
+            out.append(h.digest())
+        return out
 
-    return derive
+    return ids
 
 
 @dataclass(frozen=True)

@@ -14,20 +14,22 @@ Every simulated table cell goes through one trial driver,
 (label, invoke_us, city) triples and reads its numbers from the counted
 ledger orders.  The cell's tags -- ``("geo", pair_index, spec)``,
 ``("gap", spec, gap_ms)`` or ``("sand", spec)`` -- fix trial t's command
-ids, ``make_command_id(*tags, t, label)``; under the leader policy they
-also fix the seed its schedule and phase are drawn from,
-``_trial_seed(seed, *tags, t)``.  Changing either changes the CSVs.  No
-cell runs trial by trial: every policy's cell is one ``SimulationRun``
+ids, ``make_command_id(*tags, t, label)`` for each label in order; under
+the leader policy they also fix the seed its schedule and phase are drawn
+from, ``_trial_seed(seed, *tags, t)``.  Changing either changes the CSVs.
+No cell runs trial by trial: every policy's cell is one ``SimulationRun``
 and one call of the engine, ``consensus.count_orders``, which computes
 what the ids do not affect once per cell and counts every trial's ledger
-order in one batch.  Ids are derived lazily, from the tags hashed once
-per cell (``command_id_deriver``), and only where they can matter: under
-``bercow`` for every trial's noise, otherwise only for a trial whose
-id-free key prefix ties (and trial 0's, for the id-count check).  Work
-that no cell changes is done once: the bundled topology is parsed once
-per process, the topology memoizes each (city, invoke time, delta_net)
-receive vector that ``observe`` returns, and the sandwich payoff table is
-built once per process.
+order in one batch.  A cell's ids come from
+``command_id_deriver(tags, labels)``, which hashes the tags and encodes
+each label once per cell and the trial once per trial.  They are asked
+for only where they can matter: once per trial under ``bercow``, for its
+noise and any tie; otherwise only for a trial whose id-free key prefix
+ties (and trial 0's, for the id-count check).  Work that no cell changes
+is done once: the bundled topology is parsed once per process, the
+topology memoizes each (city, invoke time, delta_net) receive vector that
+``observe`` returns, and the sandwich payoff table is built once per
+process.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .adversary import AdversaryPlan, private_relay_placement
 from .consensus import OrderingPolicy, PlacedInvocation, SimulationRun, count_orders
 from .domain import US_PER_MS, Invocation, command_id_deriver
 from .netmodel import CityTopology, bundled_topology, load_topology
-from .sro import Backend, SroConfig, sro_init
+from .sro import Backend, SroConfig, SroHandle, sro_init
 
 TOPOLOGY_DIR_ENV = "FAIRORDER_TOPOLOGY_DIR"
 
@@ -209,11 +211,10 @@ def _fmt_usd(x) -> str:
     return f"{float(x):.2f}"
 
 
-def _sro_for(topology: CityTopology, seed: int):
+def _sro_for(topology: CityTopology, seed: int) -> SroHandle:
     f = (topology.n_nodes - 1) // 3
     rng_seed = hashlib.sha256(b"sro" + seed.to_bytes(8, "big", signed=True)).digest()
-    handle = sro_init(SroConfig(n=topology.n_nodes, f=f, backend=Backend.SEEDED_HASH), rng_seed)
-    return f, handle
+    return sro_init(SroConfig(n=topology.n_nodes, f=f, backend=Backend.SEEDED_HASH), rng_seed)
 
 
 def _trial_seed(config_seed: int, *tags) -> list:
@@ -222,7 +223,7 @@ def _trial_seed(config_seed: int, *tags) -> list:
     return [config_seed & 0xFFFFFFFFFFFFFFFF, int.from_bytes(digest[:8], "big")]
 
 
-def _count_orders(config, topology, f, sro, spec, tags, commands, colluders=()) -> Counter:
+def _count_orders(config, topology, sro, spec, tags, commands, colluders=()) -> Counter:
     """Run ``config.trials`` trials of one table cell; count the ledger orders.
 
     ``commands`` lists the cell's (label, invoke_us, city) triples; each
@@ -233,11 +234,6 @@ def _count_orders(config, topology, f, sro, spec, tags, commands, colluders=()) 
     policy = OrderingPolicy.parse(spec)
     delta_net_us = config.delta_net_ms * US_PER_MS
     labels = [label for label, _, _ in commands]
-    derive = command_id_deriver(*tags)
-
-    def trial_ids(trial):
-        return [derive(trial, label) for label in labels]
-
     # one template cell; each trial renames its commands
     placed = [
         PlacedInvocation(Invocation(label.encode(), b"", t_us), city)
@@ -246,14 +242,17 @@ def _count_orders(config, topology, f, sro, spec, tags, commands, colluders=()) 
     plan = AdversaryPlan()
     if colluders and policy.median_timestamps:
         victim, *attackers = [(p.invocation, p.origin_city) for p in placed]
-        plan = private_relay_placement(victim, attackers, colluders, topology, delta_net_us, f)
+        plan = private_relay_placement(
+            victim, attackers, colluders, topology, delta_net_us, sro.config.f
+        )
     sim = SimulationRun(
         topology=topology, policy=policy, delta_net_us=delta_net_us,
         slot_interval_us=config.slot_ms * US_PER_MS, invocations=placed,
         sro=sro, adversary=plan,
     )
     orders = count_orders(
-        sim, config.trials, trial_ids, partial(_trial_seed, config.seed, *tags)
+        sim, config.trials, command_id_deriver(tags, labels),
+        partial(_trial_seed, config.seed, *tags),
     )
     return Counter({tuple(labels[i] for i in order): n for order, n in orders.items()})
 
@@ -263,13 +262,13 @@ def run_geo_bias(config: ExperimentConfig) -> TableResult:
     if len(config.origins) < 2:
         raise ConfigError("geo_bias needs at least two origin cities")
     topology = resolve_topology(config.topology)
-    f, sro = _sro_for(topology, config.seed)
+    sro = _sro_for(topology, config.seed)
     t0 = config.slot_ms * US_PER_MS // 2  # mid-slot, away from boundaries
     result = TableResult(header=("city_a", "city_b", "policy", "pr_a_first", "diff", "trials"))
     for pi, (city_a, city_b) in enumerate(combinations(config.origins, 2)):
         for spec in config.policies:
             counts = _count_orders(
-                config, topology, f, sro, spec, ("geo", pi, spec),
+                config, topology, sro, spec, ("geo", pi, spec),
                 (("a", t0, city_a), ("b", t0, city_b)),
             )
             pr_a = Fraction(counts["a", "b"], config.trials)
@@ -291,11 +290,11 @@ def run_tradeoff_curve(config: ExperimentConfig) -> TableResult:
     if not config.gaps_ms:
         raise ConfigError("tradeoff_curve needs a gap sweep")
     topology = resolve_topology(config.topology)
-    f, sro = _sro_for(topology, config.seed)
+    sro = _sro_for(topology, config.seed)
     t0 = config.slot_ms * US_PER_MS // 2
 
     def quorum_median(city):
-        delays = sorted(topology.delays_from(city))[: 2 * f + 1]
+        delays = sorted(topology.delays_from(city))[: 2 * sro.config.f + 1]
         return delays[len(delays) // 2]
 
     slow, fast = sorted(config.origins, key=quorum_median, reverse=True)[:2]
@@ -305,7 +304,7 @@ def run_tradeoff_curve(config: ExperimentConfig) -> TableResult:
     for spec in config.policies:
         for gap_ms in config.gaps_ms:
             counts = _count_orders(
-                config, topology, f, sro, spec, ("gap", spec, gap_ms),
+                config, topology, sro, spec, ("gap", spec, gap_ms),
                 (("early", t0, slow), ("late", t0 + gap_ms * US_PER_MS, fast)),
             )
             pr_early = Fraction(counts["early", "late"], config.trials)
@@ -313,11 +312,11 @@ def run_tradeoff_curve(config: ExperimentConfig) -> TableResult:
     return result
 
 
-def _colluder_ids(config: ExperimentConfig, topology: CityTopology, f: int):
+def _colluder_ids(config: ExperimentConfig, sro: SroHandle):
+    n, f = sro.config.n, sro.config.f
     count = f if config.colluders == "max" else int(config.colluders)
     if count > f:
         raise ConfigError(f"colluders must be in [0, f={f}]")
-    n = topology.n_nodes
     return tuple(range(n - count, n))
 
 
@@ -334,8 +333,8 @@ def run_sandwich(config: ExperimentConfig) -> TableResult:
         raise ConfigError("sandwich needs two offsets_ms, one per attacker command")
     victim_city, attacker_city = config.origins
     topology = resolve_topology(config.topology)
-    f, sro = _sro_for(topology, config.seed)
-    colluders = _colluder_ids(config, topology, f)
+    sro = _sro_for(topology, config.seed)
+    colluders = _colluder_ids(config, sro)
     t0 = config.slot_ms * US_PER_MS // 2
     buy_us, sell_us = (t0 + ms * US_PER_MS for ms in config.offsets_ms)
     commands = (
@@ -349,7 +348,7 @@ def run_sandwich(config: ExperimentConfig) -> TableResult:
     table = attacks.default_payoff_table()
     for spec in config.policies:
         counts = _count_orders(
-            config, topology, f, sro, spec, ("sand", spec), commands, colluders
+            config, topology, sro, spec, ("sand", spec), commands, colluders
         )
         freqs = {order: Fraction(counts[order], config.trials) for order in attacks.PERMUTATIONS}
         expected = attacks.expected_attacker_profit(table, freqs)

@@ -290,6 +290,42 @@ class TestCountSlottedOrders:
         assert set(want) == {(0, 1), (1, 0)}
         assert count_orders(sim, len(trial_ids), trial_ids.__getitem__, no_seed) == want
 
+    def test_one_microsecond_noise_ties_every_trial(self):
+        # width 1: every noise is 0, so two commands from one city at one
+        # instant tie in every trial, and each trial takes the full key
+        topology = bundled_topology()
+        placed = [PlacedInvocation(inv(label, 700_000), "tokyo") for label in "ab"]
+        sim = sim_for(
+            placed, OrderingPolicy(PolicyKind.BERCOW_NOISE, 1),
+            topology=topology, f=(topology.n_nodes - 1) // 3,
+        )
+        trial_ids = [[make_command_id("one", t, i) for i in range(2)] for t in range(100)]
+        want = []
+        for ids in trial_ids:
+            renamed = replace(sim, invocations=[
+                PlacedInvocation(replace(p.invocation, command_id=cid), p.origin_city)
+                for p, cid in zip(placed, ids)
+            ])
+            want.append(tuple(ids.index(cid) for cid in run_slotted(renamed).ledger.entries))
+            assert count_orders(sim, 1, lambda _: ids, no_seed) == Counter({want[-1]: 1})
+        assert set(want) == {(0, 1), (1, 0)}
+        assert count_orders(sim, len(trial_ids), trial_ids.__getitem__, no_seed) == Counter(want)
+
+    @pytest.mark.parametrize("width_us", [1, SLOT])
+    def test_each_trial_asks_for_its_ids_once(self, width_us):
+        # at width 1 every trial ties and sorts by the full key, on the ids
+        # it drew its noise from
+        asked = Counter()
+
+        def trial_ids(t):
+            asked[t] += 1
+            return [make_command_id("once", t, i) for i in range(2)]
+
+        placed = [PlacedInvocation(inv(label, 100_000), "solo") for label in "ab"]
+        sim = sim_for(placed, OrderingPolicy(PolicyKind.BERCOW_NOISE, width_us))
+        count_orders(sim, 50, trial_ids, no_seed)
+        assert asked == Counter(range(50))
+
     def test_rejects_noise_that_could_overflow(self):
         # ats fits in 63 bits, ats + the largest noise a trial can draw does not
         t = MAX_TIMESTAMP - DNET - SLOT
@@ -351,6 +387,13 @@ class TestCountOrders:
         placed = [PlacedInvocation(inv("a", 100_000), "solo")]
         with pytest.raises(ValueError, match="1 invocations"):
             count_orders(sim_for(placed, policy), 1, lambda t: [b"a", b"b"], lambda t: [0, 0])
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    @pytest.mark.parametrize("policy", ALL_POLICIES, ids=policy_id)
+    def test_rejects_fewer_than_one_trial(self, policy, trials):
+        placed = [PlacedInvocation(inv(label, 100_000), "solo") for label in "ab"]
+        with pytest.raises(ContractError, match="trials must be >= 1"):
+            count_orders(sim_for(placed, policy), trials, lambda t: [b"a", b"b"], lambda t: [0, 0])
 
     @pytest.mark.parametrize("policy", ALL_POLICIES, ids=policy_id)
     def test_every_policy_rejects_an_empty_run(self, policy):

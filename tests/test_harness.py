@@ -274,7 +274,7 @@ class TestSandwich:
             run_sandwich(config)
 
 
-def cell_run(config, topology, f, sro, spec, commands, colluders=()):
+def cell_run(config, topology, sro, spec, commands, colluders=()):
     """The cell's ``SimulationRun``, built as ``_count_orders`` builds it: one
     template invocation per command, its id the label, and under the
     median-timestamp policies the colluders' plan around the first command."""
@@ -287,7 +287,9 @@ def cell_run(config, topology, f, sro, spec, commands, colluders=()):
     plan = AdversaryPlan()
     if colluders and policy.median_timestamps:
         victim, *attackers = [(p.invocation, p.origin_city) for p in placed]
-        plan = private_relay_placement(victim, attackers, colluders, topology, delta_net_us, f)
+        plan = private_relay_placement(
+            victim, attackers, colluders, topology, delta_net_us, sro.config.f
+        )
     return SimulationRun(
         topology=topology, policy=policy, delta_net_us=delta_net_us,
         slot_interval_us=config.slot_ms * US_PER_MS, invocations=placed,
@@ -306,7 +308,7 @@ def assert_engine_matches_per_trial(config, sim, tags, commands, reference_order
         assert got == Counter({tuple(map(labels.index, want)): 1}), (t, commands)
 
 
-def per_trial_orders(config, topology, f, sro, spec, tags, commands, colluders):
+def per_trial_orders(config, topology, sro, spec, tags, commands, colluders):
     """One ``run_slotted`` per trial, each with its own adversary plan.
 
     The reference for the slotted path of ``count_orders``: each trial's
@@ -325,7 +327,7 @@ def per_trial_orders(config, topology, f, sro, spec, tags, commands, colluders):
         if colluders:
             victim, *attackers = [(p.invocation, p.origin_city) for p in placed]
             plan = private_relay_placement(
-                victim, attackers, colluders, topology, delta_net_us, f
+                victim, attackers, colluders, topology, delta_net_us, sro.config.f
             )
         result = run_slotted(SimulationRun(
             topology=topology, policy=policy, delta_net_us=delta_net_us,
@@ -346,7 +348,7 @@ class TestSlottedEngine:
         rnd = random.Random(f"{spec}/{n_commands}")
         config = small(scenario="sandwich", trials=60, colluders=colluders)
         topology = resolve_topology(config.topology)
-        f, sro = _sro_for(topology, config.seed)
+        sro = _sro_for(topology, config.seed)
         slot_us, dnet_us = config.slot_ms * US_PER_MS, config.delta_net_ms * US_PER_MS
         for cell in range(3):
             times = [
@@ -360,13 +362,13 @@ class TestSlottedEngine:
                 for label, t_us in zip(("v", "x", "y"), times)
             )
             tags = ("engine", spec, cell)
-            colluder_ids = _colluder_ids(config, topology, f)
+            colluder_ids = _colluder_ids(config, sro)
             want, decided_slots = per_trial_orders(
-                config, topology, f, sro, spec, tags, commands, colluder_ids
+                config, topology, sro, spec, tags, commands, colluder_ids
             )
-            sim = cell_run(config, topology, f, sro, spec, commands, colluder_ids)
+            sim = cell_run(config, topology, sro, spec, commands, colluder_ids)
             assert_engine_matches_per_trial(config, sim, tags, commands, want)
-            got = _count_orders(config, topology, f, sro, spec, tags, commands, colluder_ids)
+            got = _count_orders(config, topology, sro, spec, tags, commands, colluder_ids)
             assert got == Counter(want), commands
             assert len(decided_slots) >= 2
 
@@ -422,7 +424,7 @@ class TestBaselineEngine:
         rnd = random.Random(spec)
         config = small(trials=60)
         topology = resolve_topology(config.topology)
-        f, sro = _sro_for(topology, config.seed)
+        sro = _sro_for(topology, config.seed)
         period_us = int(spec.partition(":")[2] or 1500) * US_PER_MS
         dnet_us = config.delta_net_ms * US_PER_MS
         # same city, same time: equal receive times, so only tie keys decide
@@ -445,9 +447,9 @@ class TestBaselineEngine:
         for cell, commands in enumerate(cells):
             tags = ("baseline", spec, cell)
             wants.append(per_trial_baseline_orders(config, topology, spec, tags, commands))
-            sim = cell_run(config, topology, f, sro, spec, commands)
+            sim = cell_run(config, topology, sro, spec, commands)
             assert_engine_matches_per_trial(config, sim, tags, commands, wants[-1])
-            got = _count_orders(config, topology, f, sro, spec, tags, commands)
+            got = _count_orders(config, topology, sro, spec, tags, commands)
             assert got == Counter(wants[-1]), commands
         assert set(wants[0]) == {("a", "b"), ("b", "a")}
 
@@ -478,16 +480,16 @@ class TestLazyIds:
         # up to the id-keyed noise), so the ids decide every trial
         config = small(trials=80)
         topology = resolve_topology(config.topology)
-        f, sro = _sro_for(topology, config.seed)
+        sro = _sro_for(topology, config.seed)
         commands = (("a", 700 * US_PER_MS, "tokyo"), ("b", 700 * US_PER_MS, "tokyo"))
         tags = ("tie", spec)
-        sim = cell_run(config, topology, f, sro, spec, commands)
+        sim = cell_run(config, topology, sro, spec, commands)
         if sim.policy.median_timestamps:
-            want, _ = per_trial_orders(config, topology, f, sro, spec, tags, commands, ())
+            want, _ = per_trial_orders(config, topology, sro, spec, tags, commands, ())
         else:
             want = per_trial_baseline_orders(config, topology, spec, tags, commands)
         assert_engine_matches_per_trial(config, sim, tags, commands, want)
-        got = _count_orders(config, topology, f, sro, spec, tags, commands)
+        got = _count_orders(config, topology, sro, spec, tags, commands)
         assert got == Counter(want)
         assert set(got) == {("a", "b"), ("b", "a")}
 
@@ -496,12 +498,12 @@ class TestLazyIds:
         derived = Counter()
         deriver = harness.command_id_deriver
 
-        def counting_deriver(*tags):
-            derive = deriver(*tags)
+        def counting_deriver(tags, labels):
+            ids = deriver(tags, labels)
 
-            def counting(trial, label):
-                derived[trial] += 1
-                return derive(trial, label)
+            def counting(trial):
+                derived[trial] += len(labels)
+                return ids(trial)
             return counting
 
         monkeypatch.setattr(harness, "command_id_deriver", counting_deriver)
@@ -520,10 +522,10 @@ class TestLazyIds:
         # city's, is first in every trial
         config = small(scenario="tradeoff_curve", trials=200)
         topology = resolve_topology(config.topology)
-        f, sro = _sro_for(topology, config.seed)
+        sro = _sro_for(topology, config.seed)
 
         def quorum_median(city):
-            delays = sorted(topology.delays_from(city))[: 2 * f + 1]
+            delays = sorted(topology.delays_from(city))[: 2 * sro.config.f + 1]
             return delays[len(delays) // 2]
 
         slow = max(topology.city_names, key=quorum_median)
@@ -532,7 +534,7 @@ class TestLazyIds:
         gap_us = config.delta_net_ms * US_PER_MS + OrderingPolicy.parse(spec).param_us + 1
         t0 = config.slot_ms * US_PER_MS // 2
         counts = _count_orders(
-            config, topology, f, sro, spec, ("horizon", spec),
+            config, topology, sro, spec, ("horizon", spec),
             (("early", t0, slow), ("late", t0 + gap_us, fast)),
         )
         assert counts == Counter({("early", "late"): config.trials})
