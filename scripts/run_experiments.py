@@ -4,12 +4,13 @@
 Usage:
     python scripts/run_experiments.py [--only geo_bias,sandwich] [--trials N]
 
-A full run took 6.6-10.1 s in six runs on 2 cores of a shared Intel Xeon
-under Python 3.11 (in three of them, geo_bias 2.7-3.9 s, tradeoff_curve
-3.4-3.7 s, the rest under 0.5 s together); every table cell is counted in
-one batch, command ids are hashed only where they can change an order,
-and a bercow trial does little besides its two hashes per command.  Pass
---trials to downscale for a quick look.
+A full run took 7.6-9.3 s in six runs on 2 cores of a shared Intel Xeon
+under Python 3.11 (geo_bias 3.4-4.0 s, tradeoff_curve 3.4-4.7 s, the rest
+under 0.5 s together); every table cell is counted in one batch, command
+ids are hashed only where they can change an order, and a bercow trial
+does little besides its two hashes per command.  Most of the time is the
+leader and bercow cells' per-trial draws and hashes, which the CSV bytes
+fix.  Pass --trials to downscale for a quick look.
 """
 
 import argparse

@@ -50,7 +50,9 @@ def _cmd_simulate(args) -> int:
 def _alpha_grid(args) -> tuple:
     if args.curve:
         return tuple(str(Fraction(i, 20)) for i in range(1, 20))
-    if args.dnoise_ms:
+    if args.dnoise_ms is not None:
+        if args.dnoise_ms < 1:
+            raise ContractError(f"--dnoise-ms must be >= 1, got {args.dnoise_ms}")
         return (str(Fraction(args.dnet_ms, args.dnoise_ms)),)
     if args.alpha is None:
         raise ContractError("pass --alpha, --dnoise-ms or --curve")
@@ -124,10 +126,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="closed-form bound table")
     p.add_argument("--n", type=int, default=3)
-    p.add_argument("--alpha", help="exact ratio, e.g. 1/5 or 0.2")
     p.add_argument("--dnet-ms", type=int, default=300)
-    p.add_argument("--dnoise-ms", type=int, default=0, help="sets alpha = dnet / dnoise")
-    p.add_argument("--curve", action="store_true", help="sweep alpha over (0, 1)")
+    alpha = p.add_mutually_exclusive_group()
+    alpha.add_argument("--alpha", help="exact ratio, e.g. 1/5 or 0.2")
+    alpha.add_argument("--dnoise-ms", type=int, help="sets alpha = dnet / dnoise")
+    alpha.add_argument("--curve", action="store_true", help="sweep alpha over (0, 1)")
     p.add_argument("--output")
     p.set_defaults(fn=_cmd_bounds)
 

@@ -33,7 +33,7 @@ import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, repeat
+from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
@@ -41,10 +41,12 @@ import numpy as np
 from .adversary import AdversaryPlan, QUORUM_HIGH, QUORUM_LOW, clamp_to_window
 from .domain import (
     US_PER_MS,
+    CommandIds,
     ContractError,
     Invocation,
     Slot,
     TimestampedCommand,
+    encode_id_part,
     median_timestamp,
     tie_break_key,
 )
@@ -116,6 +118,9 @@ class SimulationRun:
     invocations: list  # [PlacedInvocation]
     sro: SroHandle
     adversary: AdversaryPlan = field(default_factory=AdversaryPlan)
+    # each command's stamp (``_timestamp_invocations``); runs over one
+    # topology may share it, as the cells of one experiment do
+    stamps: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.slot_interval_us <= 0:
@@ -151,28 +156,46 @@ def _timestamp_invocations(sim: SimulationRun):
     not precede the first slot, which starts at 0; slot k = ats // interval
     decides it.  Returns ``[(invocation, quorum, ats, k)]`` and the clamp
     statistics of the observations.
+
+    A command's stamp (its quorum, its assigned timestamp and its
+    observations' clamp counts) depends only on its origin city, invoke
+    time, delta_net, the quorum size and what the plan does to it: its
+    quorum bias, its colluders' reports and any override of its timestamp.
+    ``sim.stamps`` memoizes it under exactly that key, and the statistics
+    count a memo hit the same as the first stamping.
     """
     stats = ClampStats()
     quorum_size = 2 * sim.sro.config.f + 1
     plan = sim.adversary
+    lies_for = {}  # command id -> its colluders' (node, reported timestamp) pairs
+    for (cid, node), ts in plan.node_overrides.items():
+        lies_for.setdefault(cid, []).append((node, ts))
     stamped = []
     for placed in sim.invocations:
         inv = placed.invocation
-        stamps = observe(inv, placed.origin_city, sim.topology, sim.delta_net_us, stats=stats)
-        if plan.node_overrides:
-            stamps = [
-                (node, plan.node_overrides.get((inv.command_id, node), ts))
-                for node, ts in stamps
-            ]
-        quorum = _select_quorum(stamps, quorum_size, plan.quorum_bias.get(inv.command_id))
-        ats = median_timestamp([ts for _, ts in quorum])
-        if inv.command_id in plan.ats_overrides:
-            ats = clamp_to_window(
-                plan.ats_overrides[inv.command_id], inv.invoke_time, sim.delta_net_us
-            )
-            quorum = tuple((node, ats) for node, _ in quorum)
-        if ats < 0:
-            raise ContractError(f"assigned timestamp {ats} precedes the first slot at 0")
+        cid = inv.command_id
+        lies = tuple(sorted(lies_for.get(cid, ())))
+        bias, override = plan.quorum_bias.get(cid), plan.ats_overrides.get(cid)
+        key = (placed.origin_city, inv.invoke_time, sim.delta_net_us, quorum_size,
+               bias, lies, override)
+        hit = sim.stamps.get(key)
+        if hit is None:
+            own = ClampStats()
+            stamps = observe(inv, placed.origin_city, sim.topology, sim.delta_net_us, stats=own)
+            if lies:
+                reported = dict(lies)
+                stamps = [(node, reported.get(node, ts)) for node, ts in stamps]
+            quorum = _select_quorum(stamps, quorum_size, bias)
+            ats = median_timestamp([ts for _, ts in quorum])
+            if override is not None:
+                ats = clamp_to_window(override, inv.invoke_time, sim.delta_net_us)
+                quorum = tuple((node, ats) for node, _ in quorum)
+            if ats < 0:
+                raise ContractError(f"assigned timestamp {ats} precedes the first slot at 0")
+            hit = sim.stamps[key] = (quorum, ats, own)
+        quorum, ats, own = hit
+        stats.observations += own.observations
+        stats.violations += own.violations
         stamped.append((inv, quorum, ats, ats // sim.slot_interval_us))
     return stamped, stats
 
@@ -304,21 +327,30 @@ def _baseline_prefixes(sim: SimulationRun, trial_seed):
     return [_LEADER_TIE_SEED] * len(receive), batches
 
 
-def _count_noised(assigned, noise_states, width_us, tie_seeds, per_trial_ids) -> Counter:
-    """The ``bercow`` kernel: per trial, one noise hash per command, one tie
-    check and one sort.
+def _count_noised(assigned, noise_states, width_us, tie_seeds, trial_ids, trials) -> Counter:
+    """The ``bercow`` kernel: per trial, one pass over the commands that
+    derives each id and its noise, then one tie check and one sort.
 
-    A command's noise is uniform in [0, width): the first 64 bits of
-    SHA-512("noise" || slot seed || command id), scaled exactly, so the
-    bias is at most 2^-64 and the draw is the same on every platform.  Its
-    key prefix is its assigned timestamp plus that noise; only a trial
-    whose prefixes tie sorts by the full ``_key``, on the ids it already has.
+    The trial is encoded once, and each id is derived inline exactly as
+    ``trial_ids(t)`` derives it.  A command's noise is uniform in [0, width):
+    the first 64 bits of SHA-512("noise" || slot seed || command id), scaled
+    exactly, so the bias is at most 2^-64 and the draw is the same on every
+    platform.  Its key prefix is its assigned timestamp plus that noise;
+    only a trial whose prefixes tie sorts by the full ``_key``, on the ids
+    it already has.
     """
     counts = Counter()
     indices = range(len(assigned))
-    for ids in per_trial_ids:
-        prefix = []
-        for ats, state, cid in zip(assigned, noise_states, ids, strict=True):
+    commands = tuple(zip(assigned, noise_states, trial_ids.labels))
+    id_prefix = trial_ids.prefix
+    for t in range(trials):
+        trial = encode_id_part(t)
+        prefix, ids = [], []
+        for ats, state, label in commands:
+            h = id_prefix.copy()
+            h.update(trial + label)
+            cid = h.digest()
+            ids.append(cid)
             h = state.copy()
             h.update(cid)
             prefix.append(ats + ((int.from_bytes(h.digest()[:8], "big") * width_us) >> 64))
@@ -328,18 +360,18 @@ def _count_noised(assigned, noise_states, width_us, tie_seeds, per_trial_ids) ->
     return counts
 
 
-def count_orders(sim: SimulationRun, trials: int, trial_ids, trial_seed) -> Counter:
+def count_orders(sim: SimulationRun, trials: int, trial_ids: CommandIds, trial_seed) -> Counter:
     """The ledger orders of many trials of one run, counted, under any policy.
 
     Trial t (0 <= t < ``trials``, at least one trial) is ``sim`` with its
-    invocations renamed to the ids ``trial_ids(t)`` (one per invocation, in
-    order); under ``leader`` it draws its schedule and phase from
-    ``np.random.default_rng(trial_seed(t))``, and no other policy calls
-    ``trial_seed``.  The adversary plan is keyed by the ids in
-    ``sim.invocations`` and follows the renaming; ``leader`` and ``receive``
-    run honest (``SimulationRun`` rejects a plan for them).  An order is a
-    tuple of indices into ``sim.invocations``: the order in which the
-    policy's ledger holds the renamed trial's commands.
+    invocations renamed to the ids ``trial_ids(t)``, one ``CommandIds``
+    label per invocation, in order; under ``leader`` it draws its schedule
+    and phase from ``np.random.default_rng(trial_seed(t))``, and no other
+    policy calls ``trial_seed``.  The adversary plan is keyed by the ids in
+    ``sim.invocations`` and follows the renaming; ``leader`` and
+    ``receive`` run honest (``SimulationRun`` rejects a plan for them).  An
+    order is a tuple of indices into ``sim.invocations``: the order in
+    which the policy's ledger holds the renamed trial's commands.
 
     Each policy's ledger is one sort by ``_key``.  (Under slot-by-slot
     agreement, a command decided in slot k_d is emitted by slot
@@ -347,27 +379,24 @@ def count_orders(sim: SimulationRun, trials: int, trial_ids, trial_seed) -> Coun
     sorted, after every earlier slot's smaller ones.)  A per-policy setup
     makes the run's checks and computes once what the ids do not affect:
     each command's tie seed and key prefix.  Under ``bercow`` every trial
-    asks for its ids once, for its noise (``_count_noised``).  Otherwise a
+    derives its ids once, for its noise (``_count_noised``).  Otherwise a
     prefix that no trial changes and that has no tie gives every trial one
     order, counted without ids, and each other trial sorts its prefixes and
-    asks for its ids only on a tie.  Trial 0's id count is checked even if
-    no trial asks for ids.
+    derives its ids only on a tie.
     """
     if trials < 1:
         raise ContractError(f"trials must be >= 1, got {trials}")
+    if len(trial_ids.labels) != len(sim.invocations):
+        raise ValueError(
+            f"{len(trial_ids.labels)} command labels for {len(sim.invocations)} invocations"
+        )
     if sim.policy.median_timestamps:
         tie_seeds, prefixes, noise_states = _slotted_prefixes(sim)
     else:
         tie_seeds, prefixes = _baseline_prefixes(sim, trial_seed)
-    first_ids = trial_ids(0)
-    if len(first_ids) != len(tie_seeds):
-        raise ValueError(
-            f"trial 0 has {len(first_ids)} command ids for {len(tie_seeds)} invocations"
-        )
     if sim.policy.kind is PolicyKind.BERCOW_NOISE:
-        per_trial_ids = chain((first_ids,), map(trial_ids, range(1, trials)))
         return _count_noised(prefixes, noise_states, sim.policy.param_us, tie_seeds,
-                             per_trial_ids)
+                             trial_ids, trials)
     indices = range(len(tie_seeds))
     if callable(prefixes):
         per_trial = map(prefixes, range(trials))

@@ -43,7 +43,7 @@ class Invocation:
             raise ContractError("invoke_time must be >= 0")
 
 
-def _encode_part(p) -> bytes:
+def encode_id_part(p) -> bytes:
     """One id part as hashed: its 4-byte length, then its bytes; an int is
     8 bytes two's complement, a str its UTF-8, a tuple or list its own id."""
     if isinstance(p, (tuple, list)):
@@ -56,9 +56,9 @@ def _encode_part(p) -> bytes:
 
 
 def _hash_parts(h, parts):
-    """Feed each part to ``h``, encoded by ``_encode_part``."""
+    """Feed each part to ``h``, encoded by ``encode_id_part``."""
     for p in parts:
-        h.update(_encode_part(p))
+        h.update(encode_id_part(p))
     return h
 
 
@@ -67,24 +67,29 @@ def make_command_id(*parts) -> bytes:
     return _hash_parts(hashlib.sha256(), parts).digest()
 
 
-def command_id_deriver(tags, labels):
-    """``ids(trial) == [make_command_id(*tags, trial, label) for label in
-    labels]``, hashing ``tags`` once, encoding each label once per deriver
-    and the trial once per call: an id costs one copy, one update and one
-    digest."""
-    prefix = _hash_parts(hashlib.sha256(), tags)
-    encoded = [_encode_part(label) for label in labels]
+class CommandIds:
+    """A table cell's command ids: ``CommandIds(tags, labels)(trial) ==
+    [make_command_id(*tags, trial, label) for label in labels]``.
 
-    def ids(trial) -> list:
-        trial = _encode_part(trial)
+    The tags are hashed and each label encoded once per cell, so trial t's
+    id for a label is ``prefix.copy()`` updated with ``encode_id_part(t) +
+    label`` and digested: one copy, one update and one digest.  A caller
+    that needs more than the ids per trial may derive them the same way
+    inline, encoding the trial once.
+    """
+
+    def __init__(self, tags, labels):
+        self.prefix = _hash_parts(hashlib.sha256(), tags)  # never updated after init
+        self.labels = tuple(encode_id_part(label) for label in labels)
+
+    def __call__(self, trial) -> list:
+        trial = encode_id_part(trial)
         out = []
-        for label in encoded:
-            h = prefix.copy()
+        for label in self.labels:
+            h = self.prefix.copy()
             h.update(trial + label)
             out.append(h.digest())
         return out
-
-    return ids
 
 
 @dataclass(frozen=True)

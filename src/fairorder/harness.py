@@ -20,16 +20,18 @@ from, ``_trial_seed(seed, *tags, t)``.  Changing either changes the CSVs.
 No cell runs trial by trial: every policy's cell is one ``SimulationRun``
 and one call of the engine, ``consensus.count_orders``, which computes
 what the ids do not affect once per cell and counts every trial's ledger
-order in one batch.  A cell's ids come from
-``command_id_deriver(tags, labels)``, which hashes the tags and encodes
-each label once per cell and the trial once per trial.  They are asked
-for only where they can matter: once per trial under ``bercow``, for its
-noise and any tie; otherwise only for a trial whose id-free key prefix
-ties (and trial 0's, for the id-count check).  Work that no cell changes
-is done once: the bundled topology is parsed once per process, the
-topology memoizes each (city, invoke time, delta_net) receive vector that
-``observe`` returns, and the sandwich payoff table is built once per
-process.
+order in one batch.  A cell's ids come from ``CommandIds(tags, labels)``,
+which hashes the tags and encodes each label once per cell and the trial
+once per trial.  They are derived only where they can matter: once per
+trial under ``bercow``, in the same pass as its noise, for the noise and
+any tie; otherwise only for a trial whose id-free key prefix ties.  Work
+that no cell changes is done once: the bundled topology is parsed once
+per process, the topology memoizes each (city, invoke time, delta_net)
+receive vector that ``observe`` returns, and the sandwich payoff table is
+built once per process.  Within one ``run_experiment`` call (``_Run``),
+the median-policy cells share each distinct command's stamp (its quorum
+and assigned timestamp, ``SimulationRun.stamps``) and each colluder
+plan, so a sandwich run stamps its three commands once and plans once.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from itertools import combinations
 from . import analysis, attacks
 from .adversary import AdversaryPlan, private_relay_placement
 from .consensus import OrderingPolicy, PlacedInvocation, SimulationRun, count_orders
-from .domain import US_PER_MS, Invocation, command_id_deriver
+from .domain import US_PER_MS, CommandIds, Invocation
 from .netmodel import CityTopology, bundled_topology, load_topology
 from .sro import Backend, SroConfig, SroHandle, sro_init
 
@@ -211,26 +213,44 @@ def _fmt_usd(x) -> str:
     return f"{float(x):.2f}"
 
 
-def _sro_for(topology: CityTopology, seed: int) -> SroHandle:
-    f = (topology.n_nodes - 1) // 3
-    rng_seed = hashlib.sha256(b"sro" + seed.to_bytes(8, "big", signed=True)).digest()
-    return sro_init(SroConfig(n=topology.n_nodes, f=f, backend=Backend.SEEDED_HASH), rng_seed)
-
-
 def _trial_seed(config_seed: int, *tags) -> list:
     # hash() is salted per process; a digest keeps trial streams stable across runs
     digest = hashlib.sha256(repr(tags).encode()).digest()
     return [config_seed & 0xFFFFFFFFFFFFFFFF, int.from_bytes(digest[:8], "big")]
 
 
-def _count_orders(config, topology, sro, spec, tags, commands, colluders=()) -> Counter:
-    """Run ``config.trials`` trials of one table cell; count the ledger orders.
+@dataclass
+class _Run:
+    """What the cells of one ``run_experiment`` call share: the config, the
+    topology, the oracle, each distinct command's stamp (every cell's
+    ``SimulationRun.stamps``) and each colluder plan."""
 
-    ``commands`` lists the cell's (label, invoke_us, city) triples; each
-    order is counted as the tuple of labels in ledger order.  Under the
+    config: ExperimentConfig
+    topology: CityTopology
+    sro: SroHandle
+    stamps: dict = field(default_factory=dict)
+    plans: dict = field(default_factory=dict)  # (commands, colluders) -> AdversaryPlan
+
+
+def _run_for(config: ExperimentConfig) -> _Run:
+    """A fresh ``_Run`` for ``config``: its topology and seeded oracle (f the
+    largest that n >= 3f + 1 allows), with nothing stamped or planned yet."""
+    topology = resolve_topology(config.topology)
+    n = topology.n_nodes
+    rng_seed = hashlib.sha256(b"sro" + config.seed.to_bytes(8, "big", signed=True)).digest()
+    sro = sro_init(SroConfig(n=n, f=(n - 1) // 3, backend=Backend.SEEDED_HASH), rng_seed)
+    return _Run(config, topology, sro)
+
+
+def _count_orders(run: _Run, spec, tags, commands, colluders=()) -> Counter:
+    """Run ``run.config.trials`` trials of one table cell; count the ledger orders.
+
+    ``commands`` is the cell's tuple of (label, invoke_us, city) triples;
+    each order is counted as the tuple of labels in ledger order.  Under the
     median-timestamp policies, ``colluders`` bracket the first command with
-    the other two.
+    the other two, by one plan per run for each (commands, colluders).
     """
+    config = run.config
     policy = OrderingPolicy.parse(spec)
     delta_net_us = config.delta_net_ms * US_PER_MS
     labels = [label for label, _, _ in commands]
@@ -241,17 +261,19 @@ def _count_orders(config, topology, sro, spec, tags, commands, colluders=()) -> 
     ]
     plan = AdversaryPlan()
     if colluders and policy.median_timestamps:
-        victim, *attackers = [(p.invocation, p.origin_city) for p in placed]
-        plan = private_relay_placement(
-            victim, attackers, colluders, topology, delta_net_us, sro.config.f
-        )
+        plan = run.plans.get((commands, colluders))
+        if plan is None:
+            victim, *attackers = [(p.invocation, p.origin_city) for p in placed]
+            plan = run.plans[commands, colluders] = private_relay_placement(
+                victim, attackers, colluders, run.topology, delta_net_us, run.sro.config.f
+            )
     sim = SimulationRun(
-        topology=topology, policy=policy, delta_net_us=delta_net_us,
+        topology=run.topology, policy=policy, delta_net_us=delta_net_us,
         slot_interval_us=config.slot_ms * US_PER_MS, invocations=placed,
-        sro=sro, adversary=plan,
+        sro=run.sro, adversary=plan, stamps=run.stamps,
     )
     orders = count_orders(
-        sim, config.trials, command_id_deriver(tags, labels),
+        sim, config.trials, CommandIds(tags, labels),
         partial(_trial_seed, config.seed, *tags),
     )
     return Counter({tuple(labels[i] for i in order): n for order, n in orders.items()})
@@ -261,14 +283,13 @@ def run_geo_bias(config: ExperimentConfig) -> TableResult:
     """Pr[A first] - Pr[B first] for simultaneous invocations per city pair."""
     if len(config.origins) < 2:
         raise ConfigError("geo_bias needs at least two origin cities")
-    topology = resolve_topology(config.topology)
-    sro = _sro_for(topology, config.seed)
+    run = _run_for(config)
     t0 = config.slot_ms * US_PER_MS // 2  # mid-slot, away from boundaries
     result = TableResult(header=("city_a", "city_b", "policy", "pr_a_first", "diff", "trials"))
     for pi, (city_a, city_b) in enumerate(combinations(config.origins, 2)):
         for spec in config.policies:
             counts = _count_orders(
-                config, topology, sro, spec, ("geo", pi, spec),
+                run, spec, ("geo", pi, spec),
                 (("a", t0, city_a), ("b", t0, city_b)),
             )
             pr_a = Fraction(counts["a", "b"], config.trials)
@@ -289,12 +310,11 @@ def run_tradeoff_curve(config: ExperimentConfig) -> TableResult:
         raise ConfigError("tradeoff_curve needs exactly two origin cities")
     if not config.gaps_ms:
         raise ConfigError("tradeoff_curve needs a gap sweep")
-    topology = resolve_topology(config.topology)
-    sro = _sro_for(topology, config.seed)
+    run = _run_for(config)
     t0 = config.slot_ms * US_PER_MS // 2
 
     def quorum_median(city):
-        delays = sorted(topology.delays_from(city))[: 2 * sro.config.f + 1]
+        delays = sorted(run.topology.delays_from(city))[: 2 * run.sro.config.f + 1]
         return delays[len(delays) // 2]
 
     slow, fast = sorted(config.origins, key=quorum_median, reverse=True)[:2]
@@ -304,7 +324,7 @@ def run_tradeoff_curve(config: ExperimentConfig) -> TableResult:
     for spec in config.policies:
         for gap_ms in config.gaps_ms:
             counts = _count_orders(
-                config, topology, sro, spec, ("gap", spec, gap_ms),
+                run, spec, ("gap", spec, gap_ms),
                 (("early", t0, slow), ("late", t0 + gap_ms * US_PER_MS, fast)),
             )
             pr_early = Fraction(counts["early", "late"], config.trials)
@@ -332,9 +352,8 @@ def run_sandwich(config: ExperimentConfig) -> TableResult:
     if len(config.offsets_ms) != 2:
         raise ConfigError("sandwich needs two offsets_ms, one per attacker command")
     victim_city, attacker_city = config.origins
-    topology = resolve_topology(config.topology)
-    sro = _sro_for(topology, config.seed)
-    colluders = _colluder_ids(config, sro)
+    run = _run_for(config)
+    colluders = _colluder_ids(config, run.sro)
     t0 = config.slot_ms * US_PER_MS // 2
     buy_us, sell_us = (t0 + ms * US_PER_MS for ms in config.offsets_ms)
     commands = (
@@ -347,9 +366,7 @@ def run_sandwich(config: ExperimentConfig) -> TableResult:
     )
     table = attacks.default_payoff_table()
     for spec in config.policies:
-        counts = _count_orders(
-            config, topology, sro, spec, ("sand", spec), commands, colluders
-        )
+        counts = _count_orders(run, spec, ("sand", spec), commands, colluders)
         freqs = {order: Fraction(counts[order], config.trials) for order in attacks.PERMUTATIONS}
         expected = attacks.expected_attacker_profit(table, freqs)
         for order in attacks.PERMUTATIONS:

@@ -11,9 +11,9 @@ Two interchangeable backends:
   and Lagrange combination at 0.  Any quorum of valid shares yields the
   same value; fewer reveal nothing about it.
 
-Node "signatures" over a slot index are HMAC tags under per-node keys;
-the oracle acts as the trusted verifier of those tags.  That is enough
-unforgeability for a deterministic simulation.
+Node "signatures" over a slot index are keyed BLAKE2b tags (RFC 7693's
+MAC mode) under per-node keys; the oracle acts as the trusted verifier of
+those tags.  That is enough unforgeability for a deterministic simulation.
 """
 
 from __future__ import annotations
@@ -202,7 +202,8 @@ def node_signing_key(rng_seed: bytes, node_id: int) -> bytes:
 
 
 def sign_slot(key: bytes, k: int) -> bytes:
-    return hmac.new(key, _k_bytes(k), hashlib.sha256).digest()
+    """Node ``key``'s 32-byte tag over slot index k: keyed BLAKE2b, one C call."""
+    return hashlib.blake2b(_k_bytes(k), key=key, digest_size=32).digest()
 
 
 class DprfNode:
@@ -322,7 +323,13 @@ class SroHandle:
     def quorum_signatures(self, k: int, node_ids=None) -> frozenset:
         """Signatures over k from n - f nodes (all nodes would sign an agreed slot)."""
         if node_ids is not None:
-            return frozenset((i, sign_slot(self._signing_keys[i], k)) for i in node_ids)
+            signed = []
+            for i in node_ids:
+                key = self._signing_keys.get(i)
+                if key is None:
+                    raise ContractError(f"node id {i!r} is not in range({self.config.n})")
+                signed.append((i, sign_slot(key, k)))
+            return frozenset(signed)
         cached = self._certificates.get(k)
         if cached is None:
             cached = frozenset(

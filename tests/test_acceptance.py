@@ -128,21 +128,20 @@ GEO_CITIES = ("washington", "london", "munich", "tokyo")
 def _joint_four_city_orders():
     """Ledger order of four simultaneous invocations under each baseline."""
     from fairorder.consensus import OrderingPolicy, PlacedInvocation, SimulationRun, count_orders
-    from fairorder.domain import Invocation, make_command_id
+    from fairorder.domain import CommandIds, Invocation
     from fairorder.netmodel import bundled_topology
 
     topology = bundled_topology()
     f = (topology.n_nodes - 1) // 3
+    ids = CommandIds(("joint",), GEO_CITIES)
     placed = [
-        PlacedInvocation(Invocation(make_command_id(c), b"", 750_000), c)
-        for c in GEO_CITIES
+        PlacedInvocation(Invocation(cid, b"", 750_000), c) for cid, c in zip(ids(0), GEO_CITIES)
     ]
-    ids = [p.invocation.command_id for p in placed]
     sro = sro_init(SroConfig(n=topology.n_nodes, f=f, backend=Backend.SEEDED_HASH), SEED)
     orders = []
     for policy in (OrderingPolicy.parse("pompe"), OrderingPolicy.parse("receive")):
         sim = SimulationRun(topology, policy, DNET_US, 1_500_000, placed, sro)
-        (order,) = count_orders(sim, 1, lambda t: ids, lambda t: 0)
+        (order,) = count_orders(sim, 1, ids, lambda t: 0)
         orders.append(tuple(GEO_CITIES[i] for i in order))
     return tuple(orders)
 

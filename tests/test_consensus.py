@@ -18,8 +18,8 @@ from fairorder.consensus import (
     all_correct_precedence,
     count_orders,
 )
-from fairorder.domain import MAX_TIMESTAMP, ContractError, Invocation, make_command_id
-from fairorder.netmodel import CityTopology, bundled_topology, parse_topology
+from fairorder.domain import MAX_TIMESTAMP, CommandIds, ContractError, Invocation, make_command_id
+from fairorder.netmodel import CityTopology, ClampStats, bundled_topology, observe, parse_topology
 from fairorder.sro import Backend, SroConfig, sro_init
 from reference import noise, order_leader_rotation, order_receive_all_correct, run_slotted
 
@@ -180,7 +180,7 @@ class TestRunSlotted:
         plan = AdversaryPlan(node_overrides={(cmd.command_id, 0): -2, (cmd.command_id, 1): -1})
         sim = sim_for([PlacedInvocation(cmd, "solo")], POMPE, adversary=plan)
         with pytest.raises(ContractError, match="precedes the first slot"):
-            count_orders(sim, 1, lambda t: [b"a"], no_seed)
+            count_orders(sim, 1, CommandIds((), "a"), no_seed)
         with pytest.raises(ContractError, match="precedes the first slot"):
             run_slotted(sim)
 
@@ -272,7 +272,7 @@ class TestCountSlottedOrders:
             assert len({slot.index for slot in result.slots if slot.decided_commands}) == 2
             want[tuple(ids.index(cid) for cid in result.ledger.entries)] += 1
         assert len(want) > 1
-        assert count_orders(sim, len(trial_ids), trial_ids.__getitem__, no_seed) == want
+        assert count_orders(sim, len(trial_ids), CommandIds(("t",), range(3)), no_seed) == want
 
     def test_noise_ties_take_the_full_key(self):
         # a 2 µs noise width: about half the trials tie on modified_ts, and
@@ -288,7 +288,7 @@ class TestCountSlottedOrders:
             ])
             want[tuple(ids.index(cid) for cid in run_slotted(renamed).ledger.entries)] += 1
         assert set(want) == {(0, 1), (1, 0)}
-        assert count_orders(sim, len(trial_ids), trial_ids.__getitem__, no_seed) == want
+        assert count_orders(sim, len(trial_ids), CommandIds(("w",), range(2)), no_seed) == want
 
     def test_one_microsecond_noise_ties_every_trial(self):
         # width 1: every noise is 0, so two commands from one city at one
@@ -300,40 +300,117 @@ class TestCountSlottedOrders:
             topology=topology, f=(topology.n_nodes - 1) // 3,
         )
         trial_ids = [[make_command_id("one", t, i) for i in range(2)] for t in range(100)]
-        want = []
-        for ids in trial_ids:
+        deriver = CommandIds(("one",), range(2))
+        before = Counter()
+        for t, ids in enumerate(trial_ids):
             renamed = replace(sim, invocations=[
                 PlacedInvocation(replace(p.invocation, command_id=cid), p.origin_city)
                 for p, cid in zip(placed, ids)
             ])
-            want.append(tuple(ids.index(cid) for cid in run_slotted(renamed).ledger.entries))
-            assert count_orders(sim, 1, lambda _: ids, no_seed) == Counter({want[-1]: 1})
-        assert set(want) == {(0, 1), (1, 0)}
-        assert count_orders(sim, len(trial_ids), trial_ids.__getitem__, no_seed) == Counter(want)
+            want = tuple(ids.index(cid) for cid in run_slotted(renamed).ledger.entries)
+            # trial t alone: the counts of trials 0..t less those of 0..t-1
+            upto = count_orders(sim, t + 1, deriver, no_seed)
+            assert before <= upto and upto - before == Counter({want: 1})
+            before = upto
+        assert set(before) == {(0, 1), (1, 0)}
 
     @pytest.mark.parametrize("width_us", [1, SLOT])
     def test_each_trial_asks_for_its_ids_once(self, width_us):
         # at width 1 every trial ties and sorts by the full key, on the ids
-        # it drew its noise from
-        asked = Counter()
+        # it drew its noise from: each id costs one copy of the tags' state
+        class CountingState:
+            def __init__(self, state):
+                self.state, self.copies = state, 0
 
-        def trial_ids(t):
-            asked[t] += 1
-            return [make_command_id("once", t, i) for i in range(2)]
+            def copy(self):
+                self.copies += 1
+                return self.state.copy()
 
+        trial_ids = CommandIds(("once",), range(2))
+        trial_ids.prefix = CountingState(trial_ids.prefix)
         placed = [PlacedInvocation(inv(label, 100_000), "solo") for label in "ab"]
         sim = sim_for(placed, OrderingPolicy(PolicyKind.BERCOW_NOISE, width_us))
         count_orders(sim, 50, trial_ids, no_seed)
-        assert asked == Counter(range(50))
+        assert trial_ids.prefix.copies == 50 * 2
 
     def test_rejects_noise_that_could_overflow(self):
         # ats fits in 63 bits, ats + the largest noise a trial can draw does not
         t = MAX_TIMESTAMP - DNET - SLOT
         placed = [PlacedInvocation(inv("a", t), "solo")]
-        count_orders(sim_for(placed, POMPE), 1, lambda t: [b"a"], no_seed)
+        count_orders(sim_for(placed, POMPE), 1, CommandIds((), "a"), no_seed)
         wide = OrderingPolicy(PolicyKind.BERCOW_NOISE, 2 * SLOT)
         with pytest.raises(ContractError, match="overflow"):
-            count_orders(sim_for(placed, wide), 1, lambda t: [b"a"], no_seed)
+            count_orders(sim_for(placed, wide), 1, CommandIds((), "a"), no_seed)
+
+
+STAMPED = b"stamped"
+LOW = AdversaryPlan(quorum_bias={STAMPED: "low"})
+# Each changes one part of a command's stamp key, and so its stamp.
+STAMP_VARIANTS = {
+    "city": dict(city="london"),
+    "invoke_time": dict(t=900_000),
+    "delta_net": dict(dnet=100_000),
+    "quorum_size": dict(f=10),
+    "quorum_bias": dict(plan=AdversaryPlan(quorum_bias={STAMPED: "high"})),
+    "node_overrides": dict(plan=replace(
+        LOW, node_overrides={(STAMPED, node): 700_000 for node in range(26)}
+    )),
+    "ats_override": dict(plan=replace(LOW, ats_overrides={STAMPED: 700_000})),
+}
+
+
+def stamp_sim(stamps, city="tokyo", t=700_000, dnet=DNET, f=26, plan=LOW):
+    topology = bundled_topology()
+    return SimulationRun(
+        topology=topology, policy=POMPE, delta_net_us=dnet, slot_interval_us=SLOT,
+        invocations=[PlacedInvocation(Invocation(STAMPED, b"", t), city)],
+        sro=sro_for(topology, f), adversary=plan, stamps=stamps,
+    )
+
+
+def stamps_of(sim):
+    stamped, stats = consensus._timestamp_invocations(sim)
+    return [(quorum, ats, k) for _, quorum, ats, k in stamped], stats
+
+
+class TestStampMemo:
+    @pytest.mark.parametrize("part", sorted(STAMP_VARIANTS))
+    def test_a_different_stamp_is_not_shared(self, part):
+        # the cells of one run share one memo; a command that differs in one
+        # part of its key gets its own stamp, as with a fresh memo
+        variant = STAMP_VARIANTS[part]
+        fresh = stamps_of(stamp_sim({}, **variant))
+        assert fresh[0] != stamps_of(stamp_sim({}))[0]
+        shared = {}
+        stamps_of(stamp_sim(shared))
+        assert stamps_of(stamp_sim(shared, **variant)) == fresh
+        assert len(shared) == 2
+
+    def test_an_equal_stamp_is_shared(self):
+        # honest and low-biased clients pick the same quorum, but the bias
+        # is part of the key
+        shared = {}
+        first = stamps_of(stamp_sim(shared))
+        assert stamps_of(stamp_sim(shared)) == first
+        assert stamps_of(stamp_sim(shared, plan=AdversaryPlan())) == first
+        assert len(shared) == 2
+
+    def test_clamp_stats_count_every_command_on_a_memo_hit(self):
+        topology = bundled_topology()
+        dnet = 200_000  # tokyo's and canberra's farthest nodes are clamped
+        placed = [
+            PlacedInvocation(inv(label, 700_000), city)
+            for label, city in (("t", "tokyo"), ("c", "canberra"), ("again", "tokyo"))
+        ]
+        want = ClampStats()
+        for p in placed:
+            observe(p.invocation, p.origin_city, topology, dnet, stats=want)
+        assert want.violations > 0 and want.observations == 3 * topology.n_nodes
+        sim = replace(sim_for(placed, POMPE, topology=topology, f=26), delta_net_us=dnet)
+        first = stamps_of(sim)
+        assert len(sim.stamps) == 2  # one tokyo stamp for two commands
+        assert first[1] == want
+        assert stamps_of(sim) == first
 
 
 class TestCountBaselineOrders:
@@ -360,7 +437,7 @@ class TestCountBaselineOrders:
             placed, OrderingPolicy(PolicyKind.LEADER_ROTATION, SLOT),
             topology=topology, f=(topology.n_nodes - 1) // 3,
         )
-        count_orders(sim, len(seeds), lambda t: [b"a", b"b"], seeds.__getitem__)
+        count_orders(sim, len(seeds), CommandIds((), "ab"), seeds.__getitem__)
         want = []
         for seed in seeds:
             rng = np.random.default_rng(seed)
@@ -386,14 +463,14 @@ class TestCountOrders:
         # checked on trial 0 even where no tie ever asks for this cell's ids
         placed = [PlacedInvocation(inv("a", 100_000), "solo")]
         with pytest.raises(ValueError, match="1 invocations"):
-            count_orders(sim_for(placed, policy), 1, lambda t: [b"a", b"b"], lambda t: [0, 0])
+            count_orders(sim_for(placed, policy), 1, CommandIds((), "ab"), lambda t: [0, 0])
 
     @pytest.mark.parametrize("trials", [0, -5])
     @pytest.mark.parametrize("policy", ALL_POLICIES, ids=policy_id)
     def test_rejects_fewer_than_one_trial(self, policy, trials):
         placed = [PlacedInvocation(inv(label, 100_000), "solo") for label in "ab"]
         with pytest.raises(ContractError, match="trials must be >= 1"):
-            count_orders(sim_for(placed, policy), trials, lambda t: [b"a", b"b"], lambda t: [0, 0])
+            count_orders(sim_for(placed, policy), trials, CommandIds((), "ab"), lambda t: [0, 0])
 
     @pytest.mark.parametrize("policy", ALL_POLICIES, ids=policy_id)
     def test_every_policy_rejects_an_empty_run(self, policy):

@@ -6,10 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fairorder.domain import (
+    CommandIds,
     ContractError,
     Invocation,
     TimestampedCommand,
-    command_id_deriver,
     make_command_id,
     median_timestamp,
     tie_break_key,
@@ -126,7 +126,7 @@ class TestCommandIds:
     ])
     def test_deriver_equals_make_command_id(self, tags):
         labels = ("a", "victim", "é")
-        ids = command_id_deriver(tags, labels)
+        ids = CommandIds(tags, labels)
         for trial in (0, 1, 999, -1):
             assert ids(trial) == [make_command_id(*tags, trial, label) for label in labels]
         # a deriver hands out fresh copies: repeating a call repeats its ids
@@ -134,15 +134,15 @@ class TestCommandIds:
 
     @pytest.mark.parametrize("label", ["a", b"\x00raw", ("nested", (1, "deeper"), b"")])
     def test_deriver_at_the_int64_limits(self, label):
-        ids = command_id_deriver(("geo", 3, "bercow:1500"), [label])
+        ids = CommandIds(("geo", 3, "bercow:1500"), [label])
         # the label is encoded once; every call reuses that encoding
         for trial in (2**63 - 1, -(2**63), 0):
             assert ids(trial) == [make_command_id("geo", 3, "bercow:1500", trial, label)]
 
     def test_deriver_rejects_what_make_command_id_rejects(self):
         # 1 and 1.0 are equal, but only the int is a valid label
-        assert command_id_deriver(("geo",), [1])(0) == [make_command_id("geo", 0, 1)]
+        assert CommandIds(("geo",), [1])(0) == [make_command_id("geo", 0, 1)]
         with pytest.raises(TypeError):
             make_command_id("geo", 0, 1.0)
         with pytest.raises(TypeError):
-            command_id_deriver(("geo",), [1.0])
+            CommandIds(("geo",), [1.0])

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from importlib import resources
 
 import numpy as np
@@ -17,14 +18,14 @@ from fairorder.consensus import (
     SimulationRun,
     count_orders,
 )
-from fairorder.domain import US_PER_MS, ContractError, Invocation, make_command_id
+from fairorder.domain import US_PER_MS, CommandIds, ContractError, Invocation, make_command_id
 from fairorder.harness import (
     ConfigError,
     ExperimentConfig,
     TableResult,
     _colluder_ids,
     _count_orders,
-    _sro_for,
+    _run_for,
     _trial_seed,
     emit_csv,
     parse_config,
@@ -298,14 +299,17 @@ def cell_run(config, topology, sro, spec, commands, colluders=()):
 
 
 def assert_engine_matches_per_trial(config, sim, tags, commands, reference_orders):
-    """``count_orders`` on trial t of the cell alone gives the reference's
-    order of trial t, for every t."""
+    """Trial t of ``count_orders`` gives the reference's order of trial t,
+    for every t: the counts of trials 0..t exceed those of trials 0..t-1 by
+    exactly that one order."""
     labels = [label for label, _, _ in commands]
+    ids, seeds = CommandIds(tags, labels), partial(_trial_seed, config.seed, *tags)
+    before = Counter()
     for t, want in enumerate(reference_orders):
-        ids = [make_command_id(*tags, t, label) for label in labels]
-        seed = _trial_seed(config.seed, *tags, t)
-        got = count_orders(sim, 1, lambda _: ids, lambda _: seed)
-        assert got == Counter({tuple(map(labels.index, want)): 1}), (t, commands)
+        upto = count_orders(sim, t + 1, ids, seeds)
+        assert before <= upto, (t, commands)
+        assert upto - before == Counter({tuple(map(labels.index, want)): 1}), (t, commands)
+        before = upto
 
 
 def per_trial_orders(config, topology, sro, spec, tags, commands, colluders):
@@ -347,8 +351,8 @@ class TestSlottedEngine:
         # one at or after it, so every cell decides commands in two slots.
         rnd = random.Random(f"{spec}/{n_commands}")
         config = small(scenario="sandwich", trials=60, colluders=colluders)
-        topology = resolve_topology(config.topology)
-        sro = _sro_for(topology, config.seed)
+        run = _run_for(config)
+        topology, sro = run.topology, run.sro
         slot_us, dnet_us = config.slot_ms * US_PER_MS, config.delta_net_ms * US_PER_MS
         for cell in range(3):
             times = [
@@ -368,7 +372,7 @@ class TestSlottedEngine:
             )
             sim = cell_run(config, topology, sro, spec, commands, colluder_ids)
             assert_engine_matches_per_trial(config, sim, tags, commands, want)
-            got = _count_orders(config, topology, sro, spec, tags, commands, colluder_ids)
+            got = _count_orders(run, spec, tags, commands, colluder_ids)
             assert got == Counter(want), commands
             assert len(decided_slots) >= 2
 
@@ -394,6 +398,35 @@ class TestSlottedEngine:
             per_trials[trials] = dict(calls)
         assert per_trials[5]["reveal"] >= 1
         assert per_trials[5] == per_trials[50]
+
+
+    def test_stamps_each_distinct_command_once_per_run(self, monkeypatch):
+        # the median-policy cells of one run share their stamps and plan; a
+        # second run stamps and plans again
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(consensus, "observe", counting("stamp", consensus.observe))
+        monkeypatch.setattr(
+            harness, "private_relay_placement", counting("plan", private_relay_placement)
+        )
+        sandwich = small(
+            scenario="sandwich", policies=("pompe", "bercow:300", "bercow:1500"),
+            origins=("munich", "london"), trials=5, colluders="max",
+        )
+        first = run_sandwich(sandwich).to_csv_text()
+        assert calls == {"stamp": 3, "plan": 1}
+        assert run_sandwich(sandwich).to_csv_text() == first
+        assert calls == {"stamp": 6, "plan": 2}
+        calls.clear()
+        cities = ("washington", "london", "munich", "tokyo")
+        run_geo_bias(small(policies=("pompe", "bercow:300", "bercow:1500"), origins=cities))
+        assert calls == {"stamp": 4}  # 6 pairs x 3 policies x 2 commands, 4 distinct
 
 
 def per_trial_baseline_orders(config, topology, spec, tags, commands):
@@ -423,8 +456,8 @@ class TestBaselineEngine:
     def test_counts_equal_per_trial_runs(self, spec):
         rnd = random.Random(spec)
         config = small(trials=60)
-        topology = resolve_topology(config.topology)
-        sro = _sro_for(topology, config.seed)
+        run = _run_for(config)
+        topology, sro = run.topology, run.sro
         period_us = int(spec.partition(":")[2] or 1500) * US_PER_MS
         dnet_us = config.delta_net_ms * US_PER_MS
         # same city, same time: equal receive times, so only tie keys decide
@@ -449,7 +482,7 @@ class TestBaselineEngine:
             wants.append(per_trial_baseline_orders(config, topology, spec, tags, commands))
             sim = cell_run(config, topology, sro, spec, commands)
             assert_engine_matches_per_trial(config, sim, tags, commands, wants[-1])
-            got = _count_orders(config, topology, sro, spec, tags, commands)
+            got = _count_orders(run, spec, tags, commands)
             assert got == Counter(wants[-1]), commands
         assert set(wants[0]) == {("a", "b"), ("b", "a")}
 
@@ -479,8 +512,8 @@ class TestLazyIds:
         # same city, same instant: the id-free key prefix ties (under bercow,
         # up to the id-keyed noise), so the ids decide every trial
         config = small(trials=80)
-        topology = resolve_topology(config.topology)
-        sro = _sro_for(topology, config.seed)
+        run = _run_for(config)
+        topology, sro = run.topology, run.sro
         commands = (("a", 700 * US_PER_MS, "tokyo"), ("b", 700 * US_PER_MS, "tokyo"))
         tags = ("tie", spec)
         sim = cell_run(config, topology, sro, spec, commands)
@@ -489,31 +522,30 @@ class TestLazyIds:
         else:
             want = per_trial_baseline_orders(config, topology, spec, tags, commands)
         assert_engine_matches_per_trial(config, sim, tags, commands, want)
-        got = _count_orders(config, topology, sro, spec, tags, commands)
+        got = _count_orders(run, spec, tags, commands)
         assert got == Counter(want)
         assert set(got) == {("a", "b"), ("b", "a")}
 
     @pytest.mark.parametrize("spec", ["pompe", "receive"])
     def test_tie_free_cell_derives_no_ids_per_trial(self, spec, monkeypatch):
         derived = Counter()
-        deriver = harness.command_id_deriver
 
-        def counting_deriver(tags, labels):
-            ids = deriver(tags, labels)
+        class Counting(CommandIds):
+            def __call__(self, trial):
+                derived[trial] += len(self.labels)
+                return super().__call__(trial)
 
-            def counting(trial):
-                derived[trial] += len(labels)
-                return ids(trial)
-            return counting
-
-        monkeypatch.setattr(harness, "command_id_deriver", counting_deriver)
+        monkeypatch.setattr(harness, "CommandIds", Counting)
         per_trials = {}
         for trials in (5, 50):
             derived.clear()
             run_geo_bias(small(policies=(spec,), trials=trials))
             per_trials[trials] = dict(derived)
-        # only trial 0's ids, for the id-count check
-        assert per_trials[5] == per_trials[50] == {0: 2}
+        # the id count is checked on the labels: no trial derives its ids
+        assert per_trials[5] == per_trials[50] == {}
+        # a same-city pair ties, and then every trial derives its two ids
+        run_geo_bias(small(policies=(spec,), origins=("tokyo", "tokyo"), trials=5))
+        assert derived == Counter(dict.fromkeys(range(5), 2))
 
     @pytest.mark.parametrize("spec", ["bercow:300", "bercow:1500", "bercow:5000"])
     def test_no_inversion_past_the_horizon(self, spec):
@@ -521,8 +553,8 @@ class TestLazyIds:
         # command, invoked dnet + noise width + 1 µs before the fastest
         # city's, is first in every trial
         config = small(scenario="tradeoff_curve", trials=200)
-        topology = resolve_topology(config.topology)
-        sro = _sro_for(topology, config.seed)
+        run = _run_for(config)
+        topology, sro = run.topology, run.sro
 
         def quorum_median(city):
             delays = sorted(topology.delays_from(city))[: 2 * sro.config.f + 1]
@@ -534,7 +566,7 @@ class TestLazyIds:
         gap_us = config.delta_net_ms * US_PER_MS + OrderingPolicy.parse(spec).param_us + 1
         t0 = config.slot_ms * US_PER_MS // 2
         counts = _count_orders(
-            config, topology, sro, spec, ("horizon", spec),
+            run, spec, ("horizon", spec),
             (("early", t0, slow), ("late", t0 + gap_us, fast)),
         )
         assert counts == Counter({("early", "late"): config.trials})
@@ -591,6 +623,23 @@ class TestCli:
         assert lines == ["n,alpha,epsilon,lower,upper,delta_us",
                          "3,1/5,0.198667,0.085333,0.284000,1800000"]
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--alpha", "1/2", "--dnoise-ms", "1500"],
+            ["--alpha", "1/5", "--curve"],
+            ["--dnoise-ms", "1500", "--curve"],
+            ["--alpha", "1/5", "--dnoise-ms", "0"],
+        ],
+        ids=["alpha-dnoise", "alpha-curve", "dnoise-curve", "alpha-dnoise-zero"],
+    )
+    def test_bounds_alpha_flags_are_exclusive(self, flags, capsys):
+        # each flag sets alpha on its own; two of them are a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--n", "2", *flags])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
     def test_attack_cli(self, tmp_path):
         out = tmp_path / "sandwich.csv"
         code = main(
@@ -637,6 +686,7 @@ class TestCli:
             (["simulate"], "scenario = geo_bias\npolicies = receive\nslot_ms = 0"),
             (["attack", "sandwich", "--policy", "pompe", "--dnet-ms", "0"], None),
             (["bounds", "--alpha", "1/5", "--dnet-ms", "-3"], None),
+            (["bounds", "--n", "2", "--dnoise-ms", "0"], None),
             (["simulate"], "scenario = geo_bias\ntrials = 3"),
             (["simulate"], f"scenario = sandwich\nseed = {2**63}"),
             (["attack", "sandwich", "--policy", "pompe", "--seed", "99999999999999999999"], None),
@@ -654,7 +704,7 @@ class TestCli:
         ],
         ids=["alpha", "attack-colluders", "policy-arg", "colluders", "alphas",
              "one-offset", "unknown-key", "dnet", "negative-gap", "slot",
-             "attack-dnet", "bounds-dnet", "duplicate-key", "seed", "attack-seed",
+             "attack-dnet", "bounds-dnet", "bounds-dnoise-zero", "duplicate-key", "seed", "attack-seed",
              "pompe-arg", "receive-arg", "bare-leader", "bare-bercow", "bercow-zero",
              "leader-zero", "unknown-policy", "no-policies", "no-sandwich-policies",
              "no-alphas", "no-bounds-n"],

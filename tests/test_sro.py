@@ -98,6 +98,71 @@ class TestRevealGating:
         assert len(values) == 1
 
 
+def forged(handle, k, node, tag):
+    """The full certificate over k with ``node``'s tag replaced by ``tag``."""
+    good = handle.quorum_signatures(k)
+    return frozenset((i, tag if i == node else t) for i, t in good)
+
+
+class TestTags:
+    # Each certificate below has n - f = 3 signers, one with a bad tag, so
+    # only 2 of its tags are valid.
+    def test_tag_under_another_nodes_key_rejected(self):
+        handle = handle_for()
+        ((_, other),) = handle.quorum_signatures(5, node_ids=[3])
+        assert not handle.signatures_valid(5, forged(handle, 5, 0, other))
+
+    def test_tag_over_another_slot_rejected(self):
+        handle = handle_for()
+        ((_, other),) = handle.quorum_signatures(6, node_ids=[0])
+        assert not handle.signatures_valid(5, forged(handle, 5, 0, other))
+
+    def test_truncated_tag_rejected(self):
+        handle = handle_for()
+        ((_, tag),) = handle.quorum_signatures(5, node_ids=[0])
+        for cut in (tag[:-1], tag[:16], b""):
+            assert not handle.signatures_valid(5, forged(handle, 5, 0, cut))
+        assert handle.signatures_valid(5, forged(handle, 5, 0, tag))
+
+    @pytest.mark.parametrize("node", [4, -1, "0"])
+    def test_quorum_signatures_rejects_unknown_node(self, node):
+        handle = handle_for()
+        with pytest.raises(ContractError, match=f"node id {node!r}"):
+            handle.quorum_signatures(0, node_ids=[0, node])
+
+
+# The seeded backend's value and proof digest at SEED: what every CSV's
+# tie keys and noise rest on.  Node tags are not part of either.
+SEEDED_PINS = {
+    0: (
+        "054944a6dc41ac0a069c8f246b1b363e96b6f0c0c75039b4055694ac777fb5df"
+        "7dd63e1624da0e4e257c478a7d8f926aaf852898876f5236b72720c0e0ea343b",
+        "ccb6d7bafb20642be0f334427faf0e48a684b90f572e239cd597a9dd7a01e03c"
+        "8e1d67c1d91689ad162a35ffdf4c35b6150ba9d5bef8e48e2d942fe847494956",
+    ),
+    1: (
+        "b3768dddeb8e9521b511330602cb37d72bdc116e2b1fb9d6f0737fe6580f8d11"
+        "5ac7c6dbafcefe316dd3150c9dabf4b95bd4ac47f14fad53630194dc9ae21597",
+        "9563ada19cff4964d16dac30619695ab433f035878967d01461c7e9384d70031"
+        "7ed111db6fec48a1174df9ce202362cf18a2984465af5f145410c0371a9a92a8",
+    ),
+    2**64 - 1: (
+        "ad6704cf76c941884c6a2f1e07963edcb5eb55e282cadcefe0a4be920d8efb8b"
+        "c802e24bdbed065bd7a53693b26fb6a604a09cbaeecec4f086141d26c67de946",
+        "f9c4c9813aa95b7080d0bea5c0b4b5a2ee329f3cde2978266568700f0da1bf72"
+        "e6bebf72cf4efcac349b9271856f6632579c159217743aab0158a1b389eaa521",
+    ),
+}
+
+
+@pytest.mark.parametrize("k", sorted(SEEDED_PINS))
+def test_seeded_reveal_and_proof_are_pinned(k):
+    value, digest = SEEDED_PINS[k]
+    handle = handle_for()
+    assert reveal_k(handle, k).hex() == value
+    assert handle.generate_proof(k).digest.hex() == digest
+
+
 class TestCertificateMemo:
     @pytest.mark.parametrize("backend,field", [(Backend.SEEDED_HASH, None), (Backend.THRESHOLD_DPRF, 101)])
     def test_flipped_tag_rejected_after_reveal(self, backend, field):
