@@ -13,7 +13,7 @@ from .consensus import (
     PolicyKind,
     SimulationRun,
 )
-from .domain import Invocation, Slot, TimestampedCommand, median_timestamp
+from .domain import Invocation, median_timestamp
 from .netmodel import CityTopology, bundled_topology, load_topology, observe
 from .sro import Backend, RevealRequest, SroConfig, sro_init, verify
 
@@ -26,9 +26,7 @@ __all__ = [
     "PolicyKind",
     "RevealRequest",
     "SimulationRun",
-    "Slot",
     "SroConfig",
-    "TimestampedCommand",
     "bundled_topology",
     "delta_linearizability",
     "epsilon_general",

@@ -30,6 +30,7 @@ change its order.
 from __future__ import annotations
 
 import hashlib
+import struct
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -40,12 +41,11 @@ import numpy as np
 
 from .adversary import AdversaryPlan, QUORUM_HIGH, QUORUM_LOW, clamp_to_window
 from .domain import (
+    MAX_TIMESTAMP,
     US_PER_MS,
     CommandIds,
     ContractError,
     Invocation,
-    Slot,
-    TimestampedCommand,
     encode_id_part,
     median_timestamp,
     tie_break_key,
@@ -238,17 +238,6 @@ def _leader_batch(times, invoke_time, schedule, phase_us, rotation_period_us):
         p += 1
 
 
-def all_correct_precedence(receive: dict):
-    """Pairs (a, b) such that every node received a strictly before b."""
-    ids = list(receive)
-    pairs = set()
-    for a in ids:
-        for b in ids:
-            if a != b and all(ra < rb for ra, rb in zip(receive[a], receive[b])):
-                pairs.add((a, b))
-    return pairs
-
-
 def _median_receive(times) -> int:
     return sorted(times)[len(times) // 2]
 
@@ -261,64 +250,139 @@ def _slotted_prefixes(sim: SimulationRun):
     ``pompe`` and that plus the trial's noise under ``bercow``.  Returns the
     tie seeds, the assigned timestamps, and each command's noise hash
     state, keyed by its slot's seed, which a trial extends by the command's
-    id.  Checks each command's ``TimestampedCommand`` on the largest noise a
-    trial can draw (so a run whose noised timestamps could overflow is
-    rejected even if no trial's do), and each decided slot's ``Slot`` and
-    certificate, the latter in ``reveal``.  The empty slots a slot-by-slot
-    run walks until the last emission are neither certified nor revealed:
-    no key depends on their seeds.
+    id.  A run whose noised timestamps could overflow 63 bits is rejected
+    on the largest noise a trial can draw, even if no trial's do.  Each
+    decided slot's certificate is checked in ``reveal``.  The empty slots a
+    slot-by-slot run walks until the last emission are neither certified
+    nor revealed: no key depends on their seeds.
     """
     stamped, _ = _timestamp_invocations(sim)
-    max_noise = max(sim.policy.param_us - 1, 0)
-    by_slot: dict = {}
-    for inv, quorum, ats, k in stamped:
-        cmd = TimestampedCommand(
-            invocation=inv, node_timestamps=quorum, assigned_ts=ats,
-            noise=max_noise, modified_ts=ats + max_noise,
-        )
-        by_slot.setdefault(k, []).append(cmd)
-    seeds = {}
-    for k, decided in by_slot.items():
-        start = k * sim.slot_interval_us
-        certificate = sim.sro.quorum_signatures(k)
-        Slot(  # built for its checks: interval membership, distinct signers
-            index=k,
-            interval_start=start,
-            interval_end=start + sim.slot_interval_us,
-            decided_commands=tuple(decided),
-            decision_certificate=certificate,
-        )
-        seeds[k] = sim.sro.reveal(RevealRequest(k, certificate))
-    states = {k: hashlib.sha512(b"noise" + seed) for k, seed in seeds.items()}
+    if max(ats for _, _, ats, _ in stamped) + max(sim.policy.param_us - 1, 0) > MAX_TIMESTAMP:
+        raise ContractError("timestamp overflow (must fit in 63 bits)")
+    states, tie_seeds = {}, {}
+    for *_, k in stamped:
+        if k not in states:
+            seed = sim.sro.reveal(RevealRequest(k, sim.sro.quorum_signatures(k)))
+            states[k], tie_seeds[k] = hashlib.sha512(b"noise" + seed), seed[:32]
     return (
-        [seeds[k][:32] for *_, k in stamped],
+        [tie_seeds[k] for *_, k in stamped],
         [ats for _, _, ats, _ in stamped],
         [states[k] for *_, k in stamped],
     )
 
 
-def _baseline_prefixes(sim: SimulationRun, trial_seed):
+# numpy's SeedSequence (a pool of 4 uint32 words) and PCG64 seeding constants
+_POOL_WORDS = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_LANE_BYTES = 12  # a uint32 word and room for the carries of ``mix``
+
+
+def _entropy_words(seed) -> bytes:
+    """The uint32 entropy words numpy reads from a seed (a non-negative int
+    or a sequence of them), little-endian: each int gives its words from
+    the lowest, at least one."""
+    words = b""
+    for part in (seed,) if isinstance(seed, int) else seed:
+        if part < 0:
+            raise ContractError(f"a trial seed must be non-negative, got {part}")
+        words += part.to_bytes(((part.bit_length() + 31) >> 5 or 1) << 2, "little")
+    return words
+
+
+def _pcg64_states(seeds) -> list:
+    """``np.random.PCG64(seed).state``'s (state, inc) for every seed at once.
+
+    This restates numpy's ``SeedSequence(seed).generate_state(4, uint64)``
+    (``mix_entropy``, then the output hash) on Python ints.  Seeds with the
+    same number of entropy words are one group, and each group's word j is
+    one int with seed i's word in lane i, ``_LANE_BYTES`` wide.  Every
+    hash constant is independent of the data, so each ``hashmix`` or
+    ``mix`` step is a few big-int operations over all the group's seeds.
+    PCG64 then seeds each state: ``inc`` is (the second 128 bits << 1) | 1,
+    and two LCG steps from 0 add the first 128 bits after the first step.
+    """
+    entropy = [_entropy_words(seed) for seed in seeds]
+    groups: dict = {}
+    for i, words in enumerate(entropy):
+        groups.setdefault(len(words) // 4, []).append(i)
+    out = [None] * len(entropy)
+    for count, members in groups.items():
+        width = _LANE_BYTES * len(members)
+        ones = int.from_bytes((b"\x01" + bytes(_LANE_BYTES - 1)) * len(members), "little")
+        mask = _MASK32 * ones
+        joined = b"".join(entropy[i] for i in members)
+
+        def lanes(j):
+            packed = bytearray(width)
+            for byte in range(4):
+                packed[byte::_LANE_BYTES] = joined[4 * j + byte::4 * count]
+            return int.from_bytes(packed, "little")
+
+        def hashmix(value, hash_const):  # hash_const: [constant, multiplier], stepped in place
+            value ^= hash_const[0] * ones
+            hash_const[0] = hash_const[0] * hash_const[1] & _MASK32
+            value = value * hash_const[0] & mask
+            return (value ^ value >> 16) & mask
+
+        def mix(x, y):  # MIX_MULT_L * x - MIX_MULT_R * y, with no borrow between lanes
+            r = (x * _MIX_MULT_L + y * (-_MIX_MULT_R & _MASK32)) & mask
+            return (r ^ r >> 16) & mask
+
+        words = [lanes(j) for j in range(count)]
+        hash_const = [_INIT_A, _MULT_A]
+        pool = [hashmix(words[i] if i < count else 0, hash_const) for i in range(_POOL_WORDS)]
+        for src in range(_POOL_WORDS):
+            for dst in range(_POOL_WORDS):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src], hash_const))
+        for src in range(_POOL_WORDS, count):
+            for dst in range(_POOL_WORDS):
+                pool[dst] = mix(pool[dst], hashmix(words[src], hash_const))
+        hash_const = [_INIT_B, _MULT_B]
+        state = [hashmix(pool[i % _POOL_WORDS], hash_const) for i in range(2 * _POOL_WORDS)]
+        # uint64 word k is state words 2k (low) and 2k + 1 (high)
+        uint64s = [
+            [low for low, _ in struct.iter_unpack(
+                "<QI", (state[2 * k] | state[2 * k + 1] << 32).to_bytes(width, "little"))]
+            for k in range(4)
+        ]
+        for i, state_hi, state_lo, inc_hi, inc_lo in zip(members, *uint64s):
+            inc = (inc_hi << 65 | inc_lo << 1 | 1) & _MASK128
+            out[i] = (((state_hi << 64 | state_lo) + inc) * _PCG64_MULT + inc) & _MASK128, inc
+    return out
+
+
+def _baseline_prefixes(sim: SimulationRun, trial_seed, trials: int):
     """``count_orders``'s setup under ``leader`` and ``receive``.
 
     The receive matrix depends only on each invocation's city and invoke
     time, so it is built once.  Under ``receive`` the prefix is the fixed
-    median receive time, and the all-correct precedence is checked once,
-    on the median order: a strictly smaller median puts a command first in
-    every trial.  Under ``leader`` it is (period, leader's receive time) for
-    the schedule and phase drawn from ``default_rng(trial_seed(t))``.
+    median receive time.  Under ``leader`` it is (period, leader's receive
+    time) for trial t's schedule and phase, drawn as
+    ``default_rng(trial_seed(t))`` would draw them: every trial's PCG64
+    state is seeded in one bulk pass (``_pcg64_states``), then set on one
+    reused generator, and numpy makes each trial's draws.
     """
     receive = _receive_matrix(sim.invocations, sim.topology, sim.delta_net_us)
     if sim.policy.kind is PolicyKind.RECEIVE_ORDER:
-        medians = [_median_receive(times) for times in receive]
-        for a, b in all_correct_precedence(dict(enumerate(receive))):
-            if medians[a] >= medians[b]:  # pragma: no cover - see the docstring
-                raise AssertionError("median order violates all-correct receive precedence")
-        return [_RECEIVE_TIE_SEED] * len(receive), medians
+        return [_RECEIVE_TIE_SEED] * len(receive), [_median_receive(times) for times in receive]
     period, n = sim.policy.param_us, sim.topology.n_nodes
     invoke = [placed.invocation.invoke_time for placed in sim.invocations]
+    states = _pcg64_states([trial_seed(t) for t in range(trials)])
+    bit_generator = np.random.PCG64(0)  # a fixed seed, never drawn from
+    rng = np.random.Generator(bit_generator)
 
     def batches(t):
-        schedule, phase = _rotation(np.random.default_rng(trial_seed(t)), n, period)
+        state, inc = states[t]
+        bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0,
+        }
+        schedule, phase = _rotation(rng, n, period)
         return [
             _leader_batch(times, it, schedule, phase, period)
             for times, it in zip(receive, invoke)
@@ -366,12 +430,15 @@ def count_orders(sim: SimulationRun, trials: int, trial_ids: CommandIds, trial_s
     Trial t (0 <= t < ``trials``, at least one trial) is ``sim`` with its
     invocations renamed to the ids ``trial_ids(t)``, one ``CommandIds``
     label per invocation, in order; under ``leader`` it draws its schedule
-    and phase from ``np.random.default_rng(trial_seed(t))``, and no other
-    policy calls ``trial_seed``.  The adversary plan is keyed by the ids in
-    ``sim.invocations`` and follows the renaming; ``leader`` and
-    ``receive`` run honest (``SimulationRun`` rejects a plan for them).  An
-    order is a tuple of indices into ``sim.invocations``: the order in
-    which the policy's ledger holds the renamed trial's commands.
+    and phase as ``np.random.default_rng(trial_seed(t))`` would, and no
+    other policy calls ``trial_seed``.  A trial seed is a non-negative int
+    or a sequence of them; every trial's generator state is seeded in one
+    bulk pass, and numpy's ``Generator`` makes every draw.  The adversary
+    plan is keyed by the ids in ``sim.invocations`` and follows the
+    renaming; ``leader`` and ``receive`` run honest (``SimulationRun``
+    rejects a plan for them).  An order is a tuple of indices into
+    ``sim.invocations``: the order in which the policy's ledger holds the
+    renamed trial's commands.
 
     Each policy's ledger is one sort by ``_key``.  (Under slot-by-slot
     agreement, a command decided in slot k_d is emitted by slot
@@ -393,7 +460,7 @@ def count_orders(sim: SimulationRun, trials: int, trial_ids: CommandIds, trial_s
     if sim.policy.median_timestamps:
         tie_seeds, prefixes, noise_states = _slotted_prefixes(sim)
     else:
-        tie_seeds, prefixes = _baseline_prefixes(sim, trial_seed)
+        tie_seeds, prefixes = _baseline_prefixes(sim, trial_seed, trials)
     if sim.policy.kind is PolicyKind.BERCOW_NOISE:
         return _count_noised(prefixes, noise_states, sim.policy.param_us, tie_seeds,
                              trial_ids, trials)

@@ -1,4 +1,4 @@
-"""Core vocabulary: invocations, timestamps, slots, tie keys.
+"""Core vocabulary: invocations, median timestamps, command ids, tie keys.
 
 All times are integer microseconds. Timestamps must fit in 63 bits so that
 sums with noise never overflow on any platform.
@@ -90,53 +90,6 @@ class CommandIds:
             h.update(trial + label)
             out.append(h.digest())
         return out
-
-
-@dataclass(frozen=True)
-class TimestampedCommand:
-    """An invocation bound to its quorum timestamps, noise, and sort key."""
-
-    invocation: Invocation
-    node_timestamps: tuple  # ((node_id, ts_us), ...), exactly 2f+1 entries
-    assigned_ts: int
-    noise: int
-    modified_ts: int
-
-    def __post_init__(self):
-        values = [ts for _, ts in self.node_timestamps]
-        if median_timestamp(values) != self.assigned_ts:
-            raise ContractError("assigned_ts is not the median of node_timestamps")
-        if self.noise < 0:
-            raise ContractError("noise must be >= 0")
-        if self.modified_ts != self.assigned_ts + self.noise:
-            raise ContractError("modified_ts != assigned_ts + noise")
-        if self.modified_ts > MAX_TIMESTAMP:
-            raise ContractError("timestamp overflow (must fit in 63 bits)")
-
-    @property
-    def command_id(self) -> bytes:
-        return self.invocation.command_id
-
-
-@dataclass(frozen=True)
-class Slot:
-    """One consensus decision: a time interval and the commands assigned to it."""
-
-    index: int
-    interval_start: int
-    interval_end: int
-    decided_commands: tuple = ()
-    decision_certificate: frozenset = frozenset()  # {(node_id, signature_bytes)}
-
-    def __post_init__(self):
-        if self.interval_end <= self.interval_start:
-            raise ContractError("slot interval must be nonempty")
-        for cmd in self.decided_commands:
-            if not (self.interval_start <= cmd.assigned_ts < self.interval_end):
-                raise ContractError("decided command outside slot interval")
-        ids = {node for node, _ in self.decision_certificate}
-        if len(ids) != len(self.decision_certificate):
-            raise ContractError("duplicate node in decision certificate")
 
 
 def tie_break_key(slot_seed: bytes, command_id: bytes) -> bytes:

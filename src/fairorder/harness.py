@@ -20,18 +20,22 @@ from, ``_trial_seed(seed, *tags, t)``.  Changing either changes the CSVs.
 No cell runs trial by trial: every policy's cell is one ``SimulationRun``
 and one call of the engine, ``consensus.count_orders``, which computes
 what the ids do not affect once per cell and counts every trial's ledger
-order in one batch.  A cell's ids come from ``CommandIds(tags, labels)``,
-which hashes the tags and encodes each label once per cell and the trial
-once per trial.  They are derived only where they can matter: once per
-trial under ``bercow``, in the same pass as its noise, for the noise and
-any tie; otherwise only for a trial whose id-free key prefix ties.  Work
-that no cell changes is done once: the bundled topology is parsed once
-per process, the topology memoizes each (city, invoke time, delta_net)
-receive vector that ``observe`` returns, and the sandwich payoff table is
-built once per process.  Within one ``run_experiment`` call (``_Run``),
-the median-policy cells share each distinct command's stamp (its quorum
-and assigned timestamp, ``SimulationRun.stamps``) and each colluder
-plan, so a sandwich run stamps its three commands once and plans once.
+order in one batch.  A leader cell seeds all its trials' generators in one
+bulk pass, which restates numpy's ``SeedSequence`` over Python ints, and
+numpy's ``Generator`` still makes each trial's draws, the same as
+``default_rng(_trial_seed(seed, *tags, t))`` makes.  A cell's ids come
+from ``CommandIds(tags, labels)``, which hashes the tags and encodes each
+label once per cell and the trial once per trial.  They are derived only
+where they can matter: once per trial under ``bercow``, in the same pass
+as its noise, for the noise and any tie; otherwise only for a trial whose
+id-free key prefix ties.  Work that no cell changes is done once: the
+bundled topology is parsed once per process, the topology memoizes each
+(city, invoke time, delta_net) receive vector that ``observe`` returns,
+and the sandwich payoff table is built once per process.  Within one
+``run_experiment`` call (``_Run``), the median-policy cells share each
+distinct command's stamp (its quorum and assigned timestamp,
+``SimulationRun.stamps``) and each colluder plan, so a sandwich run stamps
+its three commands once and plans once.
 """
 
 from __future__ import annotations

@@ -120,6 +120,8 @@ class SroConfig:
     test_field: int | None = None  # small prime p > n; None selects the production group
 
     def __post_init__(self):
+        if self.f < 0:
+            raise ContractError(f"f must be >= 0, got {self.f}")
         if self.n < 3 * self.f + 1:
             raise ContractError(f"need n >= 3f+1, got n={self.n}, f={self.f}")
         if self.quorum <= self.f:

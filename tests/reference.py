@@ -3,22 +3,19 @@
 The tests compare the package's one ordering engine,
 ``fairorder.consensus.count_orders``, with these: one run, one ledger,
 built from scratch with public ``domain``, ``netmodel``, ``adversary`` and
-``sro`` calls only.  The spec constants are restated here, not imported, so
-a change to the engine's noise, tie keys or leader draws shows up as a
-disagreement instead of being shared by both sides.
+``sro`` calls only.  The per-slot records ``TimestampedCommand`` and
+``Slot`` live here, with the checks their fields must pass, and so does the
+all-correct precedence that the receive baseline's median order extends.
+The spec constants are restated here, not imported, so a change to the
+engine's noise, tie keys or leader draws shows up as a disagreement instead
+of being shared by both sides.
 """
 
 import hashlib
 from dataclasses import dataclass, field
 
 from fairorder.adversary import QUORUM_HIGH, clamp_to_window
-from fairorder.domain import (
-    ContractError,
-    Slot,
-    TimestampedCommand,
-    median_timestamp,
-    tie_break_key,
-)
+from fairorder.domain import ContractError, Invocation, median_timestamp, tie_break_key
 from fairorder.netmodel import observe
 from fairorder.sro import RevealRequest
 
@@ -26,6 +23,54 @@ NOISE_PREFIX = b"noise"
 SLOT_TIE_SEED_BYTES = 32  # a slot's tie keys are keyed by its seed's first 32 bytes
 LEADER_TIE_SEED = b"leader"
 RECEIVE_TIE_SEED = b"receive"
+MAX_TIMESTAMP = 2**63 - 1  # a timestamp and its noise fit in 63 bits
+
+
+@dataclass(frozen=True)
+class TimestampedCommand:
+    """An invocation bound to its quorum timestamps, noise, and sort key."""
+
+    invocation: Invocation
+    node_timestamps: tuple  # ((node_id, ts_us), ...), exactly 2f+1 entries
+    assigned_ts: int
+    noise: int
+    modified_ts: int
+
+    def __post_init__(self):
+        values = [ts for _, ts in self.node_timestamps]
+        if median_timestamp(values) != self.assigned_ts:
+            raise ContractError("assigned_ts is not the median of node_timestamps")
+        if self.noise < 0:
+            raise ContractError("noise must be >= 0")
+        if self.modified_ts != self.assigned_ts + self.noise:
+            raise ContractError("modified_ts != assigned_ts + noise")
+        if self.modified_ts > MAX_TIMESTAMP:
+            raise ContractError("timestamp overflow (must fit in 63 bits)")
+
+    @property
+    def command_id(self) -> bytes:
+        return self.invocation.command_id
+
+
+@dataclass(frozen=True)
+class Slot:
+    """One consensus decision: a time interval and the commands assigned to it."""
+
+    index: int
+    interval_start: int
+    interval_end: int
+    decided_commands: tuple = ()
+    decision_certificate: frozenset = frozenset()  # {(node_id, signature_bytes)}
+
+    def __post_init__(self):
+        if self.interval_end <= self.interval_start:
+            raise ContractError("slot interval must be nonempty")
+        for cmd in self.decided_commands:
+            if not (self.interval_start <= cmd.assigned_ts < self.interval_end):
+                raise ContractError("decided command outside slot interval")
+        ids = {node for node, _ in self.decision_certificate}
+        if len(ids) != len(self.decision_certificate):
+            raise ContractError("duplicate node in decision certificate")
 
 
 @dataclass
@@ -153,6 +198,16 @@ def order_leader_rotation(
     return ledger
 
 
+def all_correct_precedence(receive: dict):
+    """Pairs (a, b) such that every node received a strictly before b."""
+    return {
+        (a, b)
+        for a, times_a in receive.items()
+        for b, times_b in receive.items()
+        if a != b and all(ra < rb for ra, rb in zip(times_a, times_b))
+    }
+
+
 def order_receive_all_correct(placed_invocations, topology, delta_net_us) -> Ledger:
     """All-correct receive-order baseline.
 
@@ -169,7 +224,6 @@ def order_receive_all_correct(placed_invocations, topology, delta_net_us) -> Led
         (sorted(times)[len(times) // 2], tie_break_key(RECEIVE_TIE_SEED, cid), cid)
         for cid, times in received.items()
     )]
-    for i, later in enumerate(ordered):
-        for earlier in ordered[:i]:
-            assert not all(a < b for a, b in zip(received[later], received[earlier]))
+    for a, b in all_correct_precedence(received):
+        assert ordered.index(a) < ordered.index(b)
     return Ledger(ordered, max(max(times) for times in received.values()) + 1)

@@ -15,13 +15,19 @@ from fairorder.consensus import (
     PlacedInvocation,
     PolicyKind,
     SimulationRun,
-    all_correct_precedence,
     count_orders,
 )
 from fairorder.domain import MAX_TIMESTAMP, CommandIds, ContractError, Invocation, make_command_id
+from fairorder.harness import _trial_seed
 from fairorder.netmodel import CityTopology, ClampStats, bundled_topology, observe, parse_topology
 from fairorder.sro import Backend, SroConfig, sro_init
-from reference import noise, order_leader_rotation, order_receive_all_correct, run_slotted
+from reference import (
+    all_correct_precedence,
+    noise,
+    order_leader_rotation,
+    order_receive_all_correct,
+    run_slotted,
+)
 
 DNET = 300_000
 SLOT = 1_500_000
@@ -445,6 +451,116 @@ class TestCountBaselineOrders:
         assert drawn == want
 
 
+U64 = 2**64 - 1
+# Trial seeds whose entropy words (numpy reads each int as its uint32 words,
+# lowest first, at least one) differ from the usual [config seed, digest64]
+EDGE_SEEDS = {
+    "config-seed-0": _trial_seed(0, "geo", 0, "leader:1500", 0),  # one word for 0
+    "negative-config-seed": _trial_seed(-1, "geo", 0, "leader:1500", 0),  # masked to 64 bits
+    "most-negative-config-seed": _trial_seed(-(2**63), "geo", 0, "leader:1500", 0),
+    "digest-below-2^32": [20240601, 5],
+    "both-below-2^32": [7, 2**32 - 1],
+    "zeros": [0, 0],
+    "all-ones": [U64, U64],
+    "five-words": [1, 2, 3, 4, 5],
+    "six-words": [U64, U64, U64],
+    "seven-words": [2**224 - 1],
+    "bare-int": U64,
+    "bare-zero": 0,
+    "no-words": [],
+}
+
+
+def leader_draws(seeds, monkeypatch, period=SLOT):
+    """Each trial's (schedule, phase) in one leader cell of ``count_orders``
+    whose trial t is seeded by ``seeds[t]``, on the bundled topology."""
+    drawn = []
+    rotation = consensus._rotation
+
+    def recording(*args):
+        drawn.append(rotation(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(consensus, "_rotation", recording)
+    topology = bundled_topology()
+    placed = [
+        PlacedInvocation(inv("a", 100_000), "tokyo"),
+        PlacedInvocation(inv("b", 100_000), "washington"),
+    ]
+    sim = sim_for(
+        placed, OrderingPolicy(PolicyKind.LEADER_ROTATION, period),
+        topology=topology, f=(topology.n_nodes - 1) // 3,
+    )
+    count_orders(sim, len(seeds), CommandIds((), "ab"), seeds.__getitem__)
+    return drawn
+
+
+def numpy_state(seed):
+    state = np.random.PCG64(np.random.SeedSequence(seed)).state["state"]
+    return state["state"], state["inc"]
+
+
+def numpy_draws(seed, period=SLOT):
+    rng = np.random.default_rng(seed)
+    return rng.permutation(80).tolist(), int(rng.integers(0, period))
+
+
+@pytest.fixture(scope="module")
+def harness_shaped_seeds():
+    """10^4 trial seeds as the harness makes them, over five config seeds."""
+    return [
+        _trial_seed(config_seed, "geo", pair, "leader:1500", t)
+        for config_seed in (20240601, 1, -7, 2**63 - 1, -(2**63))
+        for pair in range(4)
+        for t in range(500)
+    ]
+
+
+class TestBulkSeeding:
+    """``_pcg64_states`` restates numpy's SeedSequence and PCG64 seeding, so
+    a numpy release that changed either, or the ``Generator`` draws made
+    from a state, fails here."""
+
+    def test_states_equal_numpys_for_harness_seeds(self, harness_shaped_seeds):
+        seeds = harness_shaped_seeds
+        assert len(seeds) == 10**4 and len({tuple(s) for s in seeds}) == 10**4
+        assert consensus._pcg64_states(seeds) == [numpy_state(s) for s in seeds]
+
+    def test_draws_equal_default_rngs_for_harness_seeds(self, harness_shaped_seeds, monkeypatch):
+        seeds = harness_shaped_seeds
+        assert leader_draws(seeds, monkeypatch) == [numpy_draws(s) for s in seeds]
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS.values(), ids=EDGE_SEEDS)
+    def test_edge_seed_alone(self, seed, monkeypatch):
+        # a cell of one trial: a group of one lane
+        assert consensus._pcg64_states([seed]) == [numpy_state(seed)]
+        assert leader_draws([seed], monkeypatch, period=7) == [numpy_draws(seed, period=7)]
+
+    def test_cell_mixing_word_counts(self, monkeypatch):
+        rnd = random.Random(16)
+        seeds = [[rnd.getrandbits(64), rnd.getrandbits(64)] for _ in range(40)]
+        seeds += list(EDGE_SEEDS.values()) * 3
+        rnd.shuffle(seeds)
+        assert consensus._pcg64_states(seeds) == [numpy_state(s) for s in seeds]
+        assert leader_draws(seeds, monkeypatch) == [numpy_draws(s) for s in seeds]
+
+    def test_leader_cell_never_calls_default_rng(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the leader path seeds in bulk")
+
+        seeds = [[5, t] for t in range(30)]
+        want = [numpy_draws(s) for s in seeds]
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        assert leader_draws(seeds, monkeypatch) == want
+
+    @pytest.mark.parametrize("seed", [-1, [3, -1], [-(2**64)]])
+    def test_negative_entropy_rejected(self, seed):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence(seed)
+        with pytest.raises(ContractError, match="non-negative"):
+            consensus._pcg64_states([[1, 2], seed])
+
+
 ALL_POLICIES = (
     POMPE,
     BERCOW,
@@ -553,3 +669,26 @@ class TestReceiveOrder:
             for c, d in pairs:
                 if b == c:
                     assert (a, d) in pairs
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.tuples(st.integers(0, 2 * DNET), st.sampled_from(bundled_topology().city_names)),
+        min_size=2, max_size=5,
+    ))
+    def test_engine_order_extends_all_correct_precedence(self, invocations):
+        # a command every node received first has every order statistic of
+        # its receive times smaller, so the median order extends the relation
+        topology = bundled_topology()
+        placed = [
+            PlacedInvocation(inv(("r", i), t), city) for i, (t, city) in enumerate(invocations)
+        ]
+        sim = sim_for(placed, OrderingPolicy(PolicyKind.RECEIVE_ORDER), topology=topology,
+                      f=(topology.n_nodes - 1) // 3)
+        (order,) = count_orders(sim, 1, CommandIds((), range(len(placed))), no_seed)
+        position = {command: at for at, command in enumerate(order)}
+        receive = {
+            i: [ts for _, ts in observe(p.invocation, p.origin_city, topology, DNET)]
+            for i, p in enumerate(placed)
+        }
+        for a, b in all_correct_precedence(receive):
+            assert position[a] < position[b]

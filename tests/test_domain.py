@@ -9,11 +9,11 @@ from fairorder.domain import (
     CommandIds,
     ContractError,
     Invocation,
-    TimestampedCommand,
     make_command_id,
     median_timestamp,
     tie_break_key,
 )
+from reference import MAX_TIMESTAMP, Slot, TimestampedCommand
 
 
 def make_cmd(ident, quorum, noise=0):
@@ -104,6 +104,31 @@ class TestTypes:
     def test_noise_nonnegative(self):
         with pytest.raises(ContractError):
             make_cmd("x", [(0, 5), (1, 5), (2, 5)], noise=-1)
+
+    def test_timestamped_command_checks_overflow(self):
+        edge = [(0, MAX_TIMESTAMP - 1)] * 3
+        assert make_cmd("x", edge, noise=1).modified_ts == MAX_TIMESTAMP
+        with pytest.raises(ContractError, match="overflow"):
+            make_cmd("x", edge, noise=2)
+
+    @pytest.mark.parametrize("start, end", [(10, 10), (10, 9)])
+    def test_slot_interval_nonempty(self, start, end):
+        with pytest.raises(ContractError, match="nonempty"):
+            Slot(index=0, interval_start=start, interval_end=end)
+
+    @pytest.mark.parametrize("ts, inside", [(99, False), (100, True), (199, True), (200, False)])
+    def test_slot_holds_only_its_interval(self, ts, inside):
+        cmd = make_cmd("x", [(0, ts), (1, ts), (2, ts)])
+        if inside:
+            assert Slot(1, 100, 200, (cmd,)).decided_commands == (cmd,)
+        else:
+            with pytest.raises(ContractError, match="outside slot interval"):
+                Slot(1, 100, 200, (cmd,))
+
+    def test_slot_certificate_signers_distinct(self):
+        Slot(0, 0, 10, decision_certificate=frozenset({(0, b"a"), (1, b"a")}))
+        with pytest.raises(ContractError, match="duplicate node"):
+            Slot(0, 0, 10, decision_certificate=frozenset({(0, b"a"), (0, b"b")}))
 
 
 class TestCommandIds:

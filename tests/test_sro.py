@@ -36,6 +36,17 @@ class TestConfig:
         with pytest.raises(ContractError):
             SroConfig(n=3, f=1, backend=Backend.SEEDED_HASH)
 
+    @pytest.mark.parametrize("backend", list(Backend))
+    def test_rejects_negative_f(self, backend, capsys):
+        # n - f would exceed n, a quorum larger than the node set
+        with pytest.raises(ContractError, match="f must be >= 0"):
+            SroConfig(n=4, f=-1, backend=backend)
+        argv = ["sro-demo", "--backend", backend.value, "--n", "4", "--f", "-1"]
+        if backend is Backend.THRESHOLD_DPRF:
+            argv += ["--test-field", "101"]
+        assert main(argv) == 3
+        assert "error category=config: f must be >= 0" in capsys.readouterr().err
+
     def test_degenerate_single_node(self):
         handle = handle_for(n=1, f=0)
         assert len(reveal_k(handle, 0)) == 64
