@@ -3,9 +3,9 @@
 ``PolicyKind`` defines each policy once, and ``OrderingPolicy.parse``
 reads a spec -- ``pompe``, ``receive``, ``leader:<ms>`` or ``bercow:<ms>``.
 
-``count_orders`` counts the ledger orders of many trials of one
-``SimulationRun``: trials differ only in their command ids and, under
-leader rotation, in the rotation drawn.  It serves every policy:
+``trial_orders`` yields the ledger order of each of many trials of one
+``SimulationRun``, in trial order: trials differ only in their command ids
+and, under leader rotation, in the rotation drawn.  It serves every policy:
 
 * ``pompe`` and ``bercow`` (median timestamps, idealized per-slot
   agreement): a command's assigned timestamp is the median of its 2f+1
@@ -24,14 +24,14 @@ command id).  The prefix is the modified timestamp under the median
 policies, (period, leader's receive time) under leader rotation and the
 median receive time under receive ordering.  What the ids do not affect is
 computed once per run, and a trial's ids are asked for only when they can
-change its order.
+change its order.  One loop, ``_orders``, turns each trial's prefixes into
+its order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
@@ -210,14 +210,6 @@ _LEADER_TIE_SEED = b"leader"
 _RECEIVE_TIE_SEED = b"receive"
 
 
-def _receive_matrix(placed_invocations, topology, delta_net_us):
-    """Each invocation's per-node receive times, in invocation order."""
-    return [
-        [ts for _, ts in observe(p.invocation, p.origin_city, topology, delta_net_us)]
-        for p in placed_invocations
-    ]
-
-
 def _rotation(rng, n: int, rotation_period_us: int):
     """The leader schedule, then the rotation phase, drawn from ``rng``."""
     return rng.permutation(n).tolist(), int(rng.integers(0, rotation_period_us))
@@ -238,12 +230,8 @@ def _leader_batch(times, invoke_time, schedule, phase_us, rotation_period_us):
         p += 1
 
 
-def _median_receive(times) -> int:
-    return sorted(times)[len(times) // 2]
-
-
 def _slotted_prefixes(sim: SimulationRun):
-    """``count_orders``'s setup under ``pompe`` and ``bercow``.
+    """``trial_orders``' setup under ``pompe`` and ``bercow``.
 
     Each command's tie seed is the revealed seed of the slot that decides
     it; its key prefix is its modified_ts, the assigned timestamp under
@@ -357,7 +345,7 @@ def _pcg64_states(seeds) -> list:
 
 
 def _baseline_prefixes(sim: SimulationRun, trial_seed, trials: int):
-    """``count_orders``'s setup under ``leader`` and ``receive``.
+    """``trial_orders``' setup under ``leader`` and ``receive``.
 
     The receive matrix depends only on each invocation's city and invoke
     time, so it is built once.  Under ``receive`` the prefix is the fixed
@@ -365,46 +353,47 @@ def _baseline_prefixes(sim: SimulationRun, trial_seed, trials: int):
     time) for trial t's schedule and phase, drawn as
     ``default_rng(trial_seed(t))`` would draw them: every trial's PCG64
     state is seeded in one bulk pass (``_pcg64_states``), then set on one
-    reused generator, and numpy makes each trial's draws.
+    reused generator, and numpy makes each trial's draws.  Returns the tie
+    seeds and the fixed prefixes, or under ``leader`` each trial's
+    (prefixes, None) as it is drawn.
     """
-    receive = _receive_matrix(sim.invocations, sim.topology, sim.delta_net_us)
+    receive = [  # each invocation's per-node receive times
+        [ts for _, ts in observe(p.invocation, p.origin_city, sim.topology, sim.delta_net_us)]
+        for p in sim.invocations
+    ]
     if sim.policy.kind is PolicyKind.RECEIVE_ORDER:
-        return [_RECEIVE_TIE_SEED] * len(receive), [_median_receive(times) for times in receive]
+        return [_RECEIVE_TIE_SEED] * len(receive), [sorted(ts)[len(ts) // 2] for ts in receive]
     period, n = sim.policy.param_us, sim.topology.n_nodes
     invoke = [placed.invocation.invoke_time for placed in sim.invocations]
     states = _pcg64_states([trial_seed(t) for t in range(trials)])
     bit_generator = np.random.PCG64(0)  # a fixed seed, never drawn from
     rng = np.random.Generator(bit_generator)
 
-    def batches(t):
-        state, inc = states[t]
-        bit_generator.state = {
-            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0,
-        }
-        schedule, phase = _rotation(rng, n, period)
-        return [
-            _leader_batch(times, it, schedule, phase, period)
-            for times, it in zip(receive, invoke)
-        ]
+    def batches():
+        for state, inc in states:
+            bit_generator.state = {
+                "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                "has_uint32": 0, "uinteger": 0,
+            }
+            schedule, phase = _rotation(rng, n, period)
+            yield [
+                _leader_batch(times, it, schedule, phase, period)
+                for times, it in zip(receive, invoke)
+            ], None
 
-    return [_LEADER_TIE_SEED] * len(receive), batches
+    return [_LEADER_TIE_SEED] * len(receive), batches()
 
 
-def _count_noised(assigned, noise_states, width_us, tie_seeds, trial_ids, trials) -> Counter:
+def _noised_prefixes(assigned, noise_states, width_us, trial_ids, trials):
     """The ``bercow`` kernel: per trial, one pass over the commands that
-    derives each id and its noise, then one tie check and one sort.
+    derives each id and its noise, yielding the trial's prefixes and ids.
 
     The trial is encoded once, and each id is derived inline exactly as
     ``trial_ids(t)`` derives it.  A command's noise is uniform in [0, width):
     the first 64 bits of SHA-512("noise" || slot seed || command id), scaled
     exactly, so the bias is at most 2^-64 and the draw is the same on every
-    platform.  Its key prefix is its assigned timestamp plus that noise;
-    only a trial whose prefixes tie sorts by the full ``_key``, on the ids
-    it already has.
+    platform.  Its key prefix is its assigned timestamp plus that noise.
     """
-    counts = Counter()
-    indices = range(len(assigned))
     commands = tuple(zip(assigned, noise_states, trial_ids.labels))
     id_prefix = trial_ids.prefix
     for t in range(trials):
@@ -418,27 +407,39 @@ def _count_noised(assigned, noise_states, width_us, tie_seeds, trial_ids, trials
             h = state.copy()
             h.update(cid)
             prefix.append(ats + ((int.from_bytes(h.digest()[:8], "big") * width_us) >> 64))
+        yield prefix, ids
+
+
+def _orders(tie_seeds, per_trial, trial_ids):
+    """The one per-trial loop: each trial's (prefixes, ids) in, its order
+    out.  Only a trial whose prefixes tie sorts by the full ``_key``, on the
+    ids its setup derived or, if it derived none, on ``trial_ids(t)``."""
+    indices = range(len(tie_seeds))
+    for t, (prefix, ids) in enumerate(per_trial):
         if len(set(prefix)) < len(prefix):
-            prefix = [_key(p, seed, cid) for p, seed, cid in zip(prefix, tie_seeds, ids)]
-        counts[tuple(sorted(indices, key=prefix.__getitem__))] += 1
-    return counts
+            prefix = [
+                _key(p, seed, cid)
+                for p, seed, cid in zip(prefix, tie_seeds, ids or trial_ids(t), strict=True)
+            ]
+        yield tuple(sorted(indices, key=prefix.__getitem__))
 
 
-def count_orders(sim: SimulationRun, trials: int, trial_ids: CommandIds, trial_seed) -> Counter:
-    """The ledger orders of many trials of one run, counted, under any policy.
+def trial_orders(sim: SimulationRun, trials: int, trial_ids: CommandIds, trial_seed):
+    """Each trial's ledger order, in trial order, for one run under any policy.
 
     Trial t (0 <= t < ``trials``, at least one trial) is ``sim`` with its
     invocations renamed to the ids ``trial_ids(t)``, one ``CommandIds``
     label per invocation, in order; under ``leader`` it draws its schedule
-    and phase as ``np.random.default_rng(trial_seed(t))`` would, and no
-    other policy calls ``trial_seed``.  A trial seed is a non-negative int
-    or a sequence of them; every trial's generator state is seeded in one
-    bulk pass, and numpy's ``Generator`` makes every draw.  The adversary
-    plan is keyed by the ids in ``sim.invocations`` and follows the
-    renaming; ``leader`` and ``receive`` run honest (``SimulationRun``
-    rejects a plan for them).  An order is a tuple of indices into
-    ``sim.invocations``: the order in which the policy's ledger holds the
-    renamed trial's commands.
+    and phase as ``np.random.default_rng(trial_seed(t))`` would (a seed is
+    a non-negative int or a sequence of them), and no other policy calls
+    ``trial_seed``.  The adversary plan is keyed by the ids in
+    ``sim.invocations`` and follows the renaming; ``leader`` and ``receive``
+    run honest (``SimulationRun`` rejects a plan for them).  An order is a
+    tuple of indices into ``sim.invocations``: the order in which the
+    policy's ledger holds the renamed trial's commands.  Trial t's order
+    does not depend on ``trials``.  The run's checks, stamping, reveals and
+    seeding happen in this call; a trial's noise, draws and sort happen as
+    the returned iterator yields it.
 
     Each policy's ledger is one sort by ``_key``.  (Under slot-by-slot
     agreement, a command decided in slot k_d is emitted by slot
@@ -446,10 +447,10 @@ def count_orders(sim: SimulationRun, trials: int, trial_ids: CommandIds, trial_s
     sorted, after every earlier slot's smaller ones.)  A per-policy setup
     makes the run's checks and computes once what the ids do not affect:
     each command's tie seed and key prefix.  Under ``bercow`` every trial
-    derives its ids once, for its noise (``_count_noised``).  Otherwise a
+    derives its ids once, for its noise (``_noised_prefixes``).  Otherwise a
     prefix that no trial changes and that has no tie gives every trial one
-    order, counted without ids, and each other trial sorts its prefixes and
-    derives its ids only on a tie.
+    order, repeated without ids, and each other trial derives its ids only
+    on a tie.
     """
     if trials < 1:
         raise ContractError(f"trials must be >= 1, got {trials}")
@@ -457,26 +458,17 @@ def count_orders(sim: SimulationRun, trials: int, trial_ids: CommandIds, trial_s
         raise ValueError(
             f"{len(trial_ids.labels)} command labels for {len(sim.invocations)} invocations"
         )
-    if sim.policy.median_timestamps:
+    kind = sim.policy.kind
+    if kind.median_timestamps:
         tie_seeds, prefixes, noise_states = _slotted_prefixes(sim)
     else:
         tie_seeds, prefixes = _baseline_prefixes(sim, trial_seed, trials)
-    if sim.policy.kind is PolicyKind.BERCOW_NOISE:
-        return _count_noised(prefixes, noise_states, sim.policy.param_us, tie_seeds,
-                             trial_ids, trials)
-    indices = range(len(tie_seeds))
-    if callable(prefixes):
-        per_trial = map(prefixes, range(trials))
-    elif len(set(prefixes)) == len(prefixes):
-        return Counter({tuple(sorted(indices, key=prefixes.__getitem__)): trials})
+    if kind is PolicyKind.BERCOW_NOISE:
+        per_trial = _noised_prefixes(prefixes, noise_states, sim.policy.param_us, trial_ids, trials)
+    elif kind is PolicyKind.LEADER_ROTATION:
+        per_trial = prefixes
+    elif len(set(prefixes)) == len(prefixes):  # pompe or receive: one order, no tie
+        return repeat(tuple(sorted(range(len(prefixes)), key=prefixes.__getitem__)), trials)
     else:
-        per_trial = repeat(prefixes, trials)
-    counts = Counter()
-    for t, prefix in enumerate(per_trial):
-        if len(set(prefix)) < len(prefix):
-            prefix = [
-                _key(p, seed, cid)
-                for p, seed, cid in zip(prefix, tie_seeds, trial_ids(t), strict=True)
-            ]
-        counts[tuple(sorted(indices, key=prefix.__getitem__))] += 1
-    return counts
+        per_trial = repeat((prefixes, None), trials)
+    return _orders(tie_seeds, per_trial, trial_ids)

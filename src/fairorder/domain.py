@@ -35,7 +35,6 @@ class Invocation:
     """A client command and its true send time, the one feature ordering may use."""
 
     command_id: bytes
-    payload: bytes
     invoke_time: int
 
     def __post_init__(self):

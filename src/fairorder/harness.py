@@ -18,24 +18,24 @@ ids, ``make_command_id(*tags, t, label)`` for each label in order; under
 the leader policy they also fix the seed its schedule and phase are drawn
 from, ``_trial_seed(seed, *tags, t)``.  Changing either changes the CSVs.
 No cell runs trial by trial: every policy's cell is one ``SimulationRun``
-and one call of the engine, ``consensus.count_orders``, which computes
-what the ids do not affect once per cell and counts every trial's ledger
-order in one batch.  A leader cell seeds all its trials' generators in one
-bulk pass, which restates numpy's ``SeedSequence`` over Python ints, and
-numpy's ``Generator`` still makes each trial's draws, the same as
-``default_rng(_trial_seed(seed, *tags, t))`` makes.  A cell's ids come
-from ``CommandIds(tags, labels)``, which hashes the tags and encodes each
-label once per cell and the trial once per trial.  They are derived only
-where they can matter: once per trial under ``bercow``, in the same pass
-as its noise, for the noise and any tie; otherwise only for a trial whose
-id-free key prefix ties.  Work that no cell changes is done once: the
-bundled topology is parsed once per process, the topology memoizes each
-(city, invoke time, delta_net) receive vector that ``observe`` returns,
-and the sandwich payoff table is built once per process.  Within one
-``run_experiment`` call (``_Run``), the median-policy cells share each
-distinct command's stamp (its quorum and assigned timestamp,
-``SimulationRun.stamps``) and each colluder plan, so a sandwich run stamps
-its three commands once and plans once.
+(``_cell``) and one call of the engine, ``consensus.trial_orders``, which
+computes what the ids do not affect once per cell and yields every
+trial's ledger order from one loop.  A leader cell seeds all its trials'
+generators in one bulk pass, which restates numpy's ``SeedSequence`` over
+Python ints, and numpy's ``Generator`` still makes each trial's draws,
+the same as ``default_rng(_trial_seed(seed, *tags, t))`` makes.  A cell's
+ids come from ``CommandIds(tags, labels)``, which hashes the tags and
+encodes each label once per cell and the trial once per trial.  They are
+derived only where they can matter: once per trial under ``bercow``, in
+the same pass as its noise, for the noise and any tie; otherwise only for
+a trial whose id-free key prefix ties.  Work that no cell changes is done
+once: the bundled topology is parsed once per process, the topology
+memoizes each (city, invoke time, delta_net) receive vector that
+``observe`` returns, and the sandwich payoff table is built once per
+process.  Within one ``run_experiment`` call (``_Run``), the median-policy
+cells share each distinct command's stamp (its quorum and assigned
+timestamp, ``SimulationRun.stamps``) and each colluder plan, so a sandwich
+run stamps its three commands once and plans once.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from itertools import combinations
 
 from . import analysis, attacks
 from .adversary import AdversaryPlan, private_relay_placement
-from .consensus import OrderingPolicy, PlacedInvocation, SimulationRun, count_orders
+from .consensus import OrderingPolicy, PlacedInvocation, SimulationRun, trial_orders
 from .domain import US_PER_MS, CommandIds, Invocation
 from .netmodel import CityTopology, bundled_topology, load_topology
 from .sro import Backend, SroConfig, SroHandle, sro_init
@@ -246,21 +246,19 @@ def _run_for(config: ExperimentConfig) -> _Run:
     return _Run(config, topology, sro)
 
 
-def _count_orders(run: _Run, spec, tags, commands, colluders=()) -> Counter:
-    """Run ``run.config.trials`` trials of one table cell; count the ledger orders.
-
-    ``commands`` is the cell's tuple of (label, invoke_us, city) triples;
-    each order is counted as the tuple of labels in ledger order.  Under the
-    median-timestamp policies, ``colluders`` bracket the first command with
-    the other two, by one plan per run for each (commands, colluders).
+def _cell(run: _Run, spec, tags, commands, colluders=()):
+    """One table cell as ``trial_orders``' arguments: its ``SimulationRun``
+    (one template invocation per (label, invoke_us, city) triple in
+    ``commands``, which each trial renames), ``run.config.trials``, its
+    ``CommandIds`` and its trial seed.  Under the median-timestamp
+    policies, ``colluders`` bracket the first command with the other two,
+    by one plan per run for each (commands, colluders).
     """
     config = run.config
     policy = OrderingPolicy.parse(spec)
     delta_net_us = config.delta_net_ms * US_PER_MS
-    labels = [label for label, _, _ in commands]
-    # one template cell; each trial renames its commands
     placed = [
-        PlacedInvocation(Invocation(label.encode(), b"", t_us), city)
+        PlacedInvocation(Invocation(label.encode(), t_us), city)
         for label, t_us, city in commands
     ]
     plan = AdversaryPlan()
@@ -276,11 +274,15 @@ def _count_orders(run: _Run, spec, tags, commands, colluders=()) -> Counter:
         slot_interval_us=config.slot_ms * US_PER_MS, invocations=placed,
         sro=run.sro, adversary=plan, stamps=run.stamps,
     )
-    orders = count_orders(
-        sim, config.trials, CommandIds(tags, labels),
-        partial(_trial_seed, config.seed, *tags),
-    )
-    return Counter({tuple(labels[i] for i in order): n for order, n in orders.items()})
+    trial_ids = CommandIds(tags, [label for label, _, _ in commands])
+    return sim, config.trials, trial_ids, partial(_trial_seed, config.seed, *tags)
+
+
+def _count_orders(run: _Run, spec, tags, commands, colluders=()) -> Counter:
+    """The ledger orders of one table cell's trials, counted, each as the
+    tuple of its labels in ledger order."""
+    orders = Counter(trial_orders(*_cell(run, spec, tags, commands, colluders)))
+    return Counter({tuple(commands[i][0] for i in order): n for order, n in orders.items()})
 
 
 def run_geo_bias(config: ExperimentConfig) -> TableResult:

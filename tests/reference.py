@@ -1,11 +1,13 @@
 """Per-trial reference orderings, written from the paper's definitions.
 
 The tests compare the package's one ordering engine,
-``fairorder.consensus.count_orders``, with these: one run, one ledger,
-built from scratch with public ``domain``, ``netmodel``, ``adversary`` and
-``sro`` calls only.  The per-slot records ``TimestampedCommand`` and
-``Slot`` live here, with the checks their fields must pass, and so does the
-all-correct precedence that the receive baseline's median order extends.
+``fairorder.consensus.trial_orders``, with these trial by trial: each
+reference builds one run and one ledger from scratch, with public
+``domain``, ``netmodel``, ``adversary`` and ``sro`` calls only, and the
+engine's stream must give the same order for every trial.  The per-slot
+records ``TimestampedCommand`` and ``Slot`` live here, with the checks
+their fields must pass, and so does the all-correct precedence that the
+receive baseline's median order extends.
 The spec constants are restated here, not imported, so a change to the
 engine's noise, tie keys or leader draws shows up as a disagreement instead
 of being shared by both sides.

@@ -127,7 +127,7 @@ GEO_CITIES = ("washington", "london", "munich", "tokyo")
 
 def _joint_four_city_orders():
     """Ledger order of four simultaneous invocations under each baseline."""
-    from fairorder.consensus import OrderingPolicy, PlacedInvocation, SimulationRun, count_orders
+    from fairorder.consensus import OrderingPolicy, PlacedInvocation, SimulationRun, trial_orders
     from fairorder.domain import CommandIds, Invocation
     from fairorder.netmodel import bundled_topology
 
@@ -135,13 +135,13 @@ def _joint_four_city_orders():
     f = (topology.n_nodes - 1) // 3
     ids = CommandIds(("joint",), GEO_CITIES)
     placed = [
-        PlacedInvocation(Invocation(cid, b"", 750_000), c) for cid, c in zip(ids(0), GEO_CITIES)
+        PlacedInvocation(Invocation(cid, 750_000), c) for cid, c in zip(ids(0), GEO_CITIES)
     ]
     sro = sro_init(SroConfig(n=topology.n_nodes, f=f, backend=Backend.SEEDED_HASH), SEED)
     orders = []
     for policy in (OrderingPolicy.parse("pompe"), OrderingPolicy.parse("receive")):
         sim = SimulationRun(topology, policy, DNET_US, 1_500_000, placed, sro)
-        (order,) = count_orders(sim, 1, ids, lambda t: 0)
+        (order,) = trial_orders(sim, 1, ids, lambda t: 0)
         orders.append(tuple(GEO_CITIES[i] for i in order))
     return tuple(orders)
 

@@ -8,7 +8,7 @@ DNET = 300_000
 
 
 def inv(label, t=0):
-    return Invocation(make_command_id(label), b"", t)
+    return Invocation(make_command_id(label), t)
 
 
 class TestPrivateRelay:

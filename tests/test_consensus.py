@@ -2,6 +2,7 @@ import hashlib
 import random
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,12 +16,12 @@ from fairorder.consensus import (
     PlacedInvocation,
     PolicyKind,
     SimulationRun,
-    count_orders,
+    trial_orders,
 )
 from fairorder.domain import MAX_TIMESTAMP, CommandIds, ContractError, Invocation, make_command_id
 from fairorder.harness import _trial_seed
 from fairorder.netmodel import CityTopology, ClampStats, bundled_topology, observe, parse_topology
-from fairorder.sro import Backend, SroConfig, sro_init
+from fairorder.sro import Backend, SroConfig, SroHandle, sro_init
 from reference import (
     all_correct_precedence,
     noise,
@@ -37,7 +38,7 @@ BERCOW = OrderingPolicy(PolicyKind.BERCOW_NOISE, SLOT)
 
 
 def inv(label, t):
-    return Invocation(make_command_id(label), b"", t)
+    return Invocation(make_command_id(label), t)
 
 
 def small_topology(n=4):
@@ -186,7 +187,7 @@ class TestRunSlotted:
         plan = AdversaryPlan(node_overrides={(cmd.command_id, 0): -2, (cmd.command_id, 1): -1})
         sim = sim_for([PlacedInvocation(cmd, "solo")], POMPE, adversary=plan)
         with pytest.raises(ContractError, match="precedes the first slot"):
-            count_orders(sim, 1, CommandIds((), "a"), no_seed)
+            Counter(trial_orders(sim, 1, CommandIds((), "a"), no_seed))
         with pytest.raises(ContractError, match="precedes the first slot"):
             run_slotted(sim)
 
@@ -278,7 +279,8 @@ class TestCountSlottedOrders:
             assert len({slot.index for slot in result.slots if slot.decided_commands}) == 2
             want[tuple(ids.index(cid) for cid in result.ledger.entries)] += 1
         assert len(want) > 1
-        assert count_orders(sim, len(trial_ids), CommandIds(("t",), range(3)), no_seed) == want
+        got = trial_orders(sim, len(trial_ids), CommandIds(("t",), range(3)), no_seed)
+        assert Counter(got) == want
 
     def test_noise_ties_take_the_full_key(self):
         # a 2 µs noise width: about half the trials tie on modified_ts, and
@@ -294,7 +296,8 @@ class TestCountSlottedOrders:
             ])
             want[tuple(ids.index(cid) for cid in run_slotted(renamed).ledger.entries)] += 1
         assert set(want) == {(0, 1), (1, 0)}
-        assert count_orders(sim, len(trial_ids), CommandIds(("w",), range(2)), no_seed) == want
+        got = trial_orders(sim, len(trial_ids), CommandIds(("w",), range(2)), no_seed)
+        assert Counter(got) == want
 
     def test_one_microsecond_noise_ties_every_trial(self):
         # width 1: every noise is 0, so two commands from one city at one
@@ -306,19 +309,16 @@ class TestCountSlottedOrders:
             topology=topology, f=(topology.n_nodes - 1) // 3,
         )
         trial_ids = [[make_command_id("one", t, i) for i in range(2)] for t in range(100)]
-        deriver = CommandIds(("one",), range(2))
-        before = Counter()
-        for t, ids in enumerate(trial_ids):
+        want = []
+        for ids in trial_ids:
             renamed = replace(sim, invocations=[
                 PlacedInvocation(replace(p.invocation, command_id=cid), p.origin_city)
                 for p, cid in zip(placed, ids)
             ])
-            want = tuple(ids.index(cid) for cid in run_slotted(renamed).ledger.entries)
-            # trial t alone: the counts of trials 0..t less those of 0..t-1
-            upto = count_orders(sim, t + 1, deriver, no_seed)
-            assert before <= upto and upto - before == Counter({want: 1})
-            before = upto
-        assert set(before) == {(0, 1), (1, 0)}
+            want.append(tuple(ids.index(cid) for cid in run_slotted(renamed).ledger.entries))
+        got = trial_orders(sim, len(trial_ids), CommandIds(("one",), range(2)), no_seed)
+        assert list(got) == want
+        assert set(want) == {(0, 1), (1, 0)}
 
     @pytest.mark.parametrize("width_us", [1, SLOT])
     def test_each_trial_asks_for_its_ids_once(self, width_us):
@@ -336,17 +336,17 @@ class TestCountSlottedOrders:
         trial_ids.prefix = CountingState(trial_ids.prefix)
         placed = [PlacedInvocation(inv(label, 100_000), "solo") for label in "ab"]
         sim = sim_for(placed, OrderingPolicy(PolicyKind.BERCOW_NOISE, width_us))
-        count_orders(sim, 50, trial_ids, no_seed)
+        Counter(trial_orders(sim, 50, trial_ids, no_seed))
         assert trial_ids.prefix.copies == 50 * 2
 
     def test_rejects_noise_that_could_overflow(self):
         # ats fits in 63 bits, ats + the largest noise a trial can draw does not
         t = MAX_TIMESTAMP - DNET - SLOT
         placed = [PlacedInvocation(inv("a", t), "solo")]
-        count_orders(sim_for(placed, POMPE), 1, CommandIds((), "a"), no_seed)
+        Counter(trial_orders(sim_for(placed, POMPE), 1, CommandIds((), "a"), no_seed))
         wide = OrderingPolicy(PolicyKind.BERCOW_NOISE, 2 * SLOT)
         with pytest.raises(ContractError, match="overflow"):
-            count_orders(sim_for(placed, wide), 1, CommandIds((), "a"), no_seed)
+            Counter(trial_orders(sim_for(placed, wide), 1, CommandIds((), "a"), no_seed))
 
 
 STAMPED = b"stamped"
@@ -369,7 +369,7 @@ def stamp_sim(stamps, city="tokyo", t=700_000, dnet=DNET, f=26, plan=LOW):
     topology = bundled_topology()
     return SimulationRun(
         topology=topology, policy=POMPE, delta_net_us=dnet, slot_interval_us=SLOT,
-        invocations=[PlacedInvocation(Invocation(STAMPED, b"", t), city)],
+        invocations=[PlacedInvocation(Invocation(STAMPED, t), city)],
         sro=sro_for(topology, f), adversary=plan, stamps=stamps,
     )
 
@@ -443,7 +443,7 @@ class TestCountBaselineOrders:
             placed, OrderingPolicy(PolicyKind.LEADER_ROTATION, SLOT),
             topology=topology, f=(topology.n_nodes - 1) // 3,
         )
-        count_orders(sim, len(seeds), CommandIds((), "ab"), seeds.__getitem__)
+        Counter(trial_orders(sim, len(seeds), CommandIds((), "ab"), seeds.__getitem__))
         want = []
         for seed in seeds:
             rng = np.random.default_rng(seed)
@@ -472,7 +472,7 @@ EDGE_SEEDS = {
 
 
 def leader_draws(seeds, monkeypatch, period=SLOT):
-    """Each trial's (schedule, phase) in one leader cell of ``count_orders``
+    """Each trial's (schedule, phase) in one leader cell of ``trial_orders``
     whose trial t is seeded by ``seeds[t]``, on the bundled topology."""
     drawn = []
     rotation = consensus._rotation
@@ -491,7 +491,7 @@ def leader_draws(seeds, monkeypatch, period=SLOT):
         placed, OrderingPolicy(PolicyKind.LEADER_ROTATION, period),
         topology=topology, f=(topology.n_nodes - 1) // 3,
     )
-    count_orders(sim, len(seeds), CommandIds((), "ab"), seeds.__getitem__)
+    Counter(trial_orders(sim, len(seeds), CommandIds((), "ab"), seeds.__getitem__))
     return drawn
 
 
@@ -573,20 +573,83 @@ def policy_id(policy):
     return policy.kind.value
 
 
+# one cell per policy kind: tie-free under pompe and receive, a tie in every
+# trial under a 1 µs bercow noise, and a rotation drawn per trial under leader
+STABLE_CELLS = {
+    "pompe": (POMPE, ("washington", "tokyo")),
+    "bercow": (OrderingPolicy(PolicyKind.BERCOW_NOISE, 1), ("tokyo", "tokyo")),
+    "leader": (OrderingPolicy(PolicyKind.LEADER_ROTATION, SLOT), ("washington", "tokyo")),
+    "receive": (OrderingPolicy(PolicyKind.RECEIVE_ORDER), ("washington", "tokyo")),
+}
+
+
 class TestCountOrders:
     @pytest.mark.parametrize("policy", ALL_POLICIES, ids=policy_id)
     def test_one_id_per_invocation(self, policy):
         # checked on trial 0 even where no tie ever asks for this cell's ids
         placed = [PlacedInvocation(inv("a", 100_000), "solo")]
         with pytest.raises(ValueError, match="1 invocations"):
-            count_orders(sim_for(placed, policy), 1, CommandIds((), "ab"), lambda t: [0, 0])
+            Counter(trial_orders(
+                sim_for(placed, policy), 1, CommandIds((), "ab"), lambda t: [0, 0]
+            ))
 
     @pytest.mark.parametrize("trials", [0, -5])
     @pytest.mark.parametrize("policy", ALL_POLICIES, ids=policy_id)
     def test_rejects_fewer_than_one_trial(self, policy, trials):
         placed = [PlacedInvocation(inv(label, 100_000), "solo") for label in "ab"]
         with pytest.raises(ContractError, match="trials must be >= 1"):
-            count_orders(sim_for(placed, policy), trials, CommandIds((), "ab"), lambda t: [0, 0])
+            Counter(trial_orders(
+                sim_for(placed, policy), trials, CommandIds((), "ab"), lambda t: [0, 0]
+            ))
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES, ids=policy_id)
+    def test_validation_is_eager(self, policy):
+        # the call itself raises, with nothing taken from the stream; a
+        # generator function would raise only on the first next()
+        placed = [PlacedInvocation(inv(label, 100_000), "solo") for label in "ab"]
+        sim = sim_for(placed, policy)
+        with pytest.raises(ContractError, match="trials must be >= 1"):
+            trial_orders(sim, 0, CommandIds((), "ab"), lambda t: [0, t])
+        with pytest.raises(ValueError, match="3 command labels for 2 invocations"):
+            trial_orders(sim, 1, CommandIds((), "abc"), lambda t: [0, t])
+
+    def test_overflow_check_is_eager(self):
+        placed = [PlacedInvocation(inv("a", MAX_TIMESTAMP - DNET - SLOT), "solo")]
+        wide = OrderingPolicy(PolicyKind.BERCOW_NOISE, 2 * SLOT)
+        with pytest.raises(ContractError, match="overflow"):
+            trial_orders(sim_for(placed, wide), 1, CommandIds((), "a"), no_seed)
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES, ids=policy_id)
+    def test_setup_runs_on_the_call(self, policy, monkeypatch):
+        # the slot seeds are revealed, and a leader cell's trial seeds read,
+        # when the stream is made, not when its first trial is taken
+        reveals = []
+        reveal = SroHandle.reveal
+
+        def counting(*args):
+            reveals.append(args)
+            return reveal(*args)
+
+        monkeypatch.setattr(SroHandle, "reveal", counting)
+        placed = [PlacedInvocation(inv(label, 100_000), "solo") for label in "ab"]
+        sim = sim_for(placed, policy)
+        if policy.kind is PolicyKind.LEADER_ROTATION:
+            with pytest.raises(ContractError, match="non-negative"):
+                trial_orders(sim, 3, CommandIds((), "ab"), lambda t: [1, t - 1])
+        trial_orders(sim, 3, CommandIds((), "ab"), lambda t: [0, t])
+        assert len(reveals) == (1 if policy.median_timestamps else 0)
+
+    @pytest.mark.parametrize("kind", STABLE_CELLS)
+    def test_trial_order_does_not_depend_on_the_trial_count(self, kind):
+        policy, cities = STABLE_CELLS[kind]
+        topology = bundled_topology()
+        placed = [PlacedInvocation(inv(label, 100_000), c) for label, c in zip("ab", cities)]
+        sim = sim_for(placed, policy, topology=topology, f=(topology.n_nodes - 1) // 3)
+        ids, seeds = CommandIds(("stable",), "ab"), partial(_trial_seed, 7, "stable")
+        short, full = (list(trial_orders(sim, trials, ids, seeds)) for trials in (7, 60))
+        assert len(full) == 60 and short == full[:7]
+        # the leader and the tied bercow cell vary by trial; pompe and receive do not
+        assert len(set(full)) == (2 if kind in ("bercow", "leader") else 1)
 
     @pytest.mark.parametrize("policy", ALL_POLICIES, ids=policy_id)
     def test_every_policy_rejects_an_empty_run(self, policy):
@@ -684,7 +747,7 @@ class TestReceiveOrder:
         ]
         sim = sim_for(placed, OrderingPolicy(PolicyKind.RECEIVE_ORDER), topology=topology,
                       f=(topology.n_nodes - 1) // 3)
-        (order,) = count_orders(sim, 1, CommandIds((), range(len(placed))), no_seed)
+        (order,) = trial_orders(sim, 1, CommandIds((), range(len(placed))), no_seed)
         position = {command: at for at, command in enumerate(order)}
         receive = {
             i: [ts for _, ts in observe(p.invocation, p.origin_city, topology, DNET)]

@@ -20,7 +20,7 @@ def make_cmd(ident, quorum, noise=0):
     values = sorted(ts for _, ts in quorum)
     ats = values[len(values) // 2]
     return TimestampedCommand(
-        invocation=Invocation(command_id=make_command_id(ident), payload=b"", invoke_time=0),
+        invocation=Invocation(command_id=make_command_id(ident), invoke_time=0),
         node_timestamps=tuple(quorum),
         assigned_ts=ats,
         noise=noise,
@@ -79,12 +79,12 @@ class TestTieBreak:
 class TestTypes:
     def test_invoke_time_nonnegative(self):
         with pytest.raises(ContractError):
-            Invocation(b"x", b"", -1)
+            Invocation(b"x", -1)
 
     def test_timestamped_command_checks_median(self):
         with pytest.raises(ContractError):
             TimestampedCommand(
-                invocation=Invocation(b"x", b"", 0),
+                invocation=Invocation(b"x", 0),
                 node_timestamps=((0, 1), (1, 2), (2, 3)),
                 assigned_ts=3,
                 noise=0,
@@ -94,7 +94,7 @@ class TestTypes:
     def test_timestamped_command_checks_sum(self):
         with pytest.raises(ContractError):
             TimestampedCommand(
-                invocation=Invocation(b"x", b"", 0),
+                invocation=Invocation(b"x", 0),
                 node_timestamps=((0, 1), (1, 2), (2, 3)),
                 assigned_ts=2,
                 noise=5,

@@ -1,7 +1,6 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from functools import partial
 from importlib import resources
 
 import numpy as np
@@ -16,13 +15,14 @@ from fairorder.consensus import (
     PlacedInvocation,
     PolicyKind,
     SimulationRun,
-    count_orders,
+    trial_orders,
 )
 from fairorder.domain import US_PER_MS, CommandIds, ContractError, Invocation, make_command_id
 from fairorder.harness import (
     ConfigError,
     ExperimentConfig,
     TableResult,
+    _cell,
     _colluder_ids,
     _count_orders,
     _run_for,
@@ -275,47 +275,18 @@ class TestSandwich:
             run_sandwich(config)
 
 
-def cell_run(config, topology, sro, spec, commands, colluders=()):
-    """The cell's ``SimulationRun``, built as ``_count_orders`` builds it: one
-    template invocation per command, its id the label, and under the
-    median-timestamp policies the colluders' plan around the first command."""
-    policy = OrderingPolicy.parse(spec)
-    delta_net_us = config.delta_net_ms * US_PER_MS
-    placed = [
-        PlacedInvocation(Invocation(label.encode(), b"", t_us), city)
-        for label, t_us, city in commands
-    ]
-    plan = AdversaryPlan()
-    if colluders and policy.median_timestamps:
-        victim, *attackers = [(p.invocation, p.origin_city) for p in placed]
-        plan = private_relay_placement(
-            victim, attackers, colluders, topology, delta_net_us, sro.config.f
-        )
-    return SimulationRun(
-        topology=topology, policy=policy, delta_net_us=delta_net_us,
-        slot_interval_us=config.slot_ms * US_PER_MS, invocations=placed,
-        sro=sro, adversary=plan,
-    )
-
-
-def assert_engine_matches_per_trial(config, sim, tags, commands, reference_orders):
-    """Trial t of ``count_orders`` gives the reference's order of trial t,
-    for every t: the counts of trials 0..t exceed those of trials 0..t-1 by
-    exactly that one order."""
+def assert_engine_matches_per_trial(run, spec, tags, commands, reference_orders, colluders=()):
+    """Trial t of ``trial_orders``, on the cell the harness builds, gives the
+    reference's order of trial t, for each of the run's trials."""
     labels = [label for label, _, _ in commands]
-    ids, seeds = CommandIds(tags, labels), partial(_trial_seed, config.seed, *tags)
-    before = Counter()
-    for t, want in enumerate(reference_orders):
-        upto = count_orders(sim, t + 1, ids, seeds)
-        assert before <= upto, (t, commands)
-        assert upto - before == Counter({tuple(map(labels.index, want)): 1}), (t, commands)
-        before = upto
+    engine = trial_orders(*_cell(run, spec, tags, commands, colluders))
+    assert [tuple(labels[i] for i in order) for order in engine] == reference_orders, commands
 
 
 def per_trial_orders(config, topology, sro, spec, tags, commands, colluders):
     """One ``run_slotted`` per trial, each with its own adversary plan.
 
-    The reference for the slotted path of ``count_orders``: each trial's
+    The reference for the slotted path of ``trial_orders``: each trial's
     order of labels, and the decided slot indices of every trial's run.
     """
     policy = OrderingPolicy.parse(spec)
@@ -324,7 +295,7 @@ def per_trial_orders(config, topology, sro, spec, tags, commands, colluders):
     for trial in range(config.trials):
         labels = {make_command_id(*tags, trial, label): label for label, _, _ in commands}
         placed = [
-            PlacedInvocation(Invocation(cid, b"", t_us), city)
+            PlacedInvocation(Invocation(cid, t_us), city)
             for cid, (_, t_us, city) in zip(labels, commands)
         ]
         plan = AdversaryPlan()
@@ -370,8 +341,7 @@ class TestSlottedEngine:
             want, decided_slots = per_trial_orders(
                 config, topology, sro, spec, tags, commands, colluder_ids
             )
-            sim = cell_run(config, topology, sro, spec, commands, colluder_ids)
-            assert_engine_matches_per_trial(config, sim, tags, commands, want)
+            assert_engine_matches_per_trial(run, spec, tags, commands, want, colluder_ids)
             got = _count_orders(run, spec, tags, commands, colluder_ids)
             assert got == Counter(want), commands
             assert len(decided_slots) >= 2
@@ -432,14 +402,14 @@ class TestSlottedEngine:
 def per_trial_baseline_orders(config, topology, spec, tags, commands):
     """One ``order_leader_rotation`` (with the trial's own rng) or
     ``order_receive_all_correct`` per trial: the reference for the baseline
-    path of ``count_orders``, each trial's order of labels."""
+    path of ``trial_orders``, each trial's order of labels."""
     policy = OrderingPolicy.parse(spec)
     delta_net_us = config.delta_net_ms * US_PER_MS
     orders = []
     for trial in range(config.trials):
         labels = {make_command_id(*tags, trial, label): label for label, _, _ in commands}
         placed = [
-            PlacedInvocation(Invocation(cid, b"", t_us), city)
+            PlacedInvocation(Invocation(cid, t_us), city)
             for cid, (_, t_us, city) in zip(labels, commands)
         ]
         if policy.kind is PolicyKind.LEADER_ROTATION:
@@ -480,8 +450,7 @@ class TestBaselineEngine:
         for cell, commands in enumerate(cells):
             tags = ("baseline", spec, cell)
             wants.append(per_trial_baseline_orders(config, topology, spec, tags, commands))
-            sim = cell_run(config, topology, sro, spec, commands)
-            assert_engine_matches_per_trial(config, sim, tags, commands, wants[-1])
+            assert_engine_matches_per_trial(run, spec, tags, commands, wants[-1])
             got = _count_orders(run, spec, tags, commands)
             assert got == Counter(wants[-1]), commands
         assert set(wants[0]) == {("a", "b"), ("b", "a")}
@@ -516,12 +485,11 @@ class TestLazyIds:
         topology, sro = run.topology, run.sro
         commands = (("a", 700 * US_PER_MS, "tokyo"), ("b", 700 * US_PER_MS, "tokyo"))
         tags = ("tie", spec)
-        sim = cell_run(config, topology, sro, spec, commands)
-        if sim.policy.median_timestamps:
+        if OrderingPolicy.parse(spec).median_timestamps:
             want, _ = per_trial_orders(config, topology, sro, spec, tags, commands, ())
         else:
             want = per_trial_baseline_orders(config, topology, spec, tags, commands)
-        assert_engine_matches_per_trial(config, sim, tags, commands, want)
+        assert_engine_matches_per_trial(run, spec, tags, commands, want)
         got = _count_orders(run, spec, tags, commands)
         assert got == Counter(want)
         assert set(got) == {("a", "b"), ("b", "a")}

@@ -18,7 +18,7 @@ DNET = 300_000
 
 
 def inv(t=1_000_000):
-    return Invocation(make_command_id("inv", t), b"", t)
+    return Invocation(make_command_id("inv", t), t)
 
 
 def two_city(delay_ms=50, intra_us=1000):
