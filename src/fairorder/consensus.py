@@ -111,6 +111,12 @@ class PlacedInvocation:
 
 @dataclass
 class SimulationRun:
+    """One run's inputs, and ``memo``: what the run has computed that other
+    runs may reuse.  The memo holds each command's stamp, keyed by all it
+    depends on (``_timestamp_invocations``), and each revealed slot's seed,
+    keyed by (oracle, slot index) (``_slotted_prefixes``).  Runs over one
+    topology may share it, as the cells of one experiment do."""
+
     topology: CityTopology
     policy: OrderingPolicy
     delta_net_us: int
@@ -118,9 +124,7 @@ class SimulationRun:
     invocations: list  # [PlacedInvocation]
     sro: SroHandle
     adversary: AdversaryPlan = field(default_factory=AdversaryPlan)
-    # each command's stamp (``_timestamp_invocations``); runs over one
-    # topology may share it, as the cells of one experiment do
-    stamps: dict = field(default_factory=dict)
+    memo: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.slot_interval_us <= 0:
@@ -161,7 +165,7 @@ def _timestamp_invocations(sim: SimulationRun):
     observations' clamp counts) depends only on its origin city, invoke
     time, delta_net, the quorum size and what the plan does to it: its
     quorum bias, its colluders' reports and any override of its timestamp.
-    ``sim.stamps`` memoizes it under exactly that key, and the statistics
+    ``sim.memo`` memoizes it under exactly that key, and the statistics
     count a memo hit the same as the first stamping.
     """
     stats = ClampStats()
@@ -178,7 +182,7 @@ def _timestamp_invocations(sim: SimulationRun):
         bias, override = plan.quorum_bias.get(cid), plan.ats_overrides.get(cid)
         key = (placed.origin_city, inv.invoke_time, sim.delta_net_us, quorum_size,
                bias, lies, override)
-        hit = sim.stamps.get(key)
+        hit = sim.memo.get(key)
         if hit is None:
             own = ClampStats()
             stamps = observe(inv, placed.origin_city, sim.topology, sim.delta_net_us, stats=own)
@@ -192,7 +196,7 @@ def _timestamp_invocations(sim: SimulationRun):
                 quorum = tuple((node, ats) for node, _ in quorum)
             if ats < 0:
                 raise ContractError(f"assigned timestamp {ats} precedes the first slot at 0")
-            hit = sim.stamps[key] = (quorum, ats, own)
+            hit = sim.memo[key] = (quorum, ats, own)
         quorum, ats, own = hit
         stats.observations += own.observations
         stats.violations += own.violations
@@ -239,10 +243,12 @@ def _slotted_prefixes(sim: SimulationRun):
     tie seeds, the assigned timestamps, and each command's noise hash
     state, keyed by its slot's seed, which a trial extends by the command's
     id.  A run whose noised timestamps could overflow 63 bits is rejected
-    on the largest noise a trial can draw, even if no trial's do.  Each
-    decided slot's certificate is checked in ``reveal``.  The empty slots a
-    slot-by-slot run walks until the last emission are neither certified
-    nor revealed: no key depends on their seeds.
+    on the largest noise a trial can draw, even if no trial's do.  A
+    decided slot's seed is looked up in ``sim.memo`` under (oracle, k), and
+    only on a miss is its certificate built and checked in ``reveal``, so
+    runs that share a memo certify and reveal each slot once.  The empty
+    slots a slot-by-slot run walks until the last emission are neither
+    certified nor revealed: no key depends on their seeds.
     """
     stamped, _ = _timestamp_invocations(sim)
     if max(ats for _, _, ats, _ in stamped) + max(sim.policy.param_us - 1, 0) > MAX_TIMESTAMP:
@@ -250,7 +256,11 @@ def _slotted_prefixes(sim: SimulationRun):
     states, tie_seeds = {}, {}
     for *_, k in stamped:
         if k not in states:
-            seed = sim.sro.reveal(RevealRequest(k, sim.sro.quorum_signatures(k)))
+            seed = sim.memo.get((sim.sro, k))
+            if seed is None:
+                seed = sim.memo[sim.sro, k] = sim.sro.reveal(
+                    RevealRequest(k, sim.sro.quorum_signatures(k))
+                )
             states[k], tie_seeds[k] = hashlib.sha512(b"noise" + seed), seed[:32]
     return (
         [tie_seeds[k] for *_, k in stamped],

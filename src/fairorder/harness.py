@@ -33,9 +33,11 @@ once: the bundled topology is parsed once per process, the topology
 memoizes each (city, invoke time, delta_net) receive vector that
 ``observe`` returns, and the sandwich payoff table is built once per
 process.  Within one ``run_experiment`` call (``_Run``), the median-policy
-cells share each distinct command's stamp (its quorum and assigned
-timestamp, ``SimulationRun.stamps``) and each colluder plan, so a sandwich
-run stamps its three commands once and plans once.
+cells share one memo (``SimulationRun.memo``) and each colluder plan: the
+memo holds each distinct command's stamp (its quorum and assigned
+timestamp) and each decided slot's revealed seed, so a sandwich run stamps
+its three commands once and plans once, and a run certifies and reveals
+each slot once, however many cells it decides.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import hashlib
 import io
 import os
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
@@ -226,19 +228,21 @@ def _trial_seed(config_seed: int, *tags) -> list:
 @dataclass
 class _Run:
     """What the cells of one ``run_experiment`` call share: the config, the
-    topology, the oracle, each distinct command's stamp (every cell's
-    ``SimulationRun.stamps``) and each colluder plan."""
+    topology, the oracle, one memo of each distinct command's stamp and each
+    revealed slot's seed (every cell's ``SimulationRun.memo``) and each
+    colluder plan."""
 
     config: ExperimentConfig
     topology: CityTopology
     sro: SroHandle
-    stamps: dict = field(default_factory=dict)
+    memo: dict = field(default_factory=dict)
     plans: dict = field(default_factory=dict)  # (commands, colluders) -> AdversaryPlan
 
 
 def _run_for(config: ExperimentConfig) -> _Run:
     """A fresh ``_Run`` for ``config``: its topology and seeded oracle (f the
-    largest that n >= 3f + 1 allows), with nothing stamped or planned yet."""
+    largest that n >= 3f + 1 allows), with nothing stamped, revealed or
+    planned yet."""
     topology = resolve_topology(config.topology)
     n = topology.n_nodes
     rng_seed = hashlib.sha256(b"sro" + config.seed.to_bytes(8, "big", signed=True)).digest()
@@ -272,7 +276,7 @@ def _cell(run: _Run, spec, tags, commands, colluders=()):
     sim = SimulationRun(
         topology=run.topology, policy=policy, delta_net_us=delta_net_us,
         slot_interval_us=config.slot_ms * US_PER_MS, invocations=placed,
-        sro=run.sro, adversary=plan, stamps=run.stamps,
+        sro=run.sro, adversary=plan, memo=run.memo,
     )
     trial_ids = CommandIds(tags, [label for label, _, _ in commands])
     return sim, config.trials, trial_ids, partial(_trial_seed, config.seed, *tags)
@@ -285,23 +289,29 @@ def _count_orders(run: _Run, spec, tags, commands, colluders=()) -> Counter:
     return Counter({tuple(commands[i][0] for i in order): n for order, n in orders.items()})
 
 
-def run_geo_bias(config: ExperimentConfig) -> TableResult:
-    """Pr[A first] - Pr[B first] for simultaneous invocations per city pair."""
+def _geo_pairs(config: ExperimentConfig):
+    """Each (city_a, city_b, spec, Pr[A first]) of a geo_bias run, the
+    probability an exact ``Fraction`` of the cell's trials."""
     if len(config.origins) < 2:
         raise ConfigError("geo_bias needs at least two origin cities")
     run = _run_for(config)
     t0 = config.slot_ms * US_PER_MS // 2  # mid-slot, away from boundaries
-    result = TableResult(header=("city_a", "city_b", "policy", "pr_a_first", "diff", "trials"))
     for pi, (city_a, city_b) in enumerate(combinations(config.origins, 2)):
         for spec in config.policies:
             counts = _count_orders(
                 run, spec, ("geo", pi, spec),
                 (("a", t0, city_a), ("b", t0, city_b)),
             )
-            pr_a = Fraction(counts["a", "b"], config.trials)
-            result.rows.append(
-                (city_a, city_b, spec, _fmt_prob(pr_a), _fmt_prob(2 * pr_a - 1), config.trials)
-            )
+            yield city_a, city_b, spec, Fraction(counts["a", "b"], config.trials)
+
+
+def run_geo_bias(config: ExperimentConfig) -> TableResult:
+    """Pr[A first] - Pr[B first] for simultaneous invocations per city pair."""
+    result = TableResult(header=("city_a", "city_b", "policy", "pr_a_first", "diff", "trials"))
+    for city_a, city_b, spec, pr_a in _geo_pairs(config):
+        result.rows.append(
+            (city_a, city_b, spec, _fmt_prob(pr_a), _fmt_prob(2 * pr_a - 1), config.trials)
+        )
     return result
 
 
@@ -389,10 +399,8 @@ def run_liquidation(config: ExperimentConfig) -> TableResult:
     """Expected liquidation payout per client when only the first wins."""
     if len(config.origins) != 2:
         raise ConfigError("liquidation needs exactly two origin cities")
-    geo = run_geo_bias(replace(config, scenario="geo_bias"))
     result = TableResult(header=("policy", "city", "pr_first", "expected_usd"))
-    for city_a, city_b, spec, pr_a, _, _ in geo.rows:
-        p = Fraction(pr_a)
+    for city_a, city_b, spec, p in _geo_pairs(config):
         values = attacks.liquidation_expected_values([p, 1 - p], config.prize_usd)
         result.rows.append((spec, city_a, _fmt_prob(p), _fmt_usd(values[0])))
         result.rows.append((spec, city_b, _fmt_prob(1 - p), _fmt_usd(values[1])))

@@ -34,10 +34,12 @@ class TopologyError(ValueError):
 class CityTopology:
     """Cities, their node counts and the one-way delays between them.
 
-    Immutable: ``latency_us`` is a read-only copy of the mapping passed in,
-    so one instance can be shared by every run in a process
-    (``bundled_topology`` does), and the per-instance memos of
-    ``delays_from`` and ``observe`` stay valid.
+    Every pair of cities must resolve to a delay, directly or by the
+    symmetric fallback: the per-origin delay table is built at construction,
+    which rejects a missing pair.  Immutable: ``latency_us`` is a read-only
+    copy of the mapping passed in, so one instance can be shared by every
+    run in a process (``bundled_topology`` does), and the delay table and
+    ``observe``'s memo stay valid.
     """
 
     cities: tuple  # ((name, node_count), ...)
@@ -61,7 +63,6 @@ class CityTopology:
             for city in pair:
                 if city not in known:
                     raise TopologyError(f"delay entry references unknown city {city!r}")
-        object.__setattr__(self, "_delay_cache", {})
         # (origin, invoke_time, delta_net_us) -> (observe's stamps, violations)
         object.__setattr__(self, "_receive_cache", {})
         object.__setattr__(self, "_n_nodes", sum(count for _, count in self.cities))
@@ -70,6 +71,10 @@ class CityTopology:
             self, "_node_cities",
             tuple(name for name, count in self.cities for _ in range(count)),
         )
+        object.__setattr__(self, "_delays", {
+            origin: tuple(self.delay_us(origin, city) for city in self._node_cities)
+            for origin in names
+        })
 
     @property
     def n_nodes(self) -> int:
@@ -96,12 +101,11 @@ class CityTopology:
         return d
 
     def delays_from(self, origin: str) -> tuple:
-        """Per-node one-way delay from an origin city, µs (cached)."""
-        hit = self._delay_cache.get(origin)
-        if hit is None:
-            hit = tuple(self.delay_us(origin, city) for city in self.node_cities())
-            self._delay_cache[origin] = hit
-        return hit
+        """Per-node one-way delay from an origin city, µs."""
+        delays = self._delays.get(origin)
+        if delays is None:
+            raise TopologyError(f"unknown origin city {origin!r}")
+        return delays
 
 
 @dataclass
@@ -178,11 +182,7 @@ def parse_topology(text: str, source: str = "<string>") -> CityTopology:
         back = latency.get((b, a))
         if back is not None and back != d:
             log.warning("asymmetric delay %s<->%s: %d vs %d µs", a, b, d, back)
-    topo = CityTopology(cities=tuple(cities), latency_us=latency)
-    for a in topo.city_names:  # every pair must resolve, at least symmetrically
-        for b in topo.city_names:
-            topo.delay_us(a, b)
-    return topo
+    return CityTopology(cities=tuple(cities), latency_us=latency)
 
 
 def load_topology(path) -> CityTopology:
@@ -191,7 +191,8 @@ def load_topology(path) -> CityTopology:
 
 
 @lru_cache(maxsize=None)
-def bundled_topology(name: str = "ethereum80.topo") -> CityTopology:
-    """A topology shipped in ``fairorder.data``, parsed once per process."""
+def bundled_topology() -> CityTopology:
+    """The 80-node topology shipped in ``fairorder.data``, parsed once per process."""
+    name = "ethereum80.topo"
     text = resources.files("fairorder.data").joinpath(name).read_text(encoding="utf-8")
     return parse_topology(text, source=name)

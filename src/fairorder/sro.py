@@ -14,6 +14,9 @@ Two interchangeable backends:
 Node "signatures" over a slot index are keyed BLAKE2b tags (RFC 7693's
 MAC mode) under per-node keys; the oracle acts as the trusted verifier of
 those tags.  That is enough unforgeability for a deterministic simulation.
+
+The oracle is stateless after init: every certificate check, reveal and
+proof is computed afresh from the keys and the call's arguments.
 """
 
 from __future__ import annotations
@@ -211,12 +214,11 @@ def sign_slot(key: bytes, k: int) -> bytes:
 class DprfNode:
     """One node's share holder; refuses to produce without a valid quorum."""
 
-    def __init__(self, node_id, secret_share, commitment, group, config, verifier):
+    def __init__(self, node_id, secret_share, commitment, group, verifier):
         self.node_id = node_id
         self._secret_share = secret_share
         self.commitment = commitment
         self.group = group
-        self.config = config
         self._verifier = verifier
 
     def produce_share(self, k: int, signatures) -> Share:
@@ -263,7 +265,10 @@ def combine_shares(group: GroupParams, shares) -> bytes:
 
 
 class SroHandle:
-    """Initialized oracle state.  Immutable after init; reveal/verify are pure.
+    """Initialized oracle state, immutable after init: its methods compute
+    from the keys and their arguments alone and keep nothing.  By uniqueness
+    a slot's value never changes, so a caller that needs it again keeps it
+    (``consensus`` does, in a run's memo).
 
     The seeded-hash secret and the per-node DPRF shares live in
     double-underscore attributes: sealed by convention, the way an enclave
@@ -275,9 +280,6 @@ class SroHandle:
             raise ContractError("rng_seed must be exactly 32 bytes")
         self.config = config
         self._signing_keys = {i: node_signing_key(rng_seed, i) for i in range(config.n)}
-        self._certificates = {}  # k -> frozenset, memoized full-quorum signatures
-        self._revealed = {}  # k -> value; sound by uniqueness, saves recombination
-        self._verified = set()  # (k, frozenset) that passed signatures_valid
         if config.backend is Backend.SEEDED_HASH:
             self.__seed = _hash(b"sro-seed", rng_seed)[:32]
             self.group = None
@@ -301,44 +303,23 @@ class SroHandle:
                 commitments[i] = pow(group.g, y, group.q)
             self.commitments = commitments
             self.nodes = [
-                DprfNode(i, shares[i], commitments[i], group, config, self.signatures_valid)
+                DprfNode(i, shares[i], commitments[i], group, self.signatures_valid)
                 for i in range(1, config.n + 1)
             ]
 
     def signatures_valid(self, k: int, signatures) -> bool:
-        # The keys never change after init, so the check is a pure function
-        # of (k, signatures); an equal frozenset that passed it passes again.
-        memo = (k, signatures) if isinstance(signatures, frozenset) else None
-        if memo is not None and memo in self._verified:
-            return True
         valid_ids = set()
         for node_id, tag in signatures:
             key = self._signing_keys.get(node_id)
             if key is not None and hmac.compare_digest(tag, sign_slot(key, k)):
                 valid_ids.add(node_id)
-        if len(valid_ids) < self.config.quorum:
-            return False
-        if memo is not None:
-            self._verified.add(memo)
-        return True
+        return len(valid_ids) >= self.config.quorum
 
-    def quorum_signatures(self, k: int, node_ids=None) -> frozenset:
+    def quorum_signatures(self, k: int) -> frozenset:
         """Signatures over k from n - f nodes (all nodes would sign an agreed slot)."""
-        if node_ids is not None:
-            signed = []
-            for i in node_ids:
-                key = self._signing_keys.get(i)
-                if key is None:
-                    raise ContractError(f"node id {i!r} is not in range({self.config.n})")
-                signed.append((i, sign_slot(key, k)))
-            return frozenset(signed)
-        cached = self._certificates.get(k)
-        if cached is None:
-            cached = frozenset(
-                (i, sign_slot(self._signing_keys[i], k)) for i in range(self.config.quorum)
-            )
-            self._certificates[k] = cached
-        return cached
+        return frozenset(
+            (i, sign_slot(self._signing_keys[i], k)) for i in range(self.config.quorum)
+        )
 
     def _seeded_value(self, k: int) -> bytes:
         return _hash(b"reveal", self.__seed, _k_bytes(k))
@@ -349,9 +330,6 @@ class SroHandle:
             raise InvalidSignatureSet(f"fewer than {self.config.quorum} valid signatures")
         if self.config.backend is Backend.SEEDED_HASH:
             return self._seeded_value(req.k)
-        cached = self._revealed.get(req.k)
-        if cached is not None:
-            return cached
         collected = []
         for node in self.nodes:
             try:
@@ -366,16 +344,14 @@ class SroHandle:
             raise InsufficientValidShares(
                 f"only {len(collected)} valid shares, need {self.config.quorum}"
             )
-        value = combine_shares(self.group, collected)
-        self._revealed[req.k] = value
-        return value
+        return combine_shares(self.group, collected)
 
     def generate_proof(self, k: int) -> Proof:
         if self.config.backend is Backend.SEEDED_HASH:
             return Proof(Backend.SEEDED_HASH, digest=_hash(b"proof", self._seeded_value(k)))
+        signatures = self.quorum_signatures(k)
         shares = tuple(
-            node.produce_share(k, self.quorum_signatures(k))
-            for node in self.nodes[: self.config.quorum]
+            node.produce_share(k, signatures) for node in self.nodes[: self.config.quorum]
         )
         return Proof(
             Backend.THRESHOLD_DPRF,

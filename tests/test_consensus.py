@@ -370,7 +370,7 @@ def stamp_sim(stamps, city="tokyo", t=700_000, dnet=DNET, f=26, plan=LOW):
     return SimulationRun(
         topology=topology, policy=POMPE, delta_net_us=dnet, slot_interval_us=SLOT,
         invocations=[PlacedInvocation(Invocation(STAMPED, t), city)],
-        sro=sro_for(topology, f), adversary=plan, stamps=stamps,
+        sro=sro_for(topology, f), adversary=plan, memo=stamps,
     )
 
 
@@ -401,6 +401,23 @@ class TestStampMemo:
         assert stamps_of(stamp_sim(shared, plan=AdversaryPlan())) == first
         assert len(shared) == 2
 
+    def test_runs_with_different_oracles_share_one_memo(self):
+        # a slot's seed is kept under (oracle, k), so a run never takes
+        # another oracle's seed for the same slot
+        placed = [PlacedInvocation(inv(label, 100_000), "solo") for label in "ab"]
+        oracles = [
+            sro_init(SroConfig(n=4, f=1, backend=Backend.SEEDED_HASH), bytes([i]) * 32)
+            for i in range(2)
+        ]
+        ids, shared, orders = CommandIds(("oracles",), "ab"), {}, []
+        for sro in oracles:
+            fresh = replace(sim_for(placed, BERCOW), sro=sro)
+            want = list(trial_orders(fresh, 50, ids, no_seed))
+            assert list(trial_orders(replace(fresh, memo=shared), 50, ids, no_seed)) == want
+            orders.append(want)
+        assert orders[0] != orders[1]
+        assert (oracles[0], 0) in shared and (oracles[1], 0) in shared
+
     def test_clamp_stats_count_every_command_on_a_memo_hit(self):
         topology = bundled_topology()
         dnet = 200_000  # tokyo's and canberra's farthest nodes are clamped
@@ -414,7 +431,7 @@ class TestStampMemo:
         assert want.violations > 0 and want.observations == 3 * topology.n_nodes
         sim = replace(sim_for(placed, POMPE, topology=topology, f=26), delta_net_us=dnet)
         first = stamps_of(sim)
-        assert len(sim.stamps) == 2  # one tokyo stamp for two commands
+        assert len(sim.memo) == 2  # one tokyo stamp for two commands
         assert first[1] == want
         assert stamps_of(sim) == first
 

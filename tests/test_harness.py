@@ -369,7 +369,6 @@ class TestSlottedEngine:
         assert per_trials[5]["reveal"] >= 1
         assert per_trials[5] == per_trials[50]
 
-
     def test_stamps_each_distinct_command_once_per_run(self, monkeypatch):
         # the median-policy cells of one run share their stamps and plan; a
         # second run stamps and plans again
@@ -397,6 +396,42 @@ class TestSlottedEngine:
         cities = ("washington", "london", "munich", "tokyo")
         run_geo_bias(small(policies=("pompe", "bercow:300", "bercow:1500"), origins=cities))
         assert calls == {"stamp": 4}  # 6 pairs x 3 policies x 2 commands, 4 distinct
+
+
+    def test_certifies_and_reveals_each_distinct_slot_once_per_run(self, monkeypatch):
+        # the median-policy cells of one run share each decided slot's seed;
+        # a second run certifies and reveals again
+        calls, decided = Counter(), set()
+        stamp = consensus._timestamp_invocations
+
+        def recording(sim):
+            stamped, stats = stamp(sim)
+            decided.update(k for *_, k in stamped)
+            return stamped, stats
+
+        def counting(name):
+            fn = getattr(SroHandle, name)
+
+            def wrapper(self, k_or_req, *args):
+                calls[name, getattr(k_or_req, "k", k_or_req)] += 1
+                return fn(self, k_or_req, *args)
+            return wrapper
+
+        monkeypatch.setattr(consensus, "_timestamp_invocations", recording)
+        for name in ("reveal", "quorum_signatures", "signatures_valid"):
+            monkeypatch.setattr(SroHandle, name, counting(name))
+        config = small(
+            policies=("pompe", "bercow:300", "bercow:1500"), slot_ms=100, trials=5,
+            origins=("washington", "london", "munich", "tokyo"),
+        )
+        first = run_geo_bias(config).to_csv_text()
+        once = Counter(
+            {(name, k): 1 for name in ("reveal", "quorum_signatures", "signatures_valid")
+             for k in decided}
+        )
+        assert len(decided) > 1 and calls == once
+        assert run_geo_bias(config).to_csv_text() == first
+        assert calls == once + once
 
 
 def per_trial_baseline_orders(config, topology, spec, tags, commands):
@@ -549,6 +584,20 @@ class TestLiquidation:
         assert len(rows) == 2
         for row in rows:
             assert abs(float(row[3]) - 100_000) < 12_000
+
+    def test_payouts_are_exact_shares_of_the_prize(self):
+        # a bercow cell that splits 7 trials: each payout is count * prize /
+        # trials to the cent, not the prize times a 6-decimal probability
+        config = small(scenario="liquidation", policies=("bercow:1500",), trials=7)
+        t0 = config.slot_ms * US_PER_MS // 2
+        counts = _count_orders(
+            _run_for(config), "bercow:1500", ("geo", 0, "bercow:1500"),
+            (("a", t0, "washington"), ("b", t0, "tokyo")),
+        )
+        assert 0 < counts["a", "b"] < config.trials
+        rows = run_liquidation(config).rows
+        for row, count in zip(rows, (counts["a", "b"], counts["b", "a"]), strict=True):
+            assert Fraction(row[3]) == round(Fraction(count * config.prize_usd, config.trials), 2)
 
     def test_biased_split_under_median(self):
         config = small(scenario="liquidation", policies=("pompe",), trials=10)

@@ -152,6 +152,10 @@ class TestParsing:
         with pytest.raises(TopologyError):
             parse_topology("city a 1\ncity b 1\n")
 
+    def test_missing_pair_rejected_at_construction(self):
+        with pytest.raises(TopologyError, match=re.escape("no delay entry for (a, c)")):
+            CityTopology(cities=(("a", 1), ("b", 1), ("c", 1)), latency_us={("a", "b"): 5_000})
+
     def test_unknown_city_in_delay(self):
         with pytest.raises(TopologyError):
             parse_topology("city a 1\ndelay a ghost 5\n")

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 
@@ -13,8 +14,10 @@ from fairorder.sro import (
     SroConfig,
     combine_shares,
     hash_to_field,
+    node_signing_key,
     production_group,
     share_is_valid,
+    sign_slot,
     sro_init,
     small_field_group,
     verify,
@@ -29,6 +32,16 @@ def handle_for(n=4, f=1, backend=Backend.SEEDED_HASH, field=None, seed=SEED):
 
 def reveal_k(handle, k):
     return handle.reveal(RevealRequest(k, handle.quorum_signatures(k)))
+
+
+def tag_of(node, k):
+    """Node ``node``'s tag over slot k, under the keys ``SEED`` derives."""
+    return sign_slot(node_signing_key(SEED, node), k)
+
+
+def certificate(k, node_ids):
+    """A (possibly partial) certificate over k from ``node_ids``."""
+    return frozenset((i, tag_of(i, k)) for i in node_ids)
 
 
 class TestConfig:
@@ -85,7 +98,7 @@ class TestRevealGating:
     @pytest.mark.parametrize("backend,field", [(Backend.SEEDED_HASH, None), (Backend.THRESHOLD_DPRF, 101)])
     def test_quorum_minus_one_rejected(self, backend, field):
         handle = handle_for(backend=backend, field=field)
-        short = handle.quorum_signatures(3, node_ids=range(handle.config.quorum - 1))
+        short = certificate(3, range(handle.config.quorum - 1))
         with pytest.raises(InvalidSignatureSet):
             handle.reveal(RevealRequest(3, short))
 
@@ -105,7 +118,7 @@ class TestRevealGating:
         handle = handle_for(backend=backend, field=field)
         values = set()
         for ids in itertools.combinations(range(4), 3):
-            values.add(handle.reveal(RevealRequest(9, handle.quorum_signatures(9, node_ids=ids))))
+            values.add(handle.reveal(RevealRequest(9, certificate(9, ids))))
         assert len(values) == 1
 
 
@@ -120,26 +133,20 @@ class TestTags:
     # only 2 of its tags are valid.
     def test_tag_under_another_nodes_key_rejected(self):
         handle = handle_for()
-        ((_, other),) = handle.quorum_signatures(5, node_ids=[3])
+        other = tag_of(3, 5)
         assert not handle.signatures_valid(5, forged(handle, 5, 0, other))
 
     def test_tag_over_another_slot_rejected(self):
         handle = handle_for()
-        ((_, other),) = handle.quorum_signatures(6, node_ids=[0])
+        other = tag_of(0, 6)
         assert not handle.signatures_valid(5, forged(handle, 5, 0, other))
 
     def test_truncated_tag_rejected(self):
         handle = handle_for()
-        ((_, tag),) = handle.quorum_signatures(5, node_ids=[0])
+        tag = tag_of(0, 5)
         for cut in (tag[:-1], tag[:16], b""):
             assert not handle.signatures_valid(5, forged(handle, 5, 0, cut))
         assert handle.signatures_valid(5, forged(handle, 5, 0, tag))
-
-    @pytest.mark.parametrize("node", [4, -1, "0"])
-    def test_quorum_signatures_rejects_unknown_node(self, node):
-        handle = handle_for()
-        with pytest.raises(ContractError, match=f"node id {node!r}"):
-            handle.quorum_signatures(0, node_ids=[0, node])
 
 
 # The seeded backend's value and proof digest at SEED: what every CSV's
@@ -196,6 +203,20 @@ class TestCertificateMemo:
             assert reveal_k(handle, k) == value
 
 
+class TestStateless:
+    @pytest.mark.parametrize("backend,field", [(Backend.SEEDED_HASH, None), (Backend.THRESHOLD_DPRF, 101)])
+    def test_calls_leave_the_handle_unchanged(self, backend, field):
+        # the handle keeps no memo: its state after init, down to each
+        # node's, pickles to the same bytes after every public call
+        handle = handle_for(backend=backend, field=field)
+        before = pickle.dumps(vars(handle))
+        for k in (0, 5, 5):
+            value = reveal_k(handle, k)
+            assert verify(k, handle.generate_proof(k), value)
+            assert handle.signatures_valid(k, handle.quorum_signatures(k))
+            assert pickle.dumps(vars(handle)) == before
+
+
 class TestDeterminism:
     def test_same_seed_same_outputs(self):
         a, b = handle_for(), handle_for()
@@ -233,7 +254,7 @@ class TestThresholdDprf:
 
     def test_node_refuses_without_quorum_signatures(self):
         handle = handle_for(backend=Backend.THRESHOLD_DPRF, field=101)
-        short = handle.quorum_signatures(1, node_ids=range(handle.config.quorum - 1))
+        short = certificate(1, range(handle.config.quorum - 1))
         with pytest.raises(InvalidSignatureSet):
             handle.nodes[0].produce_share(1, short)
 
