@@ -13,7 +13,7 @@ from .consensus import (
     PolicyKind,
     SimulationRun,
 )
-from .domain import Invocation, median_timestamp
+from .domain import Invocation, quorum_median
 from .netmodel import CityTopology, bundled_topology, load_topology, observe
 from .sro import Backend, RevealRequest, SroConfig, sro_init, verify
 
@@ -31,11 +31,11 @@ __all__ = [
     "delta_linearizability",
     "epsilon_general",
     "load_topology",
-    "median_timestamp",
     "observe",
     "order_prob_bounds",
     "order_prob_integrate",
     "order_prob_monte_carlo",
+    "quorum_median",
     "sro_init",
     "verify",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .domain import ContractError
+from .domain import ContractError, quorum_median
 from .netmodel import observe
 
 QUORUM_LOW = "low"
@@ -67,8 +67,7 @@ def private_relay_placement(
         return AdversaryPlan()
     victim_inv, victim_city = victim
     stamps = observe(victim_inv, victim_city, topology, delta_net_us)
-    quorum = sorted(ts for _, ts in stamps)[: 2 * f + 1]
-    predicted = quorum[len(quorum) // 2]
+    predicted = quorum_median([ts for _, ts in stamps], f)
     (early_inv, _), (late_inv, _) = attacker_cmds
     node_overrides = {}
     for node_id in colluders:

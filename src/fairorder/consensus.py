@@ -9,8 +9,9 @@ and, under leader rotation, in the rotation drawn.  It serves every policy:
 
 * ``pompe`` and ``bercow`` (median timestamps, idealized per-slot
   agreement): a command's assigned timestamp is the median of its 2f+1
-  quorum, and slot k = ats // interval decides it.  The slot's seed is
-  revealed only after a certificate of n - f signatures over k exists.
+  quorum (``domain.quorum_median``), and slot k = ats // interval decides
+  it.  The slot's seed is revealed only after a certificate of n - f
+  signatures over k exists.
   Under ``bercow`` each command then adds uniform noise keyed by the seed
   and its own id, so its position cannot depend on other commands or on
   anything the nodes chose before the seed existed.
@@ -35,7 +36,6 @@ import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
-from operator import itemgetter
 
 import numpy as np
 
@@ -47,10 +47,10 @@ from .domain import (
     ContractError,
     Invocation,
     encode_id_part,
-    median_timestamp,
+    quorum_median,
     tie_break_key,
 )
-from .netmodel import CityTopology, ClampStats, observe
+from .netmodel import CityTopology, observe
 from .sro import RevealRequest, SroHandle
 
 
@@ -112,10 +112,11 @@ class PlacedInvocation:
 @dataclass
 class SimulationRun:
     """One run's inputs, and ``memo``: what the run has computed that other
-    runs may reuse.  The memo holds each command's stamp, keyed by all it
-    depends on (``_timestamp_invocations``), and each revealed slot's seed,
-    keyed by (oracle, slot index) (``_slotted_prefixes``).  Runs over one
-    topology may share it, as the cells of one experiment do."""
+    runs may reuse.  The memo holds each command's assigned timestamp,
+    keyed by all it depends on (``_timestamp_invocations``), and each
+    revealed slot's seed, keyed by (oracle, slot index)
+    (``_slotted_prefixes``).  Runs over one topology may share it, as the
+    cells of one experiment do."""
 
     topology: CityTopology
     policy: OrderingPolicy
@@ -137,71 +138,48 @@ class SimulationRun:
             raise ContractError(f"the {self.policy.kind.value} baseline takes no adversary plan")
 
 
-def _select_quorum(stamps, quorum_size: int, bias):
-    """The 2f+1 reported timestamps a client submits.
-
-    Honest clients take the earliest responders; an adversarial client may
-    instead pick the block of stamps that drags its median down or up.
-    """
-    ordered = sorted(stamps, key=itemgetter(1, 0))
-    if bias == QUORUM_HIGH:
-        return tuple(ordered[-quorum_size:])
-    if bias is not None and bias != QUORUM_LOW:
-        raise ContractError(f"unknown quorum bias {bias!r}")
-    return tuple(ordered[:quorum_size])
-
-
-def _timestamp_invocations(sim: SimulationRun):
-    """Each invocation's submitted quorum and assigned timestamp, in order.
+def _timestamp_invocations(sim: SimulationRun) -> list:
+    """Each invocation's assigned timestamp, in order.
 
     Per invocation: the nodes observe it, colluders' reports replace theirs,
-    the client picks its (possibly biased) quorum, the median becomes the
-    assigned timestamp unless the plan overrides it, and the result must
-    not precede the first slot, which starts at 0; slot k = ats // interval
-    decides it.  Returns ``[(invocation, quorum, ats, k)]`` and the clamp
-    statistics of the observations.
+    the median of the quorum its client picks (``quorum_median``, late
+    under a "high" bias) becomes the assigned timestamp unless the plan
+    overrides it, and the result must not precede the first slot, which
+    starts at 0.
 
-    A command's stamp (its quorum, its assigned timestamp and its
-    observations' clamp counts) depends only on its origin city, invoke
-    time, delta_net, the quorum size and what the plan does to it: its
-    quorum bias, its colluders' reports and any override of its timestamp.
-    ``sim.memo`` memoizes it under exactly that key, and the statistics
-    count a memo hit the same as the first stamping.
+    A command's assigned timestamp depends only on its origin city, invoke
+    time, delta_net, f and what the plan does to it: its quorum bias, its
+    colluders' reports and any override of its timestamp.  ``sim.memo``
+    memoizes it under exactly that key.
     """
-    stats = ClampStats()
-    quorum_size = 2 * sim.sro.config.f + 1
+    f = sim.sro.config.f
     plan = sim.adversary
     lies_for = {}  # command id -> its colluders' (node, reported timestamp) pairs
     for (cid, node), ts in plan.node_overrides.items():
         lies_for.setdefault(cid, []).append((node, ts))
-    stamped = []
+    assigned = []
     for placed in sim.invocations:
         inv = placed.invocation
         cid = inv.command_id
         lies = tuple(sorted(lies_for.get(cid, ())))
         bias, override = plan.quorum_bias.get(cid), plan.ats_overrides.get(cid)
-        key = (placed.origin_city, inv.invoke_time, sim.delta_net_us, quorum_size,
-               bias, lies, override)
-        hit = sim.memo.get(key)
-        if hit is None:
-            own = ClampStats()
-            stamps = observe(inv, placed.origin_city, sim.topology, sim.delta_net_us, stats=own)
-            if lies:
-                reported = dict(lies)
-                stamps = [(node, reported.get(node, ts)) for node, ts in stamps]
-            quorum = _select_quorum(stamps, quorum_size, bias)
-            ats = median_timestamp([ts for _, ts in quorum])
+        key = (placed.origin_city, inv.invoke_time, sim.delta_net_us, f, bias, lies, override)
+        ats = sim.memo.get(key)
+        if ats is None:
+            if bias not in (None, QUORUM_LOW, QUORUM_HIGH):
+                raise ContractError(f"unknown quorum bias {bias!r}")
+            reported = dict(lies)
+            stamps = observe(inv, placed.origin_city, sim.topology, sim.delta_net_us)
+            ats = quorum_median(
+                [reported.get(node, ts) for node, ts in stamps], f, high=bias == QUORUM_HIGH
+            )
             if override is not None:
                 ats = clamp_to_window(override, inv.invoke_time, sim.delta_net_us)
-                quorum = tuple((node, ats) for node, _ in quorum)
             if ats < 0:
                 raise ContractError(f"assigned timestamp {ats} precedes the first slot at 0")
-            hit = sim.memo[key] = (quorum, ats, own)
-        quorum, ats, own = hit
-        stats.observations += own.observations
-        stats.violations += own.violations
-        stamped.append((inv, quorum, ats, ats // sim.slot_interval_us))
-    return stamped, stats
+            sim.memo[key] = ats
+        assigned.append(ats)
+    return assigned
 
 
 def _key(prefix, tie_seed: bytes, command_id: bytes):
@@ -250,11 +228,12 @@ def _slotted_prefixes(sim: SimulationRun):
     slots a slot-by-slot run walks until the last emission are neither
     certified nor revealed: no key depends on their seeds.
     """
-    stamped, _ = _timestamp_invocations(sim)
-    if max(ats for _, _, ats, _ in stamped) + max(sim.policy.param_us - 1, 0) > MAX_TIMESTAMP:
+    assigned = _timestamp_invocations(sim)
+    if max(assigned) + max(sim.policy.param_us - 1, 0) > MAX_TIMESTAMP:
         raise ContractError("timestamp overflow (must fit in 63 bits)")
+    slots = [ats // sim.slot_interval_us for ats in assigned]
     states, tie_seeds = {}, {}
-    for *_, k in stamped:
+    for k in slots:
         if k not in states:
             seed = sim.memo.get((sim.sro, k))
             if seed is None:
@@ -262,11 +241,7 @@ def _slotted_prefixes(sim: SimulationRun):
                     RevealRequest(k, sim.sro.quorum_signatures(k))
                 )
             states[k], tie_seeds[k] = hashlib.sha512(b"noise" + seed), seed[:32]
-    return (
-        [tie_seeds[k] for *_, k in stamped],
-        [ats for _, _, ats, _ in stamped],
-        [states[k] for *_, k in stamped],
-    )
+    return [tie_seeds[k] for k in slots], assigned, [states[k] for k in slots]
 
 
 # numpy's SeedSequence (a pool of 4 uint32 words) and PCG64 seeding constants

@@ -1,4 +1,4 @@
-"""Core vocabulary: invocations, median timestamps, command ids, tie keys.
+"""Core vocabulary: invocations, the quorum median, command ids, tie keys.
 
 All times are integer microseconds. Timestamps must fit in 63 bits so that
 sums with noise never overflow on any platform.
@@ -17,17 +17,20 @@ class ContractError(ValueError):
     """A caller violated an operation's precondition."""
 
 
-def median_timestamp(timestamps) -> int:
-    """Median of an odd-length timestamp list (the (f+1)-th smallest of 2f+1).
+def quorum_median(reports, f: int, high: bool = False) -> int:
+    """The assigned timestamp of a command whose n nodes made ``reports``.
 
-    As long as at most f entries are adversarial, the result is bounded on
-    both sides by entries contributed by correct nodes.
+    Its client submits 2f+1 of the reports and the median of those is the
+    assigned timestamp: the (f+1)-th smallest report for an honest client,
+    which takes the earliest responders, or the (f+1)-th largest for one
+    that picks the late quorum (``high``).  As long as at most f reports
+    are adversarial, either is bounded on both sides by correct nodes'
+    reports.
     """
-    ts = list(timestamps)
-    if not ts or len(ts) % 2 == 0:
-        raise ContractError(f"median requires an odd-length nonempty list, got {len(ts)} entries")
-    ts.sort()
-    return ts[len(ts) // 2]
+    ts = sorted(reports)
+    if f < 0 or len(ts) < 2 * f + 1:
+        raise ContractError(f"a quorum median needs f >= 0 and 2f+1 reports, got f={f}, {len(ts)}")
+    return ts[-f - 1] if high else ts[f]
 
 
 @dataclass(frozen=True)

@@ -33,11 +33,11 @@ once: the bundled topology is parsed once per process, the topology
 memoizes each (city, invoke time, delta_net) receive vector that
 ``observe`` returns, and the sandwich payoff table is built once per
 process.  Within one ``run_experiment`` call (``_Run``), the median-policy
-cells share one memo (``SimulationRun.memo``) and each colluder plan: the
-memo holds each distinct command's stamp (its quorum and assigned
-timestamp) and each decided slot's revealed seed, so a sandwich run stamps
-its three commands once and plans once, and a run certifies and reveals
-each slot once, however many cells it decides.
+cells share one memo (``SimulationRun.memo``): it holds each distinct
+command's assigned timestamp and each decided slot's revealed seed, so a
+sandwich run stamps its three commands once, and a run certifies and
+reveals each slot once, however many cells it decides.  A sandwich run
+builds its colluder plan once, before its cells.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from itertools import combinations
 from . import analysis, attacks
 from .adversary import AdversaryPlan, private_relay_placement
 from .consensus import OrderingPolicy, PlacedInvocation, SimulationRun, trial_orders
-from .domain import US_PER_MS, CommandIds, Invocation
+from .domain import US_PER_MS, CommandIds, Invocation, quorum_median
 from .netmodel import CityTopology, bundled_topology, load_topology
 from .sro import Backend, SroConfig, SroHandle, sro_init
 
@@ -228,21 +228,20 @@ def _trial_seed(config_seed: int, *tags) -> list:
 @dataclass
 class _Run:
     """What the cells of one ``run_experiment`` call share: the config, the
-    topology, the oracle, one memo of each distinct command's stamp and each
-    revealed slot's seed (every cell's ``SimulationRun.memo``) and each
-    colluder plan."""
+    topology, the oracle, and one memo of each distinct command's assigned
+    timestamp and each revealed slot's seed (every cell's
+    ``SimulationRun.memo``)."""
 
     config: ExperimentConfig
     topology: CityTopology
     sro: SroHandle
     memo: dict = field(default_factory=dict)
-    plans: dict = field(default_factory=dict)  # (commands, colluders) -> AdversaryPlan
 
 
 def _run_for(config: ExperimentConfig) -> _Run:
     """A fresh ``_Run`` for ``config``: its topology and seeded oracle (f the
-    largest that n >= 3f + 1 allows), with nothing stamped, revealed or
-    planned yet."""
+    largest that n >= 3f + 1 allows), with nothing stamped or revealed
+    yet."""
     topology = resolve_topology(config.topology)
     n = topology.n_nodes
     rng_seed = hashlib.sha256(b"sro" + config.seed.to_bytes(8, "big", signed=True)).digest()
@@ -250,42 +249,38 @@ def _run_for(config: ExperimentConfig) -> _Run:
     return _Run(config, topology, sro)
 
 
-def _cell(run: _Run, spec, tags, commands, colluders=()):
-    """One table cell as ``trial_orders``' arguments: its ``SimulationRun``
-    (one template invocation per (label, invoke_us, city) triple in
-    ``commands``, which each trial renames), ``run.config.trials``, its
-    ``CommandIds`` and its trial seed.  Under the median-timestamp
-    policies, ``colluders`` bracket the first command with the other two,
-    by one plan per run for each (commands, colluders).
-    """
-    config = run.config
-    policy = OrderingPolicy.parse(spec)
-    delta_net_us = config.delta_net_ms * US_PER_MS
-    placed = [
+def _placed(commands) -> list:
+    """A cell's template invocations, one per (label, invoke_us, city)
+    triple, each with its label's bytes as its command id."""
+    return [
         PlacedInvocation(Invocation(label.encode(), t_us), city)
         for label, t_us, city in commands
     ]
-    plan = AdversaryPlan()
-    if colluders and policy.median_timestamps:
-        plan = run.plans.get((commands, colluders))
-        if plan is None:
-            victim, *attackers = [(p.invocation, p.origin_city) for p in placed]
-            plan = run.plans[commands, colluders] = private_relay_placement(
-                victim, attackers, colluders, run.topology, delta_net_us, run.sro.config.f
-            )
+
+
+def _cell(run: _Run, spec, tags, commands, plan=AdversaryPlan()):
+    """One table cell as ``trial_orders``' arguments: its ``SimulationRun``
+    (``_placed(commands)``, which each trial renames),
+    ``run.config.trials``, its ``CommandIds`` and its trial seed.  The
+    adversary ``plan``, keyed by the template ids, applies only under the
+    median-timestamp policies; the baselines run honest.
+    """
+    config = run.config
+    policy = OrderingPolicy.parse(spec)
     sim = SimulationRun(
-        topology=run.topology, policy=policy, delta_net_us=delta_net_us,
-        slot_interval_us=config.slot_ms * US_PER_MS, invocations=placed,
-        sro=run.sro, adversary=plan, memo=run.memo,
+        topology=run.topology, policy=policy, delta_net_us=config.delta_net_ms * US_PER_MS,
+        slot_interval_us=config.slot_ms * US_PER_MS, invocations=_placed(commands),
+        sro=run.sro, adversary=plan if policy.median_timestamps else AdversaryPlan(),
+        memo=run.memo,
     )
     trial_ids = CommandIds(tags, [label for label, _, _ in commands])
     return sim, config.trials, trial_ids, partial(_trial_seed, config.seed, *tags)
 
 
-def _count_orders(run: _Run, spec, tags, commands, colluders=()) -> Counter:
+def _count_orders(run: _Run, spec, tags, commands, plan=AdversaryPlan()) -> Counter:
     """The ledger orders of one table cell's trials, counted, each as the
     tuple of its labels in ledger order."""
-    orders = Counter(trial_orders(*_cell(run, spec, tags, commands, colluders)))
+    orders = Counter(trial_orders(*_cell(run, spec, tags, commands, plan)))
     return Counter({tuple(commands[i][0] for i in order): n for order, n in orders.items()})
 
 
@@ -328,12 +323,11 @@ def run_tradeoff_curve(config: ExperimentConfig) -> TableResult:
         raise ConfigError("tradeoff_curve needs a gap sweep")
     run = _run_for(config)
     t0 = config.slot_ms * US_PER_MS // 2
-
-    def quorum_median(city):
-        delays = sorted(run.topology.delays_from(city))[: 2 * run.sro.config.f + 1]
-        return delays[len(delays) // 2]
-
-    slow, fast = sorted(config.origins, key=quorum_median, reverse=True)[:2]
+    slow, fast = sorted(
+        config.origins,
+        key=lambda city: quorum_median(run.topology.delays_from(city), run.sro.config.f),
+        reverse=True,
+    )
     result = TableResult(
         header=("gap_ms", "policy", "early_city", "pr_early_first", "trials")
     )
@@ -380,9 +374,14 @@ def run_sandwich(config: ExperimentConfig) -> TableResult:
     result = TableResult(
         header=("policy", "order", "frequency", "victim_usd", "attacker_usd")
     )
+    victim, *attackers = [(p.invocation, p.origin_city) for p in _placed(commands)]
+    plan = private_relay_placement(
+        victim, attackers, colluders, run.topology,
+        config.delta_net_ms * US_PER_MS, run.sro.config.f,
+    )
     table = attacks.default_payoff_table()
     for spec in config.policies:
-        counts = _count_orders(run, spec, ("sand", spec), commands, colluders)
+        counts = _count_orders(run, spec, ("sand", spec), commands, plan)
         freqs = {order: Fraction(counts[order], config.trials) for order in attacks.PERMUTATIONS}
         expected = attacks.expected_attacker_profit(table, freqs)
         for order in attacks.PERMUTATIONS:

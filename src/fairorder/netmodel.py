@@ -63,16 +63,15 @@ class CityTopology:
             for city in pair:
                 if city not in known:
                     raise TopologyError(f"delay entry references unknown city {city!r}")
-        # (origin, invoke_time, delta_net_us) -> (observe's stamps, violations)
+        if self.intra_city_us < 0:
+            raise TopologyError(f"negative intra-city latency {self.intra_city_us}")
+        # (origin, invoke_time, delta_net_us) -> observe's stamps
         object.__setattr__(self, "_receive_cache", {})
         object.__setattr__(self, "_n_nodes", sum(count for _, count in self.cities))
         object.__setattr__(self, "_city_names", tuple(names))
-        object.__setattr__(
-            self, "_node_cities",
-            tuple(name for name, count in self.cities for _ in range(count)),
-        )
+        city_of_node = tuple(name for name, count in self.cities for _ in range(count))
         object.__setattr__(self, "_delays", {
-            origin: tuple(self.delay_us(origin, city) for city in self._node_cities)
+            origin: tuple(self.delay_us(origin, city) for city in city_of_node)
             for origin in names
         })
 
@@ -83,10 +82,6 @@ class CityTopology:
     @property
     def city_names(self) -> tuple:
         return self._city_names
-
-    def node_cities(self) -> tuple:
-        """City of each node id, in city-block order."""
-        return self._node_cities
 
     def delay_us(self, a: str, b: str) -> int:
         if a not in self.city_names or b not in self.city_names:
@@ -108,44 +103,25 @@ class CityTopology:
         return delays
 
 
-@dataclass
-class ClampStats:
-    """Counts raw timestamps that fell outside [T, T + delta_net]."""
-
-    violations: int = 0
-    observations: int = 0
-
-
-def observe(
-    invocation,
-    origin_city: str,
-    topology: CityTopology,
-    delta_net_us: int,
-    stats: ClampStats | None = None,
-):
-    """Per-node receive timestamps for one invocation, as a fresh list.
+def observe(invocation, origin_city: str, topology: CityTopology, delta_net_us: int):
+    """Per-node receive timestamps for one invocation, as a fresh list of
+    (node, timestamp) pairs.
 
     Each node sees T + delay(origin, node), clamped into [T, T + delta_net]:
     after stabilization every correct node's timestamp lies in that window,
-    and the clamp enforces it while ``stats`` records how often the base
-    delay exceeded delta_net.  The result depends only on (origin, T,
-    delta_net), so the topology memoizes it; ``stats`` counts a repeat the
-    same as the first call.
+    and the clamp enforces it.  Every delay is >= 0, so the lower bound
+    never binds, and the clamped nodes are exactly those whose
+    ``delays_from(origin)`` delay exceeds delta_net.  The result depends
+    only on (origin, T, delta_net), so the topology memoizes it.
     """
-    if origin_city not in topology.city_names:
-        raise TopologyError(f"unknown origin city {origin_city!r}")
     t = invocation.invoke_time
     key = (origin_city, t, delta_net_us)
-    hit = topology._receive_cache.get(key)
-    if hit is None:
-        raw = [t + d for d in topology.delays_from(origin_city)]
-        clamped = [min(max(ts, t), t + delta_net_us) for ts in raw]
-        violations = sum(r != c for r, c in zip(raw, clamped))
-        hit = topology._receive_cache[key] = (tuple(enumerate(clamped)), violations)
-    stamps, violations = hit
-    if stats is not None:
-        stats.observations += len(stamps)
-        stats.violations += violations
+    stamps = topology._receive_cache.get(key)
+    if stamps is None:
+        stamps = topology._receive_cache[key] = tuple(
+            (node, t + min(d, delta_net_us))
+            for node, d in enumerate(topology.delays_from(origin_city))
+        )
     return list(stamps)
 
 

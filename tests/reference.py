@@ -8,16 +8,16 @@ engine's stream must give the same order for every trial.  The per-slot
 records ``TimestampedCommand`` and ``Slot`` live here, with the checks
 their fields must pass, and so does the all-correct precedence that the
 receive baseline's median order extends.
-The spec constants are restated here, not imported, so a change to the
-engine's noise, tie keys or leader draws shows up as a disagreement instead
-of being shared by both sides.
+The spec constants and the median rule are restated here, not imported,
+so a change to the engine's medians, noise, tie keys or leader draws shows
+up as a disagreement instead of being shared by both sides.
 """
 
 import hashlib
 from dataclasses import dataclass, field
 
 from fairorder.adversary import QUORUM_HIGH, clamp_to_window
-from fairorder.domain import ContractError, Invocation, median_timestamp, tie_break_key
+from fairorder.domain import ContractError, Invocation, tie_break_key
 from fairorder.netmodel import observe
 from fairorder.sro import RevealRequest
 
@@ -26,6 +26,15 @@ SLOT_TIE_SEED_BYTES = 32  # a slot's tie keys are keyed by its seed's first 32 b
 LEADER_TIE_SEED = b"leader"
 RECEIVE_TIE_SEED = b"receive"
 MAX_TIMESTAMP = 2**63 - 1  # a timestamp and its noise fit in 63 bits
+
+
+def median(timestamps) -> int:
+    """The middle value of an odd number of timestamps: with 2f+1 of them,
+    the (f+1)-th smallest."""
+    ordered = sorted(timestamps)
+    if len(ordered) % 2 == 0:
+        raise ContractError(f"median of {len(ordered)} timestamps: need an odd count")
+    return ordered[len(ordered) // 2]
 
 
 @dataclass(frozen=True)
@@ -40,7 +49,7 @@ class TimestampedCommand:
 
     def __post_init__(self):
         values = [ts for _, ts in self.node_timestamps]
-        if median_timestamp(values) != self.assigned_ts:
+        if median(values) != self.assigned_ts:
             raise ContractError("assigned_ts is not the median of node_timestamps")
         if self.noise < 0:
             raise ContractError("noise must be >= 0")
@@ -125,7 +134,7 @@ def run_slotted(sim) -> SlottedRun:
         high = plan.quorum_bias.get(inv.command_id) == QUORUM_HIGH
         chosen = stamps[-size:] if high else stamps[:size]
         quorum = tuple((node, ts) for ts, node in chosen)
-        ats = median_timestamp(ts for ts, _ in chosen)
+        ats = median(ts for ts, _ in chosen)
         if inv.command_id in plan.ats_overrides:
             override = plan.ats_overrides[inv.command_id]
             ats = clamp_to_window(override, inv.invoke_time, sim.delta_net_us)

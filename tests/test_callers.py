@@ -1,5 +1,6 @@
-"""Every public top-level function and class of the package has a caller
-outside the tests, and the test oracles use only the package's public names.
+"""Every public top-level function and class of the package, and every
+public method and property of its classes, has a caller outside the tests,
+and the test oracles use only the package's public names.
 
 A definition counts as used when code under ``src/``, ``scripts/`` or
 ``bench/`` refers to it: a name (``run_experiment``) or an attribute
@@ -40,17 +41,27 @@ def _references(tree) -> Counter:
     )
 
 
+def _public_definitions(tree):
+    """(qualified name, name) of each public top-level function and class,
+    and of each public method and property of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    yield f"{node.name}.{member.name}", member.name
+
+
 def test_every_public_definition_has_a_caller_outside_tests():
     trees = _trees()
     references = sum((_references(tree) for tree in trees.values()), Counter())
     unused = [
-        f"{path.relative_to(ROOT)}: {node.name}"
+        f"{path.relative_to(ROOT)}: {qualified}"
         for path, tree in trees.items()
         if path.parent == PACKAGE
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and not references[node.name]
+        for qualified, name in _public_definitions(tree)
+        if not references[name]
     ]
     assert not unused, "referenced only by tests: " + ", ".join(unused)
 

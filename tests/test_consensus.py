@@ -18,9 +18,16 @@ from fairorder.consensus import (
     SimulationRun,
     trial_orders,
 )
-from fairorder.domain import MAX_TIMESTAMP, CommandIds, ContractError, Invocation, make_command_id
+from fairorder.domain import (
+    MAX_TIMESTAMP,
+    CommandIds,
+    ContractError,
+    Invocation,
+    make_command_id,
+    quorum_median,
+)
 from fairorder.harness import _trial_seed
-from fairorder.netmodel import CityTopology, ClampStats, bundled_topology, observe, parse_topology
+from fairorder.netmodel import CityTopology, bundled_topology, observe, parse_topology
 from fairorder.sro import Backend, SroConfig, SroHandle, sro_init
 from reference import (
     all_correct_precedence,
@@ -351,7 +358,7 @@ class TestCountSlottedOrders:
 
 STAMPED = b"stamped"
 LOW = AdversaryPlan(quorum_bias={STAMPED: "low"})
-# Each changes one part of a command's stamp key, and so its stamp.
+# Each changes one part of a command's stamp key, and so its assigned timestamp.
 STAMP_VARIANTS = {
     "city": dict(city="london"),
     "invoke_time": dict(t=900_000),
@@ -374,31 +381,32 @@ def stamp_sim(stamps, city="tokyo", t=700_000, dnet=DNET, f=26, plan=LOW):
     )
 
 
-def stamps_of(sim):
-    stamped, stats = consensus._timestamp_invocations(sim)
-    return [(quorum, ats, k) for _, quorum, ats, k in stamped], stats
-
-
 class TestStampMemo:
     @pytest.mark.parametrize("part", sorted(STAMP_VARIANTS))
     def test_a_different_stamp_is_not_shared(self, part):
         # the cells of one run share one memo; a command that differs in one
         # part of its key gets its own stamp, as with a fresh memo
         variant = STAMP_VARIANTS[part]
-        fresh = stamps_of(stamp_sim({}, **variant))
-        assert fresh[0] != stamps_of(stamp_sim({}))[0]
+        stamp = consensus._timestamp_invocations
+        fresh = stamp(stamp_sim({}, **variant))
+        assert fresh != stamp(stamp_sim({})) == [815_000]
         shared = {}
-        stamps_of(stamp_sim(shared))
-        assert stamps_of(stamp_sim(shared, **variant)) == fresh
+        stamp(stamp_sim(shared))
+        assert stamp(stamp_sim(shared, **variant)) == fresh
         assert len(shared) == 2
+
+    def test_unknown_quorum_bias_rejected(self):
+        plan = AdversaryPlan(quorum_bias={STAMPED: "middle"})
+        with pytest.raises(ContractError, match="unknown quorum bias 'middle'"):
+            consensus._timestamp_invocations(stamp_sim({}, plan=plan))
 
     def test_an_equal_stamp_is_shared(self):
         # honest and low-biased clients pick the same quorum, but the bias
         # is part of the key
-        shared = {}
-        first = stamps_of(stamp_sim(shared))
-        assert stamps_of(stamp_sim(shared)) == first
-        assert stamps_of(stamp_sim(shared, plan=AdversaryPlan())) == first
+        shared, stamp = {}, consensus._timestamp_invocations
+        first = stamp(stamp_sim(shared))
+        assert stamp(stamp_sim(shared)) == first
+        assert stamp(stamp_sim(shared, plan=AdversaryPlan())) == first
         assert len(shared) == 2
 
     def test_runs_with_different_oracles_share_one_memo(self):
@@ -418,22 +426,21 @@ class TestStampMemo:
         assert orders[0] != orders[1]
         assert (oracles[0], 0) in shared and (oracles[1], 0) in shared
 
-    def test_clamp_stats_count_every_command_on_a_memo_hit(self):
+    def test_commands_with_one_key_share_one_stamp(self):
         topology = bundled_topology()
         dnet = 200_000  # tokyo's and canberra's farthest nodes are clamped
         placed = [
             PlacedInvocation(inv(label, 700_000), city)
             for label, city in (("t", "tokyo"), ("c", "canberra"), ("again", "tokyo"))
         ]
-        want = ClampStats()
-        for p in placed:
-            observe(p.invocation, p.origin_city, topology, dnet, stats=want)
-        assert want.violations > 0 and want.observations == 3 * topology.n_nodes
+        want = [
+            quorum_median([ts for _, ts in observe(p.invocation, p.origin_city, topology, dnet)], 26)
+            for p in placed
+        ]
         sim = replace(sim_for(placed, POMPE, topology=topology, f=26), delta_net_us=dnet)
-        first = stamps_of(sim)
+        assert consensus._timestamp_invocations(sim) == want
         assert len(sim.memo) == 2  # one tokyo stamp for two commands
-        assert first[1] == want
-        assert stamps_of(sim) == first
+        assert consensus._timestamp_invocations(sim) == want
 
 
 class TestCountBaselineOrders:

@@ -10,7 +10,7 @@ from fairorder.domain import (
     ContractError,
     Invocation,
     make_command_id,
-    median_timestamp,
+    quorum_median,
     tie_break_key,
 )
 from reference import MAX_TIMESTAMP, Slot, TimestampedCommand
@@ -28,17 +28,33 @@ def make_cmd(ident, quorum, noise=0):
     )
 
 
+def median_of_chosen_quorum(reports, f, high):
+    """The rule ``quorum_median`` replaces: sort the (node, ts) pairs by
+    (ts, node), take the first 2f+1 (or the last, under a high bias) and
+    return the median of their timestamps."""
+    ordered = sorted(enumerate(reports), key=lambda pair: (pair[1], pair[0]))
+    quorum = ordered[-(2 * f + 1):] if high else ordered[: 2 * f + 1]
+    return sorted(ts for _, ts in quorum)[f]
+
+
 class TestMedian:
     def test_median_of_three(self):
-        assert median_timestamp([5, 1, 9]) == 5
+        assert quorum_median([5, 1, 9], 1) == 5
 
     def test_all_equal(self):
-        assert median_timestamp([7] * 5) == 7
+        assert quorum_median([7] * 5, 2) == 7
 
     @pytest.mark.parametrize("bad", [[], [1, 2], [1, 2, 3, 4]])
     def test_even_or_empty_rejected(self, bad):
+        # the median of 2f+1 reports, with f = len // 2, needs one more
         with pytest.raises(ContractError):
-            median_timestamp(bad)
+            quorum_median(bad, len(bad) // 2)
+
+    @pytest.mark.parametrize("reports, f", [([1, 2, 3], 2), (range(7), -1)])
+    def test_fewer_than_a_quorum_rejected(self, reports, f):
+        for high in (False, True):
+            with pytest.raises(ContractError, match="2f"):
+                quorum_median(reports, f, high)
 
     def test_adversarial_pair_bounded_by_correct(self):
         # f = 2 adversarial entries, correct entries {100, 110, 120}: whatever
@@ -46,22 +62,36 @@ class TestMedian:
         correct = [100, 110, 120]
         grid = [-10**9, 0, 105, 115, 10**9]
         for a, b in itertools.product(grid, repeat=2):
-            med = median_timestamp(correct + [a, b])
-            assert 100 <= med <= 120
+            for high in (False, True):
+                med = quorum_median(correct + [a, b], 2, high)
+                assert 100 <= med <= 120
 
     @pytest.mark.parametrize("f", [0, 1, 2])
     def test_exhaustive_bounding_up_to_n7(self, f):
-        correct = [1000 + 7 * i for i in range(f + 1)]
+        # n = 3f + 1 reports, f of them adversarial: both quorums' medians
+        # stay within the correct reports
+        correct = [1000 + 7 * i for i in range(2 * f + 1)]
         grid = [-10**9, -1, 1001, 1009, 10**9]
         for adversarial in itertools.product(grid, repeat=f):
-            med = median_timestamp(correct + list(adversarial))
-            assert min(correct) <= med <= max(correct)
+            for high in (False, True):
+                med = quorum_median(correct + list(adversarial), f, high)
+                assert min(correct) <= med <= max(correct)
 
     @given(st.lists(st.integers(-10**12, 10**12), min_size=1, max_size=9).filter(lambda x: len(x) % 2 == 1))
     def test_permutation_invariant(self, values):
-        base = median_timestamp(values)
-        assert median_timestamp(list(reversed(values))) == base
-        assert median_timestamp(sorted(values)) == base
+        f = len(values) // 2
+        base = quorum_median(values, f)
+        assert quorum_median(list(reversed(values)), f) == base
+        assert quorum_median(sorted(values), f) == base
+        assert quorum_median(values, f, high=True) == base  # one quorum: all n
+
+    @given(st.data())
+    def test_equals_the_median_of_the_chosen_quorum(self, data):
+        f = data.draw(st.integers(0, 5))
+        n = data.draw(st.integers(2 * f + 1, 3 * f + 4))
+        reports = data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+        for high in (False, True):
+            assert quorum_median(reports, f, high) == median_of_chosen_quorum(reports, f, high)
 
 
 class TestTieBreak:

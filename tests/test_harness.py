@@ -17,7 +17,14 @@ from fairorder.consensus import (
     SimulationRun,
     trial_orders,
 )
-from fairorder.domain import US_PER_MS, CommandIds, ContractError, Invocation, make_command_id
+from fairorder.domain import (
+    US_PER_MS,
+    CommandIds,
+    ContractError,
+    Invocation,
+    make_command_id,
+    quorum_median,
+)
 from fairorder.harness import (
     ConfigError,
     ExperimentConfig,
@@ -25,6 +32,7 @@ from fairorder.harness import (
     _cell,
     _colluder_ids,
     _count_orders,
+    _placed,
     _run_for,
     _trial_seed,
     emit_csv,
@@ -275,11 +283,13 @@ class TestSandwich:
             run_sandwich(config)
 
 
-def assert_engine_matches_per_trial(run, spec, tags, commands, reference_orders, colluders=()):
+def assert_engine_matches_per_trial(
+    run, spec, tags, commands, reference_orders, plan=AdversaryPlan()
+):
     """Trial t of ``trial_orders``, on the cell the harness builds, gives the
     reference's order of trial t, for each of the run's trials."""
     labels = [label for label, _, _ in commands]
-    engine = trial_orders(*_cell(run, spec, tags, commands, colluders))
+    engine = trial_orders(*_cell(run, spec, tags, commands, plan))
     assert [tuple(labels[i] for i in order) for order in engine] == reference_orders, commands
 
 
@@ -341,8 +351,12 @@ class TestSlottedEngine:
             want, decided_slots = per_trial_orders(
                 config, topology, sro, spec, tags, commands, colluder_ids
             )
-            assert_engine_matches_per_trial(run, spec, tags, commands, want, colluder_ids)
-            got = _count_orders(run, spec, tags, commands, colluder_ids)
+            victim, *attackers = [(p.invocation, p.origin_city) for p in _placed(commands)]
+            plan = private_relay_placement(
+                victim, attackers, colluder_ids, topology, dnet_us, sro.config.f
+            )
+            assert_engine_matches_per_trial(run, spec, tags, commands, want, plan)
+            got = _count_orders(run, spec, tags, commands, plan)
             assert got == Counter(want), commands
             assert len(decided_slots) >= 2
 
@@ -405,9 +419,9 @@ class TestSlottedEngine:
         stamp = consensus._timestamp_invocations
 
         def recording(sim):
-            stamped, stats = stamp(sim)
-            decided.update(k for *_, k in stamped)
-            return stamped, stats
+            assigned = stamp(sim)
+            decided.update(ats // sim.slot_interval_us for ats in assigned)
+            return assigned
 
         def counting(name):
             fn = getattr(SroHandle, name)
@@ -559,13 +573,12 @@ class TestLazyIds:
         run = _run_for(config)
         topology, sro = run.topology, run.sro
 
-        def quorum_median(city):
-            delays = sorted(topology.delays_from(city))[: 2 * sro.config.f + 1]
-            return delays[len(delays) // 2]
+        def median_delay(city):
+            return quorum_median(topology.delays_from(city), sro.config.f)
 
-        slow = max(topology.city_names, key=quorum_median)
-        fast = min(topology.city_names, key=quorum_median)
-        assert quorum_median(slow) > quorum_median(fast)
+        slow = max(topology.city_names, key=median_delay)
+        fast = min(topology.city_names, key=median_delay)
+        assert median_delay(slow) > median_delay(fast)
         gap_us = config.delta_net_ms * US_PER_MS + OrderingPolicy.parse(spec).param_us + 1
         t0 = config.slot_ms * US_PER_MS // 2
         counts = _count_orders(
