@@ -66,8 +66,7 @@ def private_relay_placement(
     if not colluders:
         return AdversaryPlan()
     victim_inv, victim_city = victim
-    stamps = observe(victim_inv, victim_city, topology, delta_net_us)
-    predicted = quorum_median([ts for _, ts in stamps], f)
+    predicted = quorum_median(observe(victim_inv, victim_city, topology, delta_net_us), f)
     (early_inv, _), (late_inv, _) = attacker_cmds
     node_overrides = {}
     for node_id in colluders:

@@ -169,9 +169,10 @@ def _timestamp_invocations(sim: SimulationRun) -> list:
             if bias not in (None, QUORUM_LOW, QUORUM_HIGH):
                 raise ContractError(f"unknown quorum bias {bias!r}")
             reported = dict(lies)
-            stamps = observe(inv, placed.origin_city, sim.topology, sim.delta_net_us)
+            received = observe(inv, placed.origin_city, sim.topology, sim.delta_net_us)
             ats = quorum_median(
-                [reported.get(node, ts) for node, ts in stamps], f, high=bias == QUORUM_HIGH
+                [reported.get(node, ts) for node, ts in enumerate(received)],
+                f, high=bias == QUORUM_HIGH,
             )
             if override is not None:
                 ats = clamp_to_window(override, inv.invoke_time, sim.delta_net_us)
@@ -343,7 +344,7 @@ def _baseline_prefixes(sim: SimulationRun, trial_seed, trials: int):
     (prefixes, None) as it is drawn.
     """
     receive = [  # each invocation's per-node receive times
-        [ts for _, ts in observe(p.invocation, p.origin_city, sim.topology, sim.delta_net_us)]
+        observe(p.invocation, p.origin_city, sim.topology, sim.delta_net_us)
         for p in sim.invocations
     ]
     if sim.policy.kind is PolicyKind.RECEIVE_ORDER:
@@ -404,7 +405,7 @@ def _orders(tie_seeds, per_trial, trial_ids):
         if len(set(prefix)) < len(prefix):
             prefix = [
                 _key(p, seed, cid)
-                for p, seed, cid in zip(prefix, tie_seeds, ids or trial_ids(t), strict=True)
+                for p, seed, cid in zip(prefix, tie_seeds, ids or trial_ids(t))
             ]
         yield tuple(sorted(indices, key=prefix.__getitem__))
 
@@ -440,7 +441,7 @@ def trial_orders(sim: SimulationRun, trials: int, trial_ids: CommandIds, trial_s
     if trials < 1:
         raise ContractError(f"trials must be >= 1, got {trials}")
     if len(trial_ids.labels) != len(sim.invocations):
-        raise ValueError(
+        raise ContractError(
             f"{len(trial_ids.labels)} command labels for {len(sim.invocations)} invocations"
         )
     kind = sim.policy.kind

@@ -47,31 +47,19 @@ class Invocation:
 
 def encode_id_part(p) -> bytes:
     """One id part as hashed: its 4-byte length, then its bytes; an int is
-    8 bytes two's complement, a str its UTF-8, a tuple or list its own id."""
-    if isinstance(p, (tuple, list)):
-        p = make_command_id(*p)
-    elif isinstance(p, int):
+    8 bytes two's complement, a str its UTF-8."""
+    if isinstance(p, int):
         p = p.to_bytes(8, "big", signed=True)
     elif isinstance(p, str):
         p = p.encode()
     return len(p).to_bytes(4, "big") + p
 
 
-def _hash_parts(h, parts):
-    """Feed each part to ``h``, encoded by ``encode_id_part``."""
-    for p in parts:
-        h.update(encode_id_part(p))
-    return h
-
-
-def make_command_id(*parts) -> bytes:
-    """Hash-sized unique id from arbitrary labels (ints, strs, bytes, tuples)."""
-    return _hash_parts(hashlib.sha256(), parts).digest()
-
-
 class CommandIds:
-    """A table cell's command ids: ``CommandIds(tags, labels)(trial) ==
-    [make_command_id(*tags, trial, label) for label in labels]``.
+    """A table cell's command ids: ``CommandIds(tags, labels)(trial)`` is,
+    for each label in order, the SHA-256 of the encoded tags, then the
+    encoded trial, then the encoded label (``encode_id_part``; a part is an
+    int, a str or bytes).
 
     The tags are hashed and each label encoded once per cell, so trial t's
     id for a label is ``prefix.copy()`` updated with ``encode_id_part(t) +
@@ -81,7 +69,8 @@ class CommandIds:
     """
 
     def __init__(self, tags, labels):
-        self.prefix = _hash_parts(hashlib.sha256(), tags)  # never updated after init
+        # never updated after init
+        self.prefix = hashlib.sha256(b"".join(encode_id_part(tag) for tag in tags))
         self.labels = tuple(encode_id_part(label) for label in labels)
 
     def __call__(self, trial) -> list:

@@ -14,7 +14,7 @@ Every simulated table cell goes through one trial driver,
 (label, invoke_us, city) triples and reads its numbers from the counted
 ledger orders.  The cell's tags -- ``("geo", pair_index, spec)``,
 ``("gap", spec, gap_ms)`` or ``("sand", spec)`` -- fix trial t's command
-ids, ``make_command_id(*tags, t, label)`` for each label in order; under
+ids, ``CommandIds(tags, labels)(t)``, one per label in order; under
 the leader policy they also fix the seed its schedule and phase are drawn
 from, ``_trial_seed(seed, *tags, t)``.  Changing either changes the CSVs.
 No cell runs trial by trial: every policy's cell is one ``SimulationRun``
@@ -29,10 +29,9 @@ encodes each label once per cell and the trial once per trial.  They are
 derived only where they can matter: once per trial under ``bercow``, in
 the same pass as its noise, for the noise and any tie; otherwise only for
 a trial whose id-free key prefix ties.  Work that no cell changes is done
-once: the bundled topology is parsed once per process, the topology
-memoizes each (city, invoke time, delta_net) receive vector that
-``observe`` returns, and the sandwich payoff table is built once per
-process.  Within one ``run_experiment`` call (``_Run``), the median-policy
+once: the bundled topology, with its per-origin delay table, and the
+sandwich payoff table are each built once per process.  Within one
+``run_experiment`` call (``_Run``), the median-policy
 cells share one memo (``SimulationRun.memo``): it holds each distinct
 command's assigned timestamp and each decided slot's revealed seed, so a
 sandwich run stamps its three commands once, and a run certifies and

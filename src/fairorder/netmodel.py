@@ -7,7 +7,7 @@ A topology file is line-oriented plain text::
 
 Delays are one-way; a missing (A, B) entry falls back to (B, A).  Each
 ordered pair may appear once, and never as (A, A): nodes within one city
-are ``intra_city_us`` apart.  The bundled ``ethereum80.topo`` replicates
+are ``INTRA_CITY_US`` apart.  The bundled ``ethereum80.topo`` replicates
 the public distribution of Ethereum nodes over 80 simulated nodes with
 representative inter-city delays.
 """
@@ -25,6 +25,8 @@ from .domain import US_PER_MS
 
 log = logging.getLogger(__name__)
 
+INTRA_CITY_US = US_PER_MS  # one-way delay between two nodes of one city
+
 
 class TopologyError(ValueError):
     """Malformed or inconsistent topology input."""
@@ -37,14 +39,13 @@ class CityTopology:
     Every pair of cities must resolve to a delay, directly or by the
     symmetric fallback: the per-origin delay table is built at construction,
     which rejects a missing pair.  Immutable: ``latency_us`` is a read-only
-    copy of the mapping passed in, so one instance can be shared by every
-    run in a process (``bundled_topology`` does), and the delay table and
-    ``observe``'s memo stay valid.
+    copy of the mapping passed in, and nothing changes after construction,
+    so one instance can be shared by every run in a process
+    (``bundled_topology`` does).
     """
 
     cities: tuple  # ((name, node_count), ...)
     latency_us: dict  # (cityA, cityB) -> one-way delay, µs; read-only after init
-    intra_city_us: int = US_PER_MS
 
     def __post_init__(self):
         object.__setattr__(self, "latency_us", MappingProxyType(dict(self.latency_us)))
@@ -63,10 +64,6 @@ class CityTopology:
             for city in pair:
                 if city not in known:
                     raise TopologyError(f"delay entry references unknown city {city!r}")
-        if self.intra_city_us < 0:
-            raise TopologyError(f"negative intra-city latency {self.intra_city_us}")
-        # (origin, invoke_time, delta_net_us) -> observe's stamps
-        object.__setattr__(self, "_receive_cache", {})
         object.__setattr__(self, "_n_nodes", sum(count for _, count in self.cities))
         object.__setattr__(self, "_city_names", tuple(names))
         city_of_node = tuple(name for name, count in self.cities for _ in range(count))
@@ -87,7 +84,7 @@ class CityTopology:
         if a not in self.city_names or b not in self.city_names:
             raise TopologyError(f"unknown city in pair ({a}, {b})")
         if a == b:
-            return self.intra_city_us
+            return INTRA_CITY_US
         d = self.latency_us.get((a, b))
         if d is None:
             d = self.latency_us.get((b, a))
@@ -103,26 +100,19 @@ class CityTopology:
         return delays
 
 
-def observe(invocation, origin_city: str, topology: CityTopology, delta_net_us: int):
-    """Per-node receive timestamps for one invocation, as a fresh list of
-    (node, timestamp) pairs.
+def observe(invocation, origin_city: str, topology: CityTopology, delta_net_us: int) -> list:
+    """Per-node receive timestamps for one invocation: a fresh list whose
+    i-th entry is node i's.
 
     Each node sees T + delay(origin, node), clamped into [T, T + delta_net]:
     after stabilization every correct node's timestamp lies in that window,
     and the clamp enforces it.  Every delay is >= 0, so the lower bound
     never binds, and the clamped nodes are exactly those whose
-    ``delays_from(origin)`` delay exceeds delta_net.  The result depends
-    only on (origin, T, delta_net), so the topology memoizes it.
+    ``delays_from(origin)`` delay exceeds delta_net.
     """
     t = invocation.invoke_time
-    key = (origin_city, t, delta_net_us)
-    stamps = topology._receive_cache.get(key)
-    if stamps is None:
-        stamps = topology._receive_cache[key] = tuple(
-            (node, t + min(d, delta_net_us))
-            for node, d in enumerate(topology.delays_from(origin_city))
-        )
-    return list(stamps)
+    delays = topology.delays_from(origin_city)
+    return [t + (d if d < delta_net_us else delta_net_us) for d in delays]
 
 
 def parse_topology(text: str, source: str = "<string>") -> CityTopology:
@@ -145,7 +135,7 @@ def parse_topology(text: str, source: str = "<string>") -> CityTopology:
                 if ms < 0:
                     raise TopologyError("negative latency")
                 if pair[0] == pair[1]:
-                    raise TopologyError(f"self-delay for {pair[0]!r}; a city uses intra_city_us")
+                    raise TopologyError(f"self-delay for {pair[0]!r}; a city uses INTRA_CITY_US")
                 first = defined.setdefault(pair, lineno)
                 if first != lineno:
                     raise TopologyError(f"delay {pair} repeats its definition on line {first}")

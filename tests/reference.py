@@ -8,17 +8,17 @@ engine's stream must give the same order for every trial.  The per-slot
 records ``TimestampedCommand`` and ``Slot`` live here, with the checks
 their fields must pass, and so does the all-correct precedence that the
 receive baseline's median order extends.
-The spec constants and the median rule are restated here, not imported,
-so a change to the engine's medians, noise, tie keys or leader draws shows
-up as a disagreement instead of being shared by both sides.
+The spec constants and rules -- receive times, the median, the window
+clamp, command ids, noise and tie keys -- are restated here, not imported:
+this module imports no package function, so a change to the engine's
+rules shows up as a disagreement instead of being shared by both sides.
 """
 
 import hashlib
 from dataclasses import dataclass, field
 
-from fairorder.adversary import QUORUM_HIGH, clamp_to_window
-from fairorder.domain import ContractError, Invocation, tie_break_key
-from fairorder.netmodel import observe
+from fairorder.adversary import QUORUM_HIGH
+from fairorder.domain import ContractError, Invocation
 from fairorder.sro import RevealRequest
 
 NOISE_PREFIX = b"noise"
@@ -26,6 +26,33 @@ SLOT_TIE_SEED_BYTES = 32  # a slot's tie keys are keyed by its seed's first 32 b
 LEADER_TIE_SEED = b"leader"
 RECEIVE_TIE_SEED = b"receive"
 MAX_TIMESTAMP = 2**63 - 1  # a timestamp and its noise fit in 63 bits
+
+
+def make_command_id(*parts) -> bytes:
+    """The SHA-256 of the parts, each as its 4-byte big-endian length and
+    its bytes: an int is 8 bytes two's complement, a str its UTF-8, and a
+    tuple its own id (nested labels are a test convenience)."""
+    encoded = b""
+    for part in parts:
+        if isinstance(part, tuple):
+            part = make_command_id(*part)
+        elif isinstance(part, int):
+            part = part.to_bytes(8, "big", signed=True)
+        elif isinstance(part, str):
+            part = part.encode()
+        encoded += len(part).to_bytes(4, "big") + part
+    return hashlib.sha256(encoded).digest()
+
+
+def tie_break_key(tie_seed: bytes, command_id: bytes) -> bytes:
+    """SHA-256(tie seed || command id): equal keys sort by a hash, not by
+    arrival."""
+    return hashlib.sha256(tie_seed + command_id).digest()
+
+
+def clamp_to_window(ats: int, invoke_time: int, delta_net_us: int) -> int:
+    """A timestamp moved into its command's window [T, T + delta_net]."""
+    return min(max(ats, invoke_time), invoke_time + delta_net_us)
 
 
 def median(timestamps) -> int:
@@ -108,7 +135,10 @@ def noise(slot_seed: bytes, command_id: bytes, width_us: int) -> int:
 
 
 def _received(placed, topology, delta_net_us) -> list:
-    return [ts for _, ts in observe(placed.invocation, placed.origin_city, topology, delta_net_us)]
+    """Node i's receive time: T + its one-way delay from the origin city,
+    at most T + delta_net."""
+    t = placed.invocation.invoke_time
+    return [t + min(d, delta_net_us) for d in topology.delays_from(placed.origin_city)]
 
 
 def run_slotted(sim) -> SlottedRun:

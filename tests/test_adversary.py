@@ -1,8 +1,9 @@
 import pytest
 
 from fairorder.adversary import QUORUM_HIGH, QUORUM_LOW, AdversaryPlan, private_relay_placement
-from fairorder.domain import ContractError, Invocation, make_command_id
+from fairorder.domain import ContractError, Invocation
 from fairorder.netmodel import bundled_topology
+from reference import make_command_id
 
 DNET = 300_000
 

@@ -1,6 +1,7 @@
 """Every public top-level function and class of the package, and every
 public method and property of its classes, has a caller outside the tests,
-and the test oracles use only the package's public names.
+and the test oracles use only the package's public names and share no
+rule with it: ``tests/reference.py`` imports no package function.
 
 A definition counts as used when code under ``src/``, ``scripts/`` or
 ``bench/`` refers to it: a name (``run_experiment``) or an attribute
@@ -16,6 +17,8 @@ imports are its re-exports.
 """
 
 import ast
+import importlib
+import inspect
 from collections import Counter
 from pathlib import Path
 
@@ -82,6 +85,29 @@ def test_reference_uses_only_public_names():
         and node.attr.startswith("_") and not node.attr.startswith("__")
     ]
     assert not private, "tests/reference.py uses private names: " + ", ".join(private)
+
+
+def test_reference_imports_no_package_function():
+    # a class, an exception or a constant only: a shared function would make
+    # the engine-vs-reference tests compare the engine with itself
+    tree = ast.parse((ROOT / "tests" / "reference.py").read_text(encoding="utf-8"))
+    shared = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name.partition(".")[0] == "fairorder"
+    ]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("fairorder"):
+            module = importlib.import_module(node.module)
+            shared += [
+                f"{node.module}.{alias.name}"
+                for alias in node.names
+                if not isinstance(value := getattr(module, alias.name), type)
+                and (callable(value) or inspect.ismodule(value))
+            ]
+    assert not shared, "tests/reference.py shares package code: " + ", ".join(shared)
 
 
 def _imported_names(tree):

@@ -22,7 +22,6 @@ from fairorder.domain import (
     CommandIds,
     ContractError,
     Invocation,
-    make_command_id,
     quorum_median,
 )
 from fairorder.harness import (
@@ -45,7 +44,7 @@ from fairorder.harness import (
     run_tradeoff_curve,
 )
 from fairorder.sro import SroHandle
-from reference import order_leader_rotation, order_receive_all_correct, run_slotted
+from reference import make_command_id, order_leader_rotation, order_receive_all_correct, run_slotted
 
 CONFIG_DIR = resources.files("fairorder.data") / "configs"
 

@@ -1,17 +1,21 @@
+import copy
 import logging
 import re
+from types import MappingProxyType
 
 import pytest
 
 from fairorder.cli import main
-from fairorder.domain import Invocation, make_command_id
+from fairorder.domain import Invocation
 from fairorder.netmodel import (
+    INTRA_CITY_US,
     CityTopology,
     TopologyError,
     bundled_topology,
     observe,
     parse_topology,
 )
+from reference import make_command_id
 
 DNET = 300_000
 
@@ -20,12 +24,25 @@ def inv(t=1_000_000):
     return Invocation(make_command_id("inv", t), t)
 
 
-def two_city(delay_ms=50, intra_us=1000):
+def two_city(delay_ms=50):
     return CityTopology(
         cities=(("alpha", 2), ("beta", 1)),
         latency_us={("alpha", "beta"): delay_ms * 1000},
-        intra_city_us=intra_us,
     )
+
+
+def clamped(t, delays, dnet):
+    """Node i's receive time written from the model: T + delay, clamped
+    into [T, T + delta_net]."""
+    return [min(max(t + d, t), t + dnet) for d in delays]
+
+
+def attributes(topology):
+    """A deep copy of every attribute of ``topology``."""
+    return {
+        name: copy.deepcopy(dict(value) if isinstance(value, MappingProxyType) else value)
+        for name, value in vars(topology).items()
+    }
 
 
 class TestBundled:
@@ -44,15 +61,16 @@ class TestBundled:
         for city in topo.city_names:
             stamps = observe(inv(), city, topo, DNET)
             assert len(stamps) == 80
-            for _, ts in stamps:
+            for ts in stamps:
                 assert 1_000_000 <= ts <= 1_000_000 + DNET
 
 
 class TestObserve:
     def test_zero_latency_all_equal_invoke_time(self):
-        topo = CityTopology(cities=(("only", 4),), latency_us={}, intra_city_us=0)
-        stamps = observe(inv(77), "only", topo, DNET)
-        assert [ts for _, ts in stamps] == [77, 77, 77, 77]
+        # a zero delay, or a zero window, puts a node at the invoke time
+        topo = CityTopology(cities=(("only", 1), ("twin", 3)), latency_us={("only", "twin"): 0})
+        assert observe(inv(77), "only", topo, DNET) == [77 + INTRA_CITY_US, 77, 77, 77]
+        assert observe(inv(77), "only", topo, 0) == [77, 77, 77, 77]
 
     def test_unknown_city(self):
         with pytest.raises(TopologyError):
@@ -63,29 +81,36 @@ class TestObserve:
         t = 1_000_000
         for dnet in (50_000, 300_000):
             for city in topo.city_names:
-                delays = topo.delays_from(city)
-                assert observe(inv(t), city, topo, dnet) == [
-                    (i, min(max(t + d, t), t + dnet)) for i, d in enumerate(delays)
-                ]
+                got = observe(inv(t), city, topo, dnet)
+                assert got == clamped(t, topo.delays_from(city), dnet)
+                assert all(type(ts) is int for ts in got)
 
 
 class TestReceiveMemo:
+    """``observe`` keeps no memo: it computes each call's receive times from
+    the topology's fixed delay table and leaves the topology as it was."""
+
     def test_repeat_is_an_equal_fresh_list(self):
         topo = two_city()
         first = observe(inv(0), "beta", topo, DNET)
         second = observe(inv(0), "beta", topo, DNET)
         assert first == second and first is not second
-        second[0] = (0, -1)
-        second.append((9, 9))
+        second[0] = -1
+        second.append(9)
         assert observe(inv(0), "beta", topo, DNET) == first
 
     def test_invoke_times_and_windows_do_not_collide(self):
         topo = two_city(delay_ms=500)
-        cases = [(t, dnet) for t in (0, 7) for dnet in (DNET, 600_000)] * 2  # misses, then hits
+        cases = [(t, dnet) for t in (0, 7) for dnet in (DNET, 600_000)] * 2  # each case twice
         for t, dnet in cases:
-            assert observe(inv(t), "beta", topo, dnet) == [
-                (i, min(max(t + d, t), t + dnet)) for i, d in enumerate(topo.delays_from("beta"))
-            ]
+            assert observe(inv(t), "beta", topo, dnet) == clamped(t, topo.delays_from("beta"), dnet)
+
+    def test_observe_leaves_the_topology_unchanged(self):
+        topo = bundled_topology()
+        before = attributes(topo)
+        for t in range(1_000):
+            observe(Invocation(b"x", 1_000_000 + t), "tokyo", topo, DNET)
+        assert attributes(topo) == before
 
 
 class TestShared:
@@ -115,15 +140,11 @@ class TestParsing:
 
     def test_single_city_all_intra(self):
         topo = parse_topology("city solo 5\n")
-        assert all(d == topo.intra_city_us for d in topo.delays_from("solo"))
+        assert all(d == INTRA_CITY_US for d in topo.delays_from("solo"))
 
     def test_negative_latency(self):
         with pytest.raises(TopologyError):
             parse_topology("city a 1\ncity b 1\ndelay a b -4\n")
-
-    def test_negative_intra_city_latency(self):
-        with pytest.raises(TopologyError, match="negative intra-city latency -5000"):
-            CityTopology(cities=(("a", 3),), latency_us={}, intra_city_us=-5000)
 
     def test_malformed_line(self):
         with pytest.raises(TopologyError):
