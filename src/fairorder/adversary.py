@@ -63,6 +63,11 @@ def private_relay_placement(
         raise ContractError(f"at most f={f} colluders, got {len(colluders)}")
     if len(set(colluders)) != len(colluders):
         raise ContractError("duplicate colluder node ids")
+    n = topology.n_nodes
+    outside = [c for c in colluders if not 0 <= c < n]
+    if outside:
+        # stamping reads reports only from nodes 0..n-1, so these would lie to no one
+        raise ContractError(f"colluder node ids must be in [0, {n}), got {outside}")
     if not colluders:
         return AdversaryPlan()
     victim_inv, victim_city = victim

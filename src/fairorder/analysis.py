@@ -19,6 +19,8 @@ including the adaptive assignment strategy that attains the upper bound.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -186,6 +188,10 @@ ADAPTIVE_UPPER = "adaptive_upper"
 # Rows per block: a block's arrays (2^14 doubles per command) stay in cache,
 # where whole (trials, n) arrays sent every pass out to memory.
 _CHUNK = 1 << 14
+# At most this many threads count blocks at once, each holding about 1 MiB of
+# block arrays at n = 4, so an estimate's memory stays bounded whatever the
+# host's CPU count.
+_MAX_THREADS = 4
 
 
 def _simulate_fixed(ats_norm, target_order, trials, rng) -> np.ndarray:
@@ -193,8 +199,10 @@ def _simulate_fixed(ats_norm, target_order, trials, rng) -> np.ndarray:
     modified = rng.random((trials, len(ats_norm))).T.copy()
     modified += np.asarray(ats_norm, dtype=float)[:, None]
     order = list(target_order)
-    hits = np.ones(trials, dtype=bool)
-    for a, b in zip(order, order[1:]):
+    if len(order) == 1:
+        return np.ones(trials, dtype=bool)
+    hits = modified[order[1]] > modified[order[0]]
+    for a, b in zip(order[1:], order[2:]):
         hits &= modified[b] > modified[a]
     return hits
 
@@ -208,16 +216,99 @@ def _simulate_adaptive_upper(n, alpha, trials, rng) -> np.ndarray:
     escapes the window every later command is pushed to the window's end.
     """
     noise = rng.random((trials, n)).T.copy()
-    t_prev = np.zeros(trials)
-    chained = np.ones(trials, dtype=bool)
+    t_prev = noise[0]  # the first command sits at 0
+    chained = t_prev <= alpha
     ok = np.ones(trials, dtype=bool)
-    for t_i in noise:
-        # a chained command sits on the previous noised value
-        t_i += np.where(chained, t_prev, alpha)
+    for t_i in noise[1:]:
+        # a chained command sits on the previous noised value, which is <=
+        # alpha; once escaped, t_prev is the escaping value (> alpha) or
+        # fl(u + alpha) >= alpha, so this equals np.where(chained, t_prev, alpha)
+        t_i += np.minimum(t_prev, alpha)
         ok &= chained | (t_i > t_prev)
         chained &= t_i <= alpha
         t_prev = t_i
     return ok
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _count_rows(simulate, rows, rng) -> int:
+    """Hits over ``rows`` trials drawn from ``rng`` in blocks of ``_CHUNK`` rows."""
+    return sum(
+        int(np.count_nonzero(simulate(min(_CHUNK, rows - start), rng)))
+        for start in range(0, rows, _CHUNK)
+    )
+
+
+def _count_hits(simulate, n, trials, rng) -> int:
+    """Hits over ``trials`` rows in blocks of ``_CHUNK`` rows, counted by one
+    thread per usable CPU (at most ``_MAX_THREADS``) when ``rng`` can jump
+    ahead.
+
+    Each thread takes the next uncounted block and draws it from its own
+    copy of the bit generator, advanced to the block's first row, so every
+    row gets the draws a serial pass gives it, whichever thread counts it.
+    Handing out one block at a time keeps every thread busy to the end, also
+    when one CPU runs slower than another.  Afterwards ``rng`` holds the
+    state a serial pass leaves, including the buffered 32-bit value
+    (``has_uint32``, ``uinteger``).
+    """
+    blocks = -(-trials // _CHUNK)
+    # PCG64's and PCG64DXSM's advance(k) skips exactly k doubles of random().
+    # Philox's counts 4-word counter blocks; MT19937 and SFC64 have none.
+    jumpable = type(rng) is np.random.Generator and type(rng.bit_generator) in (
+        np.random.PCG64, np.random.PCG64DXSM
+    )
+    threads = min(_usable_cpus(), _MAX_THREADS, blocks) if jumpable else 1
+    if threads < 2:
+        return _count_rows(simulate, trials, rng)
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    starts = iter(range(0, trials, _CHUNK))
+    lock = threading.Lock()
+    counts, errors = [], []
+
+    def count():
+        try:
+            copy = type(bitgen)(0)
+            copy.state = state
+            gen = np.random.Generator(copy)
+            drawn = 0  # rows the copy has moved past
+            while not errors:
+                with lock:
+                    start = next(starts, None)
+                if start is None:
+                    return
+                copy.advance((start - drawn) * n)
+                rows = min(_CHUNK, trials - start)
+                counts.append(int(np.count_nonzero(simulate(rows, gen))))
+                drawn = start + rows
+        except BaseException as exc:  # re-raised in the calling thread
+            errors.append(exc)
+
+    started = []
+    try:
+        for _ in range(threads - 1):
+            thread = threading.Thread(target=count)
+            thread.start()
+            started.append(thread)
+        count()
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
+    # advance() drops the buffered 32-bit value, which drawing doubles keeps
+    bitgen.advance(trials * n)
+    end = bitgen.state
+    end.update(has_uint32=state["has_uint32"], uinteger=state["uinteger"])
+    bitgen.state = end
+    return sum(counts)
 
 
 def order_prob_monte_carlo(strategy, n, alpha, target_order, trials, rng):
@@ -236,9 +327,16 @@ def order_prob_monte_carlo(strategy, n, alpha, target_order, trials, rng):
     outside (0, 1].
 
     Trials are drawn and tested in blocks of ``_CHUNK`` rows, so memory is
-    O(``_CHUNK`` * n) however many trials run.  The blocks take consecutive
-    ``rng.random((rows, n))`` draws, which equal one ``rng.random((trials,
-    n))`` draw row for row, so the estimate does not depend on the block size.
+    O(``_CHUNK`` * n) per thread however many trials run.  The blocks take
+    consecutive ``rng.random((rows, n))`` draws, which equal one
+    ``rng.random((trials, n))`` draw row for row, so the estimate does not
+    depend on the block size.  When ``rng`` is a ``Generator`` over ``PCG64``
+    or ``PCG64DXSM``, the blocks are counted by one thread per usable CPU (up
+    to ``_MAX_THREADS``), each drawing a block from its own copy of the bit
+    generator jumped ahead to the block's first row (``advance``).  Each row
+    still gets the same draws, and ``rng`` ends in the state a serial pass
+    leaves, so neither the estimate nor the generator's end state depends on
+    the CPU count.  Any other rng is drawn from serially.
     """
     if trials < 1000:
         raise ContractError("need at least 1000 trials for a usable estimate")
@@ -262,9 +360,6 @@ def order_prob_monte_carlo(strategy, n, alpha, target_order, trials, rng):
         simulate = partial(_simulate_fixed, [float(x) for x in strategy], target_order)
     else:
         raise ContractError(f"unknown strategy {strategy!r}")
-    hits = sum(
-        int(np.count_nonzero(simulate(min(_CHUNK, trials - start), rng)))
-        for start in range(0, trials, _CHUNK)
-    )
+    hits = _count_hits(simulate, n, trials, rng)
     p = hits / trials
     return p, sqrt(max(p * (1 - p), 1e-12) / trials)

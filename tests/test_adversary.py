@@ -37,6 +37,15 @@ class TestPrivateRelay:
                 self.victim, self.legs, (1, 1), self.topology, DNET, self.f
             )
 
+    @pytest.mark.parametrize("colluders", [(1000, 1001, -5), (0, 80), (-1,)])
+    def test_colluders_outside_the_nodes(self, colluders):
+        # stamping reads reports only from nodes 0..n-1 (n = 80 here), so an
+        # out-of-range colluder would be dropped without a word
+        with pytest.raises(ContractError, match=r"\[0, 80\)"):
+            private_relay_placement(
+                self.victim, self.legs, colluders, self.topology, DNET, self.f
+            )
+
     def test_straddles_victim_quorum_median(self):
         colluders = tuple(range(80 - self.f, 80))
         plan = private_relay_placement(

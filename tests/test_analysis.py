@@ -1,12 +1,17 @@
+import sys
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 from math import factorial, sqrt
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairorder import analysis
 from fairorder.analysis import (
     ADAPTIVE_UPPER,
     LOWER_BOUND,
@@ -319,3 +324,140 @@ class TestMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+
+class TestThreadedBlocks:
+    """Blocks counted by one thread per usable CPU, each from a jumped copy."""
+
+    @staticmethod
+    def spy_threads(monkeypatch, cpus):
+        """Patch the CPU count; return the list of threads the calls start."""
+        started = []
+
+        class Thread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        spy = SimpleNamespace(Thread=Thread, Lock=threading.Lock)
+        monkeypatch.setattr(analysis, "threading", spy)
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: cpus)
+        return started
+
+    @staticmethod
+    def primed(bit_generator, seed):
+        # a 32-bit draw leaves half of a 64-bit word buffered (has_uint32 set)
+        rng = np.random.Generator(bit_generator(seed))
+        rng.integers(0, 2**32, dtype=np.uint32)
+        return rng
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM])
+    @pytest.mark.parametrize("trials", [1000, _CHUNK, 3 * _CHUNK + 7, 8 * _CHUNK])
+    def test_threads_equal_one_thread(self, monkeypatch, bit_generator, trials):
+        def run(cpus):
+            started = self.spy_threads(monkeypatch, cpus)
+            rng = self.primed(bit_generator, trials)
+            got, threads = [], set()
+            for strategy in (LOWER_BOUND, ADAPTIVE_UPPER, (0.3, 0.0, 0.1, 0.25)):
+                got.append(order_prob_monte_carlo(strategy, 4, 0.2, (3, 0, 2, 1), trials, rng))
+                threads.add(1 + len(started))
+                started.clear()
+            state = rng.bit_generator.state
+            assert state["has_uint32"] == 1
+            after = (rng.integers(0, 2**32, dtype=np.uint32), rng.random(5).tolist())
+            return got, state, after, threads
+
+        one = run(1)
+        assert one[3] == {1}
+        blocks = -(-trials // _CHUNK)
+        for cpus in (2, 3, 4):
+            got = run(cpus)
+            assert got[:3] == one[:3]
+            assert got[3] == {min(cpus, blocks)}
+
+    def test_threads_capped_and_switching_often(self, monkeypatch):
+        # more threads than this host may have cores, switching every 10 µs
+        def run(cpus):
+            started = self.spy_threads(monkeypatch, cpus)
+            rng = np.random.default_rng(0)
+            got = order_prob_monte_carlo(ADAPTIVE_UPPER, 2, 0.2, (0, 1), 10**6, rng)
+            return got, rng.random(5).tolist(), 1 + len(started)
+
+        one = run(1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            many = run(64)
+        finally:
+            sys.setswitchinterval(interval)
+        assert many[:2] == one[:2]
+        assert many[2] == analysis._MAX_THREADS
+
+    @pytest.mark.parametrize(
+        "make_rng",
+        [
+            lambda: np.random.Generator(np.random.Philox(9)),
+            lambda: np.random.Generator(np.random.MT19937(9)),
+            lambda: np.random.Generator(np.random.SFC64(9)),
+        ],
+        ids=["Philox", "MT19937", "SFC64"],
+    )
+    def test_other_bit_generators_take_one_thread(self, monkeypatch, make_rng):
+        # Philox.advance counts 4-word counter blocks, not doubles; the others
+        # have no advance
+        started = self.spy_threads(monkeypatch, 4)
+        trials = 4 * _CHUNK
+        rng = make_rng()
+        got = order_prob_monte_carlo(ADAPTIVE_UPPER, 3, 0.2, (0, 1, 2), trials, rng)
+        assert started == []
+        serial = make_rng()
+        hits = np.count_nonzero(_simulate_adaptive_upper(3, 0.2, trials, serial))
+        assert got[0] == hits / trials
+        assert rng.random(5).tolist() == serial.random(5).tolist()
+
+    def test_duck_typed_rngs_take_one_thread(self, monkeypatch):
+        class CoarseRng:  # a duck type: random(shape) and no bit generator
+            def __init__(self, seed):
+                self.rng = np.random.default_rng(seed)
+
+            def random(self, shape):
+                return np.floor(self.rng.random(shape) * 4) / 4
+
+        class RowsRng:  # a duck type that wraps a PCG64 Generator
+            def __init__(self, seed):
+                self.bit_generator = np.random.PCG64(seed)
+                self.rng = np.random.Generator(self.bit_generator)
+
+            def random(self, shape):
+                return self.rng.random(shape)[::-1]
+
+        started = self.spy_threads(monkeypatch, 4)
+        trials = 4 * _CHUNK + 3
+        for make_rng in (CoarseRng, RowsRng):
+            got = order_prob_monte_carlo((0.0, 0.0), 2, 0.2, (0, 1), trials, make_rng(1))
+            serial = make_rng(1)
+            hits = sum(
+                np.count_nonzero(_simulate_fixed((0.0, 0.0), (0, 1), rows, serial))
+                for rows in (_CHUNK,) * 4 + (3,)
+            )
+            assert got[0] == hits / trials
+        assert started == []
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_error_reaches_caller_and_no_thread_outlives(self, monkeypatch, failing):
+        original = analysis._simulate_fixed
+        caller = threading.get_ident()
+
+        def simulate(*args):
+            if (threading.get_ident() == caller) == (failing == "caller"):
+                raise RuntimeError(f"{failing} failed")
+            if failing == "worker":
+                time.sleep(0.005)  # leave the workers blocks to fail on
+            return original(*args)
+
+        monkeypatch.setattr(analysis, "_simulate_fixed", simulate)
+        monkeypatch.setattr(analysis, "_usable_cpus", lambda: 4)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match=f"{failing} failed"):
+            order_prob_monte_carlo(LOWER_BOUND, 4, 0.2, (0, 1, 2, 3), 10**6, np.random.default_rng(0))
+        assert set(threading.enumerate()) == before
