@@ -7,6 +7,7 @@ to cents for display.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -145,24 +146,22 @@ def expected_attacker_profit(table: dict, permutation_probs) -> Fraction:
 
     ``table`` is a scenario's ``payoff_table``, or ``default_payoff_table()``
     for the worked example; a caller weighing several distributions builds
-    it once.
+    it once.  The sum is exact and runs over ints: the probabilities are
+    put over their least common denominator, the payoffs over theirs, and
+    only the result is a ``Fraction``.
     """
-    total = sum(Fraction(p) for p in permutation_probs.values())
-    if abs(total - 1) > Fraction(1, 10**9):
-        raise ContractError(f"permutation probabilities sum to {float(total)}, not 1")
-    acc = Fraction(0)
-    for order, prob in permutation_probs.items():
+    ratios = [Fraction(p).as_integer_ratio() for p in permutation_probs.values()]
+    den = math.lcm(*(d for _, d in ratios))
+    weights = [num * (den // d) for num, d in ratios]  # each probability is weight / den
+    total = sum(weights)
+    if abs(total - den) * 10**9 > den:
+        raise ContractError(f"permutation probabilities sum to {total / den}, not 1")
+    payoffs = []
+    for order in permutation_probs:
         key = tuple(order)
         if key not in table:
             raise ContractError(f"unknown permutation {order!r}")
-        acc += Fraction(prob) * table[key][1]
-    return acc
-
-
-def liquidation_expected_values(prob_first, prize_usd) -> list:
-    """Expected payout per client when only the first-ordered command wins."""
-    probs = [Fraction(p) for p in prob_first]
-    if abs(sum(probs) - 1) > Fraction(1, 10**9):
-        raise ContractError("probabilities must sum to 1")
-    prize = Fraction(prize_usd)
-    return [p * prize for p in probs]
+        payoffs.append(Fraction(table[key][1]).as_integer_ratio())
+    pay_den = math.lcm(*(d for _, d in payoffs))
+    acc = sum(w * num * (pay_den // d) for w, (num, d) in zip(weights, payoffs))
+    return Fraction(acc, den * pay_den)

@@ -112,10 +112,13 @@ class PlacedInvocation:
 @dataclass
 class SimulationRun:
     """One run's inputs, and ``memo``: what the run has computed that other
-    runs may reuse.  The memo holds each command's assigned timestamp,
-    keyed by all it depends on (``_timestamp_invocations``), and each
-    revealed slot's seed, keyed by (oracle, slot index)
-    (``_slotted_prefixes``).  Runs over one topology may share it, as the
+    runs may reuse.  The memo holds each command's receive times, keyed by
+    (origin city, invoke time, delta_net) (``_receive_times``), and its
+    assigned timestamp, keyed by all it depends on
+    (``_timestamp_invocations``); each revealed slot's seed, keyed by
+    (oracle, slot index) (``_slotted_prefixes``); and the scratch
+    generator that leader trials draw from once their state is set
+    (``_baseline_prefixes``).  Runs over one topology may share it, as the
     cells of one experiment do."""
 
     topology: CityTopology
@@ -134,8 +137,24 @@ class SimulationRun:
             raise ContractError("no invocations to order")
         if self.sro.config.n != self.topology.n_nodes:
             raise ContractError("oracle was initialized for a different node count")
-        if not self.policy.median_timestamps and self.adversary != AdversaryPlan():
+        plan = self.adversary
+        if not self.policy.median_timestamps and (
+            plan.ats_overrides or plan.node_overrides or plan.quorum_bias
+        ):
             raise ContractError(f"the {self.policy.kind.value} baseline takes no adversary plan")
+
+
+def _receive_times(sim: SimulationRun, placed: PlacedInvocation) -> tuple:
+    """``observe``'s receive times for one invocation, memoized in
+    ``sim.memo`` under all they depend on: city, invoke time, delta_net."""
+    inv = placed.invocation
+    key = (placed.origin_city, inv.invoke_time, sim.delta_net_us)
+    times = sim.memo.get(key)
+    if times is None:
+        times = sim.memo[key] = tuple(
+            observe(inv, placed.origin_city, sim.topology, sim.delta_net_us)
+        )
+    return times
 
 
 def _timestamp_invocations(sim: SimulationRun) -> list:
@@ -169,9 +188,8 @@ def _timestamp_invocations(sim: SimulationRun) -> list:
             if bias not in (None, QUORUM_LOW, QUORUM_HIGH):
                 raise ContractError(f"unknown quorum bias {bias!r}")
             reported = dict(lies)
-            received = observe(inv, placed.origin_city, sim.topology, sim.delta_net_us)
             ats = quorum_median(
-                [reported.get(node, ts) for node, ts in enumerate(received)],
+                [reported.get(node, ts) for node, ts in enumerate(_receive_times(sim, placed))],
                 f, high=bias == QUORUM_HIGH,
             )
             if override is not None:
@@ -253,6 +271,25 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _LANE_BYTES = 12  # a uint32 word and room for the carries of ``mix``
+_LANE_ONE = b"\x01" + bytes(_LANE_BYTES - 1)
+
+
+def _hash_constants(init: int, mult: int, steps: int) -> tuple:
+    """The (xor, multiplier) pairs of ``steps`` successive ``hashmix``
+    steps: each xors the value with the hash constant, multiplies the
+    constant by ``mult`` and the value by the product."""
+    pairs, const = [], init
+    for _ in range(steps):
+        pairs.append((const, const * mult & _MASK32))
+        const = pairs[-1][1]
+    return tuple(pairs)
+
+
+# hashmix's data-independent schedule: 16 steps mix up to 4 entropy words
+# into the pool (a longer seed continues the chain), 8 hash the output.
+_POOL_HASHES = _hash_constants(_INIT_A, _MULT_A, _POOL_WORDS * _POOL_WORDS)
+_OUTPUT_HASHES = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_WORDS)
+_MIX_R = -_MIX_MULT_R & _MASK32  # mix adds y times this, not -MIX_MULT_R * y
 
 
 def _entropy_words(seed) -> bytes:
@@ -273,11 +310,12 @@ def _pcg64_states(seeds) -> list:
     This restates numpy's ``SeedSequence(seed).generate_state(4, uint64)``
     (``mix_entropy``, then the output hash) on Python ints.  Seeds with the
     same number of entropy words are one group, and each group's word j is
-    one int with seed i's word in lane i, ``_LANE_BYTES`` wide.  Every
-    hash constant is independent of the data, so each ``hashmix`` or
-    ``mix`` step is a few big-int operations over all the group's seeds.
-    PCG64 then seeds each state: ``inc`` is (the second 128 bits << 1) | 1,
-    and two LCG steps from 0 add the first 128 bits after the first step.
+    one int with seed i's word in lane i, ``_LANE_BYTES`` wide.  The hash
+    constants depend on no data, so they are module constants
+    (``_POOL_HASHES``, ``_OUTPUT_HASHES``), and each ``hashmix`` or ``mix``
+    step is a few big-int operations over all the group's seeds.  PCG64
+    then seeds each state: ``inc`` is (the second 128 bits << 1) | 1, and
+    two LCG steps from 0 add the first 128 bits after the first step.
     """
     entropy = [_entropy_words(seed) for seed in seeds]
     groups: dict = {}
@@ -286,7 +324,7 @@ def _pcg64_states(seeds) -> list:
     out = [None] * len(entropy)
     for count, members in groups.items():
         width = _LANE_BYTES * len(members)
-        ones = int.from_bytes((b"\x01" + bytes(_LANE_BYTES - 1)) * len(members), "little")
+        ones = int.from_bytes(_LANE_ONE * len(members), "little")
         mask = _MASK32 * ones
         joined = b"".join(entropy[i] for i in members)
 
@@ -296,28 +334,30 @@ def _pcg64_states(seeds) -> list:
                 packed[byte::_LANE_BYTES] = joined[4 * j + byte::4 * count]
             return int.from_bytes(packed, "little")
 
-        def hashmix(value, hash_const):  # hash_const: [constant, multiplier], stepped in place
-            value ^= hash_const[0] * ones
-            hash_const[0] = hash_const[0] * hash_const[1] & _MASK32
-            value = value * hash_const[0] & mask
-            return (value ^ value >> 16) & mask
+        def hashmix(value, xor, mult):
+            value = (value ^ xor * ones) * mult & mask
+            return value ^ value >> 16 & mask
 
         def mix(x, y):  # MIX_MULT_L * x - MIX_MULT_R * y, with no borrow between lanes
-            r = (x * _MIX_MULT_L + y * (-_MIX_MULT_R & _MASK32)) & mask
-            return (r ^ r >> 16) & mask
+            r = (x * _MIX_MULT_L + y * _MIX_R) & mask
+            return r ^ r >> 16 & mask
 
         words = [lanes(j) for j in range(count)]
-        hash_const = [_INIT_A, _MULT_A]
-        pool = [hashmix(words[i] if i < count else 0, hash_const) for i in range(_POOL_WORDS)]
+        steps = iter(_POOL_HASHES + _hash_constants(
+            _POOL_HASHES[-1][1], _MULT_A, _POOL_WORDS * max(count - _POOL_WORDS, 0)
+        ))
+        pool = [hashmix(words[i] if i < count else 0, *next(steps)) for i in range(_POOL_WORDS)]
         for src in range(_POOL_WORDS):
             for dst in range(_POOL_WORDS):
                 if src != dst:
-                    pool[dst] = mix(pool[dst], hashmix(pool[src], hash_const))
+                    pool[dst] = mix(pool[dst], hashmix(pool[src], *next(steps)))
         for src in range(_POOL_WORDS, count):
             for dst in range(_POOL_WORDS):
-                pool[dst] = mix(pool[dst], hashmix(words[src], hash_const))
-        hash_const = [_INIT_B, _MULT_B]
-        state = [hashmix(pool[i % _POOL_WORDS], hash_const) for i in range(2 * _POOL_WORDS)]
+                pool[dst] = mix(pool[dst], hashmix(words[src], *next(steps)))
+        state = [
+            hashmix(pool[i % _POOL_WORDS], xor, mult)
+            for i, (xor, mult) in enumerate(_OUTPUT_HASHES)
+        ]
         # uint64 word k is state words 2k (low) and 2k + 1 (high)
         uint64s = [
             [low for low, _ in struct.iter_unpack(
@@ -330,37 +370,39 @@ def _pcg64_states(seeds) -> list:
     return out
 
 
+_LEADER_GENERATOR = "leader generator"  # its memo key
+
+
 def _baseline_prefixes(sim: SimulationRun, trial_seed, trials: int):
     """``trial_orders``' setup under ``leader`` and ``receive``.
 
-    The receive matrix depends only on each invocation's city and invoke
-    time, so it is built once.  Under ``receive`` the prefix is the fixed
-    median receive time.  Under ``leader`` it is (period, leader's receive
-    time) for trial t's schedule and phase, drawn as
-    ``default_rng(trial_seed(t))`` would draw them: every trial's PCG64
-    state is seeded in one bulk pass (``_pcg64_states``), then set on one
-    reused generator, and numpy makes each trial's draws.  Returns the tie
-    seeds and the fixed prefixes, or under ``leader`` each trial's
-    (prefixes, None) as it is drawn.
+    Each invocation's receive times depend only on its city and invoke
+    time, and are looked up in ``sim.memo`` (``_receive_times``).  Under
+    ``receive`` the prefix is the fixed median receive time.  Under
+    ``leader`` it is (period, leader's receive time) for trial t's
+    schedule and phase, drawn as ``default_rng(trial_seed(t))`` would draw
+    them: every trial's PCG64 state is seeded in one bulk pass
+    (``_pcg64_states``), then set, through one reused dict, on the run's
+    scratch generator in ``sim.memo`` before the trial's draws, which
+    numpy makes.  Returns the tie seeds and the fixed prefixes, or under
+    ``leader`` each trial's (prefixes, None) as it is drawn.
     """
-    receive = [  # each invocation's per-node receive times
-        observe(p.invocation, p.origin_city, sim.topology, sim.delta_net_us)
-        for p in sim.invocations
-    ]
+    receive = [_receive_times(sim, placed) for placed in sim.invocations]
     if sim.policy.kind is PolicyKind.RECEIVE_ORDER:
         return [_RECEIVE_TIE_SEED] * len(receive), [sorted(ts)[len(ts) // 2] for ts in receive]
     period, n = sim.policy.param_us, sim.topology.n_nodes
     invoke = [placed.invocation.invoke_time for placed in sim.invocations]
     states = _pcg64_states([trial_seed(t) for t in range(trials)])
-    bit_generator = np.random.PCG64(0)  # a fixed seed, never drawn from
-    rng = np.random.Generator(bit_generator)
+    rng = sim.memo.get(_LEADER_GENERATOR)
+    if rng is None:  # seeded with a fixed seed, never drawn from before a state is set
+        rng = sim.memo[_LEADER_GENERATOR] = np.random.Generator(np.random.PCG64(0))
+    bit_generator = rng.bit_generator
+    new_state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    pcg = new_state["state"]
 
     def batches():
-        for state, inc in states:
-            bit_generator.state = {
-                "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                "has_uint32": 0, "uinteger": 0,
-            }
+        for pcg["state"], pcg["inc"] in states:
+            bit_generator.state = new_state
             schedule, phase = _rotation(rng, n, period)
             yield [
                 _leader_batch(times, it, schedule, phase, period)
@@ -432,11 +474,15 @@ def trial_orders(sim: SimulationRun, trials: int, trial_ids: CommandIds, trial_s
     floor(modified_ts / interval) >= k_d, and each slot emits its ripe keys
     sorted, after every earlier slot's smaller ones.)  A per-policy setup
     makes the run's checks and computes once what the ids do not affect:
-    each command's tie seed and key prefix.  Under ``bercow`` every trial
-    derives its ids once, for its noise (``_noised_prefixes``).  Otherwise a
-    prefix that no trial changes and that has no tie gives every trial one
-    order, repeated without ids, and each other trial derives its ids only
-    on a tie.
+    each command's tie seed and key prefix.  Outside ``leader``, every
+    trial's prefix for a command lies in [p, p + max(w, 1)), where p is
+    its fixed prefix and w the ``bercow`` noise width (0 otherwise).  If
+    those ranges are pairwise disjoint, every trial has the order of the
+    fixed prefixes, with no tie, and it is repeated with no id, noise or
+    draw derived per trial.  Otherwise a ``bercow`` trial derives its ids
+    once, for its noise (``_noised_prefixes``), and a ``leader`` trial
+    draws its rotation; a trial of any policy derives its ids only on a
+    tie, if it has not yet.
     """
     if trials < 1:
         raise ContractError(f"trials must be >= 1, got {trials}")
@@ -445,16 +491,18 @@ def trial_orders(sim: SimulationRun, trials: int, trial_ids: CommandIds, trial_s
             f"{len(trial_ids.labels)} command labels for {len(sim.invocations)} invocations"
         )
     kind = sim.policy.kind
+    if kind is PolicyKind.LEADER_ROTATION:
+        return _orders(*_baseline_prefixes(sim, trial_seed, trials), trial_ids)
     if kind.median_timestamps:
         tie_seeds, prefixes, noise_states = _slotted_prefixes(sim)
     else:
         tie_seeds, prefixes = _baseline_prefixes(sim, trial_seed, trials)
+    span = max(sim.policy.param_us, 1)  # the width of every trial's prefix range
+    order = tuple(sorted(range(len(prefixes)), key=prefixes.__getitem__))
+    if all(prefixes[b] - prefixes[a] >= span for a, b in zip(order, order[1:])):
+        return repeat(order, trials)
     if kind is PolicyKind.BERCOW_NOISE:
         per_trial = _noised_prefixes(prefixes, noise_states, sim.policy.param_us, trial_ids, trials)
-    elif kind is PolicyKind.LEADER_ROTATION:
-        per_trial = prefixes
-    elif len(set(prefixes)) == len(prefixes):  # pompe or receive: one order, no tie
-        return repeat(tuple(sorted(range(len(prefixes)), key=prefixes.__getitem__)), trials)
     else:
         per_trial = repeat((prefixes, None), trials)
     return _orders(tie_seeds, per_trial, trial_ids)

@@ -11,32 +11,38 @@ Policy specs are strings, read by ``consensus.OrderingPolicy.parse``:
 
 Every simulated table cell goes through one trial driver,
 ``_count_orders``: a scenario lists the cell's commands as
-(label, invoke_us, city) triples and reads its numbers from the counted
-ledger orders.  The cell's tags -- ``("geo", pair_index, spec)``,
-``("gap", spec, gap_ms)`` or ``("sand", spec)`` -- fix trial t's command
-ids, ``CommandIds(tags, labels)(t)``, one per label in order; under
-the leader policy they also fix the seed its schedule and phase are drawn
-from, ``_trial_seed(seed, *tags, t)``.  Changing either changes the CSVs.
-No cell runs trial by trial: every policy's cell is one ``SimulationRun``
-(``_cell``) and one call of the engine, ``consensus.trial_orders``, which
-computes what the ids do not affect once per cell and yields every
-trial's ledger order from one loop.  A leader cell seeds all its trials'
-generators in one bulk pass, which restates numpy's ``SeedSequence`` over
-Python ints, and numpy's ``Generator`` still makes each trial's draws,
-the same as ``default_rng(_trial_seed(seed, *tags, t))`` makes.  A cell's
-ids come from ``CommandIds(tags, labels)``, which hashes the tags and
-encodes each label once per cell and the trial once per trial.  They are
-derived only where they can matter: once per trial under ``bercow``, in
-the same pass as its noise, for the noise and any tie; otherwise only for
-a trial whose id-free key prefix ties.  Work that no cell changes is done
-once: the bundled topology, with its per-origin delay table, and the
-sandwich payoff table are each built once per process.  Within one
-``run_experiment`` call (``_Run``), the median-policy
-cells share one memo (``SimulationRun.memo``): it holds each distinct
-command's assigned timestamp and each decided slot's revealed seed, so a
-sandwich run stamps its three commands once, and a run certifies and
-reveals each slot once, however many cells it decides.  A sandwich run
-builds its colluder plan once, before its cells.
+(label, invoke_us, city) triples and reads its numbers from the cell's
+ledger orders, counted once by command index.  A count c of n trials is
+printed as ``c / n``, which is correctly rounded and so prints as
+``Fraction(c, n)`` does.  The cell's tags -- ``("geo", pair_index,
+spec)``, ``("gap", spec, gap_ms)`` or ``("sand", spec)`` -- fix trial t's
+command ids, ``CommandIds(tags, labels)(t)``, one per label in order;
+under the leader policy they also fix the seed its schedule and phase are
+drawn from, ``_trial_seed(seed, *tags, t)``, computed with the tags' repr
+built once per cell (``_cell_trial_seed``).  Changing either changes the
+CSVs.  No cell runs trial by trial: every policy's cell is one
+``SimulationRun`` (``_cell``) and one call of the engine,
+``consensus.trial_orders``, which computes what the ids do not affect once
+per cell and yields every trial's ledger order from one loop.  A leader
+cell seeds all its trials' generators in one bulk pass, which restates
+numpy's ``SeedSequence`` over Python ints, and numpy's ``Generator``
+still makes each trial's draws, the same as
+``default_rng(_trial_seed(seed, *tags, t))`` makes.  A cell's ids come
+from ``CommandIds(tags, labels)``, which hashes the tags and encodes each
+label once per cell and the trial once per trial.  They are derived only
+where they can matter: once per trial under ``bercow``, in the same pass
+as its noise, for the noise and any tie; otherwise only for a trial whose
+id-free key prefix ties.  Work that no cell changes is done once: the
+bundled topology, with its per-origin delay table, and the sandwich
+payoff table are each built once per process.  Within one
+``run_experiment`` call (``_Run``), each policy spec is parsed and each
+cell's commands placed once, and the cells share one memo
+(``SimulationRun.memo``) of each distinct command's receive times and
+assigned timestamp, each decided slot's revealed seed and the leader
+cells' scratch generator.  So a run observes each distinct (city, invoke
+time) once and certifies and reveals each slot once, however many cells
+use it, and nothing computed from its inputs outlives the call.  A
+sandwich run builds its colluder plan once, before its cells.
 """
 
 from __future__ import annotations
@@ -48,7 +54,6 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from itertools import combinations
 
 from . import analysis, attacks
@@ -224,16 +229,35 @@ def _trial_seed(config_seed: int, *tags) -> list:
     return [config_seed & 0xFFFFFFFFFFFFFFFF, int.from_bytes(digest[:8], "big")]
 
 
+def _cell_trial_seed(config_seed: int, tags: tuple):
+    """One cell's ``lambda t: _trial_seed(config_seed, *tags, t)``.
+
+    The repr of ``(*tags, t)`` is the tags' part, built once per cell, then
+    ``repr(t)`` and the closing parenthesis, so every digest hashes the same
+    bytes as ``_trial_seed``'s.
+    """
+    head = ("(" + "".join(f"{tag!r}, " for tag in tags)).encode()
+    tail = b")" if tags else b",)"  # a one-element tuple's repr is "(t,)"
+    low, sha256 = config_seed & 0xFFFFFFFFFFFFFFFF, hashlib.sha256
+
+    def trial_seed(t) -> list:
+        digest = sha256(head + repr(t).encode() + tail).digest()
+        return [low, int.from_bytes(digest[:8], "big")]
+
+    return trial_seed
+
+
 @dataclass
 class _Run:
     """What the cells of one ``run_experiment`` call share: the config, the
-    topology, the oracle, and one memo of each distinct command's assigned
-    timestamp and each revealed slot's seed (every cell's
-    ``SimulationRun.memo``)."""
+    topology, the oracle, each parsed spec, each cell's placed commands
+    and one memo (every cell's ``SimulationRun.memo``)."""
 
     config: ExperimentConfig
     topology: CityTopology
     sro: SroHandle
+    policies: dict = field(default_factory=dict)  # spec -> OrderingPolicy
+    placed: dict = field(default_factory=dict)  # a cell's commands -> ``_placed`` of them
     memo: dict = field(default_factory=dict)
 
 
@@ -257,35 +281,42 @@ def _placed(commands) -> list:
     ]
 
 
-def _cell(run: _Run, spec, tags, commands, plan=AdversaryPlan()):
+_HONEST = AdversaryPlan()  # the plan of every cell that has none; never changed
+
+
+def _cell(run: _Run, spec, tags, commands, plan=_HONEST):
     """One table cell as ``trial_orders``' arguments: its ``SimulationRun``
     (``_placed(commands)``, which each trial renames),
     ``run.config.trials``, its ``CommandIds`` and its trial seed.  The
     adversary ``plan``, keyed by the template ids, applies only under the
-    median-timestamp policies; the baselines run honest.
+    median-timestamp policies; the baselines run honest.  The spec is
+    parsed, and the commands placed, on their first cell in the run.
     """
     config = run.config
-    policy = OrderingPolicy.parse(spec)
+    policy = run.policies.get(spec)
+    if policy is None:
+        policy = run.policies[spec] = OrderingPolicy.parse(spec)
+    placed = run.placed.get(commands)
+    if placed is None:
+        placed = run.placed[commands] = _placed(commands)
     sim = SimulationRun(
         topology=run.topology, policy=policy, delta_net_us=config.delta_net_ms * US_PER_MS,
-        slot_interval_us=config.slot_ms * US_PER_MS, invocations=_placed(commands),
-        sro=run.sro, adversary=plan if policy.median_timestamps else AdversaryPlan(),
+        slot_interval_us=config.slot_ms * US_PER_MS, invocations=placed,
+        sro=run.sro, adversary=plan if policy.median_timestamps else _HONEST,
         memo=run.memo,
     )
     trial_ids = CommandIds(tags, [label for label, _, _ in commands])
-    return sim, config.trials, trial_ids, partial(_trial_seed, config.seed, *tags)
+    return sim, config.trials, trial_ids, _cell_trial_seed(config.seed, tags)
 
 
-def _count_orders(run: _Run, spec, tags, commands, plan=AdversaryPlan()) -> Counter:
+def _count_orders(run: _Run, spec, tags, commands, plan=_HONEST) -> Counter:
     """The ledger orders of one table cell's trials, counted, each as the
-    tuple of its labels in ledger order."""
-    orders = Counter(trial_orders(*_cell(run, spec, tags, commands, plan)))
-    return Counter({tuple(commands[i][0] for i in order): n for order, n in orders.items()})
+    tuple of its commands' indices in ledger order."""
+    return Counter(trial_orders(*_cell(run, spec, tags, commands, plan)))
 
 
 def _geo_pairs(config: ExperimentConfig):
-    """Each (city_a, city_b, spec, Pr[A first]) of a geo_bias run, the
-    probability an exact ``Fraction`` of the cell's trials."""
+    """Each (city_a, city_b, spec, trials with A first) of a geo_bias run."""
     if len(config.origins) < 2:
         raise ConfigError("geo_bias needs at least two origin cities")
     run = _run_for(config)
@@ -296,15 +327,16 @@ def _geo_pairs(config: ExperimentConfig):
                 run, spec, ("geo", pi, spec),
                 (("a", t0, city_a), ("b", t0, city_b)),
             )
-            yield city_a, city_b, spec, Fraction(counts["a", "b"], config.trials)
+            yield city_a, city_b, spec, counts[0, 1]
 
 
 def run_geo_bias(config: ExperimentConfig) -> TableResult:
     """Pr[A first] - Pr[B first] for simultaneous invocations per city pair."""
     result = TableResult(header=("city_a", "city_b", "policy", "pr_a_first", "diff", "trials"))
-    for city_a, city_b, spec, pr_a in _geo_pairs(config):
+    n = config.trials
+    for city_a, city_b, spec, a_first in _geo_pairs(config):
         result.rows.append(
-            (city_a, city_b, spec, _fmt_prob(pr_a), _fmt_prob(2 * pr_a - 1), config.trials)
+            (city_a, city_b, spec, _fmt_prob(a_first / n), _fmt_prob((2 * a_first - n) / n), n)
         )
     return result
 
@@ -336,8 +368,8 @@ def run_tradeoff_curve(config: ExperimentConfig) -> TableResult:
                 run, spec, ("gap", spec, gap_ms),
                 (("early", t0, slow), ("late", t0 + gap_ms * US_PER_MS, fast)),
             )
-            pr_early = Fraction(counts["early", "late"], config.trials)
-            result.rows.append((gap_ms, spec, slow, _fmt_prob(pr_early), config.trials))
+            pr_early = _fmt_prob(counts[0, 1] / config.trials)
+            result.rows.append((gap_ms, spec, slow, pr_early, config.trials))
     return result
 
 
@@ -379,14 +411,18 @@ def run_sandwich(config: ExperimentConfig) -> TableResult:
         config.delta_net_ms * US_PER_MS, run.sro.config.f,
     )
     table = attacks.default_payoff_table()
+    n = config.trials
+    index = {label: i for i, (label, _, _) in enumerate(commands)}
+    indices = {order: tuple(index[label] for label in order) for order in attacks.PERMUTATIONS}
     for spec in config.policies:
         counts = _count_orders(run, spec, ("sand", spec), commands, plan)
-        freqs = {order: Fraction(counts[order], config.trials) for order in attacks.PERMUTATIONS}
-        expected = attacks.expected_attacker_profit(table, freqs)
-        for order in attacks.PERMUTATIONS:
+        expected = attacks.expected_attacker_profit(
+            table, {order: Fraction(counts[key], n) for order, key in indices.items()}
+        )
+        for order, key in indices.items():
             victim_usd, attacker_usd = table[order]
             result.rows.append((
-                spec, "-".join(order), _fmt_prob(freqs[order]),
+                spec, "-".join(order), _fmt_prob(counts[key] / n),
                 _fmt_usd(victim_usd), _fmt_usd(attacker_usd),
             ))
         result.rows.append((spec, "expected", "1.000000", "", _fmt_usd(expected)))
@@ -398,10 +434,10 @@ def run_liquidation(config: ExperimentConfig) -> TableResult:
     if len(config.origins) != 2:
         raise ConfigError("liquidation needs exactly two origin cities")
     result = TableResult(header=("policy", "city", "pr_first", "expected_usd"))
-    for city_a, city_b, spec, p in _geo_pairs(config):
-        values = attacks.liquidation_expected_values([p, 1 - p], config.prize_usd)
-        result.rows.append((spec, city_a, _fmt_prob(p), _fmt_usd(values[0])))
-        result.rows.append((spec, city_b, _fmt_prob(1 - p), _fmt_usd(values[1])))
+    n, prize = config.trials, config.prize_usd
+    for city_a, city_b, spec, a_first in _geo_pairs(config):
+        for city, first in ((city_a, a_first), (city_b, n - a_first)):
+            result.rows.append((spec, city, _fmt_prob(first / n), _fmt_usd(first * prize / n)))
     return result
 
 

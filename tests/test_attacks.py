@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from fairorder.attacks import (
     SandwichScenario,
     default_scenario,
     expected_attacker_profit,
-    liquidation_expected_values,
     payoff_table,
     sandwich_profits,
     swap_buy_a,
@@ -106,6 +106,31 @@ class TestSandwich:
         assert value == upper * 800 - lower * 400
         assert value < Fraction(200)
 
+    def test_expected_profit_equals_the_fraction_sum(self):
+        # the int-ratio sum gives the exact Fraction of the per-order
+        # Fraction sum, for count vectors as the sandwich runner passes them
+        # (zeros included) and for tables with fractional payoffs
+        def fraction_sum(table, probs):
+            acc = Fraction(0)
+            for order, prob in probs.items():
+                acc += Fraction(prob) * table[tuple(order)][1]
+            return acc
+
+        odd = SandwichScenario(
+            pool=AmmPool(Fraction(75), Fraction(24)), victim_buy_a=Fraction(7),
+            price_a=Fraction(101, 3), price_b=Fraction(200), attacker_buy_a=Fraction(11, 2),
+        )
+        tables = (payoff_table(default_scenario()), payoff_table(odd))
+        assert any(v.denominator > 1 for _, v in tables[1].values())
+        rnd = random.Random(22)
+        for case in range(400):
+            counts = [rnd.choice((0, 0, 1, rnd.randrange(10**6))) for _ in PERMUTATIONS]
+            counts[rnd.randrange(6)] += 1  # at least one trial
+            probs = {o: Fraction(c, sum(counts)) for o, c in zip(PERMUTATIONS, counts)}
+            table = tables[case % 2]
+            got = expected_attacker_profit(table, probs)
+            assert type(got) is Fraction and got == fraction_sum(table, probs), counts
+
     def test_malformed_distribution(self):
         probs = {o: Fraction(1, 2) for o in PERMUTATIONS}
         with pytest.raises(ContractError):
@@ -118,17 +143,3 @@ class TestSandwich:
                 price_a=Fraction(100), price_b=Fraction(200),
                 attacker_buy_a=Fraction(15),
             )
-
-
-class TestLiquidation:
-    def test_biased_split(self):
-        values = liquidation_expected_values([Fraction(3, 4), Fraction(1, 4)], 200_000)
-        assert values == [150_000, 50_000]
-
-    def test_fair_split(self):
-        values = liquidation_expected_values([Fraction(1, 2), Fraction(1, 2)], 200_000)
-        assert values == [100_000, 100_000]
-
-    def test_probs_must_sum_to_one(self):
-        with pytest.raises(ContractError):
-            liquidation_expected_values([Fraction(1, 2), Fraction(1, 4)], 200_000)

@@ -372,6 +372,12 @@ STAMP_VARIANTS = {
 }
 
 
+def stamp_count(memo) -> int:
+    """The memo's assigned timestamps: its int entries.  It also keeps
+    receive times (tuples) and slot seeds (bytes)."""
+    return sum(isinstance(value, int) for value in memo.values())
+
+
 def stamp_sim(stamps, city="tokyo", t=700_000, dnet=DNET, f=26, plan=LOW):
     topology = bundled_topology()
     return SimulationRun(
@@ -393,7 +399,7 @@ class TestStampMemo:
         shared = {}
         stamp(stamp_sim(shared))
         assert stamp(stamp_sim(shared, **variant)) == fresh
-        assert len(shared) == 2
+        assert stamp_count(shared) == 2
 
     def test_unknown_quorum_bias_rejected(self):
         plan = AdversaryPlan(quorum_bias={STAMPED: "middle"})
@@ -407,7 +413,7 @@ class TestStampMemo:
         first = stamp(stamp_sim(shared))
         assert stamp(stamp_sim(shared)) == first
         assert stamp(stamp_sim(shared, plan=AdversaryPlan())) == first
-        assert len(shared) == 2
+        assert stamp_count(shared) == 2
 
     def test_runs_with_different_oracles_share_one_memo(self):
         # a slot's seed is kept under (oracle, k), so a run never takes
@@ -439,7 +445,7 @@ class TestStampMemo:
         ]
         sim = replace(sim_for(placed, POMPE, topology=topology, f=26), delta_net_us=dnet)
         assert consensus._timestamp_invocations(sim) == want
-        assert len(sim.memo) == 2  # one tokyo stamp for two commands
+        assert stamp_count(sim.memo) == 2  # one tokyo stamp for two commands
         assert consensus._timestamp_invocations(sim) == want
 
 
@@ -662,6 +668,28 @@ class TestCountOrders:
                 trial_orders(sim, 3, CommandIds((), "ab"), lambda t: [1, t - 1])
         trial_orders(sim, 3, CommandIds((), "ab"), lambda t: [0, t])
         assert len(reveals) == (1 if policy.median_timestamps else 0)
+
+    def test_disjoint_bercow_cell_reveals_on_the_call(self, monkeypatch):
+        # noise ranges a width apart give one order and no per-trial work,
+        # but the slots that decide the stamps are still revealed up front
+        reveals = []
+        reveal = SroHandle.reveal
+
+        def counting(handle, request):
+            reveals.append(request.k)
+            return reveal(handle, request)
+
+        monkeypatch.setattr(SroHandle, "reveal", counting)
+        placed = [
+            PlacedInvocation(inv("a", 100_000), "solo"),
+            PlacedInvocation(inv("b", 100_000 + SLOT), "solo"),
+        ]
+        sim = sim_for(placed, BERCOW)
+        stamps = consensus._timestamp_invocations(replace(sim, memo={}))
+        assert stamps[1] - stamps[0] == BERCOW.param_us
+        orders = trial_orders(sim, 3, CommandIds((), "ab"), no_seed)
+        assert sorted(reveals) == sorted({ats // SLOT for ats in stamps})
+        assert list(orders) == [(0, 1)] * 3
 
     @pytest.mark.parametrize("kind", STABLE_CELLS)
     def test_trial_order_does_not_depend_on_the_trial_count(self, kind):

@@ -29,8 +29,11 @@ from fairorder.harness import (
     ExperimentConfig,
     TableResult,
     _cell,
+    _cell_trial_seed,
     _colluder_ids,
     _count_orders,
+    _fmt_prob,
+    _fmt_usd,
     _placed,
     _run_for,
     _trial_seed,
@@ -282,6 +285,12 @@ class TestSandwich:
             run_sandwich(config)
 
 
+def labelled(counts, commands) -> Counter:
+    """``_count_orders``' counts with each order as the tuple of its labels."""
+    labels = [label for label, _, _ in commands]
+    return Counter({tuple(labels[i] for i in order): n for order, n in counts.items()})
+
+
 def assert_engine_matches_per_trial(
     run, spec, tags, commands, reference_orders, plan=AdversaryPlan()
 ):
@@ -355,7 +364,7 @@ class TestSlottedEngine:
                 victim, attackers, colluder_ids, topology, dnet_us, sro.config.f
             )
             assert_engine_matches_per_trial(run, spec, tags, commands, want, plan)
-            got = _count_orders(run, spec, tags, commands, plan)
+            got = labelled(_count_orders(run, spec, tags, commands, plan), commands)
             assert got == Counter(want), commands
             assert len(decided_slots) >= 2
 
@@ -499,9 +508,25 @@ class TestBaselineEngine:
             tags = ("baseline", spec, cell)
             wants.append(per_trial_baseline_orders(config, topology, spec, tags, commands))
             assert_engine_matches_per_trial(run, spec, tags, commands, wants[-1])
-            got = _count_orders(run, spec, tags, commands)
+            got = labelled(_count_orders(run, spec, tags, commands), commands)
             assert got == Counter(wants[-1]), commands
         assert set(wants[0]) == {("a", "b"), ("b", "a")}
+
+    def test_leader_cells_of_a_run_can_interleave(self):
+        # the cells of one run draw from one scratch generator, and each
+        # trial sets its own state first, so streams taken in turns give
+        # the orders each gives alone
+        config = small(policies=("leader:300",), trials=40)
+        t0 = config.slot_ms * US_PER_MS // 2
+        cells = [
+            ("leader:300", ("turns", i), (("a", t0, "washington"), ("b", t0 + i, city)))
+            for i, city in enumerate(("tokyo", "london", "munich"))
+        ]
+        alone = [list(trial_orders(*_cell(_run_for(config), *cell))) for cell in cells]
+        run = _run_for(config)
+        in_turns = zip(*(trial_orders(*_cell(run, *cell)) for cell in cells))
+        assert [list(orders) for orders in zip(*in_turns)] == alone
+        assert all(len(set(orders)) == 2 for orders in alone)
 
     @pytest.mark.parametrize("spec", ["leader:1500", "receive"])
     def test_observes_once_per_cell(self, spec, monkeypatch):
@@ -538,7 +563,7 @@ class TestLazyIds:
         else:
             want = per_trial_baseline_orders(config, topology, spec, tags, commands)
         assert_engine_matches_per_trial(run, spec, tags, commands, want)
-        got = _count_orders(run, spec, tags, commands)
+        got = labelled(_count_orders(run, spec, tags, commands), commands)
         assert got == Counter(want)
         assert set(got) == {("a", "b"), ("b", "a")}
 
@@ -584,7 +609,137 @@ class TestLazyIds:
             run, spec, ("horizon", spec),
             (("early", t0, slow), ("late", t0 + gap_us, fast)),
         )
-        assert counts == Counter({("early", "late"): config.trials})
+        assert counts == Counter({(0, 1): config.trials})  # early, then late
+
+
+class TestDisjointRanges:
+    @pytest.mark.parametrize("spec", ["bercow:300", "bercow:1500"])
+    @pytest.mark.parametrize("gap", ["w", "w-1"])
+    def test_a_cell_samples_only_where_ranges_overlap(self, spec, gap, monkeypatch):
+        # two tokyo commands have stamps exactly as far apart as their
+        # invocations: w apart, every trial's noised timestamps keep the
+        # stamps' order; w - 1 apart, each trial derives its noise
+        config = small(trials=40)
+        run = _run_for(config)
+        width_us = OrderingPolicy.parse(spec).param_us
+        gap_us = width_us if gap == "w" else width_us - 1
+        t0 = config.slot_ms * US_PER_MS // 2
+        commands = (("early", t0, "tokyo"), ("late", t0 + gap_us, "tokyo"))
+        tags = ("disjoint", spec, gap)
+        early, late = consensus._timestamp_invocations(_cell(run, spec, tags, commands)[0])
+        assert late - early == gap_us
+        want, _ = per_trial_orders(config, run.topology, run.sro, spec, tags, commands, ())
+        derived, noised = Counter(), []
+
+        class Counting(CommandIds):
+            def __call__(self, trial):
+                derived[trial] += len(self.labels)
+                return super().__call__(trial)
+
+        kernel = consensus._noised_prefixes
+
+        def counting(*args):
+            for trial in kernel(*args):
+                noised.append(trial)
+                yield trial
+
+        monkeypatch.setattr(harness, "CommandIds", Counting)
+        monkeypatch.setattr(consensus, "_noised_prefixes", counting)
+        got = labelled(_count_orders(run, spec, tags, commands), commands)
+        assert got == Counter(want)
+        assert not derived  # no trial ties
+        if gap == "w":
+            assert noised == [] and got == Counter({("early", "late"): config.trials})
+        else:
+            assert len(noised) == config.trials
+
+
+class TestIntegerRatios:
+    """The runners print each count c of n trials from ints: ``c / n`` is
+    correctly rounded, so it is the float, and prints the text, of the
+    ``Fraction`` the runners once printed."""
+
+    def test_every_count_up_to_1000_trials(self):
+        # Pr[first], the geo_bias diff and the liquidation payout at the
+        # bundled prize; equal floats print equal text in every format
+        for n in range(1, 1001):
+            counts = range(n + 1)
+            assert [c / n for c in counts] == [float(Fraction(c, n)) for c in counts]
+            assert [(2 * c - n) / n for c in counts] == [
+                float(Fraction(2 * c - n, n)) for c in counts
+            ]
+            assert [c * 200_000 / n for c in counts] == [
+                float(Fraction(c * 200_000, n)) for c in counts
+            ]
+
+    @pytest.mark.parametrize("n", [4_000, 10_000, 30_000])
+    def test_sampled_counts_at_the_bundled_trial_counts(self, n):
+        rnd = random.Random(n)
+        for c in [0, 1, n // 2, n - 1, n] + [rnd.randrange(n + 1) for _ in range(2000)]:
+            p = Fraction(c, n)
+            assert _fmt_prob(c / n) == _fmt_prob(p)
+            assert _fmt_prob((2 * c - n) / n) == _fmt_prob(2 * p - 1)
+            assert _fmt_usd(c * 200_000 / n) == _fmt_usd(p * 200_000)
+
+
+# tag tuples whose reprs a per-cell trial seed must rebuild byte for byte
+SEED_TAGS = {
+    "one-tag": ("geo",),
+    "int-tags": (3, 0, 2**63 - 1),
+    "negative-ints": ("gap", -1, -(2**63)),
+    "quotes": ("it's", 'say "hi"', "both ' and \"", "back\\slash"),
+    "non-ascii": ("zürich", "東京", "\u2028", "\x00 \n"),
+    "harness": ("geo", 5, "leader:1500"),
+    "empty": (),
+}
+
+
+@pytest.mark.parametrize("tags", SEED_TAGS.values(), ids=SEED_TAGS)
+def test_cell_trial_seed_is_trial_seed(tags):
+    for config_seed in (0, 20240601, -1, 2**63 - 1, -(2**63)):
+        trial_seed = _cell_trial_seed(config_seed, tags)
+        for t in (0, 1, 9, 10, 12_345, 2**32, 2**63 - 1):
+            assert trial_seed(t) == _trial_seed(config_seed, *tags, t)
+
+
+def test_geo_bias_run_shares_its_setup(monkeypatch):
+    # call counts, not timings: one run observes each distinct command
+    # once, parses each spec once, seeds each leader cell in one pass and
+    # makes one scratch generator
+    cities = ("washington", "london", "munich", "tokyo")
+    config = small(
+        policies=("pompe", "receive", "leader:1500", "bercow:300", "bercow:1500"),
+        origins=cities, trials=5,
+    )
+    observed, calls = Counter(), Counter()
+    observe, parse, seed = consensus.observe, OrderingPolicy.parse, consensus._pcg64_states
+
+    def observing(inv, city, topology, delta_net_us):
+        observed[city, inv.invoke_time] += 1
+        return observe(inv, city, topology, delta_net_us)
+
+    def parsing(cls, spec):
+        calls[spec] += 1
+        return parse(spec)
+
+    def seeding(seeds):
+        calls["leader cells"] += 1
+        return seed(seeds)
+
+    def bit_generator(seed):
+        calls["generators"] += 1
+        return pcg64(seed)
+
+    pcg64 = np.random.PCG64
+    monkeypatch.setattr(consensus, "observe", observing)
+    monkeypatch.setattr(OrderingPolicy, "parse", classmethod(parsing))
+    monkeypatch.setattr(consensus, "_pcg64_states", seeding)
+    monkeypatch.setattr(np.random, "PCG64", bit_generator)
+    assert len(run_geo_bias(config).rows) == 6 * 5
+    t0 = config.slot_ms * US_PER_MS // 2
+    assert observed == Counter({(city, t0): 1 for city in cities})
+    once = dict.fromkeys(config.policies, 1)
+    assert calls == Counter(once, **{"leader cells": 6, "generators": 1})
 
 
 class TestLiquidation:
@@ -606,9 +761,9 @@ class TestLiquidation:
             _run_for(config), "bercow:1500", ("geo", 0, "bercow:1500"),
             (("a", t0, "washington"), ("b", t0, "tokyo")),
         )
-        assert 0 < counts["a", "b"] < config.trials
+        assert 0 < counts[0, 1] < config.trials
         rows = run_liquidation(config).rows
-        for row, count in zip(rows, (counts["a", "b"], counts["b", "a"]), strict=True):
+        for row, count in zip(rows, (counts[0, 1], counts[1, 0]), strict=True):
             assert Fraction(row[3]) == round(Fraction(count * config.prize_usd, config.trials), 2)
 
     def test_biased_split_under_median(self):
