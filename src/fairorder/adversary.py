@@ -55,8 +55,10 @@ def private_relay_placement(
     ``victim`` and the two entries of ``attacker_cmds`` are
     (invocation, origin_city) pairs; the first attacker command is placed
     just below the victim's timestamp and the second just above, while the
-    attacker's client biases its quorums accordingly.  With no colluders
-    the plan is empty and a run behaves exactly as an honest one.
+    attacker's client biases its quorums accordingly.  Each placement is
+    clamped into its command's window once and every colluder reports it.
+    With no colluders the plan is empty and a run behaves exactly as an
+    honest one.
     """
     colluders = tuple(colluders)
     if len(colluders) > f:
@@ -74,13 +76,12 @@ def private_relay_placement(
     predicted = quorum_median(observe(victim_inv, victim_city, topology, delta_net_us), f)
     (early_inv, _), (late_inv, _) = attacker_cmds
     node_overrides = {}
-    for node_id in colluders:
-        node_overrides[(early_inv.command_id, node_id)] = clamp_to_window(
-            predicted - RELAY_MARGIN_US, early_inv.invoke_time, delta_net_us
-        )
-        node_overrides[(late_inv.command_id, node_id)] = clamp_to_window(
-            predicted + RELAY_MARGIN_US, late_inv.invoke_time, delta_net_us
-        )
+    for inv, target in (
+        (early_inv, predicted - RELAY_MARGIN_US),
+        (late_inv, predicted + RELAY_MARGIN_US),
+    ):
+        report = clamp_to_window(target, inv.invoke_time, delta_net_us)
+        node_overrides.update(((inv.command_id, node_id), report) for node_id in colluders)
     return AdversaryPlan(
         node_overrides=node_overrides,
         quorum_bias={

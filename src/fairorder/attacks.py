@@ -141,6 +141,12 @@ def default_payoff_table() -> MappingProxyType:
     return MappingProxyType(payoff_table(default_scenario()))
 
 
+def _ratio(x) -> tuple:
+    """x's (numerator, denominator), building no ``Fraction`` for an int or
+    a ``Fraction``."""
+    return (x if isinstance(x, (int, Fraction)) else Fraction(x)).as_integer_ratio()
+
+
 def expected_attacker_profit(table: dict, permutation_probs) -> Fraction:
     """Expected attacker P&L under a distribution over execution orders.
 
@@ -150,7 +156,7 @@ def expected_attacker_profit(table: dict, permutation_probs) -> Fraction:
     put over their least common denominator, the payoffs over theirs, and
     only the result is a ``Fraction``.
     """
-    ratios = [Fraction(p).as_integer_ratio() for p in permutation_probs.values()]
+    ratios = [_ratio(p) for p in permutation_probs.values()]
     den = math.lcm(*(d for _, d in ratios))
     weights = [num * (den // d) for num, d in ratios]  # each probability is weight / den
     total = sum(weights)
@@ -161,7 +167,7 @@ def expected_attacker_profit(table: dict, permutation_probs) -> Fraction:
         key = tuple(order)
         if key not in table:
             raise ContractError(f"unknown permutation {order!r}")
-        payoffs.append(Fraction(table[key][1]).as_integer_ratio())
+        payoffs.append(_ratio(table[key][1]))
     pay_den = math.lcm(*(d for _, d in payoffs))
     acc = sum(w * num * (pay_den // d) for w, (num, d) in zip(weights, payoffs))
     return Fraction(acc, den * pay_den)

@@ -164,17 +164,20 @@ def _timestamp_invocations(sim: SimulationRun) -> list:
     the median of the quorum its client picks (``quorum_median``, late
     under a "high" bias) becomes the assigned timestamp unless the plan
     overrides it, and the result must not precede the first slot, which
-    starts at 0.
+    starts at 0.  A lie from a node outside [0, n) is rejected: it would
+    replace no report.
 
     A command's assigned timestamp depends only on its origin city, invoke
     time, delta_net, f and what the plan does to it: its quorum bias, its
     colluders' reports and any override of its timestamp.  ``sim.memo``
     memoizes it under exactly that key.
     """
-    f = sim.sro.config.f
+    f, n = sim.sro.config.f, sim.topology.n_nodes
     plan = sim.adversary
     lies_for = {}  # command id -> its colluders' (node, reported timestamp) pairs
     for (cid, node), ts in plan.node_overrides.items():
+        if not (isinstance(node, int) and 0 <= node < n):
+            raise ContractError(f"a lying node must be a node id in [0, {n}), got {node!r}")
         lies_for.setdefault(cid, []).append((node, ts))
     assigned = []
     for placed in sim.invocations:
@@ -187,11 +190,10 @@ def _timestamp_invocations(sim: SimulationRun) -> list:
         if ats is None:
             if bias not in (None, QUORUM_LOW, QUORUM_HIGH):
                 raise ContractError(f"unknown quorum bias {bias!r}")
-            reported = dict(lies)
-            ats = quorum_median(
-                [reported.get(node, ts) for node, ts in enumerate(_receive_times(sim, placed))],
-                f, high=bias == QUORUM_HIGH,
-            )
+            reports = list(_receive_times(sim, placed))
+            for node, ts in lies:
+                reports[node] = ts
+            ats = quorum_median(reports, f, high=bias == QUORUM_HIGH)
             if override is not None:
                 ats = clamp_to_window(override, inv.invoke_time, sim.delta_net_us)
             if ats < 0:
@@ -412,6 +414,9 @@ def _baseline_prefixes(sim: SimulationRun, trial_seed, trials: int):
     return [_LEADER_TIE_SEED] * len(receive), batches()
 
 
+_NOISE_WORD = struct.Struct(">Q").unpack_from  # a digest's first 64 bits, big-endian
+
+
 def _noised_prefixes(assigned, noise_states, width_us, trial_ids, trials):
     """The ``bercow`` kernel: per trial, one pass over the commands that
     derives each id and its noise, yielding the trial's prefixes and ids.
@@ -421,20 +426,23 @@ def _noised_prefixes(assigned, noise_states, width_us, trial_ids, trials):
     the first 64 bits of SHA-512("noise" || slot seed || command id), scaled
     exactly, so the bias is at most 2^-64 and the draw is the same on every
     platform.  Its key prefix is its assigned timestamp plus that noise.
+    Per trial and command that is two hash copies, updates and digests,
+    nothing more: the ``copy`` methods of the tags' state and of each
+    command's noise state are bound once per cell.
     """
-    commands = tuple(zip(assigned, noise_states, trial_ids.labels))
-    id_prefix = trial_ids.prefix
+    copy_id = trial_ids.prefix.copy
+    commands = tuple(zip(assigned, [state.copy for state in noise_states], trial_ids.labels))
     for t in range(trials):
         trial = encode_id_part(t)
         prefix, ids = [], []
-        for ats, state, label in commands:
-            h = id_prefix.copy()
+        for ats, copy_noise, label in commands:
+            h = copy_id()
             h.update(trial + label)
             cid = h.digest()
             ids.append(cid)
-            h = state.copy()
+            h = copy_noise()
             h.update(cid)
-            prefix.append(ats + ((int.from_bytes(h.digest()[:8], "big") * width_us) >> 64))
+            prefix.append(ats + ((_NOISE_WORD(h.digest())[0] * width_us) >> 64))
         yield prefix, ids
 
 

@@ -7,7 +7,9 @@ sums with noise never overflow on any platform.
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 MAX_TIMESTAMP = 2**63 - 1
 US_PER_MS = 1000
@@ -45,12 +47,19 @@ class Invocation:
             raise ContractError("invoke_time must be >= 0")
 
 
+_INT_PART = struct.Struct(">Iq").pack  # an int part: length 8, then the int
+
+
 def encode_id_part(p) -> bytes:
     """One id part as hashed: its 4-byte length, then its bytes; an int is
-    8 bytes two's complement, a str its UTF-8."""
+    8 bytes two's complement (outside the signed 64-bit range it is a
+    ``ContractError``), a str its UTF-8."""
     if isinstance(p, int):
-        p = p.to_bytes(8, "big", signed=True)
-    elif isinstance(p, str):
+        try:
+            return _INT_PART(8, p)
+        except struct.error:
+            raise ContractError(f"an id part must fit in a signed 64-bit integer, got {p}") from None
+    if isinstance(p, str):
         p = p.encode()
     return len(p).to_bytes(4, "big") + p
 
@@ -61,17 +70,23 @@ class CommandIds:
     encoded trial, then the encoded label (``encode_id_part``; a part is an
     int, a str or bytes).
 
-    The tags are hashed and each label encoded once per cell, so trial t's
-    id for a label is ``prefix.copy()`` updated with ``encode_id_part(t) +
+    The tags and labels are encoded, and so checked, when the deriver is
+    made.  The tags are hashed once per cell, on the first use of
+    ``prefix``, so a cell that derives no id hashes nothing.  Trial t's id
+    for a label is ``prefix.copy()`` updated with ``encode_id_part(t) +
     label`` and digested: one copy, one update and one digest.  A caller
     that needs more than the ids per trial may derive them the same way
     inline, encoding the trial once.
     """
 
     def __init__(self, tags, labels):
-        # never updated after init
-        self.prefix = hashlib.sha256(b"".join(encode_id_part(tag) for tag in tags))
+        self._tags = b"".join(encode_id_part(tag) for tag in tags)
         self.labels = tuple(encode_id_part(label) for label in labels)
+
+    @cached_property
+    def prefix(self):
+        """The SHA-256 state after the encoded tags; never updated."""
+        return hashlib.sha256(self._tags)
 
     def __call__(self, trial) -> list:
         trial = encode_id_part(trial)

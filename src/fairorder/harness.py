@@ -28,8 +28,9 @@ cell seeds all its trials' generators in one bulk pass, which restates
 numpy's ``SeedSequence`` over Python ints, and numpy's ``Generator``
 still makes each trial's draws, the same as
 ``default_rng(_trial_seed(seed, *tags, t))`` makes.  A cell's ids come
-from ``CommandIds(tags, labels)``, which hashes the tags and encodes each
-label once per cell and the trial once per trial.  They are derived only
+from ``CommandIds(tags, labels)``, which encodes the tags and each label
+once per cell, hashes the tags only when the cell first derives an id,
+and encodes the trial once per trial.  They are derived only
 where they can matter: once per trial under ``bercow``, in the same pass
 as its noise, for the noise and any tie; otherwise only for a trial whose
 id-free key prefix ties.  Work that no cell changes is done once: the
@@ -42,7 +43,8 @@ assigned timestamp, each decided slot's revealed seed and the leader
 cells' scratch generator.  So a run observes each distinct (city, invoke
 time) once and certifies and reveals each slot once, however many cells
 use it, and nothing computed from its inputs outlives the call.  A
-sandwich run builds its colluder plan once, before its cells.
+sandwich run builds its colluder plan once, before its cells, and
+formats each order's payoff text once, not once per policy.
 """
 
 from __future__ import annotations
@@ -414,17 +416,21 @@ def run_sandwich(config: ExperimentConfig) -> TableResult:
     n = config.trials
     index = {label: i for i, (label, _, _) in enumerate(commands)}
     indices = {order: tuple(index[label] for label in order) for order in attacks.PERMUTATIONS}
+    # each order's text and payoffs, formatted once per run: (order, victim, attacker)
+    texts = {
+        order: ("-".join(order), *(_fmt_usd(usd) for usd in table[order]))
+        for order in indices
+    }
     for spec in config.policies:
         counts = _count_orders(run, spec, ("sand", spec), commands, plan)
         expected = attacks.expected_attacker_profit(
             table, {order: Fraction(counts[key], n) for order, key in indices.items()}
         )
         for order, key in indices.items():
-            victim_usd, attacker_usd = table[order]
-            result.rows.append((
-                spec, "-".join(order), _fmt_prob(counts[key] / n),
-                _fmt_usd(victim_usd), _fmt_usd(attacker_usd),
-            ))
+            order_text, victim_usd, attacker_usd = texts[order]
+            result.rows.append(
+                (spec, order_text, _fmt_prob(counts[key] / n), victim_usd, attacker_usd)
+            )
         result.rows.append((spec, "expected", "1.000000", "", _fmt_usd(expected)))
     return result
 

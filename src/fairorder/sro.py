@@ -12,8 +12,9 @@ Two interchangeable backends:
   same value; fewer reveal nothing about it.
 
 Node "signatures" over a slot index are keyed BLAKE2b tags (RFC 7693's
-MAC mode) under per-node keys; the oracle acts as the trusted verifier of
-those tags.  That is enough unforgeability for a deterministic simulation.
+MAC mode) under per-node keys, all cut from one SHAKE-256 output; the
+oracle acts as the trusted verifier of those tags.  That is enough
+unforgeability for a deterministic simulation.
 
 The oracle is stateless after init: every certificate check, reveal and
 proof is computed afresh from the keys and the call's arguments.
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+import struct
 from dataclasses import dataclass
 from enum import Enum
 
@@ -182,10 +184,14 @@ def _hash(*parts: bytes) -> bytes:
     return h.digest()
 
 
+_SLOT_INDEX = struct.Struct(">Q").pack
+
+
 def _k_bytes(k: int) -> bytes:
-    if not (0 <= k < 2**64):
-        raise ContractError("slot index must be an unsigned 64-bit integer")
-    return k.to_bytes(8, "big")
+    try:
+        return _SLOT_INDEX(k)
+    except struct.error:
+        raise ContractError("slot index must be an unsigned 64-bit integer") from None
 
 
 def hash_to_field(k: int, p: int) -> int:
@@ -202,8 +208,12 @@ def _derive_int(seed: bytes, label: bytes, index: int, modulus: int) -> int:
     return int.from_bytes(_hash(b"derive", seed, label, index.to_bytes(4, "big")), "big") % modulus
 
 
-def node_signing_key(rng_seed: bytes, node_id: int) -> bytes:
-    return _hash(b"sig-key", rng_seed, node_id.to_bytes(4, "big"))[:32]
+def node_signing_keys(rng_seed: bytes, n: int) -> list:
+    """Nodes 0..n-1's 32-byte signing keys, in order: one SHAKE-256 output
+    (FIPS 202) of "sig-key" || rng_seed, cut into consecutive 32-byte keys.
+    An extendable output, so the keys for n are a prefix of those for n + 1."""
+    stream = hashlib.shake_256(b"sig-key" + rng_seed).digest(32 * n)
+    return [stream[i:i + 32] for i in range(0, 32 * n, 32)]
 
 
 def sign_slot(key: bytes, k: int) -> bytes:
@@ -279,7 +289,7 @@ class SroHandle:
         if len(rng_seed) != 32:
             raise ContractError("rng_seed must be exactly 32 bytes")
         self.config = config
-        self._signing_keys = {i: node_signing_key(rng_seed, i) for i in range(config.n)}
+        self._signing_keys = dict(enumerate(node_signing_keys(rng_seed, config.n)))
         if config.backend is Backend.SEEDED_HASH:
             self.__seed = _hash(b"sro-seed", rng_seed)[:32]
             self.group = None

@@ -198,6 +198,15 @@ class TestRunSlotted:
         with pytest.raises(ContractError, match="precedes the first slot"):
             run_slotted(sim)
 
+    @pytest.mark.parametrize("node", [4, 1000, -1, "0"])
+    def test_lie_from_a_node_that_does_not_exist_rejected(self, node):
+        # n = 4: a report from outside nodes 0..3 would replace none of theirs
+        cmd = inv("lied about", 100_000)
+        plan = AdversaryPlan(node_overrides={(cmd.command_id, 0): 1, (cmd.command_id, node): 2})
+        sim = sim_for([PlacedInvocation(cmd, "solo")], POMPE, adversary=plan)
+        with pytest.raises(ContractError, match="lying node"):
+            Counter(trial_orders(sim, 1, CommandIds((), "a"), no_seed))
+
     def test_sro_shape_mismatch_rejected(self):
         topology = small_topology()
         with pytest.raises(ContractError):

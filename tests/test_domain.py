@@ -9,6 +9,7 @@ from fairorder.domain import (
     CommandIds,
     ContractError,
     Invocation,
+    encode_id_part,
     quorum_median,
     tie_break_key,
 )
@@ -158,6 +159,25 @@ class TestTypes:
         Slot(0, 0, 10, decision_certificate=frozenset({(0, b"a"), (1, b"a")}))
         with pytest.raises(ContractError, match="duplicate node"):
             Slot(0, 0, 10, decision_certificate=frozenset({(0, b"a"), (0, b"b")}))
+
+
+class TestEncodeIdPart:
+    @pytest.mark.parametrize(
+        "value", [0, 1, -1, 2**31, -(2**31), 2**63 - 1, -(2**63), True]
+    )
+    def test_int_bytes(self, value):
+        # its length, 8, then 8 bytes two's complement
+        want = (8).to_bytes(4, "big") + int(value).to_bytes(8, "big", signed=True)
+        assert encode_id_part(value) == want
+
+    @pytest.mark.parametrize("value", [2**63, -(2**63) - 1, 10**19])
+    def test_int_outside_int64_rejected(self, value):
+        with pytest.raises(ContractError, match="signed 64-bit"):
+            encode_id_part(value)
+        with pytest.raises(ContractError):
+            CommandIds(("gap", "pompe", value), ["early"])
+        with pytest.raises(ContractError):
+            CommandIds(("gap",), ["early"])(value)
 
 
 class TestCommandIds:

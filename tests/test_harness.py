@@ -1,12 +1,15 @@
+import hashlib
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from fairorder import adversary, attacks, consensus, harness
+from fairorder import adversary, attacks, consensus, domain, harness
 from fairorder.adversary import AdversaryPlan, private_relay_placement
 from fairorder.analysis import epsilon_general
 from fairorder.cli import main
@@ -22,6 +25,7 @@ from fairorder.domain import (
     CommandIds,
     ContractError,
     Invocation,
+    encode_id_part,
     quorum_median,
 )
 from fairorder.harness import (
@@ -46,7 +50,7 @@ from fairorder.harness import (
     run_sandwich,
     run_tradeoff_curve,
 )
-from fairorder.sro import SroHandle
+from fairorder.sro import SroHandle, sign_slot
 from reference import make_command_id, order_leader_rotation, order_receive_all_correct, run_slotted
 
 CONFIG_DIR = resources.files("fairorder.data") / "configs"
@@ -588,6 +592,23 @@ class TestLazyIds:
         run_geo_bias(small(policies=(spec,), origins=("tokyo", "tokyo"), trials=5))
         assert derived == Counter(dict.fromkeys(range(5), 2))
 
+    @pytest.mark.parametrize("spec", ["pompe", "receive", "leader:1500"])
+    def test_a_cell_hashes_its_tags_only_to_derive_an_id(self, spec, monkeypatch):
+        hashed = Counter()
+        sha256 = hashlib.sha256
+
+        def counting(data=b""):
+            hashed[data] += 1
+            return sha256(data)
+
+        monkeypatch.setattr(domain, "hashlib", SimpleNamespace(sha256=counting))
+        run_geo_bias(small(policies=(spec,), trials=5))
+        assert not hashed  # no trial ties, so no id is derived
+        # a same-city pair ties, and its one cell hashes its tags once
+        run_geo_bias(small(policies=(spec,), origins=("tokyo", "tokyo"), trials=5))
+        tags = b"".join(encode_id_part(tag) for tag in ("geo", 0, spec))
+        assert hashed[tags] == 1
+
     @pytest.mark.parametrize("spec", ["bercow:300", "bercow:1500", "bercow:5000"])
     def test_no_inversion_past_the_horizon(self, spec):
         # acceptance criterion 4 through the package: the slowest city's
@@ -742,6 +763,30 @@ def test_geo_bias_run_shares_its_setup(monkeypatch):
     assert calls == Counter(once, **{"leader cells": 6, "generators": 1})
 
 
+def test_sandwich_run_does_its_fixed_work_once(monkeypatch):
+    # call counts, not timings: the key ceremony is one SHAKE-256 call, the
+    # relay placement clamps each attacker command's report once, and the
+    # run's one reveal makes and checks one certificate of n - f tags
+    config = replace(parse_config(CONFIG_DIR / "sandwich.cfg"), trials=20)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(harness, "sro_init", counted("sro_init", harness.sro_init))
+    monkeypatch.setattr(hashlib, "shake_256", counted("shake_256", hashlib.shake_256))
+    clamp = counted("clamp_to_window", adversary.clamp_to_window)
+    monkeypatch.setattr(adversary, "clamp_to_window", clamp)
+    monkeypatch.setattr(consensus, "clamp_to_window", clamp)
+    monkeypatch.setattr("fairorder.sro.sign_slot", counted("sign_slot", sign_slot))
+    assert len(run_sandwich(config).rows) == 7 * len(config.policies)
+    n, f = 80, 26
+    assert calls == Counter(sro_init=1, shake_256=1, clamp_to_window=2, sign_slot=2 * (n - f))
+
+
 class TestLiquidation:
     def test_fair_split_under_noise(self):
         config = small(
@@ -867,6 +912,7 @@ class TestCli:
             (["simulate"], "scenario = geo_bias\ntrails = 2"),
             (["simulate"], "scenario = geo_bias\ndnet_ms = -5"),
             (["simulate"], "scenario = tradeoff_curve\ngaps_ms = -500,0"),
+            (["simulate"], "scenario = tradeoff_curve\ngaps_ms = 0,10000000000000000000"),
             (["simulate"], "scenario = geo_bias\npolicies = receive\nslot_ms = 0"),
             (["attack", "sandwich", "--policy", "pompe", "--dnet-ms", "0"], None),
             (["bounds", "--alpha", "1/5", "--dnet-ms", "-3"], None),
@@ -887,7 +933,7 @@ class TestCli:
             (["simulate"], "scenario = bounds_table\nbounds_n ="),
         ],
         ids=["alpha", "attack-colluders", "policy-arg", "colluders", "alphas",
-             "one-offset", "unknown-key", "dnet", "negative-gap", "slot",
+             "one-offset", "unknown-key", "dnet", "negative-gap", "gap-past-int64", "slot",
              "attack-dnet", "bounds-dnet", "bounds-dnoise-zero", "duplicate-key", "seed", "attack-seed",
              "pompe-arg", "receive-arg", "bare-leader", "bare-bercow", "bercow-zero",
              "leader-zero", "unknown-policy", "no-policies", "no-sandwich-policies",

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import pickle
 
@@ -14,7 +15,7 @@ from fairorder.sro import (
     SroConfig,
     combine_shares,
     hash_to_field,
-    node_signing_key,
+    node_signing_keys,
     production_group,
     share_is_valid,
     sign_slot,
@@ -36,7 +37,7 @@ def reveal_k(handle, k):
 
 def tag_of(node, k):
     """Node ``node``'s tag over slot k, under the keys ``SEED`` derives."""
-    return sign_slot(node_signing_key(SEED, node), k)
+    return sign_slot(node_signing_keys(SEED, node + 1)[node], k)
 
 
 def certificate(k, node_ids):
@@ -147,6 +148,37 @@ class TestTags:
         for cut in (tag[:-1], tag[:16], b""):
             assert not handle.signatures_valid(5, forged(handle, 5, 0, cut))
         assert handle.signatures_valid(5, forged(handle, 5, 0, tag))
+
+
+class TestSigningKeys:
+    @pytest.mark.parametrize("n, f", [(1, 0), (4, 1), (80, 26)])
+    def test_handle_signs_with_the_derived_keys(self, n, f):
+        keys = node_signing_keys(SEED, n)
+        assert len(set(keys)) == n and {len(key) for key in keys} == {32}
+        handle = handle_for(n=n, f=f)
+        assert handle.quorum_signatures(7) == frozenset(
+            (i, sign_slot(keys[i], 7)) for i in range(n - f)
+        )
+        assert handle.signatures_valid(7, frozenset(
+            (i, sign_slot(key, 7)) for i, key in enumerate(keys)
+        ))
+
+    @pytest.mark.parametrize("n", [0, 1, 4, 79])
+    def test_keys_are_one_shake256_output(self, n):
+        keys = node_signing_keys(SEED, n)
+        assert b"".join(keys) == hashlib.shake_256(b"sig-key" + SEED).digest(32 * n)
+        assert keys == node_signing_keys(SEED, n + 1)[:n]
+
+    @pytest.mark.parametrize("backend,field", [(Backend.SEEDED_HASH, None), (Backend.THRESHOLD_DPRF, 101)])
+    def test_certificate_under_another_seeds_keys_rejected(self, backend, field):
+        other = bytes(31) + b"\x01"
+        handle = handle_for(backend=backend, field=field)
+        with pytest.raises(InvalidSignatureSet):
+            handle.reveal(RevealRequest(5, handle_for(seed=other).quorum_signatures(5)))
+        everyone = frozenset(
+            (i, sign_slot(key, 5)) for i, key in enumerate(node_signing_keys(other, 4))
+        )
+        assert not handle.signatures_valid(5, everyone)
 
 
 # The seeded backend's value and proof digest at SEED: what every CSV's
