@@ -3,9 +3,11 @@
 ``PolicyKind`` defines each policy once, and ``OrderingPolicy.parse``
 reads a spec -- ``pompe``, ``receive``, ``leader:<ms>`` or ``bercow:<ms>``.
 
-``trial_orders`` yields the ledger order of each of many trials of one
-``SimulationRun``, in trial order: trials differ only in their command ids
-and, under leader rotation, in the rotation drawn.  It serves every policy:
+A ``SimulationRun`` is one network: topology, delta_net, slot interval and
+oracle.  ``trial_orders`` yields, in trial order, the ledger order of each
+of many trials of one cell: a policy ordering some invocations on a run,
+under an adversary plan.  Trials differ only in their command ids and,
+under leader rotation, in the rotation drawn.  It serves every policy:
 
 * ``pompe`` and ``bercow`` (median timestamps, idealized per-slot
   agreement): a command's assigned timestamp is the median of its 2f+1
@@ -24,9 +26,9 @@ Every ledger is a sort by one key rule, ``_key``: (id-free prefix, tie key,
 command id).  The prefix is the modified timestamp under the median
 policies, (period, leader's receive time) under leader rotation and the
 median receive time under receive ordering.  What the ids do not affect is
-computed once per run, and a trial's ids are asked for only when they can
-change its order.  One loop, ``_orders``, turns each trial's prefixes into
-its order.
+computed once per cell, or once per run where cells share it, and a
+trial's ids are asked for only when they can change its order.  One loop,
+``_orders``, turns each trial's prefixes into its order.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import hashlib
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -98,10 +101,6 @@ class OrderingPolicy:
             raise ContractError(f"policy {spec!r}: write one of {grammar}")
         return cls(kind, int(arg) * US_PER_MS if kind.param else 0)
 
-    @property
-    def median_timestamps(self) -> bool:
-        return self.kind.median_timestamps
-
 
 @dataclass(frozen=True)
 class PlacedInvocation:
@@ -109,55 +108,53 @@ class PlacedInvocation:
     origin_city: str
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SimulationRun:
-    """One run's inputs, and ``memo``: what the run has computed that other
-    runs may reuse.  The memo holds each command's receive times, keyed by
-    (origin city, invoke time, delta_net) (``_receive_times``), and its
-    assigned timestamp, keyed by all it depends on
-    (``_timestamp_invocations``); each revealed slot's seed, keyed by
-    (oracle, slot index) (``_slotted_prefixes``); and the scratch
-    generator that leader trials draw from once their state is set
-    (``_baseline_prefixes``).  Runs over one topology may share it, as the
-    cells of one experiment do."""
+    """One network: its topology, delta_net, slot interval and secret
+    random oracle, whose f fixes every quorum.  Each cell ordered on it
+    (``trial_orders``) reuses what the run has computed: receive times,
+    keyed by (origin city, invoke time); assigned timestamps, keyed by
+    those and what a plan changes of them (``_timestamp_invocations``);
+    revealed slot seeds, keyed by k; and the scratch generator of leader
+    trials, built on first use.  A run is frozen, and ``replace`` makes a
+    new one with none of these, so no value outlives the network it was
+    computed on."""
 
     topology: CityTopology
-    policy: OrderingPolicy
     delta_net_us: int
     slot_interval_us: int
-    invocations: list  # [PlacedInvocation]
     sro: SroHandle
-    adversary: AdversaryPlan = field(default_factory=AdversaryPlan)
-    memo: dict = field(default_factory=dict)
+    _receive: dict = field(default_factory=dict, init=False, repr=False)
+    _stamps: dict = field(default_factory=dict, init=False, repr=False)
+    _seeds: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
+        if self.delta_net_us < 0:
+            raise ContractError(f"delta_net must be >= 0, got {self.delta_net_us}")
         if self.slot_interval_us <= 0:
             raise ContractError("slot interval must be positive")
-        if not self.invocations:
-            raise ContractError("no invocations to order")
         if self.sro.config.n != self.topology.n_nodes:
             raise ContractError("oracle was initialized for a different node count")
-        plan = self.adversary
-        if not self.policy.median_timestamps and (
-            plan.ats_overrides or plan.node_overrides or plan.quorum_bias
-        ):
-            raise ContractError(f"the {self.policy.kind.value} baseline takes no adversary plan")
+
+    @cached_property
+    def _leader_rng(self):
+        # seeded with a fixed seed, never drawn from before a state is set
+        return np.random.Generator(np.random.PCG64(0))
 
 
-def _receive_times(sim: SimulationRun, placed: PlacedInvocation) -> tuple:
-    """``observe``'s receive times for one invocation, memoized in
-    ``sim.memo`` under all they depend on: city, invoke time, delta_net."""
+def _receive_times(run: SimulationRun, placed: PlacedInvocation) -> tuple:
+    """``observe``'s receive times for one invocation, kept by the run."""
     inv = placed.invocation
-    key = (placed.origin_city, inv.invoke_time, sim.delta_net_us)
-    times = sim.memo.get(key)
+    key = (placed.origin_city, inv.invoke_time)
+    times = run._receive.get(key)
     if times is None:
-        times = sim.memo[key] = tuple(
-            observe(inv, placed.origin_city, sim.topology, sim.delta_net_us)
+        times = run._receive[key] = tuple(
+            observe(inv, placed.origin_city, run.topology, run.delta_net_us)
         )
     return times
 
 
-def _timestamp_invocations(sim: SimulationRun) -> list:
+def _timestamp_invocations(run: SimulationRun, invocations, plan: AdversaryPlan) -> list:
     """Each invocation's assigned timestamp, in order.
 
     Per invocation: the nodes observe it, colluders' reports replace theirs,
@@ -165,40 +162,36 @@ def _timestamp_invocations(sim: SimulationRun) -> list:
     under a "high" bias) becomes the assigned timestamp unless the plan
     overrides it, and the result must not precede the first slot, which
     starts at 0.  A lie from a node outside [0, n) is rejected: it would
-    replace no report.
-
-    A command's assigned timestamp depends only on its origin city, invoke
-    time, delta_net, f and what the plan does to it: its quorum bias, its
-    colluders' reports and any override of its timestamp.  ``sim.memo``
-    memoizes it under exactly that key.
+    replace no report.  On one run a stamp depends only on the command's
+    origin city, invoke time, quorum bias, colluders' reports and override,
+    and the run keeps it under exactly that key.
     """
-    f, n = sim.sro.config.f, sim.topology.n_nodes
-    plan = sim.adversary
+    f, n = run.sro.config.f, run.topology.n_nodes
     lies_for = {}  # command id -> its colluders' (node, reported timestamp) pairs
     for (cid, node), ts in plan.node_overrides.items():
         if not (isinstance(node, int) and 0 <= node < n):
             raise ContractError(f"a lying node must be a node id in [0, {n}), got {node!r}")
         lies_for.setdefault(cid, []).append((node, ts))
     assigned = []
-    for placed in sim.invocations:
+    for placed in invocations:
         inv = placed.invocation
         cid = inv.command_id
         lies = tuple(sorted(lies_for.get(cid, ())))
         bias, override = plan.quorum_bias.get(cid), plan.ats_overrides.get(cid)
-        key = (placed.origin_city, inv.invoke_time, sim.delta_net_us, f, bias, lies, override)
-        ats = sim.memo.get(key)
+        key = (placed.origin_city, inv.invoke_time, bias, lies, override)
+        ats = run._stamps.get(key)
         if ats is None:
             if bias not in (None, QUORUM_LOW, QUORUM_HIGH):
                 raise ContractError(f"unknown quorum bias {bias!r}")
-            reports = list(_receive_times(sim, placed))
+            reports = list(_receive_times(run, placed))
             for node, ts in lies:
                 reports[node] = ts
             ats = quorum_median(reports, f, high=bias == QUORUM_HIGH)
             if override is not None:
-                ats = clamp_to_window(override, inv.invoke_time, sim.delta_net_us)
+                ats = clamp_to_window(override, inv.invoke_time, run.delta_net_us)
             if ats < 0:
                 raise ContractError(f"assigned timestamp {ats} precedes the first slot at 0")
-            sim.memo[key] = ats
+            run._stamps[key] = ats
         assigned.append(ats)
     return assigned
 
@@ -233,33 +226,33 @@ def _leader_batch(times, invoke_time, schedule, phase_us, rotation_period_us):
         p += 1
 
 
-def _slotted_prefixes(sim: SimulationRun):
-    """``trial_orders``' setup under ``pompe`` and ``bercow``.
+def _slotted_prefixes(run: SimulationRun, width_us: int, invocations, plan: AdversaryPlan):
+    """``trial_orders``' setup under ``pompe`` and ``bercow`` (noise width
+    ``width_us``, 0 under ``pompe``).
 
     Each command's tie seed is the revealed seed of the slot that decides
     it; its key prefix is its modified_ts, the assigned timestamp under
     ``pompe`` and that plus the trial's noise under ``bercow``.  Returns the
     tie seeds, the assigned timestamps, and each command's noise hash
     state, keyed by its slot's seed, which a trial extends by the command's
-    id.  A run whose noised timestamps could overflow 63 bits is rejected
-    on the largest noise a trial can draw, even if no trial's do.  A
-    decided slot's seed is looked up in ``sim.memo`` under (oracle, k), and
-    only on a miss is its certificate built and checked in ``reveal``, so
-    runs that share a memo certify and reveal each slot once.  The empty
-    slots a slot-by-slot run walks until the last emission are neither
-    certified nor revealed: no key depends on their seeds.
+    id.  A cell whose noised timestamps could overflow 63 bits is rejected
+    on the largest noise a trial can draw, even if no trial's do.  A slot's
+    certificate is built and checked in ``reveal`` only on its first use in
+    the run.  The empty slots a slot-by-slot run walks until the last
+    emission are neither certified nor revealed: no key depends on their
+    seeds.
     """
-    assigned = _timestamp_invocations(sim)
-    if max(assigned) + max(sim.policy.param_us - 1, 0) > MAX_TIMESTAMP:
+    assigned = _timestamp_invocations(run, invocations, plan)
+    if max(assigned) + max(width_us - 1, 0) > MAX_TIMESTAMP:
         raise ContractError("timestamp overflow (must fit in 63 bits)")
-    slots = [ats // sim.slot_interval_us for ats in assigned]
+    slots = [ats // run.slot_interval_us for ats in assigned]
     states, tie_seeds = {}, {}
     for k in slots:
         if k not in states:
-            seed = sim.memo.get((sim.sro, k))
+            seed = run._seeds.get(k)
             if seed is None:
-                seed = sim.memo[sim.sro, k] = sim.sro.reveal(
-                    RevealRequest(k, sim.sro.quorum_signatures(k))
+                seed = run._seeds[k] = run.sro.reveal(
+                    RevealRequest(k, run.sro.quorum_signatures(k))
                 )
             states[k], tie_seeds[k] = hashlib.sha512(b"noise" + seed), seed[:32]
     return [tie_seeds[k] for k in slots], assigned, [states[k] for k in slots]
@@ -372,32 +365,28 @@ def _pcg64_states(seeds) -> list:
     return out
 
 
-_LEADER_GENERATOR = "leader generator"  # its memo key
+def _receive_prefixes(run: SimulationRun, invocations):
+    """``trial_orders``' setup under ``receive``: the tie seeds and each
+    command's median receive time."""
+    receive = [_receive_times(run, placed) for placed in invocations]
+    return [_RECEIVE_TIE_SEED] * len(receive), [sorted(ts)[len(ts) // 2] for ts in receive]
 
 
-def _baseline_prefixes(sim: SimulationRun, trial_seed, trials: int):
-    """``trial_orders``' setup under ``leader`` and ``receive``.
+def _leader_prefixes(run: SimulationRun, period_us: int, invocations, trial_seed, trials: int):
+    """``trial_orders``' setup under ``leader``: the tie seeds, and each
+    trial's (prefixes, None) as it is drawn.
 
-    Each invocation's receive times depend only on its city and invoke
-    time, and are looked up in ``sim.memo`` (``_receive_times``).  Under
-    ``receive`` the prefix is the fixed median receive time.  Under
-    ``leader`` it is (period, leader's receive time) for trial t's
-    schedule and phase, drawn as ``default_rng(trial_seed(t))`` would draw
-    them: every trial's PCG64 state is seeded in one bulk pass
-    (``_pcg64_states``), then set, through one reused dict, on the run's
-    scratch generator in ``sim.memo`` before the trial's draws, which
-    numpy makes.  Returns the tie seeds and the fixed prefixes, or under
-    ``leader`` each trial's (prefixes, None) as it is drawn.
+    Trial t's prefix for a command is (period, leader's receive time) for
+    the schedule and phase ``default_rng(trial_seed(t))`` would draw: every
+    trial's PCG64 state is seeded in one bulk pass (``_pcg64_states``), then
+    set, through one reused dict, on the run's scratch generator before the
+    trial's draws, which numpy makes.
     """
-    receive = [_receive_times(sim, placed) for placed in sim.invocations]
-    if sim.policy.kind is PolicyKind.RECEIVE_ORDER:
-        return [_RECEIVE_TIE_SEED] * len(receive), [sorted(ts)[len(ts) // 2] for ts in receive]
-    period, n = sim.policy.param_us, sim.topology.n_nodes
-    invoke = [placed.invocation.invoke_time for placed in sim.invocations]
+    receive = [_receive_times(run, placed) for placed in invocations]
+    invoke = [placed.invocation.invoke_time for placed in invocations]
+    n = run.topology.n_nodes
     states = _pcg64_states([trial_seed(t) for t in range(trials)])
-    rng = sim.memo.get(_LEADER_GENERATOR)
-    if rng is None:  # seeded with a fixed seed, never drawn from before a state is set
-        rng = sim.memo[_LEADER_GENERATOR] = np.random.Generator(np.random.PCG64(0))
+    rng = run._leader_rng
     bit_generator = rng.bit_generator
     new_state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
     pcg = new_state["state"]
@@ -405,9 +394,9 @@ def _baseline_prefixes(sim: SimulationRun, trial_seed, trials: int):
     def batches():
         for pcg["state"], pcg["inc"] in states:
             bit_generator.state = new_state
-            schedule, phase = _rotation(rng, n, period)
+            schedule, phase = _rotation(rng, n, period_us)
             yield [
-                _leader_batch(times, it, schedule, phase, period)
+                _leader_batch(times, it, schedule, phase, period_us)
                 for times, it in zip(receive, invoke)
             ], None
 
@@ -460,57 +449,63 @@ def _orders(tie_seeds, per_trial, trial_ids):
         yield tuple(sorted(indices, key=prefix.__getitem__))
 
 
-def trial_orders(sim: SimulationRun, trials: int, trial_ids: CommandIds, trial_seed):
-    """Each trial's ledger order, in trial order, for one run under any policy.
+def trial_orders(
+    run: SimulationRun, policy: OrderingPolicy, invocations, plan: AdversaryPlan,
+    trials: int, trial_ids: CommandIds, trial_seed,
+):
+    """Each trial's ledger order, in trial order, for one cell: ``policy``
+    ordering ``invocations`` (``PlacedInvocation`` templates) on ``run``
+    under the adversary ``plan``.
 
-    Trial t (0 <= t < ``trials``, at least one trial) is ``sim`` with its
-    invocations renamed to the ids ``trial_ids(t)``, one ``CommandIds``
-    label per invocation, in order; under ``leader`` it draws its schedule
-    and phase as ``np.random.default_rng(trial_seed(t))`` would (a seed is
-    a non-negative int or a sequence of them), and no other policy calls
-    ``trial_seed``.  The adversary plan is keyed by the ids in
-    ``sim.invocations`` and follows the renaming; ``leader`` and ``receive``
-    run honest (``SimulationRun`` rejects a plan for them).  An order is a
-    tuple of indices into ``sim.invocations``: the order in which the
-    policy's ledger holds the renamed trial's commands.  Trial t's order
-    does not depend on ``trials``.  The run's checks, stamping, reveals and
+    Trial t (0 <= t < ``trials``) renames the invocations to the ids
+    ``trial_ids(t)``, one ``CommandIds`` label per invocation, in order;
+    the plan is keyed by the template ids and follows the renaming.  Under
+    ``leader`` trial t draws its schedule and phase as
+    ``np.random.default_rng(trial_seed(t))`` would (a seed is a
+    non-negative int or a sequence of them); no other policy calls
+    ``trial_seed``.  Only the median-timestamp policies take a non-empty
+    plan.  An order is a tuple of indices into ``invocations``, and trial
+    t's does not depend on ``trials``.  The checks, stamps, reveals and
     seeding happen in this call; a trial's noise, draws and sort happen as
     the returned iterator yields it.
 
     Each policy's ledger is one sort by ``_key``.  (Under slot-by-slot
     agreement, a command decided in slot k_d is emitted by slot
     floor(modified_ts / interval) >= k_d, and each slot emits its ripe keys
-    sorted, after every earlier slot's smaller ones.)  A per-policy setup
-    makes the run's checks and computes once what the ids do not affect:
-    each command's tie seed and key prefix.  Outside ``leader``, every
-    trial's prefix for a command lies in [p, p + max(w, 1)), where p is
-    its fixed prefix and w the ``bercow`` noise width (0 otherwise).  If
+    sorted, after every earlier slot's smaller ones.)  Outside ``leader``,
+    every trial's prefix for a command lies in [p, p + max(w, 1)), where p
+    is its fixed prefix and w the ``bercow`` noise width (0 otherwise).  If
     those ranges are pairwise disjoint, every trial has the order of the
-    fixed prefixes, with no tie, and it is repeated with no id, noise or
-    draw derived per trial.  Otherwise a ``bercow`` trial derives its ids
-    once, for its noise (``_noised_prefixes``), and a ``leader`` trial
-    draws its rotation; a trial of any policy derives its ids only on a
-    tie, if it has not yet.
+    fixed prefixes, and it is repeated with no per-trial work.  Otherwise a
+    ``bercow`` trial derives its ids once, for its noise
+    (``_noised_prefixes``), and a ``leader`` trial draws its rotation; a
+    trial of any policy derives its ids only on a tie, if it has not yet.
     """
     if trials < 1:
         raise ContractError(f"trials must be >= 1, got {trials}")
-    if len(trial_ids.labels) != len(sim.invocations):
+    if not invocations:
+        raise ContractError("no invocations to order")
+    if len(trial_ids.labels) != len(invocations):
         raise ContractError(
-            f"{len(trial_ids.labels)} command labels for {len(sim.invocations)} invocations"
+            f"{len(trial_ids.labels)} command labels for {len(invocations)} invocations"
         )
-    kind = sim.policy.kind
+    kind, width = policy.kind, policy.param_us
+    if not kind.median_timestamps and (
+        plan.ats_overrides or plan.node_overrides or plan.quorum_bias
+    ):
+        raise ContractError(f"the {kind.value} baseline takes no adversary plan")
     if kind is PolicyKind.LEADER_ROTATION:
-        return _orders(*_baseline_prefixes(sim, trial_seed, trials), trial_ids)
+        return _orders(*_leader_prefixes(run, width, invocations, trial_seed, trials), trial_ids)
     if kind.median_timestamps:
-        tie_seeds, prefixes, noise_states = _slotted_prefixes(sim)
+        tie_seeds, prefixes, noise_states = _slotted_prefixes(run, width, invocations, plan)
     else:
-        tie_seeds, prefixes = _baseline_prefixes(sim, trial_seed, trials)
-    span = max(sim.policy.param_us, 1)  # the width of every trial's prefix range
+        tie_seeds, prefixes = _receive_prefixes(run, invocations)
+    span = max(width, 1)  # the width of every trial's prefix range
     order = tuple(sorted(range(len(prefixes)), key=prefixes.__getitem__))
     if all(prefixes[b] - prefixes[a] >= span for a, b in zip(order, order[1:])):
         return repeat(order, trials)
     if kind is PolicyKind.BERCOW_NOISE:
-        per_trial = _noised_prefixes(prefixes, noise_states, sim.policy.param_us, trial_ids, trials)
+        per_trial = _noised_prefixes(prefixes, noise_states, width, trial_ids, trials)
     else:
         per_trial = repeat((prefixes, None), trials)
     return _orders(tie_seeds, per_trial, trial_ids)

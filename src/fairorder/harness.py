@@ -9,42 +9,20 @@ Policy specs are strings, read by ``consensus.OrderingPolicy.parse``:
 ``pompe``, ``receive``, ``leader:<period_ms>``, ``bercow:<noise_ms>``.
 ``policies``, ``alphas`` and ``bounds_n`` must each list at least one entry.
 
-Every simulated table cell goes through one trial driver,
-``_count_orders``: a scenario lists the cell's commands as
-(label, invoke_us, city) triples and reads its numbers from the cell's
-ledger orders, counted once by command index.  A count c of n trials is
-printed as ``c / n``, which is correctly rounded and so prints as
-``Fraction(c, n)`` does.  The cell's tags -- ``("geo", pair_index,
-spec)``, ``("gap", spec, gap_ms)`` or ``("sand", spec)`` -- fix trial t's
-command ids, ``CommandIds(tags, labels)(t)``, one per label in order;
-under the leader policy they also fix the seed its schedule and phase are
-drawn from, ``_trial_seed(seed, *tags, t)``, computed with the tags' repr
-built once per cell (``_cell_trial_seed``).  Changing either changes the
-CSVs.  No cell runs trial by trial: every policy's cell is one
-``SimulationRun`` (``_cell``) and one call of the engine,
-``consensus.trial_orders``, which computes what the ids do not affect once
-per cell and yields every trial's ledger order from one loop.  A leader
-cell seeds all its trials' generators in one bulk pass, which restates
-numpy's ``SeedSequence`` over Python ints, and numpy's ``Generator``
-still makes each trial's draws, the same as
-``default_rng(_trial_seed(seed, *tags, t))`` makes.  A cell's ids come
-from ``CommandIds(tags, labels)``, which encodes the tags and each label
-once per cell, hashes the tags only when the cell first derives an id,
-and encodes the trial once per trial.  They are derived only
-where they can matter: once per trial under ``bercow``, in the same pass
-as its noise, for the noise and any tie; otherwise only for a trial whose
-id-free key prefix ties.  Work that no cell changes is done once: the
-bundled topology, with its per-origin delay table, and the sandwich
-payoff table are each built once per process.  Within one
-``run_experiment`` call (``_Run``), each policy spec is parsed and each
-cell's commands placed once, and the cells share one memo
-(``SimulationRun.memo``) of each distinct command's receive times and
-assigned timestamp, each decided slot's revealed seed and the leader
-cells' scratch generator.  So a run observes each distinct (city, invoke
-time) once and certifies and reveals each slot once, however many cells
-use it, and nothing computed from its inputs outlives the call.  A
-sandwich run builds its colluder plan once, before its cells, and
-formats each order's payoff text once, not once per policy.
+A ``run_experiment`` call builds one ``consensus.SimulationRun`` from its
+config (``_run_for``): the network that every cell of the table is ordered
+on, which keeps the receive times, stamps, slot seeds and leader generator
+the cells share.  Each spec is parsed, and each cell's commands placed,
+once per call.  A simulated cell is one call of ``consensus.trial_orders``,
+counted by ``_count_orders``: the scenario gives the cell's tags and its
+(label, invoke_us, city) commands, and reads its numbers from the counted
+orders.  The tags -- ``("geo", pair_index, spec)``, ``("gap", spec,
+gap_ms)`` or ``("sand", spec)`` -- fix trial t's command ids,
+``CommandIds(tags, labels)(t)``, and under the leader policy the seed its
+rotation is drawn from (``_cell_trial_seed``); changing either changes the
+CSVs.  A count c of n trials is printed as ``c / n``, which is correctly
+rounded and so prints as ``Fraction(c, n)`` does.  The bundled topology
+and the sandwich payoff table are built once per process.
 """
 
 from __future__ import annotations
@@ -225,18 +203,11 @@ def _fmt_usd(x) -> str:
     return f"{float(x):.2f}"
 
 
-def _trial_seed(config_seed: int, *tags) -> list:
-    # hash() is salted per process; a digest keeps trial streams stable across runs
-    digest = hashlib.sha256(repr(tags).encode()).digest()
-    return [config_seed & 0xFFFFFFFFFFFFFFFF, int.from_bytes(digest[:8], "big")]
-
-
 def _cell_trial_seed(config_seed: int, tags: tuple):
-    """One cell's ``lambda t: _trial_seed(config_seed, *tags, t)``.
-
-    The repr of ``(*tags, t)`` is the tags' part, built once per cell, then
-    ``repr(t)`` and the closing parenthesis, so every digest hashes the same
-    bytes as ``_trial_seed``'s.
+    """One cell's trial seeds: trial t's is [the config seed mod 2^64, the
+    first 8 bytes, big-endian, of the SHA-256 of ``repr((*tags, t))``].
+    (``hash()`` is salted per process; a digest keeps trial streams stable
+    across runs.)  The repr's tags part is built once per cell.
     """
     head = ("(" + "".join(f"{tag!r}, " for tag in tags)).encode()
     tail = b")" if tags else b",)"  # a one-element tuple's repr is "(t,)"
@@ -249,29 +220,16 @@ def _cell_trial_seed(config_seed: int, tags: tuple):
     return trial_seed
 
 
-@dataclass
-class _Run:
-    """What the cells of one ``run_experiment`` call share: the config, the
-    topology, the oracle, each parsed spec, each cell's placed commands
-    and one memo (every cell's ``SimulationRun.memo``)."""
-
-    config: ExperimentConfig
-    topology: CityTopology
-    sro: SroHandle
-    policies: dict = field(default_factory=dict)  # spec -> OrderingPolicy
-    placed: dict = field(default_factory=dict)  # a cell's commands -> ``_placed`` of them
-    memo: dict = field(default_factory=dict)
-
-
-def _run_for(config: ExperimentConfig) -> _Run:
-    """A fresh ``_Run`` for ``config``: its topology and seeded oracle (f the
-    largest that n >= 3f + 1 allows), with nothing stamped or revealed
-    yet."""
+def _run_for(config: ExperimentConfig) -> SimulationRun:
+    """``config``'s network: its topology, delta_net, slot interval and
+    seeded oracle (f the largest that n >= 3f + 1 allows)."""
     topology = resolve_topology(config.topology)
     n = topology.n_nodes
     rng_seed = hashlib.sha256(b"sro" + config.seed.to_bytes(8, "big", signed=True)).digest()
     sro = sro_init(SroConfig(n=n, f=(n - 1) // 3, backend=Backend.SEEDED_HASH), rng_seed)
-    return _Run(config, topology, sro)
+    return SimulationRun(
+        topology, config.delta_net_ms * US_PER_MS, config.slot_ms * US_PER_MS, sro
+    )
 
 
 def _placed(commands) -> list:
@@ -286,35 +244,19 @@ def _placed(commands) -> list:
 _HONEST = AdversaryPlan()  # the plan of every cell that has none; never changed
 
 
-def _cell(run: _Run, spec, tags, commands, plan=_HONEST):
-    """One table cell as ``trial_orders``' arguments: its ``SimulationRun``
-    (``_placed(commands)``, which each trial renames),
-    ``run.config.trials``, its ``CommandIds`` and its trial seed.  The
-    adversary ``plan``, keyed by the template ids, applies only under the
-    median-timestamp policies; the baselines run honest.  The spec is
-    parsed, and the commands placed, on their first cell in the run.
+def _count_orders(run, config, policy, tags, placed, plan=_HONEST) -> Counter:
+    """The ledger orders of one table cell's trials on ``run``, counted,
+    each as the tuple of its commands' indices in ledger order.  Trial t's
+    ids are ``CommandIds(tags, template ids)(t)``; the adversary ``plan``
+    applies only under the median-timestamp policies, and the baselines run
+    honest.
     """
-    config = run.config
-    policy = run.policies.get(spec)
-    if policy is None:
-        policy = run.policies[spec] = OrderingPolicy.parse(spec)
-    placed = run.placed.get(commands)
-    if placed is None:
-        placed = run.placed[commands] = _placed(commands)
-    sim = SimulationRun(
-        topology=run.topology, policy=policy, delta_net_us=config.delta_net_ms * US_PER_MS,
-        slot_interval_us=config.slot_ms * US_PER_MS, invocations=placed,
-        sro=run.sro, adversary=plan if policy.median_timestamps else _HONEST,
-        memo=run.memo,
-    )
-    trial_ids = CommandIds(tags, [label for label, _, _ in commands])
-    return sim, config.trials, trial_ids, _cell_trial_seed(config.seed, tags)
-
-
-def _count_orders(run: _Run, spec, tags, commands, plan=_HONEST) -> Counter:
-    """The ledger orders of one table cell's trials, counted, each as the
-    tuple of its commands' indices in ledger order."""
-    return Counter(trial_orders(*_cell(run, spec, tags, commands, plan)))
+    trial_ids = CommandIds(tags, [p.invocation.command_id for p in placed])
+    plan = plan if policy.kind.median_timestamps else _HONEST
+    return Counter(trial_orders(
+        run, policy, placed, plan, config.trials, trial_ids,
+        _cell_trial_seed(config.seed, tags),
+    ))
 
 
 def _geo_pairs(config: ExperimentConfig):
@@ -322,13 +264,12 @@ def _geo_pairs(config: ExperimentConfig):
     if len(config.origins) < 2:
         raise ConfigError("geo_bias needs at least two origin cities")
     run = _run_for(config)
+    policies = [(spec, OrderingPolicy.parse(spec)) for spec in config.policies]
     t0 = config.slot_ms * US_PER_MS // 2  # mid-slot, away from boundaries
     for pi, (city_a, city_b) in enumerate(combinations(config.origins, 2)):
-        for spec in config.policies:
-            counts = _count_orders(
-                run, spec, ("geo", pi, spec),
-                (("a", t0, city_a), ("b", t0, city_b)),
-            )
+        placed = _placed((("a", t0, city_a), ("b", t0, city_b)))
+        for spec, policy in policies:
+            counts = _count_orders(run, config, policy, ("geo", pi, spec), placed)
             yield city_a, city_b, spec, counts[0, 1]
 
 
@@ -364,12 +305,14 @@ def run_tradeoff_curve(config: ExperimentConfig) -> TableResult:
     result = TableResult(
         header=("gap_ms", "policy", "early_city", "pr_early_first", "trials")
     )
+    cells = [
+        (gap_ms, _placed((("early", t0, slow), ("late", t0 + gap_ms * US_PER_MS, fast))))
+        for gap_ms in config.gaps_ms
+    ]
     for spec in config.policies:
-        for gap_ms in config.gaps_ms:
-            counts = _count_orders(
-                run, spec, ("gap", spec, gap_ms),
-                (("early", t0, slow), ("late", t0 + gap_ms * US_PER_MS, fast)),
-            )
+        policy = OrderingPolicy.parse(spec)
+        for gap_ms, placed in cells:
+            counts = _count_orders(run, config, policy, ("gap", spec, gap_ms), placed)
             pr_early = _fmt_prob(counts[0, 1] / config.trials)
             result.rows.append((gap_ms, spec, slow, pr_early, config.trials))
     return result
@@ -407,10 +350,10 @@ def run_sandwich(config: ExperimentConfig) -> TableResult:
     result = TableResult(
         header=("policy", "order", "frequency", "victim_usd", "attacker_usd")
     )
-    victim, *attackers = [(p.invocation, p.origin_city) for p in _placed(commands)]
+    placed = _placed(commands)
+    victim, *attackers = [(p.invocation, p.origin_city) for p in placed]
     plan = private_relay_placement(
-        victim, attackers, colluders, run.topology,
-        config.delta_net_ms * US_PER_MS, run.sro.config.f,
+        victim, attackers, colluders, run.topology, run.delta_net_us, run.sro.config.f
     )
     table = attacks.default_payoff_table()
     n = config.trials
@@ -422,7 +365,8 @@ def run_sandwich(config: ExperimentConfig) -> TableResult:
         for order in indices
     }
     for spec in config.policies:
-        counts = _count_orders(run, spec, ("sand", spec), commands, plan)
+        policy = OrderingPolicy.parse(spec)
+        counts = _count_orders(run, config, policy, ("sand", spec), placed, plan)
         expected = attacks.expected_attacker_profit(
             table, {order: Fraction(counts[key], n) for order, key in indices.items()}
         )

@@ -278,7 +278,7 @@ class SroHandle:
     """Initialized oracle state, immutable after init: its methods compute
     from the keys and their arguments alone and keep nothing.  By uniqueness
     a slot's value never changes, so a caller that needs it again keeps it
-    (``consensus`` does, in a run's memo).
+    (a ``consensus.SimulationRun`` does).
 
     The seeded-hash secret and the per-node DPRF shares live in
     double-underscore attributes: sealed by convention, the way an enclave

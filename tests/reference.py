@@ -2,16 +2,17 @@
 
 The tests compare the package's one ordering engine,
 ``fairorder.consensus.trial_orders``, with these trial by trial: each
-reference builds one run and one ledger from scratch, with public
+reference builds one trial's ledger from scratch, with public
 ``domain``, ``netmodel``, ``adversary`` and ``sro`` calls only, and the
 engine's stream must give the same order for every trial.  The per-slot
 records ``TimestampedCommand`` and ``Slot`` live here, with the checks
 their fields must pass, and so does the all-correct precedence that the
 receive baseline's median order extends.
 The spec constants and rules -- receive times, the median, the window
-clamp, command ids, noise and tie keys -- are restated here, not imported:
-this module imports no package function, so a change to the engine's
-rules shows up as a disagreement instead of being shared by both sides.
+clamp, command ids, the harness's trial seeds, noise and tie keys -- are
+restated here, not imported: this module imports no package function, so
+a change to the engine's rules shows up as a disagreement instead of
+being shared by both sides.
 """
 
 import hashlib
@@ -42,6 +43,14 @@ def make_command_id(*parts) -> bytes:
             part = part.encode()
         encoded += len(part).to_bytes(4, "big") + part
     return hashlib.sha256(encoded).digest()
+
+
+def trial_seed(config_seed: int, *tags) -> list:
+    """The seed a harness cell's leader trial draws its rotation from, for
+    tags (*cell tags, trial): [the config seed mod 2^64, the first 8 bytes,
+    big-endian, of the SHA-256 of the tags' repr]."""
+    digest = hashlib.sha256(repr(tags).encode()).digest()
+    return [config_seed & 0xFFFFFFFFFFFFFFFF, int.from_bytes(digest[:8], "big")]
 
 
 def tie_break_key(tie_seed: bytes, command_id: bytes) -> bytes:
@@ -141,8 +150,10 @@ def _received(placed, topology, delta_net_us) -> list:
     return [t + min(d, delta_net_us) for d in topology.delays_from(placed.origin_city)]
 
 
-def run_slotted(sim) -> SlottedRun:
-    """Per-slot agreement under the median policies (noise width 0 is ``pompe``).
+def run_slotted(run, policy, invocations, plan) -> SlottedRun:
+    """Per-slot agreement under the median policies (noise width 0 is
+    ``pompe``): ``policy`` ordering ``invocations`` on the network ``run``
+    (its topology, delta_net, slot interval and oracle) under ``plan``.
 
     A command's assigned timestamp is the median of its client's 2f+1
     quorum (the earliest responders, or the highest under a "high" bias),
@@ -153,13 +164,13 @@ def run_slotted(sim) -> SlottedRun:
     whose interval end exceeds its noised timestamp, and a slot emits its
     ripe commands by (noised timestamp, tie key, id).
     """
-    plan, interval, size = sim.adversary, sim.slot_interval_us, 2 * sim.sro.config.f + 1
+    interval, size = run.slot_interval_us, 2 * run.sro.config.f + 1
     by_slot = {}
-    for placed in sim.invocations:
+    for placed in invocations:
         inv = placed.invocation
         stamps = sorted(
             (plan.node_overrides.get((inv.command_id, node), ts), node)
-            for node, ts in enumerate(_received(placed, sim.topology, sim.delta_net_us))
+            for node, ts in enumerate(_received(placed, run.topology, run.delta_net_us))
         )
         high = plan.quorum_bias.get(inv.command_id) == QUORUM_HIGH
         chosen = stamps[-size:] if high else stamps[:size]
@@ -167,36 +178,36 @@ def run_slotted(sim) -> SlottedRun:
         ats = median(ts for ts, _ in chosen)
         if inv.command_id in plan.ats_overrides:
             override = plan.ats_overrides[inv.command_id]
-            ats = clamp_to_window(override, inv.invoke_time, sim.delta_net_us)
+            ats = clamp_to_window(override, inv.invoke_time, run.delta_net_us)
             quorum = tuple((node, ats) for node, _ in quorum)
         if ats < 0:
             raise ContractError(f"assigned timestamp {ats} precedes the first slot")
         by_slot.setdefault(ats // interval, []).append((inv, quorum, ats))
 
-    run = SlottedRun(Ledger(), {}, [], {})
+    out = SlottedRun(Ledger(), {}, [], {})
     pending = []  # (noised timestamp, tie key, id) of decided, unemitted commands
     k, last = min(by_slot), max(by_slot)
     while k <= last or pending:
         end = (k + 1) * interval
-        certificate = sim.sro.quorum_signatures(k)
-        seed = sim.sro.reveal(RevealRequest(k, certificate))
+        certificate = run.sro.quorum_signatures(k)
+        seed = run.sro.reveal(RevealRequest(k, certificate))
         decided = []
         for inv, quorum, ats in by_slot.get(k, ()):
-            drawn = noise(seed, inv.command_id, sim.policy.param_us)
+            drawn = noise(seed, inv.command_id, policy.param_us)
             cmd = TimestampedCommand(inv, quorum, ats, drawn, ats + drawn)
             decided.append(cmd)
-            run.commands[inv.command_id] = cmd
+            out.commands[inv.command_id] = cmd
             tie = tie_break_key(seed[:SLOT_TIE_SEED_BYTES], inv.command_id)
             pending.append((cmd.modified_ts, tie, inv.command_id))
             last = max(last, cmd.modified_ts // interval)
-        run.slots.append(Slot(k, k * interval, end, tuple(decided), certificate))
+        out.slots.append(Slot(k, k * interval, end, tuple(decided), certificate))
         for _, _, command_id in sorted(key for key in pending if key[0] < end):
-            run.ledger.entries.append(command_id)
-            run.emission_slot[command_id] = k
+            out.ledger.entries.append(command_id)
+            out.emission_slot[command_id] = k
         pending = [key for key in pending if key[0] >= end]
-        run.ledger.stable_watermark = end
+        out.ledger.stable_watermark = end
         k += 1
-    return run
+    return out
 
 
 def order_leader_rotation(

@@ -127,6 +127,7 @@ GEO_CITIES = ("washington", "london", "munich", "tokyo")
 
 def _joint_four_city_orders():
     """Ledger order of four simultaneous invocations under each baseline."""
+    from fairorder.adversary import AdversaryPlan
     from fairorder.consensus import OrderingPolicy, PlacedInvocation, SimulationRun, trial_orders
     from fairorder.domain import CommandIds, Invocation
     from fairorder.netmodel import bundled_topology
@@ -138,10 +139,10 @@ def _joint_four_city_orders():
         PlacedInvocation(Invocation(cid, 750_000), c) for cid, c in zip(ids(0), GEO_CITIES)
     ]
     sro = sro_init(SroConfig(n=topology.n_nodes, f=f, backend=Backend.SEEDED_HASH), SEED)
+    run = SimulationRun(topology, DNET_US, 1_500_000, sro)
     orders = []
     for policy in (OrderingPolicy.parse("pompe"), OrderingPolicy.parse("receive")):
-        sim = SimulationRun(topology, policy, DNET_US, 1_500_000, placed, sro)
-        (order,) = trial_orders(sim, 1, ids, lambda t: 0)
+        (order,) = trial_orders(run, policy, placed, AdversaryPlan(), 1, ids, lambda t: 0)
         orders.append(tuple(GEO_CITIES[i] for i in order))
     return tuple(orders)
 

@@ -1,5 +1,6 @@
-"""Every public top-level function and class of the package, and every
-public method and property of its classes, has a caller outside the tests,
+"""Every top-level function and class of the package, public or private
+(dunders aside), and every public method and property of its classes, has
+a caller outside the tests,
 and the test oracles use only the package's public names and share no
 rule with it: ``tests/reference.py`` imports no package function.
 
@@ -56,16 +57,38 @@ def _public_definitions(tree):
                     yield f"{node.name}.{member.name}", member.name
 
 
-def test_every_public_definition_has_a_caller_outside_tests():
+def _private_definitions(tree):
+    """(name, name) of each private top-level function and class but a
+    dunder."""
+    for node in tree.body:
+        if (
+            isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_")
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+        ):
+            yield node.name, node.name
+
+
+def _unused(definitions) -> list:
     trees = _trees()
     references = sum((_references(tree) for tree in trees.values()), Counter())
-    unused = [
+    return [
         f"{path.relative_to(ROOT)}: {qualified}"
         for path, tree in trees.items()
         if path.parent == PACKAGE
-        for qualified, name in _public_definitions(tree)
+        for qualified, name in definitions(tree)
         if not references[name]
     ]
+
+
+def test_every_public_definition_has_a_caller_outside_tests():
+    unused = _unused(_public_definitions)
+    assert not unused, "referenced only by tests: " + ", ".join(unused)
+
+
+def test_every_private_definition_has_a_caller_outside_tests():
+    # a private helper that only tests call is library code kept for them
+    unused = _unused(_private_definitions)
     assert not unused, "referenced only by tests: " + ", ".join(unused)
 
 

@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from dataclasses import replace
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -25,9 +26,8 @@ from fairorder.domain import (
     Invocation,
     quorum_median,
 )
-from fairorder.harness import _trial_seed
 from fairorder.netmodel import CityTopology, bundled_topology, observe, parse_topology
-from fairorder.sro import Backend, SroConfig, SroHandle, sro_init
+from fairorder.sro import Backend, RevealRequest, SroConfig, SroHandle, sro_init
 from reference import (
     all_correct_precedence,
     make_command_id,
@@ -35,6 +35,7 @@ from reference import (
     order_leader_rotation,
     order_receive_all_correct,
     run_slotted,
+    trial_seed,
 )
 
 DNET = 300_000
@@ -60,17 +61,21 @@ def no_seed(trial):
     raise AssertionError("only leader rotation draws from a trial seed")
 
 
-def sim_for(placed, policy, topology=None, f=1, adversary=None):
+class Cell(NamedTuple):
+    """A cell's ``trial_orders`` arguments before its trial count: the run,
+    and the policy, invocations and plan ordered on it; also the arguments
+    of the reference's ``run_slotted``."""
+
+    run: SimulationRun
+    policy: OrderingPolicy
+    invocations: list
+    plan: AdversaryPlan
+
+
+def cell_for(placed, policy, topology=None, f=1, adversary=None, dnet=DNET):
     topology = topology or small_topology()
-    return SimulationRun(
-        topology=topology,
-        policy=policy,
-        delta_net_us=DNET,
-        slot_interval_us=SLOT,
-        invocations=placed,
-        sro=sro_for(topology, f),
-        adversary=adversary or AdversaryPlan(),
-    )
+    run = SimulationRun(topology, dnet, SLOT, sro_for(topology, f))
+    return Cell(run, policy, placed, adversary or AdversaryPlan())
 
 
 class TestPolicyRegistry:
@@ -104,7 +109,7 @@ class TestPolicyRegistry:
 class TestRunSlotted:
     def test_single_command_stable_in_its_slot(self):
         placed = [PlacedInvocation(inv("a", 700_000), "solo")]
-        result = run_slotted(sim_for(placed, POMPE))
+        result = run_slotted(*cell_for(placed, POMPE))
         assert result.ledger.entries == [placed[0].invocation.command_id]
         cmd = result.commands[placed[0].invocation.command_id]
         assert result.emission_slot[cmd.command_id] == 0
@@ -116,7 +121,7 @@ class TestRunSlotted:
                 PlacedInvocation(inv(("late", seed), 200_000), "solo"),
                 PlacedInvocation(inv(("early", seed), 100_000), "solo"),
             ]
-            result = run_slotted(sim_for(placed, POMPE))
+            result = run_slotted(*cell_for(placed, POMPE))
             assert result.ledger.entries == [
                 placed[1].invocation.command_id,
                 placed[0].invocation.command_id,
@@ -129,7 +134,7 @@ class TestRunSlotted:
         policy = BERCOW
         for trial in range(50):
             placed = [PlacedInvocation(inv(("edge", trial), 1_400_000), "solo")]
-            result = run_slotted(sim_for(placed, policy))
+            result = run_slotted(*cell_for(placed, policy))
             cmd = result.commands[placed[0].invocation.command_id]
             assert result.slots[0].decided_commands[0].command_id == cmd.command_id
             emitted_at = result.emission_slot[cmd.command_id]
@@ -149,7 +154,7 @@ class TestRunSlotted:
 
     def test_ledger_sorted_by_modified_then_tie(self):
         placed = [PlacedInvocation(inv(("m", i), 100_000 + 40_000 * i), "solo") for i in range(12)]
-        result = run_slotted(sim_for(placed, BERCOW))
+        result = run_slotted(*cell_for(placed, BERCOW))
         cmds = [result.commands[c] for c in result.ledger.entries]
         for a, b in zip(cmds, cmds[1:]):
             assert a.modified_ts <= b.modified_ts
@@ -158,8 +163,8 @@ class TestRunSlotted:
 
     def test_replay_is_deterministic(self):
         placed = [PlacedInvocation(inv(("r", i), 100_000 * (i + 1)), "solo") for i in range(6)]
-        a = run_slotted(sim_for(placed, BERCOW))
-        b = run_slotted(sim_for(placed, BERCOW))
+        a = run_slotted(*cell_for(placed, BERCOW))
+        b = run_slotted(*cell_for(placed, BERCOW))
         assert a.ledger.entries == b.ledger.entries
         assert a.ledger.stable_watermark == b.ledger.stable_watermark
 
@@ -171,8 +176,8 @@ class TestRunSlotted:
                 PlacedInvocation(inv(("c2", trial), 500_000), "solo"),
             ]
             extra = base + [PlacedInvocation(inv(("other", trial), 600_000), "solo")]
-            small = run_slotted(sim_for(base, policy))
-            big = run_slotted(sim_for(extra, policy))
+            small = run_slotted(*cell_for(base, policy))
+            big = run_slotted(*cell_for(extra, policy))
             pair = {base[0].invocation.command_id, base[1].invocation.command_id}
             assert [c for c in small.ledger.entries if c in pair] == [
                 c for c in big.ledger.entries if c in pair
@@ -180,51 +185,56 @@ class TestRunSlotted:
 
     def test_certificate_has_quorum_signatures(self):
         placed = [PlacedInvocation(inv("cert", 100_000), "solo")]
-        result = run_slotted(sim_for(placed, POMPE))
+        result = run_slotted(*cell_for(placed, POMPE))
         slot = result.slots[0]
         assert len(slot.decision_certificate) == 3  # n - f for n=4, f=1
 
     def test_empty_invocations_rejected(self):
-        with pytest.raises(ContractError):
-            run_slotted(sim_for([], POMPE))
+        with pytest.raises(ContractError, match="no invocations"):
+            trial_orders(*cell_for([], POMPE), 1, CommandIds((), ()), no_seed)
 
     def test_command_before_first_slot_rejected(self):
         # two of the three quorum reports sit below 0, so the median does
         cmd = inv("early", 100_000)
         plan = AdversaryPlan(node_overrides={(cmd.command_id, 0): -2, (cmd.command_id, 1): -1})
-        sim = sim_for([PlacedInvocation(cmd, "solo")], POMPE, adversary=plan)
+        cell = cell_for([PlacedInvocation(cmd, "solo")], POMPE, adversary=plan)
         with pytest.raises(ContractError, match="precedes the first slot"):
-            Counter(trial_orders(sim, 1, CommandIds((), "a"), no_seed))
+            Counter(trial_orders(*cell, 1, CommandIds((), "a"), no_seed))
         with pytest.raises(ContractError, match="precedes the first slot"):
-            run_slotted(sim)
+            run_slotted(*cell)
 
     @pytest.mark.parametrize("node", [4, 1000, -1, "0"])
     def test_lie_from_a_node_that_does_not_exist_rejected(self, node):
         # n = 4: a report from outside nodes 0..3 would replace none of theirs
         cmd = inv("lied about", 100_000)
         plan = AdversaryPlan(node_overrides={(cmd.command_id, 0): 1, (cmd.command_id, node): 2})
-        sim = sim_for([PlacedInvocation(cmd, "solo")], POMPE, adversary=plan)
+        cell = cell_for([PlacedInvocation(cmd, "solo")], POMPE, adversary=plan)
         with pytest.raises(ContractError, match="lying node"):
-            Counter(trial_orders(sim, 1, CommandIds((), "a"), no_seed))
+            Counter(trial_orders(*cell, 1, CommandIds((), "a"), no_seed))
 
     def test_sro_shape_mismatch_rejected(self):
         topology = small_topology()
         with pytest.raises(ContractError):
             SimulationRun(
-                topology=topology,
-                policy=POMPE,
-                delta_net_us=DNET,
-                slot_interval_us=SLOT,
-                invocations=[PlacedInvocation(inv("a", 0), "solo")],
-                sro=sro_init(SroConfig(n=7, f=2, backend=Backend.SEEDED_HASH), SEED),
+                topology, DNET, SLOT,
+                sro_init(SroConfig(n=7, f=2, backend=Backend.SEEDED_HASH), SEED),
             )
+
+    @pytest.mark.parametrize("dnet", [-1, -5_000])
+    def test_negative_delta_net_rejected(self, dnet):
+        # a negative window would stamp a command before its invocation
+        with pytest.raises(ContractError, match="delta_net must be >= 0"):
+            cell_for([PlacedInvocation(inv("a", 1_000_000), "solo")], POMPE, dnet=dnet)
+
+    def test_zero_delta_net_allowed(self):
+        placed = [PlacedInvocation(inv("a", 1_000_000), "solo")]
+        result = run_slotted(*cell_for(placed, POMPE, dnet=0))
+        assert result.commands[placed[0].invocation.command_id].assigned_ts == 1_000_000
 
     def test_noise_independent_of_assigned_rank(self):
         # Rank correlation between assigned timestamps and noise draws stays
         # near zero: the seed exists only after the slot's content is fixed.
         handle = sro_for(small_topology(), 1)
-        from fairorder.sro import RevealRequest
-
         slot_seed = handle.reveal(RevealRequest(0, handle.quorum_signatures(0)))
         rng = np.random.default_rng(0)
         ats = rng.integers(0, SLOT, size=100_000)
@@ -247,14 +257,14 @@ class TestRunSlotted:
                 }
             )
             placed = [PlacedInvocation(early, "solo"), PlacedInvocation(late, "solo")]
-            result = run_slotted(sim_for(placed, policy, adversary=plan))
+            result = run_slotted(*cell_for(placed, policy, adversary=plan))
             assert result.ledger.entries[0] == early.command_id
 
     def test_ats_override_clamped_to_window(self):
         cmd = inv("clamp", 100_000)
         plan = AdversaryPlan(ats_overrides={cmd.command_id: 10**9})
         placed = [PlacedInvocation(cmd, "solo")]
-        result = run_slotted(sim_for(placed, POMPE, adversary=plan))
+        result = run_slotted(*cell_for(placed, POMPE, adversary=plan))
         assert result.commands[cmd.command_id].assigned_ts == 100_000 + DNET
 
 
@@ -272,18 +282,17 @@ class TestCountSlottedOrders:
             node_overrides={(cmds[1].command_id, 0): 1_250_000},
             quorum_bias={cmds[1].command_id: "high"},
         )
-        sim = sim_for(placed, BERCOW, topology=topology, f=f, adversary=plan)
+        cell = cell_for(placed, BERCOW, topology=topology, f=f, adversary=plan)
         trial_ids = [[make_command_id("t", t, i) for i in range(3)] for t in range(200)]
         want = Counter()
         for ids in trial_ids:
             rename = {c.command_id: cid for c, cid in zip(cmds, ids)}
-            renamed = replace(
-                sim,
+            renamed = cell._replace(
                 invocations=[
                     PlacedInvocation(replace(p.invocation, command_id=cid), p.origin_city)
                     for p, cid in zip(placed, ids)
                 ],
-                adversary=AdversaryPlan(
+                plan=AdversaryPlan(
                     ats_overrides={rename[c]: ts for c, ts in plan.ats_overrides.items()},
                     node_overrides={
                         (rename[c], node): ts for (c, node), ts in plan.node_overrides.items()
@@ -291,28 +300,28 @@ class TestCountSlottedOrders:
                     quorum_bias={rename[c]: bias for c, bias in plan.quorum_bias.items()},
                 ),
             )
-            result = run_slotted(renamed)
+            result = run_slotted(*renamed)
             assert len({slot.index for slot in result.slots if slot.decided_commands}) == 2
             want[tuple(ids.index(cid) for cid in result.ledger.entries)] += 1
         assert len(want) > 1
-        got = trial_orders(sim, len(trial_ids), CommandIds(("t",), range(3)), no_seed)
+        got = trial_orders(*cell, len(trial_ids), CommandIds(("t",), range(3)), no_seed)
         assert Counter(got) == want
 
     def test_noise_ties_take_the_full_key(self):
         # a 2 µs noise width: about half the trials tie on modified_ts, and
         # those are ordered by the tie keys, as in run_slotted
         placed = [PlacedInvocation(inv(label, 100_000), "solo") for label in "ab"]
-        sim = sim_for(placed, OrderingPolicy(PolicyKind.BERCOW_NOISE, 2))
+        cell = cell_for(placed, OrderingPolicy(PolicyKind.BERCOW_NOISE, 2))
         trial_ids = [[make_command_id("w", t, i) for i in range(2)] for t in range(200)]
         want = Counter()
         for ids in trial_ids:
-            renamed = replace(sim, invocations=[
+            renamed = cell._replace(invocations=[
                 PlacedInvocation(replace(p.invocation, command_id=cid), p.origin_city)
                 for p, cid in zip(placed, ids)
             ])
-            want[tuple(ids.index(cid) for cid in run_slotted(renamed).ledger.entries)] += 1
+            want[tuple(ids.index(cid) for cid in run_slotted(*renamed).ledger.entries)] += 1
         assert set(want) == {(0, 1), (1, 0)}
-        got = trial_orders(sim, len(trial_ids), CommandIds(("w",), range(2)), no_seed)
+        got = trial_orders(*cell, len(trial_ids), CommandIds(("w",), range(2)), no_seed)
         assert Counter(got) == want
 
     def test_one_microsecond_noise_ties_every_trial(self):
@@ -320,19 +329,19 @@ class TestCountSlottedOrders:
         # instant tie in every trial, and each trial takes the full key
         topology = bundled_topology()
         placed = [PlacedInvocation(inv(label, 700_000), "tokyo") for label in "ab"]
-        sim = sim_for(
+        cell = cell_for(
             placed, OrderingPolicy(PolicyKind.BERCOW_NOISE, 1),
             topology=topology, f=(topology.n_nodes - 1) // 3,
         )
         trial_ids = [[make_command_id("one", t, i) for i in range(2)] for t in range(100)]
         want = []
         for ids in trial_ids:
-            renamed = replace(sim, invocations=[
+            renamed = cell._replace(invocations=[
                 PlacedInvocation(replace(p.invocation, command_id=cid), p.origin_city)
                 for p, cid in zip(placed, ids)
             ])
-            want.append(tuple(ids.index(cid) for cid in run_slotted(renamed).ledger.entries))
-        got = trial_orders(sim, len(trial_ids), CommandIds(("one",), range(2)), no_seed)
+            want.append(tuple(ids.index(cid) for cid in run_slotted(*renamed).ledger.entries))
+        got = trial_orders(*cell, len(trial_ids), CommandIds(("one",), range(2)), no_seed)
         assert list(got) == want
         assert set(want) == {(0, 1), (1, 0)}
 
@@ -351,95 +360,116 @@ class TestCountSlottedOrders:
         trial_ids = CommandIds(("once",), range(2))
         trial_ids.prefix = CountingState(trial_ids.prefix)
         placed = [PlacedInvocation(inv(label, 100_000), "solo") for label in "ab"]
-        sim = sim_for(placed, OrderingPolicy(PolicyKind.BERCOW_NOISE, width_us))
-        Counter(trial_orders(sim, 50, trial_ids, no_seed))
+        cell = cell_for(placed, OrderingPolicy(PolicyKind.BERCOW_NOISE, width_us))
+        Counter(trial_orders(*cell, 50, trial_ids, no_seed))
         assert trial_ids.prefix.copies == 50 * 2
 
     def test_rejects_noise_that_could_overflow(self):
         # ats fits in 63 bits, ats + the largest noise a trial can draw does not
         t = MAX_TIMESTAMP - DNET - SLOT
         placed = [PlacedInvocation(inv("a", t), "solo")]
-        Counter(trial_orders(sim_for(placed, POMPE), 1, CommandIds((), "a"), no_seed))
+        Counter(trial_orders(*cell_for(placed, POMPE), 1, CommandIds((), "a"), no_seed))
         wide = OrderingPolicy(PolicyKind.BERCOW_NOISE, 2 * SLOT)
         with pytest.raises(ContractError, match="overflow"):
-            Counter(trial_orders(sim_for(placed, wide), 1, CommandIds((), "a"), no_seed))
+            Counter(trial_orders(*cell_for(placed, wide), 1, CommandIds((), "a"), no_seed))
 
 
 STAMPED = b"stamped"
 LOW = AdversaryPlan(quorum_bias={STAMPED: "low"})
-# Each changes one part of a command's stamp key, and so its assigned timestamp.
+# Each changes one part of a command's stamp key on one run, and so its
+# assigned timestamp.
 STAMP_VARIANTS = {
     "city": dict(city="london"),
     "invoke_time": dict(t=900_000),
-    "delta_net": dict(dnet=100_000),
-    "quorum_size": dict(f=10),
     "quorum_bias": dict(plan=AdversaryPlan(quorum_bias={STAMPED: "high"})),
     "node_overrides": dict(plan=replace(
         LOW, node_overrides={(STAMPED, node): 700_000 for node in range(26)}
     )),
     "ats_override": dict(plan=replace(LOW, ats_overrides={STAMPED: 700_000})),
 }
+# Each is a different network, on which the command gets another stamp.
+RUN_VARIANTS = {
+    "delta_net": dict(dnet=100_000),
+    "quorum_size": dict(f=10),
+}
 
 
-def stamp_count(memo) -> int:
-    """The memo's assigned timestamps: its int entries.  It also keeps
-    receive times (tuples) and slot seeds (bytes)."""
-    return sum(isinstance(value, int) for value in memo.values())
-
-
-def stamp_sim(stamps, city="tokyo", t=700_000, dnet=DNET, f=26, plan=LOW):
+def stamp_run(dnet=DNET, f=26):
     topology = bundled_topology()
-    return SimulationRun(
-        topology=topology, policy=POMPE, delta_net_us=dnet, slot_interval_us=SLOT,
-        invocations=[PlacedInvocation(Invocation(STAMPED, t), city)],
-        sro=sro_for(topology, f), adversary=plan, memo=stamps,
-    )
+    return SimulationRun(topology, dnet, SLOT, sro_for(topology, f))
+
+
+def stamp(run, city="tokyo", t=700_000, plan=LOW):
+    """The run's assigned timestamp for the one command ``STAMPED``."""
+    placed = [PlacedInvocation(Invocation(STAMPED, t), city)]
+    (ats,) = consensus._timestamp_invocations(run, placed, plan)
+    return ats
+
+
+def reference_stamp(run, city="tokyo", t=700_000, plan=LOW):
+    placed = [PlacedInvocation(Invocation(STAMPED, t), city)]
+    return run_slotted(run, POMPE, placed, plan).commands[STAMPED].assigned_ts
 
 
 class TestStampMemo:
     @pytest.mark.parametrize("part", sorted(STAMP_VARIANTS))
     def test_a_different_stamp_is_not_shared(self, part):
-        # the cells of one run share one memo; a command that differs in one
-        # part of its key gets its own stamp, as with a fresh memo
+        # the cells of one run share its stamps; a command that differs in
+        # one part of its key gets its own stamp, as on a fresh run
         variant = STAMP_VARIANTS[part]
-        stamp = consensus._timestamp_invocations
-        fresh = stamp(stamp_sim({}, **variant))
-        assert fresh != stamp(stamp_sim({})) == [815_000]
-        shared = {}
-        stamp(stamp_sim(shared))
-        assert stamp(stamp_sim(shared, **variant)) == fresh
-        assert stamp_count(shared) == 2
+        fresh = stamp(stamp_run(), **variant)
+        assert fresh != stamp(stamp_run()) == 815_000
+        run = stamp_run()
+        stamp(run)
+        assert stamp(run, **variant) == fresh
+        assert len(run._stamps) == 2
+
+    @pytest.mark.parametrize("part", sorted(RUN_VARIANTS))
+    def test_each_run_stamps_on_its_own_network(self, part):
+        # delta_net and f belong to the run: each run stamps as the
+        # reference does on its network, whichever run stamped first, and a
+        # run remade by ``replace`` keeps nothing of the run it came from
+        base, other = stamp_run(), stamp_run(**RUN_VARIANTS[part])
+        want = [reference_stamp(base), reference_stamp(other)]
+        assert want[0] == 815_000 != want[1]
+        assert [stamp(base), stamp(other)] == want
+        assert stamp(replace(base, delta_net_us=other.delta_net_us, sro=other.sro)) == want[1]
+        assert [stamp(stamp_run(**RUN_VARIANTS[part])), stamp(stamp_run())] == want[::-1]
 
     def test_unknown_quorum_bias_rejected(self):
         plan = AdversaryPlan(quorum_bias={STAMPED: "middle"})
         with pytest.raises(ContractError, match="unknown quorum bias 'middle'"):
-            consensus._timestamp_invocations(stamp_sim({}, plan=plan))
+            stamp(stamp_run(), plan=plan)
 
     def test_an_equal_stamp_is_shared(self):
         # honest and low-biased clients pick the same quorum, but the bias
         # is part of the key
-        shared, stamp = {}, consensus._timestamp_invocations
-        first = stamp(stamp_sim(shared))
-        assert stamp(stamp_sim(shared)) == first
-        assert stamp(stamp_sim(shared, plan=AdversaryPlan())) == first
-        assert stamp_count(shared) == 2
+        run = stamp_run()
+        first = stamp(run)
+        assert stamp(run) == first
+        assert stamp(run, plan=AdversaryPlan()) == first
+        assert len(run._stamps) == 2
 
-    def test_runs_with_different_oracles_share_one_memo(self):
-        # a slot's seed is kept under (oracle, k), so a run never takes
-        # another oracle's seed for the same slot
+    def test_each_run_reveals_with_its_own_oracle(self):
+        # a run keeps a slot's seed under k alone, which is safe because its
+        # oracle is fixed: runs with different oracles never share a seed
         placed = [PlacedInvocation(inv(label, 100_000), "solo") for label in "ab"]
         oracles = [
             sro_init(SroConfig(n=4, f=1, backend=Backend.SEEDED_HASH), bytes([i]) * 32)
             for i in range(2)
         ]
-        ids, shared, orders = CommandIds(("oracles",), "ab"), {}, []
-        for sro in oracles:
-            fresh = replace(sim_for(placed, BERCOW), sro=sro)
-            want = list(trial_orders(fresh, 50, ids, no_seed))
-            assert list(trial_orders(replace(fresh, memo=shared), 50, ids, no_seed)) == want
-            orders.append(want)
-        assert orders[0] != orders[1]
-        assert (oracles[0], 0) in shared and (oracles[1], 0) in shared
+        ids = CommandIds(("oracles",), "ab")
+        runs = [SimulationRun(small_topology(), DNET, SLOT, sro) for sro in oracles]
+
+        def orders(run):
+            return list(trial_orders(run, BERCOW, placed, AdversaryPlan(), 50, ids, no_seed))
+
+        want = [orders(run) for run in runs]
+        assert want[0] != want[1]
+        for run, sro, orders_alone in zip(runs, oracles, want):
+            assert orders(run) == orders_alone  # a second cell reuses the run's seed
+            assert run._seeds == {0: sro.reveal(RevealRequest(0, sro.quorum_signatures(0)))}
+        assert orders(replace(runs[0], sro=oracles[1])) == want[1]
 
     def test_commands_with_one_key_share_one_stamp(self):
         topology = bundled_topology()
@@ -452,10 +482,40 @@ class TestStampMemo:
             quorum_median(observe(p.invocation, p.origin_city, topology, dnet), 26)
             for p in placed
         ]
-        sim = replace(sim_for(placed, POMPE, topology=topology, f=26), delta_net_us=dnet)
-        assert consensus._timestamp_invocations(sim) == want
-        assert stamp_count(sim.memo) == 2  # one tokyo stamp for two commands
-        assert consensus._timestamp_invocations(sim) == want
+        run, plan = cell_for(placed, POMPE, topology=topology, f=26, dnet=dnet).run, LOW
+        assert consensus._timestamp_invocations(run, placed, plan) == want
+        assert len(run._stamps) == 2  # one tokyo stamp for two commands
+        assert consensus._timestamp_invocations(run, placed, plan) == want
+
+
+# Two networks with the same city names: five nodes in ``a`` and two in
+# ``b``, 10 or 200 ms apart.  With f = 2 a quorum of five takes three ``a``
+# nodes, so a ``b`` command's stamp is its invoke time plus the delay.
+TWO_CITY_STAMPS = {10: 1_010_000, 200: 1_200_000}
+
+
+@pytest.mark.parametrize("first", sorted(TWO_CITY_STAMPS))
+def test_a_run_never_takes_another_topologys_stamp(first):
+    # each run stamps as the reference does on its own topology, whichever
+    # run stamped first, and so does a run remade onto the other topology
+    placed = [PlacedInvocation(inv("b", 1_000_000), "b")]
+    plan = AdversaryPlan()
+
+    def run_on(delay_ms):
+        topology = parse_topology(f"city a 5\ncity b 2\ndelay a b {delay_ms}\n")
+        return SimulationRun(topology, DNET, SLOT, sro_for(topology, 2))
+
+    def stamp_of(run):
+        (got,) = consensus._timestamp_invocations(run, placed, plan)
+        (cmd,) = run_slotted(run, POMPE, placed, plan).commands.values()
+        assert got == cmd.assigned_ts
+        return got
+
+    delays = sorted(TWO_CITY_STAMPS, key=lambda delay: delay != first)
+    runs = [run_on(delay) for delay in delays]
+    assert [stamp_of(run) for run in runs] == [TWO_CITY_STAMPS[delay] for delay in delays]
+    moved = replace(runs[0], topology=runs[1].topology)
+    assert stamp_of(moved) == TWO_CITY_STAMPS[delays[1]]
 
 
 class TestCountBaselineOrders:
@@ -478,11 +538,11 @@ class TestCountBaselineOrders:
             PlacedInvocation(inv("b", 100_000), "washington"),
         ]
         topology = bundled_topology()
-        sim = sim_for(
+        cell = cell_for(
             placed, OrderingPolicy(PolicyKind.LEADER_ROTATION, SLOT),
             topology=topology, f=(topology.n_nodes - 1) // 3,
         )
-        Counter(trial_orders(sim, len(seeds), CommandIds((), "ab"), seeds.__getitem__))
+        Counter(trial_orders(*cell, len(seeds), CommandIds((), "ab"), seeds.__getitem__))
         want = []
         for seed in seeds:
             rng = np.random.default_rng(seed)
@@ -494,9 +554,9 @@ U64 = 2**64 - 1
 # Trial seeds whose entropy words (numpy reads each int as its uint32 words,
 # lowest first, at least one) differ from the usual [config seed, digest64]
 EDGE_SEEDS = {
-    "config-seed-0": _trial_seed(0, "geo", 0, "leader:1500", 0),  # one word for 0
-    "negative-config-seed": _trial_seed(-1, "geo", 0, "leader:1500", 0),  # masked to 64 bits
-    "most-negative-config-seed": _trial_seed(-(2**63), "geo", 0, "leader:1500", 0),
+    "config-seed-0": trial_seed(0, "geo", 0, "leader:1500", 0),  # one word for 0
+    "negative-config-seed": trial_seed(-1, "geo", 0, "leader:1500", 0),  # masked to 64 bits
+    "most-negative-config-seed": trial_seed(-(2**63), "geo", 0, "leader:1500", 0),
     "digest-below-2^32": [20240601, 5],
     "both-below-2^32": [7, 2**32 - 1],
     "zeros": [0, 0],
@@ -526,11 +586,11 @@ def leader_draws(seeds, monkeypatch, period=SLOT):
         PlacedInvocation(inv("a", 100_000), "tokyo"),
         PlacedInvocation(inv("b", 100_000), "washington"),
     ]
-    sim = sim_for(
+    cell = cell_for(
         placed, OrderingPolicy(PolicyKind.LEADER_ROTATION, period),
         topology=topology, f=(topology.n_nodes - 1) // 3,
     )
-    Counter(trial_orders(sim, len(seeds), CommandIds((), "ab"), seeds.__getitem__))
+    Counter(trial_orders(*cell, len(seeds), CommandIds((), "ab"), seeds.__getitem__))
     return drawn
 
 
@@ -548,7 +608,7 @@ def numpy_draws(seed, period=SLOT):
 def harness_shaped_seeds():
     """10^4 trial seeds as the harness makes them, over five config seeds."""
     return [
-        _trial_seed(config_seed, "geo", pair, "leader:1500", t)
+        trial_seed(config_seed, "geo", pair, "leader:1500", t)
         for config_seed in (20240601, 1, -7, 2**63 - 1, -(2**63))
         for pair in range(4)
         for t in range(500)
@@ -629,7 +689,7 @@ class TestCountOrders:
         placed = [PlacedInvocation(inv("a", 100_000), "solo")]
         with pytest.raises(ContractError, match="1 invocations"):
             Counter(trial_orders(
-                sim_for(placed, policy), 1, CommandIds((), "ab"), lambda t: [0, 0]
+                *cell_for(placed, policy), 1, CommandIds((), "ab"), lambda t: [0, 0]
             ))
 
     @pytest.mark.parametrize("trials", [0, -5])
@@ -638,7 +698,7 @@ class TestCountOrders:
         placed = [PlacedInvocation(inv(label, 100_000), "solo") for label in "ab"]
         with pytest.raises(ContractError, match="trials must be >= 1"):
             Counter(trial_orders(
-                sim_for(placed, policy), trials, CommandIds((), "ab"), lambda t: [0, 0]
+                *cell_for(placed, policy), trials, CommandIds((), "ab"), lambda t: [0, 0]
             ))
 
     @pytest.mark.parametrize("policy", ALL_POLICIES, ids=policy_id)
@@ -646,17 +706,17 @@ class TestCountOrders:
         # the call itself raises, with nothing taken from the stream; a
         # generator function would raise only on the first next()
         placed = [PlacedInvocation(inv(label, 100_000), "solo") for label in "ab"]
-        sim = sim_for(placed, policy)
+        cell = cell_for(placed, policy)
         with pytest.raises(ContractError, match="trials must be >= 1"):
-            trial_orders(sim, 0, CommandIds((), "ab"), lambda t: [0, t])
+            trial_orders(*cell, 0, CommandIds((), "ab"), lambda t: [0, t])
         with pytest.raises(ContractError, match="3 command labels for 2 invocations"):
-            trial_orders(sim, 1, CommandIds((), "abc"), lambda t: [0, t])
+            trial_orders(*cell, 1, CommandIds((), "abc"), lambda t: [0, t])
 
     def test_overflow_check_is_eager(self):
         placed = [PlacedInvocation(inv("a", MAX_TIMESTAMP - DNET - SLOT), "solo")]
         wide = OrderingPolicy(PolicyKind.BERCOW_NOISE, 2 * SLOT)
         with pytest.raises(ContractError, match="overflow"):
-            trial_orders(sim_for(placed, wide), 1, CommandIds((), "a"), no_seed)
+            trial_orders(*cell_for(placed, wide), 1, CommandIds((), "a"), no_seed)
 
     @pytest.mark.parametrize("policy", ALL_POLICIES, ids=policy_id)
     def test_setup_runs_on_the_call(self, policy, monkeypatch):
@@ -671,12 +731,12 @@ class TestCountOrders:
 
         monkeypatch.setattr(SroHandle, "reveal", counting)
         placed = [PlacedInvocation(inv(label, 100_000), "solo") for label in "ab"]
-        sim = sim_for(placed, policy)
+        cell = cell_for(placed, policy)
         if policy.kind is PolicyKind.LEADER_ROTATION:
             with pytest.raises(ContractError, match="non-negative"):
-                trial_orders(sim, 3, CommandIds((), "ab"), lambda t: [1, t - 1])
-        trial_orders(sim, 3, CommandIds((), "ab"), lambda t: [0, t])
-        assert len(reveals) == (1 if policy.median_timestamps else 0)
+                trial_orders(*cell, 3, CommandIds((), "ab"), lambda t: [1, t - 1])
+        trial_orders(*cell, 3, CommandIds((), "ab"), lambda t: [0, t])
+        assert len(reveals) == (1 if policy.kind.median_timestamps else 0)
 
     def test_disjoint_bercow_cell_reveals_on_the_call(self, monkeypatch):
         # noise ranges a width apart give one order and no per-trial work,
@@ -693,10 +753,10 @@ class TestCountOrders:
             PlacedInvocation(inv("a", 100_000), "solo"),
             PlacedInvocation(inv("b", 100_000 + SLOT), "solo"),
         ]
-        sim = sim_for(placed, BERCOW)
-        stamps = consensus._timestamp_invocations(replace(sim, memo={}))
+        cell = cell_for(placed, BERCOW)
+        stamps = consensus._timestamp_invocations(cell.run, cell.invocations, cell.plan)
         assert stamps[1] - stamps[0] == BERCOW.param_us
-        orders = trial_orders(sim, 3, CommandIds((), "ab"), no_seed)
+        orders = trial_orders(*cell, 3, CommandIds((), "ab"), no_seed)
         assert sorted(reveals) == sorted({ats // SLOT for ats in stamps})
         assert list(orders) == [(0, 1)] * 3
 
@@ -705,9 +765,9 @@ class TestCountOrders:
         policy, cities = STABLE_CELLS[kind]
         topology = bundled_topology()
         placed = [PlacedInvocation(inv(label, 100_000), c) for label, c in zip("ab", cities)]
-        sim = sim_for(placed, policy, topology=topology, f=(topology.n_nodes - 1) // 3)
-        ids, seeds = CommandIds(("stable",), "ab"), partial(_trial_seed, 7, "stable")
-        short, full = (list(trial_orders(sim, trials, ids, seeds)) for trials in (7, 60))
+        cell = cell_for(placed, policy, topology=topology, f=(topology.n_nodes - 1) // 3)
+        ids, seeds = CommandIds(("stable",), "ab"), partial(trial_seed, 7, "stable")
+        short, full = (list(trial_orders(*cell, trials, ids, seeds)) for trials in (7, 60))
         assert len(full) == 60 and short == full[:7]
         # the leader and the tied bercow cell vary by trial; pompe and receive do not
         assert len(set(full)) == (2 if kind in ("bercow", "leader") else 1)
@@ -715,14 +775,15 @@ class TestCountOrders:
     @pytest.mark.parametrize("policy", ALL_POLICIES, ids=policy_id)
     def test_every_policy_rejects_an_empty_run(self, policy):
         with pytest.raises(ContractError, match="no invocations"):
-            sim_for([], policy)
+            trial_orders(*cell_for([], policy), 1, CommandIds((), ()), lambda t: [0, t])
 
     @pytest.mark.parametrize("policy", ALL_POLICIES[2:], ids=policy_id)
     def test_baselines_reject_an_adversary_plan(self, policy):
         cmd = inv("a", 100_000)
         plan = AdversaryPlan(ats_overrides={cmd.command_id: 100_000})
+        cell = cell_for([PlacedInvocation(cmd, "solo")], policy, adversary=plan)
         with pytest.raises(ContractError, match="no adversary plan"):
-            sim_for([PlacedInvocation(cmd, "solo")], policy, adversary=plan)
+            trial_orders(*cell, 1, CommandIds((), "a"), lambda t: [0, t])
 
 
 class TestLeaderRotation:
@@ -806,9 +867,9 @@ class TestReceiveOrder:
         placed = [
             PlacedInvocation(inv(("r", i), t), city) for i, (t, city) in enumerate(invocations)
         ]
-        sim = sim_for(placed, OrderingPolicy(PolicyKind.RECEIVE_ORDER), topology=topology,
+        cell = cell_for(placed, OrderingPolicy(PolicyKind.RECEIVE_ORDER), topology=topology,
                       f=(topology.n_nodes - 1) // 3)
-        (order,) = trial_orders(sim, 1, CommandIds((), range(len(placed))), no_seed)
+        (order,) = trial_orders(*cell, 1, CommandIds((), range(len(placed))), no_seed)
         position = {command: at for at, command in enumerate(order)}
         receive = {
             i: observe(p.invocation, p.origin_city, topology, DNET) for i, p in enumerate(placed)

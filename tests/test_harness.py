@@ -32,7 +32,6 @@ from fairorder.harness import (
     ConfigError,
     ExperimentConfig,
     TableResult,
-    _cell,
     _cell_trial_seed,
     _colluder_ids,
     _count_orders,
@@ -40,7 +39,6 @@ from fairorder.harness import (
     _fmt_usd,
     _placed,
     _run_for,
-    _trial_seed,
     emit_csv,
     parse_config,
     resolve_topology,
@@ -51,7 +49,13 @@ from fairorder.harness import (
     run_tradeoff_curve,
 )
 from fairorder.sro import SroHandle, sign_slot
-from reference import make_command_id, order_leader_rotation, order_receive_all_correct, run_slotted
+from reference import (
+    make_command_id,
+    order_leader_rotation,
+    order_receive_all_correct,
+    run_slotted,
+    trial_seed,
+)
 
 CONFIG_DIR = resources.files("fairorder.data") / "configs"
 
@@ -289,6 +293,21 @@ class TestSandwich:
             run_sandwich(config)
 
 
+def cell_orders(run, config, spec, tags, commands, plan=AdversaryPlan()):
+    """``trial_orders`` on one table cell, with the ids and trial seeds that
+    ``_count_orders`` gives it."""
+    labels = [label for label, _, _ in commands]
+    return trial_orders(
+        run, OrderingPolicy.parse(spec), _placed(commands), plan, config.trials,
+        CommandIds(tags, labels), _cell_trial_seed(config.seed, tags),
+    )
+
+
+def counted(run, config, spec, tags, commands, plan=AdversaryPlan()) -> Counter:
+    """``_count_orders`` on one table cell given as the runners list it."""
+    return _count_orders(run, config, OrderingPolicy.parse(spec), tags, _placed(commands), plan)
+
+
 def labelled(counts, commands) -> Counter:
     """``_count_orders``' counts with each order as the tuple of its labels."""
     labels = [label for label, _, _ in commands]
@@ -296,12 +315,12 @@ def labelled(counts, commands) -> Counter:
 
 
 def assert_engine_matches_per_trial(
-    run, spec, tags, commands, reference_orders, plan=AdversaryPlan()
+    run, config, spec, tags, commands, reference_orders, plan=AdversaryPlan()
 ):
     """Trial t of ``trial_orders``, on the cell the harness builds, gives the
-    reference's order of trial t, for each of the run's trials."""
+    reference's order of trial t, for each of the config's trials."""
     labels = [label for label, _, _ in commands]
-    engine = trial_orders(*_cell(run, spec, tags, commands, plan))
+    engine = cell_orders(run, config, spec, tags, commands, plan)
     assert [tuple(labels[i] for i in order) for order in engine] == reference_orders, commands
 
 
@@ -313,6 +332,7 @@ def per_trial_orders(config, topology, sro, spec, tags, commands, colluders):
     """
     policy = OrderingPolicy.parse(spec)
     delta_net_us = config.delta_net_ms * US_PER_MS
+    network = SimulationRun(topology, delta_net_us, config.slot_ms * US_PER_MS, sro)
     orders, decided_slots = [], set()
     for trial in range(config.trials):
         labels = {make_command_id(*tags, trial, label): label for label, _, _ in commands}
@@ -326,11 +346,7 @@ def per_trial_orders(config, topology, sro, spec, tags, commands, colluders):
             plan = private_relay_placement(
                 victim, attackers, colluders, topology, delta_net_us, sro.config.f
             )
-        result = run_slotted(SimulationRun(
-            topology=topology, policy=policy, delta_net_us=delta_net_us,
-            slot_interval_us=config.slot_ms * US_PER_MS, invocations=placed,
-            sro=sro, adversary=plan,
-        ))
+        result = run_slotted(network, policy, placed, plan)
         orders.append(tuple(labels[cid] for cid in result.ledger.entries))
         decided_slots.update(slot.index for slot in result.slots if slot.decided_commands)
     return orders, decided_slots
@@ -367,8 +383,8 @@ class TestSlottedEngine:
             plan = private_relay_placement(
                 victim, attackers, colluder_ids, topology, dnet_us, sro.config.f
             )
-            assert_engine_matches_per_trial(run, spec, tags, commands, want, plan)
-            got = labelled(_count_orders(run, spec, tags, commands, plan), commands)
+            assert_engine_matches_per_trial(run, config, spec, tags, commands, want, plan)
+            got = labelled(counted(run, config, spec, tags, commands, plan), commands)
             assert got == Counter(want), commands
             assert len(decided_slots) >= 2
 
@@ -430,9 +446,9 @@ class TestSlottedEngine:
         calls, decided = Counter(), set()
         stamp = consensus._timestamp_invocations
 
-        def recording(sim):
-            assigned = stamp(sim)
-            decided.update(ats // sim.slot_interval_us for ats in assigned)
+        def recording(run, invocations, plan):
+            assigned = stamp(run, invocations, plan)
+            decided.update(ats // run.slot_interval_us for ats in assigned)
             return assigned
 
         def counting(name):
@@ -474,7 +490,7 @@ def per_trial_baseline_orders(config, topology, spec, tags, commands):
             for cid, (_, t_us, city) in zip(labels, commands)
         ]
         if policy.kind is PolicyKind.LEADER_ROTATION:
-            rng = np.random.default_rng(_trial_seed(config.seed, *tags, trial))
+            rng = np.random.default_rng(trial_seed(config.seed, *tags, trial))
             ledger = order_leader_rotation(placed, topology, policy.param_us, delta_net_us, rng)
         else:
             ledger = order_receive_all_correct(placed, topology, delta_net_us)
@@ -511,8 +527,8 @@ class TestBaselineEngine:
         for cell, commands in enumerate(cells):
             tags = ("baseline", spec, cell)
             wants.append(per_trial_baseline_orders(config, topology, spec, tags, commands))
-            assert_engine_matches_per_trial(run, spec, tags, commands, wants[-1])
-            got = labelled(_count_orders(run, spec, tags, commands), commands)
+            assert_engine_matches_per_trial(run, config, spec, tags, commands, wants[-1])
+            got = labelled(counted(run, config, spec, tags, commands), commands)
             assert got == Counter(wants[-1]), commands
         assert set(wants[0]) == {("a", "b"), ("b", "a")}
 
@@ -526,9 +542,9 @@ class TestBaselineEngine:
             ("leader:300", ("turns", i), (("a", t0, "washington"), ("b", t0 + i, city)))
             for i, city in enumerate(("tokyo", "london", "munich"))
         ]
-        alone = [list(trial_orders(*_cell(_run_for(config), *cell))) for cell in cells]
+        alone = [list(cell_orders(_run_for(config), config, *cell)) for cell in cells]
         run = _run_for(config)
-        in_turns = zip(*(trial_orders(*_cell(run, *cell)) for cell in cells))
+        in_turns = zip(*(cell_orders(run, config, *cell) for cell in cells))
         assert [list(orders) for orders in zip(*in_turns)] == alone
         assert all(len(set(orders)) == 2 for orders in alone)
 
@@ -562,12 +578,12 @@ class TestLazyIds:
         topology, sro = run.topology, run.sro
         commands = (("a", 700 * US_PER_MS, "tokyo"), ("b", 700 * US_PER_MS, "tokyo"))
         tags = ("tie", spec)
-        if OrderingPolicy.parse(spec).median_timestamps:
+        if OrderingPolicy.parse(spec).kind.median_timestamps:
             want, _ = per_trial_orders(config, topology, sro, spec, tags, commands, ())
         else:
             want = per_trial_baseline_orders(config, topology, spec, tags, commands)
-        assert_engine_matches_per_trial(run, spec, tags, commands, want)
-        got = labelled(_count_orders(run, spec, tags, commands), commands)
+        assert_engine_matches_per_trial(run, config, spec, tags, commands, want)
+        got = labelled(counted(run, config, spec, tags, commands), commands)
         assert got == Counter(want)
         assert set(got) == {("a", "b"), ("b", "a")}
 
@@ -626,8 +642,8 @@ class TestLazyIds:
         assert median_delay(slow) > median_delay(fast)
         gap_us = config.delta_net_ms * US_PER_MS + OrderingPolicy.parse(spec).param_us + 1
         t0 = config.slot_ms * US_PER_MS // 2
-        counts = _count_orders(
-            run, spec, ("horizon", spec),
+        counts = counted(
+            run, config, spec, ("horizon", spec),
             (("early", t0, slow), ("late", t0 + gap_us, fast)),
         )
         assert counts == Counter({(0, 1): config.trials})  # early, then late
@@ -647,7 +663,7 @@ class TestDisjointRanges:
         t0 = config.slot_ms * US_PER_MS // 2
         commands = (("early", t0, "tokyo"), ("late", t0 + gap_us, "tokyo"))
         tags = ("disjoint", spec, gap)
-        early, late = consensus._timestamp_invocations(_cell(run, spec, tags, commands)[0])
+        early, late = consensus._timestamp_invocations(run, _placed(commands), AdversaryPlan())
         assert late - early == gap_us
         want, _ = per_trial_orders(config, run.topology, run.sro, spec, tags, commands, ())
         derived, noised = Counter(), []
@@ -666,7 +682,7 @@ class TestDisjointRanges:
 
         monkeypatch.setattr(harness, "CommandIds", Counting)
         monkeypatch.setattr(consensus, "_noised_prefixes", counting)
-        got = labelled(_count_orders(run, spec, tags, commands), commands)
+        got = labelled(counted(run, config, spec, tags, commands), commands)
         assert got == Counter(want)
         assert not derived  # no trial ties
         if gap == "w":
@@ -718,9 +734,9 @@ SEED_TAGS = {
 @pytest.mark.parametrize("tags", SEED_TAGS.values(), ids=SEED_TAGS)
 def test_cell_trial_seed_is_trial_seed(tags):
     for config_seed in (0, 20240601, -1, 2**63 - 1, -(2**63)):
-        trial_seed = _cell_trial_seed(config_seed, tags)
+        cell_seed = _cell_trial_seed(config_seed, tags)
         for t in (0, 1, 9, 10, 12_345, 2**32, 2**63 - 1):
-            assert trial_seed(t) == _trial_seed(config_seed, *tags, t)
+            assert cell_seed(t) == trial_seed(config_seed, *tags, t)
 
 
 def test_geo_bias_run_shares_its_setup(monkeypatch):
@@ -802,8 +818,8 @@ class TestLiquidation:
         # trials to the cent, not the prize times a 6-decimal probability
         config = small(scenario="liquidation", policies=("bercow:1500",), trials=7)
         t0 = config.slot_ms * US_PER_MS // 2
-        counts = _count_orders(
-            _run_for(config), "bercow:1500", ("geo", 0, "bercow:1500"),
+        counts = counted(
+            _run_for(config), config, "bercow:1500", ("geo", 0, "bercow:1500"),
             (("a", t0, "washington"), ("b", t0, "tokyo")),
         )
         assert 0 < counts[0, 1] < config.trials
