@@ -4,19 +4,19 @@
 Usage:
     python scripts/run_experiments.py [--only geo_bias,sandwich] [--trials N]
 
-A full run took 3.1-3.9 s wall in four runs on 2 cores of a shared Intel
-Xeon under Python 3.11 and numpy 2.4.6 (geo_bias 1.4-1.7 s,
-tradeoff_curve 1.3-1.8 s, the rest under 0.3 s together), alternated
-with four runs of the previous version at 3.6-4.4 s; the same host has
+A full run took 3.0-3.3 s wall in four runs on 2 cores of a shared Intel
+Xeon under Python 3.11 and numpy 2.4.6 (geo_bias 1.3-1.5 s,
+tradeoff_curve 1.3-1.5 s, the rest under 0.3 s together), alternated
+with four runs of the previous version at 3.4-4.4 s; the same host has
 taken 6.0-6.7 s at busy times, so its speed swings about twofold.
 Every table cell is counted in one batch, command ids are hashed only
 where they can change an order, a bercow trial does little besides its
 two hashes per command, a cell whose commands' key ranges cannot overlap
 repeats one order with no per-trial work, and a leader cell seeds all
 its trials' generators in one pass before numpy draws each trial's
-rotation.  Most of the time is the leader and bercow cells' per-trial
-draws and hashes, which the CSV bytes fix.  Pass --trials to downscale
-for a quick look.
+rotation (a list shuffle and one bounded integer).  Most of the time
+is the leader and bercow cells' per-trial draws and hashes, which the
+CSV bytes fix.  Pass --trials to downscale for a quick look.
 """
 
 import argparse

@@ -112,19 +112,20 @@ class PlacedInvocation:
 class SimulationRun:
     """One network: its topology, delta_net, slot interval and secret
     random oracle, whose f fixes every quorum.  Each cell ordered on it
-    (``trial_orders``) reuses what the run has computed: receive times,
-    keyed by (origin city, invoke time); assigned timestamps, keyed by
-    those and what a plan changes of them (``_timestamp_invocations``);
-    revealed slot seeds, keyed by k; and the scratch generator of leader
-    trials, built on first use.  A run is frozen, and ``replace`` makes a
-    new one with none of these, so no value outlives the network it was
-    computed on."""
+    (``trial_orders``) reuses what the run has computed: receive times and
+    their medians, keyed by (origin city, invoke time); assigned
+    timestamps, keyed by those and what a plan changes of them
+    (``_timestamp_invocations``); revealed slot seeds, keyed by k; and the
+    scratch generator of leader trials, built on first use.  A run is
+    frozen, and ``replace`` makes a new one with none of these, so no value
+    outlives the network it was computed on."""
 
     topology: CityTopology
     delta_net_us: int
     slot_interval_us: int
     sro: SroHandle
     _receive: dict = field(default_factory=dict, init=False, repr=False)
+    _medians: dict = field(default_factory=dict, init=False, repr=False)
     _stamps: dict = field(default_factory=dict, init=False, repr=False)
     _seeds: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -206,24 +207,13 @@ _LEADER_TIE_SEED = b"leader"
 _RECEIVE_TIE_SEED = b"receive"
 
 
-def _rotation(rng, n: int, rotation_period_us: int):
-    """The leader schedule, then the rotation phase, drawn from ``rng``."""
-    return rng.permutation(n).tolist(), int(rng.integers(0, rotation_period_us))
-
-
-def _leader_batch(times, invoke_time, schedule, phase_us, rotation_period_us):
-    """A command's (period, leader's receive time) under leader rotation.
-
-    Period p's leader is ``schedule[p % len(schedule)]``; the command joins
-    the batch of the first period, from the one it was invoked in, whose
-    leader received it before the period ended.
-    """
-    p = (invoke_time - phase_us) // rotation_period_us
-    while True:
-        received = times[schedule[p % len(schedule)]]
-        if received < phase_us + (p + 1) * rotation_period_us:
-            return p, received
-        p += 1
+def _rotation(rng, nodes: list, rotation_period_us: int):
+    """The leader schedule, then the rotation phase, drawn from ``rng``: the
+    schedule shuffles a copy of ``nodes`` (0..n-1), and numpy's list
+    ``shuffle`` makes ``permutation(n)``'s draws without its array."""
+    schedule = nodes.copy()
+    rng.shuffle(schedule)
+    return schedule, int(rng.integers(0, rotation_period_us))
 
 
 def _slotted_prefixes(run: SimulationRun, width_us: int, invocations, plan: AdversaryPlan):
@@ -233,10 +223,11 @@ def _slotted_prefixes(run: SimulationRun, width_us: int, invocations, plan: Adve
     Each command's tie seed is the revealed seed of the slot that decides
     it; its key prefix is its modified_ts, the assigned timestamp under
     ``pompe`` and that plus the trial's noise under ``bercow``.  Returns the
-    tie seeds, the assigned timestamps, and each command's noise hash
-    state, keyed by its slot's seed, which a trial extends by the command's
-    id.  A cell whose noised timestamps could overflow 63 bits is rejected
-    on the largest noise a trial can draw, even if no trial's do.  A slot's
+    tie seeds, the assigned timestamps, and under ``bercow`` each command's
+    noise hash state, keyed by its slot's seed, which a trial extends by
+    the command's id (None under ``pompe``, which draws no noise).  A cell
+    whose noised timestamps could overflow 63 bits is rejected on the
+    largest noise a trial can draw, even if no trial's do.  A slot's
     certificate is built and checked in ``reveal`` only on its first use in
     the run.  The empty slots a slot-by-slot run walks until the last
     emission are neither certified nor revealed: no key depends on their
@@ -246,16 +237,12 @@ def _slotted_prefixes(run: SimulationRun, width_us: int, invocations, plan: Adve
     if max(assigned) + max(width_us - 1, 0) > MAX_TIMESTAMP:
         raise ContractError("timestamp overflow (must fit in 63 bits)")
     slots = [ats // run.slot_interval_us for ats in assigned]
-    states, tie_seeds = {}, {}
     for k in slots:
-        if k not in states:
-            seed = run._seeds.get(k)
-            if seed is None:
-                seed = run._seeds[k] = run.sro.reveal(
-                    RevealRequest(k, run.sro.quorum_signatures(k))
-                )
-            states[k], tie_seeds[k] = hashlib.sha512(b"noise" + seed), seed[:32]
-    return [tie_seeds[k] for k in slots], assigned, [states[k] for k in slots]
+        if k not in run._seeds:
+            run._seeds[k] = run.sro.reveal(RevealRequest(k, run.sro.quorum_signatures(k)))
+    seeds = [run._seeds[k] for k in slots]
+    noise = [hashlib.sha512(b"noise" + seed) for seed in seeds] if width_us else None
+    return [seed[:32] for seed in seeds], assigned, noise
 
 
 # numpy's SeedSequence (a pool of 4 uint32 words) and PCG64 seeding constants
@@ -367,24 +354,32 @@ def _pcg64_states(seeds) -> list:
 
 def _receive_prefixes(run: SimulationRun, invocations):
     """``trial_orders``' setup under ``receive``: the tie seeds and each
-    command's median receive time."""
-    receive = [_receive_times(run, placed) for placed in invocations]
-    return [_RECEIVE_TIE_SEED] * len(receive), [sorted(ts)[len(ts) // 2] for ts in receive]
+    command's median receive time (the upper median for an even n), kept
+    by the run next to its receive times."""
+    medians = []
+    for placed in invocations:
+        key = (placed.origin_city, placed.invocation.invoke_time)
+        if key not in run._medians:
+            run._medians[key] = sorted(_receive_times(run, placed))[run.topology.n_nodes // 2]
+        medians.append(run._medians[key])
+    return [_RECEIVE_TIE_SEED] * len(medians), medians
 
 
 def _leader_prefixes(run: SimulationRun, period_us: int, invocations, trial_seed, trials: int):
     """``trial_orders``' setup under ``leader``: the tie seeds, and each
     trial's (prefixes, None) as it is drawn.
 
-    Trial t's prefix for a command is (period, leader's receive time) for
-    the schedule and phase ``default_rng(trial_seed(t))`` would draw: every
-    trial's PCG64 state is seeded in one bulk pass (``_pcg64_states``), then
-    set, through one reused dict, on the run's scratch generator before the
-    trial's draws, which numpy makes.
+    Trial t draws the schedule and phase ``default_rng(trial_seed(t))``
+    would (``_rotation``): every trial's PCG64 state is seeded in one bulk
+    pass (``_pcg64_states``), then set, through one reused dict, on the
+    run's scratch generator before the trial's draws, which numpy makes.
+    Period p's leader is ``schedule[p % n]``.  A command's prefix is (p,
+    leader's receive time) for the first period p, from the one it was
+    invoked in, whose leader received it before the period ended.
     """
-    receive = [_receive_times(run, placed) for placed in invocations]
-    invoke = [placed.invocation.invoke_time for placed in invocations]
+    commands = [(_receive_times(run, p), p.invocation.invoke_time) for p in invocations]
     n = run.topology.n_nodes
+    nodes = list(range(n))
     states = _pcg64_states([trial_seed(t) for t in range(trials)])
     rng = run._leader_rng
     bit_generator = rng.bit_generator
@@ -394,13 +389,16 @@ def _leader_prefixes(run: SimulationRun, period_us: int, invocations, trial_seed
     def batches():
         for pcg["state"], pcg["inc"] in states:
             bit_generator.state = new_state
-            schedule, phase = _rotation(rng, n, period_us)
-            yield [
-                _leader_batch(times, it, schedule, phase, period_us)
-                for times, it in zip(receive, invoke)
-            ], None
+            schedule, phase = _rotation(rng, nodes, period_us)
+            prefix = []
+            for times, invoke_time in commands:
+                p = (invoke_time - phase) // period_us
+                while (received := times[schedule[p % n]]) >= phase + (p + 1) * period_us:
+                    p += 1
+                prefix.append((p, received))
+            yield prefix, None
 
-    return [_LEADER_TIE_SEED] * len(receive), batches()
+    return [_LEADER_TIE_SEED] * len(commands), batches()
 
 
 _NOISE_WORD = struct.Struct(">Q").unpack_from  # a digest's first 64 bits, big-endian
@@ -463,11 +461,12 @@ def trial_orders(
     ``leader`` trial t draws its schedule and phase as
     ``np.random.default_rng(trial_seed(t))`` would (a seed is a
     non-negative int or a sequence of them); no other policy calls
-    ``trial_seed``.  Only the median-timestamp policies take a non-empty
-    plan.  An order is a tuple of indices into ``invocations``, and trial
-    t's does not depend on ``trials``.  The checks, stamps, reveals and
-    seeding happen in this call; a trial's noise, draws and sort happen as
-    the returned iterator yields it.
+    ``trial_seed``, which may be None off ``leader``.  Only the
+    median-timestamp policies take a non-empty plan.  An order is a tuple
+    of indices into ``invocations``, and trial t's does not depend on
+    ``trials``.  The checks, stamps, reveals and seeding happen in this
+    call; a trial's noise, draws and sort happen as the returned iterator
+    yields it.
 
     Each policy's ledger is one sort by ``_key``.  (Under slot-by-slot
     agreement, a command decided in slot k_d is emitted by slot

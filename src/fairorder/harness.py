@@ -19,9 +19,10 @@ counted by ``_count_orders``: the scenario gives the cell's tags and its
 orders.  The tags -- ``("geo", pair_index, spec)``, ``("gap", spec,
 gap_ms)`` or ``("sand", spec)`` -- fix trial t's command ids,
 ``CommandIds(tags, labels)(t)``, and under the leader policy the seed its
-rotation is drawn from (``_cell_trial_seed``); changing either changes the
-CSVs.  A count c of n trials is printed as ``c / n``, which is correctly
-rounded and so prints as ``Fraction(c, n)`` does.  The bundled topology
+rotation is drawn from (``_cell_trial_seed``, built for leader cells
+only); changing either changes the CSVs.  A count c of n trials is
+printed as ``c / n``, which is correctly rounded and so prints as
+``Fraction(c, n)`` does.  The bundled topology
 and the sandwich payoff table are built once per process.
 """
 
@@ -38,7 +39,7 @@ from itertools import combinations
 
 from . import analysis, attacks
 from .adversary import AdversaryPlan, private_relay_placement
-from .consensus import OrderingPolicy, PlacedInvocation, SimulationRun, trial_orders
+from .consensus import OrderingPolicy, PlacedInvocation, PolicyKind, SimulationRun, trial_orders
 from .domain import US_PER_MS, CommandIds, Invocation, quorum_median
 from .netmodel import CityTopology, bundled_topology, load_topology
 from .sro import Backend, SroConfig, SroHandle, sro_init
@@ -249,14 +250,14 @@ def _count_orders(run, config, policy, tags, placed, plan=_HONEST) -> Counter:
     each as the tuple of its commands' indices in ledger order.  Trial t's
     ids are ``CommandIds(tags, template ids)(t)``; the adversary ``plan``
     applies only under the median-timestamp policies, and the baselines run
-    honest.
+    honest.  Only a leader cell, the one policy that draws from them, gets
+    trial seeds.
     """
     trial_ids = CommandIds(tags, [p.invocation.command_id for p in placed])
     plan = plan if policy.kind.median_timestamps else _HONEST
-    return Counter(trial_orders(
-        run, policy, placed, plan, config.trials, trial_ids,
-        _cell_trial_seed(config.seed, tags),
-    ))
+    leader = policy.kind is PolicyKind.LEADER_ROTATION
+    trial_seed = _cell_trial_seed(config.seed, tags) if leader else None
+    return Counter(trial_orders(run, policy, placed, plan, config.trials, trial_ids, trial_seed))
 
 
 def _geo_pairs(config: ExperimentConfig):

@@ -570,9 +570,22 @@ EDGE_SEEDS = {
 }
 
 
-def leader_draws(seeds, monkeypatch, period=SLOT):
-    """Each trial's (schedule, phase) in one leader cell of ``trial_orders``
-    whose trial t is seeded by ``seeds[t]``, on the bundled topology."""
+def leader_cell(period=SLOT, n=80):
+    """A leader cell of two commands invoked at 100 ms: from tokyo and
+    washington on the bundled topology (80 nodes), or else from one city of
+    ``n`` nodes."""
+    topology = bundled_topology() if n == 80 else small_topology(n)
+    cities = ("tokyo", "washington") if n == 80 else ("solo", "solo")
+    placed = [PlacedInvocation(inv(label, 100_000), city) for label, city in zip("ab", cities)]
+    return cell_for(
+        placed, OrderingPolicy(PolicyKind.LEADER_ROTATION, period),
+        topology=topology, f=(topology.n_nodes - 1) // 3,
+    )
+
+
+def leader_draws(seeds, monkeypatch, period=SLOT, n=80):
+    """Each trial's (schedule, phase) in one ``leader_cell`` of
+    ``trial_orders`` whose trial t is seeded by ``seeds[t]``."""
     drawn = []
     rotation = consensus._rotation
 
@@ -581,15 +594,7 @@ def leader_draws(seeds, monkeypatch, period=SLOT):
         return drawn[-1]
 
     monkeypatch.setattr(consensus, "_rotation", recording)
-    topology = bundled_topology()
-    placed = [
-        PlacedInvocation(inv("a", 100_000), "tokyo"),
-        PlacedInvocation(inv("b", 100_000), "washington"),
-    ]
-    cell = cell_for(
-        placed, OrderingPolicy(PolicyKind.LEADER_ROTATION, period),
-        topology=topology, f=(topology.n_nodes - 1) // 3,
-    )
+    cell = leader_cell(period, n)
     Counter(trial_orders(*cell, len(seeds), CommandIds((), "ab"), seeds.__getitem__))
     return drawn
 
@@ -599,9 +604,9 @@ def numpy_state(seed):
     return state["state"], state["inc"]
 
 
-def numpy_draws(seed, period=SLOT):
+def numpy_draws(seed, period=SLOT, n=80):
     rng = np.random.default_rng(seed)
-    return rng.permutation(80).tolist(), int(rng.integers(0, period))
+    return rng.permutation(n).tolist(), int(rng.integers(0, period))
 
 
 @pytest.fixture(scope="module")
@@ -651,6 +656,61 @@ class TestBulkSeeding:
         want = [numpy_draws(s) for s in seeds]
         monkeypatch.setattr(np.random, "default_rng", refuse)
         assert leader_draws(seeds, monkeypatch) == want
+
+    @pytest.mark.parametrize("period", [1, 7, SLOT, 2**32 + 5])  # the last takes
+    @pytest.mark.parametrize("n", [1, 2, 3, 80])  # numpy's 64-bit bounded path
+    def test_draws_equal_permutation_then_integers(self, n, period, monkeypatch):
+        # a schedule is a list shuffle: a numpy whose list and array
+        # shuffles drew differently would fail here
+        rnd = random.Random(n * period)
+        seeds = [[rnd.getrandbits(64), rnd.getrandbits(64)] for _ in range(40)]
+        seeds += list(EDGE_SEEDS.values())
+        want = [numpy_draws(s, period, n) for s in seeds]
+        assert leader_draws(seeds, monkeypatch, period, n) == want
+
+    def test_a_trial_sets_one_state_and_draws_one_shuffle_and_one_integer(self):
+        # the floor of a leader trial: every draw is numpy's, and a trial
+        # calls nothing else of the generator, through the run's slot
+        calls = Counter()
+
+        class Recording:
+            """A Generator that counts each method looked up on it."""
+
+            def __init__(self, rng):
+                self._rng = rng
+
+            def __getattr__(self, name):
+                calls[name] += 1
+                return getattr(self._rng, name)
+
+        class RecordingBitGenerator:
+            """A bit generator that counts each state set on it."""
+
+            def __init__(self, bit_generator):
+                self._bit_generator = bit_generator
+
+            @property
+            def state(self):
+                return self._bit_generator.state
+
+            @state.setter
+            def state(self, value):
+                calls["state"] += 1
+                self._bit_generator.state = value
+
+        rng = np.random.Generator(np.random.PCG64(0))
+        proxy = Recording(rng)
+        proxy.bit_generator = RecordingBitGenerator(rng.bit_generator)
+        seeds = [[9, t] for t in range(25)]
+        cell = leader_cell()
+        cell.run.__dict__["_leader_rng"] = proxy  # the cached_property's slot
+        got = Counter(trial_orders(*cell, len(seeds), CommandIds((), "ab"), seeds.__getitem__))
+        fresh = leader_cell()
+        assert got == Counter(trial_orders(
+            *fresh, len(seeds), CommandIds((), "ab"), seeds.__getitem__
+        ))
+        trials = len(seeds)
+        assert calls == {"state": trials, "shuffle": trials, "integers": trials}
 
     @pytest.mark.parametrize("seed", [-1, [3, -1], [-(2**64)]])
     def test_negative_entropy_rejected(self, seed):

@@ -741,19 +741,28 @@ def test_cell_trial_seed_is_trial_seed(tags):
 
 def test_geo_bias_run_shares_its_setup(monkeypatch):
     # call counts, not timings: one run observes each distinct command
-    # once, parses each spec once, seeds each leader cell in one pass and
-    # makes one scratch generator
+    # once, takes each one's median receive time once, parses each spec
+    # once, seeds each leader cell in one pass and makes one scratch
+    # generator
     cities = ("washington", "london", "munich", "tokyo")
     config = small(
         policies=("pompe", "receive", "leader:1500", "bercow:300", "bercow:1500"),
         origins=cities, trials=5,
     )
-    observed, calls = Counter(), Counter()
+    observed, calls, medians, command_of = Counter(), Counter(), Counter(), {}
     observe, parse, seed = consensus.observe, OrderingPolicy.parse, consensus._pcg64_states
 
     def observing(inv, city, topology, delta_net_us):
         observed[city, inv.invoke_time] += 1
-        return observe(inv, city, topology, delta_net_us)
+        times = observe(inv, city, topology, delta_net_us)
+        command_of[tuple(times)] = city, inv.invoke_time
+        return times
+
+    def sorting(values, **kwargs):
+        # consensus sorts a command's receive times only to take their median
+        if isinstance(values, tuple) and values in command_of:
+            medians[command_of[values]] += 1
+        return sorted(values, **kwargs)
 
     def parsing(cls, spec):
         calls[spec] += 1
@@ -772,11 +781,44 @@ def test_geo_bias_run_shares_its_setup(monkeypatch):
     monkeypatch.setattr(OrderingPolicy, "parse", classmethod(parsing))
     monkeypatch.setattr(consensus, "_pcg64_states", seeding)
     monkeypatch.setattr(np.random, "PCG64", bit_generator)
+    monkeypatch.setattr(consensus, "sorted", sorting, raising=False)
     assert len(run_geo_bias(config).rows) == 6 * 5
     t0 = config.slot_ms * US_PER_MS // 2
     assert observed == Counter({(city, t0): 1 for city in cities})
+    assert medians == observed  # 6 receive cells of 2 commands, 4 distinct
     once = dict.fromkeys(config.policies, 1)
     assert calls == Counter(once, **{"leader cells": 6, "generators": 1})
+
+
+def test_geo_bias_run_builds_only_what_its_policies_read(monkeypatch):
+    # call counts, not timings: trial seeds are built for the 6 leader
+    # cells only, and SHA-512 noise states for the 12 bercow cells only
+    config = replace(parse_config(CONFIG_DIR / "geo_bias.cfg"), trials=5)
+    seeded, noised, cell = [], Counter(), [None]
+    cell_trial_seed, orders, sha512 = (
+        harness._cell_trial_seed, harness.trial_orders, hashlib.sha512
+    )
+
+    def seeding(config_seed, tags):
+        seeded.append(tags)
+        return cell_trial_seed(config_seed, tags)
+
+    def ordering(run, policy, *args):
+        cell[0] = policy.kind.value
+        return orders(run, policy, *args)
+
+    def hashing(data=b"", **kwargs):
+        if data.startswith(b"noise"):
+            noised[cell[0]] += 1
+        return sha512(data, **kwargs)
+
+    monkeypatch.setattr(harness, "_cell_trial_seed", seeding)
+    monkeypatch.setattr(harness, "trial_orders", ordering)
+    monkeypatch.setattr(hashlib, "sha512", hashing)
+    rows = run_experiment(config).rows
+    assert len(rows) == 6 * len(config.policies)
+    assert sorted(seeded) == [("geo", pair, "leader:1500") for pair in range(6)]
+    assert set(noised) == {"bercow"}
 
 
 def test_sandwich_run_does_its_fixed_work_once(monkeypatch):
