@@ -7,12 +7,7 @@ from .analysis import (
     order_prob_integrate,
     order_prob_monte_carlo,
 )
-from .consensus import (
-    OrderingPolicy,
-    PlacedInvocation,
-    PolicyKind,
-    SimulationRun,
-)
+from .consensus import OrderingPolicy, PolicyKind, SimulationRun
 from .domain import Invocation, quorum_median
 from .netmodel import CityTopology, bundled_topology, load_topology, observe
 from .sro import Backend, RevealRequest, SroConfig, sro_init, verify
@@ -22,7 +17,6 @@ __all__ = [
     "CityTopology",
     "Invocation",
     "OrderingPolicy",
-    "PlacedInvocation",
     "PolicyKind",
     "RevealRequest",
     "SimulationRun",

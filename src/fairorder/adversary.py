@@ -52,8 +52,8 @@ def private_relay_placement(
 ) -> AdversaryPlan:
     """Colluding nodes straddle the victim's predicted assigned timestamp.
 
-    ``victim`` and the two entries of ``attacker_cmds`` are
-    (invocation, origin_city) pairs; the first attacker command is placed
+    ``victim`` and the two entries of ``attacker_cmds`` are invocations,
+    each sent from its origin city; the first attacker command is placed
     just below the victim's timestamp and the second just above, while the
     attacker's client biases its quorums accordingly.  Each placement is
     clamped into its command's window once and every colluder reports it.
@@ -72,9 +72,8 @@ def private_relay_placement(
         raise ContractError(f"colluder node ids must be in [0, {n}), got {outside}")
     if not colluders:
         return AdversaryPlan()
-    victim_inv, victim_city = victim
-    predicted = quorum_median(observe(victim_inv, victim_city, topology, delta_net_us), f)
-    (early_inv, _), (late_inv, _) = attacker_cmds
+    predicted = quorum_median(observe(victim, topology, delta_net_us), f)
+    early_inv, late_inv = attacker_cmds
     node_overrides = {}
     for inv, target in (
         (early_inv, predicted - RELAY_MARGIN_US),

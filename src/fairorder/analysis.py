@@ -7,7 +7,8 @@ a window of width ``delta_net`` and independent uniform noise of width
 * any fixed output order has probability at least ``(1-alpha)^n / n!`` and
   at most ``((1+alpha)^n - n*alpha^n) / n!``;
 * the spread between those bounds is the equality parameter
-  ``epsilon(n) = ((1+alpha)^n - (1-alpha)^n - n*alpha^n) / n!``;
+  ``epsilon(n) = ((1+alpha)^n - (1-alpha)^n - n*alpha^n) / n!`` for n >= 2,
+  and 0 for one command, whose one order always happens;
 * commands invoked more than ``delta_net + delta_noise`` apart can never be
   inverted.
 
@@ -59,20 +60,10 @@ def _target_order(target_order, n: int) -> tuple:
     return tuple(target_order)
 
 
-def epsilon_general(n: int, alpha) -> Fraction:
-    """Worst-case probability spread across output orders of n simultaneous commands."""
-    if n < 1:
-        raise ContractError("n must be >= 1")
-    a = _rational(alpha)
-    _check_alpha(a)
-    return Fraction((1 + a) ** n - (1 - a) ** n - n * a**n, factorial(n))
-
-
 def order_prob_bounds(n: int, alpha) -> tuple:
     """(lower, upper) probability of any fixed order of n simultaneous commands.
 
-    For n >= 2, upper - lower equals epsilon_general(n, alpha).  A single
-    command's only order always happens, so n = 1 returns (1, 1).
+    A single command's only order always happens, so n = 1 returns (1, 1).
     """
     if n < 1:
         raise ContractError("n must be >= 1")
@@ -83,6 +74,13 @@ def order_prob_bounds(n: int, alpha) -> tuple:
     lower = Fraction((1 - a) ** n, factorial(n))
     upper = Fraction((1 + a) ** n - n * a**n, factorial(n))
     return lower, upper
+
+
+def epsilon_general(n: int, alpha) -> Fraction:
+    """Worst-case probability spread across output orders of n simultaneous
+    commands: upper - lower of ``order_prob_bounds``, so 0 at n = 1."""
+    lower, upper = order_prob_bounds(n, alpha)
+    return upper - lower
 
 
 def delta_linearizability(delta_net_us: int, delta_noise_us: int) -> int:

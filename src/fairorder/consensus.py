@@ -102,12 +102,6 @@ class OrderingPolicy:
         return cls(kind, int(arg) * US_PER_MS if kind.param else 0)
 
 
-@dataclass(frozen=True)
-class PlacedInvocation:
-    invocation: Invocation
-    origin_city: str
-
-
 @dataclass(frozen=True, eq=False)
 class SimulationRun:
     """One network: its topology, delta_net, slot interval and secret
@@ -143,15 +137,12 @@ class SimulationRun:
         return np.random.Generator(np.random.PCG64(0))
 
 
-def _receive_times(run: SimulationRun, placed: PlacedInvocation) -> tuple:
+def _receive_times(run: SimulationRun, inv: Invocation) -> tuple:
     """``observe``'s receive times for one invocation, kept by the run."""
-    inv = placed.invocation
-    key = (placed.origin_city, inv.invoke_time)
+    key = (inv.origin_city, inv.invoke_time)
     times = run._receive.get(key)
     if times is None:
-        times = run._receive[key] = tuple(
-            observe(inv, placed.origin_city, run.topology, run.delta_net_us)
-        )
+        times = run._receive[key] = tuple(observe(inv, run.topology, run.delta_net_us))
     return times
 
 
@@ -174,17 +165,16 @@ def _timestamp_invocations(run: SimulationRun, invocations, plan: AdversaryPlan)
             raise ContractError(f"a lying node must be a node id in [0, {n}), got {node!r}")
         lies_for.setdefault(cid, []).append((node, ts))
     assigned = []
-    for placed in invocations:
-        inv = placed.invocation
+    for inv in invocations:
         cid = inv.command_id
         lies = tuple(sorted(lies_for.get(cid, ())))
         bias, override = plan.quorum_bias.get(cid), plan.ats_overrides.get(cid)
-        key = (placed.origin_city, inv.invoke_time, bias, lies, override)
+        key = (inv.origin_city, inv.invoke_time, bias, lies, override)
         ats = run._stamps.get(key)
         if ats is None:
             if bias not in (None, QUORUM_LOW, QUORUM_HIGH):
                 raise ContractError(f"unknown quorum bias {bias!r}")
-            reports = list(_receive_times(run, placed))
+            reports = list(_receive_times(run, inv))
             for node, ts in lies:
                 reports[node] = ts
             ats = quorum_median(reports, f, high=bias == QUORUM_HIGH)
@@ -357,10 +347,10 @@ def _receive_prefixes(run: SimulationRun, invocations):
     command's median receive time (the upper median for an even n), kept
     by the run next to its receive times."""
     medians = []
-    for placed in invocations:
-        key = (placed.origin_city, placed.invocation.invoke_time)
+    for inv in invocations:
+        key = (inv.origin_city, inv.invoke_time)
         if key not in run._medians:
-            run._medians[key] = sorted(_receive_times(run, placed))[run.topology.n_nodes // 2]
+            run._medians[key] = sorted(_receive_times(run, inv))[run.topology.n_nodes // 2]
         medians.append(run._medians[key])
     return [_RECEIVE_TIE_SEED] * len(medians), medians
 
@@ -377,7 +367,7 @@ def _leader_prefixes(run: SimulationRun, period_us: int, invocations, trial_seed
     leader's receive time) for the first period p, from the one it was
     invoked in, whose leader received it before the period ended.
     """
-    commands = [(_receive_times(run, p), p.invocation.invoke_time) for p in invocations]
+    commands = [(_receive_times(run, inv), inv.invoke_time) for inv in invocations]
     n = run.topology.n_nodes
     nodes = list(range(n))
     states = _pcg64_states([trial_seed(t) for t in range(trials)])
@@ -452,8 +442,8 @@ def trial_orders(
     trials: int, trial_ids: CommandIds, trial_seed,
 ):
     """Each trial's ledger order, in trial order, for one cell: ``policy``
-    ordering ``invocations`` (``PlacedInvocation`` templates) on ``run``
-    under the adversary ``plan``.
+    ordering ``invocations`` (template ``Invocation``s, each carrying its
+    origin city) on ``run`` under the adversary ``plan``.
 
     Trial t (0 <= t < ``trials``) renames the invocations to the ids
     ``trial_ids(t)``, one ``CommandIds`` label per invocation, in order;

@@ -37,10 +37,16 @@ def quorum_median(reports, f: int, high: bool = False) -> int:
 
 @dataclass(frozen=True)
 class Invocation:
-    """A client command and its true send time, the one feature ordering may use."""
+    """A client command, its true send time and the city it is sent from.
+
+    Only the send time may decide its order.  The city is the network
+    advantage equal opportunity must not reward: only ``netmodel.observe``
+    turns it into receive times, and no ordering key ever sees it.
+    """
 
     command_id: bytes
     invoke_time: int
+    origin_city: str
 
     def __post_init__(self):
         if self.invoke_time < 0:

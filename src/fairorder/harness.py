@@ -7,23 +7,27 @@ determined by (config, seed): reruns produce byte-identical output files.
 
 Policy specs are strings, read by ``consensus.OrderingPolicy.parse``:
 ``pompe``, ``receive``, ``leader:<period_ms>``, ``bercow:<noise_ms>``.
-``policies``, ``alphas`` and ``bounds_n`` must each list at least one entry.
+``policies``, ``alphas`` and ``bounds_n`` must each list at least one entry,
+and every ``bounds_n`` entry must lie in [1, ``MAX_BOUNDS_N``].  A config
+is frozen: it parses each spec and alpha once, when it is built, and keeps
+the results (``parsed_policies``, ``parsed_alphas``); no run parses them
+again.
 
 A ``run_experiment`` call builds one ``consensus.SimulationRun`` from its
 config (``_run_for``): the network that every cell of the table is ordered
 on, which keeps the receive times, stamps, slot seeds and leader generator
-the cells share.  Each spec is parsed, and each cell's commands placed,
-once per call.  A simulated cell is one call of ``consensus.trial_orders``,
-counted by ``_count_orders``: the scenario gives the cell's tags and its
-(label, invoke_us, city) commands, and reads its numbers from the counted
-orders.  The tags -- ``("geo", pair_index, spec)``, ``("gap", spec,
-gap_ms)`` or ``("sand", spec)`` -- fix trial t's command ids,
-``CommandIds(tags, labels)(t)``, and under the leader policy the seed its
-rotation is drawn from (``_cell_trial_seed``, built for leader cells
-only); changing either changes the CSVs.  A count c of n trials is
-printed as ``c / n``, which is correctly rounded and so prints as
-``Fraction(c, n)`` does.  The bundled topology
-and the sandwich payoff table are built once per process.
+the cells share.  A simulated cell is one call of
+``consensus.trial_orders``, counted by ``_count_orders``: the scenario
+gives the cell's tags and its (label, invoke_us, city) commands, placed
+once per call as invocations that carry their origin cities (``_placed``),
+and reads its numbers from the counted orders.  The tags -- ``("geo",
+pair_index, spec)``, ``("gap", spec, gap_ms)`` or ``("sand", spec)`` --
+fix trial t's command ids, ``CommandIds(tags, labels)(t)``, and under the
+leader policy the seed its rotation is drawn from (``_cell_trial_seed``,
+built for leader cells only); changing either changes the CSVs.  A count
+c of n trials is printed as ``c / n``, which is correctly rounded and so
+prints as ``Fraction(c, n)`` does.  The bundled topology and the sandwich
+payoff table are built once per process.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from itertools import combinations
 
 from . import analysis, attacks
 from .adversary import AdversaryPlan, private_relay_placement
-from .consensus import OrderingPolicy, PlacedInvocation, PolicyKind, SimulationRun, trial_orders
+from .consensus import OrderingPolicy, PolicyKind, SimulationRun, trial_orders
 from .domain import US_PER_MS, CommandIds, Invocation, quorum_median
 from .netmodel import CityTopology, bundled_topology, load_topology
 from .sro import Backend, SroConfig, SroHandle, sro_init
@@ -49,11 +53,17 @@ TOPOLOGY_DIR_ENV = "FAIRORDER_TOPOLOGY_DIR"
 SCENARIOS = ("geo_bias", "tradeoff_curve", "sandwich", "liquidation", "bounds_table")
 
 
+# From n = 14 on, every probability a bounds table prints is 0.000000 at any
+# alpha <= 1 (the largest, upper at alpha = 1, is (2^n - n) / n! = 1.9e-7 at
+# n = 14), so a larger n adds no figure; a huge one would run for minutes.
+MAX_BOUNDS_N = 40
+
+
 class ConfigError(ValueError):
     """Bad experiment configuration."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     scenario: str
     topology: str = "bundled"
@@ -70,6 +80,8 @@ class ExperimentConfig:
     bounds_n: tuple = (2, 3)
     alphas: tuple = ("1/5",)
     output: str = ""
+    parsed_policies: tuple = field(init=False, repr=False, compare=False)
+    parsed_alphas: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -93,10 +105,12 @@ class ExperimentConfig:
         for key in ("policies", "alphas", "bounds_n"):
             if not getattr(self, key):
                 raise ConfigError(f"{key} must list at least one entry")
-        for spec in self.policies:
-            OrderingPolicy.parse(spec)
-        for alpha in self.alphas:
-            parse_alpha(alpha)
+        outside = [n for n in self.bounds_n if not 1 <= n <= MAX_BOUNDS_N]
+        if outside:
+            raise ConfigError(f"bounds_n entries must be in [1, {MAX_BOUNDS_N}], got {outside}")
+        parsed = tuple(OrderingPolicy.parse(spec) for spec in self.policies)
+        object.__setattr__(self, "parsed_policies", parsed)
+        object.__setattr__(self, "parsed_alphas", tuple(parse_alpha(a) for a in self.alphas))
 
 
 def _names(text):
@@ -235,11 +249,9 @@ def _run_for(config: ExperimentConfig) -> SimulationRun:
 
 def _placed(commands) -> list:
     """A cell's template invocations, one per (label, invoke_us, city)
-    triple, each with its label's bytes as its command id."""
-    return [
-        PlacedInvocation(Invocation(label.encode(), t_us), city)
-        for label, t_us, city in commands
-    ]
+    triple, each sent from its city with its label's bytes as its command
+    id."""
+    return [Invocation(label.encode(), t_us, city) for label, t_us, city in commands]
 
 
 _HONEST = AdversaryPlan()  # the plan of every cell that has none; never changed
@@ -253,7 +265,7 @@ def _count_orders(run, config, policy, tags, placed, plan=_HONEST) -> Counter:
     honest.  Only a leader cell, the one policy that draws from them, gets
     trial seeds.
     """
-    trial_ids = CommandIds(tags, [p.invocation.command_id for p in placed])
+    trial_ids = CommandIds(tags, [inv.command_id for inv in placed])
     plan = plan if policy.kind.median_timestamps else _HONEST
     leader = policy.kind is PolicyKind.LEADER_ROTATION
     trial_seed = _cell_trial_seed(config.seed, tags) if leader else None
@@ -265,11 +277,10 @@ def _geo_pairs(config: ExperimentConfig):
     if len(config.origins) < 2:
         raise ConfigError("geo_bias needs at least two origin cities")
     run = _run_for(config)
-    policies = [(spec, OrderingPolicy.parse(spec)) for spec in config.policies]
     t0 = config.slot_ms * US_PER_MS // 2  # mid-slot, away from boundaries
     for pi, (city_a, city_b) in enumerate(combinations(config.origins, 2)):
         placed = _placed((("a", t0, city_a), ("b", t0, city_b)))
-        for spec, policy in policies:
+        for spec, policy in zip(config.policies, config.parsed_policies):
             counts = _count_orders(run, config, policy, ("geo", pi, spec), placed)
             yield city_a, city_b, spec, counts[0, 1]
 
@@ -310,8 +321,7 @@ def run_tradeoff_curve(config: ExperimentConfig) -> TableResult:
         (gap_ms, _placed((("early", t0, slow), ("late", t0 + gap_ms * US_PER_MS, fast))))
         for gap_ms in config.gaps_ms
     ]
-    for spec in config.policies:
-        policy = OrderingPolicy.parse(spec)
+    for spec, policy in zip(config.policies, config.parsed_policies):
         for gap_ms, placed in cells:
             counts = _count_orders(run, config, policy, ("gap", spec, gap_ms), placed)
             pr_early = _fmt_prob(counts[0, 1] / config.trials)
@@ -352,7 +362,7 @@ def run_sandwich(config: ExperimentConfig) -> TableResult:
         header=("policy", "order", "frequency", "victim_usd", "attacker_usd")
     )
     placed = _placed(commands)
-    victim, *attackers = [(p.invocation, p.origin_city) for p in placed]
+    victim, *attackers = placed
     plan = private_relay_placement(
         victim, attackers, colluders, run.topology, run.delta_net_us, run.sro.config.f
     )
@@ -365,8 +375,7 @@ def run_sandwich(config: ExperimentConfig) -> TableResult:
         order: ("-".join(order), *(_fmt_usd(usd) for usd in table[order]))
         for order in indices
     }
-    for spec in config.policies:
-        policy = OrderingPolicy.parse(spec)
+    for spec, policy in zip(config.policies, config.parsed_policies):
         counts = _count_orders(run, config, policy, ("sand", spec), placed, plan)
         expected = attacks.expected_attacker_profit(
             table, {order: Fraction(counts[key], n) for order, key in indices.items()}
@@ -399,8 +408,7 @@ def run_bounds_table(config: ExperimentConfig) -> TableResult:
         header=("n", "alpha", "epsilon", "lower", "upper", "delta_us")
     )
     for n in config.bounds_n:
-        for alpha_text in config.alphas:
-            alpha = parse_alpha(alpha_text)
+        for alpha in config.parsed_alphas:
             eps = analysis.epsilon_general(n, alpha)
             lower, upper = analysis.order_prob_bounds(n, alpha)
             delta_noise_us = int(delta_net_us / alpha)

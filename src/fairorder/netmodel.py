@@ -100,18 +100,19 @@ class CityTopology:
         return delays
 
 
-def observe(invocation, origin_city: str, topology: CityTopology, delta_net_us: int) -> list:
+def observe(invocation, topology: CityTopology, delta_net_us: int) -> list:
     """Per-node receive timestamps for one invocation: a fresh list whose
     i-th entry is node i's.
 
-    Each node sees T + delay(origin, node), clamped into [T, T + delta_net]:
+    Each node sees T + delay(origin, node), where T is the invocation's
+    invoke time and origin its origin city, clamped into [T, T + delta_net]:
     after stabilization every correct node's timestamp lies in that window,
     and the clamp enforces it.  Every delay is >= 0, so the lower bound
     never binds, and the clamped nodes are exactly those whose
     ``delays_from(origin)`` delay exceeds delta_net.
     """
     t = invocation.invoke_time
-    delays = topology.delays_from(origin_city)
+    delays = topology.delays_from(invocation.origin_city)
     return [t + (d if d < delta_net_us else delta_net_us) for d in delays]
 
 

@@ -143,11 +143,11 @@ def noise(slot_seed: bytes, command_id: bytes, width_us: int) -> int:
     return (int.from_bytes(digest[:8], "big") * width_us) >> 64
 
 
-def _received(placed, topology, delta_net_us) -> list:
+def _received(inv, topology, delta_net_us) -> list:
     """Node i's receive time: T + its one-way delay from the origin city,
     at most T + delta_net."""
-    t = placed.invocation.invoke_time
-    return [t + min(d, delta_net_us) for d in topology.delays_from(placed.origin_city)]
+    t = inv.invoke_time
+    return [t + min(d, delta_net_us) for d in topology.delays_from(inv.origin_city)]
 
 
 def run_slotted(run, policy, invocations, plan) -> SlottedRun:
@@ -166,11 +166,10 @@ def run_slotted(run, policy, invocations, plan) -> SlottedRun:
     """
     interval, size = run.slot_interval_us, 2 * run.sro.config.f + 1
     by_slot = {}
-    for placed in invocations:
-        inv = placed.invocation
+    for inv in invocations:
         stamps = sorted(
             (plan.node_overrides.get((inv.command_id, node), ts), node)
-            for node, ts in enumerate(_received(placed, run.topology, run.delta_net_us))
+            for node, ts in enumerate(_received(inv, run.topology, run.delta_net_us))
         )
         high = plan.quorum_bias.get(inv.command_id) == QUORUM_HIGH
         chosen = stamps[-size:] if high else stamps[:size]
@@ -211,7 +210,7 @@ def run_slotted(run, policy, invocations, plan) -> SlottedRun:
 
 
 def order_leader_rotation(
-    placed_invocations, topology, rotation_period_us, delta_net_us, rng,
+    invocations, topology, rotation_period_us, delta_net_us, rng,
     schedule=None, phase_us=None,
 ) -> Ledger:
     """Rotating-leader baseline: in each period its leader proposes, in its
@@ -228,11 +227,8 @@ def order_leader_rotation(
         schedule = rng.permutation(topology.n_nodes).tolist()
     if phase_us is None:
         phase_us = int(rng.integers(0, rotation_period_us))
-    unproposed = {
-        p.invocation.command_id: _received(p, topology, delta_net_us) for p in placed_invocations
-    }
-    period = min((p.invocation.invoke_time - phase_us) // rotation_period_us
-                 for p in placed_invocations)
+    unproposed = {inv.command_id: _received(inv, topology, delta_net_us) for inv in invocations}
+    period = min((inv.invoke_time - phase_us) // rotation_period_us for inv in invocations)
     ledger = Ledger()
     while unproposed:
         leader = schedule[period % len(schedule)]
@@ -260,7 +256,7 @@ def all_correct_precedence(receive: dict):
     }
 
 
-def order_receive_all_correct(placed_invocations, topology, delta_net_us) -> Ledger:
+def order_receive_all_correct(invocations, topology, delta_net_us) -> Ledger:
     """All-correct receive-order baseline.
 
     A linear extension of "every node received a before b": commands in
@@ -269,9 +265,7 @@ def order_receive_all_correct(placed_invocations, topology, delta_net_us) -> Led
     extends the relation, since a command that every node received first
     has every order statistic strictly smaller; that is asserted.
     """
-    received = {
-        p.invocation.command_id: _received(p, topology, delta_net_us) for p in placed_invocations
-    }
+    received = {inv.command_id: _received(inv, topology, delta_net_us) for inv in invocations}
     ordered = [cid for *_, cid in sorted(
         (sorted(times)[len(times) // 2], tie_break_key(RECEIVE_TIE_SEED, cid), cid)
         for cid, times in received.items()

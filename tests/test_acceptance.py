@@ -128,16 +128,14 @@ GEO_CITIES = ("washington", "london", "munich", "tokyo")
 def _joint_four_city_orders():
     """Ledger order of four simultaneous invocations under each baseline."""
     from fairorder.adversary import AdversaryPlan
-    from fairorder.consensus import OrderingPolicy, PlacedInvocation, SimulationRun, trial_orders
+    from fairorder.consensus import OrderingPolicy, SimulationRun, trial_orders
     from fairorder.domain import CommandIds, Invocation
     from fairorder.netmodel import bundled_topology
 
     topology = bundled_topology()
     f = (topology.n_nodes - 1) // 3
     ids = CommandIds(("joint",), GEO_CITIES)
-    placed = [
-        PlacedInvocation(Invocation(cid, 750_000), c) for cid, c in zip(ids(0), GEO_CITIES)
-    ]
+    placed = [Invocation(cid, 750_000, c) for cid, c in zip(ids(0), GEO_CITIES)]
     sro = sro_init(SroConfig(n=topology.n_nodes, f=f, backend=Backend.SEEDED_HASH), SEED)
     run = SimulationRun(topology, DNET_US, 1_500_000, sro)
     orders = []

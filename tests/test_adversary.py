@@ -8,16 +8,16 @@ from reference import make_command_id
 DNET = 300_000
 
 
-def inv(label, t=0):
-    return Invocation(make_command_id(label), t)
+def inv(label, city, t=0):
+    return Invocation(make_command_id(label), t, city)
 
 
 class TestPrivateRelay:
     def setup_method(self):
         self.topology = bundled_topology()
         self.f = (self.topology.n_nodes - 1) // 3
-        self.victim = (inv("victim"), "munich")
-        self.legs = ((inv("buy"), "london"), (inv("sell"), "london"))
+        self.victim = inv("victim", "munich")
+        self.legs = (inv("buy", "london"), inv("sell", "london"))
 
     def test_zero_colluders_is_honest(self):
         plan = private_relay_placement(
@@ -52,7 +52,7 @@ class TestPrivateRelay:
             self.victim, self.legs, colluders, self.topology, DNET, self.f
         )
         predicted = 95_000  # munich quorum median on the bundled matrix
-        buy_id, sell_id = self.legs[0][0].command_id, self.legs[1][0].command_id
+        buy_id, sell_id = self.legs[0].command_id, self.legs[1].command_id
         for node in colluders:
             assert plan.node_overrides[(buy_id, node)] == predicted - 1000
             assert plan.node_overrides[(sell_id, node)] == predicted + 1000
@@ -64,7 +64,5 @@ class TestPrivateRelay:
             self.victim, self.legs, colluders, self.topology, DNET, self.f
         )
         for (cmd_id, _), ts in plan.node_overrides.items():
-            invocation = next(
-                i for i, _ in (self.legs[0], self.legs[1]) if i.command_id == cmd_id
-            )
+            invocation = next(i for i in self.legs if i.command_id == cmd_id)
             assert invocation.invoke_time <= ts <= invocation.invoke_time + DNET

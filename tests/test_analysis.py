@@ -3,6 +3,7 @@ import threading
 import time
 import tracemalloc
 from fractions import Fraction
+from importlib import resources
 from math import factorial, sqrt
 from types import SimpleNamespace
 
@@ -25,6 +26,7 @@ from fairorder.analysis import (
     order_prob_monte_carlo,
 )
 from fairorder.domain import ContractError
+from fairorder.harness import parse_config
 
 rationals = st.fractions(min_value=Fraction(1, 1000), max_value=1)
 
@@ -60,6 +62,22 @@ class TestClosedForms:
 
     def test_bounds_single_command(self):
         assert order_prob_bounds(1, Fraction(1, 2)) == (1, 1)
+
+    def test_epsilon_is_the_spread_of_the_bounds(self):
+        # one formula: epsilon is upper - lower at every n, so 0 for one
+        # command, and for n >= 2 the paper's closed form
+        cfg = resources.files("fairorder.data") / "configs" / "bounds_table.cfg"
+        with resources.as_file(cfg) as path:
+            alphas = [Fraction(a) for a in parse_config(path).alphas]
+        assert len(alphas) == 4
+        for alpha in alphas:
+            assert epsilon_general(1, alpha) == 0
+            for n in range(1, 9):
+                lower, upper = order_prob_bounds(n, alpha)
+                assert epsilon_general(n, alpha) == upper - lower
+                if n >= 2:
+                    closed = (1 + alpha) ** n - (1 - alpha) ** n - n * alpha**n
+                    assert epsilon_general(n, alpha) == closed / factorial(n)
 
     def test_bounds_converge_to_uniform(self):
         tiny = Fraction(1, 10**9)

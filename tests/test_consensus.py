@@ -14,7 +14,6 @@ from fairorder import consensus
 from fairorder.adversary import AdversaryPlan
 from fairorder.consensus import (
     OrderingPolicy,
-    PlacedInvocation,
     PolicyKind,
     SimulationRun,
     trial_orders,
@@ -45,8 +44,8 @@ POMPE = OrderingPolicy(PolicyKind.POMPE_MEDIAN)
 BERCOW = OrderingPolicy(PolicyKind.BERCOW_NOISE, SLOT)
 
 
-def inv(label, t):
-    return Invocation(make_command_id(label), t)
+def inv(label, t, city):
+    return Invocation(make_command_id(label), t, city)
 
 
 def small_topology(n=4):
@@ -108,23 +107,23 @@ class TestPolicyRegistry:
 
 class TestRunSlotted:
     def test_single_command_stable_in_its_slot(self):
-        placed = [PlacedInvocation(inv("a", 700_000), "solo")]
+        placed = [inv("a", 700_000, "solo")]
         result = run_slotted(*cell_for(placed, POMPE))
-        assert result.ledger.entries == [placed[0].invocation.command_id]
-        cmd = result.commands[placed[0].invocation.command_id]
+        assert result.ledger.entries == [placed[0].command_id]
+        cmd = result.commands[placed[0].command_id]
         assert result.emission_slot[cmd.command_id] == 0
         assert result.ledger.stable_watermark > cmd.modified_ts
 
     def test_no_noise_orders_by_invoke_time(self):
         for seed in range(10):
             placed = [
-                PlacedInvocation(inv(("late", seed), 200_000), "solo"),
-                PlacedInvocation(inv(("early", seed), 100_000), "solo"),
+                inv(("late", seed), 200_000, "solo"),
+                inv(("early", seed), 100_000, "solo"),
             ]
             result = run_slotted(*cell_for(placed, POMPE))
             assert result.ledger.entries == [
-                placed[1].invocation.command_id,
-                placed[0].invocation.command_id,
+                placed[1].command_id,
+                placed[0].command_id,
             ]
 
     def test_noise_delays_emission_to_later_slot(self):
@@ -133,9 +132,9 @@ class TestRunSlotted:
         # value decides.
         policy = BERCOW
         for trial in range(50):
-            placed = [PlacedInvocation(inv(("edge", trial), 1_400_000), "solo")]
+            placed = [inv(("edge", trial), 1_400_000, "solo")]
             result = run_slotted(*cell_for(placed, policy))
-            cmd = result.commands[placed[0].invocation.command_id]
+            cmd = result.commands[placed[0].command_id]
             assert result.slots[0].decided_commands[0].command_id == cmd.command_id
             emitted_at = result.emission_slot[cmd.command_id]
             assert emitted_at == cmd.modified_ts // SLOT
@@ -153,7 +152,7 @@ class TestRunSlotted:
         assert noise(seed, b"x", 0) == 0
 
     def test_ledger_sorted_by_modified_then_tie(self):
-        placed = [PlacedInvocation(inv(("m", i), 100_000 + 40_000 * i), "solo") for i in range(12)]
+        placed = [inv(("m", i), 100_000 + 40_000 * i, "solo") for i in range(12)]
         result = run_slotted(*cell_for(placed, BERCOW))
         cmds = [result.commands[c] for c in result.ledger.entries]
         for a, b in zip(cmds, cmds[1:]):
@@ -162,7 +161,7 @@ class TestRunSlotted:
         assert slots_emitted == sorted(slots_emitted)
 
     def test_replay_is_deterministic(self):
-        placed = [PlacedInvocation(inv(("r", i), 100_000 * (i + 1)), "solo") for i in range(6)]
+        placed = [inv(("r", i), 100_000 * (i + 1), "solo") for i in range(6)]
         a = run_slotted(*cell_for(placed, BERCOW))
         b = run_slotted(*cell_for(placed, BERCOW))
         assert a.ledger.entries == b.ledger.entries
@@ -172,19 +171,19 @@ class TestRunSlotted:
         policy = BERCOW
         for trial in range(50):
             base = [
-                PlacedInvocation(inv(("c1", trial), 500_000), "solo"),
-                PlacedInvocation(inv(("c2", trial), 500_000), "solo"),
+                inv(("c1", trial), 500_000, "solo"),
+                inv(("c2", trial), 500_000, "solo"),
             ]
-            extra = base + [PlacedInvocation(inv(("other", trial), 600_000), "solo")]
+            extra = base + [inv(("other", trial), 600_000, "solo")]
             small = run_slotted(*cell_for(base, policy))
             big = run_slotted(*cell_for(extra, policy))
-            pair = {base[0].invocation.command_id, base[1].invocation.command_id}
+            pair = {base[0].command_id, base[1].command_id}
             assert [c for c in small.ledger.entries if c in pair] == [
                 c for c in big.ledger.entries if c in pair
             ]
 
     def test_certificate_has_quorum_signatures(self):
-        placed = [PlacedInvocation(inv("cert", 100_000), "solo")]
+        placed = [inv("cert", 100_000, "solo")]
         result = run_slotted(*cell_for(placed, POMPE))
         slot = result.slots[0]
         assert len(slot.decision_certificate) == 3  # n - f for n=4, f=1
@@ -195,9 +194,9 @@ class TestRunSlotted:
 
     def test_command_before_first_slot_rejected(self):
         # two of the three quorum reports sit below 0, so the median does
-        cmd = inv("early", 100_000)
+        cmd = inv("early", 100_000, "solo")
         plan = AdversaryPlan(node_overrides={(cmd.command_id, 0): -2, (cmd.command_id, 1): -1})
-        cell = cell_for([PlacedInvocation(cmd, "solo")], POMPE, adversary=plan)
+        cell = cell_for([cmd], POMPE, adversary=plan)
         with pytest.raises(ContractError, match="precedes the first slot"):
             Counter(trial_orders(*cell, 1, CommandIds((), "a"), no_seed))
         with pytest.raises(ContractError, match="precedes the first slot"):
@@ -206,9 +205,9 @@ class TestRunSlotted:
     @pytest.mark.parametrize("node", [4, 1000, -1, "0"])
     def test_lie_from_a_node_that_does_not_exist_rejected(self, node):
         # n = 4: a report from outside nodes 0..3 would replace none of theirs
-        cmd = inv("lied about", 100_000)
+        cmd = inv("lied about", 100_000, "solo")
         plan = AdversaryPlan(node_overrides={(cmd.command_id, 0): 1, (cmd.command_id, node): 2})
-        cell = cell_for([PlacedInvocation(cmd, "solo")], POMPE, adversary=plan)
+        cell = cell_for([cmd], POMPE, adversary=plan)
         with pytest.raises(ContractError, match="lying node"):
             Counter(trial_orders(*cell, 1, CommandIds((), "a"), no_seed))
 
@@ -224,12 +223,12 @@ class TestRunSlotted:
     def test_negative_delta_net_rejected(self, dnet):
         # a negative window would stamp a command before its invocation
         with pytest.raises(ContractError, match="delta_net must be >= 0"):
-            cell_for([PlacedInvocation(inv("a", 1_000_000), "solo")], POMPE, dnet=dnet)
+            cell_for([inv("a", 1_000_000, "solo")], POMPE, dnet=dnet)
 
     def test_zero_delta_net_allowed(self):
-        placed = [PlacedInvocation(inv("a", 1_000_000), "solo")]
+        placed = [inv("a", 1_000_000, "solo")]
         result = run_slotted(*cell_for(placed, POMPE, dnet=0))
-        assert result.commands[placed[0].invocation.command_id].assigned_ts == 1_000_000
+        assert result.commands[placed[0].command_id].assigned_ts == 1_000_000
 
     def test_noise_independent_of_assigned_rank(self):
         # Rank correlation between assigned timestamps and noise draws stays
@@ -249,21 +248,22 @@ class TestRunSlotted:
         policy = BERCOW
         delta = DNET + SLOT
         for trial in range(30):
-            early, late = inv(("e", trial), 100_000), inv(("l", trial), 100_000 + delta + 1)
+            early = inv(("e", trial), 100_000, "solo")
+            late = inv(("l", trial), 100_000 + delta + 1, "solo")
             plan = AdversaryPlan(
                 ats_overrides={
                     early.command_id: early.invoke_time + DNET,
                     late.command_id: late.invoke_time,
                 }
             )
-            placed = [PlacedInvocation(early, "solo"), PlacedInvocation(late, "solo")]
+            placed = [early, late]
             result = run_slotted(*cell_for(placed, policy, adversary=plan))
             assert result.ledger.entries[0] == early.command_id
 
     def test_ats_override_clamped_to_window(self):
-        cmd = inv("clamp", 100_000)
+        cmd = inv("clamp", 100_000, "solo")
         plan = AdversaryPlan(ats_overrides={cmd.command_id: 10**9})
-        placed = [PlacedInvocation(cmd, "solo")]
+        placed = [cmd]
         result = run_slotted(*cell_for(placed, POMPE, adversary=plan))
         assert result.commands[cmd.command_id].assigned_ts == 100_000 + DNET
 
@@ -274,24 +274,22 @@ class TestCountSlottedOrders:
         # are those of run_slotted on each renamed run.
         topology = bundled_topology()
         f = (topology.n_nodes - 1) // 3
-        cmds = [inv("x", 1_100_000), inv("y", 1_250_000), inv("z", 1_550_000)]
-        cities = ("tokyo", "london", "washington")
-        placed = [PlacedInvocation(c, city) for c, city in zip(cmds, cities)]
+        placed = [
+            inv("x", 1_100_000, "tokyo"), inv("y", 1_250_000, "london"),
+            inv("z", 1_550_000, "washington"),
+        ]
         plan = AdversaryPlan(
-            ats_overrides={cmds[0].command_id: 1_390_000},
-            node_overrides={(cmds[1].command_id, 0): 1_250_000},
-            quorum_bias={cmds[1].command_id: "high"},
+            ats_overrides={placed[0].command_id: 1_390_000},
+            node_overrides={(placed[1].command_id, 0): 1_250_000},
+            quorum_bias={placed[1].command_id: "high"},
         )
         cell = cell_for(placed, BERCOW, topology=topology, f=f, adversary=plan)
         trial_ids = [[make_command_id("t", t, i) for i in range(3)] for t in range(200)]
         want = Counter()
         for ids in trial_ids:
-            rename = {c.command_id: cid for c, cid in zip(cmds, ids)}
+            rename = {c.command_id: cid for c, cid in zip(placed, ids)}
             renamed = cell._replace(
-                invocations=[
-                    PlacedInvocation(replace(p.invocation, command_id=cid), p.origin_city)
-                    for p, cid in zip(placed, ids)
-                ],
+                invocations=[replace(p, command_id=cid) for p, cid in zip(placed, ids)],
                 plan=AdversaryPlan(
                     ats_overrides={rename[c]: ts for c, ts in plan.ats_overrides.items()},
                     node_overrides={
@@ -310,15 +308,14 @@ class TestCountSlottedOrders:
     def test_noise_ties_take_the_full_key(self):
         # a 2 µs noise width: about half the trials tie on modified_ts, and
         # those are ordered by the tie keys, as in run_slotted
-        placed = [PlacedInvocation(inv(label, 100_000), "solo") for label in "ab"]
+        placed = [inv(label, 100_000, "solo") for label in "ab"]
         cell = cell_for(placed, OrderingPolicy(PolicyKind.BERCOW_NOISE, 2))
         trial_ids = [[make_command_id("w", t, i) for i in range(2)] for t in range(200)]
         want = Counter()
         for ids in trial_ids:
-            renamed = cell._replace(invocations=[
-                PlacedInvocation(replace(p.invocation, command_id=cid), p.origin_city)
-                for p, cid in zip(placed, ids)
-            ])
+            renamed = cell._replace(
+                invocations=[replace(p, command_id=cid) for p, cid in zip(placed, ids)]
+            )
             want[tuple(ids.index(cid) for cid in run_slotted(*renamed).ledger.entries)] += 1
         assert set(want) == {(0, 1), (1, 0)}
         got = trial_orders(*cell, len(trial_ids), CommandIds(("w",), range(2)), no_seed)
@@ -328,7 +325,7 @@ class TestCountSlottedOrders:
         # width 1: every noise is 0, so two commands from one city at one
         # instant tie in every trial, and each trial takes the full key
         topology = bundled_topology()
-        placed = [PlacedInvocation(inv(label, 700_000), "tokyo") for label in "ab"]
+        placed = [inv(label, 700_000, "tokyo") for label in "ab"]
         cell = cell_for(
             placed, OrderingPolicy(PolicyKind.BERCOW_NOISE, 1),
             topology=topology, f=(topology.n_nodes - 1) // 3,
@@ -336,10 +333,9 @@ class TestCountSlottedOrders:
         trial_ids = [[make_command_id("one", t, i) for i in range(2)] for t in range(100)]
         want = []
         for ids in trial_ids:
-            renamed = cell._replace(invocations=[
-                PlacedInvocation(replace(p.invocation, command_id=cid), p.origin_city)
-                for p, cid in zip(placed, ids)
-            ])
+            renamed = cell._replace(
+                invocations=[replace(p, command_id=cid) for p, cid in zip(placed, ids)]
+            )
             want.append(tuple(ids.index(cid) for cid in run_slotted(*renamed).ledger.entries))
         got = trial_orders(*cell, len(trial_ids), CommandIds(("one",), range(2)), no_seed)
         assert list(got) == want
@@ -359,7 +355,7 @@ class TestCountSlottedOrders:
 
         trial_ids = CommandIds(("once",), range(2))
         trial_ids.prefix = CountingState(trial_ids.prefix)
-        placed = [PlacedInvocation(inv(label, 100_000), "solo") for label in "ab"]
+        placed = [inv(label, 100_000, "solo") for label in "ab"]
         cell = cell_for(placed, OrderingPolicy(PolicyKind.BERCOW_NOISE, width_us))
         Counter(trial_orders(*cell, 50, trial_ids, no_seed))
         assert trial_ids.prefix.copies == 50 * 2
@@ -367,7 +363,7 @@ class TestCountSlottedOrders:
     def test_rejects_noise_that_could_overflow(self):
         # ats fits in 63 bits, ats + the largest noise a trial can draw does not
         t = MAX_TIMESTAMP - DNET - SLOT
-        placed = [PlacedInvocation(inv("a", t), "solo")]
+        placed = [inv("a", t, "solo")]
         Counter(trial_orders(*cell_for(placed, POMPE), 1, CommandIds((), "a"), no_seed))
         wide = OrderingPolicy(PolicyKind.BERCOW_NOISE, 2 * SLOT)
         with pytest.raises(ContractError, match="overflow"):
@@ -401,13 +397,13 @@ def stamp_run(dnet=DNET, f=26):
 
 def stamp(run, city="tokyo", t=700_000, plan=LOW):
     """The run's assigned timestamp for the one command ``STAMPED``."""
-    placed = [PlacedInvocation(Invocation(STAMPED, t), city)]
+    placed = [Invocation(STAMPED, t, city)]
     (ats,) = consensus._timestamp_invocations(run, placed, plan)
     return ats
 
 
 def reference_stamp(run, city="tokyo", t=700_000, plan=LOW):
-    placed = [PlacedInvocation(Invocation(STAMPED, t), city)]
+    placed = [Invocation(STAMPED, t, city)]
     return run_slotted(run, POMPE, placed, plan).commands[STAMPED].assigned_ts
 
 
@@ -453,7 +449,7 @@ class TestStampMemo:
     def test_each_run_reveals_with_its_own_oracle(self):
         # a run keeps a slot's seed under k alone, which is safe because its
         # oracle is fixed: runs with different oracles never share a seed
-        placed = [PlacedInvocation(inv(label, 100_000), "solo") for label in "ab"]
+        placed = [inv(label, 100_000, "solo") for label in "ab"]
         oracles = [
             sro_init(SroConfig(n=4, f=1, backend=Backend.SEEDED_HASH), bytes([i]) * 32)
             for i in range(2)
@@ -475,13 +471,10 @@ class TestStampMemo:
         topology = bundled_topology()
         dnet = 200_000  # tokyo's and canberra's farthest nodes are clamped
         placed = [
-            PlacedInvocation(inv(label, 700_000), city)
+            inv(label, 700_000, city)
             for label, city in (("t", "tokyo"), ("c", "canberra"), ("again", "tokyo"))
         ]
-        want = [
-            quorum_median(observe(p.invocation, p.origin_city, topology, dnet), 26)
-            for p in placed
-        ]
+        want = [quorum_median(observe(p, topology, dnet), 26) for p in placed]
         run, plan = cell_for(placed, POMPE, topology=topology, f=26, dnet=dnet).run, LOW
         assert consensus._timestamp_invocations(run, placed, plan) == want
         assert len(run._stamps) == 2  # one tokyo stamp for two commands
@@ -498,7 +491,7 @@ TWO_CITY_STAMPS = {10: 1_010_000, 200: 1_200_000}
 def test_a_run_never_takes_another_topologys_stamp(first):
     # each run stamps as the reference does on its own topology, whichever
     # run stamped first, and so does a run remade onto the other topology
-    placed = [PlacedInvocation(inv("b", 1_000_000), "b")]
+    placed = [inv("b", 1_000_000, "b")]
     plan = AdversaryPlan()
 
     def run_on(delay_ms):
@@ -534,8 +527,8 @@ class TestCountBaselineOrders:
         rnd = random.Random(50)
         seeds = [[rnd.getrandbits(64), rnd.getrandbits(64)] for _ in range(50)]
         placed = [
-            PlacedInvocation(inv("a", 100_000), "tokyo"),
-            PlacedInvocation(inv("b", 100_000), "washington"),
+            inv("a", 100_000, "tokyo"),
+            inv("b", 100_000, "washington"),
         ]
         topology = bundled_topology()
         cell = cell_for(
@@ -576,7 +569,7 @@ def leader_cell(period=SLOT, n=80):
     ``n`` nodes."""
     topology = bundled_topology() if n == 80 else small_topology(n)
     cities = ("tokyo", "washington") if n == 80 else ("solo", "solo")
-    placed = [PlacedInvocation(inv(label, 100_000), city) for label, city in zip("ab", cities)]
+    placed = [inv(label, 100_000, city) for label, city in zip("ab", cities)]
     return cell_for(
         placed, OrderingPolicy(PolicyKind.LEADER_ROTATION, period),
         topology=topology, f=(topology.n_nodes - 1) // 3,
@@ -746,7 +739,7 @@ class TestCountOrders:
     @pytest.mark.parametrize("policy", ALL_POLICIES, ids=policy_id)
     def test_one_id_per_invocation(self, policy):
         # checked on trial 0 even where no tie ever asks for this cell's ids
-        placed = [PlacedInvocation(inv("a", 100_000), "solo")]
+        placed = [inv("a", 100_000, "solo")]
         with pytest.raises(ContractError, match="1 invocations"):
             Counter(trial_orders(
                 *cell_for(placed, policy), 1, CommandIds((), "ab"), lambda t: [0, 0]
@@ -755,7 +748,7 @@ class TestCountOrders:
     @pytest.mark.parametrize("trials", [0, -5])
     @pytest.mark.parametrize("policy", ALL_POLICIES, ids=policy_id)
     def test_rejects_fewer_than_one_trial(self, policy, trials):
-        placed = [PlacedInvocation(inv(label, 100_000), "solo") for label in "ab"]
+        placed = [inv(label, 100_000, "solo") for label in "ab"]
         with pytest.raises(ContractError, match="trials must be >= 1"):
             Counter(trial_orders(
                 *cell_for(placed, policy), trials, CommandIds((), "ab"), lambda t: [0, 0]
@@ -765,7 +758,7 @@ class TestCountOrders:
     def test_validation_is_eager(self, policy):
         # the call itself raises, with nothing taken from the stream; a
         # generator function would raise only on the first next()
-        placed = [PlacedInvocation(inv(label, 100_000), "solo") for label in "ab"]
+        placed = [inv(label, 100_000, "solo") for label in "ab"]
         cell = cell_for(placed, policy)
         with pytest.raises(ContractError, match="trials must be >= 1"):
             trial_orders(*cell, 0, CommandIds((), "ab"), lambda t: [0, t])
@@ -773,7 +766,7 @@ class TestCountOrders:
             trial_orders(*cell, 1, CommandIds((), "abc"), lambda t: [0, t])
 
     def test_overflow_check_is_eager(self):
-        placed = [PlacedInvocation(inv("a", MAX_TIMESTAMP - DNET - SLOT), "solo")]
+        placed = [inv("a", MAX_TIMESTAMP - DNET - SLOT, "solo")]
         wide = OrderingPolicy(PolicyKind.BERCOW_NOISE, 2 * SLOT)
         with pytest.raises(ContractError, match="overflow"):
             trial_orders(*cell_for(placed, wide), 1, CommandIds((), "a"), no_seed)
@@ -790,7 +783,7 @@ class TestCountOrders:
             return reveal(*args)
 
         monkeypatch.setattr(SroHandle, "reveal", counting)
-        placed = [PlacedInvocation(inv(label, 100_000), "solo") for label in "ab"]
+        placed = [inv(label, 100_000, "solo") for label in "ab"]
         cell = cell_for(placed, policy)
         if policy.kind is PolicyKind.LEADER_ROTATION:
             with pytest.raises(ContractError, match="non-negative"):
@@ -810,8 +803,8 @@ class TestCountOrders:
 
         monkeypatch.setattr(SroHandle, "reveal", counting)
         placed = [
-            PlacedInvocation(inv("a", 100_000), "solo"),
-            PlacedInvocation(inv("b", 100_000 + SLOT), "solo"),
+            inv("a", 100_000, "solo"),
+            inv("b", 100_000 + SLOT, "solo"),
         ]
         cell = cell_for(placed, BERCOW)
         stamps = consensus._timestamp_invocations(cell.run, cell.invocations, cell.plan)
@@ -824,7 +817,7 @@ class TestCountOrders:
     def test_trial_order_does_not_depend_on_the_trial_count(self, kind):
         policy, cities = STABLE_CELLS[kind]
         topology = bundled_topology()
-        placed = [PlacedInvocation(inv(label, 100_000), c) for label, c in zip("ab", cities)]
+        placed = [inv(label, 100_000, c) for label, c in zip("ab", cities)]
         cell = cell_for(placed, policy, topology=topology, f=(topology.n_nodes - 1) // 3)
         ids, seeds = CommandIds(("stable",), "ab"), partial(trial_seed, 7, "stable")
         short, full = (list(trial_orders(*cell, trials, ids, seeds)) for trials in (7, 60))
@@ -839,9 +832,9 @@ class TestCountOrders:
 
     @pytest.mark.parametrize("policy", ALL_POLICIES[2:], ids=policy_id)
     def test_baselines_reject_an_adversary_plan(self, policy):
-        cmd = inv("a", 100_000)
+        cmd = inv("a", 100_000, "solo")
         plan = AdversaryPlan(ats_overrides={cmd.command_id: 100_000})
-        cell = cell_for([PlacedInvocation(cmd, "solo")], policy, adversary=plan)
+        cell = cell_for([cmd], policy, adversary=plan)
         with pytest.raises(ContractError, match="no adversary plan"):
             trial_orders(*cell, 1, CommandIds((), "a"), lambda t: [0, t])
 
@@ -849,16 +842,16 @@ class TestCountOrders:
 class TestLeaderRotation:
     def test_single_node_is_receive_order(self):
         topology = small_topology(n=1)
-        placed = [PlacedInvocation(inv(("lr", i), 100_000 * (i + 1)), "solo") for i in range(5)]
+        placed = [inv(("lr", i), 100_000 * (i + 1), "solo") for i in range(5)]
         ledger = order_leader_rotation(
             placed, topology, SLOT, DNET, np.random.default_rng(0), schedule=[0], phase_us=0
         )
-        assert ledger.entries == [p.invocation.command_id for p in placed]
+        assert ledger.entries == [p.command_id for p in placed]
 
     def test_leader_proximity_wins(self):
         topology = parse_topology("city a 1\ncity b 1\ndelay a b 50\n")
-        cmd_a, cmd_b = inv("A", 100_000), inv("B", 100_000)
-        placed = [PlacedInvocation(cmd_a, "a"), PlacedInvocation(cmd_b, "b")]
+        cmd_a, cmd_b = inv("A", 100_000, "a"), inv("B", 100_000, "b")
+        placed = [cmd_a, cmd_b]
         ledger = order_leader_rotation(
             placed, topology, SLOT, DNET, np.random.default_rng(0), schedule=[0, 1], phase_us=0
         )
@@ -873,8 +866,8 @@ class TestLeaderRotation:
         wins_w = 0
         trials = 1500
         for t in range(trials):
-            w, tk = inv(("w", t), 100_000), inv(("t", t), 100_000)
-            placed = [PlacedInvocation(w, "washington"), PlacedInvocation(tk, "tokyo")]
+            w, tk = inv(("w", t), 100_000, "washington"), inv(("t", t), 100_000, "tokyo")
+            placed = [w, tk]
             ledger = order_leader_rotation(
                 placed, topology, SLOT, DNET, np.random.default_rng(t)
             )
@@ -887,18 +880,18 @@ class TestReceiveOrder:
     def test_far_apart_is_invocation_order(self):
         topology = bundled_topology()
         placed = [
-            PlacedInvocation(inv("first", 0), "tokyo"),
-            PlacedInvocation(inv("second", 10 * DNET), "washington"),
+            inv("first", 0, "tokyo"),
+            inv("second", 10 * DNET, "washington"),
         ]
         ledger = order_receive_all_correct(placed, topology, DNET)
-        assert ledger.entries == [p.invocation.command_id for p in placed]
+        assert ledger.entries == [p.command_id for p in placed]
 
     def test_four_city_deterministic_order(self):
         topology = bundled_topology()
         cities = ("washington", "london", "munich", "tokyo")
-        placed = [PlacedInvocation(inv(c, 100_000), c) for c in cities]
+        placed = [inv(c, 100_000, c) for c in cities]
         ledger = order_receive_all_correct(placed, topology, DNET)
-        assert ledger.entries == [p.invocation.command_id for p in placed]
+        assert ledger.entries == [p.command_id for p in placed]
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(2, 5), st.integers(2, 6), st.integers(0, 2**31))
@@ -924,15 +917,11 @@ class TestReceiveOrder:
         # a command every node received first has every order statistic of
         # its receive times smaller, so the median order extends the relation
         topology = bundled_topology()
-        placed = [
-            PlacedInvocation(inv(("r", i), t), city) for i, (t, city) in enumerate(invocations)
-        ]
+        placed = [inv(("r", i), t, city) for i, (t, city) in enumerate(invocations)]
         cell = cell_for(placed, OrderingPolicy(PolicyKind.RECEIVE_ORDER), topology=topology,
                       f=(topology.n_nodes - 1) // 3)
         (order,) = trial_orders(*cell, 1, CommandIds((), range(len(placed))), no_seed)
         position = {command: at for at, command in enumerate(order)}
-        receive = {
-            i: observe(p.invocation, p.origin_city, topology, DNET) for i, p in enumerate(placed)
-        }
+        receive = {i: observe(p, topology, DNET) for i, p in enumerate(placed)}
         for a, b in all_correct_precedence(receive):
             assert position[a] < position[b]

@@ -20,7 +20,7 @@ def make_cmd(ident, quorum, noise=0):
     values = sorted(ts for _, ts in quorum)
     ats = values[len(values) // 2]
     return TimestampedCommand(
-        invocation=Invocation(command_id=make_command_id(ident), invoke_time=0),
+        invocation=Invocation(make_command_id(ident), 0, "solo"),
         node_timestamps=tuple(quorum),
         assigned_ts=ats,
         noise=noise,
@@ -107,14 +107,19 @@ class TestTieBreak:
 
 
 class TestTypes:
+    def test_origin_city_is_required(self):
+        # a command is always sent from some city: there is no default
+        with pytest.raises(TypeError):
+            Invocation(b"x", 0)
+
     def test_invoke_time_nonnegative(self):
         with pytest.raises(ContractError):
-            Invocation(b"x", -1)
+            Invocation(b"x", -1, "solo")
 
     def test_timestamped_command_checks_median(self):
         with pytest.raises(ContractError):
             TimestampedCommand(
-                invocation=Invocation(b"x", 0),
+                invocation=Invocation(b"x", 0, "solo"),
                 node_timestamps=((0, 1), (1, 2), (2, 3)),
                 assigned_ts=3,
                 noise=0,
@@ -124,7 +129,7 @@ class TestTypes:
     def test_timestamped_command_checks_sum(self):
         with pytest.raises(ContractError):
             TimestampedCommand(
-                invocation=Invocation(b"x", 0),
+                invocation=Invocation(b"x", 0, "solo"),
                 node_timestamps=((0, 1), (1, 2), (2, 3)),
                 assigned_ts=2,
                 noise=5,

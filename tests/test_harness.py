@@ -1,7 +1,7 @@
 import hashlib
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 from importlib import resources
 from types import SimpleNamespace
@@ -15,7 +15,6 @@ from fairorder.analysis import epsilon_general
 from fairorder.cli import main
 from fairorder.consensus import (
     OrderingPolicy,
-    PlacedInvocation,
     PolicyKind,
     SimulationRun,
     trial_orders,
@@ -116,6 +115,38 @@ class TestConfig:
             OrderingPolicy.parse("bercow")
         with pytest.raises(ContractError):
             OrderingPolicy.parse("anarchy")
+
+    def test_each_value_is_parsed_once(self, monkeypatch):
+        # a config parses each spec and alpha when it is built, also through
+        # replace, and keeps them out of init, repr and compare; a run
+        # parses none of them again
+        calls = Counter()
+        parse_spec, parse_alpha = OrderingPolicy.parse, harness.parse_alpha
+
+        def parsing_spec(cls, spec):
+            calls[spec] += 1
+            return parse_spec(spec)
+
+        def parsing_alpha(text):
+            calls[text] += 1
+            return parse_alpha(text)
+
+        monkeypatch.setattr(OrderingPolicy, "parse", classmethod(parsing_spec))
+        monkeypatch.setattr(harness, "parse_alpha", parsing_alpha)
+        for name in ("geo_bias", "tradeoff_curve", "sandwich", "liquidation", "bounds_table"):
+            calls.clear()
+            config = parse_config(CONFIG_DIR / f"{name}.cfg")
+            values = (*config.policies, *config.alphas)
+            assert calls == Counter(values)
+            config = replace(config, trials=2)
+            assert calls == Counter(values * 2)
+            calls.clear()
+            run_experiment(config)
+            assert not calls, name
+        parsed = [f for f in fields(config) if f.name.startswith("parsed_")]
+        assert [(f.init, f.repr, f.compare) for f in parsed] == [(False, False, False)] * 2
+        with pytest.raises(FrozenInstanceError):  # a spec cannot change under its parse
+            config.policies = ("receive",)
 
     def test_topology_env_dir(self, tmp_path, monkeypatch):
         (tmp_path / "tiny.topo").write_text("city a 4\n")
@@ -336,13 +367,10 @@ def per_trial_orders(config, topology, sro, spec, tags, commands, colluders):
     orders, decided_slots = [], set()
     for trial in range(config.trials):
         labels = {make_command_id(*tags, trial, label): label for label, _, _ in commands}
-        placed = [
-            PlacedInvocation(Invocation(cid, t_us), city)
-            for cid, (_, t_us, city) in zip(labels, commands)
-        ]
+        placed = [Invocation(cid, t_us, city) for cid, (_, t_us, city) in zip(labels, commands)]
         plan = AdversaryPlan()
         if colluders:
-            victim, *attackers = [(p.invocation, p.origin_city) for p in placed]
+            victim, *attackers = placed
             plan = private_relay_placement(
                 victim, attackers, colluders, topology, delta_net_us, sro.config.f
             )
@@ -379,7 +407,7 @@ class TestSlottedEngine:
             want, decided_slots = per_trial_orders(
                 config, topology, sro, spec, tags, commands, colluder_ids
             )
-            victim, *attackers = [(p.invocation, p.origin_city) for p in _placed(commands)]
+            victim, *attackers = _placed(commands)
             plan = private_relay_placement(
                 victim, attackers, colluder_ids, topology, dnet_us, sro.config.f
             )
@@ -485,10 +513,7 @@ def per_trial_baseline_orders(config, topology, spec, tags, commands):
     orders = []
     for trial in range(config.trials):
         labels = {make_command_id(*tags, trial, label): label for label, _, _ in commands}
-        placed = [
-            PlacedInvocation(Invocation(cid, t_us), city)
-            for cid, (_, t_us, city) in zip(labels, commands)
-        ]
+        placed = [Invocation(cid, t_us, city) for cid, (_, t_us, city) in zip(labels, commands)]
         if policy.kind is PolicyKind.LEADER_ROTATION:
             rng = np.random.default_rng(trial_seed(config.seed, *tags, trial))
             ledger = order_leader_rotation(placed, topology, policy.param_us, delta_net_us, rng)
@@ -741,9 +766,9 @@ def test_cell_trial_seed_is_trial_seed(tags):
 
 def test_geo_bias_run_shares_its_setup(monkeypatch):
     # call counts, not timings: one run observes each distinct command
-    # once, takes each one's median receive time once, parses each spec
-    # once, seeds each leader cell in one pass and makes one scratch
-    # generator
+    # once, takes each one's median receive time once, parses no spec (the
+    # config parsed them when it was built), seeds each leader cell in one
+    # pass and makes one scratch generator
     cities = ("washington", "london", "munich", "tokyo")
     config = small(
         policies=("pompe", "receive", "leader:1500", "bercow:300", "bercow:1500"),
@@ -752,10 +777,10 @@ def test_geo_bias_run_shares_its_setup(monkeypatch):
     observed, calls, medians, command_of = Counter(), Counter(), Counter(), {}
     observe, parse, seed = consensus.observe, OrderingPolicy.parse, consensus._pcg64_states
 
-    def observing(inv, city, topology, delta_net_us):
-        observed[city, inv.invoke_time] += 1
-        times = observe(inv, city, topology, delta_net_us)
-        command_of[tuple(times)] = city, inv.invoke_time
+    def observing(inv, topology, delta_net_us):
+        observed[inv.origin_city, inv.invoke_time] += 1
+        times = observe(inv, topology, delta_net_us)
+        command_of[tuple(times)] = inv.origin_city, inv.invoke_time
         return times
 
     def sorting(values, **kwargs):
@@ -786,8 +811,7 @@ def test_geo_bias_run_shares_its_setup(monkeypatch):
     t0 = config.slot_ms * US_PER_MS // 2
     assert observed == Counter({(city, t0): 1 for city in cities})
     assert medians == observed  # 6 receive cells of 2 commands, 4 distinct
-    once = dict.fromkeys(config.policies, 1)
-    assert calls == Counter(once, **{"leader cells": 6, "generators": 1})
+    assert calls == Counter({"leader cells": 6, "generators": 1})
 
 
 def test_geo_bias_run_builds_only_what_its_policies_read(monkeypatch):
@@ -897,6 +921,19 @@ class TestCli:
         assert main(["bounds", "--n", "2", "--curve"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 20
 
+    @pytest.mark.parametrize(
+        "n, alpha, row",
+        [
+            # one command has one order, so its bounds have no spread
+            ("1", "1/5", "1,1/5,0.000000,1.000000,1.000000,1800000"),
+            ("40", "1", "40,1,0.000000,0.000000,0.000000,600000"),  # the largest n
+        ],
+        ids=["single-command", "largest-n"],
+    )
+    def test_bounds_cli_row(self, capsys, n, alpha, row):
+        assert main(["bounds", "--n", n, "--alpha", alpha]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == row
+
     def test_bounds_cli_is_the_bounds_table(self, capsys):
         assert main(["bounds", "--n", "2", "--alpha", "1/5"]) == 0
         expected = run_experiment(
@@ -989,13 +1026,18 @@ class TestCli:
             (["simulate"], "scenario = sandwich\npolicies ="),
             (["simulate"], "scenario = bounds_table\nalphas ="),
             (["simulate"], "scenario = bounds_table\nbounds_n ="),
+            (["bounds", "--n", "41", "--alpha", "1/5"], None),
+            (["bounds", "--n", "1000000", "--alpha", "1/5"], None),
+            (["bounds", "--n", "0", "--alpha", "1/5"], None),
+            (["simulate"], "scenario = bounds_table\nbounds_n = 2,1000000"),
         ],
         ids=["alpha", "attack-colluders", "policy-arg", "colluders", "alphas",
              "one-offset", "unknown-key", "dnet", "negative-gap", "gap-past-int64", "slot",
              "attack-dnet", "bounds-dnet", "bounds-dnoise-zero", "duplicate-key", "seed", "attack-seed",
              "pompe-arg", "receive-arg", "bare-leader", "bare-bercow", "bercow-zero",
              "leader-zero", "unknown-policy", "no-policies", "no-sandwich-policies",
-             "no-alphas", "no-bounds-n"],
+             "no-alphas", "no-bounds-n", "bounds-n-41", "bounds-n-million", "bounds-n-zero",
+             "config-bounds-n-million"],
     )
     def test_bad_input_is_config_error(self, tmp_path, capsys, argv, config_line):
         if config_line is not None:

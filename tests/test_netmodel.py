@@ -20,8 +20,8 @@ from reference import make_command_id
 DNET = 300_000
 
 
-def inv(t=1_000_000):
-    return Invocation(make_command_id("inv", t), t)
+def inv(city, t=1_000_000):
+    return Invocation(make_command_id("inv", t), t, city)
 
 
 def two_city(delay_ms=50):
@@ -59,7 +59,7 @@ class TestBundled:
     def test_all_observations_within_delta_net(self):
         topo = bundled_topology()
         for city in topo.city_names:
-            stamps = observe(inv(), city, topo, DNET)
+            stamps = observe(inv(city), topo, DNET)
             assert len(stamps) == 80
             for ts in stamps:
                 assert 1_000_000 <= ts <= 1_000_000 + DNET
@@ -69,19 +69,19 @@ class TestObserve:
     def test_zero_latency_all_equal_invoke_time(self):
         # a zero delay, or a zero window, puts a node at the invoke time
         topo = CityTopology(cities=(("only", 1), ("twin", 3)), latency_us={("only", "twin"): 0})
-        assert observe(inv(77), "only", topo, DNET) == [77 + INTRA_CITY_US, 77, 77, 77]
-        assert observe(inv(77), "only", topo, 0) == [77, 77, 77, 77]
+        assert observe(inv("only", 77), topo, DNET) == [77 + INTRA_CITY_US, 77, 77, 77]
+        assert observe(inv("only", 77), topo, 0) == [77, 77, 77, 77]
 
     def test_unknown_city(self):
         with pytest.raises(TopologyError):
-            observe(inv(), "atlantis", two_city(), DNET)
+            observe(inv("atlantis"), two_city(), DNET)
 
     def test_is_clamped_base_delay(self):
         topo = bundled_topology()
         t = 1_000_000
         for dnet in (50_000, 300_000):
             for city in topo.city_names:
-                got = observe(inv(t), city, topo, dnet)
+                got = observe(inv(city, t), topo, dnet)
                 assert got == clamped(t, topo.delays_from(city), dnet)
                 assert all(type(ts) is int for ts in got)
 
@@ -92,24 +92,25 @@ class TestReceiveMemo:
 
     def test_repeat_is_an_equal_fresh_list(self):
         topo = two_city()
-        first = observe(inv(0), "beta", topo, DNET)
-        second = observe(inv(0), "beta", topo, DNET)
+        first = observe(inv("beta", 0), topo, DNET)
+        second = observe(inv("beta", 0), topo, DNET)
         assert first == second and first is not second
         second[0] = -1
         second.append(9)
-        assert observe(inv(0), "beta", topo, DNET) == first
+        assert observe(inv("beta", 0), topo, DNET) == first
 
     def test_invoke_times_and_windows_do_not_collide(self):
         topo = two_city(delay_ms=500)
         cases = [(t, dnet) for t in (0, 7) for dnet in (DNET, 600_000)] * 2  # each case twice
         for t, dnet in cases:
-            assert observe(inv(t), "beta", topo, dnet) == clamped(t, topo.delays_from("beta"), dnet)
+            want = clamped(t, topo.delays_from("beta"), dnet)
+            assert observe(inv("beta", t), topo, dnet) == want
 
     def test_observe_leaves_the_topology_unchanged(self):
         topo = bundled_topology()
         before = attributes(topo)
         for t in range(1_000):
-            observe(Invocation(b"x", 1_000_000 + t), "tokyo", topo, DNET)
+            observe(Invocation(b"x", 1_000_000 + t, "tokyo"), topo, DNET)
         assert attributes(topo) == before
 
 
