@@ -1,15 +1,17 @@
 """Adversary plans the simulator applies, and the private-relay sandwich placement.
 
-The interval model lets the adversary pick any assigned timestamp in
-[T, T + delta_net] for a command sent at T; it can never leave that window,
-because a quorum median is always bracketed by correct nodes' timestamps.
-The strategies that attain the paper's probability bounds (the hostile
-fixed placement and the adaptive chain) live in ``fairorder.analysis``.
+A plan maps a command id to its ``CommandPlan``; a command the plan leaves
+out is stamped honestly.  The interval model lets the adversary pick any
+assigned timestamp in [T, T + delta_net] for a command sent at T; it can
+never leave that window, because a quorum median is always bracketed by
+correct nodes' timestamps.  The strategies that attain the paper's
+probability bounds (the hostile fixed placement and the adaptive chain)
+live in ``fairorder.analysis``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .domain import ContractError, quorum_median
 from .netmodel import observe
@@ -22,20 +24,20 @@ RELAY_MARGIN_US = 1000
 
 
 @dataclass(frozen=True)
-class AdversaryPlan:
-    """Per-command manipulations applied inside a simulation run.
+class CommandPlan:
+    """What the adversary does to one command's stamp.
 
-    ats_overrides: command_id -> assigned timestamp (interval model; clamped
-      into the command's legal window at application time).
-    node_overrides: (command_id, node_id) -> reported timestamp (mechanism
+    reports: the colluders' (node id, reported timestamp) pairs (mechanism
       model: colluding nodes lie, honest nodes report normally).
-    quorum_bias: command_id -> "low" | "high"; the command's client picks
-      the quorum that pushes its median down or up.
+    bias: None, "low" or "high"; the command's client picks the quorum that
+      pushes its median down or up.
+    ats: the assigned timestamp (interval model; clamped into the command's
+      legal window at application time), or None.
     """
 
-    ats_overrides: dict = field(default_factory=dict)
-    node_overrides: dict = field(default_factory=dict)
-    quorum_bias: dict = field(default_factory=dict)
+    reports: tuple = ()
+    bias: str | None = None
+    ats: int | None = None
 
 
 def clamp_to_window(ats: int, invoke_time: int, delta_net_us: int) -> int:
@@ -49,16 +51,16 @@ def private_relay_placement(
     topology,
     delta_net_us: int,
     f: int,
-) -> AdversaryPlan:
+) -> dict:
     """Colluding nodes straddle the victim's predicted assigned timestamp.
 
     ``victim`` and the two entries of ``attacker_cmds`` are invocations,
     each sent from its origin city; the first attacker command is placed
     just below the victim's timestamp and the second just above, while the
-    attacker's client biases its quorums accordingly.  Each placement is
-    clamped into its command's window once and every colluder reports it.
-    With no colluders the plan is empty and a run behaves exactly as an
-    honest one.
+    attacker's client biases its quorums accordingly.  Returns the plan:
+    the two attacker commands' ``CommandPlan``s.  Each placement is clamped
+    into its command's window once and every colluder reports it.  With no
+    colluders the plan is empty and a run behaves exactly as an honest one.
     """
     colluders = tuple(colluders)
     if len(colluders) > f:
@@ -71,20 +73,14 @@ def private_relay_placement(
         # stamping reads reports only from nodes 0..n-1, so these would lie to no one
         raise ContractError(f"colluder node ids must be in [0, {n}), got {outside}")
     if not colluders:
-        return AdversaryPlan()
+        return {}
     predicted = quorum_median(observe(victim, topology, delta_net_us), f)
     early_inv, late_inv = attacker_cmds
-    node_overrides = {}
-    for inv, target in (
-        (early_inv, predicted - RELAY_MARGIN_US),
-        (late_inv, predicted + RELAY_MARGIN_US),
+    plan = {}
+    for inv, target, bias in (
+        (early_inv, predicted - RELAY_MARGIN_US, QUORUM_LOW),
+        (late_inv, predicted + RELAY_MARGIN_US, QUORUM_HIGH),
     ):
         report = clamp_to_window(target, inv.invoke_time, delta_net_us)
-        node_overrides.update(((inv.command_id, node_id), report) for node_id in colluders)
-    return AdversaryPlan(
-        node_overrides=node_overrides,
-        quorum_bias={
-            early_inv.command_id: QUORUM_LOW,
-            late_inv.command_id: QUORUM_HIGH,
-        },
-    )
+        plan[inv.command_id] = CommandPlan(tuple((node, report) for node in colluders), bias)
+    return plan

@@ -1,4 +1,4 @@
-"""Economic attack scenarios over a constant-product pool.
+"""The sandwich attack's worked example over a constant-product pool.
 
 All token amounts are exact rationals, so the product invariant holds to
 equality after any swap sequence; dollar P&L is exact too and only rounded
@@ -68,40 +68,17 @@ def swap_sell_a(pool: AmmPool, amount_a) -> tuple:
     return AmmPool(new_a, new_b), pool.reserve_b - new_b
 
 
-@dataclass(frozen=True)
-class SandwichScenario:
-    """Victim buys A; attacker brackets with its own buy and sell.
-
-    The attacker's sell closes whatever its buy opened; if the sell lands
-    first, it is served from pre-held inventory of the same size.  Prices
-    are fixed dollar marks used for P&L only.
-    """
-
-    pool: AmmPool
-    victim_buy_a: Fraction
-    price_a: Fraction
-    price_b: Fraction
-    attacker_buy_a: Fraction
-
-    def __post_init__(self):
-        for amount in (self.victim_buy_a, self.attacker_buy_a):
-            if _frac(amount) <= 0 or _frac(amount) >= self.pool.reserve_a:
-                raise ContractError("swap amounts must be in (0, reserve_a)")
+# The worked example: a pool of 75 A and 24 B; the victim and the attacker
+# each buy 15 A (if the attacker's sell lands first, it is served from
+# pre-held inventory of the same size); fixed dollar marks, for P&L only.
+POOL = AmmPool(Fraction(75), Fraction(24))
+VICTIM_BUY_A = ATTACKER_BUY_A = Fraction(15)
+PRICE_A, PRICE_B = Fraction(100), Fraction(200)
 
 
-def default_scenario() -> SandwichScenario:
-    """The worked example: pool (75, 24), both parties buy 15 A, prices $100/$200."""
-    return SandwichScenario(
-        pool=AmmPool(Fraction(75), Fraction(24)),
-        victim_buy_a=Fraction(15),
-        price_a=Fraction(100),
-        price_b=Fraction(200),
-        attacker_buy_a=Fraction(15),
-    )
-
-
-def sandwich_profits(scenario: SandwichScenario, order) -> tuple:
-    """(victim_usd, attacker_usd) for one execution order of (i1, i2, i3).
+def sandwich_profits(order) -> tuple:
+    """(victim_usd, attacker_usd) for one execution order of (i1, i2, i3)
+    in the worked example.
 
     Victim P&L: dollar value of tokens bought minus dollars paid.  Attacker
     P&L: net token-B flow at the fixed price; its token-A position is flat
@@ -109,36 +86,27 @@ def sandwich_profits(scenario: SandwichScenario, order) -> tuple:
     """
     if sorted(order) != sorted((VICTIM, ATTACKER_BUY, ATTACKER_SELL)):
         raise ContractError(f"order must be a permutation of i1, i2, i3, got {order!r}")
-    pool = scenario.pool
+    pool = POOL
     victim_cost = None
     attacker_flow = Fraction(0)
     for label in order:
         if label == VICTIM:
-            pool, cost = swap_buy_a(pool, scenario.victim_buy_a)
-            victim_cost = cost
+            pool, victim_cost = swap_buy_a(pool, VICTIM_BUY_A)
         elif label == ATTACKER_BUY:
-            pool, cost = swap_buy_a(pool, scenario.attacker_buy_a)
+            pool, cost = swap_buy_a(pool, ATTACKER_BUY_A)
             attacker_flow -= cost
         else:
-            pool, payout = swap_sell_a(pool, scenario.attacker_buy_a)
+            pool, payout = swap_sell_a(pool, ATTACKER_BUY_A)
             attacker_flow += payout
-    victim_usd = scenario.victim_buy_a * scenario.price_a - victim_cost * scenario.price_b
-    attacker_usd = attacker_flow * scenario.price_b
-    return victim_usd, attacker_usd
-
-
-def payoff_table(scenario: SandwichScenario) -> dict:
-    """Exact (victim, attacker) P&L for all six execution orders."""
-    return {order: sandwich_profits(scenario, order) for order in PERMUTATIONS}
+    return VICTIM_BUY_A * PRICE_A - victim_cost * PRICE_B, attacker_flow * PRICE_B
 
 
 @lru_cache(maxsize=None)
-def default_payoff_table() -> MappingProxyType:
-    """``payoff_table(default_scenario())``, built once per process.
-
-    Read-only, so every run in a process can share it.
-    """
-    return MappingProxyType(payoff_table(default_scenario()))
+def payoff_table() -> MappingProxyType:
+    """Exact (victim, attacker) P&L of the worked example for all six
+    execution orders, built once per process and read-only, so every run
+    in a process can share it."""
+    return MappingProxyType({order: sandwich_profits(order) for order in PERMUTATIONS})
 
 
 def _ratio(x) -> tuple:
@@ -150,11 +118,11 @@ def _ratio(x) -> tuple:
 def expected_attacker_profit(table: dict, permutation_probs) -> Fraction:
     """Expected attacker P&L under a distribution over execution orders.
 
-    ``table`` is a scenario's ``payoff_table``, or ``default_payoff_table()``
-    for the worked example; a caller weighing several distributions builds
-    it once.  The sum is exact and runs over ints: the probabilities are
-    put over their least common denominator, the payoffs over theirs, and
-    only the result is a ``Fraction``.
+    ``table`` maps each execution order to its (victim, attacker) P&L, as
+    ``payoff_table()`` does for the worked example.  The sum is exact and
+    runs over ints: the probabilities are put over their least common
+    denominator, the payoffs over theirs, and only the result is a
+    ``Fraction``.
     """
     ratios = [_ratio(p) for p in permutation_probs.values()]
     den = math.lcm(*(d for _, d in ratios))

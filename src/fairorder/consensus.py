@@ -42,7 +42,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .adversary import AdversaryPlan, QUORUM_HIGH, QUORUM_LOW, clamp_to_window
+from .adversary import QUORUM_HIGH, QUORUM_LOW, CommandPlan, clamp_to_window
 from .domain import (
     MAX_TIMESTAMP,
     US_PER_MS,
@@ -87,8 +87,8 @@ class OrderingPolicy:
     def __post_init__(self):
         if self.kind.param is None and self.param_us != 0:
             raise ContractError(f"the {self.kind.value} policy takes no parameter")
-        if self.kind.param is not None and self.param_us <= 0:
-            raise ContractError(f"{self.kind.param} must be positive")
+        if self.kind.param is not None and not 0 < self.param_us <= MAX_TIMESTAMP:
+            raise ContractError(f"{self.kind.param} must be in (0, {MAX_TIMESTAMP}] µs")
 
     @classmethod
     def parse(cls, spec: str) -> OrderingPolicy:
@@ -108,7 +108,7 @@ class SimulationRun:
     random oracle, whose f fixes every quorum.  Each cell ordered on it
     (``trial_orders``) reuses what the run has computed: receive times and
     their medians, keyed by (origin city, invoke time); assigned
-    timestamps, keyed by those and what a plan changes of them
+    timestamps, keyed by those and the command's plan entry
     (``_timestamp_invocations``); revealed slot seeds, keyed by k; and the
     scratch generator of leader trials, built on first use.  A run is
     frozen, and ``replace`` makes a new one with none of these, so no value
@@ -137,6 +137,9 @@ class SimulationRun:
         return np.random.Generator(np.random.PCG64(0))
 
 
+_HONEST_ENTRY = CommandPlan()  # the entry of every command a plan leaves out
+
+
 def _receive_times(run: SimulationRun, inv: Invocation) -> tuple:
     """``observe``'s receive times for one invocation, kept by the run."""
     key = (inv.origin_city, inv.invoke_time)
@@ -146,40 +149,38 @@ def _receive_times(run: SimulationRun, inv: Invocation) -> tuple:
     return times
 
 
-def _timestamp_invocations(run: SimulationRun, invocations, plan: AdversaryPlan) -> list:
+def _timestamp_invocations(run: SimulationRun, invocations, plan) -> list:
     """Each invocation's assigned timestamp, in order.
 
-    Per invocation: the nodes observe it, colluders' reports replace theirs,
-    the median of the quorum its client picks (``quorum_median``, late
-    under a "high" bias) becomes the assigned timestamp unless the plan
-    overrides it, and the result must not precede the first slot, which
-    starts at 0.  A lie from a node outside [0, n) is rejected: it would
-    replace no report.  On one run a stamp depends only on the command's
-    origin city, invoke time, quorum bias, colluders' reports and override,
-    and the run keeps it under exactly that key.
+    ``plan`` maps a command id to its ``CommandPlan``; only the entries of
+    ``invocations`` are read.  Per invocation: the nodes observe it, its
+    colluders' reports replace theirs, the median of the quorum its client
+    picks (``quorum_median``, late under a "high" bias) becomes the
+    assigned timestamp unless the entry's ``ats`` overrides it, and the
+    result must not precede the first slot, which starts at 0.  On one run
+    a stamp depends only on the command's origin city, invoke time and plan
+    entry, and the run keeps it under exactly that key.  An unknown bias,
+    or a lie from a node outside [0, n), which would replace no report, is
+    rejected when the stamp is computed; a bad entry is never kept, so it
+    is rejected on every call.
     """
     f, n = run.sro.config.f, run.topology.n_nodes
-    lies_for = {}  # command id -> its colluders' (node, reported timestamp) pairs
-    for (cid, node), ts in plan.node_overrides.items():
-        if not (isinstance(node, int) and 0 <= node < n):
-            raise ContractError(f"a lying node must be a node id in [0, {n}), got {node!r}")
-        lies_for.setdefault(cid, []).append((node, ts))
     assigned = []
     for inv in invocations:
-        cid = inv.command_id
-        lies = tuple(sorted(lies_for.get(cid, ())))
-        bias, override = plan.quorum_bias.get(cid), plan.ats_overrides.get(cid)
-        key = (inv.origin_city, inv.invoke_time, bias, lies, override)
+        entry = plan.get(inv.command_id, _HONEST_ENTRY)
+        key = (inv.origin_city, inv.invoke_time, entry)
         ats = run._stamps.get(key)
         if ats is None:
-            if bias not in (None, QUORUM_LOW, QUORUM_HIGH):
-                raise ContractError(f"unknown quorum bias {bias!r}")
+            if entry.bias not in (None, QUORUM_LOW, QUORUM_HIGH):
+                raise ContractError(f"unknown quorum bias {entry.bias!r}")
             reports = list(_receive_times(run, inv))
-            for node, ts in lies:
+            for node, ts in entry.reports:
+                if not (isinstance(node, int) and 0 <= node < n):
+                    raise ContractError(f"lying node {node!r} is not a node id in [0, {n})")
                 reports[node] = ts
-            ats = quorum_median(reports, f, high=bias == QUORUM_HIGH)
-            if override is not None:
-                ats = clamp_to_window(override, inv.invoke_time, run.delta_net_us)
+            ats = quorum_median(reports, f, high=entry.bias == QUORUM_HIGH)
+            if entry.ats is not None:
+                ats = clamp_to_window(entry.ats, inv.invoke_time, run.delta_net_us)
             if ats < 0:
                 raise ContractError(f"assigned timestamp {ats} precedes the first slot at 0")
             run._stamps[key] = ats
@@ -206,7 +207,7 @@ def _rotation(rng, nodes: list, rotation_period_us: int):
     return schedule, int(rng.integers(0, rotation_period_us))
 
 
-def _slotted_prefixes(run: SimulationRun, width_us: int, invocations, plan: AdversaryPlan):
+def _slotted_prefixes(run: SimulationRun, width_us: int, invocations, plan):
     """``trial_orders``' setup under ``pompe`` and ``bercow`` (noise width
     ``width_us``, 0 under ``pompe``).
 
@@ -438,12 +439,13 @@ def _orders(tie_seeds, per_trial, trial_ids):
 
 
 def trial_orders(
-    run: SimulationRun, policy: OrderingPolicy, invocations, plan: AdversaryPlan,
+    run: SimulationRun, policy: OrderingPolicy, invocations, plan,
     trials: int, trial_ids: CommandIds, trial_seed,
 ):
     """Each trial's ledger order, in trial order, for one cell: ``policy``
     ordering ``invocations`` (template ``Invocation``s, each carrying its
-    origin city) on ``run`` under the adversary ``plan``.
+    origin city) on ``run`` under the adversary ``plan``, a mapping from
+    command id to ``CommandPlan``.
 
     Trial t (0 <= t < ``trials``) renames the invocations to the ids
     ``trial_ids(t)``, one ``CommandIds`` label per invocation, in order;
@@ -452,11 +454,11 @@ def trial_orders(
     ``np.random.default_rng(trial_seed(t))`` would (a seed is a
     non-negative int or a sequence of them); no other policy calls
     ``trial_seed``, which may be None off ``leader``.  Only the
-    median-timestamp policies take a non-empty plan.  An order is a tuple
-    of indices into ``invocations``, and trial t's does not depend on
-    ``trials``.  The checks, stamps, reveals and seeding happen in this
-    call; a trial's noise, draws and sort happen as the returned iterator
-    yields it.
+    median-timestamp policies take a non-empty plan; ``leader`` and
+    ``receive`` reject one.  An order is a tuple of indices into
+    ``invocations``, and trial t's does not depend on ``trials``.  The
+    checks, stamps, reveals and seeding happen in this call; a trial's
+    noise, draws and sort happen as the returned iterator yields it.
 
     Each policy's ledger is one sort by ``_key``.  (Under slot-by-slot
     agreement, a command decided in slot k_d is emitted by slot
@@ -479,9 +481,7 @@ def trial_orders(
             f"{len(trial_ids.labels)} command labels for {len(invocations)} invocations"
         )
     kind, width = policy.kind, policy.param_us
-    if not kind.median_timestamps and (
-        plan.ats_overrides or plan.node_overrides or plan.quorum_bias
-    ):
+    if plan and not kind.median_timestamps:
         raise ContractError(f"the {kind.value} baseline takes no adversary plan")
     if kind is PolicyKind.LEADER_ROTATION:
         return _orders(*_leader_prefixes(run, width, invocations, trial_seed, trials), trial_ids)

@@ -42,7 +42,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import analysis, attacks
-from .adversary import AdversaryPlan, private_relay_placement
+from .adversary import private_relay_placement
 from .consensus import OrderingPolicy, PolicyKind, SimulationRun, trial_orders
 from .domain import US_PER_MS, CommandIds, Invocation, quorum_median
 from .netmodel import CityTopology, bundled_topology, load_topology
@@ -144,26 +144,30 @@ CONFIG_KEYS = {
 def parse_config(path) -> ExperimentConfig:
     fields = {"scenario": ""}
     seen = {}  # key -> line number of its first definition
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, _, value = (part.strip() for part in line.partition("="))
-            if key not in CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in seen:
-                raise ConfigError(
-                    f"{path}:{lineno}: key {key!r} repeats its definition on line {seen[key]}"
-                )
-            seen[key] = lineno
-            name, parse = CONFIG_KEYS[key]
-            try:
-                fields[name] = parse(value)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from exc
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(
+                f"{path}:{lineno}: key {key!r} repeats its definition on line {seen[key]}"
+            )
+        seen[key] = lineno
+        name, parse = CONFIG_KEYS[key]
+        try:
+            fields[name] = parse(value)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from exc
     try:
         return ExperimentConfig(**fields)
     except ValueError as exc:
@@ -254,19 +258,17 @@ def _placed(commands) -> list:
     return [Invocation(label.encode(), t_us, city) for label, t_us, city in commands]
 
 
-_HONEST = AdversaryPlan()  # the plan of every cell that has none; never changed
-
-
-def _count_orders(run, config, policy, tags, placed, plan=_HONEST) -> Counter:
+def _count_orders(run, config, policy, tags, placed, plan=None) -> Counter:
     """The ledger orders of one table cell's trials on ``run``, counted,
     each as the tuple of its commands' indices in ledger order.  Trial t's
     ids are ``CommandIds(tags, template ids)(t)``; the adversary ``plan``
-    applies only under the median-timestamp policies, and the baselines run
-    honest.  Only a leader cell, the one policy that draws from them, gets
-    trial seeds.
+    (command id -> ``CommandPlan``; none for an honest cell) applies only
+    under the median-timestamp policies, and the baselines run honest.
+    Only a leader cell, the one policy that draws from them, gets trial
+    seeds.
     """
     trial_ids = CommandIds(tags, [inv.command_id for inv in placed])
-    plan = plan if policy.kind.median_timestamps else _HONEST
+    plan = plan if plan and policy.kind.median_timestamps else {}
     leader = policy.kind is PolicyKind.LEADER_ROTATION
     trial_seed = _cell_trial_seed(config.seed, tags) if leader else None
     return Counter(trial_orders(run, policy, placed, plan, config.trials, trial_ids, trial_seed))
@@ -366,7 +368,7 @@ def run_sandwich(config: ExperimentConfig) -> TableResult:
     plan = private_relay_placement(
         victim, attackers, colluders, run.topology, run.delta_net_us, run.sro.config.f
     )
-    table = attacks.default_payoff_table()
+    table = attacks.payoff_table()
     n = config.trials
     index = {label: i for i, (label, _, _) in enumerate(commands)}
     indices = {order: tuple(index[label] for label in order) for order in attacks.PERMUTATIONS}

@@ -153,8 +153,12 @@ def parse_topology(text: str, source: str = "<string>") -> CityTopology:
 
 
 def load_topology(path) -> CityTopology:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_topology(fh.read(), source=str(path))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise TopologyError(f"{path}: not UTF-8 text ({exc})") from exc
+    return parse_topology(text, source=str(path))
 
 
 @lru_cache(maxsize=None)

@@ -153,11 +153,12 @@ def _received(inv, topology, delta_net_us) -> list:
 def run_slotted(run, policy, invocations, plan) -> SlottedRun:
     """Per-slot agreement under the median policies (noise width 0 is
     ``pompe``): ``policy`` ordering ``invocations`` on the network ``run``
-    (its topology, delta_net, slot interval and oracle) under ``plan``.
+    (its topology, delta_net, slot interval and oracle) under ``plan``, a
+    mapping from command id to its ``CommandPlan``.
 
     A command's assigned timestamp is the median of its client's 2f+1
     quorum (the earliest responders, or the highest under a "high" bias),
-    after colluders' reports and the plan's timestamp overrides; slot
+    after colluders' reports and the entry's timestamp override; slot
     ats // interval decides it.  Slots are walked in order from the first
     decided one: each gathers its certificate, then reveals its seed, then
     noises the commands it decided.  A command is emitted by the first slot
@@ -167,17 +168,18 @@ def run_slotted(run, policy, invocations, plan) -> SlottedRun:
     interval, size = run.slot_interval_us, 2 * run.sro.config.f + 1
     by_slot = {}
     for inv in invocations:
+        entry = plan.get(inv.command_id)
+        lies = dict(entry.reports) if entry is not None else {}
         stamps = sorted(
-            (plan.node_overrides.get((inv.command_id, node), ts), node)
+            (lies.get(node, ts), node)
             for node, ts in enumerate(_received(inv, run.topology, run.delta_net_us))
         )
-        high = plan.quorum_bias.get(inv.command_id) == QUORUM_HIGH
+        high = entry is not None and entry.bias == QUORUM_HIGH
         chosen = stamps[-size:] if high else stamps[:size]
         quorum = tuple((node, ts) for ts, node in chosen)
         ats = median(ts for ts, _ in chosen)
-        if inv.command_id in plan.ats_overrides:
-            override = plan.ats_overrides[inv.command_id]
-            ats = clamp_to_window(override, inv.invoke_time, run.delta_net_us)
+        if entry is not None and entry.ats is not None:
+            ats = clamp_to_window(entry.ats, inv.invoke_time, run.delta_net_us)
             quorum = tuple((node, ats) for node, _ in quorum)
         if ats < 0:
             raise ContractError(f"assigned timestamp {ats} precedes the first slot")

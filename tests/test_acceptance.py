@@ -19,7 +19,7 @@ from fairorder.analysis import (
     order_prob_integrate,
     order_prob_monte_carlo,
 )
-from fairorder.attacks import PERMUTATIONS, default_scenario, payoff_table
+from fairorder.attacks import PERMUTATIONS, payoff_table
 from fairorder.harness import ExperimentConfig, run_geo_bias, run_sandwich
 from fairorder.sro import (
     Backend,
@@ -127,7 +127,6 @@ GEO_CITIES = ("washington", "london", "munich", "tokyo")
 
 def _joint_four_city_orders():
     """Ledger order of four simultaneous invocations under each baseline."""
-    from fairorder.adversary import AdversaryPlan
     from fairorder.consensus import OrderingPolicy, SimulationRun, trial_orders
     from fairorder.domain import CommandIds, Invocation
     from fairorder.netmodel import bundled_topology
@@ -140,7 +139,7 @@ def _joint_four_city_orders():
     run = SimulationRun(topology, DNET_US, 1_500_000, sro)
     orders = []
     for policy in (OrderingPolicy.parse("pompe"), OrderingPolicy.parse("receive")):
-        (order,) = trial_orders(run, policy, placed, AdversaryPlan(), 1, ids, lambda t: 0)
+        (order,) = trial_orders(run, policy, placed, {}, 1, ids, lambda t: 0)
         orders.append(tuple(GEO_CITIES[i] for i in order))
     return tuple(orders)
 
@@ -179,7 +178,7 @@ def test_criterion_5_geo_bias_reproduction():
 
 def test_criterion_6_sandwich_mitigation():
     t0 = time.time()
-    table = payoff_table(default_scenario())
+    table = payoff_table()
     fig_expected = {
         ("i2", "i1", "i3"): (-500, 800),
         ("i3", "i1", "i2"): (700, -400),

@@ -1,6 +1,6 @@
 import pytest
 
-from fairorder.adversary import QUORUM_HIGH, QUORUM_LOW, AdversaryPlan, private_relay_placement
+from fairorder.adversary import QUORUM_HIGH, QUORUM_LOW, CommandPlan, private_relay_placement
 from fairorder.domain import ContractError, Invocation
 from fairorder.netmodel import bundled_topology
 from reference import make_command_id
@@ -23,7 +23,7 @@ class TestPrivateRelay:
         plan = private_relay_placement(
             self.victim, self.legs, (), self.topology, DNET, self.f
         )
-        assert plan == AdversaryPlan()
+        assert plan == {}
 
     def test_too_many_colluders(self):
         with pytest.raises(ContractError):
@@ -53,16 +53,17 @@ class TestPrivateRelay:
         )
         predicted = 95_000  # munich quorum median on the bundled matrix
         buy_id, sell_id = self.legs[0].command_id, self.legs[1].command_id
-        for node in colluders:
-            assert plan.node_overrides[(buy_id, node)] == predicted - 1000
-            assert plan.node_overrides[(sell_id, node)] == predicted + 1000
-        assert plan.quorum_bias == {buy_id: QUORUM_LOW, sell_id: QUORUM_HIGH}
+        assert plan == {
+            buy_id: CommandPlan(tuple((node, predicted - 1000) for node in colluders), QUORUM_LOW),
+            sell_id: CommandPlan(tuple((node, predicted + 1000) for node in colluders), QUORUM_HIGH),
+        }
 
     def test_overrides_respect_window(self):
         colluders = (0, 1, 2)
         plan = private_relay_placement(
             self.victim, self.legs, colluders, self.topology, DNET, self.f
         )
-        for (cmd_id, _), ts in plan.node_overrides.items():
+        for cmd_id, entry in plan.items():
             invocation = next(i for i in self.legs if i.command_id == cmd_id)
-            assert invocation.invoke_time <= ts <= invocation.invoke_time + DNET
+            for _, ts in entry.reports:
+                assert invocation.invoke_time <= ts <= invocation.invoke_time + DNET

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from fairorder.attacks import (
     PERMUTATIONS,
     AmmPool,
-    SandwichScenario,
-    default_scenario,
     expected_attacker_profit,
     payoff_table,
     sandwich_profits,
@@ -75,22 +73,22 @@ class TestPool:
 
 class TestSandwich:
     def test_payoff_table_exact(self):
-        table = payoff_table(default_scenario())
+        table = payoff_table()
         for order in PERMUTATIONS:
             want = FIG_PAYOFFS.get(order, (300, 0))
             assert table[order] == want
 
     def test_bad_permutation(self):
         with pytest.raises(ContractError):
-            sandwich_profits(default_scenario(), ("i1", "i1", "i3"))
+            sandwich_profits(("i1", "i1", "i3"))
 
     def test_point_mass_expected_profit(self):
         probs = {o: (1 if o == ("i2", "i1", "i3") else 0) for o in PERMUTATIONS}
-        assert expected_attacker_profit(payoff_table(default_scenario()), probs) == 800
+        assert expected_attacker_profit(payoff_table(), probs) == 800
 
     def test_uniform_expected_profit(self):
         probs = {o: Fraction(1, 6) for o in PERMUTATIONS}
-        assert expected_attacker_profit(payoff_table(default_scenario()), probs) == Fraction(400, 6)
+        assert expected_attacker_profit(payoff_table(), probs) == Fraction(400, 6)
 
     def test_bound_extremes_cap_profit(self):
         # Worst case allowed by the n=3 bounds at alpha = 1/5: winning order
@@ -102,7 +100,7 @@ class TestSandwich:
         probs = {o: rest for o in PERMUTATIONS}
         probs[("i2", "i1", "i3")] = upper
         probs[("i3", "i1", "i2")] = lower
-        value = expected_attacker_profit(payoff_table(default_scenario()), probs)
+        value = expected_attacker_profit(payoff_table(), probs)
         assert value == upper * 800 - lower * 400
         assert value < Fraction(200)
 
@@ -116,11 +114,13 @@ class TestSandwich:
                 acc += Fraction(prob) * table[tuple(order)][1]
             return acc
 
-        odd = SandwichScenario(
-            pool=AmmPool(Fraction(75), Fraction(24)), victim_buy_a=Fraction(7),
-            price_a=Fraction(101, 3), price_b=Fraction(200), attacker_buy_a=Fraction(11, 2),
-        )
-        tables = (payoff_table(default_scenario()), payoff_table(odd))
+        # the worked pool with a 7 A victim buy, 11/2 A attacker legs and A
+        # marked at $101/3
+        flat = (Fraction(-13181, 51), 0)
+        odd = dict.fromkeys(PERMUTATIONS, flat)
+        odd["i2", "i1", "i3"] = (Fraction(-143647, 417), Fraction(203280, 2363))
+        odd["i3", "i1", "i2"] = (Fraction(-643211, 3381), Fraction(-1306800, 19159))
+        tables = (payoff_table(), odd)
         assert any(v.denominator > 1 for _, v in tables[1].values())
         rnd = random.Random(22)
         for case in range(400):
@@ -134,12 +134,4 @@ class TestSandwich:
     def test_malformed_distribution(self):
         probs = {o: Fraction(1, 2) for o in PERMUTATIONS}
         with pytest.raises(ContractError):
-            expected_attacker_profit(payoff_table(default_scenario()), probs)
-
-    def test_scenario_validates_amounts(self):
-        with pytest.raises(ContractError):
-            SandwichScenario(
-                pool=AmmPool(75, 24), victim_buy_a=Fraction(80),
-                price_a=Fraction(100), price_b=Fraction(200),
-                attacker_buy_a=Fraction(15),
-            )
+            expected_attacker_profit(payoff_table(), probs)

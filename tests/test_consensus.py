@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairorder import consensus
-from fairorder.adversary import AdversaryPlan
+from fairorder.adversary import QUORUM_LOW, CommandPlan
 from fairorder.consensus import (
     OrderingPolicy,
     PolicyKind,
@@ -68,13 +68,13 @@ class Cell(NamedTuple):
     run: SimulationRun
     policy: OrderingPolicy
     invocations: list
-    plan: AdversaryPlan
+    plan: dict
 
 
 def cell_for(placed, policy, topology=None, f=1, adversary=None, dnet=DNET):
     topology = topology or small_topology()
     run = SimulationRun(topology, dnet, SLOT, sro_for(topology, f))
-    return Cell(run, policy, placed, adversary or AdversaryPlan())
+    return Cell(run, policy, placed, adversary or {})
 
 
 class TestPolicyRegistry:
@@ -195,7 +195,7 @@ class TestRunSlotted:
     def test_command_before_first_slot_rejected(self):
         # two of the three quorum reports sit below 0, so the median does
         cmd = inv("early", 100_000, "solo")
-        plan = AdversaryPlan(node_overrides={(cmd.command_id, 0): -2, (cmd.command_id, 1): -1})
+        plan = {cmd.command_id: CommandPlan(reports=((0, -2), (1, -1)))}
         cell = cell_for([cmd], POMPE, adversary=plan)
         with pytest.raises(ContractError, match="precedes the first slot"):
             Counter(trial_orders(*cell, 1, CommandIds((), "a"), no_seed))
@@ -206,7 +206,7 @@ class TestRunSlotted:
     def test_lie_from_a_node_that_does_not_exist_rejected(self, node):
         # n = 4: a report from outside nodes 0..3 would replace none of theirs
         cmd = inv("lied about", 100_000, "solo")
-        plan = AdversaryPlan(node_overrides={(cmd.command_id, 0): 1, (cmd.command_id, node): 2})
+        plan = {cmd.command_id: CommandPlan(reports=((0, 1), (node, 2)))}
         cell = cell_for([cmd], POMPE, adversary=plan)
         with pytest.raises(ContractError, match="lying node"):
             Counter(trial_orders(*cell, 1, CommandIds((), "a"), no_seed))
@@ -250,19 +250,17 @@ class TestRunSlotted:
         for trial in range(30):
             early = inv(("e", trial), 100_000, "solo")
             late = inv(("l", trial), 100_000 + delta + 1, "solo")
-            plan = AdversaryPlan(
-                ats_overrides={
-                    early.command_id: early.invoke_time + DNET,
-                    late.command_id: late.invoke_time,
-                }
-            )
+            plan = {
+                early.command_id: CommandPlan(ats=early.invoke_time + DNET),
+                late.command_id: CommandPlan(ats=late.invoke_time),
+            }
             placed = [early, late]
             result = run_slotted(*cell_for(placed, policy, adversary=plan))
             assert result.ledger.entries[0] == early.command_id
 
     def test_ats_override_clamped_to_window(self):
         cmd = inv("clamp", 100_000, "solo")
-        plan = AdversaryPlan(ats_overrides={cmd.command_id: 10**9})
+        plan = {cmd.command_id: CommandPlan(ats=10**9)}
         placed = [cmd]
         result = run_slotted(*cell_for(placed, POMPE, adversary=plan))
         assert result.commands[cmd.command_id].assigned_ts == 100_000 + DNET
@@ -278,11 +276,10 @@ class TestCountSlottedOrders:
             inv("x", 1_100_000, "tokyo"), inv("y", 1_250_000, "london"),
             inv("z", 1_550_000, "washington"),
         ]
-        plan = AdversaryPlan(
-            ats_overrides={placed[0].command_id: 1_390_000},
-            node_overrides={(placed[1].command_id, 0): 1_250_000},
-            quorum_bias={placed[1].command_id: "high"},
-        )
+        plan = {
+            placed[0].command_id: CommandPlan(ats=1_390_000),
+            placed[1].command_id: CommandPlan(reports=((0, 1_250_000),), bias="high"),
+        }
         cell = cell_for(placed, BERCOW, topology=topology, f=f, adversary=plan)
         trial_ids = [[make_command_id("t", t, i) for i in range(3)] for t in range(200)]
         want = Counter()
@@ -290,13 +287,7 @@ class TestCountSlottedOrders:
             rename = {c.command_id: cid for c, cid in zip(placed, ids)}
             renamed = cell._replace(
                 invocations=[replace(p, command_id=cid) for p, cid in zip(placed, ids)],
-                plan=AdversaryPlan(
-                    ats_overrides={rename[c]: ts for c, ts in plan.ats_overrides.items()},
-                    node_overrides={
-                        (rename[c], node): ts for (c, node), ts in plan.node_overrides.items()
-                    },
-                    quorum_bias={rename[c]: bias for c, bias in plan.quorum_bias.items()},
-                ),
+                plan={rename[c]: entry for c, entry in plan.items()},
             )
             result = run_slotted(*renamed)
             assert len({slot.index for slot in result.slots if slot.decided_commands}) == 2
@@ -371,17 +362,17 @@ class TestCountSlottedOrders:
 
 
 STAMPED = b"stamped"
-LOW = AdversaryPlan(quorum_bias={STAMPED: "low"})
+LOW = {STAMPED: CommandPlan(bias="low")}
 # Each changes one part of a command's stamp key on one run, and so its
 # assigned timestamp.
 STAMP_VARIANTS = {
     "city": dict(city="london"),
     "invoke_time": dict(t=900_000),
-    "quorum_bias": dict(plan=AdversaryPlan(quorum_bias={STAMPED: "high"})),
-    "node_overrides": dict(plan=replace(
-        LOW, node_overrides={(STAMPED, node): 700_000 for node in range(26)}
-    )),
-    "ats_override": dict(plan=replace(LOW, ats_overrides={STAMPED: 700_000})),
+    "quorum_bias": dict(plan={STAMPED: CommandPlan(bias="high")}),
+    "node_overrides": dict(plan={
+        STAMPED: CommandPlan(reports=tuple((node, 700_000) for node in range(26)), bias="low")
+    }),
+    "ats_override": dict(plan={STAMPED: CommandPlan(bias="low", ats=700_000)}),
 }
 # Each is a different network, on which the command gets another stamp.
 RUN_VARIANTS = {
@@ -433,9 +424,50 @@ class TestStampMemo:
         assert [stamp(stamp_run(**RUN_VARIANTS[part])), stamp(stamp_run())] == want[::-1]
 
     def test_unknown_quorum_bias_rejected(self):
-        plan = AdversaryPlan(quorum_bias={STAMPED: "middle"})
+        plan = {STAMPED: CommandPlan(bias="middle")}
         with pytest.raises(ContractError, match="unknown quorum bias 'middle'"):
             stamp(stamp_run(), plan=plan)
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (CommandPlan(reports=((80, 700_000),)), "lying node 80"),
+            (CommandPlan(bias="middle"), "unknown quorum bias 'middle'"),
+        ],
+        ids=["node-n", "middle"],
+    )
+    def test_a_bad_entry_raises_on_every_call(self, entry, message):
+        # n = 80: the entry is checked whenever it is stamped, also after the
+        # run has stamped the same command honestly, and is never kept
+        run = stamp_run()
+        honest = stamp(run, plan={})
+        for _ in range(2):
+            with pytest.raises(ContractError, match=message):
+                stamp(run, plan={STAMPED: entry})
+        assert list(run._stamps.values()) == [honest]
+
+    def test_equal_entries_share_one_stamp(self):
+        # the key holds the entry's value: equal entries are one stamp, and a
+        # command the plan leaves out is stamped as under an empty entry
+        def lying():  # a new entry, equal to the last
+            return CommandPlan(tuple((node, 700_000) for node in range(26)), QUORUM_LOW)
+
+        run = stamp_run()
+        first = stamp(run, plan={STAMPED: lying()})
+        assert stamp(run, plan={STAMPED: lying()}) == first
+        honest = stamp(run, plan={})
+        assert stamp(run, plan={STAMPED: CommandPlan()}) == honest
+        assert len(run._stamps) == 2
+
+    def test_entries_of_commands_not_ordered_are_never_read(self):
+        # bad entries for other commands raise nothing and change no stamp
+        run = stamp_run()
+        plan = {
+            b"other": CommandPlan(reports=((80, 700_000),), bias="middle"),
+            b"another": CommandPlan(ats=-1),
+        }
+        assert stamp(run, plan=plan) == stamp(run, plan={}) == 815_000
+        assert len(run._stamps) == 1
 
     def test_an_equal_stamp_is_shared(self):
         # honest and low-biased clients pick the same quorum, but the bias
@@ -443,7 +475,7 @@ class TestStampMemo:
         run = stamp_run()
         first = stamp(run)
         assert stamp(run) == first
-        assert stamp(run, plan=AdversaryPlan()) == first
+        assert stamp(run, plan={}) == first
         assert len(run._stamps) == 2
 
     def test_each_run_reveals_with_its_own_oracle(self):
@@ -458,7 +490,7 @@ class TestStampMemo:
         runs = [SimulationRun(small_topology(), DNET, SLOT, sro) for sro in oracles]
 
         def orders(run):
-            return list(trial_orders(run, BERCOW, placed, AdversaryPlan(), 50, ids, no_seed))
+            return list(trial_orders(run, BERCOW, placed, {}, 50, ids, no_seed))
 
         want = [orders(run) for run in runs]
         assert want[0] != want[1]
@@ -492,7 +524,7 @@ def test_a_run_never_takes_another_topologys_stamp(first):
     # each run stamps as the reference does on its own topology, whichever
     # run stamped first, and so does a run remade onto the other topology
     placed = [inv("b", 1_000_000, "b")]
-    plan = AdversaryPlan()
+    plan = {}
 
     def run_on(delay_ms):
         topology = parse_topology(f"city a 5\ncity b 2\ndelay a b {delay_ms}\n")
@@ -833,7 +865,7 @@ class TestCountOrders:
     @pytest.mark.parametrize("policy", ALL_POLICIES[2:], ids=policy_id)
     def test_baselines_reject_an_adversary_plan(self, policy):
         cmd = inv("a", 100_000, "solo")
-        plan = AdversaryPlan(ats_overrides={cmd.command_id: 100_000})
+        plan = {cmd.command_id: CommandPlan(ats=100_000)}
         cell = cell_for([cmd], policy, adversary=plan)
         with pytest.raises(ContractError, match="no adversary plan"):
             trial_orders(*cell, 1, CommandIds((), "a"), lambda t: [0, t])

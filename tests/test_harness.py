@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fairorder import adversary, attacks, consensus, domain, harness
-from fairorder.adversary import AdversaryPlan, private_relay_placement
+from fairorder.adversary import private_relay_placement
 from fairorder.analysis import epsilon_general
 from fairorder.cli import main
 from fairorder.consensus import (
@@ -298,23 +298,23 @@ class TestSandwich:
 
     def test_payoff_table_built_once_per_process(self, monkeypatch):
         built = []
-        payoff_table = attacks.payoff_table
+        sandwich_profits = attacks.sandwich_profits
 
-        def counting(scenario):
-            built.append(scenario)
-            return payoff_table(scenario)
+        def counting(order):
+            built.append(order)
+            return sandwich_profits(order)
 
-        monkeypatch.setattr(attacks, "payoff_table", counting)
-        attacks.default_payoff_table.cache_clear()
+        monkeypatch.setattr(attacks, "sandwich_profits", counting)
+        attacks.payoff_table.cache_clear()
         config = small(
             scenario="sandwich", policies=("pompe", "receive"),
             origins=("munich", "london"), trials=5,
         )
         first, second = (run_sandwich(config).to_csv_text() for _ in range(2))
         assert first == second
-        assert len(built) == 1
-        table = attacks.default_payoff_table()
-        assert dict(table) == payoff_table(attacks.default_scenario())
+        assert len(built) == len(attacks.PERMUTATIONS)
+        table = attacks.payoff_table()
+        assert dict(table) == {order: sandwich_profits(order) for order in attacks.PERMUTATIONS}
         with pytest.raises(TypeError):
             table[attacks.PERMUTATIONS[0]] = (0, 0)
 
@@ -324,17 +324,17 @@ class TestSandwich:
             run_sandwich(config)
 
 
-def cell_orders(run, config, spec, tags, commands, plan=AdversaryPlan()):
+def cell_orders(run, config, spec, tags, commands, plan=None):
     """``trial_orders`` on one table cell, with the ids and trial seeds that
     ``_count_orders`` gives it."""
     labels = [label for label, _, _ in commands]
     return trial_orders(
-        run, OrderingPolicy.parse(spec), _placed(commands), plan, config.trials,
+        run, OrderingPolicy.parse(spec), _placed(commands), plan or {}, config.trials,
         CommandIds(tags, labels), _cell_trial_seed(config.seed, tags),
     )
 
 
-def counted(run, config, spec, tags, commands, plan=AdversaryPlan()) -> Counter:
+def counted(run, config, spec, tags, commands, plan=None) -> Counter:
     """``_count_orders`` on one table cell given as the runners list it."""
     return _count_orders(run, config, OrderingPolicy.parse(spec), tags, _placed(commands), plan)
 
@@ -346,7 +346,7 @@ def labelled(counts, commands) -> Counter:
 
 
 def assert_engine_matches_per_trial(
-    run, config, spec, tags, commands, reference_orders, plan=AdversaryPlan()
+    run, config, spec, tags, commands, reference_orders, plan=None
 ):
     """Trial t of ``trial_orders``, on the cell the harness builds, gives the
     reference's order of trial t, for each of the config's trials."""
@@ -368,7 +368,7 @@ def per_trial_orders(config, topology, sro, spec, tags, commands, colluders):
     for trial in range(config.trials):
         labels = {make_command_id(*tags, trial, label): label for label, _, _ in commands}
         placed = [Invocation(cid, t_us, city) for cid, (_, t_us, city) in zip(labels, commands)]
-        plan = AdversaryPlan()
+        plan = {}
         if colluders:
             victim, *attackers = placed
             plan = private_relay_placement(
@@ -688,7 +688,7 @@ class TestDisjointRanges:
         t0 = config.slot_ms * US_PER_MS // 2
         commands = (("early", t0, "tokyo"), ("late", t0 + gap_us, "tokyo"))
         tags = ("disjoint", spec, gap)
-        early, late = consensus._timestamp_invocations(run, _placed(commands), AdversaryPlan())
+        early, late = consensus._timestamp_invocations(run, _placed(commands), {})
         assert late - early == gap_us
         want, _ = per_trial_orders(config, run.topology, run.sro, spec, tags, commands, ())
         derived, noised = Counter(), []
@@ -1050,6 +1050,41 @@ class TestCli:
         assert main(argv) == 3
         assert "error category=config" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("bad", ["config-origins", "topology-city"])
+    def test_non_utf8_file_is_config_error(self, tmp_path, capsys, bad):
+        # byte 0xff never occurs in UTF-8; the error names the file
+        topology = tmp_path / "cities.topo"
+        city = b"l\xffondon" if bad == "topology-city" else b"london"
+        topology.write_bytes(b"city munich 3\ncity " + city + b" 1\ndelay munich london 10\n")
+        origins = b"munich,l\xffondon" if bad == "config-origins" else b"munich,london"
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(
+            b"scenario = geo_bias\ntrials = 2\norigins = " + origins
+            + f"\ntopology = {topology}\noutput = {tmp_path}/out.csv\n".encode()
+        )
+        assert main(["simulate", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "error category=config" in err and "not UTF-8" in err
+        assert str(cfg if bad == "config-origins" else topology) in err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("ms, code", [("9223372036854775", 0), ("9223372036854776", 3)])
+    def test_leader_period_fits_63_bits(self, tmp_path, capsys, ms, code):
+        # the largest period in whole ms whose µs value fits in 63 bits runs;
+        # the next is rejected before numpy draws a phase from it
+        cfg = tmp_path / "leader.cfg"
+        cfg.write_text(
+            f"scenario = geo_bias\npolicies = leader:{ms}\ntrials = 2\n"
+            "origins = munich,london\n"
+        )
+        assert main(["simulate", str(cfg)]) == code
+        assert main(
+            ["attack", "sandwich", "--policy", "leader", "--slot-ms", ms, "--trials", "2"]
+        ) == code
+        err = capsys.readouterr().err
+        assert ("error category=config" in err) == bool(code)
+
 
 
 def test_run_experiment_dispatch():
