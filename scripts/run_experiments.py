@@ -2,53 +2,119 @@
 """Run every bundled experiment config and write its CSV under results/.
 
 Usage:
-    python scripts/run_experiments.py [--only geo_bias,sandwich] [--trials N]
+    python scripts/run_experiments.py [--only geo_bias,sandwich] [--trials N] [--jobs N]
+    python scripts/run_experiments.py --check [--only ...] [--jobs N]
 
-A full run took 3.0-3.3 s wall in four runs on 2 cores of a shared Intel
-Xeon under Python 3.11 and numpy 2.4.6 (geo_bias 1.3-1.5 s,
-tradeoff_curve 1.3-1.5 s, the rest under 0.3 s together), alternated
-with four runs of the previous version at 3.4-4.4 s; the same host has
-taken 6.0-6.7 s at busy times, so its speed swings about twofold.
-Every table cell is counted in one batch, command ids are hashed only
-where they can change an order, a bercow trial does little besides its
-two hashes per command, a cell whose commands' key ranges cannot overlap
-repeats one order with no per-trial work, and a leader cell seeds all
-its trials' generators in one pass before numpy draws each trial's
-rotation (a list shuffle and one bounded integer).  Most of the time
-is the leader and bercow cells' per-trial draws and hashes, which the
-CSV bytes fix.  Pass --trials to downscale for a quick look.
+The trials of each experiment are counted in chunks, one trial range per
+job, on a pool of --jobs worker processes (default: the usable CPUs, at
+most 4); --jobs 1 counts the same chunks in this process.  A trial's
+order does not depend on which chunk or process counts it, so the summed
+counts, and every CSV byte, are the same at any --jobs.  --check
+regenerates the selected configs at their full trials in memory,
+compares each CSV byte for byte with the committed file, names each that
+differs, exits 1 if any does and writes nothing.  Pass --trials to
+downscale for a quick look.
+
+In eight alternating runs on 2 cores of a shared Intel Xeon under Python
+3.11 and numpy 2.4.6, a full run took 2.1-2.9 s wall at the default 2
+jobs and 2.8-5.3 s at --jobs 1, and the default was faster in all eight;
+the previous, serial version took 2.9-5.0 s alongside.  A multi-process
+figure tracks host steal, and the same host's speed swings about
+twofold.  Most of the time is the leader and bercow cells' per-trial
+draws and hashes, which the CSV bytes fix; each worker also pays
+0.27-0.36 s (five fresh interpreters) to start and import the package.
 """
 
 import argparse
+import multiprocessing
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from importlib import resources
 
-from fairorder.harness import emit_csv, parse_config, run_experiment
+from fairorder.analysis import _MAX_THREADS, _usable_cpus
+from fairorder.harness import count_trials, emit_csv, parse_config, tabulate
 
 CONFIGS = ("bounds_table", "geo_bias", "tradeoff_curve", "sandwich", "liquidation")
 
 
+def _chunks(config, jobs: int) -> list:
+    """``config``'s trials as ``jobs`` consecutive ranges, (start, stop)
+    each, none empty."""
+    bounds = sorted({config.trials * i // jobs for i in range(jobs + 1)})
+    return list(zip(bounds, bounds[1:]))
+
+
+def tables(configs, jobs: int) -> list:
+    """Each config's table, its trials counted in chunks on ``jobs`` worker
+    processes, or in this process at 1 job."""
+    ranges = [_chunks(config, jobs) for config in configs]
+    calls = [(config, start, stop) for config, chunks in zip(configs, ranges)
+             for start, stop in chunks]
+    if jobs == 1:
+        counted = [count_trials(*call) for call in calls]
+    else:
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
+            counted = list(pool.map(count_trials, *zip(*calls)))
+    parts = iter(counted)
+    results = []
+    for config, chunks in zip(configs, ranges):
+        counts = next(parts)  # the first chunk's; the others' are added to it
+        for _ in chunks[1:]:
+            for total, count in zip(counts, next(parts), strict=True):
+                total.update(count)
+        results.append(tabulate(config, counts))
+    return results
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--only", help="comma-separated subset of configs to run")
-    parser.add_argument("--trials", type=int, help="override trial count for a quick pass")
+    scale = parser.add_mutually_exclusive_group()
+    scale.add_argument("--trials", type=int, help="override trial count for a quick pass")
+    scale.add_argument("--check", action="store_true",
+                       help="compare with the committed CSVs at full trials; write nothing")
+    parser.add_argument("--jobs", type=int, default=min(_usable_cpus(), _MAX_THREADS),
+                        help="worker processes (default: usable CPUs, at most 4)")
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
     wanted = set(args.only.split(",")) if args.only else set(CONFIGS)
+    if wanted - set(CONFIGS):
+        parser.error(f"--only: unknown configs {sorted(wanted - set(CONFIGS))}")
 
     config_dir = resources.files("fairorder.data") / "configs"
+    configs = []
     for name in CONFIGS:
         if name not in wanted:
             continue
         with resources.as_file(config_dir / f"{name}.cfg") as path:
             config = parse_config(path)
-        if args.trials:
-            config = replace(config, trials=args.trials)
-        t0 = time.time()
-        result = run_experiment(config)
-        emit_csv(result, config.output)
-        print(f"{name:15s} -> {config.output}  ({time.time() - t0:.1f}s, {len(result.rows)} rows)")
+        configs.append(replace(config, trials=args.trials) if args.trials else config)
+
+    t0 = time.perf_counter()
+    results = tables(configs, args.jobs)
+    differs = []
+    for config, result in zip(configs, results):
+        if args.check:
+            try:
+                with open(config.output, "rb") as fh:
+                    same = fh.read() == result.to_csv_text().encode("utf-8")
+            except FileNotFoundError:
+                same = False
+            print(f"{config.scenario:15s} {'same as' if same else 'DIFFERS from'} {config.output}")
+            if not same:
+                differs.append(config.output)
+        else:
+            emit_csv(result, config.output)
+            print(f"{config.scenario:15s} -> {config.output}  ({len(result.rows)} rows)")
+    print(f"{len(configs)} configs in {time.perf_counter() - t0:.1f}s on {args.jobs} job(s)")
+    if differs:
+        print("differ: " + ", ".join(differs), file=sys.stderr)
+        return 1
     return 0
 
 

@@ -109,33 +109,24 @@ def payoff_table() -> MappingProxyType:
     return MappingProxyType({order: sandwich_profits(order) for order in PERMUTATIONS})
 
 
-def _ratio(x) -> tuple:
-    """x's (numerator, denominator), building no ``Fraction`` for an int or
-    a ``Fraction``."""
-    return (x if isinstance(x, (int, Fraction)) else Fraction(x)).as_integer_ratio()
-
-
-def expected_attacker_profit(table: dict, permutation_probs) -> Fraction:
-    """Expected attacker P&L under a distribution over execution orders.
+def expected_attacker_profit(table: dict, counts, trials: int) -> Fraction:
+    """Expected attacker P&L over ``trials`` trials, ``counts[order]`` of
+    which executed in each order.
 
     ``table`` maps each execution order to its (victim, attacker) P&L, as
-    ``payoff_table()`` does for the worked example.  The sum is exact and
-    runs over ints: the probabilities are put over their least common
-    denominator, the payoffs over theirs, and only the result is a
+    ``payoff_table()`` does for the worked example.  The counts must sum to
+    ``trials``.  The sum is exact and runs over ints: the payoffs are put
+    over their least common denominator, and only the result is a
     ``Fraction``.
     """
-    ratios = [_ratio(p) for p in permutation_probs.values()]
-    den = math.lcm(*(d for _, d in ratios))
-    weights = [num * (den // d) for num, d in ratios]  # each probability is weight / den
-    total = sum(weights)
-    if abs(total - den) * 10**9 > den:
-        raise ContractError(f"permutation probabilities sum to {total / den}, not 1")
+    if sum(counts.values()) != trials:
+        raise ContractError(f"order counts sum to {sum(counts.values())}, not {trials}")
     payoffs = []
-    for order in permutation_probs:
+    for order in counts:
         key = tuple(order)
         if key not in table:
             raise ContractError(f"unknown permutation {order!r}")
-        payoffs.append(_ratio(table[key][1]))
-    pay_den = math.lcm(*(d for _, d in payoffs))
-    acc = sum(w * num * (pay_den // d) for w, (num, d) in zip(weights, payoffs))
-    return Fraction(acc, den * pay_den)
+        payoffs.append(table[key][1].as_integer_ratio())
+    den = math.lcm(*(d for _, d in payoffs))
+    acc = sum(c * num * (den // d) for c, (num, d) in zip(counts.values(), payoffs))
+    return Fraction(acc, trials * den)

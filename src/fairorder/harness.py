@@ -13,21 +13,27 @@ is frozen: it parses each spec and alpha once, when it is built, and keeps
 the results (``parsed_policies``, ``parsed_alphas``); no run parses them
 again.
 
-A ``run_experiment`` call builds one ``consensus.SimulationRun`` from its
-config (``_run_for``): the network that every cell of the table is ordered
-on, which keeps the receive times, stamps, slot seeds and leader generator
-the cells share.  A simulated cell is one call of
-``consensus.trial_orders``, counted by ``_count_orders``: the scenario
-gives the cell's tags and its (label, invoke_us, city) commands, placed
-once per call as invocations that carry their origin cities (``_placed``),
-and reads its numbers from the counted orders.  The tags -- ``("geo",
-pair_index, spec)``, ``("gap", spec, gap_ms)`` or ``("sand", spec)`` --
-fix trial t's command ids, ``CommandIds(tags, labels)(t)``, and under the
-leader policy the seed its rotation is drawn from (``_cell_trial_seed``,
-built for leader cells only); changing either changes the CSVs.  A count
-c of n trials is printed as ``c / n``, which is correctly rounded and so
-prints as ``Fraction(c, n)`` does.  The bundled topology and the sandwich
-payoff table are built once per process.
+Each scenario is data: its cells, then its table.  It first lists its
+cells as ``Cell(tags, policy, placed, plan)`` records on one
+``consensus.SimulationRun`` built from its config (``_run_for``): the
+network that every cell of the table is ordered on, which keeps the
+receive times, stamps, slot seeds and leader generator the cells share.
+Each cell's (label, invoke_us, city) commands are placed once, as
+invocations that carry their origin cities (``_placed``).  One function,
+``_count_cells``, counts every cell of the run over a trial range with one
+``consensus.orders_per_cell`` call, which seeds all the leader cells'
+trials in one pass; the scenario then formats its rows from the counts.
+A trial's order does not depend on the range that counts it, so
+``count_trials`` over disjoint ranges, in any processes, sums to the
+serial count, and ``tabulate`` formats the sum (``run_experiment`` counts
+all trials in this process).  The tags -- ``("geo", pair_index, spec)``,
+``("gap", spec, gap_ms)`` or ``("sand", spec)`` -- fix trial t's command
+ids, ``CommandIds(tags, labels)(t)``, and under the leader policy the
+seed its rotation is drawn from (``_cell_trial_seed``, built for leader
+cells only); changing either changes the CSVs.  A count c of n trials is
+printed as ``c / n``, which is correctly rounded and so prints as
+``Fraction(c, n)`` does.  The bundled topology and the sandwich payoff
+table are built once per process.
 """
 
 from __future__ import annotations
@@ -40,10 +46,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from . import analysis, attacks
 from .adversary import private_relay_placement
-from .consensus import OrderingPolicy, PolicyKind, SimulationRun, trial_orders
+from .consensus import OrderingPolicy, PolicyKind, SimulationRun, orders_per_cell
 from .domain import US_PER_MS, CommandIds, Invocation, quorum_median
 from .netmodel import CityTopology, bundled_topology, load_topology
 from .sro import Backend, SroConfig, SroHandle, sro_init
@@ -258,53 +265,66 @@ def _placed(commands) -> list:
     return [Invocation(label.encode(), t_us, city) for label, t_us, city in commands]
 
 
-def _count_orders(run, config, policy, tags, placed, plan=None) -> Counter:
-    """The ledger orders of one table cell's trials on ``run``, counted,
-    each as the tuple of its commands' indices in ledger order.  Trial t's
-    ids are ``CommandIds(tags, template ids)(t)``; the adversary ``plan``
-    (command id -> ``CommandPlan``; none for an honest cell) applies only
-    under the median-timestamp policies, and the baselines run honest.
-    Only a leader cell, the one policy that draws from them, gets trial
-    seeds.
+class Cell(NamedTuple):
+    """One table cell: its tags, which fix its trials' command ids and,
+    under ``leader``, their seeds; its policy; its template invocations
+    (``_placed``); and its adversary plan, ``{}`` for an honest cell."""
+
+    tags: tuple
+    policy: OrderingPolicy
+    placed: list
+    plan: dict
+
+
+def _count_cells(run, config, cells, trials: range) -> list:
+    """Each cell's ledger orders over ``trials`` on ``run``, counted, each
+    order as the tuple of its commands' indices in ledger order, from one
+    ``orders_per_cell`` call.  Trial t's ids are ``CommandIds(tags,
+    template ids)(t)``.  Only a leader cell, the one policy that draws from
+    them, gets trial seeds.
     """
-    trial_ids = CommandIds(tags, [inv.command_id for inv in placed])
-    plan = plan if plan and policy.kind.median_timestamps else {}
-    leader = policy.kind is PolicyKind.LEADER_ROTATION
-    trial_seed = _cell_trial_seed(config.seed, tags) if leader else None
-    return Counter(trial_orders(run, policy, placed, plan, config.trials, trial_ids, trial_seed))
+    streams = orders_per_cell(run, [
+        (
+            cell.policy, cell.placed, cell.plan,
+            CommandIds(cell.tags, [inv.command_id for inv in cell.placed]),
+            _cell_trial_seed(config.seed, cell.tags)
+            if cell.policy.kind is PolicyKind.LEADER_ROTATION else None,
+        )
+        for cell in cells
+    ], trials)
+    return [Counter(orders) for orders in streams]
 
 
-def _geo_pairs(config: ExperimentConfig):
-    """Each (city_a, city_b, spec, trials with A first) of a geo_bias run."""
+def _geo_cells(config: ExperimentConfig):
+    """A geo_bias run and its cells: each pair of origin cities invoking at
+    once, mid-slot, under each policy."""
     if len(config.origins) < 2:
         raise ConfigError("geo_bias needs at least two origin cities")
-    run = _run_for(config)
     t0 = config.slot_ms * US_PER_MS // 2  # mid-slot, away from boundaries
+    cells = []
     for pi, (city_a, city_b) in enumerate(combinations(config.origins, 2)):
         placed = _placed((("a", t0, city_a), ("b", t0, city_b)))
-        for spec, policy in zip(config.policies, config.parsed_policies):
-            counts = _count_orders(run, config, policy, ("geo", pi, spec), placed)
-            yield city_a, city_b, spec, counts[0, 1]
+        cells += (
+            Cell(("geo", pi, spec), policy, placed, {})
+            for spec, policy in zip(config.policies, config.parsed_policies)
+        )
+    return _run_for(config), cells
 
 
-def run_geo_bias(config: ExperimentConfig) -> TableResult:
-    """Pr[A first] - Pr[B first] for simultaneous invocations per city pair."""
+def _geo_bias_table(config: ExperimentConfig, cells, counts) -> TableResult:
     result = TableResult(header=("city_a", "city_b", "policy", "pr_a_first", "diff", "trials"))
     n = config.trials
-    for city_a, city_b, spec, a_first in _geo_pairs(config):
-        result.rows.append(
-            (city_a, city_b, spec, _fmt_prob(a_first / n), _fmt_prob((2 * a_first - n) / n), n)
-        )
+    for cell, count in zip(cells, counts, strict=True):
+        city_a, city_b = (inv.origin_city for inv in cell.placed)
+        a_first = count[0, 1]
+        pr_a, diff = _fmt_prob(a_first / n), _fmt_prob((2 * a_first - n) / n)
+        result.rows.append((city_a, city_b, cell.tags[2], pr_a, diff, n))
     return result
 
 
-def run_tradeoff_curve(config: ExperimentConfig) -> TableResult:
-    """Pr[early sender first] as its head start grows.
-
-    The disadvantaged city (higher median latency to the quorum) invokes
-    ``gap`` ms before the advantaged city; the curve must reach 1.0 once
-    the gap clears the policy's inversion horizon.
-    """
+def _tradeoff_cells(config: ExperimentConfig):
+    """A tradeoff_curve run and its cells: the slow city invokes ``gap`` ms
+    before the fast one, for each policy and gap."""
     if len(config.origins) != 2:
         raise ConfigError("tradeoff_curve needs exactly two origin cities")
     if not config.gaps_ms:
@@ -316,18 +336,23 @@ def run_tradeoff_curve(config: ExperimentConfig) -> TableResult:
         key=lambda city: quorum_median(run.topology.delays_from(city), run.sro.config.f),
         reverse=True,
     )
-    result = TableResult(
-        header=("gap_ms", "policy", "early_city", "pr_early_first", "trials")
-    )
-    cells = [
+    placed = [
         (gap_ms, _placed((("early", t0, slow), ("late", t0 + gap_ms * US_PER_MS, fast))))
         for gap_ms in config.gaps_ms
     ]
-    for spec, policy in zip(config.policies, config.parsed_policies):
-        for gap_ms, placed in cells:
-            counts = _count_orders(run, config, policy, ("gap", spec, gap_ms), placed)
-            pr_early = _fmt_prob(counts[0, 1] / config.trials)
-            result.rows.append((gap_ms, spec, slow, pr_early, config.trials))
+    return run, [
+        Cell(("gap", spec, gap_ms), policy, commands, {})
+        for spec, policy in zip(config.policies, config.parsed_policies)
+        for gap_ms, commands in placed
+    ]
+
+
+def _tradeoff_table(config: ExperimentConfig, cells, counts) -> TableResult:
+    result = TableResult(header=("gap_ms", "policy", "early_city", "pr_early_first", "trials"))
+    for cell, count in zip(cells, counts, strict=True):
+        _, spec, gap_ms = cell.tags
+        pr_early = _fmt_prob(count[0, 1] / config.trials)
+        result.rows.append((gap_ms, spec, cell.placed[0].origin_city, pr_early, config.trials))
     return result
 
 
@@ -339,13 +364,15 @@ def _colluder_ids(config: ExperimentConfig, sro: SroHandle):
     return tuple(range(n - count, n))
 
 
-def run_sandwich(config: ExperimentConfig) -> TableResult:
-    """Permutation frequencies and attacker profit for the bracketing attack.
+# the labels of a sandwich cell's commands, in their order in the cell
+_SANDWICH_LABELS = (attacks.VICTIM, attacks.ATTACKER_BUY, attacks.ATTACKER_SELL)
 
-    Victim invokes from origins[0], the attacker's two commands from
-    origins[1].  Colluding nodes misreport timestamps around the victim for
-    the median-timestamp policies; the leader/receive baselines run honest.
-    """
+
+def _sandwich_cells(config: ExperimentConfig):
+    """A sandwich run and its cells, one per policy: the victim invokes
+    from origins[0], the attacker's two commands from origins[1].
+    Colluding nodes misreport timestamps around the victim under the
+    median-timestamp policies; the leader/receive baselines run honest."""
     if len(config.origins) != 2:
         raise ConfigError("sandwich needs (victim_city, attacker_city) origins")
     if len(config.offsets_ms) != 2:
@@ -355,56 +382,69 @@ def run_sandwich(config: ExperimentConfig) -> TableResult:
     colluders = _colluder_ids(config, run.sro)
     t0 = config.slot_ms * US_PER_MS // 2
     buy_us, sell_us = (t0 + ms * US_PER_MS for ms in config.offsets_ms)
-    commands = (
-        (attacks.VICTIM, t0, victim_city),
-        (attacks.ATTACKER_BUY, buy_us, attacker_city),
-        (attacks.ATTACKER_SELL, sell_us, attacker_city),
-    )
-    result = TableResult(
-        header=("policy", "order", "frequency", "victim_usd", "attacker_usd")
-    )
-    placed = _placed(commands)
+    placed = _placed(zip(
+        _SANDWICH_LABELS, (t0, buy_us, sell_us), (victim_city, attacker_city, attacker_city)
+    ))
     victim, *attackers = placed
     plan = private_relay_placement(
         victim, attackers, colluders, run.topology, run.delta_net_us, run.sro.config.f
     )
+    return run, [
+        Cell(("sand", spec), policy, placed, plan if policy.kind.median_timestamps else {})
+        for spec, policy in zip(config.policies, config.parsed_policies)
+    ]
+
+
+def _sandwich_table(config: ExperimentConfig, cells, counts) -> TableResult:
+    result = TableResult(
+        header=("policy", "order", "frequency", "victim_usd", "attacker_usd")
+    )
     table = attacks.payoff_table()
     n = config.trials
-    index = {label: i for i, (label, _, _) in enumerate(commands)}
+    index = {label: i for i, label in enumerate(_SANDWICH_LABELS)}
     indices = {order: tuple(index[label] for label in order) for order in attacks.PERMUTATIONS}
-    # each order's text and payoffs, formatted once per run: (order, victim, attacker)
+    # each order's text and payoffs, formatted once per table: (order, victim, attacker)
     texts = {
         order: ("-".join(order), *(_fmt_usd(usd) for usd in table[order]))
         for order in indices
     }
-    for spec, policy in zip(config.policies, config.parsed_policies):
-        counts = _count_orders(run, config, policy, ("sand", spec), placed, plan)
-        expected = attacks.expected_attacker_profit(
-            table, {order: Fraction(counts[key], n) for order, key in indices.items()}
-        )
-        for order, key in indices.items():
+    for cell, count in zip(cells, counts, strict=True):
+        spec = cell.tags[1]
+        per_order = {order: count[key] for order, key in indices.items()}
+        expected = attacks.expected_attacker_profit(table, per_order, n)
+        for order, c in per_order.items():
             order_text, victim_usd, attacker_usd = texts[order]
-            result.rows.append(
-                (spec, order_text, _fmt_prob(counts[key] / n), victim_usd, attacker_usd)
-            )
+            result.rows.append((spec, order_text, _fmt_prob(c / n), victim_usd, attacker_usd))
         result.rows.append((spec, "expected", "1.000000", "", _fmt_usd(expected)))
     return result
 
 
-def run_liquidation(config: ExperimentConfig) -> TableResult:
-    """Expected liquidation payout per client when only the first wins."""
+def _liquidation_cells(config: ExperimentConfig):
+    """A liquidation run and its cells: geo_bias's, for one pair of
+    clients."""
     if len(config.origins) != 2:
         raise ConfigError("liquidation needs exactly two origin cities")
+    return _geo_cells(config)
+
+
+def _liquidation_table(config: ExperimentConfig, cells, counts) -> TableResult:
     result = TableResult(header=("policy", "city", "pr_first", "expected_usd"))
     n, prize = config.trials, config.prize_usd
-    for city_a, city_b, spec, a_first in _geo_pairs(config):
-        for city, first in ((city_a, a_first), (city_b, n - a_first)):
-            result.rows.append((spec, city, _fmt_prob(first / n), _fmt_usd(first * prize / n)))
+    for cell, count in zip(cells, counts, strict=True):
+        a_first = count[0, 1]
+        for inv, first in zip(cell.placed, (a_first, n - a_first)):
+            result.rows.append(
+                (cell.tags[2], inv.origin_city, _fmt_prob(first / n), _fmt_usd(first * prize / n))
+            )
     return result
 
 
-def run_bounds_table(config: ExperimentConfig) -> TableResult:
-    """Closed-form equality/linearizability figures over (n, alpha) grid."""
+def _no_cells(config: ExperimentConfig):
+    """A closed-form table's run and cells: none."""
+    return None, []
+
+
+def _bounds_table(config: ExperimentConfig, cells, counts) -> TableResult:
     delta_net_us = config.delta_net_ms * US_PER_MS
     result = TableResult(
         header=("n", "alpha", "epsilon", "lower", "upper", "delta_us")
@@ -421,6 +461,69 @@ def run_bounds_table(config: ExperimentConfig) -> TableResult:
     return result
 
 
+# scenario -> (its run and cells, from its config; its table, from the
+# cells' counts)
+_LAYOUTS = {
+    "geo_bias": (_geo_cells, _geo_bias_table),
+    "tradeoff_curve": (_tradeoff_cells, _tradeoff_table),
+    "sandwich": (_sandwich_cells, _sandwich_table),
+    "liquidation": (_liquidation_cells, _liquidation_table),
+    "bounds_table": (_no_cells, _bounds_table),
+}
+
+
+def count_trials(config: ExperimentConfig, start: int, stop: int) -> list:
+    """The counted orders of each of ``config``'s cells over trials [start,
+    stop), in the order its table lists them.  Trial t's order does not
+    depend on the range, so the counts of disjoint ranges add up to the
+    count of their union, whichever process made each."""
+    run, cells = _LAYOUTS[config.scenario][0](config)
+    return _count_cells(run, config, cells, range(start, stop))
+
+
+def tabulate(config: ExperimentConfig, counts) -> TableResult:
+    """``config``'s table from its cells' counts over all its trials, as
+    ``count_trials`` lists them."""
+    cells_of, table_of = _LAYOUTS[config.scenario]
+    return table_of(config, cells_of(config)[1], counts)
+
+
+def _counted_table(config: ExperimentConfig, scenario: str) -> TableResult:
+    cells_of, table_of = _LAYOUTS[scenario]
+    run, cells = cells_of(config)
+    return table_of(config, cells, _count_cells(run, config, cells, range(config.trials)))
+
+
+def run_geo_bias(config: ExperimentConfig) -> TableResult:
+    """Pr[A first] - Pr[B first] for simultaneous invocations per city pair."""
+    return _counted_table(config, "geo_bias")
+
+
+def run_tradeoff_curve(config: ExperimentConfig) -> TableResult:
+    """Pr[early sender first] as its head start grows.
+
+    The disadvantaged city (higher median latency to the quorum) invokes
+    ``gap`` ms before the advantaged city; the curve must reach 1.0 once
+    the gap clears the policy's inversion horizon.
+    """
+    return _counted_table(config, "tradeoff_curve")
+
+
+def run_sandwich(config: ExperimentConfig) -> TableResult:
+    """Permutation frequencies and attacker profit for the bracketing attack."""
+    return _counted_table(config, "sandwich")
+
+
+def run_liquidation(config: ExperimentConfig) -> TableResult:
+    """Expected liquidation payout per client when only the first wins."""
+    return _counted_table(config, "liquidation")
+
+
+def run_bounds_table(config: ExperimentConfig) -> TableResult:
+    """Closed-form equality/linearizability figures over (n, alpha) grid."""
+    return _counted_table(config, "bounds_table")
+
+
 RUNNERS = {
     "geo_bias": run_geo_bias,
     "tradeoff_curve": run_tradeoff_curve,
@@ -431,4 +534,5 @@ RUNNERS = {
 
 
 def run_experiment(config: ExperimentConfig) -> TableResult:
+    """``config``'s table, its trials counted in this process."""
     return RUNNERS[config.scenario](config)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -83,12 +84,12 @@ class TestSandwich:
             sandwich_profits(("i1", "i1", "i3"))
 
     def test_point_mass_expected_profit(self):
-        probs = {o: (1 if o == ("i2", "i1", "i3") else 0) for o in PERMUTATIONS}
-        assert expected_attacker_profit(payoff_table(), probs) == 800
+        counts = {o: (1 if o == ("i2", "i1", "i3") else 0) for o in PERMUTATIONS}
+        assert expected_attacker_profit(payoff_table(), counts, 1) == 800
 
     def test_uniform_expected_profit(self):
-        probs = {o: Fraction(1, 6) for o in PERMUTATIONS}
-        assert expected_attacker_profit(payoff_table(), probs) == Fraction(400, 6)
+        counts = dict.fromkeys(PERMUTATIONS, 1)
+        assert expected_attacker_profit(payoff_table(), counts, 6) == Fraction(400, 6)
 
     def test_bound_extremes_cap_profit(self):
         # Worst case allowed by the n=3 bounds at alpha = 1/5: winning order
@@ -100,7 +101,10 @@ class TestSandwich:
         probs = {o: rest for o in PERMUTATIONS}
         probs[("i2", "i1", "i3")] = upper
         probs[("i3", "i1", "i2")] = lower
-        value = expected_attacker_profit(payoff_table(), probs)
+        # the same distribution as counts over the least common denominator
+        trials = math.lcm(*(p.denominator for p in probs.values()))
+        counts = {o: int(p * trials) for o, p in probs.items()}
+        value = expected_attacker_profit(payoff_table(), counts, trials)
         assert value == upper * 800 - lower * 400
         assert value < Fraction(200)
 
@@ -128,10 +132,13 @@ class TestSandwich:
             counts[rnd.randrange(6)] += 1  # at least one trial
             probs = {o: Fraction(c, sum(counts)) for o, c in zip(PERMUTATIONS, counts)}
             table = tables[case % 2]
-            got = expected_attacker_profit(table, probs)
+            got = expected_attacker_profit(table, dict(zip(PERMUTATIONS, counts)), sum(counts))
             assert type(got) is Fraction and got == fraction_sum(table, probs), counts
 
     def test_malformed_distribution(self):
-        probs = {o: Fraction(1, 2) for o in PERMUTATIONS}
-        with pytest.raises(ContractError):
-            expected_attacker_profit(payoff_table(), probs)
+        counts = dict.fromkeys(PERMUTATIONS, 1)
+        with pytest.raises(ContractError, match="sum to 6, not 3"):
+            expected_attacker_profit(payoff_table(), counts, 3)
+        counts["i1", "i1", "i3"] = 1
+        with pytest.raises(ContractError, match="unknown permutation"):
+            expected_attacker_profit(payoff_table(), counts, 7)

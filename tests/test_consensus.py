@@ -16,6 +16,7 @@ from fairorder.consensus import (
     OrderingPolicy,
     PolicyKind,
     SimulationRun,
+    orders_per_cell,
     trial_orders,
 )
 from fairorder.domain import (
@@ -777,7 +778,9 @@ class TestCountOrders:
                 *cell_for(placed, policy), 1, CommandIds((), "ab"), lambda t: [0, 0]
             ))
 
-    @pytest.mark.parametrize("trials", [0, -5])
+    @pytest.mark.parametrize(
+        "trials", [0, -5, range(3, 3), range(-1, 2), range(0, 6, 2)], ids=repr
+    )
     @pytest.mark.parametrize("policy", ALL_POLICIES, ids=policy_id)
     def test_rejects_fewer_than_one_trial(self, policy, trials):
         placed = [inv(label, 100_000, "solo") for label in "ab"]
@@ -854,8 +857,22 @@ class TestCountOrders:
         ids, seeds = CommandIds(("stable",), "ab"), partial(trial_seed, 7, "stable")
         short, full = (list(trial_orders(*cell, trials, ids, seeds)) for trials in (7, 60))
         assert len(full) == 60 and short == full[:7]
+        # nor on the trial its range starts at
+        assert list(trial_orders(*cell, range(7, 60), ids, seeds)) == full[7:]
         # the leader and the tied bercow cell vary by trial; pompe and receive do not
         assert len(set(full)) == (2 if kind in ("bercow", "leader") else 1)
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES, ids=policy_id)
+    def test_every_policy_rejects_a_window_past_63_bits(self, policy):
+        # a command's receive times lie in [t, t + dnet]: under every policy
+        # that window must fit in 63 bits, and the check is eager
+        ids = CommandIds((), "a")
+        late = cell_for([inv("a", MAX_TIMESTAMP - DNET + 1, "solo")], policy)
+        with pytest.raises(ContractError, match="overflow"):
+            trial_orders(*late, 2, ids, lambda t: [0, t])
+        if policy is not BERCOW:  # whose noise could still overflow
+            edge = cell_for([inv("a", MAX_TIMESTAMP - DNET, "solo")], policy)
+            assert list(trial_orders(*edge, 2, ids, lambda t: [0, t])) == [(0,)] * 2
 
     @pytest.mark.parametrize("policy", ALL_POLICIES, ids=policy_id)
     def test_every_policy_rejects_an_empty_run(self, policy):
@@ -957,3 +974,60 @@ class TestReceiveOrder:
         receive = {i: observe(p, topology, DNET) for i, p in enumerate(placed)}
         for a, b in all_correct_precedence(receive):
             assert position[a] < position[b]
+
+
+class TestOrdersPerCell:
+    """``orders_per_cell`` is ``trial_orders`` for each of a run's cells,
+    with one seeding pass for all the leader cells' trials."""
+
+    def cells(self):
+        """One run's cells: leader cells whose trial seeds have one, two,
+        three and five entropy words, between a pompe and a tied bercow
+        cell, and their trial_orders arguments after the trial count."""
+        topology = bundled_topology()
+        run = SimulationRun(
+            topology, DNET, SLOT, sro_for(topology, (topology.n_nodes - 1) // 3)
+        )
+        placed = [inv(label, 100_000, c) for label, c in zip("ab", ("tokyo", "washington"))]
+        leader = OrderingPolicy(PolicyKind.LEADER_ROTATION, SLOT)
+        seeds = [
+            lambda t: t, lambda t: [7, t], lambda t: [2**64 - 1, t, 3], lambda t: [1, 2, 3, 4, t]
+        ]
+        cells = [(POMPE, placed, {}, CommandIds(("pompe",), "ab"), None)]
+        cells += [
+            (leader, placed, {}, CommandIds(("leader", i), "ab"), seed)
+            for i, seed in enumerate(seeds)
+        ]
+        tied = [inv(label, 100_000, "tokyo") for label in "ab"]
+        tie = OrderingPolicy(PolicyKind.BERCOW_NOISE, 1)
+        cells.append((tie, tied, {}, CommandIds(("tied",), "ab"), None))
+        return run, cells
+
+    @pytest.mark.parametrize("trials", [range(40), range(13, 53)], ids=repr)
+    def test_equals_each_cell_alone(self, trials, monkeypatch):
+        run, cells = self.cells()
+        alone = [list(trial_orders(run, *cell[:3], trials, *cell[3:])) for cell in cells]
+        passes = []
+        seed = consensus._pcg64_states
+
+        def seeding(seeds):
+            passes.append(len(seeds))
+            return seed(seeds)
+
+        monkeypatch.setattr(consensus, "_pcg64_states", seeding)
+        together = [list(orders) for orders in orders_per_cell(*self.cells(), trials)]
+        assert together == alone
+        assert passes == [4 * len(trials)]  # one pass, four leader cells' trials
+        assert all(len(set(orders)) == 2 for orders in together[1:])  # they vary
+
+    def test_checks_stamps_and_seeds_on_the_call(self):
+        # nothing is taken from a stream: every cell's setup is eager
+        run, cells = self.cells()
+        bad_seed = cells[2][:4] + (lambda t: [1, t - 1],)
+        with pytest.raises(ContractError, match="non-negative"):
+            orders_per_cell(run, cells[:2] + [bad_seed], range(3))
+        with pytest.raises(ContractError, match="trials must be >= 1"):
+            orders_per_cell(run, cells, range(0))
+        far = [inv("a", MAX_TIMESTAMP, "tokyo")]
+        with pytest.raises(ContractError, match="overflow"):
+            orders_per_cell(run, cells + [(POMPE, far, {}, CommandIds((), "a"), None)], 3)

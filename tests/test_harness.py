@@ -1,9 +1,13 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,16 +32,18 @@ from fairorder.domain import (
     quorum_median,
 )
 from fairorder.harness import (
+    Cell,
     ConfigError,
     ExperimentConfig,
     TableResult,
     _cell_trial_seed,
     _colluder_ids,
-    _count_orders,
+    _count_cells,
     _fmt_prob,
     _fmt_usd,
     _placed,
     _run_for,
+    count_trials,
     emit_csv,
     parse_config,
     resolve_topology,
@@ -46,6 +52,7 @@ from fairorder.harness import (
     run_liquidation,
     run_sandwich,
     run_tradeoff_curve,
+    tabulate,
 )
 from fairorder.sro import SroHandle, sign_slot
 from reference import (
@@ -335,12 +342,14 @@ def cell_orders(run, config, spec, tags, commands, plan=None):
 
 
 def counted(run, config, spec, tags, commands, plan=None) -> Counter:
-    """``_count_orders`` on one table cell given as the runners list it."""
-    return _count_orders(run, config, OrderingPolicy.parse(spec), tags, _placed(commands), plan)
+    """``_count_cells`` on one table cell given as the runners list it."""
+    cell = Cell(tags, OrderingPolicy.parse(spec), _placed(commands), plan or {})
+    (counts,) = _count_cells(run, config, [cell], range(config.trials))
+    return counts
 
 
 def labelled(counts, commands) -> Counter:
-    """``_count_orders``' counts with each order as the tuple of its labels."""
+    """``_count_cells``' counts with each order as the tuple of its labels."""
     labels = [label for label, _, _ in commands]
     return Counter({tuple(labels[i] for i in order): n for order, n in counts.items()})
 
@@ -767,8 +776,8 @@ def test_cell_trial_seed_is_trial_seed(tags):
 def test_geo_bias_run_shares_its_setup(monkeypatch):
     # call counts, not timings: one run observes each distinct command
     # once, takes each one's median receive time once, parses no spec (the
-    # config parsed them when it was built), seeds each leader cell in one
-    # pass and makes one scratch generator
+    # config parsed them when it was built), seeds all its leader cells in
+    # one pass and makes one scratch generator
     cities = ("washington", "london", "munich", "tokyo")
     config = small(
         policies=("pompe", "receive", "leader:1500", "bercow:300", "bercow:1500"),
@@ -794,7 +803,7 @@ def test_geo_bias_run_shares_its_setup(monkeypatch):
         return parse(spec)
 
     def seeding(seeds):
-        calls["leader cells"] += 1
+        calls["seeding passes"] += 1
         return seed(seeds)
 
     def bit_generator(seed):
@@ -811,7 +820,7 @@ def test_geo_bias_run_shares_its_setup(monkeypatch):
     t0 = config.slot_ms * US_PER_MS // 2
     assert observed == Counter({(city, t0): 1 for city in cities})
     assert medians == observed  # 6 receive cells of 2 commands, 4 distinct
-    assert calls == Counter({"leader cells": 6, "generators": 1})
+    assert calls == Counter({"seeding passes": 1, "generators": 1})
 
 
 def test_geo_bias_run_builds_only_what_its_policies_read(monkeypatch):
@@ -820,7 +829,7 @@ def test_geo_bias_run_builds_only_what_its_policies_read(monkeypatch):
     config = replace(parse_config(CONFIG_DIR / "geo_bias.cfg"), trials=5)
     seeded, noised, cell = [], Counter(), [None]
     cell_trial_seed, orders, sha512 = (
-        harness._cell_trial_seed, harness.trial_orders, hashlib.sha512
+        harness._cell_trial_seed, consensus.trial_orders, hashlib.sha512
     )
 
     def seeding(config_seed, tags):
@@ -837,12 +846,66 @@ def test_geo_bias_run_builds_only_what_its_policies_read(monkeypatch):
         return sha512(data, **kwargs)
 
     monkeypatch.setattr(harness, "_cell_trial_seed", seeding)
-    monkeypatch.setattr(harness, "trial_orders", ordering)
+    monkeypatch.setattr(consensus, "trial_orders", ordering)
     monkeypatch.setattr(hashlib, "sha512", hashing)
     rows = run_experiment(config).rows
     assert len(rows) == 6 * len(config.policies)
     assert sorted(seeded) == [("geo", pair, "leader:1500") for pair in range(6)]
     assert set(noised) == {"bercow"}
+
+
+SIMULATED = ("geo_bias", "tradeoff_curve", "sandwich", "liquidation")
+
+
+def bundled(name, trials):
+    return replace(parse_config(CONFIG_DIR / f"{name}.cfg"), trials=trials)
+
+
+@pytest.mark.parametrize("name", SIMULATED)
+def test_counts_over_any_partition_add_up_to_the_serial_counts(name):
+    # a trial's order does not depend on the range that counts it, so each
+    # cell's counts over the parts of a partition sum to its serial count
+    config = bundled(name, 13)
+    serial = count_trials(config, 0, 13)
+    assert [sum(counts.values()) for counts in serial] == [13] * len(serial)
+    assert tabulate(config, serial).to_csv_text() == run_experiment(config).to_csv_text()
+    rnd = random.Random(name)
+    partitions = [(1,), (6, 7), (1, 2, 3, 12), tuple(sorted(rnd.sample(range(1, 13), 4)))]
+    for cuts in partitions:
+        bounds = (0, *cuts, 13)
+        parts = [count_trials(config, start, stop) for start, stop in zip(bounds, bounds[1:])]
+        assert [sum(cell, Counter()) for cell in zip(*parts)] == serial, cuts
+
+
+@pytest.mark.parametrize("name, leader_cells", [
+    ("geo_bias", 6), ("tradeoff_curve", 17), ("liquidation", 0), ("sandwich", 0),
+])
+def test_a_bundled_run_seeds_in_one_pass(name, leader_cells, monkeypatch):
+    # every leader cell's trials are seeded by one _pcg64_states call per run
+    passes = []
+    seed = consensus._pcg64_states
+
+    def seeding(seeds):
+        passes.append(len(seeds))
+        return seed(seeds)
+
+    monkeypatch.setattr(consensus, "_pcg64_states", seeding)
+    run_experiment(bundled(name, 5))
+    assert passes == [5 * leader_cells]
+
+
+def test_importing_the_harness_loads_no_process_pool():
+    # the pool is the script's: importing it costs the harness's users time
+    code = (
+        "import sys, fairorder.harness; print(sorted(m for m in sys.modules"
+        " if m.partition('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_sandwich_run_does_its_fixed_work_once(monkeypatch):
@@ -1030,6 +1093,15 @@ class TestCli:
             (["bounds", "--n", "1000000", "--alpha", "1/5"], None),
             (["bounds", "--n", "0", "--alpha", "1/5"], None),
             (["simulate"], "scenario = bounds_table\nbounds_n = 2,1000000"),
+            (["attack", "sandwich", "--policy", "receive", "--slot-ms", "100000000000000000",
+              "--trials", "2"], None),
+            (["attack", "sandwich", "--policy", "bercow", "--slot-ms", "100000000000000000",
+              "--trials", "2"], None),
+            (["simulate"], "scenario = geo_bias\npolicies = receive\nslot_ms = 100000000000000000"),
+            (["simulate"], "scenario = geo_bias\npolicies = leader:1500\n"
+                           "slot_ms = 100000000000000000"),
+            (["simulate"], "scenario = tradeoff_curve\npolicies = receive\n"
+                           "gaps_ms = 0,9300000000000000"),
         ],
         ids=["alpha", "attack-colluders", "policy-arg", "colluders", "alphas",
              "one-offset", "unknown-key", "dnet", "negative-gap", "gap-past-int64", "slot",
@@ -1037,7 +1109,9 @@ class TestCli:
              "pompe-arg", "receive-arg", "bare-leader", "bare-bercow", "bercow-zero",
              "leader-zero", "unknown-policy", "no-policies", "no-sandwich-policies",
              "no-alphas", "no-bounds-n", "bounds-n-41", "bounds-n-million", "bounds-n-zero",
-             "config-bounds-n-million"],
+             "config-bounds-n-million", "attack-receive-past-63-bits",
+             "attack-bercow-past-63-bits", "receive-past-63-bits", "leader-past-63-bits",
+             "receive-gap-past-63-bits"],
     )
     def test_bad_input_is_config_error(self, tmp_path, capsys, argv, config_line):
         if config_line is not None:
