@@ -520,7 +520,7 @@ def trial_orders(
         raise ContractError(f"the {kind.value} baseline takes no adversary plan")
     if kind is PolicyKind.LEADER_ROTATION:
         if states is None:
-            states = _pcg64_states([trial_seed(t) for t in trials])
+            states = _pcg64_states(trial_seed(t) for t in trials)
         prefixes = _leader_prefixes(run, width, invocations, states)
         return _orders(*prefixes, trial_ids, trials)
     if kind.median_timestamps:
@@ -545,18 +545,18 @@ def orders_per_cell(run: SimulationRun, cells, trials) -> list:
 
     The call does every cell's checks, stamps and reveals, and seeds the
     trials of all the leader cells in a single ``_pcg64_states`` pass,
-    which pays its fixed set-up once per run, not once per cell.  That
+    which pays its fixed set-up once per call, not once per cell.  That
     pass groups its lanes by seed word count, not by cell, so every state
     is the one the cell's own pass would give.
     """
     trials = _trial_range(trials)
     cells = list(cells)
-    states = iter(_pcg64_states([
+    states = iter(_pcg64_states(
         trial_seed(t)
         for policy, _, _, _, trial_seed in cells
         if policy.kind is PolicyKind.LEADER_ROTATION
         for t in trials
-    ]))
+    ))
     return [
         trial_orders(
             run, policy, invocations, plan, trials, trial_ids, trial_seed,

@@ -21,8 +21,9 @@ receive times, stamps, slot seeds and leader generator the cells share.
 Each cell's (label, invoke_us, city) commands are placed once, as
 invocations that carry their origin cities (``_placed``).  One function,
 ``_count_cells``, counts every cell of the run over a trial range with one
-``consensus.orders_per_cell`` call, which seeds all the leader cells'
-trials in one pass; the scenario then formats its rows from the counts.
+``consensus.orders_per_cell`` call per block of up to ``_TRIAL_BLOCK``
+trials, which seeds all the leader cells' trials of the block in one
+pass; the scenario then formats its rows from the counts.
 A trial's order does not depend on the range that counts it, so
 ``count_trials`` over disjoint ranges, in any processes, sums to the
 serial count, and ``tabulate`` formats the sum (``run_experiment`` counts
@@ -43,6 +44,7 @@ import hashlib
 import io
 import os
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -276,14 +278,21 @@ class Cell(NamedTuple):
     plan: dict
 
 
+# Trials per ``orders_per_cell`` call.  The call holds the seeded state of
+# each of its leader cells' trials until they are drawn, so a bound on its
+# range bounds a run's memory: 1,024 states take about 150 KB per leader cell.
+_TRIAL_BLOCK = 1024
+
+
 def _count_cells(run, config, cells, trials: range) -> list:
     """Each cell's ledger orders over ``trials`` on ``run``, counted, each
-    order as the tuple of its commands' indices in ledger order, from one
-    ``orders_per_cell`` call.  Trial t's ids are ``CommandIds(tags,
-    template ids)(t)``.  Only a leader cell, the one policy that draws from
-    them, gets trial seeds.
+    order as the tuple of its commands' indices in ledger order: one
+    ``orders_per_cell`` call, and so one seeding pass, per block of up to
+    ``_TRIAL_BLOCK`` trials.  Trial t's ids are ``CommandIds(tags, template
+    ids)(t)``.  Only a leader cell, the one policy that draws from them,
+    gets trial seeds.
     """
-    streams = orders_per_cell(run, [
+    args = [
         (
             cell.policy, cell.placed, cell.plan,
             CommandIds(cell.tags, [inv.command_id for inv in cell.placed]),
@@ -291,8 +300,13 @@ def _count_cells(run, config, cells, trials: range) -> list:
             if cell.policy.kind is PolicyKind.LEADER_ROTATION else None,
         )
         for cell in cells
-    ], trials)
-    return [Counter(orders) for orders in streams]
+    ]
+    counts = [Counter() for _ in cells]
+    for start in range(trials.start, trials.stop, _TRIAL_BLOCK):
+        block = range(start, min(start + _TRIAL_BLOCK, trials.stop))
+        for count, orders in zip(counts, orders_per_cell(run, args, block)):
+            count.update(orders)
+    return counts
 
 
 def _geo_cells(config: ExperimentConfig):
@@ -461,68 +475,30 @@ def _bounds_table(config: ExperimentConfig, cells, counts) -> TableResult:
     return result
 
 
-# scenario -> (its run and cells, from its config; its table, from the
-# cells' counts)
-_LAYOUTS = {
-    "geo_bias": (_geo_cells, _geo_bias_table),
-    "tradeoff_curve": (_tradeoff_cells, _tradeoff_table),
-    "sandwich": (_sandwich_cells, _sandwich_table),
-    "liquidation": (_liquidation_cells, _liquidation_table),
-    "bounds_table": (_no_cells, _bounds_table),
-}
+class _Scenario(NamedTuple):
+    """A table kind: its run and cells, from a config, and its table, from
+    the cells' counts.  Calling it counts all of a config's trials in this
+    process and returns the table."""
+
+    cells: Callable  # config -> (run, cells)
+    table: Callable  # (config, cells, counts) -> TableResult
+
+    def __call__(self, config: ExperimentConfig) -> TableResult:
+        run, cells = self.cells(config)
+        return self.table(config, cells, _count_cells(run, config, cells, range(config.trials)))
 
 
-def count_trials(config: ExperimentConfig, start: int, stop: int) -> list:
-    """The counted orders of each of ``config``'s cells over trials [start,
-    stop), in the order its table lists them.  Trial t's order does not
-    depend on the range, so the counts of disjoint ranges add up to the
-    count of their union, whichever process made each."""
-    run, cells = _LAYOUTS[config.scenario][0](config)
-    return _count_cells(run, config, cells, range(start, stop))
-
-
-def tabulate(config: ExperimentConfig, counts) -> TableResult:
-    """``config``'s table from its cells' counts over all its trials, as
-    ``count_trials`` lists them."""
-    cells_of, table_of = _LAYOUTS[config.scenario]
-    return table_of(config, cells_of(config)[1], counts)
-
-
-def _counted_table(config: ExperimentConfig, scenario: str) -> TableResult:
-    cells_of, table_of = _LAYOUTS[scenario]
-    run, cells = cells_of(config)
-    return table_of(config, cells, _count_cells(run, config, cells, range(config.trials)))
-
-
-def run_geo_bias(config: ExperimentConfig) -> TableResult:
-    """Pr[A first] - Pr[B first] for simultaneous invocations per city pair."""
-    return _counted_table(config, "geo_bias")
-
-
-def run_tradeoff_curve(config: ExperimentConfig) -> TableResult:
-    """Pr[early sender first] as its head start grows.
-
-    The disadvantaged city (higher median latency to the quorum) invokes
-    ``gap`` ms before the advantaged city; the curve must reach 1.0 once
-    the gap clears the policy's inversion horizon.
-    """
-    return _counted_table(config, "tradeoff_curve")
-
-
-def run_sandwich(config: ExperimentConfig) -> TableResult:
-    """Permutation frequencies and attacker profit for the bracketing attack."""
-    return _counted_table(config, "sandwich")
-
-
-def run_liquidation(config: ExperimentConfig) -> TableResult:
-    """Expected liquidation payout per client when only the first wins."""
-    return _counted_table(config, "liquidation")
-
-
-def run_bounds_table(config: ExperimentConfig) -> TableResult:
-    """Closed-form equality/linearizability figures over (n, alpha) grid."""
-    return _counted_table(config, "bounds_table")
-
+# Pr[A first] - Pr[B first] for simultaneous invocations per city pair
+run_geo_bias = _Scenario(_geo_cells, _geo_bias_table)
+# Pr[early sender first] as its head start grows; the curve must reach 1.0
+# once the gap clears the policy's inversion horizon
+run_tradeoff_curve = _Scenario(_tradeoff_cells, _tradeoff_table)
+# permutation frequencies and attacker profit for the bracketing attack
+run_sandwich = _Scenario(_sandwich_cells, _sandwich_table)
+# expected liquidation payout per client when only the first wins
+run_liquidation = _Scenario(_liquidation_cells, _liquidation_table)
+# closed-form equality/linearizability figures over the (n, alpha) grid
+run_bounds_table = _Scenario(_no_cells, _bounds_table)
 
 RUNNERS = {
     "geo_bias": run_geo_bias,
@@ -531,6 +507,22 @@ RUNNERS = {
     "liquidation": run_liquidation,
     "bounds_table": run_bounds_table,
 }
+
+
+def count_trials(config: ExperimentConfig, start: int, stop: int) -> list:
+    """The counted orders of each of ``config``'s cells over trials [start,
+    stop), in the order its table lists them.  Trial t's order does not
+    depend on the range, so the counts of disjoint ranges add up to the
+    count of their union, whichever process made each."""
+    run, cells = RUNNERS[config.scenario].cells(config)
+    return _count_cells(run, config, cells, range(start, stop))
+
+
+def tabulate(config: ExperimentConfig, counts) -> TableResult:
+    """``config``'s table from its cells' counts over all its trials, as
+    ``count_trials`` lists them."""
+    scenario = RUNNERS[config.scenario]
+    return scenario.table(config, scenario.cells(config)[1], counts)
 
 
 def run_experiment(config: ExperimentConfig) -> TableResult:

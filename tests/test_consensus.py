@@ -1011,6 +1011,7 @@ class TestOrdersPerCell:
         seed = consensus._pcg64_states
 
         def seeding(seeds):
+            seeds = list(seeds)
             passes.append(len(seeds))
             return seed(seeds)
 

@@ -862,11 +862,15 @@ def bundled(name, trials):
 
 
 @pytest.mark.parametrize("name", SIMULATED)
-def test_counts_over_any_partition_add_up_to_the_serial_counts(name):
+def test_counts_over_any_partition_add_up_to_the_serial_counts(name, monkeypatch):
     # a trial's order does not depend on the range that counts it, so each
-    # cell's counts over the parts of a partition sum to its serial count
+    # cell's counts over the parts of a partition sum to its serial count,
+    # also where a count takes its range in blocks
     config = bundled(name, 13)
     serial = count_trials(config, 0, 13)
+    monkeypatch.setattr(harness, "_TRIAL_BLOCK", 4)
+    assert count_trials(config, 0, 13) == serial
+    monkeypatch.undo()
     assert [sum(counts.values()) for counts in serial] == [13] * len(serial)
     assert tabulate(config, serial).to_csv_text() == run_experiment(config).to_csv_text()
     rnd = random.Random(name)
@@ -881,11 +885,13 @@ def test_counts_over_any_partition_add_up_to_the_serial_counts(name):
     ("geo_bias", 6), ("tradeoff_curve", 17), ("liquidation", 0), ("sandwich", 0),
 ])
 def test_a_bundled_run_seeds_in_one_pass(name, leader_cells, monkeypatch):
-    # every leader cell's trials are seeded by one _pcg64_states call per run
+    # every leader cell's trials are seeded by one _pcg64_states call per
+    # run of up to _TRIAL_BLOCK trials
     passes = []
     seed = consensus._pcg64_states
 
     def seeding(seeds):
+        seeds = list(seeds)
         passes.append(len(seeds))
         return seed(seeds)
 

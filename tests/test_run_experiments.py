@@ -61,8 +61,13 @@ def test_check_names_each_differing_csv_and_writes_nothing(script, tmp_path, mon
     assert (tmp_path / "results" / "sandwich.csv").read_bytes() == changed
 
 
-def test_check_runs_at_full_trials_only(script, capsys):
+@pytest.mark.parametrize("argv", [
+    ["--check", "--trials", "5"], ["--trials", "0"], ["--jobs", "0"], ["--only", "geo"],
+])
+def test_bad_arguments_are_usage_errors(script, argv, capsys):
+    # --check runs at full trials only; a --trials of 0 must not read as
+    # "no override" and run the full trial counts
     with pytest.raises(SystemExit) as exc:
-        script.main(["--check", "--trials", "5"])
+        script.main(argv)
     assert exc.value.code == 2
-    assert "not allowed with argument" in capsys.readouterr().err
+    assert "error:" in capsys.readouterr().err
