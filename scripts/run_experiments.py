@@ -16,9 +16,9 @@ differs, exits 1 if any does and writes nothing.  Pass --trials to
 downscale for a quick look.
 
 In eight alternating runs on 2 cores of a shared Intel Xeon under Python
-3.11 and numpy 2.4.6, a full run took 2.1-2.9 s wall at the default 2
-jobs and 2.8-5.3 s at --jobs 1, and the default was faster in all eight;
-the previous, serial version took 2.9-5.0 s alongside.  A multi-process
+3.11 and numpy 2.4.6, a full run took 2.07-2.85 s wall at the default 2
+jobs and 2.83-3.31 s at --jobs 1, and the default was faster in all
+eight; the previous, serial version took 2.77-3.87 s alongside.  A multi-process
 figure tracks host steal, and the same host's speed swings about
 twofold.  Most of the time is the leader and bercow cells' per-trial
 draws and hashes, which the CSV bytes fix; each worker also pays
@@ -106,11 +106,12 @@ def main(argv=None) -> int:
         if args.check:
             try:
                 with open(config.output, "rb") as fh:
-                    same = fh.read() == result.to_csv_text().encode("utf-8")
+                    verdict = ("same as" if fh.read() == result.to_csv_text().encode("utf-8")
+                               else "DIFFERS from")
             except FileNotFoundError:
-                same = False
-            print(f"{config.scenario:15s} {'same as' if same else 'DIFFERS from'} {config.output}")
-            if not same:
+                verdict = "MISSING:"
+            print(f"{config.scenario:15s} {verdict} {config.output}")
+            if verdict != "same as":
                 differs.append(config.output)
         else:
             emit_csv(result, config.output)

@@ -55,7 +55,9 @@ def test_check_names_each_differing_csv_and_writes_nothing(script, tmp_path, mon
     (tmp_path / "results" / "bounds_table.csv").unlink()
     capsys.readouterr()
     assert script.main(argv) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert "MISSING: results/bounds_table.csv" in out
+    assert "DIFFERS from results/sandwich.csv" in out
     assert "results/bounds_table.csv" in err and "results/sandwich.csv" in err
     assert [p.name for p in (tmp_path / "results").iterdir()] == ["sandwich.csv"]
     assert (tmp_path / "results" / "sandwich.csv").read_bytes() == changed
