@@ -32,7 +32,7 @@ from dataclasses import replace
 from importlib import resources
 
 from fairorder.analysis import _MAX_THREADS, _usable_cpus
-from fairorder.harness import count_trials, emit_csv, parse_config, tabulate
+from fairorder.harness import RUNNERS, count_trials, emit_csv, parse_config, tabulate
 
 CONFIGS = ("bounds_table", "geo_bias", "tradeoff_curve", "sandwich", "liquidation")
 
@@ -46,10 +46,10 @@ def _chunks(config, jobs: int) -> list:
 
 def tables(configs, jobs: int) -> list:
     """Each config's table, its trials counted in chunks on ``jobs`` worker
-    processes, or in this process at 1 job."""
-    ranges = [_chunks(config, jobs) for config in configs]
-    calls = [(config, start, stop) for config, chunks in zip(configs, ranges)
-             for start, stop in chunks]
+    processes, or in this process at 1 job.  A closed-form table counts no
+    trials and is made here."""
+    calls = [(config, start, stop) for config in configs if RUNNERS[config.scenario].cells
+             for start, stop in _chunks(config, jobs)]
     if jobs == 1:
         counted = [count_trials(*call) for call in calls]
     else:
@@ -60,15 +60,13 @@ def tables(configs, jobs: int) -> list:
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
             counted = list(pool.map(count_trials, *zip(*calls)))
-    parts = iter(counted)
-    results = []
-    for config, chunks in zip(configs, ranges):
-        counts = next(parts)  # the first chunk's; the others' are added to it
-        for _ in chunks[1:]:
-            for total, count in zip(counts, next(parts), strict=True):
-                total.update(count)
-        results.append(tabulate(config, counts))
-    return results
+    totals = {}  # config -> its first chunk's (cell, counts) pairs, the others added
+    for (config, _, _), part in zip(calls, counted):
+        total = totals.setdefault(config, part)
+        if total is not part:
+            for (_, counts), (_, more) in zip(total, part, strict=True):
+                counts.update(more)
+    return [tabulate(config, totals.get(config, [])) for config in configs]
 
 
 def main(argv=None) -> int:

@@ -4,12 +4,12 @@
 reads a spec -- ``pompe``, ``receive``, ``leader:<ms>`` or ``bercow:<ms>``.
 
 A ``SimulationRun`` is one network: topology, delta_net, slot interval and
-oracle.  ``trial_orders`` yields, in trial order, the ledger order of each
-of a range of trials of one cell: a policy ordering some invocations on a
-run, under an adversary plan.  Trials differ only in their command ids
-and, under leader rotation, in the rotation drawn.  ``orders_per_cell``
-makes every cell's stream of a run in one call, which seeds all their
-leader trials in one pass.  The one engine serves every policy:
+oracle.  A cell is a policy ordering some invocations on a run, under an
+adversary plan.  ``orders_per_cell`` yields, for each cell of a run, the
+ledger order of each of a range of trials, in trial order, from one call
+that seeds all the leader cells' trials in one pass.  Trials differ only
+in their command ids and, under leader rotation, in the rotation drawn.
+The one engine serves every policy:
 
 * ``pompe`` and ``bercow`` (median timestamps, idealized per-slot
   agreement): a command's assigned timestamp is the median of its 2f+1
@@ -48,7 +48,6 @@ from .adversary import QUORUM_HIGH, QUORUM_LOW, CommandPlan, clamp_to_window
 from .domain import (
     MAX_TIMESTAMP,
     US_PER_MS,
-    CommandIds,
     ContractError,
     Invocation,
     encode_id_part,
@@ -108,8 +107,8 @@ class OrderingPolicy:
 class SimulationRun:
     """One network: its topology, delta_net, slot interval and secret
     random oracle, whose f fixes every quorum.  Each cell ordered on it
-    (``trial_orders``) reuses what the run has computed: receive times and
-    their medians, keyed by (origin city, invoke time); assigned
+    (``orders_per_cell``) reuses what the run has computed: receive times
+    and their medians, keyed by (origin city, invoke time); assigned
     timestamps, keyed by those and the command's plan entry
     (``_timestamp_invocations``); revealed slot seeds, keyed by k; and the
     scratch generator of leader trials, built on first use.  A run is
@@ -219,7 +218,7 @@ def _rotation(rng, nodes: list, rotation_period_us: int):
 
 
 def _slotted_prefixes(run: SimulationRun, width_us: int, invocations, plan):
-    """``trial_orders``' setup under ``pompe`` and ``bercow`` (noise width
+    """A cell's setup under ``pompe`` and ``bercow`` (noise width
     ``width_us``, 0 under ``pompe``).
 
     Each command's tie seed is the revealed seed of the slot that decides
@@ -256,10 +255,6 @@ _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _LANE_BYTES = 12  # a uint32 word and room for the carries of ``mix``
 _LANE_ONE = b"\x01" + bytes(_LANE_BYTES - 1)
-# Lanes per big int.  A run's one pass can seed 10^5 trials; in blocks of
-# this many lanes (12 KiB per int) each step stays in cache, which measured
-# about 8% faster at 60,000 seeds and the same at 120.
-_LANE_BLOCK = 1024
 
 
 def _hash_constants(init: int, mult: int, steps: int) -> tuple:
@@ -296,76 +291,77 @@ def _pcg64_states(seeds) -> list:
     """``np.random.PCG64(seed).state``'s (state, inc) for every seed at once.
 
     This restates numpy's ``SeedSequence(seed).generate_state(4, uint64)``
-    (``mix_entropy``, then the output hash) on Python ints.  Seeds with the
-    same number of entropy words are one group, taken in blocks of at most
-    ``_LANE_BLOCK`` seeds, and each block's word j is one int with seed i's
-    word in lane i, ``_LANE_BYTES`` wide.  The hash constants depend on no
-    data, so they are module constants (``_POOL_HASHES``,
-    ``_OUTPUT_HASHES``), and each ``hashmix`` or ``mix`` step is a few
-    big-int operations over all the block's seeds.  PCG64
-    then seeds each state: ``inc`` is (the second 128 bits << 1) | 1, and
-    two LCG steps from 0 add the first 128 bits after the first step.
+    (``mix_entropy``, then the output hash) on Python ints, one group of
+    seeds with the same number of entropy words at a time
+    (``_generate_state``).  PCG64 then seeds each state: ``inc`` is (the
+    second 128 bits << 1) | 1, and two LCG steps from 0 add the first 128
+    bits after the first step.
     """
     entropy = [_entropy_words(seed) for seed in seeds]
     groups: dict = {}
     for i, words in enumerate(entropy):
         groups.setdefault(len(words) // 4, []).append(i)
     out = [None] * len(entropy)
-    blocks = (
-        (count, members[start:start + _LANE_BLOCK])
-        for count, members in groups.items()
-        for start in range(0, len(members), _LANE_BLOCK)
-    )
-    for count, members in blocks:
-        width = _LANE_BYTES * len(members)
-        ones = int.from_bytes(_LANE_ONE * len(members), "little")
-        mask = _MASK32 * ones
-        joined = b"".join(entropy[i] for i in members)
-
-        def lanes(j):
-            packed = bytearray(width)
-            for byte in range(4):
-                packed[byte::_LANE_BYTES] = joined[4 * j + byte::4 * count]
-            return int.from_bytes(packed, "little")
-
-        def hashmix(value, xor, mult):
-            value = (value ^ xor * ones) * mult & mask
-            return value ^ value >> 16 & mask
-
-        def mix(x, y):  # MIX_MULT_L * x - MIX_MULT_R * y, with no borrow between lanes
-            r = (x * _MIX_MULT_L + y * _MIX_R) & mask
-            return r ^ r >> 16 & mask
-
-        words = [lanes(j) for j in range(count)]
-        steps = iter(_POOL_HASHES + _hash_constants(
-            _POOL_HASHES[-1][1], _MULT_A, _POOL_WORDS * max(count - _POOL_WORDS, 0)
-        ))
-        pool = [hashmix(words[i] if i < count else 0, *next(steps)) for i in range(_POOL_WORDS)]
-        for src in range(_POOL_WORDS):
-            for dst in range(_POOL_WORDS):
-                if src != dst:
-                    pool[dst] = mix(pool[dst], hashmix(pool[src], *next(steps)))
-        for src in range(_POOL_WORDS, count):
-            for dst in range(_POOL_WORDS):
-                pool[dst] = mix(pool[dst], hashmix(words[src], *next(steps)))
-        state = [
-            hashmix(pool[i % _POOL_WORDS], xor, mult)
-            for i, (xor, mult) in enumerate(_OUTPUT_HASHES)
-        ]
-        # uint64 word k is state words 2k (low) and 2k + 1 (high)
-        uint64s = [
-            [low for low, _ in struct.iter_unpack(
-                "<QI", (state[2 * k] | state[2 * k + 1] << 32).to_bytes(width, "little"))]
-            for k in range(4)
-        ]
-        for i, state_hi, state_lo, inc_hi, inc_lo in zip(members, *uint64s):
+    for count, members in groups.items():
+        words = _generate_state(b"".join(entropy[i] for i in members), count, len(members))
+        unpacked = (struct.iter_unpack("<QI", word) for word in words)
+        for i, (state_hi, _), (state_lo, _), (inc_hi, _), (inc_lo, _) in zip(members, *unpacked):
             inc = (inc_hi << 65 | inc_lo << 1 | 1) & _MASK128
             out[i] = (((state_hi << 64 | state_lo) + inc) * _PCG64_MULT + inc) & _MASK128, inc
     return out
 
 
+def _generate_state(joined: bytes, count: int, seeds: int) -> list:
+    """The four uint64 words of ``generate_state`` for each of ``seeds``
+    seeds of ``count`` entropy words each, given one after another in
+    ``joined``: as four byte strings, seed i's word in bytes [12 i, 12 i + 8).
+
+    Word j of every seed is one int, seed i's word in lane i,
+    ``_LANE_BYTES`` wide.  The hash constants depend on no data, so they
+    are module constants (``_POOL_HASHES``, ``_OUTPUT_HASHES``), and each
+    ``hashmix`` or ``mix`` step is a few big-int operations over all the
+    seeds.  The big ints are freed on return, before the caller builds
+    each seed's state.
+    """
+    width = _LANE_BYTES * seeds
+    ones = int.from_bytes(_LANE_ONE * seeds, "little")
+    mask = _MASK32 * ones
+
+    def lanes(j):
+        packed = bytearray(width)
+        for byte in range(4):
+            packed[byte::_LANE_BYTES] = joined[4 * j + byte::4 * count]
+        return int.from_bytes(packed, "little")
+
+    def hashmix(value, xor, mult):
+        value = (value ^ xor * ones) * mult & mask
+        return value ^ value >> 16 & mask
+
+    def mix(x, y):  # MIX_MULT_L * x - MIX_MULT_R * y, with no borrow between lanes
+        r = (x * _MIX_MULT_L + y * _MIX_R) & mask
+        return r ^ r >> 16 & mask
+
+    words = [lanes(j) for j in range(count)]
+    steps = iter(_POOL_HASHES + _hash_constants(
+        _POOL_HASHES[-1][1], _MULT_A, _POOL_WORDS * max(count - _POOL_WORDS, 0)
+    ))
+    pool = [hashmix(words[i] if i < count else 0, *next(steps)) for i in range(_POOL_WORDS)]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src], *next(steps)))
+    for src in range(_POOL_WORDS, count):
+        for dst in range(_POOL_WORDS):
+            pool[dst] = mix(pool[dst], hashmix(words[src], *next(steps)))
+    state = [
+        hashmix(pool[i % _POOL_WORDS], xor, mult) for i, (xor, mult) in enumerate(_OUTPUT_HASHES)
+    ]
+    # uint64 word k is state words 2k (low) and 2k + 1 (high)
+    return [(state[2 * k] | state[2 * k + 1] << 32).to_bytes(width, "little") for k in range(4)]
+
+
 def _receive_prefixes(run: SimulationRun, invocations):
-    """``trial_orders``' setup under ``receive``: the tie seeds and each
+    """A cell's setup under ``receive``: the tie seeds and each
     command's median receive time (the upper median for an even n), kept
     by the run next to its receive times."""
     medians = []
@@ -378,7 +374,7 @@ def _receive_prefixes(run: SimulationRun, invocations):
 
 
 def _leader_prefixes(run: SimulationRun, period_us: int, invocations, states):
-    """``trial_orders``' setup under ``leader``: the tie seeds, and each
+    """A cell's setup under ``leader``: the tie seeds, and each
     trial's (prefixes, None) as it is drawn.
 
     Each trial's PCG64 (state, inc) in ``states``, seeded in bulk by
@@ -468,59 +464,11 @@ def _trial_range(trials) -> range:
     return span
 
 
-def trial_orders(
-    run: SimulationRun, policy: OrderingPolicy, invocations, plan,
-    trials, trial_ids: CommandIds, trial_seed, states=None,
-):
-    """Each trial's ledger order, in trial order, for one cell: ``policy``
-    ordering ``invocations`` (template ``Invocation``s, each carrying its
-    origin city) on ``run`` under the adversary ``plan``, a mapping from
-    command id to ``CommandPlan``.
-
-    ``trials`` is a count n, for trials 0..n-1, or a range of consecutive
-    trials.  Trial t renames the invocations to the ids ``trial_ids(t)``,
-    one ``CommandIds`` label per invocation, in order; the plan is keyed by
-    the template ids and follows the renaming.  Under ``leader`` trial t
-    draws its schedule and phase as
-    ``np.random.default_rng(trial_seed(t))`` would (a seed is a
-    non-negative int or a sequence of them); no other policy calls
-    ``trial_seed``, which may be None off ``leader``.  ``states``, if
-    given, are those trials' PCG64 (state, inc) pairs, already seeded from
-    ``trial_seed`` (``orders_per_cell`` seeds all of a run's leader cells
-    in one pass); otherwise a ``leader`` call seeds its own.  Only the
-    median-timestamp policies take a non-empty plan; ``leader`` and
-    ``receive`` reject one.  An order is a tuple of indices into
-    ``invocations``, and trial t's depends on neither the range's length
-    nor its start, so counts over disjoint ranges add up to the count over
-    their union.  The checks, stamps, reveals and seeding happen in this
-    call; a trial's noise, draws and sort happen as the returned iterator
-    yields it.
-
-    Each policy's ledger is one sort by ``_key``.  (Under slot-by-slot
-    agreement, a command decided in slot k_d is emitted by slot
-    floor(modified_ts / interval) >= k_d, and each slot emits its ripe keys
-    sorted, after every earlier slot's smaller ones.)  Outside ``leader``,
-    every trial's prefix for a command lies in [p, p + max(w, 1)), where p
-    is its fixed prefix and w the ``bercow`` noise width (0 otherwise).  If
-    those ranges are pairwise disjoint, every trial has the order of the
-    fixed prefixes, and it is repeated with no per-trial work.  Otherwise a
-    ``bercow`` trial derives its ids once, for its noise
-    (``_noised_prefixes``), and a ``leader`` trial draws its rotation; a
-    trial of any policy derives its ids only on a tie, if it has not yet.
-    """
-    trials = _trial_range(trials)
-    if not invocations:
-        raise ContractError("no invocations to order")
-    if len(trial_ids.labels) != len(invocations):
-        raise ContractError(
-            f"{len(trial_ids.labels)} command labels for {len(invocations)} invocations"
-        )
+def _cell_orders(run, policy, invocations, plan, trials: range, trial_ids, states):
+    """One checked cell's stream (``orders_per_cell``), ``states`` its
+    trials' PCG64 (state, inc) pairs under ``leader`` and None otherwise."""
     kind, width = policy.kind, policy.param_us
-    if plan and not kind.median_timestamps:
-        raise ContractError(f"the {kind.value} baseline takes no adversary plan")
     if kind is PolicyKind.LEADER_ROTATION:
-        if states is None:
-            states = _pcg64_states(trial_seed(t) for t in trials)
         prefixes = _leader_prefixes(run, width, invocations, states)
         return _orders(*prefixes, trial_ids, trials)
     if kind.median_timestamps:
@@ -539,28 +487,66 @@ def trial_orders(
 
 
 def orders_per_cell(run: SimulationRun, cells, trials) -> list:
-    """``trial_orders``' stream over ``trials`` for each of a run's cells,
-    each given as its (policy, invocations, plan, trial_ids, trial_seed),
-    from one eager call.
+    """Each trial's ledger order, in trial order, for each cell of a run:
+    one stream per cell, from one eager call.
+
+    A cell is (policy, invocations, plan, trial_ids, trial_seed): ``policy``
+    ordering ``invocations`` (template ``Invocation``s, each carrying its
+    origin city) on ``run`` under the adversary ``plan``, a mapping from
+    command id to ``CommandPlan``.  ``trials`` is a count n, for trials
+    0..n-1, or a range of consecutive trials.  Trial t renames the
+    invocations to the ids ``trial_ids(t)``, one ``CommandIds`` label per
+    invocation, in order; the plan is keyed by the template ids and follows
+    the renaming.  Under ``leader`` trial t draws its schedule and phase as
+    ``np.random.default_rng(trial_seed(t))`` would (a seed is a
+    non-negative int or a sequence of them); no other policy calls
+    ``trial_seed``, which may be None off ``leader``.  Only the
+    median-timestamp policies take a non-empty plan; ``leader`` and
+    ``receive`` reject one.  An order is a tuple of indices into
+    ``invocations``, and trial t's depends on neither the range's length
+    nor its start, nor on the other cells of the call, so counts over
+    disjoint ranges add up to the count over their union.
 
     The call does every cell's checks, stamps and reveals, and seeds the
     trials of all the leader cells in a single ``_pcg64_states`` pass,
     which pays its fixed set-up once per call, not once per cell.  That
     pass groups its lanes by seed word count, not by cell, so every state
-    is the one the cell's own pass would give.
+    is the one a call with that cell alone would give.  A trial's noise,
+    draws and sort happen as its cell's stream yields it.
+
+    Each policy's ledger is one sort by ``_key``.  (Under slot-by-slot
+    agreement, a command decided in slot k_d is emitted by slot
+    floor(modified_ts / interval) >= k_d, and each slot emits its ripe keys
+    sorted, after every earlier slot's smaller ones.)  Outside ``leader``,
+    every trial's prefix for a command lies in [p, p + max(w, 1)), where p
+    is its fixed prefix and w the ``bercow`` noise width (0 otherwise).  If
+    those ranges are pairwise disjoint, every trial has the order of the
+    fixed prefixes, and it is repeated with no per-trial work.  Otherwise a
+    ``bercow`` trial derives its ids once, for its noise
+    (``_noised_prefixes``), and a ``leader`` trial draws its rotation; a
+    trial of any policy derives its ids only on a tie, if it has not yet.
     """
     trials = _trial_range(trials)
     cells = list(cells)
+    for policy, invocations, plan, trial_ids, _ in cells:
+        if not invocations:
+            raise ContractError("no invocations to order")
+        if len(trial_ids.labels) != len(invocations):
+            raise ContractError(
+                f"{len(trial_ids.labels)} command labels for {len(invocations)} invocations"
+            )
+        if plan and not policy.kind.median_timestamps:
+            raise ContractError(f"the {policy.kind.value} baseline takes no adversary plan")
+    leader = PolicyKind.LEADER_ROTATION
     states = iter(_pcg64_states(
         trial_seed(t)
-        for policy, _, _, _, trial_seed in cells
-        if policy.kind is PolicyKind.LEADER_ROTATION
+        for policy, _, _, _, trial_seed in cells if policy.kind is leader
         for t in trials
     ))
     return [
-        trial_orders(
-            run, policy, invocations, plan, trials, trial_ids, trial_seed,
-            [next(states) for _ in trials] if policy.kind is PolicyKind.LEADER_ROTATION else None,
+        _cell_orders(
+            run, policy, invocations, plan, trials, trial_ids,
+            [next(states) for _ in trials] if policy.kind is leader else None,
         )
-        for policy, invocations, plan, trial_ids, trial_seed in cells
+        for policy, invocations, plan, trial_ids, _ in cells
     ]

@@ -21,13 +21,15 @@ receive times, stamps, slot seeds and leader generator the cells share.
 Each cell's (label, invoke_us, city) commands are placed once, as
 invocations that carry their origin cities (``_placed``).  One function,
 ``_count_cells``, counts every cell of the run over a trial range with one
-``consensus.orders_per_cell`` call per block of up to ``_TRIAL_BLOCK``
-trials, which seeds all the leader cells' trials of the block in one
-pass; the scenario then formats its rows from the counts.
-A trial's order does not depend on the range that counts it, so
-``count_trials`` over disjoint ranges, in any processes, sums to the
-serial count, and ``tabulate`` formats the sum (``run_experiment`` counts
-all trials in this process).  The tags -- ``("geo", pair_index, spec)``,
+``consensus.orders_per_cell`` call per block of trials, which seeds all
+the leader cells' trials of the block, at most ``_PASS_SEEDS``, in one
+pass.  ``count_trials`` returns each cell with its counts, and the
+scenario's table is formatted from those pairs alone (``tabulate``), with
+no run rebuilt; a closed-form table (bounds_table) has no cells and counts
+nothing.  ``run_experiment`` is the two steps over all trials in this
+process.  A trial's order does not depend on the range that counts it,
+so ``count_trials`` over disjoint ranges, in any processes, sums to the
+serial count.  The tags -- ``("geo", pair_index, spec)``,
 ``("gap", spec, gap_ms)`` or ``("sand", spec)`` -- fix trial t's command
 ids, ``CommandIds(tags, labels)(t)``, and under the leader policy the
 seed its rotation is drawn from (``_cell_trial_seed``, built for leader
@@ -278,19 +280,23 @@ class Cell(NamedTuple):
     plan: dict
 
 
-# Trials per ``orders_per_cell`` call.  The call holds the seeded state of
-# each of its leader cells' trials until they are drawn, so a bound on its
-# range bounds a run's memory: 1,024 states take about 150 KB per leader cell.
-_TRIAL_BLOCK = 1024
+# Leader trial seeds per ``orders_per_cell`` call.  The call's seeding pass
+# works on ints of 12 bytes per seed, and the call holds each seeded state
+# (about 150 bytes) until its trial is drawn, so this bounds what a run
+# holds at once: full serial geo_bias and tradeoff_curve runs (6 and 17
+# leader cells) peaked at 36.1 and 36.2 MB, against 39.2 and 45.6 MB with
+# one pass per 1,024 trials.
+_PASS_SEEDS = 1024
 
 
 def _count_cells(run, config, cells, trials: range) -> list:
     """Each cell's ledger orders over ``trials`` on ``run``, counted, each
     order as the tuple of its commands' indices in ledger order: one
-    ``orders_per_cell`` call, and so one seeding pass, per block of up to
-    ``_TRIAL_BLOCK`` trials.  Trial t's ids are ``CommandIds(tags, template
-    ids)(t)``.  Only a leader cell, the one policy that draws from them,
-    gets trial seeds.
+    ``orders_per_cell`` call, and so one seeding pass, per block of trials
+    whose leader cells' trials number at most ``_PASS_SEEDS`` (one block
+    of all the trials if no cell is a leader cell).  Trial t's ids are
+    ``CommandIds(tags, template ids)(t)``.  Only a leader cell, the one
+    policy that draws from them, gets trial seeds.
     """
     args = [
         (
@@ -302,16 +308,21 @@ def _count_cells(run, config, cells, trials: range) -> list:
         for cell in cells
     ]
     counts = [Counter() for _ in cells]
-    for start in range(trials.start, trials.stop, _TRIAL_BLOCK):
-        block = range(start, min(start + _TRIAL_BLOCK, trials.stop))
+    leaders = sum(seed is not None for *_, seed in args)
+    step = max(_PASS_SEEDS // leaders, 1) if leaders else max(len(trials), 1)
+    for start in range(trials.start, trials.stop, step):
+        block = range(start, min(start + step, trials.stop))
         for count, orders in zip(counts, orders_per_cell(run, args, block)):
             count.update(orders)
     return counts
 
 
 def _geo_cells(config: ExperimentConfig):
-    """A geo_bias run and its cells: each pair of origin cities invoking at
-    once, mid-slot, under each policy."""
+    """A geo_bias or liquidation run and its cells: each pair of origin
+    cities invoking at once, mid-slot, under each policy; a liquidation
+    has one pair."""
+    if config.scenario == "liquidation" and len(config.origins) != 2:
+        raise ConfigError("liquidation needs exactly two origin cities")
     if len(config.origins) < 2:
         raise ConfigError("geo_bias needs at least two origin cities")
     t0 = config.slot_ms * US_PER_MS // 2  # mid-slot, away from boundaries
@@ -325,10 +336,10 @@ def _geo_cells(config: ExperimentConfig):
     return _run_for(config), cells
 
 
-def _geo_bias_table(config: ExperimentConfig, cells, counts) -> TableResult:
+def _geo_bias_table(config: ExperimentConfig, counted) -> TableResult:
     result = TableResult(header=("city_a", "city_b", "policy", "pr_a_first", "diff", "trials"))
     n = config.trials
-    for cell, count in zip(cells, counts, strict=True):
+    for cell, count in counted:
         city_a, city_b = (inv.origin_city for inv in cell.placed)
         a_first = count[0, 1]
         pr_a, diff = _fmt_prob(a_first / n), _fmt_prob((2 * a_first - n) / n)
@@ -361,9 +372,9 @@ def _tradeoff_cells(config: ExperimentConfig):
     ]
 
 
-def _tradeoff_table(config: ExperimentConfig, cells, counts) -> TableResult:
+def _tradeoff_table(config: ExperimentConfig, counted) -> TableResult:
     result = TableResult(header=("gap_ms", "policy", "early_city", "pr_early_first", "trials"))
-    for cell, count in zip(cells, counts, strict=True):
+    for cell, count in counted:
         _, spec, gap_ms = cell.tags
         pr_early = _fmt_prob(count[0, 1] / config.trials)
         result.rows.append((gap_ms, spec, cell.placed[0].origin_city, pr_early, config.trials))
@@ -409,7 +420,7 @@ def _sandwich_cells(config: ExperimentConfig):
     ]
 
 
-def _sandwich_table(config: ExperimentConfig, cells, counts) -> TableResult:
+def _sandwich_table(config: ExperimentConfig, counted) -> TableResult:
     result = TableResult(
         header=("policy", "order", "frequency", "victim_usd", "attacker_usd")
     )
@@ -422,7 +433,7 @@ def _sandwich_table(config: ExperimentConfig, cells, counts) -> TableResult:
         order: ("-".join(order), *(_fmt_usd(usd) for usd in table[order]))
         for order in indices
     }
-    for cell, count in zip(cells, counts, strict=True):
+    for cell, count in counted:
         spec = cell.tags[1]
         per_order = {order: count[key] for order, key in indices.items()}
         expected = attacks.expected_attacker_profit(table, per_order, n)
@@ -433,18 +444,10 @@ def _sandwich_table(config: ExperimentConfig, cells, counts) -> TableResult:
     return result
 
 
-def _liquidation_cells(config: ExperimentConfig):
-    """A liquidation run and its cells: geo_bias's, for one pair of
-    clients."""
-    if len(config.origins) != 2:
-        raise ConfigError("liquidation needs exactly two origin cities")
-    return _geo_cells(config)
-
-
-def _liquidation_table(config: ExperimentConfig, cells, counts) -> TableResult:
+def _liquidation_table(config: ExperimentConfig, counted) -> TableResult:
     result = TableResult(header=("policy", "city", "pr_first", "expected_usd"))
     n, prize = config.trials, config.prize_usd
-    for cell, count in zip(cells, counts, strict=True):
+    for cell, count in counted:
         a_first = count[0, 1]
         for inv, first in zip(cell.placed, (a_first, n - a_first)):
             result.rows.append(
@@ -453,12 +456,7 @@ def _liquidation_table(config: ExperimentConfig, cells, counts) -> TableResult:
     return result
 
 
-def _no_cells(config: ExperimentConfig):
-    """A closed-form table's run and cells: none."""
-    return None, []
-
-
-def _bounds_table(config: ExperimentConfig, cells, counts) -> TableResult:
+def _bounds_table(config: ExperimentConfig, counted) -> TableResult:
     delta_net_us = config.delta_net_ms * US_PER_MS
     result = TableResult(
         header=("n", "alpha", "epsilon", "lower", "upper", "delta_us")
@@ -476,16 +474,22 @@ def _bounds_table(config: ExperimentConfig, cells, counts) -> TableResult:
 
 
 class _Scenario(NamedTuple):
-    """A table kind: its run and cells, from a config, and its table, from
-    the cells' counts.  Calling it counts all of a config's trials in this
+    """A table kind: its run and cells, from a config (None for a
+    closed-form table, which counts no trials), and its table, from each
+    cell's counts.  Calling it counts all of a config's trials in this
     process and returns the table."""
 
-    cells: Callable  # config -> (run, cells)
-    table: Callable  # (config, cells, counts) -> TableResult
+    cells: Callable | None  # config -> (run, cells)
+    table: Callable  # (config, [(cell, counts)]) -> TableResult
+
+    def count(self, config: ExperimentConfig, start: int, stop: int) -> list:
+        if self.cells is None:
+            return []
+        run, cells = self.cells(config)
+        return list(zip(cells, _count_cells(run, config, cells, range(start, stop))))
 
     def __call__(self, config: ExperimentConfig) -> TableResult:
-        run, cells = self.cells(config)
-        return self.table(config, cells, _count_cells(run, config, cells, range(config.trials)))
+        return self.table(config, self.count(config, 0, config.trials))
 
 
 # Pr[A first] - Pr[B first] for simultaneous invocations per city pair
@@ -496,9 +500,9 @@ run_tradeoff_curve = _Scenario(_tradeoff_cells, _tradeoff_table)
 # permutation frequencies and attacker profit for the bracketing attack
 run_sandwich = _Scenario(_sandwich_cells, _sandwich_table)
 # expected liquidation payout per client when only the first wins
-run_liquidation = _Scenario(_liquidation_cells, _liquidation_table)
+run_liquidation = _Scenario(_geo_cells, _liquidation_table)
 # closed-form equality/linearizability figures over the (n, alpha) grid
-run_bounds_table = _Scenario(_no_cells, _bounds_table)
+run_bounds_table = _Scenario(None, _bounds_table)
 
 RUNNERS = {
     "geo_bias": run_geo_bias,
@@ -510,19 +514,18 @@ RUNNERS = {
 
 
 def count_trials(config: ExperimentConfig, start: int, stop: int) -> list:
-    """The counted orders of each of ``config``'s cells over trials [start,
-    stop), in the order its table lists them.  Trial t's order does not
+    """Each of ``config``'s cells with its counted orders over trials
+    [start, stop), as (``Cell``, ``Counter``) pairs in the order its table
+    lists them; none for a closed-form table.  Trial t's order does not
     depend on the range, so the counts of disjoint ranges add up to the
     count of their union, whichever process made each."""
-    run, cells = RUNNERS[config.scenario].cells(config)
-    return _count_cells(run, config, cells, range(start, stop))
+    return RUNNERS[config.scenario].count(config, start, stop)
 
 
-def tabulate(config: ExperimentConfig, counts) -> TableResult:
+def tabulate(config: ExperimentConfig, counted) -> TableResult:
     """``config``'s table from its cells' counts over all its trials, as
-    ``count_trials`` lists them."""
-    scenario = RUNNERS[config.scenario]
-    return scenario.table(config, scenario.cells(config)[1], counts)
+    ``count_trials`` pairs them."""
+    return RUNNERS[config.scenario].table(config, counted)
 
 
 def run_experiment(config: ExperimentConfig) -> TableResult:

@@ -1,7 +1,7 @@
 """Per-trial reference orderings, written from the paper's definitions.
 
 The tests compare the package's one ordering engine,
-``fairorder.consensus.trial_orders``, with these trial by trial: each
+``fairorder.consensus.orders_per_cell``, with these trial by trial: each
 reference builds one trial's ledger from scratch, with public
 ``domain``, ``netmodel``, ``adversary`` and ``sro`` calls only, and the
 engine's stream must give the same order for every trial.  The per-slot

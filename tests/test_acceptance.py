@@ -127,9 +127,10 @@ GEO_CITIES = ("washington", "london", "munich", "tokyo")
 
 def _joint_four_city_orders():
     """Ledger order of four simultaneous invocations under each baseline."""
-    from fairorder.consensus import OrderingPolicy, SimulationRun, trial_orders
+    from fairorder.consensus import OrderingPolicy, SimulationRun
     from fairorder.domain import CommandIds, Invocation
     from fairorder.netmodel import bundled_topology
+    from one_cell import trial_orders
 
     topology = bundled_topology()
     f = (topology.n_nodes - 1) // 3

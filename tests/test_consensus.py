@@ -17,7 +17,6 @@ from fairorder.consensus import (
     PolicyKind,
     SimulationRun,
     orders_per_cell,
-    trial_orders,
 )
 from fairorder.domain import (
     MAX_TIMESTAMP,
@@ -28,6 +27,7 @@ from fairorder.domain import (
 )
 from fairorder.netmodel import CityTopology, bundled_topology, observe, parse_topology
 from fairorder.sro import Backend, RevealRequest, SroConfig, SroHandle, sro_init
+from one_cell import trial_orders
 from reference import (
     all_correct_precedence,
     make_command_id,

@@ -21,7 +21,6 @@ from fairorder.consensus import (
     OrderingPolicy,
     PolicyKind,
     SimulationRun,
-    trial_orders,
 )
 from fairorder.domain import (
     US_PER_MS,
@@ -55,6 +54,7 @@ from fairorder.harness import (
     tabulate,
 )
 from fairorder.sro import SroHandle, sign_slot
+from one_cell import trial_orders
 from reference import (
     make_command_id,
     order_leader_rotation,
@@ -829,7 +829,7 @@ def test_geo_bias_run_builds_only_what_its_policies_read(monkeypatch):
     config = replace(parse_config(CONFIG_DIR / "geo_bias.cfg"), trials=5)
     seeded, noised, cell = [], Counter(), [None]
     cell_trial_seed, orders, sha512 = (
-        harness._cell_trial_seed, consensus.trial_orders, hashlib.sha512
+        harness._cell_trial_seed, consensus._cell_orders, hashlib.sha512
     )
 
     def seeding(config_seed, tags):
@@ -846,7 +846,7 @@ def test_geo_bias_run_builds_only_what_its_policies_read(monkeypatch):
         return sha512(data, **kwargs)
 
     monkeypatch.setattr(harness, "_cell_trial_seed", seeding)
-    monkeypatch.setattr(consensus, "trial_orders", ordering)
+    monkeypatch.setattr(consensus, "_cell_orders", ordering)
     monkeypatch.setattr(hashlib, "sha512", hashing)
     rows = run_experiment(config).rows
     assert len(rows) == 6 * len(config.policies)
@@ -868,17 +868,20 @@ def test_counts_over_any_partition_add_up_to_the_serial_counts(name, monkeypatch
     # also where a count takes its range in blocks
     config = bundled(name, 13)
     serial = count_trials(config, 0, 13)
-    monkeypatch.setattr(harness, "_TRIAL_BLOCK", 4)
+    monkeypatch.setattr(harness, "_PASS_SEEDS", 20)
     assert count_trials(config, 0, 13) == serial
     monkeypatch.undo()
-    assert [sum(counts.values()) for counts in serial] == [13] * len(serial)
+    cells, counts = zip(*serial)
+    assert [sum(count.values()) for count in counts] == [13] * len(cells)
     assert tabulate(config, serial).to_csv_text() == run_experiment(config).to_csv_text()
     rnd = random.Random(name)
     partitions = [(1,), (6, 7), (1, 2, 3, 12), tuple(sorted(rnd.sample(range(1, 13), 4)))]
     for cuts in partitions:
         bounds = (0, *cuts, 13)
         parts = [count_trials(config, start, stop) for start, stop in zip(bounds, bounds[1:])]
-        assert [sum(cell, Counter()) for cell in zip(*parts)] == serial, cuts
+        assert all([cell for cell, _ in part] == list(cells) for part in parts), cuts
+        summed = [sum((count for _, count in pairs), Counter()) for pairs in zip(*parts)]
+        assert summed == list(counts), cuts
 
 
 @pytest.mark.parametrize("name, leader_cells", [
@@ -886,7 +889,7 @@ def test_counts_over_any_partition_add_up_to_the_serial_counts(name, monkeypatch
 ])
 def test_a_bundled_run_seeds_in_one_pass(name, leader_cells, monkeypatch):
     # every leader cell's trials are seeded by one _pcg64_states call per
-    # run of up to _TRIAL_BLOCK trials
+    # block of up to _PASS_SEEDS leader trials
     passes = []
     seed = consensus._pcg64_states
 

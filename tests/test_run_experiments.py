@@ -33,6 +33,23 @@ def test_every_table_is_the_same_at_any_job_count(script, jobs):
     assert [table.to_csv_text() for table in script.tables(configs, jobs)] == want
 
 
+def test_a_closed_form_table_is_made_in_process(script, monkeypatch):
+    # bounds_table counts no trials, so no chunk of it is counted anywhere
+    counted = []
+    count_trials = script.count_trials
+
+    def counting(config, start, stop):
+        counted.append((config.scenario, start, stop))
+        return count_trials(config, start, stop)
+
+    monkeypatch.setattr(script, "count_trials", counting)
+    configs = [replace(parse_config(CONFIG_DIR / f"{name}.cfg"), trials=4)
+               for name in ("bounds_table", "sandwich")]
+    want = [run_experiment(config).to_csv_text() for config in configs]
+    assert [table.to_csv_text() for table in script.tables(configs, 1)] == want
+    assert counted == [("sandwich", 0, 4)]
+
+
 def test_chunks_cover_the_trials_once(script):
     config = parse_config(CONFIG_DIR / "geo_bias.cfg")
     assert script._chunks(replace(config, trials=7), 3) == [(0, 2), (2, 4), (4, 7)]
