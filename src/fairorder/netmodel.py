@@ -14,7 +14,6 @@ representative inter-city delays.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -22,8 +21,6 @@ from importlib import resources
 from types import MappingProxyType
 
 from .domain import US_PER_MS
-
-log = logging.getLogger(__name__)
 
 INTRA_CITY_US = US_PER_MS  # one-way delay between two nodes of one city
 
@@ -148,7 +145,13 @@ def parse_topology(text: str, source: str = "<string>") -> CityTopology:
     for (a, b), d in latency.items():
         back = latency.get((b, a))
         if back is not None and back != d:
-            log.warning("asymmetric delay %s<->%s: %d vs %d µs", a, b, d, back)
+            # imported only here: it costs a process about 0.5 MB, and the
+            # bundled topology and most others are symmetric
+            import logging
+
+            logging.getLogger(__name__).warning(
+                "asymmetric delay %s<->%s: %d vs %d µs", a, b, d, back
+            )
     return CityTopology(cities=tuple(cities), latency_us=latency)
 
 
