@@ -7,7 +7,8 @@ Usage:
 
 The trials of each experiment are counted in chunks, one trial range per
 job, on a pool of --jobs worker processes (default: the usable CPUs, at
-most 4); --jobs 1 counts the same chunks in this process.  A trial's
+most 4); --jobs 1 counts the same chunks in this process.  A closed-form
+table (bounds_table) counts no trials and is made in this process.  A trial's
 order does not depend on which chunk or process counts it, so the summed
 counts, and every CSV byte, are the same at any --jobs.  --check
 regenerates the selected configs at their full trials in memory,
@@ -15,14 +16,15 @@ compares each CSV byte for byte with the committed file, names each that
 differs, exits 1 if any does and writes nothing.  Pass --trials to
 downscale for a quick look.
 
-In eight alternating runs on 2 cores of a shared Intel Xeon under Python
-3.11 and numpy 2.4.6, a full run took 2.07-2.85 s wall at the default 2
-jobs and 2.83-3.31 s at --jobs 1, and the default was faster in all
-eight; the previous, serial version took 2.77-3.87 s alongside.  A multi-process
-figure tracks host steal, and the same host's speed swings about
-twofold.  Most of the time is the leader and bercow cells' per-trial
-draws and hashes, which the CSV bytes fix; each worker also pays
-0.27-0.36 s (five fresh interpreters) to start and import the package.
+In 16 alternating runs on 2 cores of a shared Intel Xeon under Python
+3.11 and numpy 2.4.6, a full run took 2.23-3.74 s wall (median 3.10) at
+the default 2 jobs and 3.13-5.74 s (median 4.30) at --jobs 1, and the
+default was faster in 15 of the 16; the previous, serial version took
+2.95-5.56 s (median 4.08) alongside.  A multi-process figure tracks host
+steal, and the same host's speed swings about twofold.  Most of the time
+is the leader and bercow cells' per-trial draws and hashes, which the CSV
+bytes fix; each worker also pays about 0.3 s to start and import the
+package.
 """
 
 import argparse

@@ -284,8 +284,8 @@ class Cell(NamedTuple):
 # works on ints of 12 bytes per seed, and the call holds each seeded state
 # (about 150 bytes) until its trial is drawn, so this bounds what a run
 # holds at once: full serial geo_bias and tradeoff_curve runs (6 and 17
-# leader cells) peaked at 36.1 and 36.2 MB, against 39.2 and 45.6 MB with
-# one pass per 1,024 trials.
+# leader cells) peaked 3.1 and 9.4 MB lower than with one pass per 1,024
+# trials.
 _PASS_SEEDS = 1024
 
 
