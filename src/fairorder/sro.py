@@ -3,8 +3,8 @@
 Two interchangeable backends:
 
 * ``SEEDED_HASH`` models a sealed enclave holding a shared secret seed;
-  the oracle value for slot k is HASH(seed || k) and the proof is
-  HASH(value).
+  the oracle value for slot k is SHA-512("reveal" || seed || k) and the
+  proof is SHA-512("proof" || value), k as 8 big-endian bytes.
 * ``THRESHOLD_DPRF`` is a discrete-log threshold distributed PRF: Shamir
   shares s_i of a master secret s over a prime field of order p, share
   values s_i * h(k) mod p, commitments g^{s_i} in an order-p subgroup,
@@ -17,13 +17,20 @@ oracle acts as the trusted verifier of those tags.  That is enough
 unforgeability for a deterministic simulation.
 
 The oracle is stateless after init: every certificate check, reveal and
-proof is computed afresh from the keys and the call's arguments.
+proof is computed afresh from the keys and the call's arguments; a
+reveal checks its certificate once, then each share it combines.
+
+Still open (ROADMAP item 2 has the repros): secrecy across slots, as one
+threshold proof yields every slot's value, and validity against a
+self-made proof: a seeded proof is a public hash, and ``verify`` takes a
+threshold proof's group, commitments and quorum from the proof itself.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
+import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -75,37 +82,23 @@ def production_group() -> GroupParams:
     return GroupParams(q=_MODP1536_Q, p=(_MODP1536_Q - 1) // 2, g=4)
 
 
+MAX_TEST_FIELD = 2**20  # keeps trial division of p and q = k*p + 1 instant
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for sp in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % sp == 0:
-            return n == sp
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    if n < 3:
+        return n == 2
+    return n % 2 == 1 and all(n % d for d in range(3, math.isqrt(n) + 1, 2))
 
 
 def small_field_group(p: int) -> GroupParams:
     """Embed the order-p field in the smallest group q = k*p + 1.
 
-    Test-mode fields are tiny (p <= a few hundred), so a linear search for
-    a prime q and a generator of the order-p subgroup is instant.
+    Test-mode fields are below MAX_TEST_FIELD, so a linear search for a
+    prime q and a generator of the order-p subgroup is instant.
     """
-    if not _is_prime(p):
-        raise ContractError(f"test field modulus {p} is not prime")
+    if not (p < MAX_TEST_FIELD and _is_prime(p)):
+        raise ContractError(f"test field modulus {p} is not a prime below {MAX_TEST_FIELD}")
     k = 2
     while not _is_prime(k * p + 1):
         k += 2 if p % 2 else 1
@@ -222,27 +215,22 @@ def sign_slot(key: bytes, k: int) -> bytes:
 
 
 class DprfNode:
-    """One node's share holder; refuses to produce without a valid quorum."""
+    """One node's share holder, asked only once the slot's certificate passed."""
 
-    def __init__(self, node_id, secret_share, commitment, group, verifier):
+    def __init__(self, node_id, secret_share, commitment, group):
         self.node_id = node_id
         self._secret_share = secret_share
         self.commitment = commitment
         self.group = group
-        self._verifier = verifier
 
-    def produce_share(self, k: int, signatures) -> Share:
-        if not self._verifier(k, signatures):
-            raise InvalidSignatureSet(
-                f"node {self.node_id} refuses to produce a share for k={k}"
-            )
+    def produce_share(self, k: int) -> Share:
         h = hash_to_field(k, self.group.p)
         return Share(self.node_id, self._secret_share * h % self.group.p, self.commitment)
 
 
-def share_is_valid(group: GroupParams, k: int, node_id: int, share: Share, commitments) -> bool:
-    """Check g^value == C_i^{h(k)} against the registered commitment for node_id."""
-    expected = commitments.get(node_id)
+def share_is_valid(group: GroupParams, k: int, share: Share, commitments) -> bool:
+    """Check g^value == C_i^{h(k)} against the share's registered commitment."""
+    expected = commitments.get(share.node_id)
     if expected is None or share.proof != expected:
         return False
     if not (0 <= share.value < group.p):
@@ -313,8 +301,7 @@ class SroHandle:
                 commitments[i] = pow(group.g, y, group.q)
             self.commitments = commitments
             self.nodes = [
-                DprfNode(i, shares[i], commitments[i], group, self.signatures_valid)
-                for i in range(1, config.n + 1)
+                DprfNode(i, shares[i], commitments[i], group) for i in range(1, config.n + 1)
             ]
 
     def signatures_valid(self, k: int, signatures) -> bool:
@@ -340,34 +327,31 @@ class SroHandle:
             raise InvalidSignatureSet(f"fewer than {self.config.quorum} valid signatures")
         if self.config.backend is Backend.SEEDED_HASH:
             return self._seeded_value(req.k)
+        return combine_shares(self.group, self._quorum_shares(req.k))
+
+    def _quorum_shares(self, k: int) -> list:
+        """The first n - f shares over k that pass their commitment check;
+        a node that raises ``SroError`` is skipped."""
         collected = []
         for node in self.nodes:
             try:
-                share = node.produce_share(req.k, req.signatures)
+                share = node.produce_share(k)
             except SroError:
                 continue
-            if share_is_valid(self.group, req.k, share.node_id, share, self.commitments):
+            if share_is_valid(self.group, k, share, self.commitments):
                 collected.append(share)
-            if len(collected) == self.config.quorum:
-                break
-        if len(collected) < self.config.quorum:
-            raise InsufficientValidShares(
-                f"only {len(collected)} valid shares, need {self.config.quorum}"
-            )
-        return combine_shares(self.group, collected)
+                if len(collected) == self.config.quorum:
+                    return collected
+        raise InsufficientValidShares(f"{len(collected)} valid shares, need {self.config.quorum}")
 
     def generate_proof(self, k: int) -> Proof:
         if self.config.backend is Backend.SEEDED_HASH:
             return Proof(Backend.SEEDED_HASH, digest=_hash(b"proof", self._seeded_value(k)))
-        signatures = self.quorum_signatures(k)
-        shares = tuple(
-            node.produce_share(k, signatures) for node in self.nodes[: self.config.quorum]
-        )
         return Proof(
             Backend.THRESHOLD_DPRF,
             group=self.group,
             commitments=tuple(sorted(self.commitments.items())),
-            shares=shares,
+            shares=tuple(self._quorum_shares(k)),
             quorum=self.config.quorum,
         )
 
@@ -384,18 +368,12 @@ def verify(k: int, proof: Proof, r: bytes) -> bool:
             return hmac.compare_digest(proof.digest, _hash(b"proof", r))
         group = proof.group
         commitments = dict(proof.commitments)
-        seen = set()
-        valid = []
-        for share in proof.shares:
-            if share.node_id in seen:
-                return False
-            seen.add(share.node_id)
-            if not share_is_valid(group, k, share.node_id, share, commitments):
-                return False
-            valid.append(share)
-        if len(valid) < proof.quorum or proof.quorum < 1:
+        if proof.quorum < 1 or len(proof.shares) < proof.quorum:
             return False
-        return hmac.compare_digest(combine_shares(group, valid), r)
+        if not all(share_is_valid(group, k, share, commitments) for share in proof.shares):
+            return False
+        # a repeated node id makes combine_shares raise ContractError
+        return hmac.compare_digest(combine_shares(group, proof.shares), r)
     except (AttributeError, TypeError, ValueError, ContractError):
         return False
 

@@ -222,8 +222,7 @@ def test_criterion_7_sro_contract_suite():
         handle = sro_init(
             SroConfig(n=n, f=f, backend=Backend.THRESHOLD_DPRF, test_field=p), SEED
         )
-        sigs = handle.quorum_signatures(1)
-        shares = [node.produce_share(1, sigs) for node in handle.nodes]
+        shares = [node.produce_share(1) for node in handle.nodes]
         values = {
             combine_shares(handle.group, subset)
             for subset in itertools.combinations(shares, handle.config.quorum)
@@ -236,7 +235,7 @@ def test_criterion_7_sro_contract_suite():
     handle = sro_init(
         SroConfig(n=4, f=1, backend=Backend.THRESHOLD_DPRF, test_field=p), SEED
     )
-    observed = handle.nodes[0].produce_share(0, handle.quorum_signatures(0))
+    observed = handle.nodes[0].produce_share(0)
     counts = [0] * p
     for c1 in range(p):
         for c2 in range(p):
@@ -266,16 +265,16 @@ def test_criterion_7_sro_contract_suite():
     tamper_handle = sro_init(
         SroConfig(n=4, f=1, backend=Backend.THRESHOLD_DPRF, test_field=101), SEED
     )
-    share = tamper_handle.nodes[0].produce_share(5, tamper_handle.quorum_signatures(5))
+    share = tamper_handle.nodes[0].produce_share(5)
     bad = Share(share.node_id, (share.value + 1) % 101, share.proof)
-    if share_is_valid(tamper_handle.group, 5, bad.node_id, bad, tamper_handle.commitments):
+    if share_is_valid(tamper_handle.group, 5, bad, tamper_handle.commitments):
         problems.append("tampered share accepted")
 
     class Liar:
         def __init__(self, node_id):
             self.node_id = node_id
 
-        def produce_share(self, k, signatures):
+        def produce_share(self, k):
             return Share(self.node_id, 1, 1)
 
     tamper_handle.nodes[0] = Liar(1)

@@ -1,18 +1,25 @@
 import hashlib
 import itertools
+import math
 import pickle
+from collections import Counter
 
 import pytest
 
+from fairorder import sro
 from fairorder.cli import main
 from fairorder.domain import ContractError
 from fairorder.sro import (
+    MAX_TEST_FIELD,
     Backend,
+    DprfNode,
     InsufficientValidShares,
     InvalidSignatureSet,
     RevealRequest,
     Share,
     SroConfig,
+    SroHandle,
+    _is_prime,
     combine_shares,
     hash_to_field,
     node_signing_keys,
@@ -75,6 +82,8 @@ class TestConfig:
             (Backend.THRESHOLD_DPRF, 0),
             (Backend.THRESHOLD_DPRF, 2),
             (Backend.THRESHOLD_DPRF, 3),
+            (Backend.THRESHOLD_DPRF, 318665857834031151167461),
+            (Backend.THRESHOLD_DPRF, 2**20 + 7),
             (Backend.SEEDED_HASH, 4),
             (Backend.SEEDED_HASH, 101),
         ],
@@ -83,10 +92,19 @@ class TestConfig:
         # 0 must not fall back to the production group, and the seeded backend
         # has no field at all.  With p <= n two nodes share x mod p (p = 2
         # fails to combine), and node p's share is the secret (p = 3, n = 4).
+        # 399165290221 * 798330580441 is composite, and the prime 2**20 + 7
+        # is past MAX_TEST_FIELD.
         with pytest.raises(ContractError):
             handle_for(backend=backend, field=field)
         argv = ["sro-demo", "--backend", backend.value, "--test-field", str(field)]
         assert main(argv) == 3
+
+    def test_primality_matches_a_sieve(self):
+        sieve = bytearray([0, 0]) + bytearray([1]) * (MAX_TEST_FIELD - 2)
+        for d in range(2, math.isqrt(MAX_TEST_FIELD) + 1):
+            if sieve[d]:
+                sieve[d * d :: d] = bytes(len(range(d * d, MAX_TEST_FIELD, d)))
+        assert [n for n, prime in enumerate(sieve) if _is_prime(n) != prime] == []
 
     def test_duplicate_signature_node_ids(self):
         handle = handle_for()
@@ -267,65 +285,97 @@ class TestDeterminism:
         assert len(seen) == 100
 
 
+class LyingNode:
+    """A node whose share is off by one in the field of order 101."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.node_id = inner.node_id
+
+    def produce_share(self, k):
+        good = self.inner.produce_share(k)
+        return Share(good.node_id, (good.value + 1) % 101, good.proof)
+
+
+class SilentNode:
+    def __init__(self, node_id):
+        self.node_id = node_id
+
+    def produce_share(self, k):
+        raise InvalidSignatureSet("byzantine silence")
+
+
 class TestThresholdDprf:
     def test_subset_combinations_agree_small_field(self):
         handle = handle_for(n=4, f=1, backend=Backend.THRESHOLD_DPRF, field=101)
-        sigs = handle.quorum_signatures(2)
-        shares = [node.produce_share(2, sigs) for node in handle.nodes]
+        shares = [node.produce_share(2) for node in handle.nodes]
         a = combine_shares(handle.group, [shares[0], shares[1], shares[2]])
         b = combine_shares(handle.group, [shares[1], shares[2], shares[3]])
         assert a == b == reveal_k(handle, 2)
 
     def test_exhaustive_quorum_subsets_n7(self):
         handle = handle_for(n=7, f=2, backend=Backend.THRESHOLD_DPRF, field=53)
-        sigs = handle.quorum_signatures(11)
-        shares = [node.produce_share(11, sigs) for node in handle.nodes]
+        shares = [node.produce_share(11) for node in handle.nodes]
         expected = reveal_k(handle, 11)
         for subset in itertools.combinations(shares, handle.config.quorum):
             assert combine_shares(handle.group, subset) == expected
 
-    def test_node_refuses_without_quorum_signatures(self):
+    def test_short_certificate_asks_no_node_for_a_share(self, monkeypatch):
+        asked = []
+        monkeypatch.setattr(DprfNode, "produce_share", lambda node, k: asked.append(node.node_id))
         handle = handle_for(backend=Backend.THRESHOLD_DPRF, field=101)
         short = certificate(1, range(handle.config.quorum - 1))
         with pytest.raises(InvalidSignatureSet):
-            handle.nodes[0].produce_share(1, short)
+            handle.reveal(RevealRequest(1, short))
+        assert asked == []
+
+    @pytest.mark.parametrize("n, f, p, tags", [(4, 1, 101, 6), (7, 2, 53, 10)])
+    def test_one_certificate_check_per_reveal(self, monkeypatch, n, f, p, tags):
+        # a reveal makes and checks one certificate of n - f tags; a proof
+        # makes and checks none
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(
+            SroHandle, "signatures_valid", counting("check", SroHandle.signatures_valid)
+        )
+        monkeypatch.setattr(sro, "sign_slot", counting("tag", sro.sign_slot))
+        handle = handle_for(n=n, f=f, backend=Backend.THRESHOLD_DPRF, field=p)
+        reveal_k(handle, 3)
+        assert calls == {"check": 1, "tag": tags}
+        calls.clear()
+        handle.generate_proof(3)
+        assert calls == {}
 
     def test_share_against_wrong_commitment_fails(self):
         handle = handle_for(backend=Backend.THRESHOLD_DPRF, field=101)
-        sigs = handle.quorum_signatures(4)
-        share1 = handle.nodes[0].produce_share(4, sigs)
+        share1 = handle.nodes[0].produce_share(4)
         crossed = Share(node_id=2, value=share1.value, proof=share1.proof)
-        assert not share_is_valid(handle.group, 4, 2, crossed, handle.commitments)
+        assert not share_is_valid(handle.group, 4, crossed, handle.commitments)
 
     def test_single_share_tamper_detected(self):
         handle = handle_for(backend=Backend.THRESHOLD_DPRF, field=53)
-        sigs = handle.quorum_signatures(8)
         for node in handle.nodes[: handle.config.quorum]:
-            share = node.produce_share(8, sigs)
-            assert share_is_valid(handle.group, 8, share.node_id, share, handle.commitments)
+            share = node.produce_share(8)
+            assert share_is_valid(handle.group, 8, share, handle.commitments)
             p = handle.group.p
             for delta in range(1, p):
                 bad = Share(share.node_id, (share.value + delta) % p, share.proof)
-                assert not share_is_valid(handle.group, 8, bad.node_id, bad, handle.commitments)
+                assert not share_is_valid(handle.group, 8, bad, handle.commitments)
             for bit in range(p.bit_length() + 1):
                 flipped = share.value ^ (1 << bit)
                 if flipped == share.value:
                     continue
                 bad = Share(share.node_id, flipped, share.proof)
-                assert not share_is_valid(handle.group, 8, bad.node_id, bad, handle.commitments)
+                assert not share_is_valid(handle.group, 8, bad, handle.commitments)
 
     def test_byzantine_majority_of_shares_blocks_reveal(self):
         handle = handle_for(n=4, f=1, backend=Backend.THRESHOLD_DPRF, field=101)
-
-        class LyingNode:
-            def __init__(self, inner):
-                self.inner = inner
-                self.node_id = inner.node_id
-
-            def produce_share(self, k, signatures):
-                good = self.inner.produce_share(k, signatures)
-                return Share(good.node_id, (good.value + 1) % 101, good.proof)
-
         handle.nodes[0] = LyingNode(handle.nodes[0])
         handle.nodes[1] = LyingNode(handle.nodes[1])
         with pytest.raises(InsufficientValidShares):
@@ -334,17 +384,20 @@ class TestThresholdDprf:
     def test_one_byzantine_share_tolerated(self):
         handle = handle_for(n=4, f=1, backend=Backend.THRESHOLD_DPRF, field=101)
         clean = reveal_k(handle, 12)
-
-        class SilentNode:
-            def __init__(self, node_id):
-                self.node_id = node_id
-
-            def produce_share(self, k, signatures):
-                raise InvalidSignatureSet("byzantine silence")
-
         broken = handle_for(n=4, f=1, backend=Backend.THRESHOLD_DPRF, field=101)
         broken.nodes[0] = SilentNode(1)
         assert reveal_k(broken, 12) == clean
+
+    @pytest.mark.parametrize(
+        "faulty", [LyingNode, lambda node: SilentNode(node.node_id)], ids=["lying", "silent"]
+    )
+    def test_proof_with_one_faulty_node_verifies(self, faulty):
+        handle = handle_for(n=4, f=1, backend=Backend.THRESHOLD_DPRF, field=101)
+        clean = reveal_k(handle, 12)
+        handle.nodes[0] = faulty(handle.nodes[0])
+        value = reveal_k(handle, 12)
+        assert value == clean
+        assert verify(12, handle.generate_proof(12), value)
 
     def test_secrecy_exhaustive_enumeration(self):
         # Conditioning on f = 1 share leaves every value of poly(0) equally
@@ -352,8 +405,7 @@ class TestThresholdDprf:
         # the observed share and tally the secret they would imply.
         for p in (11, 101):
             handle = handle_for(n=4, f=1, backend=Backend.THRESHOLD_DPRF, field=p)
-            sigs = handle.quorum_signatures(0)
-            observed = handle.nodes[0].produce_share(0, sigs)  # node_id 1
+            observed = handle.nodes[0].produce_share(0)  # node_id 1
             counts = {v: 0 for v in range(p)}
             for c1 in range(p):
                 for c2 in range(p):
@@ -411,6 +463,12 @@ class TestValidity:
             quorum=proof.quorum,
         )
         assert not verify(2, hollow, value)
+        s1, s2 = proof.shares[:2]
+        repeated = type(proof)(
+            proof.backend, group=proof.group, commitments=proof.commitments,
+            shares=(s1, s1, s2), quorum=proof.quorum,
+        )
+        assert not verify(2, repeated, value)
 
 
 class TestRandomness:
