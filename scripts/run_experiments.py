@@ -34,7 +34,7 @@ from dataclasses import replace
 from importlib import resources
 
 from fairorder.analysis import _MAX_THREADS, _usable_cpus
-from fairorder.harness import RUNNERS, count_trials, emit_csv, parse_config, tabulate
+from fairorder.harness import _SCENARIOS, count_trials, emit_csv, parse_config, tabulate
 
 CONFIGS = ("bounds_table", "geo_bias", "tradeoff_curve", "sandwich", "liquidation")
 
@@ -50,7 +50,8 @@ def tables(configs, jobs: int) -> list:
     """Each config's table, its trials counted in chunks on ``jobs`` worker
     processes, or in this process at 1 job.  A closed-form table counts no
     trials and is made here."""
-    calls = [(config, start, stop) for config in configs if RUNNERS[config.scenario].cells
+    # a closed-form table has no cells function in the scenario table
+    calls = [(config, start, stop) for config in configs if _SCENARIOS[config.scenario][0]
              for start, stop in _chunks(config, jobs)]
     if jobs == 1:
         counted = [count_trials(*call) for call in calls]

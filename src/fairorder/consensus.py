@@ -5,10 +5,11 @@ reads a spec -- ``pompe``, ``receive``, ``leader:<ms>`` or ``bercow:<ms>``.
 
 A ``SimulationRun`` is one network: topology, delta_net, slot interval and
 oracle.  A cell is a policy ordering some invocations on a run, under an
-adversary plan.  ``orders_per_cell`` yields, for each cell of a run, the
+adversary plan.  ``orders_per_cell`` gives, for each cell of a run, the
 ledger order of each of a range of trials, in trial order, from one call
-that seeds all the leader cells' trials in one pass.  Trials differ only
-in their command ids and, under leader rotation, in the rotation drawn.
+that sets each cell up once and seeds its leader trials in blocks.  Trials
+differ only in their command ids and, under leader rotation, in the
+rotation drawn.
 The one engine serves every policy:
 
 * ``pompe`` and ``bercow`` (median timestamps, idealized per-slot
@@ -39,8 +40,8 @@ import hashlib
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
-from itertools import repeat
+from functools import cached_property, partial
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -373,16 +374,16 @@ def _receive_prefixes(run: SimulationRun, invocations):
     return [_RECEIVE_TIE_SEED] * len(medians), medians
 
 
-def _leader_prefixes(run: SimulationRun, period_us: int, invocations, states):
-    """A cell's setup under ``leader``: the tie seeds, and each
-    trial's (prefixes, None) as it is drawn.
+def _leader_prefixes(run: SimulationRun, period_us: int, invocations):
+    """A cell's setup under ``leader``: the tie seeds, and the function
+    that draws each trial of a block as its (prefixes, None).
 
-    Each trial's PCG64 (state, inc) in ``states``, seeded in bulk by
-    ``_pcg64_states``, is set, through one reused dict, on the run's
-    scratch generator before the trial's draws, which numpy makes: the
-    schedule and phase ``default_rng`` of the trial's seed would draw
-    (``_rotation``).  Period p's leader is ``schedule[p % n]``.  A
-    command's prefix is (p, leader's receive time) for the first period
+    Each trial's PCG64 (state, inc), seeded in bulk by ``_pcg64_states``
+    and given to that function in trial order, is set, through one reused
+    dict, on the run's scratch generator before the trial's draws, which
+    numpy makes: the schedule and phase ``default_rng`` of the trial's seed
+    would draw (``_rotation``).  Period p's leader is ``schedule[p % n]``.
+    A command's prefix is (p, leader's receive time) for the first period
     p, from the one it was invoked in, whose leader received it before the
     period ended.
     """
@@ -394,7 +395,7 @@ def _leader_prefixes(run: SimulationRun, period_us: int, invocations, states):
     new_state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
     pcg = new_state["state"]
 
-    def batches():
+    def batches(states):
         for pcg["state"], pcg["inc"] in states:
             bit_generator.state = new_state
             schedule, phase = _rotation(rng, nodes, period_us)
@@ -406,7 +407,7 @@ def _leader_prefixes(run: SimulationRun, period_us: int, invocations, states):
                 prefix.append((p, received))
             yield prefix, None
 
-    return [_LEADER_TIE_SEED] * len(commands), batches()
+    return [_LEADER_TIE_SEED] * len(commands), batches
 
 
 _NOISE_WORD = struct.Struct(">Q").unpack_from  # a digest's first 64 bits, big-endian
@@ -464,13 +465,15 @@ def _trial_range(trials) -> range:
     return span
 
 
-def _cell_orders(run, policy, invocations, plan, trials: range, trial_ids, states):
-    """One checked cell's stream (``orders_per_cell``), ``states`` its
-    trials' PCG64 (state, inc) pairs under ``leader`` and None otherwise."""
+def _cell_orders(run, policy, invocations, plan, trial_ids):
+    """One checked cell's setup (``orders_per_cell``), made once: returns
+    the function that gives the order stream of a block of its trials, from
+    the block's range and, under ``leader``, its trials' PCG64 (state, inc)
+    pairs (None otherwise)."""
     kind, width = policy.kind, policy.param_us
     if kind is PolicyKind.LEADER_ROTATION:
-        prefixes = _leader_prefixes(run, width, invocations, states)
-        return _orders(*prefixes, trial_ids, trials)
+        tie_seeds, draws = _leader_prefixes(run, width, invocations)
+        return lambda block, states: _orders(tie_seeds, draws(states), trial_ids, block)
     if kind.median_timestamps:
         tie_seeds, prefixes, noise_states = _slotted_prefixes(run, width, invocations, plan)
     else:
@@ -478,17 +481,26 @@ def _cell_orders(run, policy, invocations, plan, trials: range, trial_ids, state
     span = max(width, 1)  # the width of every trial's prefix range
     order = tuple(sorted(range(len(prefixes)), key=prefixes.__getitem__))
     if all(prefixes[b] - prefixes[a] >= span for a, b in zip(order, order[1:])):
-        return repeat(order, len(trials))
+        return lambda block, _: repeat(order, len(block))
     if kind is PolicyKind.BERCOW_NOISE:
-        per_trial = _noised_prefixes(prefixes, noise_states, width, trial_ids, trials)
-    else:
-        per_trial = repeat((prefixes, None), len(trials))
-    return _orders(tie_seeds, per_trial, trial_ids, trials)
+        noised = partial(_noised_prefixes, prefixes, noise_states, width, trial_ids)
+        return lambda block, _: _orders(tie_seeds, noised(block), trial_ids, block)
+    fixed = (prefixes, None)
+    return lambda block, _: _orders(tie_seeds, repeat(fixed, len(block)), trial_ids, block)
 
 
-def orders_per_cell(run: SimulationRun, cells, trials) -> list:
+# Leader trial seeds per seeding pass.  A pass works on ints of 12 bytes per
+# seed, and its block's streams hold each seeded state (about 150 bytes)
+# until its trial is drawn, so this bounds what a run holds at once: full
+# serial geo_bias and tradeoff_curve runs (6 and 17 leader cells) peaked 3.1
+# and 9.4 MB lower than with one pass per 1,024 trials.
+_PASS_SEEDS = 1024
+
+
+def orders_per_cell(run: SimulationRun, cells, trials):
     """Each trial's ledger order, in trial order, for each cell of a run:
-    one stream per cell, from one eager call.
+    an iterator over consecutive blocks of ``trials``, each block a list
+    with one order stream per cell.
 
     A cell is (policy, invocations, plan, trial_ids, trial_seed): ``policy``
     ordering ``invocations`` (template ``Invocation``s, each carrying its
@@ -504,15 +516,21 @@ def orders_per_cell(run: SimulationRun, cells, trials) -> list:
     median-timestamp policies take a non-empty plan; ``leader`` and
     ``receive`` reject one.  An order is a tuple of indices into
     ``invocations``, and trial t's depends on neither the range's length
-    nor its start, nor on the other cells of the call, so counts over
-    disjoint ranges add up to the count over their union.
+    nor its start, nor on the other cells of the call, nor on the block
+    that holds it, so counts over disjoint ranges add up to the count over
+    their union.
 
-    The call does every cell's checks, stamps and reveals, and seeds the
-    trials of all the leader cells in a single ``_pcg64_states`` pass,
-    which pays its fixed set-up once per call, not once per cell.  That
-    pass groups its lanes by seed word count, not by cell, so every state
-    is the one a call with that cell alone would give.  A trial's noise,
-    draws and sort happen as its cell's stream yields it.
+    The call makes every cell's checks and setup once, eagerly: stamps,
+    reveals, ``bercow`` noise states, the disjoint-range shortcut below and
+    the leader command list.  A block is ``_PASS_SEEDS`` // (leader cells)
+    trials, at least one (all of them with no leader cell), seeded in one
+    ``_pcg64_states`` pass over all its leader cells' trials, whose lanes
+    are grouped by seed word count, not by cell, so every state is the one
+    a call with that cell alone would give.  The first block is built on
+    the call, so a bad trial seed fails it, and each later one as the
+    iterator reaches it: a caller that drains each block before the next
+    holds one block's states at a time.  A trial's noise, draws and sort
+    happen as its cell's stream yields it.
 
     Each policy's ledger is one sort by ``_key``.  (Under slot-by-slot
     agreement, a command decided in slot k_d is emitted by slot
@@ -538,15 +556,20 @@ def orders_per_cell(run: SimulationRun, cells, trials) -> list:
         if plan and not policy.kind.median_timestamps:
             raise ContractError(f"the {policy.kind.value} baseline takes no adversary plan")
     leader = PolicyKind.LEADER_ROTATION
-    states = iter(_pcg64_states(
-        trial_seed(t)
-        for policy, _, _, _, trial_seed in cells if policy.kind is leader
-        for t in trials
-    ))
-    return [
-        _cell_orders(
-            run, policy, invocations, plan, trials, trial_ids,
-            [next(states) for _ in trials] if policy.kind is leader else None,
-        )
+    streams = [
+        (_cell_orders(run, policy, invocations, plan, trial_ids), policy.kind is leader)
         for policy, invocations, plan, trial_ids, _ in cells
     ]
+    seeds = [trial_seed for policy, *_, trial_seed in cells if policy.kind is leader]
+    step = max(_PASS_SEEDS // len(seeds), 1) if seeds else len(trials)
+
+    def block_orders(start: int) -> list:
+        block = range(start, min(start + step, trials.stop))
+        states = iter(_pcg64_states(trial_seed(t) for trial_seed in seeds for t in block))
+        return [
+            stream(block, [next(states) for _ in block] if seeded else None)
+            for stream, seeded in streams
+        ]
+
+    starts = range(trials.start, trials.stop, step)
+    return chain([block_orders(starts[0])], map(block_orders, starts[1:]))

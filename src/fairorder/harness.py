@@ -13,22 +13,22 @@ is frozen: it parses each spec and alpha once, when it is built, and keeps
 the results (``parsed_policies``, ``parsed_alphas``); no run parses them
 again.
 
-Each scenario is data: its cells, then its table.  It first lists its
-cells as ``Cell(tags, policy, placed, plan)`` records on one
-``consensus.SimulationRun`` built from its config (``_run_for``): the
-network that every cell of the table is ordered on, which keeps the
-receive times, stamps, slot seeds and leader generator the cells share.
-Each cell's (label, invoke_us, city) commands are placed once, as
-invocations that carry their origin cities (``_placed``).  One function,
-``_count_cells``, counts every cell of the run over a trial range with one
-``consensus.orders_per_cell`` call per block of trials, which seeds all
-the leader cells' trials of the block, at most ``_PASS_SEEDS``, in one
-pass.  ``count_trials`` returns each cell with its counts, and the
-scenario's table is formatted from those pairs alone (``tabulate``), with
-no run rebuilt; a closed-form table (bounds_table) has no cells and counts
-nothing.  ``run_experiment`` is the two steps over all trials in this
-process.  A trial's order does not depend on the range that counts it,
-so ``count_trials`` over disjoint ranges, in any processes, sums to the
+Each scenario is one entry of one table, ``_SCENARIOS``: a cells
+function and a table function.  ``count_trials`` builds a config's one
+``consensus.SimulationRun`` (``_run_for``), the network every cell of the
+table is ordered on, which keeps the receive times, stamps, slot seeds
+and leader generator the cells share; the cells function lists the cells
+on it as ``Cell(tags, policy, placed, plan)`` records, each cell's
+(label, invoke_us, city) commands placed once, as invocations that carry
+their origin cities (``_placed``).  ``_count_cells`` counts every cell
+over a trial range with one ``consensus.orders_per_cell`` call, which
+sets each cell up once and sizes its own seeding blocks.  ``tabulate``
+formats the table from the (cell, counts) pairs alone, with no run
+rebuilt, once they cover all the config's trials; a closed-form table
+(bounds_table) has no cells function and counts nothing.
+``run_experiment`` is the two steps over all trials in this process.  A
+trial's order does not depend on the range that counts it, so
+``count_trials`` over disjoint ranges, in any processes, sums to the
 serial count.  The tags -- ``("geo", pair_index, spec)``,
 ``("gap", spec, gap_ms)`` or ``("sand", spec)`` -- fix trial t's command
 ids, ``CommandIds(tags, labels)(t)``, and under the leader policy the
@@ -46,23 +46,19 @@ import hashlib
 import io
 import os
 from collections import Counter
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, cycle
 from typing import NamedTuple
 
 from . import analysis, attacks
 from .adversary import private_relay_placement
 from .consensus import OrderingPolicy, PolicyKind, SimulationRun, orders_per_cell
-from .domain import US_PER_MS, CommandIds, Invocation, quorum_median
+from .domain import US_PER_MS, CommandIds, ContractError, Invocation, quorum_median
 from .netmodel import CityTopology, bundled_topology, load_topology
 from .sro import Backend, SroConfig, SroHandle, sro_init
 
 TOPOLOGY_DIR_ENV = "FAIRORDER_TOPOLOGY_DIR"
-
-SCENARIOS = ("geo_bias", "tradeoff_curve", "sandwich", "liquidation", "bounds_table")
-
 
 # From n = 14 on, every probability a bounds table prints is 0.000000 at any
 # alpha <= 1 (the largest, upper at alpha = 1, is (2^n - n) / n! = 1.9e-7 at
@@ -95,8 +91,8 @@ class ExperimentConfig:
     parsed_alphas: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(f"unknown scenario {self.scenario!r}; pick from {SCENARIOS}")
+        if self.scenario not in _SCENARIOS:
+            raise ConfigError(f"unknown scenario {self.scenario!r}; pick from {tuple(_SCENARIOS)}")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if not -(2**63) <= self.seed < 2**63:  # seeds are hashed as 8 signed bytes
@@ -280,23 +276,12 @@ class Cell(NamedTuple):
     plan: dict
 
 
-# Leader trial seeds per ``orders_per_cell`` call.  The call's seeding pass
-# works on ints of 12 bytes per seed, and the call holds each seeded state
-# (about 150 bytes) until its trial is drawn, so this bounds what a run
-# holds at once: full serial geo_bias and tradeoff_curve runs (6 and 17
-# leader cells) peaked 3.1 and 9.4 MB lower than with one pass per 1,024
-# trials.
-_PASS_SEEDS = 1024
-
-
 def _count_cells(run, config, cells, trials: range) -> list:
     """Each cell's ledger orders over ``trials`` on ``run``, counted, each
-    order as the tuple of its commands' indices in ledger order: one
-    ``orders_per_cell`` call, and so one seeding pass, per block of trials
-    whose leader cells' trials number at most ``_PASS_SEEDS`` (one block
-    of all the trials if no cell is a leader cell).  Trial t's ids are
-    ``CommandIds(tags, template ids)(t)``.  Only a leader cell, the one
-    policy that draws from them, gets trial seeds.
+    order as the tuple of its commands' indices in ledger order, from one
+    ``orders_per_cell`` call.  Trial t's ids are ``CommandIds(tags,
+    template ids)(t)``.  Only a leader cell, the one policy that draws from
+    them, gets trial seeds.
     """
     args = [
         (
@@ -308,19 +293,18 @@ def _count_cells(run, config, cells, trials: range) -> list:
         for cell in cells
     ]
     counts = [Counter() for _ in cells]
-    leaders = sum(seed is not None for *_, seed in args)
-    step = max(_PASS_SEEDS // leaders, 1) if leaders else max(len(trials), 1)
-    for start in range(trials.start, trials.stop, step):
-        block = range(start, min(start + step, trials.stop))
-        for count, orders in zip(counts, orders_per_cell(run, args, block)):
-            count.update(orders)
+    # a block lists one stream per cell, in cell order; chained, each block
+    # is let go before the next one is seeded
+    streams = chain.from_iterable(orders_per_cell(run, args, trials))
+    for count, orders in zip(cycle(counts), streams):
+        count.update(orders)
     return counts
 
 
-def _geo_cells(config: ExperimentConfig):
-    """A geo_bias or liquidation run and its cells: each pair of origin
-    cities invoking at once, mid-slot, under each policy; a liquidation
-    has one pair."""
+def _geo_cells(config: ExperimentConfig, run: SimulationRun) -> list:
+    """A geo_bias or liquidation run's cells: each pair of origin cities
+    invoking at once, mid-slot, under each policy; a liquidation has one
+    pair."""
     if config.scenario == "liquidation" and len(config.origins) != 2:
         raise ConfigError("liquidation needs exactly two origin cities")
     if len(config.origins) < 2:
@@ -333,7 +317,7 @@ def _geo_cells(config: ExperimentConfig):
             Cell(("geo", pi, spec), policy, placed, {})
             for spec, policy in zip(config.policies, config.parsed_policies)
         )
-    return _run_for(config), cells
+    return cells
 
 
 def _geo_bias_table(config: ExperimentConfig, counted) -> TableResult:
@@ -347,14 +331,13 @@ def _geo_bias_table(config: ExperimentConfig, counted) -> TableResult:
     return result
 
 
-def _tradeoff_cells(config: ExperimentConfig):
-    """A tradeoff_curve run and its cells: the slow city invokes ``gap`` ms
+def _tradeoff_cells(config: ExperimentConfig, run: SimulationRun) -> list:
+    """A tradeoff_curve run's cells: the slow city invokes ``gap`` ms
     before the fast one, for each policy and gap."""
     if len(config.origins) != 2:
         raise ConfigError("tradeoff_curve needs exactly two origin cities")
     if not config.gaps_ms:
         raise ConfigError("tradeoff_curve needs a gap sweep")
-    run = _run_for(config)
     t0 = config.slot_ms * US_PER_MS // 2
     slow, fast = sorted(
         config.origins,
@@ -365,7 +348,7 @@ def _tradeoff_cells(config: ExperimentConfig):
         (gap_ms, _placed((("early", t0, slow), ("late", t0 + gap_ms * US_PER_MS, fast))))
         for gap_ms in config.gaps_ms
     ]
-    return run, [
+    return [
         Cell(("gap", spec, gap_ms), policy, commands, {})
         for spec, policy in zip(config.policies, config.parsed_policies)
         for gap_ms, commands in placed
@@ -393,8 +376,8 @@ def _colluder_ids(config: ExperimentConfig, sro: SroHandle):
 _SANDWICH_LABELS = (attacks.VICTIM, attacks.ATTACKER_BUY, attacks.ATTACKER_SELL)
 
 
-def _sandwich_cells(config: ExperimentConfig):
-    """A sandwich run and its cells, one per policy: the victim invokes
+def _sandwich_cells(config: ExperimentConfig, run: SimulationRun) -> list:
+    """A sandwich run's cells, one per policy: the victim invokes
     from origins[0], the attacker's two commands from origins[1].
     Colluding nodes misreport timestamps around the victim under the
     median-timestamp policies; the leader/receive baselines run honest."""
@@ -403,7 +386,6 @@ def _sandwich_cells(config: ExperimentConfig):
     if len(config.offsets_ms) != 2:
         raise ConfigError("sandwich needs two offsets_ms, one per attacker command")
     victim_city, attacker_city = config.origins
-    run = _run_for(config)
     colluders = _colluder_ids(config, run.sro)
     t0 = config.slot_ms * US_PER_MS // 2
     buy_us, sell_us = (t0 + ms * US_PER_MS for ms in config.offsets_ms)
@@ -414,7 +396,7 @@ def _sandwich_cells(config: ExperimentConfig):
     plan = private_relay_placement(
         victim, attackers, colluders, run.topology, run.delta_net_us, run.sro.config.f
     )
-    return run, [
+    return [
         Cell(("sand", spec), policy, placed, plan if policy.kind.median_timestamps else {})
         for spec, policy in zip(config.policies, config.parsed_policies)
     ]
@@ -473,43 +455,20 @@ def _bounds_table(config: ExperimentConfig, counted) -> TableResult:
     return result
 
 
-class _Scenario(NamedTuple):
-    """A table kind: its run and cells, from a config (None for a
-    closed-form table, which counts no trials), and its table, from each
-    cell's counts.  Calling it counts all of a config's trials in this
-    process and returns the table."""
-
-    cells: Callable | None  # config -> (run, cells)
-    table: Callable  # (config, [(cell, counts)]) -> TableResult
-
-    def count(self, config: ExperimentConfig, start: int, stop: int) -> list:
-        if self.cells is None:
-            return []
-        run, cells = self.cells(config)
-        return list(zip(cells, _count_cells(run, config, cells, range(start, stop))))
-
-    def __call__(self, config: ExperimentConfig) -> TableResult:
-        return self.table(config, self.count(config, 0, config.trials))
-
-
-# Pr[A first] - Pr[B first] for simultaneous invocations per city pair
-run_geo_bias = _Scenario(_geo_cells, _geo_bias_table)
-# Pr[early sender first] as its head start grows; the curve must reach 1.0
-# once the gap clears the policy's inversion horizon
-run_tradeoff_curve = _Scenario(_tradeoff_cells, _tradeoff_table)
-# permutation frequencies and attacker profit for the bracketing attack
-run_sandwich = _Scenario(_sandwich_cells, _sandwich_table)
-# expected liquidation payout per client when only the first wins
-run_liquidation = _Scenario(_geo_cells, _liquidation_table)
-# closed-form equality/linearizability figures over the (n, alpha) grid
-run_bounds_table = _Scenario(None, _bounds_table)
-
-RUNNERS = {
-    "geo_bias": run_geo_bias,
-    "tradeoff_curve": run_tradeoff_curve,
-    "sandwich": run_sandwich,
-    "liquidation": run_liquidation,
-    "bounds_table": run_bounds_table,
+# scenario -> (its cells, from (config, run), or None for a closed-form
+# table, which counts no trials; its table, from (config, [(cell, counts)]))
+_SCENARIOS = {
+    # Pr[A first] - Pr[B first] for simultaneous invocations per city pair
+    "geo_bias": (_geo_cells, _geo_bias_table),
+    # Pr[early sender first] as its head start grows; the curve must reach
+    # 1.0 once the gap clears the policy's inversion horizon
+    "tradeoff_curve": (_tradeoff_cells, _tradeoff_table),
+    # permutation frequencies and attacker profit for the bracketing attack
+    "sandwich": (_sandwich_cells, _sandwich_table),
+    # expected liquidation payout per client when only the first wins
+    "liquidation": (_geo_cells, _liquidation_table),
+    # closed-form equality/linearizability figures over the (n, alpha) grid
+    "bounds_table": (None, _bounds_table),
 }
 
 
@@ -519,15 +478,24 @@ def count_trials(config: ExperimentConfig, start: int, stop: int) -> list:
     lists them; none for a closed-form table.  Trial t's order does not
     depend on the range, so the counts of disjoint ranges add up to the
     count of their union, whichever process made each."""
-    return RUNNERS[config.scenario].count(config, start, stop)
+    cells_for, _ = _SCENARIOS[config.scenario]
+    if cells_for is None:
+        return []
+    run = _run_for(config)
+    cells = cells_for(config, run)
+    return list(zip(cells, _count_cells(run, config, cells, range(start, stop))))
 
 
 def tabulate(config: ExperimentConfig, counted) -> TableResult:
     """``config``'s table from its cells' counts over all its trials, as
-    ``count_trials`` pairs them."""
-    return RUNNERS[config.scenario].table(config, counted)
+    ``count_trials`` pairs them; a cell whose counts do not sum to
+    ``config.trials`` is a ``ContractError``."""
+    for cell, counts in counted:
+        if (total := counts.total()) != config.trials:
+            raise ContractError(f"cell {cell.tags} counts {total} trials, not {config.trials}")
+    return _SCENARIOS[config.scenario][1](config, counted)
 
 
 def run_experiment(config: ExperimentConfig) -> TableResult:
     """``config``'s table, its trials counted in this process."""
-    return RUNNERS[config.scenario](config)
+    return tabulate(config, count_trials(config, 0, config.trials))

@@ -330,15 +330,18 @@ class SroHandle:
         return combine_shares(self.group, self._quorum_shares(req.k))
 
     def _quorum_shares(self, k: int) -> list:
-        """The first n - f shares over k that pass their commitment check;
-        a node that raises ``SroError`` is skipped."""
+        """The first n - f shares over k that pass their commitment check,
+        each from the node whose id it carries; a node that raises
+        ``SroError``, or replays another node's share, is skipped."""
         collected = []
         for node in self.nodes:
             try:
                 share = node.produce_share(k)
             except SroError:
                 continue
-            if share_is_valid(self.group, k, share, self.commitments):
+            if share.node_id == node.node_id and share_is_valid(
+                self.group, k, share, self.commitments
+            ):
                 collected.append(share)
                 if len(collected) == self.config.quorum:
                     return collected

@@ -20,7 +20,7 @@ from fairorder.analysis import (
     order_prob_monte_carlo,
 )
 from fairorder.attacks import PERMUTATIONS, payoff_table
-from fairorder.harness import ExperimentConfig, run_geo_bias, run_sandwich
+from fairorder.harness import ExperimentConfig, run_experiment
 from fairorder.sro import (
     Backend,
     InsufficientValidShares,
@@ -156,7 +156,7 @@ def test_criterion_5_geo_bias_reproduction():
         trials=300,
         seed=501,
     )
-    det_rows = run_geo_bias(deterministic).rows
+    det_rows = run_experiment(deterministic).rows
     det_ok = joint_ok and all(row[4] == "1.000000" for row in det_rows)
     noised = ExperimentConfig(
         scenario="geo_bias",
@@ -165,7 +165,7 @@ def test_criterion_5_geo_bias_reproduction():
         trials=10_000,
         seed=502,
     )
-    noise_rows = run_geo_bias(noised).rows
+    noise_rows = run_experiment(noised).rows
     worst = max(abs(float(row[4])) for row in noise_rows)
     report(
         "criterion 5 (geo bias: deterministic baselines vs noised median)",
@@ -197,7 +197,7 @@ def test_criterion_6_sandwich_mitigation():
             seed=seed,
             colluders="max",
         )
-        rows = run_sandwich(config).rows
+        rows = run_experiment(config).rows
         return float(next(row[4] for row in rows if row[1] == "expected"))
 
     pompe_profit = expected_profit("pompe", 601)

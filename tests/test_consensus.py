@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from dataclasses import replace
 from functools import partial
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -1016,7 +1017,8 @@ class TestOrdersPerCell:
             return seed(seeds)
 
         monkeypatch.setattr(consensus, "_pcg64_states", seeding)
-        together = [list(orders) for orders in orders_per_cell(*self.cells(), trials)]
+        blocks = orders_per_cell(*self.cells(), trials)
+        together = [list(chain.from_iterable(cell)) for cell in zip(*blocks)]
         assert together == alone
         assert passes == [4 * len(trials)]  # one pass, four leader cells' trials
         assert all(len(set(orders)) == 2 for orders in together[1:])  # they vary

@@ -47,10 +47,6 @@ from fairorder.harness import (
     parse_config,
     resolve_topology,
     run_experiment,
-    run_geo_bias,
-    run_liquidation,
-    run_sandwich,
-    run_tradeoff_curve,
     tabulate,
 )
 from fairorder.sro import SroHandle, sign_slot
@@ -164,11 +160,11 @@ class TestConfig:
 class TestEmit:
     def test_byte_stable_outputs(self, tmp_path):
         config = small(trials=60)
-        text1 = run_geo_bias(config).to_csv_text()
-        text2 = run_geo_bias(config).to_csv_text()
+        text1 = run_experiment(config).to_csv_text()
+        text2 = run_experiment(config).to_csv_text()
         assert text1 == text2
         out = tmp_path / "geo.csv"
-        emit_csv(run_geo_bias(config), out)
+        emit_csv(run_experiment(config), out)
         assert out.read_text() == text1
 
     def test_empty_result_header_only(self, tmp_path):
@@ -187,12 +183,12 @@ class TestEmit:
 class TestGeoBias:
     def test_row_count_structure(self):
         config = small(origins=("washington", "london", "tokyo"), trials=40)
-        result = run_geo_bias(config)
+        result = run_experiment(config)
         assert len(result.rows) == 3 * len(config.policies)  # pairs x policies
 
     def test_deterministic_policies_give_diff_one(self):
         config = small(policies=("pompe", "receive"), trials=40)
-        for row in run_geo_bias(config).rows:
+        for row in run_experiment(config).rows:
             assert row[3] == "1.000000"
             assert row[4] == "1.000000"
 
@@ -200,19 +196,19 @@ class TestGeoBias:
         config = small(
             policies=("bercow:1500",), origins=("london", "london"), trials=4000
         )
-        (row,) = run_geo_bias(config).rows
+        (row,) = run_experiment(config).rows
         assert abs(float(row[4])) < 0.05
 
     def test_bercow_diff_within_epsilon_bound(self):
         config = small(policies=("bercow:1500",), trials=400)
-        (row,) = run_geo_bias(config).rows
+        (row,) = run_experiment(config).rows
         bound = float(epsilon_general(2, Fraction(300, 1500)))
         sigma = 2 * (0.25 / config.trials) ** 0.5
         assert abs(float(row[4])) <= bound + 4 * sigma
 
     def test_needs_two_origins(self):
         with pytest.raises(ConfigError):
-            run_geo_bias(small(origins=("london",)))
+            run_experiment(small(origins=("london",)))
 
 
 class TestTradeoff:
@@ -223,7 +219,7 @@ class TestTradeoff:
             gaps_ms=(0, 1801),
             trials=150,
         )
-        rows = run_tradeoff_curve(config).rows
+        rows = run_experiment(config).rows
         by_gap = {row[0]: float(row[3]) for row in rows}
         assert by_gap[1801] == 1.0
         assert 0.3 < by_gap[0] < 0.7
@@ -232,12 +228,12 @@ class TestTradeoff:
         config = small(
             scenario="tradeoff_curve", policies=("pompe",), gaps_ms=(0,), trials=10
         )
-        rows = run_tradeoff_curve(config).rows
+        rows = run_experiment(config).rows
         assert rows[0][2] == "tokyo"
 
     def test_needs_gaps(self):
         with pytest.raises(ConfigError):
-            run_tradeoff_curve(small(scenario="tradeoff_curve", gaps_ms=()))
+            run_experiment(small(scenario="tradeoff_curve", gaps_ms=()))
 
     def test_narrow_noise_has_short_horizon(self):
         # With noise width equal to the delay bound, the slower city's head
@@ -249,7 +245,7 @@ class TestTradeoff:
             gaps_ms=(370, 600),
             trials=300,
         )
-        rows = run_tradeoff_curve(config).rows
+        rows = run_experiment(config).rows
         assert all(float(row[3]) == 1.0 for row in rows)
 
     def test_wide_noise_keeps_outcome_uncertain_at_400ms(self):
@@ -261,7 +257,7 @@ class TestTradeoff:
             gaps_ms=(400,),
             trials=1200,
         )
-        (row,) = run_tradeoff_curve(config).rows
+        (row,) = run_experiment(config).rows
         assert 0.62 < float(row[3]) < 0.77
 
 
@@ -271,7 +267,7 @@ class TestSandwich:
             scenario="sandwich", policies=("pompe",),
             origins=("munich", "london"), trials=60, colluders="max",
         )
-        rows = run_sandwich(config).rows
+        rows = run_experiment(config).rows
         freq = {row[1]: float(row[2]) for row in rows if row[1] != "expected"}
         assert freq["i2-i1-i3"] == 1.0
         expected = [row for row in rows if row[1] == "expected"][0]
@@ -282,7 +278,7 @@ class TestSandwich:
             scenario="sandwich", policies=("bercow:1500",),
             origins=("munich", "london"), trials=400, colluders="max",
         )
-        rows = run_sandwich(config).rows
+        rows = run_experiment(config).rows
         expected = [row for row in rows if row[1] == "expected"][0]
         assert float(expected[4]) < 0.35 * 800
 
@@ -292,7 +288,7 @@ class TestSandwich:
             scenario="sandwich", policies=("bercow:1500",),
             origins=("munich", "london"), trials=40, colluders="max", seed=-1,
         )
-        assert run_sandwich(config).to_csv_text().splitlines() == [
+        assert run_experiment(config).to_csv_text().splitlines() == [
             "policy,order,frequency,victim_usd,attacker_usd",
             "bercow:1500,i1-i2-i3,0.325000,300.00,0.00",
             "bercow:1500,i1-i3-i2,0.075000,300.00,0.00",
@@ -317,7 +313,7 @@ class TestSandwich:
             scenario="sandwich", policies=("pompe", "receive"),
             origins=("munich", "london"), trials=5,
         )
-        first, second = (run_sandwich(config).to_csv_text() for _ in range(2))
+        first, second = (run_experiment(config).to_csv_text() for _ in range(2))
         assert first == second
         assert len(built) == len(attacks.PERMUTATIONS)
         table = attacks.payoff_table()
@@ -328,7 +324,7 @@ class TestSandwich:
     def test_colluder_count_validated(self):
         config = small(scenario="sandwich", origins=("munich", "london"), colluders="99")
         with pytest.raises(ConfigError):
-            run_sandwich(config)
+            run_experiment(config)
 
 
 def cell_orders(run, config, spec, tags, commands, plan=None):
@@ -440,7 +436,7 @@ class TestSlottedEngine:
         per_trials = {}
         for trials in (5, 50):
             calls.clear()
-            run_sandwich(small(
+            run_experiment(small(
                 scenario="sandwich", policies=("bercow:1500",),
                 origins=("munich", "london"), trials=trials, colluders="max",
             ))
@@ -467,13 +463,13 @@ class TestSlottedEngine:
             scenario="sandwich", policies=("pompe", "bercow:300", "bercow:1500"),
             origins=("munich", "london"), trials=5, colluders="max",
         )
-        first = run_sandwich(sandwich).to_csv_text()
+        first = run_experiment(sandwich).to_csv_text()
         assert calls == {"stamp": 3, "plan": 1}
-        assert run_sandwich(sandwich).to_csv_text() == first
+        assert run_experiment(sandwich).to_csv_text() == first
         assert calls == {"stamp": 6, "plan": 2}
         calls.clear()
         cities = ("washington", "london", "munich", "tokyo")
-        run_geo_bias(small(policies=("pompe", "bercow:300", "bercow:1500"), origins=cities))
+        run_experiment(small(policies=("pompe", "bercow:300", "bercow:1500"), origins=cities))
         assert calls == {"stamp": 4}  # 6 pairs x 3 policies x 2 commands, 4 distinct
 
 
@@ -503,13 +499,13 @@ class TestSlottedEngine:
             policies=("pompe", "bercow:300", "bercow:1500"), slot_ms=100, trials=5,
             origins=("washington", "london", "munich", "tokyo"),
         )
-        first = run_geo_bias(config).to_csv_text()
+        first = run_experiment(config).to_csv_text()
         once = Counter(
             {(name, k): 1 for name in ("reveal", "quorum_signatures", "signatures_valid")
              for k in decided}
         )
         assert len(decided) > 1 and calls == once
-        assert run_geo_bias(config).to_csv_text() == first
+        assert run_experiment(config).to_csv_text() == first
         assert calls == once + once
 
 
@@ -595,7 +591,7 @@ class TestBaselineEngine:
         per_trials = {}
         for trials in (5, 50):
             calls.clear()
-            run_geo_bias(small(policies=(spec,), trials=trials))
+            run_experiment(small(policies=(spec,), trials=trials))
             per_trials[trials] = calls["observe"]
         assert per_trials[5] == per_trials[50] == 2  # one pair of cities, one cell
 
@@ -634,12 +630,12 @@ class TestLazyIds:
         per_trials = {}
         for trials in (5, 50):
             derived.clear()
-            run_geo_bias(small(policies=(spec,), trials=trials))
+            run_experiment(small(policies=(spec,), trials=trials))
             per_trials[trials] = dict(derived)
         # the id count is checked on the labels: no trial derives its ids
         assert per_trials[5] == per_trials[50] == {}
         # a same-city pair ties, and then every trial derives its two ids
-        run_geo_bias(small(policies=(spec,), origins=("tokyo", "tokyo"), trials=5))
+        run_experiment(small(policies=(spec,), origins=("tokyo", "tokyo"), trials=5))
         assert derived == Counter(dict.fromkeys(range(5), 2))
 
     @pytest.mark.parametrize("spec", ["pompe", "receive", "leader:1500"])
@@ -652,10 +648,10 @@ class TestLazyIds:
             return sha256(data)
 
         monkeypatch.setattr(domain, "hashlib", SimpleNamespace(sha256=counting))
-        run_geo_bias(small(policies=(spec,), trials=5))
+        run_experiment(small(policies=(spec,), trials=5))
         assert not hashed  # no trial ties, so no id is derived
         # a same-city pair ties, and its one cell hashes its tags once
-        run_geo_bias(small(policies=(spec,), origins=("tokyo", "tokyo"), trials=5))
+        run_experiment(small(policies=(spec,), origins=("tokyo", "tokyo"), trials=5))
         tags = b"".join(encode_id_part(tag) for tag in ("geo", 0, spec))
         assert hashed[tags] == 1
 
@@ -816,7 +812,7 @@ def test_geo_bias_run_shares_its_setup(monkeypatch):
     monkeypatch.setattr(consensus, "_pcg64_states", seeding)
     monkeypatch.setattr(np.random, "PCG64", bit_generator)
     monkeypatch.setattr(consensus, "sorted", sorting, raising=False)
-    assert len(run_geo_bias(config).rows) == 6 * 5
+    assert len(run_experiment(config).rows) == 6 * 5
     t0 = config.slot_ms * US_PER_MS // 2
     assert observed == Counter({(city, t0): 1 for city in cities})
     assert medians == observed  # 6 receive cells of 2 commands, 4 distinct
@@ -868,7 +864,7 @@ def test_counts_over_any_partition_add_up_to_the_serial_counts(name, monkeypatch
     # also where a count takes its range in blocks
     config = bundled(name, 13)
     serial = count_trials(config, 0, 13)
-    monkeypatch.setattr(harness, "_PASS_SEEDS", 20)
+    monkeypatch.setattr(consensus, "_PASS_SEEDS", 20)
     assert count_trials(config, 0, 13) == serial
     monkeypatch.undo()
     cells, counts = zip(*serial)
@@ -901,6 +897,49 @@ def test_a_bundled_run_seeds_in_one_pass(name, leader_cells, monkeypatch):
     monkeypatch.setattr(consensus, "_pcg64_states", seeding)
     run_experiment(bundled(name, 5))
     assert passes == [5 * leader_cells]
+
+
+@pytest.mark.parametrize("name, cells, slotted, passes", [
+    ("geo_bias", 30, 18, [1020, 180]),
+    ("tradeoff_curve", 85, 51, [1020, 1020, 1020, 340]),
+])
+def test_a_count_sets_each_cell_up_once(name, cells, slotted, passes, monkeypatch):
+    # call counts, not timings: at 200 trials the 6 and 17 leader cells
+    # take 2 and 4 seeding blocks of 1024 // (leader cells) trials each,
+    # and each cell's set-up (stamps, reveals, noise states, the leader
+    # command list) is still made once per count, not once per block
+    calls, sizes = Counter(), []
+    cell_orders, slotted_prefixes, seed = (
+        consensus._cell_orders, consensus._slotted_prefixes, consensus._pcg64_states
+    )
+
+    def setting_up(*args):
+        calls["cells"] += 1
+        return cell_orders(*args)
+
+    def stamping(*args):
+        calls["slotted"] += 1
+        return slotted_prefixes(*args)
+
+    def seeding(seeds):
+        seeds = list(seeds)
+        sizes.append(len(seeds))
+        return seed(seeds)
+
+    monkeypatch.setattr(consensus, "_cell_orders", setting_up)
+    monkeypatch.setattr(consensus, "_slotted_prefixes", stamping)
+    monkeypatch.setattr(consensus, "_pcg64_states", seeding)
+    run_experiment(bundled(name, 200))
+    assert calls == Counter(cells=cells, slotted=slotted)
+    assert sizes == passes
+
+
+@pytest.mark.parametrize("name", SIMULATED)
+def test_a_table_needs_every_trial_counted(name):
+    # counts over 4 of 10 trials would print as if they were all 10
+    config = bundled(name, 10)
+    with pytest.raises(ContractError, match="counts 4 trials, not 10"):
+        tabulate(config, count_trials(config, 0, 4))
 
 
 def test_importing_the_harness_loads_no_process_pool():
@@ -936,7 +975,7 @@ def test_sandwich_run_does_its_fixed_work_once(monkeypatch):
     monkeypatch.setattr(adversary, "clamp_to_window", clamp)
     monkeypatch.setattr(consensus, "clamp_to_window", clamp)
     monkeypatch.setattr("fairorder.sro.sign_slot", counted("sign_slot", sign_slot))
-    assert len(run_sandwich(config).rows) == 7 * len(config.policies)
+    assert len(run_experiment(config).rows) == 7 * len(config.policies)
     n, f = 80, 26
     assert calls == Counter(sro_init=1, shake_256=1, clamp_to_window=2, sign_slot=2 * (n - f))
 
@@ -946,7 +985,7 @@ class TestLiquidation:
         config = small(
             scenario="liquidation", policies=("bercow:1500",), trials=2500,
         )
-        rows = run_liquidation(config).rows
+        rows = run_experiment(config).rows
         assert len(rows) == 2
         for row in rows:
             assert abs(float(row[3]) - 100_000) < 12_000
@@ -961,13 +1000,13 @@ class TestLiquidation:
             (("a", t0, "washington"), ("b", t0, "tokyo")),
         )
         assert 0 < counts[0, 1] < config.trials
-        rows = run_liquidation(config).rows
+        rows = run_experiment(config).rows
         for row, count in zip(rows, (counts[0, 1], counts[1, 0]), strict=True):
             assert Fraction(row[3]) == round(Fraction(count * config.prize_usd, config.trials), 2)
 
     def test_biased_split_under_median(self):
         config = small(scenario="liquidation", policies=("pompe",), trials=10)
-        rows = run_liquidation(config).rows
+        rows = run_experiment(config).rows
         values = {row[1]: float(row[3]) for row in rows}
         assert values["washington"] == 200_000.0
         assert values["tokyo"] == 0.0

@@ -297,6 +297,17 @@ class LyingNode:
         return Share(good.node_id, (good.value + 1) % 101, good.proof)
 
 
+class ReplayingNode:
+    """A node that returns another node's valid share as its own."""
+
+    def __init__(self, node_id, replayed):
+        self.node_id = node_id
+        self.replayed = replayed
+
+    def produce_share(self, k):
+        return self.replayed.produce_share(k)
+
+
 class SilentNode:
     def __init__(self, node_id):
         self.node_id = node_id
@@ -388,13 +399,17 @@ class TestThresholdDprf:
         broken.nodes[0] = SilentNode(1)
         assert reveal_k(broken, 12) == clean
 
-    @pytest.mark.parametrize(
-        "faulty", [LyingNode, lambda node: SilentNode(node.node_id)], ids=["lying", "silent"]
-    )
+    @pytest.mark.parametrize("faulty", [
+        lambda nodes: LyingNode(nodes[0]),
+        lambda nodes: SilentNode(nodes[0].node_id),
+        # node 0 answers with node 1's share: a quorum that counted both
+        # would hold node 1's id twice and fail to combine
+        lambda nodes: ReplayingNode(nodes[0].node_id, nodes[1]),
+    ], ids=["lying", "silent", "replaying"])
     def test_proof_with_one_faulty_node_verifies(self, faulty):
         handle = handle_for(n=4, f=1, backend=Backend.THRESHOLD_DPRF, field=101)
         clean = reveal_k(handle, 12)
-        handle.nodes[0] = faulty(handle.nodes[0])
+        handle.nodes[0] = faulty(handle.nodes)
         value = reveal_k(handle, 12)
         assert value == clean
         assert verify(12, handle.generate_proof(12), value)
