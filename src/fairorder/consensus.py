@@ -21,7 +21,11 @@ The one engine serves every policy:
   and its own id, so its position cannot depend on other commands or on
   anything the nodes chose before the seed existed.
 * ``leader`` (rotating leader): each period's leader proposes, in its own
-  receive order, what it has received by the period's end.
+  receive order, what it has received by the period's end.  A trial's
+  schedule and phase are numpy's draws from the PCG64 state
+  ``default_rng`` gives its seed.  A block's states are seeded in one pass
+  that restates numpy's ``SeedSequence`` on uint32 arrays, one column per
+  seed, so numpy's own wraparound does its arithmetic.
 * ``receive`` (all-correct receive order): a command precedes another if
   every node received it first; median receive time extends that relation.
 
@@ -40,7 +44,7 @@ import hashlib
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from itertools import chain, repeat
 
 import numpy as np
@@ -251,29 +255,35 @@ def _slotted_prefixes(run: SimulationRun, width_us: int, invocations, plan):
 _POOL_WORDS = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_LANE_BYTES = 12  # a uint32 word and room for the carries of ``mix``
-_LANE_ONE = b"\x01" + bytes(_LANE_BYTES - 1)
+_OTHER_WORDS = [np.array([d for d in range(_POOL_WORDS) if d != s]) for s in range(_POOL_WORDS)]
 
 
+@lru_cache(maxsize=None)
 def _hash_constants(init: int, mult: int, steps: int) -> tuple:
-    """The (xor, multiplier) pairs of ``steps`` successive ``hashmix``
-    steps: each xors the value with the hash constant, multiplies the
-    constant by ``mult`` and the value by the product."""
-    pairs, const = [], init
+    """The xor and multiplier columns of ``steps`` ``hashmix`` steps, read-only
+    (steps, 1) uint32 arrays, each computed once: a step xors the value with
+    the constant, multiplies the constant by ``mult`` and the value by that."""
+    consts = [init]
     for _ in range(steps):
-        pairs.append((const, const * mult & _MASK32))
-        const = pairs[-1][1]
-    return tuple(pairs)
+        consts.append(consts[-1] * mult & _MASK32)
+    column = np.array(consts, np.uint32)[:, None]
+    column.flags.writeable = False
+    return column[:-1], column[1:]
 
 
-# hashmix's data-independent schedule: 16 steps mix up to 4 entropy words
-# into the pool (a longer seed continues the chain), 8 hash the output.
-_POOL_HASHES = _hash_constants(_INIT_A, _MULT_A, _POOL_WORDS * _POOL_WORDS)
-_OUTPUT_HASHES = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_WORDS)
-_MIX_R = -_MIX_MULT_R & _MASK32  # mix adds y times this, not -MIX_MULT_R * y
+def _hashmix(value, xor, mult):
+    """numpy's ``hashmix``, one step per row of ``xor`` and ``mult``."""
+    value = (value ^ xor) * mult
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """numpy's ``mix``: MIX_MULT_L * x - MIX_MULT_R * y, then a shift-xor."""
+    r = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return r ^ r >> 16
 
 
 def _entropy_words(seed) -> bytes:
@@ -289,76 +299,44 @@ def _entropy_words(seed) -> bytes:
 
 
 def _pcg64_states(seeds) -> list:
-    """``np.random.PCG64(seed).state``'s (state, inc) for every seed at once.
-
-    This restates numpy's ``SeedSequence(seed).generate_state(4, uint64)``
-    (``mix_entropy``, then the output hash) on Python ints, one group of
-    seeds with the same number of entropy words at a time
-    (``_generate_state``).  PCG64 then seeds each state: ``inc`` is (the
-    second 128 bits << 1) | 1, and two LCG steps from 0 add the first 128
-    bits after the first step.
-    """
+    """``np.random.PCG64(seed).state``'s (state, inc) for every seed at once:
+    ``_generate_state`` on each group of seeds with the same number of entropy
+    words, then PCG64's seeding in Python ints: ``inc`` is (the second 128
+    bits << 1) | 1, and two LCG steps from 0 add the first 128 bits after the
+    first step."""
     entropy = [_entropy_words(seed) for seed in seeds]
     groups: dict = {}
     for i, words in enumerate(entropy):
         groups.setdefault(len(words) // 4, []).append(i)
     out = [None] * len(entropy)
     for count, members in groups.items():
-        words = _generate_state(b"".join(entropy[i] for i in members), count, len(members))
-        unpacked = (struct.iter_unpack("<QI", word) for word in words)
-        for i, (state_hi, _), (state_lo, _), (inc_hi, _), (inc_lo, _) in zip(members, *unpacked):
+        joined = np.frombuffer(b"".join(entropy[i] for i in members), "<u4")
+        words = _generate_state(joined.reshape(len(members), count).T)
+        for i, state_hi, state_lo, inc_hi, inc_lo in zip(members, *words.tolist()):
             inc = (inc_hi << 65 | inc_lo << 1 | 1) & _MASK128
             out[i] = (((state_hi << 64 | state_lo) + inc) * _PCG64_MULT + inc) & _MASK128, inc
     return out
 
 
-def _generate_state(joined: bytes, count: int, seeds: int) -> list:
-    """The four uint64 words of ``generate_state`` for each of ``seeds``
-    seeds of ``count`` entropy words each, given one after another in
-    ``joined``: as four byte strings, seed i's word in bytes [12 i, 12 i + 8).
-
-    Word j of every seed is one int, seed i's word in lane i,
-    ``_LANE_BYTES`` wide.  The hash constants depend on no data, so they
-    are module constants (``_POOL_HASHES``, ``_OUTPUT_HASHES``), and each
-    ``hashmix`` or ``mix`` step is a few big-int operations over all the
-    seeds.  The big ints are freed on return, before the caller builds
-    each seed's state.
-    """
-    width = _LANE_BYTES * seeds
-    ones = int.from_bytes(_LANE_ONE * seeds, "little")
-    mask = _MASK32 * ones
-
-    def lanes(j):
-        packed = bytearray(width)
-        for byte in range(4):
-            packed[byte::_LANE_BYTES] = joined[4 * j + byte::4 * count]
-        return int.from_bytes(packed, "little")
-
-    def hashmix(value, xor, mult):
-        value = (value ^ xor * ones) * mult & mask
-        return value ^ value >> 16 & mask
-
-    def mix(x, y):  # MIX_MULT_L * x - MIX_MULT_R * y, with no borrow between lanes
-        r = (x * _MIX_MULT_L + y * _MIX_R) & mask
-        return r ^ r >> 16 & mask
-
-    words = [lanes(j) for j in range(count)]
-    steps = iter(_POOL_HASHES + _hash_constants(
-        _POOL_HASHES[-1][1], _MULT_A, _POOL_WORDS * max(count - _POOL_WORDS, 0)
-    ))
-    pool = [hashmix(words[i] if i < count else 0, *next(steps)) for i in range(_POOL_WORDS)]
-    for src in range(_POOL_WORDS):
-        for dst in range(_POOL_WORDS):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src], *next(steps)))
+def _generate_state(words):
+    """numpy's ``SeedSequence(seed).generate_state(4, uint64)`` for each
+    column of ``words``, a (count, seeds) uint32 array of entropy words, as a
+    (4, seeds) uint64 array: ``mix_entropy`` into the pool, then the output
+    hash, each step on all seeds at once in numpy's own uint32 wraparound."""
+    count, seeds = words.shape
+    xor, mult = _hash_constants(_INIT_A, _MULT_A, _POOL_WORDS * max(count, _POOL_WORDS))
+    pool = np.zeros((_POOL_WORDS, seeds), np.uint32)
+    pool[:count] = words[:_POOL_WORDS]
+    pool = _hashmix(pool, xor[:_POOL_WORDS], mult[:_POOL_WORDS])
+    for src, dst in enumerate(_OTHER_WORDS):
+        step = slice(_POOL_WORDS + 3 * src, _POOL_WORDS + 3 * src + 3)
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[step], mult[step]))
     for src in range(_POOL_WORDS, count):
-        for dst in range(_POOL_WORDS):
-            pool[dst] = mix(pool[dst], hashmix(words[src], *next(steps)))
-    state = [
-        hashmix(pool[i % _POOL_WORDS], xor, mult) for i, (xor, mult) in enumerate(_OUTPUT_HASHES)
-    ]
-    # uint64 word k is state words 2k (low) and 2k + 1 (high)
-    return [(state[2 * k] | state[2 * k + 1] << 32).to_bytes(width, "little") for k in range(4)]
+        step = slice(_POOL_WORDS * src, _POOL_WORDS * (src + 1))
+        pool = _mix(pool, _hashmix(words[src], xor[step], mult[step]))
+    output = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_WORDS)
+    state = _hashmix(np.concatenate((pool, pool)), *output).astype(np.uint64)
+    return state[0::2] | state[1::2] << np.uint64(32)  # uint64 word k: words 2k, 2k + 1
 
 
 def _receive_prefixes(run: SimulationRun, invocations):
@@ -489,11 +467,11 @@ def _cell_orders(run, policy, invocations, plan, trial_ids):
     return lambda block, _: _orders(tie_seeds, repeat(fixed, len(block)), trial_ids, block)
 
 
-# Leader trial seeds per seeding pass.  A pass works on ints of 12 bytes per
-# seed, and its block's streams hold each seeded state (about 150 bytes)
-# until its trial is drawn, so this bounds what a run holds at once: full
-# serial geo_bias and tradeoff_curve runs (6 and 17 leader cells) peaked 3.1
-# and 9.4 MB lower than with one pass per 1,024 trials.
+# Leader trial seeds per seeding pass.  A pass works on uint32 arrays with a
+# column per seed, and its block's streams hold each seeded state (about 150
+# bytes) until its trial is drawn, so this bounds what a run holds at once:
+# full serial geo_bias and tradeoff_curve runs (6 and 17 leader cells) peaked
+# 3.1 and 9.4 MB lower than with one pass per 1,024 trials.
 _PASS_SEEDS = 1024
 
 
@@ -524,7 +502,7 @@ def orders_per_cell(run: SimulationRun, cells, trials):
     reveals, ``bercow`` noise states, the disjoint-range shortcut below and
     the leader command list.  A block is ``_PASS_SEEDS`` // (leader cells)
     trials, at least one (all of them with no leader cell), seeded in one
-    ``_pcg64_states`` pass over all its leader cells' trials, whose lanes
+    ``_pcg64_states`` pass over all its leader cells' trials, whose seeds
     are grouped by seed word count, not by cell, so every state is the one
     a call with that cell alone would give.  The first block is built on
     the call, so a bad trial seed fails it, and each later one as the

@@ -1,7 +1,9 @@
 """Experiment runner: deterministic configs in, CSV tables out.
 
 A config file is line-oriented ``key = value`` text, one experiment per
-file; an unknown key is an error.  Scenario kinds: geo_bias,
+file; an unknown key is an error, and so is a key its scenario never reads
+(a config built in code keeps such fields at their defaults, unread).  A
+negative ``prize_usd`` is an error.  Scenario kinds: geo_bias,
 tradeoff_curve, sandwich, liquidation, bounds_table.  Every run is fully
 determined by (config, seed): reruns produce byte-identical output files.
 
@@ -14,8 +16,9 @@ the results (``parsed_policies``, ``parsed_alphas``); no run parses them
 again.
 
 Each scenario is one entry of one table, ``_SCENARIOS``: a cells
-function and a table function.  ``count_trials`` builds a config's one
-``consensus.SimulationRun`` (``_run_for``), the network every cell of the
+function, a table function and the config-file keys it reads.
+``count_trials`` builds a config's one ``consensus.SimulationRun``
+(``_run_for``), the network every cell of the
 table is ordered on, which keeps the receive times, stamps, slot seeds
 and leader generator the cells share; the cells function lists the cells
 on it as ``Cell(tags, policy, placed, plan)`` records, each cell's
@@ -23,10 +26,11 @@ on it as ``Cell(tags, policy, placed, plan)`` records, each cell's
 their origin cities (``_placed``).  ``_count_cells`` counts every cell
 over a trial range with one ``consensus.orders_per_cell`` call, which
 sets each cell up once and sizes its own seeding blocks.  ``tabulate``
-formats the table from the (cell, counts) pairs alone, with no run
-rebuilt, once they cover all the config's trials; a closed-form table
-(bounds_table) has no cells function and counts nothing.
-``run_experiment`` is the two steps over all trials in this process.  A
+formats the table from the (cell, counts) pairs once they are the cells
+the cells function lists, in order, each over all the config's trials; a
+closed-form table (bounds_table) has no cells function and counts
+nothing.  ``run_experiment`` counts all trials in this process, on one
+run, and makes the table from those counts, which need no check.  A
 trial's order does not depend on the range that counts it, so
 ``count_trials`` over disjoint ranges, in any processes, sums to the
 serial count.  The tags -- ``("geo", pair_index, spec)``,
@@ -103,6 +107,8 @@ class ExperimentConfig:
             raise ConfigError(f"dnet_ms must be >= 1, got {self.delta_net_ms}")
         if self.slot_ms < 1:
             raise ConfigError(f"slot_ms must be >= 1, got {self.slot_ms}")
+        if self.prize_usd < 0:
+            raise ConfigError(f"prize_usd must be >= 0, got {self.prize_usd}")
         if any(gap < 0 for gap in self.gaps_ms):
             raise ConfigError(f"gaps_ms entries must be >= 0, got {self.gaps_ms}")
         if self.gaps_ms and list(self.gaps_ms) != sorted(self.gaps_ms):
@@ -176,9 +182,15 @@ def parse_config(path) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from exc
     try:
-        return ExperimentConfig(**fields)
+        config = ExperimentConfig(**fields)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    for key, lineno in seen.items():
+        if key not in ("scenario", "output", *_SCENARIOS[config.scenario][2]):
+            raise ConfigError(
+                f"{path}:{lineno}: the {config.scenario} scenario never reads {key!r}"
+            )
+    return config
 
 
 def parse_alpha(text) -> Fraction:
@@ -455,20 +467,24 @@ def _bounds_table(config: ExperimentConfig, counted) -> TableResult:
     return result
 
 
+# the config-file keys every simulated scenario reads
+_RUN_KEYS = ("topology", "policies", "dnet_ms", "slot_ms", "trials", "seed", "origins")
+
 # scenario -> (its cells, from (config, run), or None for a closed-form
-# table, which counts no trials; its table, from (config, [(cell, counts)]))
+# table, which counts no trials; its table, from (config, [(cell, counts)]);
+# the config-file keys it reads besides scenario and output)
 _SCENARIOS = {
     # Pr[A first] - Pr[B first] for simultaneous invocations per city pair
-    "geo_bias": (_geo_cells, _geo_bias_table),
+    "geo_bias": (_geo_cells, _geo_bias_table, _RUN_KEYS),
     # Pr[early sender first] as its head start grows; the curve must reach
     # 1.0 once the gap clears the policy's inversion horizon
-    "tradeoff_curve": (_tradeoff_cells, _tradeoff_table),
+    "tradeoff_curve": (_tradeoff_cells, _tradeoff_table, (*_RUN_KEYS, "gaps_ms")),
     # permutation frequencies and attacker profit for the bracketing attack
-    "sandwich": (_sandwich_cells, _sandwich_table),
+    "sandwich": (_sandwich_cells, _sandwich_table, (*_RUN_KEYS, "colluders", "offsets_ms")),
     # expected liquidation payout per client when only the first wins
-    "liquidation": (_geo_cells, _liquidation_table),
+    "liquidation": (_geo_cells, _liquidation_table, (*_RUN_KEYS, "prize_usd")),
     # closed-form equality/linearizability figures over the (n, alpha) grid
-    "bounds_table": (None, _bounds_table),
+    "bounds_table": (None, _bounds_table, ("dnet_ms", "bounds_n", "alphas")),
 }
 
 
@@ -478,7 +494,7 @@ def count_trials(config: ExperimentConfig, start: int, stop: int) -> list:
     lists them; none for a closed-form table.  Trial t's order does not
     depend on the range, so the counts of disjoint ranges add up to the
     count of their union, whichever process made each."""
-    cells_for, _ = _SCENARIOS[config.scenario]
+    cells_for = _SCENARIOS[config.scenario][0]
     if cells_for is None:
         return []
     run = _run_for(config)
@@ -488,14 +504,25 @@ def count_trials(config: ExperimentConfig, start: int, stop: int) -> list:
 
 def tabulate(config: ExperimentConfig, counted) -> TableResult:
     """``config``'s table from its cells' counts over all its trials, as
-    ``count_trials`` pairs them; a cell whose counts do not sum to
-    ``config.trials`` is a ``ContractError``."""
+    ``count_trials`` pairs them.  It is a ``ContractError`` unless the
+    counted cells' tags are, in order, those of every cell the table lists
+    (none for a closed-form table) and each cell's counts sum to
+    ``config.trials``."""
+    cells_for, table = _SCENARIOS[config.scenario][:2]
+    cells = cells_for(config, _run_for(config)) if cells_for else []
+    if [cell.tags for cell, _ in counted] != [cell.tags for cell in cells]:
+        raise ContractError(
+            f"counts for {len(counted)} cells, not the {len(cells)} cells the"
+            f" {config.scenario} table lists, in its order"
+        )
     for cell, counts in counted:
         if (total := counts.total()) != config.trials:
             raise ContractError(f"cell {cell.tags} counts {total} trials, not {config.trials}")
-    return _SCENARIOS[config.scenario][1](config, counted)
+    return table(config, counted)
 
 
 def run_experiment(config: ExperimentConfig) -> TableResult:
-    """``config``'s table, its trials counted in this process."""
-    return tabulate(config, count_trials(config, 0, config.trials))
+    """``config``'s table, its trials counted in this process.  The counts
+    are ``count_trials``' own, every cell over every trial, so they need
+    none of ``tabulate``'s checks, and no second run is built."""
+    return _SCENARIOS[config.scenario][1](config, count_trials(config, 0, config.trials))

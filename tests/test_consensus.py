@@ -1,5 +1,6 @@
 import hashlib
 import random
+import warnings
 from collections import Counter
 from dataclasses import replace
 from functools import partial
@@ -745,6 +746,38 @@ class TestBulkSeeding:
             np.random.SeedSequence(seed)
         with pytest.raises(ContractError, match="non-negative"):
             consensus._pcg64_states([[1, 2], seed])
+
+
+def mixed_word_seeds():
+    """Seeds of 1, 3, 5 and 7 entropy words, interleaved, so one pass
+    seeds four groups, two of them past the 4-word pool."""
+    rnd = random.Random(31)
+    seeds = [
+        [rnd.getrandbits(32) | 1 << 31 for _ in range(words)]
+        for _ in range(12)
+        for words in (1, 3, 5, 7)
+    ]
+    assert {len(consensus._entropy_words(s)) // 4 for s in seeds} == {1, 3, 5, 7}
+    return seeds
+
+
+class TestArraySeeding:
+    """The seeding pass's uint32 arrays wrap as numpy's own SeedSequence
+    does, with no overflow warning, from one column to a full pass."""
+
+    @pytest.mark.parametrize("seeds", [
+        pytest.param([[20240601, 2**63 + 5]], id="one-seed"),
+        pytest.param(mixed_word_seeds(), id="1-3-5-7-words"),
+        pytest.param(
+            [trial_seed(20240601, "geo", 0, "leader:1500", t) for t in range(1024)],
+            id="1024-seeds",
+        ),
+    ])
+    def test_pass_equals_numpys_states_without_warnings(self, seeds):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = consensus._pcg64_states(seeds)
+        assert got == [numpy_state(s) for s in seeds]
 
 
 ALL_POLICIES = (

@@ -100,6 +100,35 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             small(**{key: ()})
 
+    def test_negative_prize_rejected(self):
+        with pytest.raises(ConfigError, match="prize_usd must be >= 0, got -1"):
+            small(scenario="liquidation", prize_usd=-1)
+        assert small(scenario="liquidation", prize_usd=0).prize_usd == 0
+
+    @pytest.mark.parametrize("scenario, line", [
+        ("geo_bias", "gaps_ms = 0,50"),
+        ("liquidation", "offsets_ms = 1,25"),
+        ("sandwich", "prize_usd = 5"),
+        ("tradeoff_curve", "colluders = max"),
+        ("bounds_table", "seed = 3"),
+    ])
+    def test_file_key_the_scenario_never_reads(self, tmp_path, scenario, line):
+        path = tmp_path / "unread.cfg"
+        path.write_text(f"scenario = {scenario}\n# a comment\n{line}\n")
+        key = line.partition(" ")[0]
+        message = f"unread.cfg:3: the {scenario} scenario never reads '{key}'"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(path)
+
+    def test_config_in_code_keeps_unread_defaults(self):
+        # only a key written in a file is checked against its scenario
+        config = small(gaps_ms=(0, 50), offsets_ms=(2, 3), prize_usd=7)
+        assert (config.gaps_ms, config.offsets_ms, config.prize_usd) == ((0, 50), (2, 3), 7)
+
+    def test_every_scenario_reads_only_config_keys(self):
+        for scenario, (_, _, keys) in harness._SCENARIOS.items():
+            assert set(keys) <= set(harness.CONFIG_KEYS) - {"scenario", "output"}, scenario
+
     def test_gap_sweep_must_be_monotone(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(scenario="tradeoff_curve", gaps_ms=(5, 1))
@@ -942,6 +971,42 @@ def test_a_table_needs_every_trial_counted(name):
         tabulate(config, count_trials(config, 0, 4))
 
 
+def test_a_table_needs_every_cell_counted_in_its_order():
+    # counts for no cells, or for 3 of geo_bias's 30, printed a header alone
+    # or 3 rows
+    config = bundled("geo_bias", 10)
+    with pytest.raises(ContractError, match="counts for 0 cells, not the 30 cells"):
+        tabulate(config, [])
+    with pytest.raises(ContractError, match="counts for 3 cells, not the 30 cells"):
+        tabulate(config, count_trials(config, 0, 10)[:3])
+
+
+@pytest.mark.parametrize("name", SIMULATED)
+def test_a_table_rejects_counts_for_other_cells(name):
+    config = bundled(name, 5)
+    counted = count_trials(config, 0, 5)
+    for wrong in (counted[:1], counted[1:], counted[::-1], counted + counted[:1]):
+        with pytest.raises(ContractError, match=f"the {len(counted)} cells the {name} table"):
+            tabulate(config, wrong)
+    with pytest.raises(ContractError, match="not the 0 cells the bounds_table table"):
+        tabulate(bundled("bounds_table", 5), counted)
+
+
+def test_run_experiment_builds_its_run_once(monkeypatch):
+    # the table's cell check reuses the cells it counted
+    runs = []
+    run_for = harness._run_for
+
+    def building(config):
+        runs.append(config.scenario)
+        return run_for(config)
+
+    monkeypatch.setattr(harness, "_run_for", building)
+    for name in (*SIMULATED, "bounds_table"):
+        run_experiment(bundled(name, 3))
+    assert runs == list(SIMULATED)
+
+
 def test_importing_the_harness_loads_no_process_pool():
     # the pool is the script's: importing it costs the harness's users time
     code = (
@@ -1150,6 +1215,9 @@ class TestCli:
                            "slot_ms = 100000000000000000"),
             (["simulate"], "scenario = tradeoff_curve\npolicies = receive\n"
                            "gaps_ms = 0,9300000000000000"),
+            (["simulate"], "scenario = liquidation\nprize_usd = -1"),
+            (["simulate"], "scenario = geo_bias\ngaps_ms = 0,50"),
+            (["simulate"], "scenario = liquidation\noffsets_ms = 1,25"),
         ],
         ids=["alpha", "attack-colluders", "policy-arg", "colluders", "alphas",
              "one-offset", "unknown-key", "dnet", "negative-gap", "gap-past-int64", "slot",
@@ -1159,7 +1227,8 @@ class TestCli:
              "no-alphas", "no-bounds-n", "bounds-n-41", "bounds-n-million", "bounds-n-zero",
              "config-bounds-n-million", "attack-receive-past-63-bits",
              "attack-bercow-past-63-bits", "receive-past-63-bits", "leader-past-63-bits",
-             "receive-gap-past-63-bits"],
+             "receive-gap-past-63-bits", "negative-prize", "geo-bias-gaps",
+             "liquidation-offsets"],
     )
     def test_bad_input_is_config_error(self, tmp_path, capsys, argv, config_line):
         if config_line is not None:

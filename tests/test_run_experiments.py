@@ -91,6 +91,17 @@ def test_check_names_each_differing_csv_and_writes_nothing(script, tmp_path, mon
     assert (tmp_path / "results" / "sandwich.csv").read_bytes() == changed
 
 
+def test_a_two_job_run_writes_every_table_its_checks_accept(script, tmp_path, monkeypatch):
+    # the parent checks each table's summed counts against the cells its
+    # config lists, so a run on a worker pool must hand it every cell in order
+    monkeypatch.chdir(tmp_path)
+    names = ("bounds_table", "geo_bias", "sandwich")
+    assert script.main(["--trials", "3", "--jobs", "2", "--only", ",".join(names)]) == 0
+    for name in names:
+        config = replace(parse_config(CONFIG_DIR / f"{name}.cfg"), trials=3)
+        assert (tmp_path / config.output).read_text() == run_experiment(config).to_csv_text()
+
+
 @pytest.mark.parametrize("argv", [
     ["--check", "--trials", "5"], ["--trials", "0"], ["--jobs", "0"], ["--only", "geo"],
 ])
