@@ -12,16 +12,18 @@ a window of width ``delta_net`` and independent uniform noise of width
 * commands invoked more than ``delta_net + delta_noise`` apart can never be
   inverted.
 
-Closed forms use exact rational arithmetic.  Two independent oracles check
-them: an exact piecewise-polynomial integrator for fixed (non-adaptive)
-timestamp assignments, and vectorized Monte Carlo for everything else,
-including the adaptive assignment strategy that attains the upper bound.
+Closed forms use exact rational arithmetic on exact ratios
+(``domain.exact_ratio``).  Two independent oracles check them, one per kind
+of placement: an exact piecewise-polynomial integrator for fixed timestamp
+assignments, and vectorized Monte Carlo for the two strategies that attain
+the bounds, including the adaptive one.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -29,20 +31,7 @@ from math import factorial, sqrt
 
 import numpy as np
 
-from .domain import ContractError
-
-
-def _rational(x, name="alpha") -> Fraction:
-    if isinstance(x, float):
-        raise ContractError(
-            f"pass {name} as Fraction, int, or string (floats are not exact rationals)"
-        )
-    try:
-        return Fraction(x)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ContractError(
-            f"expected {name} as an exact ratio such as 1/5, got {x!r}"
-        ) from exc
+from .domain import ContractError, exact_ratio
 
 
 def _check_alpha(alpha: Fraction):
@@ -67,7 +56,7 @@ def order_prob_bounds(n: int, alpha) -> tuple:
     """
     if n < 1:
         raise ContractError("n must be >= 1")
-    a = _rational(alpha)
+    a = exact_ratio(alpha, "alpha")
     _check_alpha(a)
     if n == 1:
         return Fraction(1), Fraction(1)
@@ -96,17 +85,18 @@ def delta_linearizability(delta_net_us: int, delta_noise_us: int) -> int:
 # breakpoint, cs[i] on [xs[i], xs[i+1]], and the constant `after` from the
 # last breakpoint on.  Integrands carry after == 0; cumulative integrals
 # carry their total as `after`.
+_ZERO = Fraction(0)
 
 
 def _poly_eval(coeffs, x):
-    acc = Fraction(0)
+    acc = _ZERO
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
 
 
 def _poly_antideriv(coeffs):
-    return (Fraction(0),) + tuple(c / (k + 1) for k, c in enumerate(coeffs))
+    return (_ZERO,) + tuple(c / (k + 1) for k, c in enumerate(coeffs))
 
 
 @dataclass(frozen=True)
@@ -116,26 +106,17 @@ class _Piecewise:
     after: Fraction
 
     def restrict(self, lo, hi) -> "_Piecewise":
-        """This function as an integrand supported on [lo, hi]."""
-        cuts = sorted({lo, hi} | {x for x in self.xs if lo < x < hi})
-        cs = []
-        for u, v in zip(cuts, cuts[1:]):
-            if v <= self.xs[0]:
-                cs.append((Fraction(0),))
-            elif u >= self.xs[-1]:
-                cs.append((self.after,))
-            else:
-                for i in range(len(self.cs)):
-                    if self.xs[i] <= u and v <= self.xs[i + 1]:
-                        cs.append(self.cs[i])
-                        break
-                else:  # pragma: no cover
-                    raise AssertionError("interval not covered by source pieces")
-        return _Piecewise(tuple(cuts), tuple(cs), Fraction(0))
+        """This function as an integrand on [lo, hi], cut at lo, at each
+        breakpoint in (lo, hi) and at hi: each span between cuts lies in the
+        one piece its start falls in (0 before ``xs``, ``after`` past it)."""
+        cuts = (lo, *(x for x in self.xs if lo < x < hi), hi)
+        pieces = ((_ZERO,), *self.cs, (self.after,))
+        cs = tuple(pieces[bisect_right(self.xs, u)] for u in cuts[:-1])
+        return _Piecewise(cuts, cs, _ZERO)
 
     def cumulative(self) -> "_Piecewise":
         """t -> integral of this integrand over (-inf, t]."""
-        acc = Fraction(0)
+        acc = _ZERO
         out = []
         for i in range(len(self.cs)):
             anti = _poly_antideriv(self.cs[i])
@@ -154,27 +135,21 @@ def order_prob_integrate(ats, delta_noise, target_order=None) -> Fraction:
     ``target_order`` (default: 0, 1, ..., n-1).  Each step along the
     target order restricts the running cumulative to one command's noise
     interval and integrates it again, so there are at most 2n breakpoints
-    and the degree is at most n.
+    and the degree is at most n.  The timestamps and the width are exact
+    ratios (``domain.exact_ratio``).
     """
-    a = [Fraction(x) if not isinstance(x, float) else None for x in ats]
-    if any(x is None for x in a):
-        raise ContractError("pass assigned timestamps as exact rationals, not floats")
+    a = [exact_ratio(x, "ats") for x in ats]
     n = len(a)
     if n < 1:
         raise ContractError("integrator needs n >= 1 commands")
-    dn = _rational(delta_noise, "delta_noise")
+    dn = exact_ratio(delta_noise, "delta_noise")
     if dn <= 0:
         raise ContractError("delta_noise must be positive")
     target_order = _target_order(target_order, n)
     norm = [ai / dn for ai in a]
-    h = None
+    h = _Piecewise((min(norm),), (), Fraction(1))  # the unit step: 1 on every noise interval
     for idx in target_order:
-        lo, hi = norm[idx], norm[idx] + 1
-        if h is None:
-            integrand = _Piecewise((lo, hi), ((Fraction(1),),), Fraction(0))
-        else:
-            integrand = h.restrict(lo, hi)
-        h = integrand.cumulative()
+        h = h.restrict(norm[idx], norm[idx] + 1).cumulative()
     return h.after
 
 
@@ -313,16 +288,13 @@ def order_prob_monte_carlo(strategy, n, alpha, target_order, trials, rng):
     """Binomial estimate (value, stderr) of Pr[target order] under a strategy.
 
     ``strategy`` is ``LOWER_BOUND`` (the target order's first n - 1
-    commands at the window end, its last at the start), ``ADAPTIVE_UPPER``
-    (the adaptive chain), or an explicit tuple of assigned timestamps
-    normalized to a unit noise width (indexed by command, like the
-    integrator's ``ats``); honest commands are the zero tuple.  Unlike the
-    integrator, this handles the adaptive strategy, where later assignments
-    depend on observed noised values.  ``alpha`` is a float or, as for the
-    closed forms, an exact ratio such as ``"1/5"``.  Like the closed forms,
-    it rejects an unparsable alpha, n < 1, a ``target_order`` that is not a
-    permutation of ``range(n)``, and, for the two bound strategies, alpha
-    outside (0, 1].
+    commands at the window end, its last at the start) or
+    ``ADAPTIVE_UPPER`` (the adaptive chain); anything else is a
+    ``ContractError``.  A fixed placement's exact value is
+    ``order_prob_integrate``'s.  ``alpha`` is a float or, as for the closed
+    forms, an exact ratio such as ``"1/5"``.  Like the closed forms, it
+    rejects an unparsable alpha, alpha outside (0, 1], n < 1 and a
+    ``target_order`` that is not a permutation of ``range(n)``.
 
     Trials are drawn and tested in blocks of ``_CHUNK`` rows, so memory is
     O(``_CHUNK`` * n) per thread however many trials run.  The blocks take
@@ -341,21 +313,14 @@ def order_prob_monte_carlo(strategy, n, alpha, target_order, trials, rng):
     if n < 1:
         raise ContractError("n must be >= 1")
     target_order = _target_order(target_order, n)
-    alpha = alpha if isinstance(alpha, float) else float(_rational(alpha))
-    if strategy in (LOWER_BOUND, ADAPTIVE_UPPER):
-        _check_alpha(alpha)
+    alpha = alpha if isinstance(alpha, float) else float(exact_ratio(alpha, "alpha"))
+    _check_alpha(alpha)
     if strategy == LOWER_BOUND:
         ats = [alpha] * n
-        ats_by_pos = [alpha] * (n - 1) + [0.0]
-        for pos, idx in enumerate(target_order):
-            ats[idx] = ats_by_pos[pos]
+        ats[target_order[-1]] = 0.0
         simulate = partial(_simulate_fixed, ats, target_order)
     elif strategy == ADAPTIVE_UPPER:
         simulate = partial(_simulate_adaptive_upper, n, alpha)
-    elif isinstance(strategy, (tuple, list)):
-        if len(strategy) != n:
-            raise ContractError("fixed assignment length must equal n")
-        simulate = partial(_simulate_fixed, [float(x) for x in strategy], target_order)
     else:
         raise ContractError(f"unknown strategy {strategy!r}")
     hits = _count_hits(simulate, n, trials, rng)

@@ -1,8 +1,8 @@
 """The sandwich attack's worked example over a constant-product pool.
 
-All token amounts are exact rationals, so the product invariant holds to
-equality after any swap sequence; dollar P&L is exact too and only rounded
-to cents for display.
+All token amounts are exact rationals (``domain.exact_ratio``), so the
+product invariant holds to equality after any swap sequence; dollar P&L is
+exact too and only rounded to cents for display.
 """
 
 from __future__ import annotations
@@ -14,18 +14,12 @@ from functools import lru_cache
 from itertools import permutations
 from types import MappingProxyType
 
-from .domain import ContractError
+from .domain import ContractError, exact_ratio
 
 VICTIM = "i1"
 ATTACKER_BUY = "i2"
 ATTACKER_SELL = "i3"
 PERMUTATIONS = tuple(permutations((VICTIM, ATTACKER_BUY, ATTACKER_SELL)))
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, float):
-        raise ContractError("token amounts must be exact rationals, not floats")
-    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -34,8 +28,8 @@ class AmmPool:
     reserve_b: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "reserve_a", _frac(self.reserve_a))
-        object.__setattr__(self, "reserve_b", _frac(self.reserve_b))
+        object.__setattr__(self, "reserve_a", exact_ratio(self.reserve_a, "reserve_a"))
+        object.__setattr__(self, "reserve_b", exact_ratio(self.reserve_b, "reserve_b"))
         if self.reserve_a <= 0 or self.reserve_b <= 0:
             raise ContractError("pool reserves must be positive")
 
@@ -46,7 +40,7 @@ class AmmPool:
 
 def swap_buy_a(pool: AmmPool, amount_a) -> tuple:
     """Take amount_a of token A out; returns (new_pool, cost in token B)."""
-    amount_a = _frac(amount_a)
+    amount_a = exact_ratio(amount_a, "amount_a")
     if amount_a < 0 or amount_a >= pool.reserve_a:
         raise ContractError("buy amount must be in [0, reserve_a)")
     if amount_a == 0:
@@ -58,7 +52,7 @@ def swap_buy_a(pool: AmmPool, amount_a) -> tuple:
 
 def swap_sell_a(pool: AmmPool, amount_a) -> tuple:
     """Put amount_a of token A in; returns (new_pool, payout in token B)."""
-    amount_a = _frac(amount_a)
+    amount_a = exact_ratio(amount_a, "amount_a")
     if amount_a < 0:
         raise ContractError("sell amount must be >= 0")
     if amount_a == 0:

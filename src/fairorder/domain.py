@@ -1,4 +1,5 @@
-"""Core vocabulary: invocations, the quorum median, command ids, tie keys.
+"""Core vocabulary: invocations, the quorum median, command ids, tie keys,
+and the one rule for exact ratios.
 
 All times are integer microseconds. Timestamps must fit in 63 bits so that
 sums with noise never overflow on any platform.
@@ -9,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 MAX_TIMESTAMP = 2**63 - 1
@@ -17,6 +19,20 @@ US_PER_MS = 1000
 
 class ContractError(ValueError):
     """A caller violated an operation's precondition."""
+
+
+def exact_ratio(x, what: str) -> Fraction:
+    """``x`` as an exact ``Fraction``: an int, a ``Fraction`` or text such as
+    ``"1/5"`` or ``"0.2"``.  A float (0.2 is 3602879701896397 / 2^54) or
+    anything ``Fraction`` cannot read is a ``ContractError`` naming ``what``."""
+    if isinstance(x, float):
+        raise ContractError(
+            f"pass {what} as Fraction, int, or string (floats are not exact rationals)"
+        )
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ContractError(f"expected {what} as an exact ratio such as 1/5, got {x!r}") from exc
 
 
 def quorum_median(reports, f: int, high: bool = False) -> int:

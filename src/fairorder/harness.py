@@ -10,10 +10,12 @@ determined by (config, seed): reruns produce byte-identical output files.
 Policy specs are strings, read by ``consensus.OrderingPolicy.parse``:
 ``pompe``, ``receive``, ``leader:<period_ms>``, ``bercow:<noise_ms>``.
 ``policies``, ``alphas`` and ``bounds_n`` must each list at least one entry,
-and every ``bounds_n`` entry must lie in [1, ``MAX_BOUNDS_N``].  A config
-is frozen: it parses each spec and alpha once, when it is built, and keeps
-the results (``parsed_policies``, ``parsed_alphas``); no run parses them
-again.
+and every ``bounds_n`` entry must lie in [1, ``MAX_BOUNDS_N``].  No entry
+may repeat, as parsed, in ``policies``, ``alphas``, ``bounds_n``, ``gaps_ms``
+or a geo_bias run's ``origins``.  An alpha is an exact ratio, never a
+float.  A config is frozen: it parses each spec and alpha once, when it is
+built, and keeps the results (``parsed_policies``, ``parsed_alphas``); no
+run parses them again.
 
 Each scenario is one entry of one table, ``_SCENARIOS``: a cells
 function, a table function and the config-file keys it reads.
@@ -58,7 +60,7 @@ from typing import NamedTuple
 from . import analysis, attacks
 from .adversary import private_relay_placement
 from .consensus import OrderingPolicy, PolicyKind, SimulationRun, orders_per_cell
-from .domain import US_PER_MS, CommandIds, ContractError, Invocation, quorum_median
+from .domain import US_PER_MS, CommandIds, ContractError, Invocation, exact_ratio, quorum_median
 from .netmodel import CityTopology, bundled_topology, load_topology
 from .sro import Backend, SroConfig, SroHandle, sro_init
 
@@ -124,6 +126,13 @@ class ExperimentConfig:
         parsed = tuple(OrderingPolicy.parse(spec) for spec in self.policies)
         object.__setattr__(self, "parsed_policies", parsed)
         object.__setattr__(self, "parsed_alphas", tuple(parse_alpha(a) for a in self.alphas))
+        for key, values in (
+            ("policies", self.parsed_policies), ("alphas", self.parsed_alphas),
+            ("bounds_n", self.bounds_n), ("gaps_ms", self.gaps_ms),
+            ("origins", self.origins if self.scenario == "geo_bias" else ()),
+        ):
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{key} must not repeat an entry, got {getattr(self, key)}")
 
 
 def _names(text):
@@ -194,11 +203,12 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def parse_alpha(text) -> Fraction:
-    """An exact ratio such as ``1/5`` or ``0.2``."""
+    """An exact ratio such as ``1/5`` or ``0.2`` (``domain.exact_ratio``);
+    anything else, a float included, is a ``ConfigError``."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"alpha must be an exact ratio such as 1/5, got {text!r}") from exc
+        return exact_ratio(text, "alpha")
+    except ContractError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def resolve_topology(name: str) -> CityTopology:

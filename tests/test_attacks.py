@@ -51,6 +51,14 @@ class TestPool:
         with pytest.raises(ContractError):
             swap_buy_a(AmmPool(75, 24), 1.5)
 
+    def test_unreadable_amounts_are_contract_errors(self):
+        # not a bare ValueError from Fraction: the one exact-ratio rule
+        with pytest.raises(ContractError, match="expected reserve_a as an exact ratio"):
+            AmmPool("x", 1)
+        with pytest.raises(ContractError, match="expected amount_a as"):
+            swap_sell_a(AmmPool(75, 24), None)
+        assert AmmPool("75", "24/1") == AmmPool(75, 24)
+
     @settings(max_examples=200)
     @given(amounts, amounts)
     def test_constant_product_exact(self, x, y):

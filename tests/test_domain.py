@@ -1,6 +1,9 @@
 import hashlib
 import itertools
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +13,7 @@ from fairorder.domain import (
     ContractError,
     Invocation,
     encode_id_part,
+    exact_ratio,
     quorum_median,
     tie_break_key,
 )
@@ -164,6 +168,28 @@ class TestTypes:
         Slot(0, 0, 10, decision_certificate=frozenset({(0, b"a"), (1, b"a")}))
         with pytest.raises(ContractError, match="duplicate node"):
             Slot(0, 0, 10, decision_certificate=frozenset({(0, b"a"), (0, b"b")}))
+
+
+class TestExactRatio:
+    @pytest.mark.parametrize(
+        "value, want",
+        [(3, Fraction(3)), (Fraction(1, 5), Fraction(1, 5)), ("1/5", Fraction(1, 5)),
+         ("0.2", Fraction(1, 5)), (" 7/14 ", Fraction(1, 2)), (Decimal("0.2"), Fraction(1, 5))],
+    )
+    def test_exact_values_read_as_written(self, value, want):
+        assert exact_ratio(value, "x") == want
+
+    @pytest.mark.parametrize("value", [0.2, 1.0, float("nan"), np.float64(0.5)])
+    def test_floats_are_refused(self, value):
+        with pytest.raises(ContractError, match="pass width as Fraction"):
+            exact_ratio(value, "width")
+
+    @pytest.mark.parametrize(
+        "value", ["abc", "1/0", "", None, [1], "0x10", "inf", Decimal("Infinity"), Decimal("NaN")]
+    )
+    def test_unreadable_values_name_the_value(self, value):
+        with pytest.raises(ContractError, match="expected width as an exact ratio"):
+            exact_ratio(value, "width")
 
 
 class TestEncodeIdPart:

@@ -129,6 +129,39 @@ class TestConfig:
         for scenario, (_, _, keys) in harness._SCENARIOS.items():
             assert set(keys) <= set(harness.CONFIG_KEYS) - {"scenario", "output"}, scenario
 
+    @pytest.mark.parametrize("key, line", [
+        ("policies", "scenario = geo_bias\npolicies = pompe,receive,pompe"),
+        ("policies", "scenario = sandwich\npolicies = bercow:300,bercow:0300"),
+        ("origins", "scenario = geo_bias\norigins = washington,washington,tokyo"),
+        ("origins", "scenario = geo_bias\norigins = london,london"),
+        ("gaps_ms", "scenario = tradeoff_curve\ngaps_ms = 0,0,5"),
+        ("alphas", "scenario = bounds_table\nalphas = 1/5,0.2"),
+        ("bounds_n", "scenario = bounds_table\nbounds_n = 2,3,2"),
+    ])
+    def test_repeated_entries_rejected(self, tmp_path, key, line):
+        # a repeat would print its rows twice; policies and alphas compare
+        # as parsed
+        path = tmp_path / "repeat.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigError, match=f"{key} must not repeat an entry"):
+            parse_config(path)
+
+    def test_only_geo_bias_refuses_a_repeated_origin(self):
+        for scenario in ("tradeoff_curve", "sandwich", "liquidation"):
+            assert small(scenario=scenario, origins=("london", "london")).origins
+
+    def test_alpha_is_an_exact_ratio(self):
+        # a float in a config built in code is refused, not read as the
+        # binary fraction nearest it; text is read as written
+        with pytest.raises(ConfigError, match="pass alpha as"):
+            ExperimentConfig(scenario="bounds_table", alphas=(0.2,), bounds_n=(2,))
+        with pytest.raises(ConfigError, match="expected alpha as an exact ratio"):
+            ExperimentConfig(scenario="bounds_table", alphas=("1/0",), bounds_n=(2,))
+        config = ExperimentConfig(scenario="bounds_table", alphas=("0.2",), bounds_n=(2,))
+        assert config.parsed_alphas == (Fraction(1, 5),)
+        assert run_experiment(config).rows == [(2, "1/5", "0.360000", "0.320000", "0.680000",
+                                                1_800_000)]
+
     def test_gap_sweep_must_be_monotone(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(scenario="tradeoff_curve", gaps_ms=(5, 1))
@@ -222,11 +255,14 @@ class TestGeoBias:
             assert row[4] == "1.000000"
 
     def test_same_city_pair_unbiased(self):
+        # a geo_bias run refuses a repeated origin; a liquidation's one pair,
+        # counted as geo_bias counts it, may race from one city
         config = small(
-            policies=("bercow:1500",), origins=("london", "london"), trials=4000
+            scenario="liquidation", policies=("bercow:1500",), origins=("london", "london"),
+            trials=4000,
         )
-        (row,) = run_experiment(config).rows
-        assert abs(float(row[4])) < 0.05
+        first, _ = run_experiment(config).rows
+        assert abs(2 * float(first[2]) - 1) < 0.05
 
     def test_bercow_diff_within_epsilon_bound(self):
         config = small(policies=("bercow:1500",), trials=400)
@@ -625,6 +661,13 @@ class TestBaselineEngine:
         assert per_trials[5] == per_trials[50] == 2  # one pair of cities, one cell
 
 
+def same_city_pair(spec):
+    """Five trials of one cell whose two commands leave tokyo at once: a
+    liquidation's pair, with geo_bias's tags (geo_bias refuses a repeated
+    origin)."""
+    return small(scenario="liquidation", policies=(spec,), origins=("tokyo", "tokyo"), trials=5)
+
+
 class TestLazyIds:
     @pytest.mark.parametrize(
         "spec", ["pompe", "bercow:300", "bercow:1500", "receive", "leader:1500"]
@@ -664,7 +707,7 @@ class TestLazyIds:
         # the id count is checked on the labels: no trial derives its ids
         assert per_trials[5] == per_trials[50] == {}
         # a same-city pair ties, and then every trial derives its two ids
-        run_experiment(small(policies=(spec,), origins=("tokyo", "tokyo"), trials=5))
+        run_experiment(same_city_pair(spec))
         assert derived == Counter(dict.fromkeys(range(5), 2))
 
     @pytest.mark.parametrize("spec", ["pompe", "receive", "leader:1500"])
@@ -680,7 +723,7 @@ class TestLazyIds:
         run_experiment(small(policies=(spec,), trials=5))
         assert not hashed  # no trial ties, so no id is derived
         # a same-city pair ties, and its one cell hashes its tags once
-        run_experiment(small(policies=(spec,), origins=("tokyo", "tokyo"), trials=5))
+        run_experiment(same_city_pair(spec))
         tags = b"".join(encode_id_part(tag) for tag in ("geo", 0, spec))
         assert hashed[tags] == 1
 
@@ -1218,6 +1261,13 @@ class TestCli:
             (["simulate"], "scenario = liquidation\nprize_usd = -1"),
             (["simulate"], "scenario = geo_bias\ngaps_ms = 0,50"),
             (["simulate"], "scenario = liquidation\noffsets_ms = 1,25"),
+            (["simulate"], "scenario = geo_bias\npolicies = pompe,pompe"),
+            (["simulate"], "scenario = geo_bias\npolicies = bercow:300,bercow:0300"),
+            (["simulate"], "scenario = geo_bias\norigins = washington,washington,tokyo"),
+            (["simulate"], "scenario = geo_bias\norigins = london,london"),
+            (["simulate"], "scenario = tradeoff_curve\ngaps_ms = 0,0,5"),
+            (["simulate"], "scenario = bounds_table\nalphas = 1/5,0.2"),
+            (["simulate"], "scenario = bounds_table\nbounds_n = 2,3,2"),
         ],
         ids=["alpha", "attack-colluders", "policy-arg", "colluders", "alphas",
              "one-offset", "unknown-key", "dnet", "negative-gap", "gap-past-int64", "slot",
@@ -1228,14 +1278,16 @@ class TestCli:
              "config-bounds-n-million", "attack-receive-past-63-bits",
              "attack-bercow-past-63-bits", "receive-past-63-bits", "leader-past-63-bits",
              "receive-gap-past-63-bits", "negative-prize", "geo-bias-gaps",
-             "liquidation-offsets"],
+             "liquidation-offsets", "repeated-policy", "repeated-parsed-policy",
+             "repeated-origin", "same-city-pair", "repeated-gap", "repeated-alpha",
+             "repeated-bounds-n"],
     )
     def test_bad_input_is_config_error(self, tmp_path, capsys, argv, config_line):
         if config_line is not None:
             cfg = tmp_path / "bad.cfg"
+            origins = "" if "origins" in config_line else "origins = munich,london\n"
             cfg.write_text(
-                f"{config_line}\ntrials = 2\norigins = munich,london\n"
-                f"output = {tmp_path}/out.csv\n"
+                f"{config_line}\ntrials = 2\n{origins}output = {tmp_path}/out.csv\n"
             )
             argv = argv + [str(cfg)]
         assert main(argv) == 3
