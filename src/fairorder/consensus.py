@@ -7,7 +7,7 @@ A ``SimulationRun`` is one network: topology, delta_net, slot interval and
 oracle.  A cell is a policy ordering some invocations on a run, under an
 adversary plan.  ``orders_per_cell`` gives, for each cell of a run, the
 ledger order of each of a range of trials, in trial order, from one call
-that sets each cell up once and seeds its leader trials in blocks.  Trials
+that sets each cell up once, as one order iterator per cell.  Trials
 differ only in their command ids and, under leader rotation, in the
 rotation drawn.
 The one engine serves every policy:
@@ -23,16 +23,19 @@ The one engine serves every policy:
 * ``leader`` (rotating leader): each period's leader proposes, in its own
   receive order, what it has received by the period's end.  A trial's
   schedule and phase are numpy's draws from the PCG64 state
-  ``default_rng`` gives its seed.  A block's states are seeded in one pass
-  that restates numpy's ``SeedSequence`` on uint32 arrays, one column per
-  seed, so numpy's own wraparound does its arithmetic.
+  ``default_rng`` gives its seed.  States are seeded in passes that
+  restate numpy's ``SeedSequence`` on uint32 arrays, one column per seed,
+  so numpy's own wraparound does its arithmetic.
 * ``receive`` (all-correct receive order): a command precedes another if
   every node received it first; median receive time extends that relation.
 
 Every ledger is a sort by one key rule, ``_key``: (id-free prefix, tie key,
 command id).  The prefix is the modified timestamp under the median
 policies, (period, leader's receive time) under leader rotation and the
-median receive time under receive ordering.  What the ids do not affect is
+median receive time under receive ordering.  (Under slot-by-slot
+agreement, a command decided in slot k_d is emitted by slot
+floor(modified_ts / interval) >= k_d, and each slot emits its ripe keys
+sorted, after every earlier slot's smaller ones.)  What the ids do not affect is
 computed once per cell, or once per run where cells share it, and a
 trial's ids are asked for only when they can change its order.  One loop,
 ``_orders``, turns each trial's prefixes into its order.
@@ -44,8 +47,8 @@ import hashlib
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, lru_cache, partial
-from itertools import chain, repeat
+from functools import cached_property, lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -354,7 +357,7 @@ def _receive_prefixes(run: SimulationRun, invocations):
 
 def _leader_prefixes(run: SimulationRun, period_us: int, invocations):
     """A cell's setup under ``leader``: the tie seeds, and the function
-    that draws each trial of a block as its (prefixes, None).
+    that draws each trial as its (prefixes, None).
 
     Each trial's PCG64 (state, inc), seeded in bulk by ``_pcg64_states``
     and given to that function in trial order, is set, through one reused
@@ -373,7 +376,7 @@ def _leader_prefixes(run: SimulationRun, period_us: int, invocations):
     new_state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
     pcg = new_state["state"]
 
-    def batches(states):
+    def draws(states):
         for pcg["state"], pcg["inc"] in states:
             bit_generator.state = new_state
             schedule, phase = _rotation(rng, nodes, period_us)
@@ -385,7 +388,7 @@ def _leader_prefixes(run: SimulationRun, period_us: int, invocations):
                 prefix.append((p, received))
             yield prefix, None
 
-    return [_LEADER_TIE_SEED] * len(commands), batches
+    return [_LEADER_TIE_SEED] * len(commands), draws
 
 
 _NOISE_WORD = struct.Struct(">Q").unpack_from  # a digest's first 64 bits, big-endian
@@ -443,15 +446,21 @@ def _trial_range(trials) -> range:
     return span
 
 
-def _cell_orders(run, policy, invocations, plan, trial_ids):
-    """One checked cell's setup (``orders_per_cell``), made once: returns
-    the function that gives the order stream of a block of its trials, from
-    the block's range and, under ``leader``, its trials' PCG64 (state, inc)
-    pairs (None otherwise)."""
+def _cell_orders(run, policy, invocations, plan, trial_ids, trials: range, states):
+    """One checked cell's setup (stamps, reveals, ``bercow`` noise states or
+    the leader command list), made once, and its iterator of orders over
+    ``trials``; ``states`` gives, under ``leader``, its trials' PCG64
+    (state, inc) pairs in trial order (None otherwise).
+
+    Outside ``leader``, every trial's prefix for a command lies in
+    [p, p + max(w, 1)), where p is its fixed prefix and w the ``bercow``
+    noise width (0 otherwise).  If those ranges are pairwise disjoint, every
+    trial has the fixed prefixes' order, repeated with no per-trial work.
+    """
     kind, width = policy.kind, policy.param_us
     if kind is PolicyKind.LEADER_ROTATION:
         tie_seeds, draws = _leader_prefixes(run, width, invocations)
-        return lambda block, states: _orders(tie_seeds, draws(states), trial_ids, block)
+        return _orders(tie_seeds, draws(states), trial_ids, trials)
     if kind.median_timestamps:
         tie_seeds, prefixes, noise_states = _slotted_prefixes(run, width, invocations, plan)
     else:
@@ -459,68 +468,58 @@ def _cell_orders(run, policy, invocations, plan, trial_ids):
     span = max(width, 1)  # the width of every trial's prefix range
     order = tuple(sorted(range(len(prefixes)), key=prefixes.__getitem__))
     if all(prefixes[b] - prefixes[a] >= span for a, b in zip(order, order[1:])):
-        return lambda block, _: repeat(order, len(block))
+        return repeat(order, len(trials))
     if kind is PolicyKind.BERCOW_NOISE:
-        noised = partial(_noised_prefixes, prefixes, noise_states, width, trial_ids)
-        return lambda block, _: _orders(tie_seeds, noised(block), trial_ids, block)
-    fixed = (prefixes, None)
-    return lambda block, _: _orders(tie_seeds, repeat(fixed, len(block)), trial_ids, block)
+        per_trial = _noised_prefixes(prefixes, noise_states, width, trial_ids, trials)
+    else:
+        per_trial = repeat((prefixes, None), len(trials))
+    return _orders(tie_seeds, per_trial, trial_ids, trials)
 
 
 # Leader trial seeds per seeding pass.  A pass works on uint32 arrays with a
-# column per seed, and its block's streams hold each seeded state (about 150
-# bytes) until its trial is drawn, so this bounds what a run holds at once:
-# full serial geo_bias and tradeoff_curve runs (6 and 17 leader cells) peaked
-# 3.1 and 9.4 MB lower than with one pass per 1,024 trials.
+# column per seed, and an iterator holds each state of its pass (about 150
+# bytes) until its trial is drawn, so this bounds what an iterator holds.
 _PASS_SEEDS = 1024
 
 
-def orders_per_cell(run: SimulationRun, cells, trials):
+def _leader_states(first: list, trial_seed, rest: range):
+    """A leader cell's PCG64 states in trial order: ``first``, from the
+    call's pass, then those of ``rest``, seeded in the cell's own passes of
+    up to ``_PASS_SEEDS`` trials, each as the iterator reaches it."""
+    yield from first
+    for start in range(0, len(rest), _PASS_SEEDS):
+        yield from _pcg64_states(map(trial_seed, rest[start : start + _PASS_SEEDS]))
+
+
+def orders_per_cell(run: SimulationRun, cells, trials) -> list:
     """Each trial's ledger order, in trial order, for each cell of a run:
-    an iterator over consecutive blocks of ``trials``, each block a list
-    with one order stream per cell.
+    a list with one order iterator per cell, in cell order.
 
     A cell is (policy, invocations, plan, trial_ids, trial_seed): ``policy``
     ordering ``invocations`` (template ``Invocation``s, each carrying its
     origin city) on ``run`` under the adversary ``plan``, a mapping from
-    command id to ``CommandPlan``.  ``trials`` is a count n, for trials
-    0..n-1, or a range of consecutive trials.  Trial t renames the
-    invocations to the ids ``trial_ids(t)``, one ``CommandIds`` label per
-    invocation, in order; the plan is keyed by the template ids and follows
-    the renaming.  Under ``leader`` trial t draws its schedule and phase as
-    ``np.random.default_rng(trial_seed(t))`` would (a seed is a
-    non-negative int or a sequence of them); no other policy calls
-    ``trial_seed``, which may be None off ``leader``.  Only the
-    median-timestamp policies take a non-empty plan; ``leader`` and
-    ``receive`` reject one.  An order is a tuple of indices into
-    ``invocations``, and trial t's depends on neither the range's length
-    nor its start, nor on the other cells of the call, nor on the block
-    that holds it, so counts over disjoint ranges add up to the count over
-    their union.
+    template command id to ``CommandPlan`` that only the median-timestamp
+    policies take non-empty.  ``trials`` is a count n, for trials 0..n-1,
+    or a range of consecutive trials.  Trial t renames the invocations to
+    ``trial_ids(t)``, one distinct ``CommandIds`` label per invocation: two
+    commands with one id would share every trial's noise and tie key, and
+    so always keep their list order.  Under ``leader`` trial t draws its
+    schedule and phase as ``np.random.default_rng(trial_seed(t))`` would (a
+    seed is a non-negative int or a sequence of them); no other policy
+    calls ``trial_seed``.  An order is a tuple of indices into
+    ``invocations``, and trial t's depends neither on the range nor on the
+    call's other cells nor on the order in which the iterators are read, so
+    counts over disjoint ranges add up to the count over their union.
 
-    The call makes every cell's checks and setup once, eagerly: stamps,
-    reveals, ``bercow`` noise states, the disjoint-range shortcut below and
-    the leader command list.  A block is ``_PASS_SEEDS`` // (leader cells)
-    trials, at least one (all of them with no leader cell), seeded in one
-    ``_pcg64_states`` pass over all its leader cells' trials, whose seeds
-    are grouped by seed word count, not by cell, so every state is the one
-    a call with that cell alone would give.  The first block is built on
-    the call, so a bad trial seed fails it, and each later one as the
-    iterator reaches it: a caller that drains each block before the next
-    holds one block's states at a time.  A trial's noise, draws and sort
-    happen as its cell's stream yields it.
-
-    Each policy's ledger is one sort by ``_key``.  (Under slot-by-slot
-    agreement, a command decided in slot k_d is emitted by slot
-    floor(modified_ts / interval) >= k_d, and each slot emits its ripe keys
-    sorted, after every earlier slot's smaller ones.)  Outside ``leader``,
-    every trial's prefix for a command lies in [p, p + max(w, 1)), where p
-    is its fixed prefix and w the ``bercow`` noise width (0 otherwise).  If
-    those ranges are pairwise disjoint, every trial has the order of the
-    fixed prefixes, and it is repeated with no per-trial work.  Otherwise a
-    ``bercow`` trial derives its ids once, for its noise
-    (``_noised_prefixes``), and a ``leader`` trial draws its rotation; a
-    trial of any policy derives its ids only on a tie, if it has not yet.
+    The call checks and sets up every cell once, eagerly, and seeds the
+    first ``_PASS_SEEDS`` // (leader cells) trials (at least one) of every
+    leader cell in one ``_pcg64_states`` pass, so a bad trial seed fails
+    it.  The pass groups seeds by word count, not by cell, so every state
+    is the one a call with that cell alone would give.  A leader iterator
+    seeds its later trials in passes of its own, of up to ``_PASS_SEEDS``,
+    as it reaches them, so what the iterators hold stays bounded in any
+    reading order.  A trial's noise, draws and sort happen as its iterator
+    yields it.
     """
     trials = _trial_range(trials)
     cells = list(cells)
@@ -531,23 +530,20 @@ def orders_per_cell(run: SimulationRun, cells, trials):
             raise ContractError(
                 f"{len(trial_ids.labels)} command labels for {len(invocations)} invocations"
             )
+        ids = {inv.command_id for inv in invocations}
+        if len(ids) < len(invocations) or len(set(trial_ids.labels)) < len(invocations):
+            raise ContractError("a cell repeats a command id or a command label")
         if plan and not policy.kind.median_timestamps:
             raise ContractError(f"the {policy.kind.value} baseline takes no adversary plan")
     leader = PolicyKind.LEADER_ROTATION
-    streams = [
-        (_cell_orders(run, policy, invocations, plan, trial_ids), policy.kind is leader)
-        for policy, invocations, plan, trial_ids, _ in cells
-    ]
     seeds = [trial_seed for policy, *_, trial_seed in cells if policy.kind is leader]
-    step = max(_PASS_SEEDS // len(seeds), 1) if seeds else len(trials)
-
-    def block_orders(start: int) -> list:
-        block = range(start, min(start + step, trials.stop))
-        states = iter(_pcg64_states(trial_seed(t) for trial_seed in seeds for t in block))
-        return [
-            stream(block, [next(states) for _ in block] if seeded else None)
-            for stream, seeded in streams
-        ]
-
-    starts = range(trials.start, trials.stop, step)
-    return chain([block_orders(starts[0])], map(block_orders, starts[1:]))
+    head = trials[: max(_PASS_SEEDS // max(len(seeds), 1), 1)]
+    first = iter(_pcg64_states(trial_seed(t) for trial_seed in seeds for t in head))
+    return [
+        _cell_orders(
+            run, policy, invocations, plan, trial_ids, trials,
+            _leader_states([next(first) for _ in head], trial_seed, trials[len(head) :])
+            if policy.kind is leader else None,
+        )
+        for policy, invocations, plan, trial_ids, trial_seed in cells
+    ]

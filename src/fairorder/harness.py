@@ -20,22 +20,13 @@ run parses them again.
 Each scenario is one entry of one table, ``_SCENARIOS``: a cells
 function, a table function and the config-file keys it reads.
 ``count_trials`` builds a config's one ``consensus.SimulationRun``
-(``_run_for``), the network every cell of the
-table is ordered on, which keeps the receive times, stamps, slot seeds
-and leader generator the cells share; the cells function lists the cells
-on it as ``Cell(tags, policy, placed, plan)`` records, each cell's
-(label, invoke_us, city) commands placed once, as invocations that carry
-their origin cities (``_placed``).  ``_count_cells`` counts every cell
-over a trial range with one ``consensus.orders_per_cell`` call, which
-sets each cell up once and sizes its own seeding blocks.  ``tabulate``
-formats the table from the (cell, counts) pairs once they are the cells
-the cells function lists, in order, each over all the config's trials; a
-closed-form table (bounds_table) has no cells function and counts
-nothing.  ``run_experiment`` counts all trials in this process, on one
-run, and makes the table from those counts, which need no check.  A
-trial's order does not depend on the range that counts it, so
-``count_trials`` over disjoint ranges, in any processes, sums to the
-serial count.  The tags -- ``("geo", pair_index, spec)``,
+(``_run_for``), whose receive times, stamps, slot seeds and leader
+generator its cells share; the cells function lists them as
+``Cell(tags, policy, placed, plan)`` records, each cell's (label,
+invoke_us, city) commands placed once (``_placed``), and ``_count_cells``
+counts them all over a trial range with one ``consensus.orders_per_cell``
+call.  A closed-form table (bounds_table) has no cells function and
+counts nothing.  The tags -- ``("geo", pair_index, spec)``,
 ``("gap", spec, gap_ms)`` or ``("sand", spec)`` -- fix trial t's command
 ids, ``CommandIds(tags, labels)(t)``, and under the leader policy the
 seed its rotation is drawn from (``_cell_trial_seed``, built for leader
@@ -54,7 +45,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations, cycle
+from itertools import combinations, permutations
 from typing import NamedTuple
 
 from . import analysis, attacks
@@ -314,13 +305,7 @@ def _count_cells(run, config, cells, trials: range) -> list:
         )
         for cell in cells
     ]
-    counts = [Counter() for _ in cells]
-    # a block lists one stream per cell, in cell order; chained, each block
-    # is let go before the next one is seeded
-    streams = chain.from_iterable(orders_per_cell(run, args, trials))
-    for count, orders in zip(cycle(counts), streams):
-        count.update(orders)
-    return counts
+    return [Counter(orders) for orders in orders_per_cell(run, args, trials)]
 
 
 def _geo_cells(config: ExperimentConfig, run: SimulationRun) -> list:
@@ -516,8 +501,9 @@ def tabulate(config: ExperimentConfig, counted) -> TableResult:
     """``config``'s table from its cells' counts over all its trials, as
     ``count_trials`` pairs them.  It is a ``ContractError`` unless the
     counted cells' tags are, in order, those of every cell the table lists
-    (none for a closed-form table) and each cell's counts sum to
-    ``config.trials``."""
+    (none for a closed-form table), each cell's counts sum to
+    ``config.trials`` and every order counted is one its cell can produce,
+    a permutation of its command indices."""
     cells_for, table = _SCENARIOS[config.scenario][:2]
     cells = cells_for(config, _run_for(config)) if cells_for else []
     if [cell.tags for cell, _ in counted] != [cell.tags for cell in cells]:
@@ -525,9 +511,11 @@ def tabulate(config: ExperimentConfig, counted) -> TableResult:
             f"counts for {len(counted)} cells, not the {len(cells)} cells the"
             f" {config.scenario} table lists, in its order"
         )
-    for cell, counts in counted:
+    for cell, (_, counts) in zip(cells, counted):
         if (total := counts.total()) != config.trials:
             raise ContractError(f"cell {cell.tags} counts {total} trials, not {config.trials}")
+        if stray := counts.keys() - set(permutations(range(len(cell.placed)))):
+            raise ContractError(f"cell {cell.tags} counts orders it cannot produce: {stray}")
     return table(config, counted)
 
 

@@ -348,6 +348,7 @@ class SroHandle:
         raise InsufficientValidShares(f"{len(collected)} valid shares, need {self.config.quorum}")
 
     def generate_proof(self, k: int) -> Proof:
+        """Slot k's proof; a threshold one carries the shares ``reveal`` combines."""
         if self.config.backend is Backend.SEEDED_HASH:
             return Proof(Backend.SEEDED_HASH, digest=_hash(b"proof", self._seeded_value(k)))
         return Proof(

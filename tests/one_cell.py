@@ -1,11 +1,9 @@
 """``trial_orders``: one cell's stream from ``consensus.orders_per_cell``,
-its blocks chained, the form in which most engine tests order a cell."""
-
-from itertools import chain
+the form in which most engine tests order a cell."""
 
 from fairorder.consensus import orders_per_cell
 
 
 def trial_orders(run, policy, invocations, plan, trials, trial_ids, trial_seed):
-    blocks = orders_per_cell(run, [(policy, invocations, plan, trial_ids, trial_seed)], trials)
-    return chain.from_iterable(orders for (orders,) in blocks)
+    (orders,) = orders_per_cell(run, [(policy, invocations, plan, trial_ids, trial_seed)], trials)
+    return orders

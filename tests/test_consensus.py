@@ -4,7 +4,6 @@ import warnings
 from collections import Counter
 from dataclasses import replace
 from functools import partial
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -1011,8 +1010,9 @@ class TestReceiveOrder:
 
 
 class TestOrdersPerCell:
-    """``orders_per_cell`` is ``trial_orders`` for each of a run's cells,
-    with one seeding pass for all the leader cells' trials."""
+    """``orders_per_cell`` is ``trial_orders`` for each of a run's cells:
+    one order iterator per cell, the leader cells' first trials seeded in
+    one pass on the call and the rest in passes of each cell's own."""
 
     def cells(self):
         """One run's cells: leader cells whose trial seeds have one, two,
@@ -1050,11 +1050,53 @@ class TestOrdersPerCell:
             return seed(seeds)
 
         monkeypatch.setattr(consensus, "_pcg64_states", seeding)
-        blocks = orders_per_cell(*self.cells(), trials)
-        together = [list(chain.from_iterable(cell)) for cell in zip(*blocks)]
+        together = [list(stream) for stream in orders_per_cell(*self.cells(), trials)]
         assert together == alone
         assert passes == [4 * len(trials)]  # one pass, four leader cells' trials
         assert all(len(set(orders)) == 2 for orders in together[1:])  # they vary
+
+    @pytest.mark.parametrize("reading", ["reversed", "interleaved"])
+    def test_any_reading_order_gives_the_same_orders(self, reading, monkeypatch):
+        # at 8 seeds a pass, the call's pass seeds trials 0 and 1 of each of
+        # the 4 leader cells and each leader stream seeds its other 38
+        # trials in passes of 8, 8, 8, 8 and 6, as it reaches them
+        monkeypatch.setattr(consensus, "_PASS_SEEDS", 8)
+        in_turn = [list(stream) for stream in orders_per_cell(*self.cells(), 40)]
+        passes = []
+        seed = consensus._pcg64_states
+
+        def seeding(seeds):
+            seeds = list(seeds)
+            # the test's leader cells' seeds have 1, 2, 3 and 5 entries
+            passes.append(({len(s) if isinstance(s, list) else 1 for s in seeds}, len(seeds)))
+            return seed(seeds)
+
+        monkeypatch.setattr(consensus, "_pcg64_states", seeding)
+        streams = orders_per_cell(*self.cells(), 40)
+        if reading == "reversed":
+            got = [list(stream) for stream in reversed(streams)][::-1]
+        else:  # one trial of each cell in turn
+            got = [list(orders) for orders in zip(*zip(*streams))]
+        assert got == in_turn
+        first, *later = passes
+        assert first == ({1, 2, 3, 5}, 4 * 2)
+        assert sorted(size for _, size in later) == sorted([8, 8, 8, 8, 6] * 4)
+        assert all(len(entries) == 1 for entries, _ in later)  # one cell a pass
+
+    @pytest.mark.parametrize("spec", ["bercow:1500", "leader:1500", "receive"])
+    def test_a_cell_repeats_no_command_id_or_label(self, spec):
+        # two equal labels gave two commands the same ids, so the same noise
+        # and tie key: every trial kept them in list order
+        run, _ = self.cells()
+        policy = OrderingPolicy.parse(spec)
+        twins = [inv("a", 750_000, "tokyo"), inv("b", 750_000, "tokyo")]
+        seed = partial(trial_seed, 0, "twins")
+        with pytest.raises(ContractError, match="repeats a command id or a command label"):
+            orders_per_cell(run, [(policy, twins, {}, CommandIds((), "aa"), seed)], 10)
+        with pytest.raises(ContractError, match="repeats a command id or a command label"):
+            orders_per_cell(run, [(policy, twins[:1] * 2, {}, CommandIds((), "ab"), seed)], 10)
+        orders = Counter(trial_orders(run, policy, twins, {}, 2000, CommandIds((), "ab"), seed))
+        assert set(orders) == {(0, 1), (1, 0)}  # distinct labels: either order
 
     def test_checks_stamps_and_seeds_on_the_call(self):
         # nothing is taken from a stream: every cell's setup is eager

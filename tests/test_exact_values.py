@@ -12,7 +12,10 @@ and the 64-bit scaling of the noise is off by at most 2^-64.
 ``test_discrete_twin.py`` checks the equivalence itself.
 
 The stamps come from ``tests/reference.py`` (``run_slotted``), which
-restates the stamping rule, not from the engine.
+restates the stamping rule, not from the engine.  On the bundled topology
+no committed origin's (f+1)-th and (f+2)-th smallest reports differ, so
+one more cell, on a four-node topology built here, is fenced from the
+engine's own counts: there a stamp one report off would reverse the order.
 
 A row whose exact value is 0 or 1 is deterministic and must print exactly
 what that value prints.  Any other row counts independent trials, so it
@@ -34,10 +37,10 @@ import pytest
 from fairorder.adversary import private_relay_placement
 from fairorder.analysis import order_prob_integrate
 from fairorder.attacks import ATTACKER_BUY, ATTACKER_SELL, VICTIM, sandwich_profits
-from fairorder.consensus import OrderingPolicy, SimulationRun
-from fairorder.domain import Invocation
+from fairorder.consensus import OrderingPolicy, SimulationRun, orders_per_cell
+from fairorder.domain import CommandIds, Invocation
 from fairorder.harness import parse_config
-from fairorder.netmodel import bundled_topology
+from fairorder.netmodel import bundled_topology, parse_topology
 from fairorder.sro import Backend, SroConfig, sro_init
 from reference import run_slotted
 
@@ -216,3 +219,40 @@ def test_committed_rows_equal_their_exact_values(table, checks):
     assert fence.deterministic + len(fence.pulls) == checks
     print(f"{table.__name__}: {fence.deterministic} exact, {len(fence.pulls)} within "
           f"{SIGMAS} sigma, worst {max(fence.pulls, default=0):.2f} sigma")
+
+
+# n = 4, f = 1: a quorum is 3 reports and its median the 2nd smallest.  From
+# "west" the nodes receive at +1, +1, +10 and +100 ms, so the 2nd and 3rd
+# smallest reports differ by 9 ms; from "east" at +10, +10, +1 and +50 ms.
+SMALL_TOPOLOGY = """
+city west 2
+city east 1
+city far 1
+delay west east 10
+delay west far 100
+delay east far 50
+"""
+SMALL_TRIALS = 4000
+
+
+def test_a_cell_whose_median_report_decides_its_order():
+    # west invokes 5 ms after east: stamped at its 2nd smallest report it
+    # is 4 ms ahead, at its 3rd it would be 5 ms behind.  pompe must order
+    # it first in every trial; bercow:20, whose noise is wider than either
+    # gap, with Pr 0.68 against 0.28 for the 3rd report
+    topology = parse_topology(SMALL_TOPOLOGY)
+    sro = sro_init(SroConfig(4, 1, Backend.SEEDED_HASH), bytes(32))
+    run = SimulationRun(topology, 300 * US_PER_MS, 1500 * US_PER_MS, sro)
+    reports = sorted(topology.delays_from("west"))
+    assert reports[1] != reports[2]  # the (f+1)-th and (f+2)-th smallest
+    t0 = 750 * US_PER_MS
+    pair = [Invocation(b"w", t0 + 5 * US_PER_MS, "west"), Invocation(b"e", t0, "east")]
+    fence = Fence()
+    for spec in ("pompe", "bercow:20"):
+        cell = (OrderingPolicy.parse(spec), pair, {}, CommandIds(("small", spec), "we"), None)
+        (orders,) = orders_per_cell(run, [cell], SMALL_TRIALS)
+        west_first = sum(order == (0, 1) for order in orders)
+        p = exact_cell(run, spec, pair)((0, 1))
+        fence.binomial(f"small {spec}", f"{west_first / SMALL_TRIALS:.6f}", p, SMALL_TRIALS)
+    assert not fence.failures, "\n".join(fence.failures)
+    assert (fence.deterministic, len(fence.pulls)) == (1, 1)

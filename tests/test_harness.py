@@ -933,7 +933,7 @@ def bundled(name, trials):
 def test_counts_over_any_partition_add_up_to_the_serial_counts(name, monkeypatch):
     # a trial's order does not depend on the range that counts it, so each
     # cell's counts over the parts of a partition sum to its serial count,
-    # also where a count takes its range in blocks
+    # also where a count seeds its range in several passes
     config = bundled(name, 13)
     serial = count_trials(config, 0, 13)
     monkeypatch.setattr(consensus, "_PASS_SEEDS", 20)
@@ -972,14 +972,15 @@ def test_a_bundled_run_seeds_in_one_pass(name, leader_cells, monkeypatch):
 
 
 @pytest.mark.parametrize("name, cells, slotted, passes", [
-    ("geo_bias", 30, 18, [1020, 180]),
-    ("tradeoff_curve", 85, 51, [1020, 1020, 1020, 340]),
+    ("geo_bias", 30, 18, [1020] + [30] * 6),
+    ("tradeoff_curve", 85, 51, [1020] + [140] * 17),
 ])
 def test_a_count_sets_each_cell_up_once(name, cells, slotted, passes, monkeypatch):
-    # call counts, not timings: at 200 trials the 6 and 17 leader cells
-    # take 2 and 4 seeding blocks of 1024 // (leader cells) trials each,
-    # and each cell's set-up (stamps, reveals, noise states, the leader
-    # command list) is still made once per count, not once per block
+    # call counts, not timings: at 200 trials the call's pass seeds the
+    # first 1024 // (leader cells) trials of the 6 and 17 leader cells
+    # (170 and 60), each cell's stream seeds the rest in one pass of its
+    # own, and each cell's set-up (stamps, reveals, noise states, the
+    # leader command list) is still made once per count, not once per pass
     calls, sizes = Counter(), []
     cell_orders, slotted_prefixes, seed = (
         consensus._cell_orders, consensus._slotted_prefixes, consensus._pcg64_states
@@ -1012,6 +1013,21 @@ def test_a_table_needs_every_trial_counted(name):
     config = bundled(name, 10)
     with pytest.raises(ContractError, match="counts 4 trials, not 10"):
         tabulate(config, count_trials(config, 0, 4))
+
+
+def test_a_table_counts_only_orders_its_cells_can_produce():
+    # two counts summing to the trials, one of them of no permutation of a
+    # pair, printed tokyo first with probability 1.000000
+    config = bundled("liquidation", 10)
+    counted = [(cell, Counter({(1, 0): 3, (7, 7): 7})) for cell, _ in count_trials(config, 0, 1)]
+    with pytest.raises(ContractError, match=r"cannot produce: \{\(7, 7\)\}"):
+        tabulate(config, counted)
+    for order in ((0, 1, 2), (0,), (0, 0)):
+        counted = [(cell, Counter({(0, 1): 9, order: 1})) for cell, _ in counted]
+        with pytest.raises(ContractError, match="cannot produce"):
+            tabulate(config, counted)
+    counted = [(cell, Counter({(0, 1): 9, (1, 0): 1})) for cell, _ in counted]
+    assert len(tabulate(config, counted).rows) == 2 * len(counted)
 
 
 def test_a_table_needs_every_cell_counted_in_its_order():

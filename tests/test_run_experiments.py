@@ -53,7 +53,7 @@ def test_a_closed_form_table_is_made_in_process(script, monkeypatch):
 def test_every_committed_csv_regenerates_byte_for_byte(script):
     # the full-trial fence, in process at 1 job: it costs 3-5 s on one core
     # of a shared 2-vCPU Xeon.  Only this test counts full runs, so only it
-    # drives the 59 and 67 seeding blocks of geo_bias and tradeoff_curve
+    # drives the 61 and 69 seeding passes of geo_bias and tradeoff_curve
     configs = [parse_config(CONFIG_DIR / f"{name}.cfg") for name in script.CONFIGS]
     for config, table in zip(configs, script.tables(configs, 1), strict=True):
         assert table.to_csv_text().encode("utf-8") == (ROOT / config.output).read_bytes(), (
