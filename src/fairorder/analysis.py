@@ -24,10 +24,10 @@ from __future__ import annotations
 import os
 import threading
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import factorial, sqrt
+from math import factorial, gcd, lcm, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,49 +81,44 @@ def delta_linearizability(delta_net_us: int, delta_noise_us: int) -> int:
 
 # --- exact integrator ------------------------------------------------------
 #
-# A piecewise polynomial over Fraction breakpoints: value 0 below the first
-# breakpoint, cs[i] on [xs[i], xs[i+1]], and the constant `after` from the
-# last breakpoint on.  Integrands carry after == 0; cumulative integrals
-# carry their total as `after`.
-_ZERO = Fraction(0)
-
-
-def _poly_eval(coeffs, x):
-    acc = _ZERO
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _poly_antideriv(coeffs):
-    return (_ZERO,) + tuple(c / (k + 1) for k, c in enumerate(coeffs))
-
-
-@dataclass(frozen=True)
-class _Piecewise:
-    xs: tuple
-    cs: tuple
-    after: Fraction
+# Ints throughout.  Stamps in noise widths are scaled by L, the lcm of their
+# denominators, so breakpoints are ints and a noise interval is [y, y + L].
+# A piecewise polynomial in the scaled variable is 0 below xs[0], cs[i] on
+# [xs[i], xs[i+1]] and `after` from the last breakpoint on, all over one
+# common denominator `den`.  Integrands carry after == 0; cumulative
+# integrals carry their total.  Each integration multiplies den by
+# L * lcm(1..d+1), d the integrand's largest degree.
+class _Piecewise(NamedTuple):
+    xs: tuple  # int breakpoints
+    cs: tuple  # int coefficient tuples, lowest degree first
+    after: int
+    den: int
 
     def restrict(self, lo, hi) -> "_Piecewise":
         """This function as an integrand on [lo, hi], cut at lo, at each
         breakpoint in (lo, hi) and at hi: each span between cuts lies in the
         one piece its start falls in (0 before ``xs``, ``after`` past it)."""
         cuts = (lo, *(x for x in self.xs if lo < x < hi), hi)
-        pieces = ((_ZERO,), *self.cs, (self.after,))
+        pieces = ((0,), *self.cs, (self.after,))
         cs = tuple(pieces[bisect_right(self.xs, u)] for u in cuts[:-1])
-        return _Piecewise(cuts, cs, _ZERO)
+        return _Piecewise(cuts, cs, 0, self.den)
 
-    def cumulative(self) -> "_Piecewise":
-        """t -> integral of this integrand over (-inf, t]."""
-        acc = _ZERO
-        out = []
-        for i in range(len(self.cs)):
-            anti = _poly_antideriv(self.cs[i])
-            shift = acc - _poly_eval(anti, self.xs[i])
-            out.append((anti[0] + shift,) + anti[1:])
-            acc = _poly_eval(anti, self.xs[i + 1]) + shift
-        return _Piecewise(self.xs, tuple(out), acc)
+    def cumulative(self, scale: int) -> "_Piecewise":
+        """u -> integral of this integrand over (-inf, u], divided by
+        ``scale``: the antiderivative's coefficient k+1 is c_k * m/(k+1) over
+        den * scale * m, m = lcm(1..d+1); shifts and totals by Horner's rule."""
+        m = lcm(*range(1, max(map(len, self.cs)) + 1))
+        acc, out = 0, []
+        for x0, x1, c in zip(self.xs, self.xs[1:], self.cs):
+            anti = [ck * (m // k) for k, ck in enumerate(c, 1)]  # u^1, u^2, ...
+            v0 = v1 = 0
+            for ck in reversed(anti):
+                v0 = v0 * x0 + ck
+                v1 = v1 * x1 + ck
+            shift = acc - v0 * x0
+            out.append((shift, *anti))
+            acc = v1 * x1 + shift
+        return _Piecewise(self.xs, tuple(out), acc, self.den * scale * m)
 
 
 def order_prob_integrate(ats, delta_noise, target_order=None) -> Fraction:
@@ -136,7 +131,8 @@ def order_prob_integrate(ats, delta_noise, target_order=None) -> Fraction:
     target order restricts the running cumulative to one command's noise
     interval and integrates it again, so there are at most 2n breakpoints
     and the degree is at most n.  The timestamps and the width are exact
-    ratios (``domain.exact_ratio``).
+    ratios (``domain.exact_ratio``).  After those checks the integration
+    runs on ints over one common denominator; the result is its one ``Fraction``.
     """
     a = [exact_ratio(x, "ats") for x in ats]
     n = len(a)
@@ -146,11 +142,14 @@ def order_prob_integrate(ats, delta_noise, target_order=None) -> Fraction:
     if dn <= 0:
         raise ContractError("delta_noise must be positive")
     target_order = _target_order(target_order, n)
-    norm = [ai / dn for ai in a]
-    h = _Piecewise((min(norm),), (), Fraction(1))  # the unit step: 1 on every noise interval
+    # stamp i in noise widths is num/den; scaled by L it is num * L // den
+    ratios = [(x.numerator * dn.denominator, x.denominator * dn.numerator) for x in a]
+    scale = lcm(*(den // gcd(num, den) for num, den in ratios))
+    ys = [num * scale // den for num, den in ratios]
+    h = _Piecewise((min(ys),), (), 1, 1)  # the unit step: 1 on every noise interval
     for idx in target_order:
-        h = h.restrict(norm[idx], norm[idx] + 1).cumulative()
-    return h.after
+        h = h.restrict(ys[idx], ys[idx] + scale).cumulative(scale)
+    return Fraction(h.after, h.den)
 
 
 # --- Monte Carlo -----------------------------------------------------------

@@ -502,8 +502,8 @@ def tabulate(config: ExperimentConfig, counted) -> TableResult:
     ``count_trials`` pairs them.  It is a ``ContractError`` unless the
     counted cells' tags are, in order, those of every cell the table lists
     (none for a closed-form table), each cell's counts sum to
-    ``config.trials`` and every order counted is one its cell can produce,
-    a permutation of its command indices."""
+    ``config.trials``, no count is negative and every order counted is one
+    its cell can produce, a permutation of its command indices."""
     cells_for, table = _SCENARIOS[config.scenario][:2]
     cells = cells_for(config, _run_for(config)) if cells_for else []
     if [cell.tags for cell, _ in counted] != [cell.tags for cell in cells]:
@@ -512,6 +512,9 @@ def tabulate(config: ExperimentConfig, counted) -> TableResult:
             f" {config.scenario} table lists, in its order"
         )
     for cell, (_, counts) in zip(cells, counted):
+        for order, k in counts.items():
+            if k < 0:
+                raise ContractError(f"cell {cell.tags} counts order {order} {k} times")
         if (total := counts.total()) != config.trials:
             raise ContractError(f"cell {cell.tags} counts {total} trials, not {config.trials}")
         if stray := counts.keys() - set(permutations(range(len(cell.placed)))):

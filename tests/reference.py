@@ -13,10 +13,16 @@ clamp, command ids, the harness's trial seeds, noise and tie keys -- are
 restated here, not imported: this module imports no package function, so
 a change to the engine's rules shows up as a disagreement instead of
 being shared by both sides.
+
+It also restates the exact order-probability integral in ``Fraction``
+arithmetic, in the stamps' own units, as a check on the package's
+integer integrator.
 """
 
 import hashlib
 from dataclasses import dataclass, field
+from fractions import Fraction
+from itertools import pairwise
 
 from fairorder.adversary import QUORUM_HIGH
 from fairorder.domain import ContractError, Invocation
@@ -275,3 +281,36 @@ def order_receive_all_correct(invocations, topology, delta_net_us) -> Ledger:
     for a, b in all_correct_precedence(received):
         assert ordered.index(a) < ordered.index(b)
     return Ledger(ordered, max(max(times) for times in received.values()) + 1)
+
+
+def _poly_value(coeffs, x):
+    return sum(c * x**k for k, c in enumerate(coeffs))
+
+
+def order_prob_integrate(ats, width, target_order) -> Fraction:
+    """Pr[stamps ``ats`` (ints, ``Fraction``s or ratio strings), each plus
+    independent uniform noise on [0, ``width``], are strictly increasing
+    along ``target_order``], integrated exactly.
+
+    F_0 is 1 from the least stamp on.  For the j-th command in the order,
+    with noise interval [a, a + width], F_j(t) is the integral over
+    (-inf, t] of F_{j-1} / width on that interval; the answer is F_n's
+    total.  A function is (breakpoints, one polynomial per span between
+    them, the constant past the last), 0 before the first.
+    """
+    stamps = [Fraction(x) for x in ats]
+    width = Fraction(width)
+    xs, cs, after = [min(stamps)], [], Fraction(1)
+    for i in target_order:
+        lo, hi = stamps[i], stamps[i] + width
+        cuts = [lo, *sorted(x for x in xs if lo < x < hi), hi]
+        pieces = [(Fraction(0),), *cs, (after,)]
+        total, out = Fraction(0), []
+        for x0, x1 in pairwise(cuts):
+            piece = pieces[sum(x <= x0 for x in xs)]
+            anti = [Fraction(0), *(c / (width * (k + 1)) for k, c in enumerate(piece))]
+            anti[0] = total - _poly_value(anti, x0)
+            out.append(anti)
+            total = _poly_value(anti, x1)
+        xs, cs, after = cuts, out, total
+    return after

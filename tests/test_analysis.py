@@ -4,6 +4,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from importlib import resources
+from itertools import permutations
 from math import factorial, sqrt
 from types import SimpleNamespace
 
@@ -28,7 +29,27 @@ from fairorder.analysis import (
 from fairorder.domain import ContractError
 from fairorder.harness import parse_config
 
+import reference
+
 rationals = st.fractions(min_value=Fraction(1, 1000), max_value=1)
+# noise widths from 10^-9 to 10^6, as ints or Fractions
+widths = st.one_of(
+    st.integers(1, 10**6),
+    st.fractions(min_value=Fraction(1, 10**9), max_value=10**6, max_denominator=10**9),
+)
+# a stamp as the integrator takes it: an int, a Fraction or a ratio string
+stamp_forms = st.sampled_from((round, Fraction, str))
+
+
+@st.composite
+def placements(draw, max_n=8):
+    """(stamps, width, target order) for 1..max_n commands, each stamp
+    within two noise widths of 0 so that the noise intervals overlap."""
+    n = draw(st.integers(1, max_n))
+    width = draw(widths)
+    offsets = draw(st.lists(st.fractions(-2, 2, max_denominator=15), min_size=n, max_size=n))
+    stamps = [draw(stamp_forms)(r * width) for r in offsets]
+    return stamps, width, draw(st.permutations(range(n)))
 
 
 class TestClosedForms:
@@ -122,11 +143,47 @@ class TestIntegrator:
         assert order_prob_integrate([0, 0, 0, 0], 1) == Fraction(1, 24)
 
     def test_orders_partition_probability_one(self):
-        from itertools import permutations
-
         ats = [Fraction(1, 7), Fraction(2, 7), 0]
         total = sum(order_prob_integrate(ats, 1, p) for p in permutations(range(3)))
         assert total == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(placements())
+    def test_equals_the_fraction_reference(self, placement):
+        stamps, width, order = placement
+        got = order_prob_integrate(stamps, width, order)
+        assert type(got) is Fraction
+        assert got == reference.order_prob_integrate(stamps, width, order)
+
+    @settings(max_examples=25, deadline=None)
+    @given(placements(max_n=6))
+    def test_the_orders_of_any_placement_sum_to_one(self, placement):
+        stamps, width, _ = placement
+        orders = permutations(range(len(stamps)))
+        assert sum(order_prob_integrate(stamps, width, order) for order in orders) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(placements(max_n=6), st.fractions(-(10**6), 10**6, max_denominator=10**6))
+    def test_a_common_offset_changes_no_value(self, placement, offset):
+        stamps, width, order = placement
+        shifted = [Fraction(x) + offset for x in stamps]
+        assert order_prob_integrate(shifted, width, order) == order_prob_integrate(
+            stamps, width, order
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(placements(max_n=6), st.fractions(Fraction(1, 10**6), 10**6, max_denominator=10**6))
+    def test_scaling_stamps_and_width_together_changes_no_value(self, placement, factor):
+        stamps, width, order = placement
+        scaled = [Fraction(x) * factor for x in stamps]
+        assert order_prob_integrate(scaled, width * factor, order) == order_prob_integrate(
+            stamps, width, order
+        )
+
+    @given(placements(max_n=1))
+    def test_one_command_is_certain(self, placement):
+        stamps, width, order = placement
+        assert order_prob_integrate(stamps, width, order) == 1
 
     def test_microsecond_units(self):
         got = order_prob_integrate([300_000, 0], 1_500_000, (0, 1))

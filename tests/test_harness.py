@@ -1030,6 +1030,15 @@ def test_a_table_counts_only_orders_its_cells_can_produce():
     assert len(tabulate(config, counted).rows) == 2 * len(counted)
 
 
+def test_a_table_rejects_negative_counts():
+    # counts summing to the trials with one of them negative printed
+    # washington first with probability 1.100000 and tokyo with -0.100000
+    config = bundled("liquidation", 10)
+    counted = [(cell, Counter({(0, 1): 11, (1, 0): -1})) for cell, _ in count_trials(config, 0, 1)]
+    with pytest.raises(ContractError, match=r"cell \(.*\) counts order \(1, 0\) -1 times"):
+        tabulate(config, counted)
+
+
 def test_a_table_needs_every_cell_counted_in_its_order():
     # counts for no cells, or for 3 of geo_bias's 30, printed a header alone
     # or 3 rows
