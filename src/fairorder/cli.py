@@ -174,8 +174,8 @@ def main(argv=None) -> int:
     except SroError as exc:
         print(f"error category=oracle: {exc}", file=sys.stderr)
         return 5
-    except Exception as exc:  # pragma: no cover - last-resort reporting
-        print(f"error category=internal: {exc}", file=sys.stderr)
+    except Exception as exc:  # last-resort reporting; an empty message names the type
+        print(f"error category=internal: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -14,9 +14,9 @@ The one engine serves every policy:
 
 * ``pompe`` and ``bercow`` (median timestamps, idealized per-slot
   agreement): a command's assigned timestamp is the median of its 2f+1
-  quorum (``domain.quorum_median``), and slot k = ats // interval decides
-  it.  The slot's seed is revealed only after a certificate of n - f
-  signatures over k exists.
+  quorum (``assigned_timestamps``, which an adversary also predicts with),
+  and slot k = ats // interval decides it.  Its seed is revealed once n - f
+  nodes have signed k.
   Under ``bercow`` each command then adds uniform noise keyed by the seed
   and its own id, so its position cannot depend on other commands or on
   anything the nodes chose before the seed existed.
@@ -52,12 +52,15 @@ from itertools import repeat
 
 import numpy as np
 
-from .adversary import QUORUM_HIGH, QUORUM_LOW, CommandPlan, clamp_to_window
 from .domain import (
     MAX_TIMESTAMP,
+    QUORUM_HIGH,
+    QUORUM_LOW,
     US_PER_MS,
+    CommandPlan,
     ContractError,
     Invocation,
+    clamp_to_window,
     encode_id_part,
     quorum_median,
     tie_break_key,
@@ -118,7 +121,7 @@ class SimulationRun:
     (``orders_per_cell``) reuses what the run has computed: receive times
     and their medians, keyed by (origin city, invoke time); assigned
     timestamps, keyed by those and the command's plan entry
-    (``_timestamp_invocations``); revealed slot seeds, keyed by k; and the
+    (``assigned_timestamps``); revealed slot seeds, keyed by k; and the
     scratch generator of leader trials, built on first use.  A run is
     frozen, and ``replace`` makes a new one with none of these, so no value
     outlives the network it was computed on."""
@@ -167,7 +170,7 @@ def _receive_times(run: SimulationRun, inv: Invocation) -> tuple:
     return times
 
 
-def _timestamp_invocations(run: SimulationRun, invocations, plan) -> list:
+def assigned_timestamps(run: SimulationRun, invocations, plan) -> list:
     """Each invocation's assigned timestamp, in order.
 
     ``plan`` maps a command id to its ``CommandPlan``; only the entries of
@@ -242,7 +245,7 @@ def _slotted_prefixes(run: SimulationRun, width_us: int, invocations, plan):
     emission are neither certified nor revealed: no key depends on their
     seeds.
     """
-    assigned = _timestamp_invocations(run, invocations, plan)
+    assigned = assigned_timestamps(run, invocations, plan)
     if max(assigned) + max(width_us - 1, 0) > MAX_TIMESTAMP:
         raise ContractError("timestamp overflow (must fit in 63 bits)")
     slots = [ats // run.slot_interval_us for ats in assigned]

@@ -1,5 +1,5 @@
-"""Core vocabulary: invocations, the quorum median, command ids, tie keys,
-and the one rule for exact ratios.
+"""Core vocabulary: invocations, the quorum median, adversary plans, command
+ids, tie keys, the node bound and the one rule for exact ratios.
 
 All times are integer microseconds. Timestamps must fit in 63 bits so that
 sums with noise never overflow on any platform.
@@ -15,6 +15,9 @@ from functools import cached_property
 
 MAX_TIMESTAMP = 2**63 - 1
 US_PER_MS = 1000
+# The most nodes a topology or oracle may have: memory, and the n - f tags of
+# every certificate, grow linearly in n.
+MAX_NODES = 2**16
 
 
 class ContractError(ValueError):
@@ -30,7 +33,7 @@ def exact_ratio(x, what: str) -> Fraction:
             f"pass {what} as Fraction, int, or string (floats are not exact rationals)"
         )
     try:
-        return Fraction(x)
+        return x if type(x) is Fraction else Fraction(x)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ContractError(f"expected {what} as an exact ratio such as 1/5, got {x!r}") from exc
 
@@ -49,6 +52,31 @@ def quorum_median(reports, f: int, high: bool = False) -> int:
     if f < 0 or len(ts) < 2 * f + 1:
         raise ContractError(f"a quorum median needs f >= 0 and 2f+1 reports, got f={f}, {len(ts)}")
     return ts[-f - 1] if high else ts[f]
+
+
+QUORUM_LOW = "low"
+QUORUM_HIGH = "high"
+
+
+@dataclass(frozen=True)
+class CommandPlan:
+    """What the adversary does to one command's stamp.
+
+    reports: the colluders' (node id, reported timestamp) pairs (mechanism
+      model: colluding nodes lie, honest nodes report normally).
+    bias: None, "low" or "high"; the command's client picks the quorum that
+      pushes its median down or up.
+    ats: the assigned timestamp (interval model; clamped into the command's
+      legal window at application time), or None.
+    """
+
+    reports: tuple = ()
+    bias: str | None = None
+    ats: int | None = None
+
+
+def clamp_to_window(ats: int, invoke_time: int, delta_net_us: int) -> int:
+    return min(max(ats, invoke_time), invoke_time + delta_net_us)
 
 
 @dataclass(frozen=True)

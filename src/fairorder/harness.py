@@ -400,9 +400,7 @@ def _sandwich_cells(config: ExperimentConfig, run: SimulationRun) -> list:
         _SANDWICH_LABELS, (t0, buy_us, sell_us), (victim_city, attacker_city, attacker_city)
     ))
     victim, *attackers = placed
-    plan = private_relay_placement(
-        victim, attackers, colluders, run.topology, run.delta_net_us, run.sro.config.f
-    )
+    plan = private_relay_placement(victim, attackers, colluders, run)
     return [
         Cell(("sand", spec), policy, placed, plan if policy.kind.median_timestamps else {})
         for spec, policy in zip(config.policies, config.parsed_policies)

@@ -20,7 +20,7 @@ from functools import lru_cache
 from importlib import resources
 from types import MappingProxyType
 
-from .domain import US_PER_MS
+from .domain import MAX_NODES, US_PER_MS
 
 INTRA_CITY_US = US_PER_MS  # one-way delay between two nodes of one city
 
@@ -62,6 +62,8 @@ class CityTopology:
                 if city not in known:
                     raise TopologyError(f"delay entry references unknown city {city!r}")
         object.__setattr__(self, "_n_nodes", sum(count for _, count in self.cities))
+        if self._n_nodes > MAX_NODES:
+            raise TopologyError(f"{self._n_nodes} nodes, more than MAX_NODES = {MAX_NODES}")
         object.__setattr__(self, "_city_names", tuple(names))
         city_of_node = tuple(name for name, count in self.cities for _ in range(count))
         object.__setattr__(self, "_delays", {

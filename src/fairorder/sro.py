@@ -35,7 +35,7 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 
-from .domain import ContractError
+from .domain import MAX_NODES, ContractError
 
 
 class SroError(Exception):
@@ -120,8 +120,8 @@ class SroConfig:
     def __post_init__(self):
         if self.f < 0:
             raise ContractError(f"f must be >= 0, got {self.f}")
-        if self.n < 3 * self.f + 1:
-            raise ContractError(f"need n >= 3f+1, got n={self.n}, f={self.f}")
+        if not 3 * self.f + 1 <= self.n <= MAX_NODES:
+            raise ContractError(f"need 3f+1 <= n <= {MAX_NODES}, got n={self.n}, f={self.f}")
         if self.quorum <= self.f:
             raise ContractError("quorum must exceed f")
         if self.test_field is not None:

@@ -15,6 +15,10 @@ deleted, not listed here.
 Every module under ``src/``, ``scripts/`` and ``tests/`` also references
 every name it imports, except the package's ``__init__.py``, whose
 imports are its re-exports.
+
+The package is layered: the engine and what it stands on import no
+adversary, attack, runner or CLI module, and the adversary imports no
+runner or CLI module, so a strategy can call the engine without a cycle.
 """
 
 import ast
@@ -152,3 +156,40 @@ def test_every_import_is_referenced():
         )
     ]
     assert not unused, "imported but never referenced: " + ", ".join(unused)
+
+
+# module -> the package modules it must not import
+LAYERS = {
+    **dict.fromkeys(
+        ("domain", "netmodel", "sro", "analysis", "consensus"),
+        {"adversary", "attacks", "harness", "cli"},
+    ),
+    "adversary": {"harness", "cli"},
+}
+
+
+def _package_imports(tree) -> set:
+    """The package modules a module imports, by their names in the package."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # ``from . import x`` and ``from fairorder import x`` import modules
+            whole = node.module in (None, "fairorder")
+            names = [alias.name for alias in node.names] if whole else [node.module]
+        else:
+            continue
+        found.update(name.removeprefix("fairorder.").partition(".")[0] for name in names)
+    return found
+
+
+def test_no_layer_imports_one_above_it():
+    crossings = [
+        f"{module} imports {above}"
+        for module, banned in LAYERS.items()
+        for above in sorted(banned & _package_imports(
+            ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        ))
+    ]
+    assert not crossings, "layering broken: " + ", ".join(crossings)

@@ -391,7 +391,7 @@ def stamp_run(dnet=DNET, f=26):
 def stamp(run, city="tokyo", t=700_000, plan=LOW):
     """The run's assigned timestamp for the one command ``STAMPED``."""
     placed = [Invocation(STAMPED, t, city)]
-    (ats,) = consensus._timestamp_invocations(run, placed, plan)
+    (ats,) = consensus.assigned_timestamps(run, placed, plan)
     return ats
 
 
@@ -510,9 +510,9 @@ class TestStampMemo:
         ]
         want = [quorum_median(observe(p, topology, dnet), 26) for p in placed]
         run, plan = cell_for(placed, POMPE, topology=topology, f=26, dnet=dnet).run, LOW
-        assert consensus._timestamp_invocations(run, placed, plan) == want
+        assert consensus.assigned_timestamps(run, placed, plan) == want
         assert len(run._stamps) == 2  # one tokyo stamp for two commands
-        assert consensus._timestamp_invocations(run, placed, plan) == want
+        assert consensus.assigned_timestamps(run, placed, plan) == want
 
 
 # Two networks with the same city names: five nodes in ``a`` and two in
@@ -533,7 +533,7 @@ def test_a_run_never_takes_another_topologys_stamp(first):
         return SimulationRun(topology, DNET, SLOT, sro_for(topology, 2))
 
     def stamp_of(run):
-        (got,) = consensus._timestamp_invocations(run, placed, plan)
+        (got,) = consensus.assigned_timestamps(run, placed, plan)
         (cmd,) = run_slotted(run, POMPE, placed, plan).commands.values()
         assert got == cmd.assigned_ts
         return got
@@ -875,7 +875,7 @@ class TestCountOrders:
             inv("b", 100_000 + SLOT, "solo"),
         ]
         cell = cell_for(placed, BERCOW)
-        stamps = consensus._timestamp_invocations(cell.run, cell.invocations, cell.plan)
+        stamps = consensus.assigned_timestamps(cell.run, cell.invocations, cell.plan)
         assert stamps[1] - stamps[0] == BERCOW.param_us
         orders = trial_orders(*cell, 3, CommandIds((), "ab"), no_seed)
         assert sorted(reveals) == sorted({ats // SLOT for ats in stamps})

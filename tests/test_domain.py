@@ -170,6 +170,10 @@ class TestTypes:
             Slot(0, 0, 10, decision_certificate=frozenset({(0, b"a"), (0, b"b")}))
 
 
+class Fifth(Fraction):
+    """A ``Fraction`` subclass, which ``exact_ratio`` converts."""
+
+
 class TestExactRatio:
     @pytest.mark.parametrize(
         "value, want",
@@ -178,6 +182,15 @@ class TestExactRatio:
     )
     def test_exact_values_read_as_written(self, value, want):
         assert exact_ratio(value, "x") == want
+
+    def test_a_fraction_comes_back_unchanged(self):
+        x = Fraction(1, 5)
+        assert exact_ratio(x, "x") is x
+
+    @pytest.mark.parametrize("value", [3, "1/5", Fifth(1, 5)], ids=["int", "ratio", "subclass"])
+    def test_other_values_come_back_as_a_plain_fraction(self, value):
+        got = exact_ratio(value, "x")
+        assert type(got) is Fraction and got == Fraction(value)
 
     @pytest.mark.parametrize("value", [0.2, 1.0, float("nan"), np.float64(0.5)])
     def test_floats_are_refused(self, value):

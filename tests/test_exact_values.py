@@ -156,9 +156,7 @@ def fence_sandwich(fence):
         for label, ms, city in zip(labels, (0, buy_ms, sell_ms),
                                    (victim_city, attacker_city, attacker_city))
     )
-    plan = private_relay_placement(
-        victim, [buy, sell], colluders, topology, run.delta_net_us, f
-    )
+    plan = private_relay_placement(victim, [buy, sell], colluders, run)
     cells = {}
     for row in filter(lambda r: median_policy(r["policy"]), rows):
         cells.setdefault(row["policy"], []).append(row)

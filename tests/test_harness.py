@@ -441,9 +441,7 @@ def per_trial_orders(config, topology, sro, spec, tags, commands, colluders):
         plan = {}
         if colluders:
             victim, *attackers = placed
-            plan = private_relay_placement(
-                victim, attackers, colluders, topology, delta_net_us, sro.config.f
-            )
+            plan = private_relay_placement(victim, attackers, colluders, network)
         result = run_slotted(network, policy, placed, plan)
         orders.append(tuple(labels[cid] for cid in result.ledger.entries))
         decided_slots.update(slot.index for slot in result.slots if slot.decided_commands)
@@ -478,9 +476,7 @@ class TestSlottedEngine:
                 config, topology, sro, spec, tags, commands, colluder_ids
             )
             victim, *attackers = _placed(commands)
-            plan = private_relay_placement(
-                victim, attackers, colluder_ids, topology, dnet_us, sro.config.f
-            )
+            plan = private_relay_placement(victim, attackers, colluder_ids, run)
             assert_engine_matches_per_trial(run, config, spec, tags, commands, want, plan)
             got = labelled(counted(run, config, spec, tags, commands, plan), commands)
             assert got == Counter(want), commands
@@ -495,8 +491,7 @@ class TestSlottedEngine:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for module in (consensus, adversary):
-            monkeypatch.setattr(module, "observe", counting("observe", module.observe))
+        monkeypatch.setattr(consensus, "observe", counting("observe", consensus.observe))
         monkeypatch.setattr(SroHandle, "reveal", counting("reveal", SroHandle.reveal))
         per_trials = {}
         for trials in (5, 50):
@@ -542,7 +537,7 @@ class TestSlottedEngine:
         # the median-policy cells of one run share each decided slot's seed;
         # a second run certifies and reveals again
         calls, decided = Counter(), set()
-        stamp = consensus._timestamp_invocations
+        stamp = consensus.assigned_timestamps
 
         def recording(run, invocations, plan):
             assigned = stamp(run, invocations, plan)
@@ -557,7 +552,7 @@ class TestSlottedEngine:
                 return fn(self, k_or_req, *args)
             return wrapper
 
-        monkeypatch.setattr(consensus, "_timestamp_invocations", recording)
+        monkeypatch.setattr(consensus, "assigned_timestamps", recording)
         for name in ("reveal", "quorum_signatures", "signatures_valid"):
             monkeypatch.setattr(SroHandle, name, counting(name))
         config = small(
@@ -765,7 +760,7 @@ class TestDisjointRanges:
         t0 = config.slot_ms * US_PER_MS // 2
         commands = (("early", t0, "tokyo"), ("late", t0 + gap_us, "tokyo"))
         tags = ("disjoint", spec, gap)
-        early, late = consensus._timestamp_invocations(run, _placed(commands), {})
+        early, late = consensus.assigned_timestamps(run, _placed(commands), {})
         assert late - early == gap_us
         want, _ = per_trial_orders(config, run.topology, run.sro, spec, tags, commands, ())
         derived, noised = Counter(), []
@@ -1234,6 +1229,14 @@ class TestCli:
     def test_missing_config_is_config_error(self, capsys):
         assert main(["simulate", "/does/not/exist.cfg"]) == 4
         assert "category=io" in capsys.readouterr().err
+
+    def test_an_empty_internal_error_names_its_type(self, monkeypatch, capsys):
+        def out_of_memory(config):
+            raise MemoryError()
+
+        monkeypatch.setattr("fairorder.cli.run_experiment", out_of_memory)
+        assert main(["bounds", "--n", "2", "--alpha", "1/5"]) == 1
+        assert capsys.readouterr().err == "error category=internal: MemoryError\n"
 
     def test_bad_alpha_is_config_error(self, capsys):
         assert main(["bounds", "--n", "2", "--alpha", "3"]) == 3

@@ -6,7 +6,7 @@ from types import MappingProxyType
 import pytest
 
 from fairorder.cli import main
-from fairorder.domain import Invocation
+from fairorder.domain import MAX_NODES, Invocation
 from fairorder.netmodel import (
     INTRA_CITY_US,
     CityTopology,
@@ -154,6 +154,17 @@ class TestParsing:
     def test_missing_pair(self):
         with pytest.raises(TopologyError):
             parse_topology("city a 1\ncity b 1\n")
+
+    @pytest.mark.parametrize("count", [MAX_NODES + 1, 2**40])
+    def test_node_count_past_the_bound_rejected(self, count):
+        # rejected before the per-node delay tables are built
+        with pytest.raises(TopologyError, match=f"{count} nodes, more than MAX_NODES"):
+            CityTopology(cities=(("a", count),), latency_us={})
+        assert CityTopology(cities=(("a", MAX_NODES),), latency_us={}).n_nodes == MAX_NODES
+
+    def test_node_count_past_the_bound_exits_3(self, tmp_path, capsys):
+        text = "city a 1000000000\ncity b 1\ndelay a b 10\n"
+        assert_rejected(text, "1000000001 nodes, more than MAX_NODES = 65536", tmp_path, capsys)
 
     def test_missing_pair_rejected_at_construction(self):
         with pytest.raises(TopologyError, match=re.escape("no delay entry for (a, c)")):

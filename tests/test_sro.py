@@ -8,7 +8,7 @@ import pytest
 
 from fairorder import sro
 from fairorder.cli import main
-from fairorder.domain import ContractError
+from fairorder.domain import MAX_NODES, ContractError
 from fairorder.sro import (
     MAX_TEST_FIELD,
     Backend,
@@ -67,6 +67,17 @@ class TestConfig:
             argv += ["--test-field", "101"]
         assert main(argv) == 3
         assert "error category=config: f must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [MAX_NODES + 1, 2**40])
+    def test_rejects_more_than_max_nodes(self, n):
+        # rejected before a signing key is cut for any node
+        with pytest.raises(ContractError, match=f"n <= {MAX_NODES}, got n={n}"):
+            SroConfig(n=n, f=0, backend=Backend.SEEDED_HASH)
+        assert SroConfig(n=MAX_NODES, f=0, backend=Backend.SEEDED_HASH).quorum == MAX_NODES
+
+    def test_sro_demo_past_the_node_bound_exits_3(self, capsys):
+        assert main(["sro-demo", "--n", "1000000000", "--f", "0"]) == 3
+        assert "error category=config: need 3f+1 <= n" in capsys.readouterr().err
 
     def test_degenerate_single_node(self):
         handle = handle_for(n=1, f=0)
