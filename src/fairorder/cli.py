@@ -99,15 +99,18 @@ def _cmd_sro_demo(args) -> int:
     sigs = handle.quorum_signatures(args.k)
     value = handle.reveal(RevealRequest(args.k, sigs))
     proof = handle.generate_proof(args.k)
-    ok = verify(args.k, proof, value)
+    vk = handle.verification_key
+    ok = verify(vk, args.k, proof, value)
     print(f"backend   {args.backend} (n={args.n}, f={args.f}, quorum={config.quorum})")
     print(f"value     {value.hex()}")
     if backend is Backend.SEEDED_HASH:
-        print(f"proof     {proof.digest.hex()}")
+        print(f"proof     {proof.hex()}")
     else:
-        print(f"group     q={proof.group.q} p={proof.group.p} g={proof.group.g}")
-        for share in proof.shares:
-            print(f"share     node={share.node_id} value={share.value:x} commit={share.proof:x}")
+        print(f"group     q={vk.group.q} p={vk.group.p} g={vk.group.g}")
+        commitments = dict(vk.commitments)
+        for share in proof:
+            commit = commitments[share.node_id]
+            print(f"share     node={share.node_id} value={share.value:x} commit={commit:x}")
     print(f"verified  {ok}")
     return 0 if ok else 1
 

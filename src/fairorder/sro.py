@@ -20,10 +20,13 @@ The oracle is stateless after init: every certificate check, reveal and
 proof is computed afresh from the keys and the call's arguments; a
 reveal checks its certificate once, then each share it combines.
 
+The oracle's public material is one ``VerificationKey``, fixed at init:
+``verify`` checks a proof against it alone, so a threshold proof is just
+its quorum of shares and a seeded proof just its digest.
+
 Still open (ROADMAP item 2 has the repros): secrecy across slots, as one
-threshold proof yields every slot's value, and validity against a
-self-made proof: a seeded proof is a public hash, and ``verify`` takes a
-threshold proof's group, commitments and quorum from the proof itself.
+threshold proof yields every slot's value, and seeded validity, as a
+seeded proof is a public hash that anyone can compute for any value.
 """
 
 from __future__ import annotations
@@ -151,23 +154,18 @@ class RevealRequest:
 class Share:
     node_id: int
     value: int  # s_i * h(k) mod p
-    proof: int  # commitment C_i = g^{s_i} mod q
 
 
 @dataclass(frozen=True)
-class Proof:
-    """Verification material returned by SroHandle.generate_proof.
-
-    Seeded-hash backend: digest = HASH(value).  Threshold backend: the
-    commitment set plus the quorum of shares that reproduce the value.
-    """
+class VerificationKey:
+    """The oracle's public material, fixed at init: ``verify`` checks
+    against it and nothing else.  The threshold backend adds its group and
+    each node's commitment C_i = g^{s_i}, as ((node_id, C_i), ...)."""
 
     backend: Backend
-    digest: bytes = b""
+    quorum: int
     group: GroupParams | None = None
-    commitments: tuple = ()  # ((node_id, C_i), ...)
-    shares: tuple = ()  # (Share, ...)
-    quorum: int = 0
+    commitments: tuple = ()
 
 
 def _hash(*parts: bytes) -> bytes:
@@ -217,26 +215,24 @@ def sign_slot(key: bytes, k: int) -> bytes:
 class DprfNode:
     """One node's share holder, asked only once the slot's certificate passed."""
 
-    def __init__(self, node_id, secret_share, commitment, group):
+    def __init__(self, node_id, secret_share, p):
         self.node_id = node_id
         self._secret_share = secret_share
-        self.commitment = commitment
-        self.group = group
+        self.p = p
 
     def produce_share(self, k: int) -> Share:
-        h = hash_to_field(k, self.group.p)
-        return Share(self.node_id, self._secret_share * h % self.group.p, self.commitment)
+        h = hash_to_field(k, self.p)
+        return Share(self.node_id, self._secret_share * h % self.p)
 
 
-def share_is_valid(group: GroupParams, k: int, share: Share, commitments) -> bool:
-    """Check g^value == C_i^{h(k)} against the share's registered commitment."""
-    expected = commitments.get(share.node_id)
-    if expected is None or share.proof != expected:
-        return False
-    if not (0 <= share.value < group.p):
+def share_is_valid(vk: VerificationKey, k: int, share: Share) -> bool:
+    """Check g^value == C_i^{h(k)} against node i's commitment in ``vk``."""
+    commitment = dict(vk.commitments).get(share.node_id)
+    group = vk.group
+    if commitment is None or not (0 <= share.value < group.p):
         return False
     h = hash_to_field(k, group.p)
-    return pow(group.g, share.value, group.q) == pow(expected, h, group.q)
+    return pow(group.g, share.value, group.q) == pow(commitment, h, group.q)
 
 
 def _lagrange_at_zero(points, p: int) -> int:
@@ -268,9 +264,10 @@ class SroHandle:
     a slot's value never changes, so a caller that needs it again keeps it
     (a ``consensus.SimulationRun`` does).
 
-    The seeded-hash secret and the per-node DPRF shares live in
-    double-underscore attributes: sealed by convention, the way an enclave
-    or an honest node would hold them.  Scenario code only sees reveal().
+    The seeded-hash secret lives in a double-underscore attribute and each
+    DPRF share in its ``DprfNode``: sealed by convention, the way an enclave
+    or an honest node would hold them.  Scenario code only sees reveal();
+    ``verification_key`` is the public part.
     """
 
     def __init__(self, config: SroConfig, rng_seed: bytes):
@@ -280,29 +277,27 @@ class SroHandle:
         self._signing_keys = dict(enumerate(node_signing_keys(rng_seed, config.n)))
         if config.backend is Backend.SEEDED_HASH:
             self.__seed = _hash(b"sro-seed", rng_seed)[:32]
-            self.group = None
             self.nodes = None
+            self.verification_key = VerificationKey(config.backend, config.quorum)
         else:
             field = config.test_field
             group = production_group() if field is None else small_field_group(field)
-            self.group = group
             # Shamir polynomial of degree quorum-1 with poly(0) = s; the
             # master secret is dropped once shares and commitments exist.
             coeffs = [1 + _derive_int(rng_seed, b"master", 0, group.p - 1)]
             coeffs += [
                 _derive_int(rng_seed, b"coef", j, group.p) for j in range(1, config.quorum)
             ]
-            shares, commitments = {}, {}
+            self.nodes, commitments = [], []
             for i in range(1, config.n + 1):
                 y = 0
                 for c in reversed(coeffs):
                     y = (y * i + c) % group.p
-                shares[i] = y
-                commitments[i] = pow(group.g, y, group.q)
-            self.commitments = commitments
-            self.nodes = [
-                DprfNode(i, shares[i], commitments[i], group) for i in range(1, config.n + 1)
-            ]
+                self.nodes.append(DprfNode(i, y, group.p))
+                commitments.append((i, pow(group.g, y, group.q)))
+            self.verification_key = VerificationKey(
+                config.backend, config.quorum, group, tuple(commitments)
+            )
 
     def signatures_valid(self, k: int, signatures) -> bool:
         valid_ids = set()
@@ -327,9 +322,9 @@ class SroHandle:
             raise InvalidSignatureSet(f"fewer than {self.config.quorum} valid signatures")
         if self.config.backend is Backend.SEEDED_HASH:
             return self._seeded_value(req.k)
-        return combine_shares(self.group, self._quorum_shares(req.k))
+        return combine_shares(self.verification_key.group, self._quorum_shares(req.k))
 
-    def _quorum_shares(self, k: int) -> list:
+    def _quorum_shares(self, k: int) -> tuple:
         """The first n - f shares over k that pass their commitment check,
         each from the node whose id it carries; a node that raises
         ``SroError``, or replays another node's share, is skipped."""
@@ -339,25 +334,18 @@ class SroHandle:
                 share = node.produce_share(k)
             except SroError:
                 continue
-            if share.node_id == node.node_id and share_is_valid(
-                self.group, k, share, self.commitments
-            ):
+            if share.node_id == node.node_id and share_is_valid(self.verification_key, k, share):
                 collected.append(share)
                 if len(collected) == self.config.quorum:
-                    return collected
+                    return tuple(collected)
         raise InsufficientValidShares(f"{len(collected)} valid shares, need {self.config.quorum}")
 
-    def generate_proof(self, k: int) -> Proof:
-        """Slot k's proof; a threshold one carries the shares ``reveal`` combines."""
+    def generate_proof(self, k: int):
+        """Slot k's proof: the seeded digest H("proof" || value), or the
+        quorum of shares ``reveal`` combines."""
         if self.config.backend is Backend.SEEDED_HASH:
-            return Proof(Backend.SEEDED_HASH, digest=_hash(b"proof", self._seeded_value(k)))
-        return Proof(
-            Backend.THRESHOLD_DPRF,
-            group=self.group,
-            commitments=tuple(sorted(self.commitments.items())),
-            shares=tuple(self._quorum_shares(k)),
-            quorum=self.config.quorum,
-        )
+            return _hash(b"proof", self._seeded_value(k))
+        return self._quorum_shares(k)
 
 
 def sro_init(config: SroConfig, rng_seed: bytes) -> SroHandle:
@@ -365,19 +353,16 @@ def sro_init(config: SroConfig, rng_seed: bytes) -> SroHandle:
     return SroHandle(config, rng_seed)
 
 
-def verify(k: int, proof: Proof, r: bytes) -> bool:
-    """True iff r is the unique value reveal would return for k."""
+def verify(vk: VerificationKey, k: int, proof, r: bytes) -> bool:
+    """True iff ``proof`` shows that r is the unique value reveal would
+    return for k, checked against the handle's key ``vk`` alone: at least
+    ``vk.quorum`` shares, each valid under its node's commitment."""
     try:
-        if proof.backend is Backend.SEEDED_HASH:
-            return hmac.compare_digest(proof.digest, _hash(b"proof", r))
-        group = proof.group
-        commitments = dict(proof.commitments)
-        if proof.quorum < 1 or len(proof.shares) < proof.quorum:
-            return False
-        if not all(share_is_valid(group, k, share, commitments) for share in proof.shares):
+        if vk.backend is Backend.SEEDED_HASH:
+            return hmac.compare_digest(proof, _hash(b"proof", r))
+        if len(proof) < vk.quorum or not all(share_is_valid(vk, k, s) for s in proof):
             return False
         # a repeated node id makes combine_shares raise ContractError
-        return hmac.compare_digest(combine_shares(group, proof.shares), r)
+        return hmac.compare_digest(combine_shares(vk.group, proof), r)
     except (AttributeError, TypeError, ValueError, ContractError):
         return False
-

@@ -224,7 +224,7 @@ def test_criterion_7_sro_contract_suite():
         )
         shares = [node.produce_share(1) for node in handle.nodes]
         values = {
-            combine_shares(handle.group, subset)
+            combine_shares(handle.verification_key.group, subset)
             for subset in itertools.combinations(shares, handle.config.quorum)
         }
         if len(values) != 1:
@@ -250,13 +250,13 @@ def test_criterion_7_sro_contract_suite():
         k = int(rng.integers(0, 2**32))
         value = seeded.reveal(RevealRequest(k, seeded.quorum_signatures(k)))
         proof = seeded.generate_proof(k)
-        if not verify(k, proof, value):
+        if not verify(seeded.verification_key, k, proof, value):
             problems.append(f"verify failed at k={k}")
             break
         pos = int(rng.integers(0, len(value)))
         bit = 1 << int(rng.integers(0, 8))
         tampered = value[:pos] + bytes([value[pos] ^ bit]) + value[pos + 1 :]
-        if verify(k, proof, tampered):
+        if verify(seeded.verification_key, k, proof, tampered):
             problems.append(f"tampered value accepted at k={k}")
             break
 
@@ -266,8 +266,8 @@ def test_criterion_7_sro_contract_suite():
         SroConfig(n=4, f=1, backend=Backend.THRESHOLD_DPRF, test_field=101), SEED
     )
     share = tamper_handle.nodes[0].produce_share(5)
-    bad = Share(share.node_id, (share.value + 1) % 101, share.proof)
-    if share_is_valid(tamper_handle.group, 5, bad, tamper_handle.commitments):
+    bad = Share(share.node_id, (share.value + 1) % 101)
+    if share_is_valid(tamper_handle.verification_key, 5, bad):
         problems.append("tampered share accepted")
 
     class Liar:
@@ -275,7 +275,7 @@ def test_criterion_7_sro_contract_suite():
             self.node_id = node_id
 
         def produce_share(self, k):
-            return Share(self.node_id, 1, 1)
+            return Share(self.node_id, 1)
 
     tamper_handle.nodes[0] = Liar(1)
     tamper_handle.nodes[1] = Liar(2)

@@ -267,6 +267,16 @@ class TestRunSlotted:
         result = run_slotted(*cell_for(placed, POMPE, adversary=plan))
         assert result.commands[cmd.command_id].assigned_ts == 100_000 + DNET
 
+    def test_engine_clamps_ats_to_both_ends_of_the_window(self):
+        # an override past the window's end stamps T + delta_net, one
+        # before its start stamps T
+        cmd = inv("clamp", 100_000, "solo")
+        topology = small_topology()
+        run = SimulationRun(topology, DNET, SLOT, sro_for(topology, 1))
+        for ats, want in ((10**9, 100_000 + DNET), (0, 100_000)):
+            plan = {cmd.command_id: CommandPlan(ats=ats)}
+            assert consensus.assigned_timestamps(run, [cmd], plan) == [want]
+
 
 class TestCountSlottedOrders:
     def test_equals_run_slotted_on_renamed_runs(self):

@@ -166,6 +166,10 @@ class TestParsing:
         text = "city a 1000000000\ncity b 1\ndelay a b 10\n"
         assert_rejected(text, "1000000001 nodes, more than MAX_NODES = 65536", tmp_path, capsys)
 
+    def test_city_of_zero_nodes_rejected(self, tmp_path, capsys):
+        text = "city a 0\ncity b 1\ndelay a b 10\n"
+        assert_rejected(text, "city a has nonpositive node count", tmp_path, capsys)
+
     def test_missing_pair_rejected_at_construction(self):
         with pytest.raises(TopologyError, match=re.escape("no delay entry for (a, c)")):
             CityTopology(cities=(("a", 1), ("b", 1), ("c", 1)), latency_us={("a", "b"): 5_000})

@@ -239,7 +239,7 @@ def test_seeded_reveal_and_proof_are_pinned(k):
     value, digest = SEEDED_PINS[k]
     handle = handle_for()
     assert reveal_k(handle, k).hex() == value
-    assert handle.generate_proof(k).digest.hex() == digest
+    assert handle.generate_proof(k).hex() == digest
 
 
 class TestCertificateMemo:
@@ -260,7 +260,7 @@ class TestCertificateMemo:
         handle = handle_for(backend=Backend.THRESHOLD_DPRF, field=101)
         for k in range(3):
             value = reveal_k(handle, k)
-            assert verify(k, handle.generate_proof(k), value)
+            assert verify(handle.verification_key, k, handle.generate_proof(k), value)
             assert reveal_k(handle, k) == value
 
 
@@ -273,7 +273,7 @@ class TestStateless:
         before = pickle.dumps(vars(handle))
         for k in (0, 5, 5):
             value = reveal_k(handle, k)
-            assert verify(k, handle.generate_proof(k), value)
+            assert verify(handle.verification_key, k, handle.generate_proof(k), value)
             assert handle.signatures_valid(k, handle.quorum_signatures(k))
             assert pickle.dumps(vars(handle)) == before
 
@@ -305,7 +305,7 @@ class LyingNode:
 
     def produce_share(self, k):
         good = self.inner.produce_share(k)
-        return Share(good.node_id, (good.value + 1) % 101, good.proof)
+        return Share(good.node_id, (good.value + 1) % 101)
 
 
 class ReplayingNode:
@@ -331,8 +331,8 @@ class TestThresholdDprf:
     def test_subset_combinations_agree_small_field(self):
         handle = handle_for(n=4, f=1, backend=Backend.THRESHOLD_DPRF, field=101)
         shares = [node.produce_share(2) for node in handle.nodes]
-        a = combine_shares(handle.group, [shares[0], shares[1], shares[2]])
-        b = combine_shares(handle.group, [shares[1], shares[2], shares[3]])
+        a = combine_shares(handle.verification_key.group, [shares[0], shares[1], shares[2]])
+        b = combine_shares(handle.verification_key.group, [shares[1], shares[2], shares[3]])
         assert a == b == reveal_k(handle, 2)
 
     def test_exhaustive_quorum_subsets_n7(self):
@@ -340,7 +340,7 @@ class TestThresholdDprf:
         shares = [node.produce_share(11) for node in handle.nodes]
         expected = reveal_k(handle, 11)
         for subset in itertools.combinations(shares, handle.config.quorum):
-            assert combine_shares(handle.group, subset) == expected
+            assert combine_shares(handle.verification_key.group, subset) == expected
 
     def test_short_certificate_asks_no_node_for_a_share(self, monkeypatch):
         asked = []
@@ -377,24 +377,24 @@ class TestThresholdDprf:
     def test_share_against_wrong_commitment_fails(self):
         handle = handle_for(backend=Backend.THRESHOLD_DPRF, field=101)
         share1 = handle.nodes[0].produce_share(4)
-        crossed = Share(node_id=2, value=share1.value, proof=share1.proof)
-        assert not share_is_valid(handle.group, 4, crossed, handle.commitments)
+        crossed = Share(node_id=2, value=share1.value)
+        assert not share_is_valid(handle.verification_key, 4, crossed)
 
     def test_single_share_tamper_detected(self):
         handle = handle_for(backend=Backend.THRESHOLD_DPRF, field=53)
         for node in handle.nodes[: handle.config.quorum]:
             share = node.produce_share(8)
-            assert share_is_valid(handle.group, 8, share, handle.commitments)
-            p = handle.group.p
+            assert share_is_valid(handle.verification_key, 8, share)
+            p = handle.verification_key.group.p
             for delta in range(1, p):
-                bad = Share(share.node_id, (share.value + delta) % p, share.proof)
-                assert not share_is_valid(handle.group, 8, bad, handle.commitments)
+                bad = Share(share.node_id, (share.value + delta) % p)
+                assert not share_is_valid(handle.verification_key, 8, bad)
             for bit in range(p.bit_length() + 1):
                 flipped = share.value ^ (1 << bit)
                 if flipped == share.value:
                     continue
-                bad = Share(share.node_id, flipped, share.proof)
-                assert not share_is_valid(handle.group, 8, bad, handle.commitments)
+                bad = Share(share.node_id, flipped)
+                assert not share_is_valid(handle.verification_key, 8, bad)
 
     def test_byzantine_majority_of_shares_blocks_reveal(self):
         handle = handle_for(n=4, f=1, backend=Backend.THRESHOLD_DPRF, field=101)
@@ -423,7 +423,7 @@ class TestThresholdDprf:
         handle.nodes[0] = faulty(handle.nodes)
         value = reveal_k(handle, 12)
         assert value == clean
-        assert verify(12, handle.generate_proof(12), value)
+        assert verify(handle.verification_key, 12, handle.generate_proof(12), value)
 
     def test_secrecy_exhaustive_enumeration(self):
         # Conditioning on f = 1 share leaves every value of poly(0) equally
@@ -447,7 +447,7 @@ class TestThresholdDprf:
         handle = handle_for(backend=Backend.THRESHOLD_DPRF)
         value = reveal_k(handle, 0)
         assert len(value) == 64
-        assert verify(0, handle.generate_proof(0), value)
+        assert verify(handle.verification_key, 0, handle.generate_proof(0), value)
 
     def test_test_group_construction(self):
         for p in (11, 53, 101):
@@ -468,33 +468,64 @@ class TestValidity:
         handle = handle_for(backend=backend, field=field)
         value = reveal_k(handle, 42)
         proof = handle.generate_proof(42)
-        assert verify(42, proof, value)
+        assert verify(handle.verification_key, 42, proof, value)
         tampered = bytes([value[0] ^ 1]) + value[1:]
-        assert not verify(42, proof, tampered)
+        assert not verify(handle.verification_key, 42, proof, tampered)
 
     def test_seeded_proof_tamper_fails(self):
         handle = handle_for()
         value = reveal_k(handle, 1)
         proof = handle.generate_proof(1)
-        bad = type(proof)(proof.backend, digest=bytes([proof.digest[0] ^ 1]) + proof.digest[1:])
-        assert not verify(1, bad, value)
+        bad = bytes([proof[0] ^ 1]) + proof[1:]
+        assert not verify(handle.verification_key, 1, bad, value)
 
     def test_malformed_proof_returns_false(self):
         handle = handle_for(backend=Backend.THRESHOLD_DPRF, field=101)
+        vk = handle.verification_key
+        value = reveal_k(handle, 2)
+        s1, s2, _ = handle.generate_proof(2)
+        for malformed in ((), None, (s1, s1, s2)):
+            assert not verify(vk, 2, malformed, value)
+
+    def test_self_made_degree_0_shares_rejected(self):
+        # shares of an attacker's constant polynomial c match no registered
+        # commitment: alone, or as a full quorum that combines to its own r
+        handle = handle_for(backend=Backend.THRESHOLD_DPRF, field=101)
+        vk = handle.verification_key
+        c_h = 7 * hash_to_field(2, 101) % 101
+        for count in (1, vk.quorum):
+            shares = tuple(Share(i, c_h) for i in range(1, count + 1))
+            r = combine_shares(vk.group, shares)
+            assert r != reveal_k(handle, 2)
+            assert not verify(vk, 2, shares, r)
+
+    def test_too_few_genuine_shares_rejected(self):
+        # quorum - 1 valid shares interpolate a lower-degree polynomial, so
+        # they vouch for another value unless their number is checked
+        handle = handle_for(backend=Backend.THRESHOLD_DPRF, field=101)
+        vk = handle.verification_key
+        short = handle.generate_proof(2)[: vk.quorum - 1]
+        assert all(share_is_valid(vk, 2, share) for share in short)
+        r = combine_shares(vk.group, short)
+        assert r != reveal_k(handle, 2)
+        assert not verify(vk, 2, short, r)
+
+    def test_genuine_proof_under_another_seeds_key_rejected(self):
+        handle = handle_for(backend=Backend.THRESHOLD_DPRF, field=101)
+        other = handle_for(backend=Backend.THRESHOLD_DPRF, field=101, seed=bytes(31) + b"\x01")
         value = reveal_k(handle, 2)
         proof = handle.generate_proof(2)
-        assert not verify(2, type(proof)(proof.backend), value)
-        hollow = type(proof)(
-            proof.backend, group=proof.group, commitments=(), shares=proof.shares,
-            quorum=proof.quorum,
-        )
-        assert not verify(2, hollow, value)
-        s1, s2 = proof.shares[:2]
-        repeated = type(proof)(
-            proof.backend, group=proof.group, commitments=proof.commitments,
-            shares=(s1, s1, s2), quorum=proof.quorum,
-        )
-        assert not verify(2, repeated, value)
+        assert verify(handle.verification_key, 2, proof, value)
+        assert not verify(other.verification_key, 2, proof, value)
+
+    def test_genuine_proof_under_the_other_backends_key_rejected(self):
+        seeded = handle_for()
+        threshold = handle_for(backend=Backend.THRESHOLD_DPRF, field=101)
+        for handle, other in ((seeded, threshold), (threshold, seeded)):
+            value = reveal_k(handle, 2)
+            proof = handle.generate_proof(2)
+            assert verify(handle.verification_key, 2, proof, value)
+            assert not verify(other.verification_key, 2, proof, value)
 
 
 class TestRandomness:
