@@ -170,11 +170,8 @@ def _simulate_fixed(ats_norm, target_order, trials, rng) -> np.ndarray:
     # command-major: each comparison below reads two contiguous rows
     modified = rng.random((trials, len(ats_norm))).T.copy()
     modified += np.asarray(ats_norm, dtype=float)[:, None]
-    order = list(target_order)
-    if len(order) == 1:
-        return np.ones(trials, dtype=bool)
-    hits = modified[order[1]] > modified[order[0]]
-    for a, b in zip(order[1:], order[2:]):
+    hits = np.ones(trials, dtype=bool)
+    for a, b in zip(target_order, target_order[1:]):
         hits &= modified[b] > modified[a]
     return hits
 
@@ -209,36 +206,20 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _count_rows(simulate, rows, rng) -> int:
-    """Hits over ``rows`` trials drawn from ``rng`` in blocks of ``_CHUNK`` rows."""
-    return sum(
-        int(np.count_nonzero(simulate(min(_CHUNK, rows - start), rng)))
-        for start in range(0, rows, _CHUNK)
-    )
-
-
 def _count_hits(simulate, n, trials, rng) -> int:
-    """Hits over ``trials`` rows in blocks of ``_CHUNK`` rows, counted by one
-    thread per usable CPU (at most ``_MAX_THREADS``) when ``rng`` can jump
-    ahead.
+    """Hits over ``trials`` rows in blocks of ``_CHUNK`` rows, counted by
+    min(usable CPUs, ``_MAX_THREADS``, blocks) threads, the calling thread
+    one of them.
 
     Each thread takes the next uncounted block and draws it from its own
-    copy of the bit generator, advanced to the block's first row, so every
-    row gets the draws a serial pass gives it, whichever thread counts it.
-    Handing out one block at a time keeps every thread busy to the end, also
-    when one CPU runs slower than another.  Afterwards ``rng`` holds the
-    state a serial pass leaves, including the buffered 32-bit value
+    copy of ``rng``'s bit generator, advanced to the block's first row, so
+    every row gets the draws a serial pass gives it, whichever thread counts
+    it.  Handing out one block at a time keeps every thread busy to the end,
+    also when one CPU runs slower than another.  Afterwards ``rng`` holds
+    the state a serial pass leaves, including the buffered 32-bit value
     (``has_uint32``, ``uinteger``).
     """
-    blocks = -(-trials // _CHUNK)
-    # PCG64's and PCG64DXSM's advance(k) skips exactly k doubles of random().
-    # Philox's counts 4-word counter blocks; MT19937 and SFC64 have none.
-    jumpable = type(rng) is np.random.Generator and type(rng.bit_generator) in (
-        np.random.PCG64, np.random.PCG64DXSM
-    )
-    threads = min(_usable_cpus(), _MAX_THREADS, blocks) if jumpable else 1
-    if threads < 2:
-        return _count_rows(simulate, trials, rng)
+    threads = min(_usable_cpus(), _MAX_THREADS, -(-trials // _CHUNK))
     bitgen = rng.bit_generator
     state = bitgen.state
     starts = iter(range(0, trials, _CHUNK))
@@ -299,13 +280,14 @@ def order_prob_monte_carlo(strategy, n, alpha, target_order, trials, rng):
     O(``_CHUNK`` * n) per thread however many trials run.  The blocks take
     consecutive ``rng.random((rows, n))`` draws, which equal one
     ``rng.random((trials, n))`` draw row for row, so the estimate does not
-    depend on the block size.  When ``rng`` is a ``Generator`` over ``PCG64``
-    or ``PCG64DXSM``, the blocks are counted by one thread per usable CPU (up
-    to ``_MAX_THREADS``), each drawing a block from its own copy of the bit
-    generator jumped ahead to the block's first row (``advance``).  Each row
-    still gets the same draws, and ``rng`` ends in the state a serial pass
-    leaves, so neither the estimate nor the generator's end state depends on
-    the CPU count.  Any other rng is drawn from serially.
+    depend on the block size.  ``rng`` must be a ``Generator`` over ``PCG64``
+    or ``PCG64DXSM``, the bit generators whose ``advance(k)`` skips exactly
+    k doubles; any other rng, a duck type too, is a ``ContractError``.  The
+    blocks are counted by one thread per usable CPU (up to ``_MAX_THREADS``),
+    each drawing a block from its own copy of the bit generator jumped ahead
+    to the block's first row (``advance``).  Each row still gets the same
+    draws, and ``rng`` ends in the state a serial pass leaves, so neither
+    the estimate nor the generator's end state depends on the CPU count.
     """
     if trials < 1000:
         raise ContractError("need at least 1000 trials for a usable estimate")
@@ -314,6 +296,11 @@ def order_prob_monte_carlo(strategy, n, alpha, target_order, trials, rng):
     target_order = _target_order(target_order, n)
     alpha = alpha if isinstance(alpha, float) else float(exact_ratio(alpha, "alpha"))
     _check_alpha(alpha)
+    # PCG64's and PCG64DXSM's advance(k) skips exactly k doubles of random();
+    # Philox's counts 4-word counter blocks, and MT19937 and SFC64 have none
+    jumpable = (np.random.PCG64, np.random.PCG64DXSM)
+    if type(rng) is not np.random.Generator or type(rng.bit_generator) not in jumpable:
+        raise ContractError("rng must be a numpy Generator over PCG64 or PCG64DXSM")
     if strategy == LOWER_BOUND:
         ats = [alpha] * n
         ats[target_order[-1]] = 0.0

@@ -47,7 +47,7 @@ import hashlib
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -259,25 +259,28 @@ def _slotted_prefixes(run: SimulationRun, width_us: int, invocations, plan):
 
 # numpy's SeedSequence (a pool of 4 uint32 words) and PCG64 seeding constants
 _POOL_WORDS = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _OTHER_WORDS = [np.array([d for d in range(_POOL_WORDS) if d != s]) for s in range(_POOL_WORDS)]
 
 
-@lru_cache(maxsize=None)
 def _hash_constants(init: int, mult: int, steps: int) -> tuple:
     """The xor and multiplier columns of ``steps`` ``hashmix`` steps, read-only
-    (steps, 1) uint32 arrays, each computed once: a step xors the value with
-    the constant, multiplies the constant by ``mult`` and the value by that."""
+    (steps, 1) uint32 arrays: a step xors the value with the constant,
+    multiplies the constant by ``mult`` and the value by that."""
     consts = [init]
     for _ in range(steps):
         consts.append(consts[-1] * mult & _MASK32)
     column = np.array(consts, np.uint32)[:, None]
     column.flags.writeable = False
     return column[:-1], column[1:]
+
+
+# mix_entropy's 16 steps (one per pool word, then 3 per word into the
+# others) and the output hash's 8, one per uint32 word of the 4 uint64s
+_MIX_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, _POOL_WORDS * _POOL_WORDS)
+_OUTPUT_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 2 * _POOL_WORDS)
 
 
 def _hashmix(value, xor, mult):
@@ -293,55 +296,46 @@ def _mix(x, y):
 
 
 def _entropy_words(seed) -> bytes:
-    """The uint32 entropy words numpy reads from a seed (a non-negative int
-    or a sequence of them), little-endian: each int gives its words from
-    the lowest, at least one."""
+    """numpy's 4-word pool of a seed (a non-negative int or a sequence of
+    them), little-endian: each int gives its uint32 words from the lowest,
+    at least one, and zeros fill the pool, which numpy hashes as it hashes
+    a missing word.  A seed of more than 4 words (128 bits) is rejected."""
     words = b""
     for part in (seed,) if isinstance(seed, int) else seed:
         if part < 0:
             raise ContractError(f"a trial seed must be non-negative, got {part}")
         words += part.to_bytes(((part.bit_length() + 31) >> 5 or 1) << 2, "little")
-    return words
+    if len(words) > 4 * _POOL_WORDS:
+        raise ContractError(f"a trial seed must have at most 4 words (128 bits), got {seed!r}")
+    return words.ljust(4 * _POOL_WORDS, b"\0")
 
 
 def _pcg64_states(seeds) -> list:
     """``np.random.PCG64(seed).state``'s (state, inc) for every seed at once:
-    ``_generate_state`` on each group of seeds with the same number of entropy
-    words, then PCG64's seeding in Python ints: ``inc`` is (the second 128
-    bits << 1) | 1, and two LCG steps from 0 add the first 128 bits after the
-    first step."""
-    entropy = [_entropy_words(seed) for seed in seeds]
-    groups: dict = {}
-    for i, words in enumerate(entropy):
-        groups.setdefault(len(words) // 4, []).append(i)
-    out = [None] * len(entropy)
-    for count, members in groups.items():
-        joined = np.frombuffer(b"".join(entropy[i] for i in members), "<u4")
-        words = _generate_state(joined.reshape(len(members), count).T)
-        for i, state_hi, state_lo, inc_hi, inc_lo in zip(members, *words.tolist()):
-            inc = (inc_hi << 65 | inc_lo << 1 | 1) & _MASK128
-            out[i] = (((state_hi << 64 | state_lo) + inc) * _PCG64_MULT + inc) & _MASK128, inc
+    one ``_generate_state`` on the seeds' pools, a column each, then PCG64's
+    seeding in Python ints: ``inc`` is (the second 128 bits << 1) | 1, and
+    two LCG steps from 0 add the first 128 bits after the first step."""
+    pools = np.frombuffer(b"".join(map(_entropy_words, seeds)), "<u4")
+    out = []
+    for state_hi, state_lo, inc_hi, inc_lo in zip(
+        *_generate_state(pools.reshape(-1, _POOL_WORDS).T).tolist()
+    ):
+        inc = (inc_hi << 65 | inc_lo << 1 | 1) & _MASK128
+        out.append(((((state_hi << 64 | state_lo) + inc) * _PCG64_MULT + inc) & _MASK128, inc))
     return out
 
 
-def _generate_state(words):
+def _generate_state(pool):
     """numpy's ``SeedSequence(seed).generate_state(4, uint64)`` for each
-    column of ``words``, a (count, seeds) uint32 array of entropy words, as a
-    (4, seeds) uint64 array: ``mix_entropy`` into the pool, then the output
-    hash, each step on all seeds at once in numpy's own uint32 wraparound."""
-    count, seeds = words.shape
-    xor, mult = _hash_constants(_INIT_A, _MULT_A, _POOL_WORDS * max(count, _POOL_WORDS))
-    pool = np.zeros((_POOL_WORDS, seeds), np.uint32)
-    pool[:count] = words[:_POOL_WORDS]
+    column of ``pool``, a (4, seeds) uint32 array of pools, as a (4, seeds)
+    uint64 array: ``mix_entropy`` into the pool, then the output hash, each
+    step on all seeds at once in numpy's own uint32 wraparound."""
+    xor, mult = _MIX_HASH
     pool = _hashmix(pool, xor[:_POOL_WORDS], mult[:_POOL_WORDS])
     for src, dst in enumerate(_OTHER_WORDS):
         step = slice(_POOL_WORDS + 3 * src, _POOL_WORDS + 3 * src + 3)
         pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[step], mult[step]))
-    for src in range(_POOL_WORDS, count):
-        step = slice(_POOL_WORDS * src, _POOL_WORDS * (src + 1))
-        pool = _mix(pool, _hashmix(words[src], xor[step], mult[step]))
-    output = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_WORDS)
-    state = _hashmix(np.concatenate((pool, pool)), *output).astype(np.uint64)
+    state = _hashmix(np.concatenate((pool, pool)), *_OUTPUT_HASH).astype(np.uint64)
     return state[0::2] | state[1::2] << np.uint64(32)  # uint64 word k: words 2k, 2k + 1
 
 
@@ -508,17 +502,18 @@ def orders_per_cell(run: SimulationRun, cells, trials) -> list:
     commands with one id would share every trial's noise and tie key, and
     so always keep their list order.  Under ``leader`` trial t draws its
     schedule and phase as ``np.random.default_rng(trial_seed(t))`` would (a
-    seed is a non-negative int or a sequence of them); no other policy
-    calls ``trial_seed``.  An order is a tuple of indices into
-    ``invocations``, and trial t's depends neither on the range nor on the
-    call's other cells nor on the order in which the iterators are read, so
-    counts over disjoint ranges add up to the count over their union.
+    seed is a non-negative int or a sequence of them, of at most 4 uint32
+    words, 128 bits); no other policy calls ``trial_seed``.  An order is a
+    tuple of indices into ``invocations``, and trial t's depends neither on
+    the range nor on the call's other cells nor on the order in which the
+    iterators are read, so counts over disjoint ranges add up to the count
+    over their union.
 
     The call checks and sets up every cell once, eagerly, and seeds the
     first ``_PASS_SEEDS`` // (leader cells) trials (at least one) of every
-    leader cell in one ``_pcg64_states`` pass, so a bad trial seed fails
-    it.  The pass groups seeds by word count, not by cell, so every state
-    is the one a call with that cell alone would give.  A leader iterator
+    leader cell in one ``_pcg64_states`` pass (none without leader cells),
+    so a bad trial seed fails it.  Each seed is a column of its own in the pass, so every state is
+    the one a call with that cell alone would give.  A leader iterator
     seeds its later trials in passes of its own, of up to ``_PASS_SEEDS``,
     as it reaches them, so what the iterators hold stays bounded in any
     reading order.  A trial's noise, draws and sort happen as its iterator
@@ -541,7 +536,9 @@ def orders_per_cell(run: SimulationRun, cells, trials) -> list:
     leader = PolicyKind.LEADER_ROTATION
     seeds = [trial_seed for policy, *_, trial_seed in cells if policy.kind is leader]
     head = trials[: max(_PASS_SEEDS // max(len(seeds), 1), 1)]
-    first = iter(_pcg64_states(trial_seed(t) for trial_seed in seeds for t in head))
+    first = iter(
+        _pcg64_states(trial_seed(t) for trial_seed in seeds for t in head) if seeds else ()
+    )
     return [
         _cell_orders(
             run, policy, invocations, plan, trial_ids, trials,

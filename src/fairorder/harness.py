@@ -50,8 +50,10 @@ from typing import NamedTuple
 
 from . import analysis, attacks
 from .adversary import private_relay_placement
-from .consensus import OrderingPolicy, PolicyKind, SimulationRun, orders_per_cell
-from .domain import US_PER_MS, CommandIds, ContractError, Invocation, exact_ratio, quorum_median
+from .consensus import (
+    OrderingPolicy, PolicyKind, SimulationRun, assigned_timestamps, orders_per_cell
+)
+from .domain import US_PER_MS, CommandIds, ContractError, Invocation, exact_ratio
 from .netmodel import CityTopology, bundled_topology, load_topology
 from .sro import Backend, SroConfig, SroHandle, sro_init
 
@@ -339,8 +341,9 @@ def _geo_bias_table(config: ExperimentConfig, counted) -> TableResult:
 
 
 def _tradeoff_cells(config: ExperimentConfig, run: SimulationRun) -> list:
-    """A tradeoff_curve run's cells: the slow city invokes ``gap`` ms
-    before the fast one, for each policy and gap."""
+    """A tradeoff_curve run's cells: the slow city, whose honest stamp
+    for one invoke time is the later (the first origin on a tie), invokes
+    ``gap`` ms before the fast one, for each policy and gap."""
     if len(config.origins) != 2:
         raise ConfigError("tradeoff_curve needs exactly two origin cities")
     if not config.gaps_ms:
@@ -348,7 +351,7 @@ def _tradeoff_cells(config: ExperimentConfig, run: SimulationRun) -> list:
     t0 = config.slot_ms * US_PER_MS // 2
     slow, fast = sorted(
         config.origins,
-        key=lambda city: quorum_median(run.topology.delays_from(city), run.sro.config.f),
+        key=lambda city: assigned_timestamps(run, [Invocation(b"early", t0, city)], {})[0],
         reverse=True,
     )
     placed = [

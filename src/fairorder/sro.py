@@ -106,11 +106,12 @@ def small_field_group(p: int) -> GroupParams:
     while not _is_prime(k * p + 1):
         k += 2 if p % 2 else 1
     q = k * p + 1
-    for x in range(2, q):
-        g = pow(x, (q - 1) // p, q)
-        if g != 1:
-            return GroupParams(q=q, p=p, g=g)
-    raise ContractError(f"no generator found for subgroup of order {p}")  # pragma: no cover
+    # x -> x^((q-1)/p) maps the cyclic group mod q onto its order-p
+    # subgroup, so some x in 2..q-1 maps to a generator g != 1
+    x = 2
+    while (g := pow(x, (q - 1) // p, q)) == 1:
+        x += 1
+    return GroupParams(q=q, p=p, g=g)
 
 
 @dataclass(frozen=True)

@@ -268,6 +268,18 @@ class TestMonteCarlo:
         est, se = order_prob_monte_carlo(LOWER_BOUND, 3, 0.2, (2, 0, 1), 400_000, rng)
         assert abs(est - lower) < 4 * se
 
+    def test_one_command_always_hits(self):
+        # one command's one order always happens, and both strategies draw
+        # one double per row, as one serial draw of that many would
+        trials = 3 * _CHUNK + 5
+        serial = np.random.default_rng(8)
+        serial.random(trials)
+        for strategy in (LOWER_BOUND, ADAPTIVE_UPPER):
+            rng = np.random.default_rng(8)
+            estimate, _ = order_prob_monte_carlo(strategy, 1, 0.2, (0,), trials, rng)
+            assert estimate == 1.0
+            assert rng.bit_generator.state == serial.bit_generator.state
+
     def test_adaptive_chain_then_window_end(self):
         # Row 0 stays in the window: each command sits on the previous noised
         # value.  Rows 1-2 escape at once (0.21 > alpha), so later commands go
@@ -427,26 +439,30 @@ class TestThreadedBlocks:
     @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM])
     @pytest.mark.parametrize("trials", [1000, _CHUNK, 3 * _CHUNK + 7, 8 * _CHUNK])
     def test_threads_equal_one_thread(self, monkeypatch, bit_generator, trials):
-        def run(cpus):
-            started = self.spy_threads(monkeypatch, cpus)
-            rng = self.primed(bit_generator, trials)
-            got, threads = [], set()
-            for strategy in (LOWER_BOUND, ADAPTIVE_UPPER, LOWER_BOUND):
-                got.append(order_prob_monte_carlo(strategy, 4, 0.2, (3, 0, 2, 1), trials, rng))
-                threads.add(1 + len(started))
-                started.clear()
+        def finish(rng):
             state = rng.bit_generator.state
             assert state["has_uint32"] == 1
-            after = (rng.integers(0, 2**32, dtype=np.uint32), rng.random(5).tolist())
-            return got, state, after, threads
+            return state, (rng.integers(0, 2**32, dtype=np.uint32), rng.random(5).tolist())
 
-        one = run(1)
-        assert one[3] == {1}
+        # the reference: each call's rows as one whole-array draw from the
+        # rng itself, no blocks and no jumped copies
+        serial = self.primed(bit_generator, trials)
+        want = [
+            np.count_nonzero(_simulate_fixed((0.2, 0.0, 0.2, 0.2), (3, 0, 2, 1), trials, serial)),
+            np.count_nonzero(_simulate_adaptive_upper(4, 0.2, trials, serial)),
+            np.count_nonzero(_simulate_fixed((0.2, 0.0, 0.2, 0.2), (3, 0, 2, 1), trials, serial)),
+        ]
+        want_state, want_after = finish(serial)
         blocks = -(-trials // _CHUNK)
-        for cpus in (2, 3, 4):
-            got = run(cpus)
-            assert got[:3] == one[:3]
-            assert got[3] == {min(cpus, blocks)}
+        for cpus in (1, 2, 3, 4):
+            started = self.spy_threads(monkeypatch, cpus)
+            rng = self.primed(bit_generator, trials)
+            for strategy, hits in zip((LOWER_BOUND, ADAPTIVE_UPPER, LOWER_BOUND), want):
+                got = order_prob_monte_carlo(strategy, 4, 0.2, (3, 0, 2, 1), trials, rng)
+                assert got[0] == hits / trials
+                assert 1 + len(started) == min(cpus, blocks)
+                started.clear()
+            assert finish(rng) == (want_state, want_after)
 
     def test_threads_capped_and_switching_often(self, monkeypatch):
         # more threads than this host may have cores, switching every 10 µs
@@ -475,20 +491,17 @@ class TestThreadedBlocks:
         ],
         ids=["Philox", "MT19937", "SFC64"],
     )
-    def test_other_bit_generators_take_one_thread(self, monkeypatch, make_rng):
+    def test_other_bit_generators_rejected(self, monkeypatch, make_rng):
         # Philox.advance counts 4-word counter blocks, not doubles; the others
         # have no advance
         started = self.spy_threads(monkeypatch, 4)
-        trials = 4 * _CHUNK
         rng = make_rng()
-        got = order_prob_monte_carlo(ADAPTIVE_UPPER, 3, 0.2, (0, 1, 2), trials, rng)
+        with pytest.raises(ContractError, match="PCG64 or PCG64DXSM"):
+            order_prob_monte_carlo(ADAPTIVE_UPPER, 3, 0.2, (0, 1, 2), 4 * _CHUNK, rng)
         assert started == []
-        serial = make_rng()
-        hits = np.count_nonzero(_simulate_adaptive_upper(3, 0.2, trials, serial))
-        assert got[0] == hits / trials
-        assert rng.random(5).tolist() == serial.random(5).tolist()
+        assert rng.random(5).tolist() == make_rng().random(5).tolist()  # nothing drawn
 
-    def test_duck_typed_rngs_take_one_thread(self, monkeypatch):
+    def test_duck_typed_rngs_rejected(self, monkeypatch):
         class CoarseRng:  # a duck type: random(shape) and no bit generator
             def __init__(self, seed):
                 self.rng = np.random.default_rng(seed)
@@ -505,15 +518,11 @@ class TestThreadedBlocks:
                 return self.rng.random(shape)[::-1]
 
         started = self.spy_threads(monkeypatch, 4)
-        trials = 4 * _CHUNK + 3
         for make_rng in (CoarseRng, RowsRng):
-            got = order_prob_monte_carlo(LOWER_BOUND, 2, 0.2, (0, 1), trials, make_rng(1))
-            serial = make_rng(1)
-            hits = sum(
-                np.count_nonzero(_simulate_fixed((0.2, 0.0), (0, 1), rows, serial))
-                for rows in (_CHUNK,) * 4 + (3,)
-            )
-            assert got[0] == hits / trials
+            rng = make_rng(1)
+            with pytest.raises(ContractError, match="PCG64 or PCG64DXSM"):
+                order_prob_monte_carlo(LOWER_BOUND, 2, 0.2, (0, 1), 4 * _CHUNK + 3, rng)
+            assert rng.rng.random(5).tolist() == make_rng(1).rng.random(5).tolist()
         assert started == []
 
     @pytest.mark.parametrize("failing", ["worker", "caller"])

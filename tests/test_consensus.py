@@ -588,8 +588,9 @@ class TestCountBaselineOrders:
 
 
 U64 = 2**64 - 1
-# Trial seeds whose entropy words (numpy reads each int as its uint32 words,
-# lowest first, at least one) differ from the usual [config seed, digest64]
+# Trial seeds of at most 4 entropy words (numpy reads each int as its uint32
+# words, lowest first, at least one) that differ from the usual
+# [config seed, digest64]
 EDGE_SEEDS = {
     "config-seed-0": trial_seed(0, "geo", 0, "leader:1500", 0),  # one word for 0
     "negative-config-seed": trial_seed(-1, "geo", 0, "leader:1500", 0),  # masked to 64 bits
@@ -598,13 +599,25 @@ EDGE_SEEDS = {
     "both-below-2^32": [7, 2**32 - 1],
     "zeros": [0, 0],
     "all-ones": [U64, U64],
-    "five-words": [1, 2, 3, 4, 5],
-    "six-words": [U64, U64, U64],
-    "seven-words": [2**224 - 1],
+    "bare-128-bits": 2**128 - 1,  # a full pool from one int
     "bare-int": U64,
     "bare-zero": 0,
     "no-words": [],
 }
+# Trial seeds past numpy's 4-word pool (128 bits), which the engine rejects
+LONG_SEEDS = {
+    "five-words": [1, 2, 3, 4, 5],
+    "six-words": [U64, U64, U64],
+    "seven-words": [2**224 - 1],
+    "bare-2^128": 2**128,
+}
+
+
+def entropy_word_count(seed) -> int:
+    """The number of uint32 entropy words numpy reads from a seed."""
+    return sum(max(-(-part.bit_length() // 32), 1) for part in (
+        (seed,) if isinstance(seed, int) else seed
+    ))
 
 
 def leader_cell(period=SLOT, n=80):
@@ -756,17 +769,35 @@ class TestBulkSeeding:
         with pytest.raises(ContractError, match="non-negative"):
             consensus._pcg64_states([[1, 2], seed])
 
+    @pytest.mark.parametrize("seed", LONG_SEEDS.values(), ids=LONG_SEEDS)
+    def test_seed_over_128_bits_rejected(self, seed, monkeypatch):
+        # numpy seeds it, but the engine restates only the 4-word pool
+        assert entropy_word_count(seed) > 4
+        np.random.SeedSequence(seed)
+        with pytest.raises(ContractError, match="128 bits"):
+            consensus._pcg64_states([[1, 2], seed])
+        # the call rejects a cell's first trials; the iterator its later ones
+        with pytest.raises(ContractError, match="128 bits"):
+            trial_orders(*leader_cell(), 3, CommandIds((), "ab"), lambda t: seed)
+        monkeypatch.setattr(consensus, "_PASS_SEEDS", 2)
+        orders = trial_orders(
+            *leader_cell(), 5, CommandIds((), "ab"), lambda t: [7, t] if t < 2 else seed
+        )
+        assert len([next(orders), next(orders)]) == 2
+        with pytest.raises(ContractError, match="128 bits"):
+            next(orders)
+
 
 def mixed_word_seeds():
-    """Seeds of 1, 3, 5 and 7 entropy words, interleaved, so one pass
-    seeds four groups, two of them past the 4-word pool."""
+    """Seeds of 0 to 4 entropy words, interleaved, so one pass pads pools
+    of every fill."""
     rnd = random.Random(31)
     seeds = [
         [rnd.getrandbits(32) | 1 << 31 for _ in range(words)]
         for _ in range(12)
-        for words in (1, 3, 5, 7)
+        for words in range(5)
     ]
-    assert {len(consensus._entropy_words(s)) // 4 for s in seeds} == {1, 3, 5, 7}
+    assert {entropy_word_count(s) for s in seeds} == {0, 1, 2, 3, 4}
     return seeds
 
 
@@ -776,7 +807,7 @@ class TestArraySeeding:
 
     @pytest.mark.parametrize("seeds", [
         pytest.param([[20240601, 2**63 + 5]], id="one-seed"),
-        pytest.param(mixed_word_seeds(), id="1-3-5-7-words"),
+        pytest.param(mixed_word_seeds(), id="0-to-4-words"),
         pytest.param(
             [trial_seed(20240601, "geo", 0, "leader:1500", t) for t in range(1024)],
             id="1024-seeds",
@@ -787,6 +818,21 @@ class TestArraySeeding:
             warnings.simplefilter("error")
             got = consensus._pcg64_states(seeds)
         assert got == [numpy_state(s) for s in seeds]
+
+
+    def test_one_generate_state_per_pass(self, monkeypatch):
+        # every word count shares the pass's one (4, seeds) array
+        shapes = []
+        generate = consensus._generate_state
+
+        def recording(pool):
+            shapes.append(pool.shape)
+            return generate(pool)
+
+        monkeypatch.setattr(consensus, "_generate_state", recording)
+        seeds = mixed_word_seeds() + list(EDGE_SEEDS.values())
+        assert consensus._pcg64_states(seeds) == [numpy_state(s) for s in seeds]
+        assert shapes == [(4, len(seeds))]
 
 
 ALL_POLICIES = (
@@ -1026,7 +1072,7 @@ class TestOrdersPerCell:
 
     def cells(self):
         """One run's cells: leader cells whose trial seeds have one, two,
-        three and five entropy words, between a pompe and a tied bercow
+        three and four entropy words, between a pompe and a tied bercow
         cell, and their trial_orders arguments after the trial count."""
         topology = bundled_topology()
         run = SimulationRun(
@@ -1035,7 +1081,7 @@ class TestOrdersPerCell:
         placed = [inv(label, 100_000, c) for label, c in zip("ab", ("tokyo", "washington"))]
         leader = OrderingPolicy(PolicyKind.LEADER_ROTATION, SLOT)
         seeds = [
-            lambda t: t, lambda t: [7, t], lambda t: [2**64 - 1, t, 3], lambda t: [1, 2, 3, 4, t]
+            lambda t: t, lambda t: [7, t], lambda t: [2**64 - 1, t, 3], lambda t: [1, 2, 3, t]
         ]
         cells = [(POMPE, placed, {}, CommandIds(("pompe",), "ab"), None)]
         cells += [
@@ -1077,7 +1123,7 @@ class TestOrdersPerCell:
 
         def seeding(seeds):
             seeds = list(seeds)
-            # the test's leader cells' seeds have 1, 2, 3 and 5 entries
+            # the test's leader cells' seeds have 1, 2, 3 and 4 entries
             passes.append(({len(s) if isinstance(s, list) else 1 for s in seeds}, len(seeds)))
             return seed(seeds)
 
@@ -1089,7 +1135,7 @@ class TestOrdersPerCell:
             got = [list(orders) for orders in zip(*zip(*streams))]
         assert got == in_turn
         first, *later = passes
-        assert first == ({1, 2, 3, 5}, 4 * 2)
+        assert first == ({1, 2, 3, 4}, 4 * 2)
         assert sorted(size for _, size in later) == sorted([8, 8, 8, 8, 6] * 4)
         assert all(len(entries) == 1 for entries, _ in later)  # one cell a pass
 

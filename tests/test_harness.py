@@ -300,6 +300,26 @@ class TestTradeoff:
         with pytest.raises(ConfigError):
             run_experiment(small(scenario="tradeoff_curve", gaps_ms=()))
 
+    @pytest.mark.parametrize("origins", [("far", "near"), ("near", "far")])
+    def test_clamped_stamps_keep_the_origins_order(self, tmp_path, origins):
+        # Both origins' quorum medians, 250 and 200 ms, exceed delta_net, so
+        # both stamps clamp to t0 + 100 ms and the early city is the first
+        # origin in either order: the ranking is the engine's stamp rule.
+        path = tmp_path / "clamped.topo"
+        path.write_text(
+            "city far 1\ncity near 1\ncity hub 2\n"
+            "delay far near 250\ndelay far hub 300\ndelay near hub 200\n"
+        )
+        topology = resolve_topology(str(path))
+        medians = [quorum_median(topology.delays_from(city), 1) for city in ("far", "near")]
+        assert medians == [250 * US_PER_MS, 200 * US_PER_MS]
+        config = small(
+            scenario="tradeoff_curve", topology=str(path), delta_net_ms=100, origins=origins,
+            policies=("pompe",), gaps_ms=(0,), trials=10,
+        )
+        (row,) = run_experiment(config).rows
+        assert row[2] == origins[0]
+
     def test_narrow_noise_has_short_horizon(self):
         # With noise width equal to the delay bound, the slower city's head
         # start guarantees first place well before 600 ms (the washington vs
@@ -830,10 +850,17 @@ SEED_TAGS = {
 
 @pytest.mark.parametrize("tags", SEED_TAGS.values(), ids=SEED_TAGS)
 def test_cell_trial_seed_is_trial_seed(tags):
+    seeds = []
     for config_seed in (0, 20240601, -1, 2**63 - 1, -(2**63)):
         cell_seed = _cell_trial_seed(config_seed, tags)
         for t in (0, 1, 9, 10, 12_345, 2**32, 2**63 - 1):
             assert cell_seed(t) == trial_seed(config_seed, *tags, t)
+            seeds.append(cell_seed(t))
+    # the engine seeds leader trials from numpy's 4-word pool (128 bits)
+    # alone, so a wider harness seed fails here, not in a run
+    assert all(len(seed) == 2 and all(0 <= word < 2**64 for word in seed) for seed in seeds)
+    want = [np.random.PCG64(np.random.SeedSequence(seed)).state["state"] for seed in seeds]
+    assert consensus._pcg64_states(seeds) == [(s["state"], s["inc"]) for s in want]
 
 
 def test_geo_bias_run_shares_its_setup(monkeypatch):
@@ -952,7 +979,8 @@ def test_counts_over_any_partition_add_up_to_the_serial_counts(name, monkeypatch
 ])
 def test_a_bundled_run_seeds_in_one_pass(name, leader_cells, monkeypatch):
     # every leader cell's trials are seeded by one _pcg64_states call per
-    # block of up to _PASS_SEEDS leader trials
+    # block of up to _PASS_SEEDS leader trials, and a run without leader
+    # cells makes no call
     passes = []
     seed = consensus._pcg64_states
 
@@ -963,7 +991,7 @@ def test_a_bundled_run_seeds_in_one_pass(name, leader_cells, monkeypatch):
 
     monkeypatch.setattr(consensus, "_pcg64_states", seeding)
     run_experiment(bundled(name, 5))
-    assert passes == [5 * leader_cells]
+    assert passes == ([5 * leader_cells] if leader_cells else [])
 
 
 @pytest.mark.parametrize("name, cells, slotted, passes", [
