@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Monte Carlo tightness sweep: simulated order probabilities against the
 closed-form lower/upper bounds, for the hostile and adaptive strategies.
+The last line gives the sweep's wall time.
 
 Usage:
     python scripts/bound_tightness.py [--trials 1000000] [--out results/tightness.csv]
@@ -8,6 +9,7 @@ Usage:
 
 import argparse
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +33,7 @@ def main(argv=None) -> int:
     result = TableResult(
         header=("n", "alpha", "strategy", "estimate", "stderr", "target", "sigmas")
     )
+    t0 = time.perf_counter()
     for n in (2, 3, 4):
         for alpha in (Fraction(1, 10), Fraction(1, 5), Fraction(1, 2)):
             lower, upper = order_prob_bounds(n, alpha)
@@ -44,8 +47,10 @@ def main(argv=None) -> int:
                      f"{float(target):.6f}", f"{sigmas:.2f}")
                 )
                 print(result.rows[-1])
+    elapsed = time.perf_counter() - t0
     emit_csv(result, args.out)
     print(f"wrote {args.out}")
+    print(f"{len(result.rows)} estimates of {args.trials} trials in {elapsed:.2f}s")
     return 0
 
 

@@ -166,28 +166,30 @@ _CHUNK = 1 << 14
 _MAX_THREADS = 4
 
 
-def _simulate_fixed(ats_norm, target_order, trials, rng) -> np.ndarray:
+def _simulate_fixed(ats_norm, target_order, draws) -> np.ndarray:
+    """Target-order hits; ``draws`` holds one row per trial, left unmodified."""
     # command-major: each comparison below reads two contiguous rows
-    modified = rng.random((trials, len(ats_norm))).T.copy()
+    modified = draws.T.copy()
     modified += np.asarray(ats_norm, dtype=float)[:, None]
-    hits = np.ones(trials, dtype=bool)
+    hits = np.ones(len(draws), dtype=bool)
     for a, b in zip(target_order, target_order[1:]):
         hits &= modified[b] > modified[a]
     return hits
 
 
-def _simulate_adaptive_upper(n, alpha, trials, rng) -> np.ndarray:
+def _simulate_adaptive_upper(alpha, draws) -> np.ndarray:
     """Adversary places each command after observing the previous noised value.
 
     The first command in the target order gets the earliest possible
     timestamp; while each observed noised value stays inside the assignment
     window the next command is pinned exactly at it, and once a value
     escapes the window every later command is pushed to the window's end.
+    ``draws`` holds one row per trial, left unmodified.
     """
-    noise = rng.random((trials, n)).T.copy()
+    noise = draws.T.copy()
     t_prev = noise[0]  # the first command sits at 0
     chained = t_prev <= alpha
-    ok = np.ones(trials, dtype=bool)
+    ok = np.ones(len(draws), dtype=bool)
     for t_i in noise[1:]:
         # a chained command sits on the previous noised value, which is <=
         # alpha; once escaped, t_prev is the escaping value (> alpha) or
@@ -211,13 +213,13 @@ def _count_hits(simulate, n, trials, rng) -> int:
     min(usable CPUs, ``_MAX_THREADS``, blocks) threads, the calling thread
     one of them.
 
-    Each thread takes the next uncounted block and draws it from its own
-    copy of ``rng``'s bit generator, advanced to the block's first row, so
-    every row gets the draws a serial pass gives it, whichever thread counts
-    it.  Handing out one block at a time keeps every thread busy to the end,
-    also when one CPU runs slower than another.  Afterwards ``rng`` holds
-    the state a serial pass leaves, including the buffered 32-bit value
-    (``has_uint32``, ``uinteger``).
+    Every row is drawn here: each thread takes the next uncounted block and
+    draws its rows, ``random((rows, n))``, from its own copy of ``rng``'s bit
+    generator advanced to the block's first row, so a block's rows are those
+    of a serial pass, whichever thread counts them.  One block at a time keeps
+    every thread busy to the end, also when one CPU runs slower than another.
+    Afterwards ``rng`` holds the state a serial pass leaves, including the
+    buffered 32-bit value (``has_uint32``, ``uinteger``).
     """
     threads = min(_usable_cpus(), _MAX_THREADS, -(-trials // _CHUNK))
     bitgen = rng.bit_generator
@@ -239,7 +241,7 @@ def _count_hits(simulate, n, trials, rng) -> int:
                     return
                 copy.advance((start - drawn) * n)
                 rows = min(_CHUNK, trials - start)
-                counts.append(int(np.count_nonzero(simulate(rows, gen))))
+                counts.append(int(np.count_nonzero(simulate(gen.random((rows, n))))))
                 drawn = start + rows
         except BaseException as exc:  # re-raised in the calling thread
             errors.append(exc)
@@ -306,7 +308,7 @@ def order_prob_monte_carlo(strategy, n, alpha, target_order, trials, rng):
         ats[target_order[-1]] = 0.0
         simulate = partial(_simulate_fixed, ats, target_order)
     elif strategy == ADAPTIVE_UPPER:
-        simulate = partial(_simulate_adaptive_upper, n, alpha)
+        simulate = partial(_simulate_adaptive_upper, alpha)
     else:
         raise ContractError(f"unknown strategy {strategy!r}")
     hits = _count_hits(simulate, n, trials, rng)

@@ -289,37 +289,36 @@ class TestMonteCarlo:
         rows = np.array(
             [[0.10, 0.05, 0.009], [0.21, 0.005, 0.5], [0.21, 0.02, 0.5], [0.10, 0.15, 0.01]]
         )
-
-        class RowsRng:
-            def random(self, shape):
-                assert rows.shape == shape
-                return rows
-
-        hits = _simulate_adaptive_upper(3, 0.2, 4, RowsRng())
+        hits = _simulate_adaptive_upper(0.2, rows)
         assert hits.tolist() == [True, False, True, False]
+
+    def test_adaptive_chain_boundaries(self):
+        # every value is exact in binary, so each row sits on a boundary:
+        # 0.25 = alpha stays chained and a zero draw while chained counts;
+        # 0.125 + 0.125 reaches alpha exactly and stays chained; an escaped
+        # command at 0.25 + 0.25 ties the previous value, which is not later
+        rows = [[0.25, 0.0, 0.125], [0.125, 0.125, 0.0], [0.5, 0.25, 0.5]]
+        blocks = [np.array([row]) for row in rows]
+        hits = [_simulate_adaptive_upper(0.25, block).tolist() for block in blocks]
+        assert hits == [[True], [True], [False]]
+        assert [block[0].tolist() for block in blocks] == rows  # draws left as drawn
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_fixed_hits_equal_diff_formulation(self, n):
-        def diff_reference(ats_norm, target_order, trials, rng):
-            noise = rng.random((trials, len(ats_norm)))
+        def diff_reference(ats_norm, target_order, noise):
             modified = noise + np.asarray(ats_norm, dtype=float)
             ordered = modified[:, list(target_order)]
             return np.all(np.diff(ordered, axis=1) > 0, axis=1)
-
-        class CoarseRng:  # noise on a grid of quarters: many exact ties
-            def __init__(self, seed):
-                self.rng = np.random.default_rng(seed)
-
-            def random(self, shape):
-                return np.floor(self.rng.random(shape) * 4) / 4
 
         pick = np.random.default_rng(n)
         for case in range(20):
             ats = pick.random(n) * pick.choice([0.0, 0.25, 1.0])
             order = tuple(pick.permutation(n).tolist())
-            for make_rng in (np.random.default_rng, CoarseRng):
-                got = _simulate_fixed(ats, order, 2000, make_rng(case))
-                want = diff_reference(ats, order, 2000, make_rng(case))
+            noise = np.random.default_rng(case).random((2000, n))
+            # the same noise on a grid of quarters: many exact ties
+            for draws in (noise, np.floor(noise * 4) / 4):
+                got = _simulate_fixed(ats, order, draws)
+                want = diff_reference(ats, order, draws)
                 assert np.array_equal(got, want)
 
     @pytest.mark.parametrize(
@@ -447,10 +446,11 @@ class TestThreadedBlocks:
         # the reference: each call's rows as one whole-array draw from the
         # rng itself, no blocks and no jumped copies
         serial = self.primed(bit_generator, trials)
+        ats, order = (0.2, 0.0, 0.2, 0.2), (3, 0, 2, 1)
         want = [
-            np.count_nonzero(_simulate_fixed((0.2, 0.0, 0.2, 0.2), (3, 0, 2, 1), trials, serial)),
-            np.count_nonzero(_simulate_adaptive_upper(4, 0.2, trials, serial)),
-            np.count_nonzero(_simulate_fixed((0.2, 0.0, 0.2, 0.2), (3, 0, 2, 1), trials, serial)),
+            np.count_nonzero(_simulate_fixed(ats, order, serial.random((trials, 4)))),
+            np.count_nonzero(_simulate_adaptive_upper(0.2, serial.random((trials, 4)))),
+            np.count_nonzero(_simulate_fixed(ats, order, serial.random((trials, 4)))),
         ]
         want_state, want_after = finish(serial)
         blocks = -(-trials // _CHUNK)
