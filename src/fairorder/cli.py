@@ -14,12 +14,11 @@ line: ``error category=<cat>: <message>``.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 from fractions import Fraction
 
 from .consensus import POLICY_NAMES
-from .domain import ContractError
+from .domain import ContractError, sha256
 from .harness import (
     ConfigError,
     ExperimentConfig,
@@ -95,7 +94,7 @@ def _cmd_attack(args) -> int:
 def _cmd_sro_demo(args) -> int:
     backend = Backend.SEEDED_HASH if args.backend == "seeded" else Backend.THRESHOLD_DPRF
     config = SroConfig(n=args.n, f=args.f, backend=backend, test_field=args.test_field)
-    handle = sro_init(config, hashlib.sha256(str(args.seed).encode()).digest())
+    handle = sro_init(config, sha256(str(args.seed).encode()).digest())
     sigs = handle.quorum_signatures(args.k)
     value = handle.reveal(RevealRequest(args.k, sigs))
     proof = handle.generate_proof(args.k)

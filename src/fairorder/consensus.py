@@ -43,7 +43,6 @@ trial's ids are asked for only when they can change its order.  One loop,
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
@@ -63,6 +62,7 @@ from .domain import (
     clamp_to_window,
     encode_id_part,
     quorum_median,
+    sha512,
     tie_break_key,
 )
 from .netmodel import CityTopology, observe
@@ -253,7 +253,7 @@ def _slotted_prefixes(run: SimulationRun, width_us: int, invocations, plan):
         if k not in run._seeds:
             run._seeds[k] = run.sro.reveal(RevealRequest(k, run.sro.quorum_signatures(k)))
     seeds = [run._seeds[k] for k in slots]
-    noise = [hashlib.sha512(b"noise" + seed) for seed in seeds] if width_us else None
+    noise = [sha512(b"noise" + seed) for seed in seeds] if width_us else None
     return [seed[:32] for seed in seeds], assigned, noise
 
 

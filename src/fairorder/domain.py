@@ -1,5 +1,6 @@
 """Core vocabulary: invocations, the quorum median, adversary plans, command
-ids, tie keys, the node bound and the one rule for exact ratios.
+ids, tie keys, the node bound, the one rule for exact ratios and the
+package's one SHA-2 binding.
 
 All times are integer microseconds. Timestamps must fit in 63 bits so that
 sums with noise never overflow on any platform.
@@ -7,7 +8,6 @@ sums with noise never overflow on any platform.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,6 +18,28 @@ US_PER_MS = 1000
 # The most nodes a topology or oracle may have: memory, and the n - f tags of
 # every certificate, grow linearly in n.
 MAX_NODES = 2**16
+
+
+def _sha2_constructors() -> tuple:
+    """CPython's own SHA-256 and SHA-512 constructors (FIPS 180-4): ``_sha2``'s
+    on 3.12+, ``_sha256``'s and ``_sha512``'s before.  On the short messages
+    the package hashes, their ``copy``, ``update`` and ``digest`` skip the
+    per-call cost of OpenSSL's EVP layer behind ``hashlib``'s.  A build
+    configured without them gets ``hashlib``'s, which give the same digests.
+    """
+    try:
+        from _sha2 import sha256, sha512
+    except ImportError:
+        try:
+            from _sha256 import sha256
+            from _sha512 import sha512
+        except ImportError:
+            from hashlib import sha256, sha512
+    return sha256, sha512
+
+
+# Every SHA-256 and SHA-512 in the package is made here.
+sha256, sha512 = _sha2_constructors()
 
 
 class ContractError(ValueError):
@@ -136,7 +158,7 @@ class CommandIds:
     @cached_property
     def prefix(self):
         """The SHA-256 state after the encoded tags; never updated."""
-        return hashlib.sha256(self._tags)
+        return sha256(self._tags)
 
     def __call__(self, trial) -> list:
         trial = encode_id_part(trial)
@@ -154,4 +176,4 @@ def tie_break_key(slot_seed: bytes, command_id: bytes) -> bytes:
     Keyed by a slot seed rather than arrival order, so the outcome cannot
     encode irrelevant features like network position.
     """
-    return hashlib.sha256(slot_seed + command_id).digest()
+    return sha256(slot_seed + command_id).digest()

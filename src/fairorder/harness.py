@@ -39,7 +39,6 @@ table are built once per process.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import os
 from collections import Counter
@@ -53,7 +52,7 @@ from .adversary import private_relay_placement
 from .consensus import (
     OrderingPolicy, PolicyKind, SimulationRun, assigned_timestamps, orders_per_cell
 )
-from .domain import US_PER_MS, CommandIds, ContractError, Invocation, exact_ratio
+from .domain import US_PER_MS, CommandIds, ContractError, Invocation, exact_ratio, sha256
 from .netmodel import CityTopology, bundled_topology, load_topology
 from .sro import Backend, SroConfig, SroHandle, sro_init
 
@@ -252,7 +251,7 @@ def _cell_trial_seed(config_seed: int, tags: tuple):
     """
     head = ("(" + "".join(f"{tag!r}, " for tag in tags)).encode()
     tail = b")" if tags else b",)"  # a one-element tuple's repr is "(t,)"
-    low, sha256 = config_seed & 0xFFFFFFFFFFFFFFFF, hashlib.sha256
+    low = config_seed & 0xFFFFFFFFFFFFFFFF
 
     def trial_seed(t) -> list:
         digest = sha256(head + repr(t).encode() + tail).digest()
@@ -266,7 +265,7 @@ def _run_for(config: ExperimentConfig) -> SimulationRun:
     seeded oracle (f the largest that n >= 3f + 1 allows)."""
     topology = resolve_topology(config.topology)
     n = topology.n_nodes
-    rng_seed = hashlib.sha256(b"sro" + config.seed.to_bytes(8, "big", signed=True)).digest()
+    rng_seed = sha256(b"sro" + config.seed.to_bytes(8, "big", signed=True)).digest()
     sro = sro_init(SroConfig(n=n, f=(n - 1) // 3, backend=Backend.SEEDED_HASH), rng_seed)
     return SimulationRun(
         topology, config.delta_net_ms * US_PER_MS, config.slot_ms * US_PER_MS, sro

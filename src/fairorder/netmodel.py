@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from itertools import chain, repeat
 from types import MappingProxyType
 
 from .domain import MAX_NODES, US_PER_MS
@@ -65,9 +66,11 @@ class CityTopology:
         if self._n_nodes > MAX_NODES:
             raise TopologyError(f"{self._n_nodes} nodes, more than MAX_NODES = {MAX_NODES}")
         object.__setattr__(self, "_city_names", tuple(names))
-        city_of_node = tuple(name for name, count in self.cities for _ in range(count))
+        # one lookup per (origin, city) pair, repeated for the city's nodes
         object.__setattr__(self, "_delays", {
-            origin: tuple(self.delay_us(origin, city) for city in city_of_node)
+            origin: tuple(chain.from_iterable(
+                repeat(self.delay_us(origin, city), count) for city, count in self.cities
+            ))
             for origin in names
         })
 

@@ -38,7 +38,7 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 
-from .domain import MAX_NODES, ContractError
+from .domain import MAX_NODES, ContractError, sha512
 
 
 class SroError(Exception):
@@ -170,7 +170,7 @@ class VerificationKey:
 
 
 def _hash(*parts: bytes) -> bytes:
-    h = hashlib.sha512()
+    h = sha512()
     for p in parts:
         h.update(p)
     return h.digest()

@@ -16,6 +16,10 @@ Every module under ``src/``, ``scripts/`` and ``tests/`` also references
 every name it imports, except the package's ``__init__.py``, whose
 imports are its re-exports.
 
+Every SHA-256 and SHA-512 in the package goes through ``domain``'s one
+binding: no module names ``hashlib.sha256``, ``hashlib.sha512`` or
+``hashlib.new`` but the binding's own fallback.
+
 The package is layered: the engine and what it stands on import no
 adversary, attack, runner or CLI module, and the adversary imports no
 runner or CLI module, so a strategy can call the engine without a cycle.
@@ -156,6 +160,59 @@ def test_every_import_is_referenced():
         )
     ]
     assert not unused, "imported but never referenced: " + ", ".join(unused)
+
+
+# hashlib's SHA-2 constructors, and ``new``, which makes them by name
+HASHLIB_SHA2 = {"sha256", "sha512", "new"}
+
+
+def _hashlib_sha2_sites(tree) -> list:
+    """Where a module names one of ``HASHLIB_SHA2``: as an attribute of the
+    hashlib module, under any alias, or imported from it."""
+    aliases = {"hashlib"} | {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "hashlib"
+    }
+    sites = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute) and node.attr in HASHLIB_SHA2
+            and isinstance(node.value, ast.Name) and node.value.id in aliases
+        ):
+            sites.append(f"hashlib.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "hashlib":
+            sites += [
+                f"from hashlib import {alias.name}"
+                for alias in node.names
+                if alias.name in HASHLIB_SHA2
+            ]
+    return sites
+
+
+def test_every_sha2_hash_goes_through_the_binding():
+    found = [
+        f"{path.relative_to(ROOT)}: {site}"
+        for path, tree in _trees(("src",)).items()
+        for site in _hashlib_sha2_sites(tree)
+    ]
+    # the one site: domain's fallback for a build without CPython's own
+    assert found == [
+        "src/fairorder/domain.py: from hashlib import sha256",
+        "src/fairorder/domain.py: from hashlib import sha512",
+    ]
+
+
+def test_the_sha2_check_catches_what_it_should():
+    tree = ast.parse(
+        "import hashlib as h\nh.sha256(b'')\nhashlib.new('sha512')\n"
+        "from hashlib import sha512, blake2b\nh.shake_256(b'')\n"
+    )
+    assert sorted(_hashlib_sha2_sites(tree)) == [
+        "from hashlib import sha512", "hashlib.new", "hashlib.sha256"
+    ]
 
 
 # module -> the package modules it must not import

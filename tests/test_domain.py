@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import itertools
 from decimal import Decimal
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fairorder import domain
 from fairorder.domain import (
     CommandIds,
     ContractError,
@@ -277,3 +279,47 @@ class TestCommandIds:
         # a part is an int, a str or bytes; nested ids are not derived
         with pytest.raises(TypeError):
             CommandIds(tags, labels)
+
+
+# every message length from 0 to 300 bytes crosses SHA-256's 55/64-byte and
+# SHA-512's 111/128-byte padding boundaries
+STREAM = bytes(i * 7 % 256 for i in range(300))
+MESSAGES = [STREAM[:length] for length in range(301)]
+
+
+class TestSha2Binding:
+    @pytest.mark.parametrize("name", ["sha256", "sha512"])
+    def test_digests_equal_hashlibs(self, name):
+        ours, theirs = getattr(domain, name), getattr(hashlib, name)
+        for message in MESSAGES:
+            assert ours(message).digest() == theirs(message).digest(), len(message)
+
+    @pytest.mark.parametrize("name", ["sha256", "sha512"])
+    def test_a_copied_prefix_state_extends_as_hashlibs(self, name):
+        # the kernels' shape: a prefix state, copied, updated, digested; the
+        # prefix itself is never changed by its copies
+        ours, theirs = getattr(domain, name), getattr(hashlib, name)
+        for cut in (0, 5, 55, 64, 111, 128, 200):
+            prefix = ours(STREAM[:cut])
+            for message in MESSAGES[::7]:
+                h = prefix.copy()
+                h.update(message)
+                h.update(message[:3])
+                want = theirs(STREAM[:cut] + message + message[:3]).digest()
+                assert h.digest() == want, (cut, len(message))
+            assert prefix.digest() == theirs(STREAM[:cut]).digest()
+
+    def test_the_binding_is_cpythons_own(self):
+        # a build without the built-in modules falls back to hashlib's; one
+        # that has them must not, or the fallback happened silently
+        for modules in (("_sha2", "_sha2"), ("_sha256", "_sha512")):
+            try:
+                builtin = [importlib.import_module(module) for module in modules]
+                break
+            except ImportError:
+                continue
+        else:
+            pytest.skip("this interpreter was built without CPython's SHA-2 modules")
+        # so not hashlib's OpenSSL constructors (openssl_sha256, ...)
+        assert domain.sha256 is builtin[0].sha256
+        assert domain.sha512 is builtin[1].sha512

@@ -8,7 +8,6 @@ from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -728,13 +727,13 @@ class TestLazyIds:
     @pytest.mark.parametrize("spec", ["pompe", "receive", "leader:1500"])
     def test_a_cell_hashes_its_tags_only_to_derive_an_id(self, spec, monkeypatch):
         hashed = Counter()
-        sha256 = hashlib.sha256
+        sha256 = domain.sha256
 
         def counting(data=b""):
             hashed[data] += 1
             return sha256(data)
 
-        monkeypatch.setattr(domain, "hashlib", SimpleNamespace(sha256=counting))
+        monkeypatch.setattr(domain, "sha256", counting)
         run_experiment(small(policies=(spec,), trials=5))
         assert not hashed  # no trial ties, so no id is derived
         # a same-city pair ties, and its one cell hashes its tags once
@@ -919,7 +918,7 @@ def test_geo_bias_run_builds_only_what_its_policies_read(monkeypatch):
     config = replace(parse_config(CONFIG_DIR / "geo_bias.cfg"), trials=5)
     seeded, noised, cell = [], Counter(), [None]
     cell_trial_seed, orders, sha512 = (
-        harness._cell_trial_seed, consensus._cell_orders, hashlib.sha512
+        harness._cell_trial_seed, consensus._cell_orders, consensus.sha512
     )
 
     def seeding(config_seed, tags):
@@ -937,7 +936,7 @@ def test_geo_bias_run_builds_only_what_its_policies_read(monkeypatch):
 
     monkeypatch.setattr(harness, "_cell_trial_seed", seeding)
     monkeypatch.setattr(consensus, "_cell_orders", ordering)
-    monkeypatch.setattr(hashlib, "sha512", hashing)
+    monkeypatch.setattr(consensus, "sha512", hashing)
     rows = run_experiment(config).rows
     assert len(rows) == 6 * len(config.policies)
     assert sorted(seeded) == [("geo", pair, "leader:1500") for pair in range(6)]

@@ -129,6 +129,31 @@ class TestShared:
         assert bundled_topology() is bundled_topology()
 
 
+ASYMMETRIC = CityTopology(
+    cities=(("a", 2), ("b", 1), ("c", 3)),
+    # b -> a differs from a -> b; c -> a and b -> c take the fallback
+    latency_us={("a", "b"): 5_000, ("b", "a"): 9_000, ("a", "c"): 7_000, ("c", "b"): 2_000},
+)
+
+
+class TestDelayTable:
+    @pytest.mark.parametrize("topology", [bundled_topology(), ASYMMETRIC],
+                             ids=["bundled", "asymmetric"])
+    def test_node_i_gets_its_citys_delay(self, topology):
+        city_of_node = [name for name, count in topology.cities for _ in range(count)]
+        assert len(city_of_node) == topology.n_nodes
+        for origin in topology.city_names:
+            delays = topology.delays_from(origin)
+            assert len(delays) == topology.n_nodes
+            for i, city in enumerate(city_of_node):
+                assert delays[i] == topology.delay_us(origin, city), (origin, i)
+
+    def test_asymmetric_rows(self):
+        assert ASYMMETRIC.delays_from("a") == (1_000, 1_000, 5_000, 7_000, 7_000, 7_000)
+        assert ASYMMETRIC.delays_from("b") == (9_000, 9_000, 1_000, 2_000, 2_000, 2_000)
+        assert ASYMMETRIC.delays_from("c") == (7_000, 7_000, 2_000, 1_000, 1_000, 1_000)
+
+
 class TestParsing:
     def test_minimal_roundtrip(self):
         topo = parse_topology("city a 2\ncity b 1\ndelay a b 10\n")
