@@ -28,7 +28,7 @@ from .harness import (
     run_experiment,
 )
 from .netmodel import TopologyError
-from .sro import Backend, RevealRequest, SroConfig, SroError, sro_init, verify
+from .sro import Backend, RevealRequest, SroConfig, SroError, SroHandle, verify
 
 
 def _emit(result: TableResult, output: str | None):
@@ -94,7 +94,7 @@ def _cmd_attack(args) -> int:
 def _cmd_sro_demo(args) -> int:
     backend = Backend.SEEDED_HASH if args.backend == "seeded" else Backend.THRESHOLD_DPRF
     config = SroConfig(n=args.n, f=args.f, backend=backend, test_field=args.test_field)
-    handle = sro_init(config, sha256(str(args.seed).encode()).digest())
+    handle = SroHandle(config, sha256(str(args.seed).encode()).digest())
     sigs = handle.quorum_signatures(args.k)
     value = handle.reveal(RevealRequest(args.k, sigs))
     proof = handle.generate_proof(args.k)

@@ -54,7 +54,7 @@ from .consensus import (
 )
 from .domain import US_PER_MS, CommandIds, ContractError, Invocation, exact_ratio, sha256
 from .netmodel import CityTopology, bundled_topology, load_topology
-from .sro import Backend, SroConfig, SroHandle, sro_init
+from .sro import Backend, SroConfig, SroHandle
 
 TOPOLOGY_DIR_ENV = "FAIRORDER_TOPOLOGY_DIR"
 
@@ -266,7 +266,7 @@ def _run_for(config: ExperimentConfig) -> SimulationRun:
     topology = resolve_topology(config.topology)
     n = topology.n_nodes
     rng_seed = sha256(b"sro" + config.seed.to_bytes(8, "big", signed=True)).digest()
-    sro = sro_init(SroConfig(n=n, f=(n - 1) // 3, backend=Backend.SEEDED_HASH), rng_seed)
+    sro = SroHandle(SroConfig(n=n, f=(n - 1) // 3, backend=Backend.SEEDED_HASH), rng_seed)
     return SimulationRun(
         topology, config.delta_net_ms * US_PER_MS, config.slot_ms * US_PER_MS, sro
     )

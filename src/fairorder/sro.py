@@ -126,8 +126,6 @@ class SroConfig:
             raise ContractError(f"f must be >= 0, got {self.f}")
         if not 3 * self.f + 1 <= self.n <= MAX_NODES:
             raise ContractError(f"need 3f+1 <= n <= {MAX_NODES}, got n={self.n}, f={self.f}")
-        if self.quorum <= self.f:
-            raise ContractError("quorum must exceed f")
         if self.test_field is not None:
             if self.backend is Backend.SEEDED_HASH:
                 raise ContractError("test_field applies only to the threshold backend")
@@ -260,10 +258,11 @@ def combine_shares(group: GroupParams, shares) -> bytes:
 
 
 class SroHandle:
-    """Initialized oracle state, immutable after init: its methods compute
-    from the keys and their arguments alone and keep nothing.  By uniqueness
-    a slot's value never changes, so a caller that needs it again keeps it
-    (a ``consensus.SimulationRun`` does).
+    """Initialized oracle state.  Making one is the trusted key-generation
+    ceremony, fully determined by ``rng_seed``.  The state is immutable: its
+    methods compute from the keys and their arguments alone and keep nothing.
+    By uniqueness a slot's value never changes, so a caller that needs it
+    again keeps it (a ``consensus.SimulationRun`` does).
 
     The seeded-hash secret lives in a double-underscore attribute and each
     DPRF share in its ``DprfNode``: sealed by convention, the way an enclave
@@ -347,11 +346,6 @@ class SroHandle:
         if self.config.backend is Backend.SEEDED_HASH:
             return _hash(b"proof", self._seeded_value(k))
         return self._quorum_shares(k)
-
-
-def sro_init(config: SroConfig, rng_seed: bytes) -> SroHandle:
-    """Trusted key-generation ceremony; fully determined by rng_seed."""
-    return SroHandle(config, rng_seed)
 
 
 def verify(vk: VerificationKey, k: int, proof, r: bytes) -> bool:

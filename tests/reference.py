@@ -2,9 +2,9 @@
 
 The tests compare the package's one ordering engine,
 ``fairorder.consensus.orders_per_cell``, with these trial by trial: each
-reference builds one trial's ledger from scratch, with public
-``domain``, ``netmodel``, ``adversary`` and ``sro`` calls only, and the
-engine's stream must give the same order for every trial.  The per-slot
+reference builds one trial's ledger from scratch, with public ``domain``,
+``netmodel`` and ``sro`` calls only, and the engine's stream must give the
+same order for every trial.  The per-slot
 records ``TimestampedCommand`` and ``Slot`` live here, with the checks
 their fields must pass, and so does the all-correct precedence that the
 receive baseline's median order extends.
@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import pairwise
 
-from fairorder.adversary import QUORUM_HIGH
-from fairorder.domain import ContractError, Invocation
+from fairorder.domain import QUORUM_HIGH, ContractError, Invocation
 from fairorder.sro import RevealRequest
 
 NOISE_PREFIX = b"noise"

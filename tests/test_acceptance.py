@@ -27,9 +27,9 @@ from fairorder.sro import (
     RevealRequest,
     Share,
     SroConfig,
+    SroHandle,
     combine_shares,
     share_is_valid,
-    sro_init,
     verify,
 )
 
@@ -136,7 +136,7 @@ def _joint_four_city_orders():
     f = (topology.n_nodes - 1) // 3
     ids = CommandIds(("joint",), GEO_CITIES)
     placed = [Invocation(cid, 750_000, c) for cid, c in zip(ids(0), GEO_CITIES)]
-    sro = sro_init(SroConfig(n=topology.n_nodes, f=f, backend=Backend.SEEDED_HASH), SEED)
+    sro = SroHandle(SroConfig(n=topology.n_nodes, f=f, backend=Backend.SEEDED_HASH), SEED)
     run = SimulationRun(topology, DNET_US, 1_500_000, sro)
     orders = []
     for policy in (OrderingPolicy.parse("pompe"), OrderingPolicy.parse("receive")):
@@ -219,7 +219,7 @@ def test_criterion_7_sro_contract_suite():
 
     # Uniqueness: every quorum subset combines to the same value (n up to 7).
     for n, f, p in ((4, 1, 101), (7, 2, 53)):
-        handle = sro_init(
+        handle = SroHandle(
             SroConfig(n=n, f=f, backend=Backend.THRESHOLD_DPRF, test_field=p), SEED
         )
         shares = [node.produce_share(1) for node in handle.nodes]
@@ -232,7 +232,7 @@ def test_criterion_7_sro_contract_suite():
 
     # Secrecy: f observed shares leave the secret uniform (exhaustive, p=101).
     p = 101
-    handle = sro_init(
+    handle = SroHandle(
         SroConfig(n=4, f=1, backend=Backend.THRESHOLD_DPRF, test_field=p), SEED
     )
     observed = handle.nodes[0].produce_share(0)
@@ -244,7 +244,7 @@ def test_criterion_7_sro_contract_suite():
         problems.append("secrecy enumeration not uniform")
 
     # Validity: proofs verify; random single-byte tampering always rejected.
-    seeded = sro_init(SroConfig(n=4, f=1, backend=Backend.SEEDED_HASH), SEED)
+    seeded = SroHandle(SroConfig(n=4, f=1, backend=Backend.SEEDED_HASH), SEED)
     rng = np.random.default_rng(77)
     for case in range(1000):
         k = int(rng.integers(0, 2**32))
@@ -262,7 +262,7 @@ def test_criterion_7_sro_contract_suite():
 
     # Tampered threshold shares are rejected, and too many lying nodes
     # leave the oracle unable to reveal at all.
-    tamper_handle = sro_init(
+    tamper_handle = SroHandle(
         SroConfig(n=4, f=1, backend=Backend.THRESHOLD_DPRF, test_field=101), SEED
     )
     share = tamper_handle.nodes[0].produce_share(5)

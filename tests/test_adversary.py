@@ -4,7 +4,7 @@ from fairorder.adversary import QUORUM_HIGH, QUORUM_LOW, CommandPlan, private_re
 from fairorder.consensus import SimulationRun
 from fairorder.domain import ContractError, Invocation
 from fairorder.netmodel import bundled_topology
-from fairorder.sro import Backend, SroConfig, sro_init
+from fairorder.sro import Backend, SroConfig, SroHandle
 from reference import make_command_id
 
 DNET = 300_000
@@ -18,7 +18,7 @@ class TestPrivateRelay:
     def setup_method(self):
         topology = bundled_topology()
         self.f = (topology.n_nodes - 1) // 3
-        sro = sro_init(SroConfig(topology.n_nodes, self.f, Backend.SEEDED_HASH), bytes(32))
+        sro = SroHandle(SroConfig(topology.n_nodes, self.f, Backend.SEEDED_HASH), bytes(32))
         self.run = SimulationRun(topology, DNET, 1_500_000, sro)
         self.victim = inv("victim", "munich")
         self.legs = (inv("buy", "london"), inv("sell", "london"))

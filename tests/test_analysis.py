@@ -533,8 +533,7 @@ class TestThreadedBlocks:
         def simulate(*args):
             if (threading.get_ident() == caller) == (failing == "caller"):
                 raise RuntimeError(f"{failing} failed")
-            if failing == "worker":
-                time.sleep(0.005)  # leave the workers blocks to fail on
+            time.sleep(0.005)  # leave the failing threads blocks to fail on
             return original(*args)
 
         monkeypatch.setattr(analysis, "_simulate_fixed", simulate)

@@ -13,8 +13,7 @@ definition is exempt: library code that only its own tests call is
 deleted, not listed here.
 
 Every module under ``src/``, ``scripts/`` and ``tests/`` also references
-every name it imports, except the package's ``__init__.py``, whose
-imports are its re-exports.
+every name it imports.
 
 Every SHA-256 and SHA-512 in the package goes through ``domain``'s one
 binding: no module names ``hashlib.sha256``, ``hashlib.sha512`` or
@@ -23,11 +22,17 @@ binding: no module names ``hashlib.sha256``, ``hashlib.sha512`` or
 The package is layered: the engine and what it stands on import no
 adversary, attack, runner or CLI module, and the adversary imports no
 runner or CLI module, so a strategy can call the engine without a cycle.
+The package re-exports nothing, so importing one module loads only it and
+the layers it stands on, and the reference loads no engine module.
 """
 
 import ast
 import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -153,7 +158,6 @@ def test_every_import_is_referenced():
     unused = [
         f"{path.relative_to(ROOT)}: {name}"
         for path, tree in _trees(IMPORTER_DIRS).items()
-        if path != PACKAGE / "__init__.py"
         for name in sorted(
             set(_imported_names(tree))
             - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -250,3 +254,50 @@ def test_no_layer_imports_one_above_it():
         ))
     ]
     assert not crossings, "layering broken: " + ", ".join(crossings)
+
+
+# Each module loads the ones it imports first, so this order adds one at a time.
+BOTTOM_UP = (
+    "fairorder", "domain", "netmodel", "sro", "attacks",
+    "analysis", "consensus", "adversary", "harness", "cli",
+)
+
+# For each module named in argv: the package modules its import loads, and
+# whether numpy is loaded after it.
+_LOADS = """
+import importlib, json, sys
+loads = []
+for name in sys.argv[1:]:
+    before = set(sys.modules)
+    importlib.import_module(name)
+    added = set(sys.modules) - before
+    loads.append([sorted(m for m in added if m.partition(".")[0] == "fairorder"),
+                  "numpy" in sys.modules])
+print(json.dumps(loads))
+"""
+
+
+def _fresh_loads(names, *paths) -> list:
+    """``_LOADS`` run in a fresh interpreter with ``paths`` first on its path."""
+    path = os.pathsep.join(filter(None, [*map(str, paths), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _LOADS, *names], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(out.stdout)
+
+
+def test_each_layer_imports_alone():
+    # the bare package adds no submodule, each layer only itself, and
+    # nothing below analysis loads numpy
+    names = [BOTTOM_UP[0], *(f"fairorder.{m}" for m in BOTTOM_UP[1:])]
+    numpy_from = BOTTOM_UP.index("analysis")
+    assert _fresh_loads(names, ROOT / "src") == [
+        [[name], i >= numpy_from] for i, name in enumerate(names)
+    ]
+
+
+def test_reference_loads_no_engine_module():
+    assert _fresh_loads(["reference"], ROOT / "src", ROOT / "tests") == [
+        [["fairorder", "fairorder.domain", "fairorder.sro"], False]
+    ]

@@ -27,7 +27,7 @@ from fairorder.domain import (
     quorum_median,
 )
 from fairorder.netmodel import CityTopology, bundled_topology, observe, parse_topology
-from fairorder.sro import Backend, RevealRequest, SroConfig, SroHandle, sro_init
+from fairorder.sro import Backend, RevealRequest, SroConfig, SroHandle
 from one_cell import trial_orders
 from reference import (
     all_correct_precedence,
@@ -55,7 +55,7 @@ def small_topology(n=4):
 
 
 def sro_for(topology, f):
-    return sro_init(SroConfig(n=topology.n_nodes, f=f, backend=Backend.SEEDED_HASH), SEED)
+    return SroHandle(SroConfig(n=topology.n_nodes, f=f, backend=Backend.SEEDED_HASH), SEED)
 
 
 def no_seed(trial):
@@ -218,7 +218,7 @@ class TestRunSlotted:
         with pytest.raises(ContractError):
             SimulationRun(
                 topology, DNET, SLOT,
-                sro_init(SroConfig(n=7, f=2, backend=Backend.SEEDED_HASH), SEED),
+                SroHandle(SroConfig(n=7, f=2, backend=Backend.SEEDED_HASH), SEED),
             )
 
     @pytest.mark.parametrize("dnet", [-1, -5_000])
@@ -495,7 +495,7 @@ class TestStampMemo:
         # oracle is fixed: runs with different oracles never share a seed
         placed = [inv(label, 100_000, "solo") for label in "ab"]
         oracles = [
-            sro_init(SroConfig(n=4, f=1, backend=Backend.SEEDED_HASH), bytes([i]) * 32)
+            SroHandle(SroConfig(n=4, f=1, backend=Backend.SEEDED_HASH), bytes([i]) * 32)
             for i in range(2)
         ]
         ids = CommandIds(("oracles",), "ab")

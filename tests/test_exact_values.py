@@ -41,7 +41,7 @@ from fairorder.consensus import OrderingPolicy, SimulationRun, orders_per_cell
 from fairorder.domain import CommandIds, Invocation
 from fairorder.harness import parse_config
 from fairorder.netmodel import bundled_topology, parse_topology
-from fairorder.sro import Backend, SroConfig, sro_init
+from fairorder.sro import Backend, SroConfig, SroHandle
 from reference import run_slotted
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
@@ -64,7 +64,7 @@ def network(config) -> SimulationRun:
     oracle's seed moves only the noise draws, never a stamp."""
     topology = bundled_topology()
     n = topology.n_nodes
-    sro = sro_init(SroConfig(n, (n - 1) // 3, Backend.SEEDED_HASH), bytes(32))
+    sro = SroHandle(SroConfig(n, (n - 1) // 3, Backend.SEEDED_HASH), bytes(32))
     return SimulationRun(
         topology, config.delta_net_ms * US_PER_MS, config.slot_ms * US_PER_MS, sro
     )
@@ -239,7 +239,7 @@ def test_a_cell_whose_median_report_decides_its_order():
     # it first in every trial; bercow:20, whose noise is wider than either
     # gap, with Pr 0.68 against 0.28 for the 3rd report
     topology = parse_topology(SMALL_TOPOLOGY)
-    sro = sro_init(SroConfig(4, 1, Backend.SEEDED_HASH), bytes(32))
+    sro = SroHandle(SroConfig(4, 1, Backend.SEEDED_HASH), bytes(32))
     run = SimulationRun(topology, 300 * US_PER_MS, 1500 * US_PER_MS, sro)
     reports = sorted(topology.delays_from("west"))
     assert reports[1] != reports[2]  # the (f+1)-th and (f+2)-th smallest

@@ -1124,7 +1124,7 @@ def test_sandwich_run_does_its_fixed_work_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(harness, "sro_init", counted("sro_init", harness.sro_init))
+    monkeypatch.setattr(harness, "SroHandle", counted("SroHandle", harness.SroHandle))
     monkeypatch.setattr(hashlib, "shake_256", counted("shake_256", hashlib.shake_256))
     clamp = counted("clamp_to_window", adversary.clamp_to_window)
     monkeypatch.setattr(adversary, "clamp_to_window", clamp)
@@ -1132,7 +1132,7 @@ def test_sandwich_run_does_its_fixed_work_once(monkeypatch):
     monkeypatch.setattr("fairorder.sro.sign_slot", counted("sign_slot", sign_slot))
     assert len(run_experiment(config).rows) == 7 * len(config.policies)
     n, f = 80, 26
-    assert calls == Counter(sro_init=1, shake_256=1, clamp_to_window=2, sign_slot=2 * (n - f))
+    assert calls == Counter(SroHandle=1, shake_256=1, clamp_to_window=2, sign_slot=2 * (n - f))
 
 
 class TestLiquidation:

@@ -26,7 +26,6 @@ from fairorder.sro import (
     production_group,
     share_is_valid,
     sign_slot,
-    sro_init,
     small_field_group,
     verify,
 )
@@ -35,7 +34,7 @@ SEED = bytes(range(32))
 
 
 def handle_for(n=4, f=1, backend=Backend.SEEDED_HASH, field=None, seed=SEED):
-    return sro_init(SroConfig(n=n, f=f, backend=backend, test_field=field), seed)
+    return SroHandle(SroConfig(n=n, f=f, backend=backend, test_field=field), seed)
 
 
 def reveal_k(handle, k):
