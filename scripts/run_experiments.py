@@ -1,42 +1,82 @@
 #!/usr/bin/env python3
-"""Run every bundled experiment config and write its CSV under results/.
+"""Make every output in OUTPUTS and write its CSV under results/.
 
 Usage:
-    python scripts/run_experiments.py [--only geo_bias,sandwich] [--trials N] [--jobs N]
+    python scripts/run_experiments.py [--only geo_bias,tightness] [--trials N] [--jobs N]
     python scripts/run_experiments.py --check [--only ...] [--jobs N]
 
-The trials of each experiment are counted in chunks, one trial range per
+OUTPUTS maps each output's name to how it is made and to its one pin.  The
+five bundled configs' trials are counted in chunks, one trial range per
 job, on a pool of --jobs worker processes (default: the usable CPUs, at
-most 4); --jobs 1 counts the same chunks in this process.  A closed-form
-table (bounds_table) counts no trials and is made in this process.  A trial's
-order does not depend on which chunk or process counts it, so the summed
-counts, and every CSV byte, are the same at any --jobs.  --check
-regenerates the selected configs at their full trials in memory,
-compares each CSV byte for byte with the committed file, names each that
-differs, exits 1 if any does and writes nothing.  Pass --trials to
-downscale for a quick look.
-
-In 16 alternating runs on 2 cores of a shared Intel Xeon under Python
-3.11 and numpy 2.4.6, a full run took 2.23-3.74 s wall (median 3.10) at
-the default 2 jobs and 3.13-5.74 s (median 4.30) at --jobs 1, and the
-default was faster in 15 of the 16; the previous, serial version took
-2.95-5.56 s (median 4.08) alongside.  A multi-process figure tracks host
-steal, and the same host's speed swings about twofold.  Most of the time
-is the leader and bercow cells' per-trial draws and hashes, which the CSV
-bytes fix; each worker also pays about 0.3 s to start and import the
-package.
+most 4; --jobs 1 counts here); a trial's order does not depend on its
+chunk, so every CSV byte is the same at any --jobs.  Each config is pinned
+by its committed results/*.csv.  The tightness sweep is made here after the
+pool's chunks, prints its wall time and is pinned by its CSV's SHA-256.
+--check makes the selected outputs at full trials in memory, compares each
+with its pin, names each that differs, exits 1 if any does and writes
+nothing.  --trials downscales, down to each output's floor (tightness: 1000).
 """
 
 import argparse
+import hashlib
 import sys
 import time
 from dataclasses import replace
+from fractions import Fraction
 from importlib import resources
+from pathlib import Path
+from typing import NamedTuple
 
-from fairorder.analysis import _MAX_THREADS, _usable_cpus
-from fairorder.harness import _SCENARIOS, count_trials, emit_csv, parse_config, tabulate
+import numpy as np
 
-CONFIGS = ("bounds_table", "geo_bias", "tradeoff_curve", "sandwich", "liquidation")
+from fairorder.analysis import (_MAX_THREADS, ADAPTIVE_UPPER, LOWER_BOUND, _usable_cpus,
+                                order_prob_bounds, order_prob_monte_carlo)
+from fairorder.harness import _SCENARIOS, TableResult, count_trials, emit_csv, parse_config, tabulate
+
+
+class Output(NamedTuple):
+    """How an output is made, by a bundled config counted on the pool or by
+    a function of the trial count (None: full) called in this process, and
+    its one pin: ``file``, the committed CSV it must equal byte for byte, or
+    ``sha256``, its full-trial CSV's digest.  ``floor`` is its least --trials."""
+
+    make: object
+    file: str | None = None
+    sha256: str | None = None
+    floor: int = 1
+
+
+def tightness(trials=None) -> TableResult:
+    """Monte Carlo estimates of Pr[target order] under the hostile and the
+    adaptive strategy against the bounds they attain, (1-alpha)^n/n! and
+    ((1+alpha)^n - n alpha^n)/n!, at ``trials`` (default 10^6) samples each."""
+    trials = trials or 1_000_000
+    rng, t0 = np.random.default_rng(13), time.perf_counter()
+    result = TableResult(("n", "alpha", "strategy", "estimate", "stderr", "target", "sigmas"))
+    for n in (2, 3, 4):
+        for alpha in (Fraction(1, 10), Fraction(1, 5), Fraction(1, 2)):
+            for strategy, target in zip((LOWER_BOUND, ADAPTIVE_UPPER), order_prob_bounds(n, alpha)):
+                est, se = order_prob_monte_carlo(strategy, n, float(alpha), tuple(range(n)),
+                                                 trials, rng)
+                sigmas = abs(est - float(target)) / max(se, 1e-12)
+                result.rows.append((n, str(alpha), strategy, f"{est:.6f}", f"{se:.6f}",
+                                    f"{float(target):.6f}", f"{sigmas:.2f}"))
+    print(f"{len(result.rows)} estimates of {trials} trials in {time.perf_counter() - t0:.2f}s")
+    return result
+
+
+def _bundled(name) -> Output:
+    with resources.as_file(resources.files("fairorder.data") / "configs" / f"{name}.cfg") as path:
+        config = parse_config(path)
+    return Output(config, file=config.output)
+
+
+OUTPUTS = {name: _bundled(name)
+           for name in ("bounds_table", "geo_bias", "tradeoff_curve", "sandwich", "liquidation")}
+# 10^6 samples are 61 full Monte Carlo blocks and a ragged one per estimate;
+# the benchmark's bound_check batch pins the same bytes
+OUTPUTS["tightness"] = Output(
+    tightness, sha256="070039d8073a3859f070b89cf36018e89238e2cc220e79b085821e455024b16b", floor=1000)
 
 
 def _chunks(config, jobs: int) -> list:
@@ -72,14 +112,25 @@ def tables(configs, jobs: int) -> list:
     return [tabulate(config, totals.get(config, [])) for config in configs]
 
 
+def verdict(entry: Output, data: bytes) -> str:
+    """How ``data``, an output's full-trial CSV, compares with its pin, a
+    digest or a file: "same as", "DIFFERS from" or "MISSING:"."""
+    try:
+        same = (hashlib.sha256(data).hexdigest() == entry.sha256 if entry.sha256
+                else Path(entry.file).read_bytes() == data)
+    except FileNotFoundError:
+        return "MISSING:"
+    return "same as" if same else "DIFFERS from"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--only", help="comma-separated subset of configs to run")
+    parser.add_argument("--only", help="comma-separated subset of outputs to make")
     scale = parser.add_mutually_exclusive_group()
     scale.add_argument("--trials", type=int, help="override trial count for a quick pass")
     scale.add_argument("--check", action="store_true",
-                       help="compare with the committed CSVs at full trials; write nothing")
+                       help="compare with the pins at full trials; write nothing")
     parser.add_argument("--jobs", type=int, default=min(_usable_cpus(), _MAX_THREADS),
                         help="worker processes (default: usable CPUs, at most 4)")
     args = parser.parse_args(argv)
@@ -87,37 +138,32 @@ def main(argv=None) -> int:
         value = getattr(args, flag)
         if value is not None and value < 1:
             parser.error(f"--{flag} must be >= 1, got {value}")
-    wanted = set(args.only.split(",")) if args.only else set(CONFIGS)
-    if wanted - set(CONFIGS):
-        parser.error(f"--only: unknown configs {sorted(wanted - set(CONFIGS))}")
-
-    config_dir = resources.files("fairorder.data") / "configs"
-    configs = []
-    for name in CONFIGS:
-        if name not in wanted:
-            continue
-        with resources.as_file(config_dir / f"{name}.cfg") as path:
-            config = parse_config(path)
-        configs.append(replace(config, trials=args.trials) if args.trials else config)
+    wanted = set(args.only.split(",")) if args.only else set(OUTPUTS)
+    if wanted - set(OUTPUTS):
+        parser.error(f"--only: unknown outputs {sorted(wanted - set(OUTPUTS))}")
+    entries = {name: entry for name, entry in OUTPUTS.items() if name in wanted}
+    for name, entry in entries.items():
+        if (args.trials or entry.floor) < entry.floor:
+            parser.error(f"--trials: {name} needs at least {entry.floor}, got {args.trials}")
 
     t0 = time.perf_counter()
-    results = tables(configs, args.jobs)
+    configs = {name: replace(entry.make, trials=args.trials or entry.make.trials)
+               for name, entry in entries.items() if not callable(entry.make)}
+    counted = dict(zip(configs, tables(list(configs.values()), args.jobs)))
     differs = []
-    for config, result in zip(configs, results):
+    for name, entry in entries.items():  # the pool is done: the others are made here
+        result = counted[name] if name in counted else entry.make(args.trials)
         if args.check:
-            try:
-                with open(config.output, "rb") as fh:
-                    verdict = ("same as" if fh.read() == result.to_csv_text().encode("utf-8")
-                               else "DIFFERS from")
-            except FileNotFoundError:
-                verdict = "MISSING:"
-            print(f"{config.scenario:15s} {verdict} {config.output}")
-            if verdict != "same as":
-                differs.append(config.output)
+            pin = entry.file or f"sha256 {entry.sha256}"
+            said = verdict(entry, result.to_csv_text().encode("utf-8"))
+            print(f"{name:15s} {said} {pin}")
+            if said != "same as":
+                differs.append(pin)
         else:
-            emit_csv(result, config.output)
-            print(f"{config.scenario:15s} -> {config.output}  ({len(result.rows)} rows)")
-    print(f"{len(configs)} configs in {time.perf_counter() - t0:.1f}s on {args.jobs} job(s)")
+            path = entry.file or f"results/{name}.csv"
+            emit_csv(result, path)
+            print(f"{name:15s} -> {path}  ({len(result.rows)} rows)")
+    print(f"{len(entries)} outputs in {time.perf_counter() - t0:.1f}s on {args.jobs} job(s)")
     if differs:
         print("differ: " + ", ".join(differs), file=sys.stderr)
         return 1

@@ -1,6 +1,5 @@
 import sys
 import threading
-import time
 import tracemalloc
 from fractions import Fraction
 from importlib import resources
@@ -529,11 +528,14 @@ class TestThreadedBlocks:
     def test_error_reaches_caller_and_no_thread_outlives(self, monkeypatch, failing):
         original = analysis._simulate_fixed
         caller = threading.get_ident()
+        failed = threading.Event()
 
         def simulate(*args):
             if (threading.get_ident() == caller) == (failing == "caller"):
+                failed.set()
                 raise RuntimeError(f"{failing} failed")
-            time.sleep(0.005)  # leave the failing threads blocks to fail on
+            # no block is counted before a failing thread has drawn one
+            assert failed.wait(timeout=30), "no failing thread drew a block"
             return original(*args)
 
         monkeypatch.setattr(analysis, "_simulate_fixed", simulate)
