@@ -14,7 +14,8 @@ by its committed results/*.csv.  The tightness sweep is made here after the
 pool's chunks, prints its wall time and is pinned by its CSV's SHA-256.
 --check makes the selected outputs at full trials in memory, compares each
 with its pin, names each that differs, exits 1 if any does and writes
-nothing.  --trials downscales, down to each output's floor (tightness: 1000).
+nothing.  --trials downscales, down to each output's floor (tightness: the
+Monte Carlo's least, analysis.MIN_MONTE_CARLO_TRIALS).
 """
 
 import argparse
@@ -29,8 +30,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from fairorder.analysis import (_MAX_THREADS, ADAPTIVE_UPPER, LOWER_BOUND, _usable_cpus,
-                                order_prob_bounds, order_prob_monte_carlo)
+from fairorder.analysis import (_MAX_THREADS, ADAPTIVE_UPPER, LOWER_BOUND,
+                                MIN_MONTE_CARLO_TRIALS, _usable_cpus, order_prob_bounds,
+                                order_prob_monte_carlo)
 from fairorder.harness import _SCENARIOS, TableResult, count_trials, emit_csv, parse_config, tabulate
 
 
@@ -76,7 +78,8 @@ OUTPUTS = {name: _bundled(name)
 # 10^6 samples are 61 full Monte Carlo blocks and a ragged one per estimate;
 # the benchmark's bound_check batch pins the same bytes
 OUTPUTS["tightness"] = Output(
-    tightness, sha256="070039d8073a3859f070b89cf36018e89238e2cc220e79b085821e455024b16b", floor=1000)
+    tightness, sha256="070039d8073a3859f070b89cf36018e89238e2cc220e79b085821e455024b16b",
+    floor=MIN_MONTE_CARLO_TRIALS)
 
 
 def _chunks(config, jobs: int) -> list:

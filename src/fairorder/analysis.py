@@ -156,6 +156,8 @@ def order_prob_integrate(ats, delta_noise, target_order=None) -> Fraction:
 
 LOWER_BOUND = "lower_bound"
 ADAPTIVE_UPPER = "adaptive_upper"
+# The fewest trials that give a usable estimate
+MIN_MONTE_CARLO_TRIALS = 1000
 
 # Rows per block: a block's arrays (2^14 doubles per command) stay in cache,
 # where whole (trials, n) arrays sent every pass out to memory.
@@ -291,8 +293,8 @@ def order_prob_monte_carlo(strategy, n, alpha, target_order, trials, rng):
     draws, and ``rng`` ends in the state a serial pass leaves, so neither
     the estimate nor the generator's end state depends on the CPU count.
     """
-    if trials < 1000:
-        raise ContractError("need at least 1000 trials for a usable estimate")
+    if trials < MIN_MONTE_CARLO_TRIALS:
+        raise ContractError(f"need at least {MIN_MONTE_CARLO_TRIALS} trials for a usable estimate")
     if n < 1:
         raise ContractError("n must be >= 1")
     target_order = _target_order(target_order, n)

@@ -2,9 +2,10 @@
 
 Subcommands:
   simulate CONFIG          run a config-file experiment, write its CSV
-  bounds                   closed-form equality/linearizability table
-  attack sandwich          bracketing-attack frequencies and profits
   sro-demo                 reveal/prove/verify one oracle value
+
+Every table is made from a config file: the bound table is a
+``bounds_table`` config and the bracketing attack a ``sandwich`` one.
 
 Exit codes: 0 success, 2 usage, 3 config/contract, 4 I/O, 5 oracle
 protocol failure, 1 anything else.  Errors print one machine-readable
@@ -15,84 +16,27 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
-from .consensus import POLICY_NAMES
 from .domain import ContractError, sha256
-from .harness import (
-    ConfigError,
-    ExperimentConfig,
-    TableResult,
-    emit_csv,
-    parse_config,
-    run_experiment,
-)
+from .harness import ConfigError, emit_csv, parse_config, run_experiment
 from .netmodel import TopologyError
 from .sro import Backend, RevealRequest, SroConfig, SroError, SroHandle, verify
-
-
-def _emit(result: TableResult, output: str | None):
-    if output:
-        emit_csv(result, output)
-        print(f"wrote {output}")
-    else:
-        sys.stdout.write(result.to_csv_text())
 
 
 def _cmd_simulate(args) -> int:
     config = parse_config(args.config)
     result = run_experiment(config)
-    _emit(result, args.output or config.output or None)
-    return 0
-
-
-def _alpha_grid(args) -> tuple:
-    if args.curve:
-        return tuple(str(Fraction(i, 20)) for i in range(1, 20))
-    if args.dnoise_ms is not None:
-        if args.dnoise_ms < 1:
-            raise ContractError(f"--dnoise-ms must be >= 1, got {args.dnoise_ms}")
-        return (str(Fraction(args.dnet_ms, args.dnoise_ms)),)
-    if args.alpha is None:
-        raise ContractError("pass --alpha, --dnoise-ms or --curve")
-    return (args.alpha,)
-
-
-def _cmd_bounds(args) -> int:
-    config = ExperimentConfig(
-        scenario="bounds_table",
-        delta_net_ms=args.dnet_ms,
-        bounds_n=(args.n,),
-        alphas=_alpha_grid(args),
-    )
-    _emit(run_experiment(config), args.output)
-    return 0
-
-
-def _cmd_attack(args) -> int:
-    # --dnoise scales bercow's noise width; the leader rotates once per slot
-    spec = args.policy
-    if args.policy == "bercow":
-        spec += f":{args.dnet_ms * args.dnoise}"
-    elif args.policy == "leader":
-        spec += f":{args.slot_ms}"
-    config = ExperimentConfig(
-        scenario="sandwich",
-        topology=args.topology,
-        policies=(spec,),
-        delta_net_ms=args.dnet_ms,
-        slot_ms=args.slot_ms,
-        trials=args.trials,
-        seed=args.seed,
-        origins=tuple(args.origins.split(",")),
-        colluders=args.colluders,
-    )
-    _emit(run_experiment(config), args.output)
+    output = args.output or config.output
+    if output:
+        emit_csv(result, output)
+        print(f"wrote {output}")
+    else:
+        sys.stdout.write(result.to_csv_text())
     return 0
 
 
 def _cmd_sro_demo(args) -> int:
-    backend = Backend.SEEDED_HASH if args.backend == "seeded" else Backend.THRESHOLD_DPRF
+    backend = Backend(args.backend)
     config = SroConfig(n=args.n, f=args.f, backend=backend, test_field=args.test_field)
     handle = SroHandle(config, sha256(str(args.seed).encode()).digest())
     sigs = handle.quorum_signatures(args.k)
@@ -126,33 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="override the config's output path")
     p.set_defaults(fn=_cmd_simulate)
 
-    p = sub.add_parser("bounds", help="closed-form bound table")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--dnet-ms", type=int, default=300)
-    alpha = p.add_mutually_exclusive_group()
-    alpha.add_argument("--alpha", help="exact ratio, e.g. 1/5 or 0.2")
-    alpha.add_argument("--dnoise-ms", type=int, help="sets alpha = dnet / dnoise")
-    alpha.add_argument("--curve", action="store_true", help="sweep alpha over (0, 1)")
-    p.add_argument("--output")
-    p.set_defaults(fn=_cmd_bounds)
-
-    p = sub.add_parser("attack", help="attack scenarios")
-    attack_sub = p.add_subparsers(dest="attack_kind", required=True)
-    ps = attack_sub.add_parser("sandwich", help="bracketing attack on an AMM pool")
-    ps.add_argument("--policy", required=True, choices=POLICY_NAMES)
-    ps.add_argument("--dnoise", type=int, default=5, help="noise width as a multiple of dnet")
-    ps.add_argument("--trials", type=int, default=10_000)
-    ps.add_argument("--dnet-ms", type=int, default=300)
-    ps.add_argument("--slot-ms", type=int, default=1500)
-    ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--topology", default="bundled")
-    ps.add_argument("--origins", default="munich,london", help="victim_city,attacker_city")
-    ps.add_argument("--colluders", default="max", help="colluding node count or 'max'")
-    ps.add_argument("--output")
-    ps.set_defaults(fn=_cmd_attack)
-
     p = sub.add_parser("sro-demo", help="reveal, prove, and verify one oracle value")
-    p.add_argument("--backend", choices=("seeded", "threshold"), default="seeded")
+    p.add_argument("--backend", choices=[b.value for b in Backend], default="seeded")
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--f", type=int, default=1)
     p.add_argument("--k", type=int, default=0)

@@ -1167,6 +1167,13 @@ class TestLiquidation:
         assert values["tokyo"] == 0.0
 
 
+def simulate(tmp_path, text: str, *flags) -> int:
+    """``fairorder simulate``'s exit code on a config file holding ``text``."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    return main(["simulate", str(cfg), *flags])
+
+
 class TestCli:
     def test_simulate_bundled_config(self, tmp_path):
         cfg = tmp_path / "quick.cfg"
@@ -1178,13 +1185,26 @@ class TestCli:
         assert main(["simulate", str(cfg)]) == 0
         assert (tmp_path / "out.csv").exists()
 
-    def test_bounds_cli(self, capsys):
-        assert main(["bounds", "--n", "3", "--alpha", "1/5"]) == 0
-        out = capsys.readouterr().out
-        assert "0.198667" in out
+    @pytest.mark.parametrize(
+        "argv",
+        [["bounds", "--n", "2", "--alpha", "1/5"], ["attack", "sandwich", "--policy", "pompe"]],
+        ids=["bounds", "attack-sandwich"],
+    )
+    def test_removed_subcommands_are_usage_errors(self, argv, capsys):
+        # every table comes from a config file through `simulate`
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
-    def test_bounds_curve(self, capsys):
-        assert main(["bounds", "--n", "2", "--curve"]) == 0
+    def test_bounds_cli(self, tmp_path, capsys):
+        assert simulate(tmp_path, "scenario = bounds_table\nbounds_n = 3\nalphas = 1/5\n") == 0
+        assert "0.198667" in capsys.readouterr().out
+
+    def test_bounds_curve(self, tmp_path, capsys):
+        # a sweep of alpha over (0, 1) is a list of alphas
+        alphas = ",".join(str(Fraction(i, 20)) for i in range(1, 20))
+        assert simulate(tmp_path, f"scenario = bounds_table\nbounds_n = 2\nalphas = {alphas}\n") == 0
         assert len(capsys.readouterr().out.splitlines()) == 20
 
     @pytest.mark.parametrize(
@@ -1196,53 +1216,40 @@ class TestCli:
         ],
         ids=["single-command", "largest-n"],
     )
-    def test_bounds_cli_row(self, capsys, n, alpha, row):
-        assert main(["bounds", "--n", n, "--alpha", alpha]) == 0
+    def test_bounds_cli_row(self, tmp_path, capsys, n, alpha, row):
+        assert simulate(tmp_path, f"scenario = bounds_table\nbounds_n = {n}\nalphas = {alpha}\n") == 0
         assert capsys.readouterr().out.splitlines()[1] == row
 
-    def test_bounds_cli_is_the_bounds_table(self, capsys):
-        assert main(["bounds", "--n", "2", "--alpha", "1/5"]) == 0
-        expected = run_experiment(
-            ExperimentConfig(scenario="bounds_table", bounds_n=(2,), alphas=("1/5",))
-        )
-        assert capsys.readouterr().out == expected.to_csv_text()
+    def test_bounds_cli_is_the_bounds_table(self, tmp_path, capsys):
+        out = tmp_path / "bounds_table.csv"
+        bundled = resources.files("fairorder.data") / "configs" / "bounds_table.cfg"
+        with resources.as_file(bundled) as cfg:
+            assert main(["simulate", str(cfg), "--output", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {out}\n"
+        committed = Path(__file__).resolve().parent.parent / "results" / "bounds_table.csv"
+        assert out.read_bytes() == committed.read_bytes()
 
-    def test_bounds_dnoise_sets_alpha(self, capsys):
-        assert main(["bounds", "--n", "3", "--dnet-ms", "300", "--dnoise-ms", "1500"]) == 0
+    def test_bounds_dnoise_sets_alpha(self, tmp_path, capsys):
+        # alpha = dnet / dnoise may be written as that ratio, read exactly
+        text = "scenario = bounds_table\ndnet_ms = 300\nbounds_n = 3\nalphas = 300/1500\n"
+        assert simulate(tmp_path, text) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines == ["n,alpha,epsilon,lower,upper,delta_us",
                          "3,1/5,0.198667,0.085333,0.284000,1800000"]
 
-    @pytest.mark.parametrize(
-        "flags",
-        [
-            ["--alpha", "1/2", "--dnoise-ms", "1500"],
-            ["--alpha", "1/5", "--curve"],
-            ["--dnoise-ms", "1500", "--curve"],
-            ["--alpha", "1/5", "--dnoise-ms", "0"],
-        ],
-        ids=["alpha-dnoise", "alpha-curve", "dnoise-curve", "alpha-dnoise-zero"],
-    )
-    def test_bounds_alpha_flags_are_exclusive(self, flags, capsys):
-        # each flag sets alpha on its own; two of them are a usage error
-        with pytest.raises(SystemExit) as exc:
-            main(["bounds", "--n", "2", *flags])
-        assert exc.value.code == 2
-        assert "not allowed with argument" in capsys.readouterr().err
-
     def test_attack_cli(self, tmp_path):
         out = tmp_path / "sandwich.csv"
-        code = main(
-            ["attack", "sandwich", "--policy", "bercow", "--dnoise", "5",
-             "--trials", "50", "--colluders", "max", "--output", str(out)]
-        )
-        assert code == 0
+        text = ("scenario = sandwich\npolicies = bercow:1500\ndnet_ms = 300\n"
+                "trials = 50\norigins = munich,london\ncolluders = max\n")
+        assert simulate(tmp_path, text, "--output", str(out)) == 0
         assert out.read_text().startswith("policy,order,frequency")
 
     @pytest.mark.parametrize("policy", ["pompe", "bercow", "leader", "receive"])
-    def test_attack_cli_negative_seed(self, policy, capsys):
-        assert main(["attack", "sandwich", "--policy", policy, "--trials", "5",
-                     "--seed", "-1"]) == 0
+    def test_attack_cli_negative_seed(self, tmp_path, policy, capsys):
+        spec = {"bercow": "bercow:1500", "leader": "leader:1500"}.get(policy, policy)
+        text = (f"scenario = sandwich\npolicies = {spec}\ntrials = 5\nseed = -1\n"
+                "origins = munich,london\n")
+        assert simulate(tmp_path, text) == 0
         assert capsys.readouterr().out.startswith("policy,order,frequency")
 
     def test_sro_demo_both_backends(self, capsys):
@@ -1257,72 +1264,68 @@ class TestCli:
         assert main(["simulate", "/does/not/exist.cfg"]) == 4
         assert "category=io" in capsys.readouterr().err
 
-    def test_an_empty_internal_error_names_its_type(self, monkeypatch, capsys):
+    def test_an_empty_internal_error_names_its_type(self, tmp_path, monkeypatch, capsys):
         def out_of_memory(config):
             raise MemoryError()
 
         monkeypatch.setattr("fairorder.cli.run_experiment", out_of_memory)
-        assert main(["bounds", "--n", "2", "--alpha", "1/5"]) == 1
+        assert simulate(tmp_path, "scenario = bounds_table\nbounds_n = 2\nalphas = 1/5\n") == 1
         assert capsys.readouterr().err == "error category=internal: MemoryError\n"
 
-    def test_bad_alpha_is_config_error(self, capsys):
-        assert main(["bounds", "--n", "2", "--alpha", "3"]) == 3
+    def test_bad_alpha_is_config_error(self, tmp_path, capsys):
+        assert simulate(tmp_path, "scenario = bounds_table\nbounds_n = 2\nalphas = 3\n") == 3
         assert "category=config" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "argv, config_line",
+        "config_line",
         [
-            (["bounds", "--n", "2", "--alpha", "abc"], None),
-            (["attack", "sandwich", "--policy", "pompe", "--colluders", "lots"], None),
-            (["simulate"], "scenario = geo_bias\npolicies = bercow:abc"),
-            (["simulate"], "scenario = sandwich\ncolluders = lots"),
-            (["simulate"], "scenario = bounds_table\nalphas = abc"),
-            (["simulate"], "scenario = sandwich\noffsets_ms = 1"),
-            (["simulate"], "scenario = geo_bias\ntrails = 2"),
-            (["simulate"], "scenario = geo_bias\ndnet_ms = -5"),
-            (["simulate"], "scenario = tradeoff_curve\ngaps_ms = -500,0"),
-            (["simulate"], "scenario = tradeoff_curve\ngaps_ms = 0,10000000000000000000"),
-            (["simulate"], "scenario = geo_bias\npolicies = receive\nslot_ms = 0"),
-            (["attack", "sandwich", "--policy", "pompe", "--dnet-ms", "0"], None),
-            (["bounds", "--alpha", "1/5", "--dnet-ms", "-3"], None),
-            (["bounds", "--n", "2", "--dnoise-ms", "0"], None),
-            (["simulate"], "scenario = geo_bias\ntrials = 3"),
-            (["simulate"], f"scenario = sandwich\nseed = {2**63}"),
-            (["attack", "sandwich", "--policy", "pompe", "--seed", "99999999999999999999"], None),
-            (["simulate"], "scenario = geo_bias\npolicies = pompe:300"),
-            (["simulate"], "scenario = geo_bias\npolicies = receive:7"),
-            (["simulate"], "scenario = geo_bias\npolicies = leader"),
-            (["simulate"], "scenario = geo_bias\npolicies = bercow"),
-            (["simulate"], "scenario = geo_bias\npolicies = bercow:0"),
-            (["simulate"], "scenario = geo_bias\npolicies = leader:0"),
-            (["simulate"], "scenario = geo_bias\npolicies = anarchy"),
-            (["simulate"], "scenario = geo_bias\npolicies ="),
-            (["simulate"], "scenario = sandwich\npolicies ="),
-            (["simulate"], "scenario = bounds_table\nalphas ="),
-            (["simulate"], "scenario = bounds_table\nbounds_n ="),
-            (["bounds", "--n", "41", "--alpha", "1/5"], None),
-            (["bounds", "--n", "1000000", "--alpha", "1/5"], None),
-            (["bounds", "--n", "0", "--alpha", "1/5"], None),
-            (["simulate"], "scenario = bounds_table\nbounds_n = 2,1000000"),
-            (["attack", "sandwich", "--policy", "receive", "--slot-ms", "100000000000000000",
-              "--trials", "2"], None),
-            (["attack", "sandwich", "--policy", "bercow", "--slot-ms", "100000000000000000",
-              "--trials", "2"], None),
-            (["simulate"], "scenario = geo_bias\npolicies = receive\nslot_ms = 100000000000000000"),
-            (["simulate"], "scenario = geo_bias\npolicies = leader:1500\n"
-                           "slot_ms = 100000000000000000"),
-            (["simulate"], "scenario = tradeoff_curve\npolicies = receive\n"
-                           "gaps_ms = 0,9300000000000000"),
-            (["simulate"], "scenario = liquidation\nprize_usd = -1"),
-            (["simulate"], "scenario = geo_bias\ngaps_ms = 0,50"),
-            (["simulate"], "scenario = liquidation\noffsets_ms = 1,25"),
-            (["simulate"], "scenario = geo_bias\npolicies = pompe,pompe"),
-            (["simulate"], "scenario = geo_bias\npolicies = bercow:300,bercow:0300"),
-            (["simulate"], "scenario = geo_bias\norigins = washington,washington,tokyo"),
-            (["simulate"], "scenario = geo_bias\norigins = london,london"),
-            (["simulate"], "scenario = tradeoff_curve\ngaps_ms = 0,0,5"),
-            (["simulate"], "scenario = bounds_table\nalphas = 1/5,0.2"),
-            (["simulate"], "scenario = bounds_table\nbounds_n = 2,3,2"),
+            "scenario = bounds_table\nalphas = 1/5/2",
+            "scenario = sandwich\npolicies = pompe\ncolluders = lots",
+            "scenario = geo_bias\npolicies = bercow:abc",
+            "scenario = sandwich\ncolluders = lots",
+            "scenario = bounds_table\nalphas = abc",
+            "scenario = sandwich\noffsets_ms = 1",
+            "scenario = geo_bias\ntrails = 2",
+            "scenario = geo_bias\ndnet_ms = -5",
+            "scenario = tradeoff_curve\ngaps_ms = -500,0",
+            "scenario = tradeoff_curve\ngaps_ms = 0,10000000000000000000",
+            "scenario = geo_bias\npolicies = receive\nslot_ms = 0",
+            "scenario = sandwich\npolicies = pompe\ndnet_ms = 0",
+            "scenario = bounds_table\ndnet_ms = -3",
+            "scenario = bounds_table\nalphas = 300/0",
+            "scenario = geo_bias\ntrials = 3",
+            f"scenario = sandwich\nseed = {2**63}",
+            "scenario = sandwich\npolicies = pompe\nseed = 99999999999999999999",
+            "scenario = geo_bias\npolicies = pompe:300",
+            "scenario = geo_bias\npolicies = receive:7",
+            "scenario = geo_bias\npolicies = leader",
+            "scenario = geo_bias\npolicies = bercow",
+            "scenario = geo_bias\npolicies = bercow:0",
+            "scenario = geo_bias\npolicies = leader:0",
+            "scenario = geo_bias\npolicies = anarchy",
+            "scenario = geo_bias\npolicies =",
+            "scenario = sandwich\npolicies =",
+            "scenario = bounds_table\nalphas =",
+            "scenario = bounds_table\nbounds_n =",
+            "scenario = bounds_table\nbounds_n = 41",
+            "scenario = bounds_table\nbounds_n = 1000000",
+            "scenario = bounds_table\nbounds_n = 0",
+            "scenario = bounds_table\nbounds_n = 2,1000000",
+            "scenario = sandwich\npolicies = receive\nslot_ms = 100000000000000000",
+            "scenario = sandwich\npolicies = bercow:1500\nslot_ms = 100000000000000000",
+            "scenario = geo_bias\npolicies = receive\nslot_ms = 100000000000000000",
+            "scenario = geo_bias\npolicies = leader:1500\nslot_ms = 100000000000000000",
+            "scenario = tradeoff_curve\npolicies = receive\ngaps_ms = 0,9300000000000000",
+            "scenario = liquidation\nprize_usd = -1",
+            "scenario = geo_bias\ngaps_ms = 0,50",
+            "scenario = liquidation\noffsets_ms = 1,25",
+            "scenario = geo_bias\npolicies = pompe,pompe",
+            "scenario = geo_bias\npolicies = bercow:300,bercow:0300",
+            "scenario = geo_bias\norigins = washington,washington,tokyo",
+            "scenario = geo_bias\norigins = london,london",
+            "scenario = tradeoff_curve\ngaps_ms = 0,0,5",
+            "scenario = bounds_table\nalphas = 1/5,0.2",
+            "scenario = bounds_table\nbounds_n = 2,3,2",
         ],
         ids=["alpha", "attack-colluders", "policy-arg", "colluders", "alphas",
              "one-offset", "unknown-key", "dnet", "negative-gap", "gap-past-int64", "slot",
@@ -1337,15 +1340,13 @@ class TestCli:
              "repeated-origin", "same-city-pair", "repeated-gap", "repeated-alpha",
              "repeated-bounds-n"],
     )
-    def test_bad_input_is_config_error(self, tmp_path, capsys, argv, config_line):
-        if config_line is not None:
-            cfg = tmp_path / "bad.cfg"
+    def test_bad_input_is_config_error(self, tmp_path, capsys, config_line):
+        if "bounds_table" in config_line:  # it reads neither key, so either would be the error
+            extra = ""
+        else:
             origins = "" if "origins" in config_line else "origins = munich,london\n"
-            cfg.write_text(
-                f"{config_line}\ntrials = 2\n{origins}output = {tmp_path}/out.csv\n"
-            )
-            argv = argv + [str(cfg)]
-        assert main(argv) == 3
+            extra = f"trials = 2\n{origins}"
+        assert simulate(tmp_path, f"{config_line}\n{extra}output = {tmp_path}/out.csv\n") == 3
         assert "error category=config" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
@@ -1377,9 +1378,10 @@ class TestCli:
             "origins = munich,london\n"
         )
         assert main(["simulate", str(cfg)]) == code
-        assert main(
-            ["attack", "sandwich", "--policy", "leader", "--slot-ms", ms, "--trials", "2"]
-        ) == code
+        # a sandwich whose leader rotates once per slot
+        text = (f"scenario = sandwich\npolicies = leader:{ms}\nslot_ms = {ms}\ntrials = 2\n"
+                "origins = munich,london\n")
+        assert simulate(tmp_path, text) == code
         err = capsys.readouterr().err
         assert ("error category=config" in err) == bool(code)
 
