@@ -162,44 +162,63 @@ MIN_MONTE_CARLO_TRIALS = 1000
 # Rows per block: a block's arrays (2^14 doubles per command) stay in cache,
 # where whole (trials, n) arrays sent every pass out to memory.
 _CHUNK = 1 << 14
-# At most this many threads count blocks at once, each holding about 1 MiB of
-# block arrays at n = 4, so an estimate's memory stays bounded whatever the
-# host's CPU count.
+# At most this many threads count blocks at once.  Each holds one set of
+# block arrays (``_block_arrays``), made once per estimate: at n = 4 the draws
+# and their command-major copy take 512 KiB each and the four rows 176 KiB,
+# about 1.2 MiB per thread, so an estimate's memory stays bounded whatever
+# the host's CPU count.
 _MAX_THREADS = 4
 
 
-def _simulate_fixed(ats_norm, target_order, draws) -> np.ndarray:
-    """Target-order hits; ``draws`` holds one row per trial, left unmodified."""
+def _block_arrays(rows, n) -> tuple:
+    """One thread's arrays for blocks of up to ``rows`` rows: the ``(rows, n)``
+    draws, then the kernels' work arrays -- the ``(n, rows)`` command-major
+    array, the boolean hit, step and chain rows and one float row.  A kernel
+    given a shorter block uses the first ``len(draws)`` columns of each."""
+    return np.empty((rows, n)), (
+        np.empty((n, rows)),
+        np.empty(rows, dtype=bool),
+        np.empty(rows, dtype=bool),
+        np.empty(rows, dtype=bool),
+        np.empty(rows),
+    )
+
+
+def _simulate_fixed(ats_norm, target_order, draws, work) -> np.ndarray:
+    """Target-order hits, written into ``work``'s hit row; ``draws`` holds one
+    row per trial, left unmodified."""
+    rows = len(draws)
+    major, hits, step = (a[..., :rows] for a in work[:3])
     # command-major: each comparison below reads two contiguous rows
-    modified = draws.T.copy()
-    modified += np.asarray(ats_norm, dtype=float)[:, None]
-    hits = np.ones(len(draws), dtype=bool)
+    np.add(draws.T, np.asarray(ats_norm, dtype=float)[:, None], out=major)
+    hits.fill(True)
     for a, b in zip(target_order, target_order[1:]):
-        hits &= modified[b] > modified[a]
+        hits &= np.greater(major[b], major[a], out=step)
     return hits
 
 
-def _simulate_adaptive_upper(alpha, draws) -> np.ndarray:
+def _simulate_adaptive_upper(alpha, draws, work) -> np.ndarray:
     """Adversary places each command after observing the previous noised value.
 
     The first command in the target order gets the earliest possible
     timestamp; while each observed noised value stays inside the assignment
     window the next command is pinned exactly at it, and once a value
     escapes the window every later command is pushed to the window's end.
-    ``draws`` holds one row per trial, left unmodified.
+    ``draws`` holds one row per trial, left unmodified; the hits are written
+    into ``work``'s hit row.
     """
-    noise = draws.T.copy()
-    t_prev = noise[0]  # the first command sits at 0
-    chained = t_prev <= alpha
-    ok = np.ones(len(draws), dtype=bool)
-    for t_i in noise[1:]:
+    rows = len(draws)
+    noise, ok, step, chained, placed = (a[..., :rows] for a in work)
+    np.copyto(noise, draws.T)
+    np.less_equal(noise[0], alpha, out=chained)  # the first command sits at 0
+    ok.fill(True)
+    for t_prev, t_i in zip(noise, noise[1:]):
         # a chained command sits on the previous noised value, which is <=
         # alpha; once escaped, t_prev is the escaping value (> alpha) or
         # fl(u + alpha) >= alpha, so this equals np.where(chained, t_prev, alpha)
-        t_i += np.minimum(t_prev, alpha)
-        ok &= chained | (t_i > t_prev)
-        chained &= t_i <= alpha
-        t_prev = t_i
+        t_i += np.minimum(t_prev, alpha, out=placed)
+        ok &= np.logical_or(chained, np.greater(t_i, t_prev, out=step), out=step)
+        chained &= np.less_equal(t_i, alpha, out=step)
     return ok
 
 
@@ -216,21 +235,27 @@ def _count_hits(simulate, n, trials, rng) -> int:
     one of them.
 
     Every row is drawn here: each thread takes the next uncounted block and
-    draws its rows, ``random((rows, n))``, from its own copy of ``rng``'s bit
-    generator advanced to the block's first row, so a block's rows are those
-    of a serial pass, whichever thread counts them.  One block at a time keeps
-    every thread busy to the end, also when one CPU runs slower than another.
-    Afterwards ``rng`` holds the state a serial pass leaves, including the
-    buffered 32-bit value (``has_uint32``, ``uinteger``).
+    draws its rows from its own copy of ``rng``'s bit generator advanced to
+    the block's first row, so a block's rows are those of a serial pass,
+    whichever thread counts them.  One block at a time keeps every thread busy
+    to the end, also when one CPU runs slower than another.  The calling
+    thread makes each thread's arrays (``_block_arrays``, ``min(_CHUNK,
+    trials)`` rows) once per estimate, so no counting thread allocates: a
+    thread draws every block into the same array with ``random(out=...)``,
+    which fills it in the order ``random((rows, n))`` would, and its kernel
+    works in the same arrays.  Afterwards ``rng`` holds the state a serial
+    pass leaves, including the buffered 32-bit value (``has_uint32``,
+    ``uinteger``).
     """
     threads = min(_usable_cpus(), _MAX_THREADS, -(-trials // _CHUNK))
+    arrays = [_block_arrays(min(_CHUNK, trials), n) for _ in range(threads)]
     bitgen = rng.bit_generator
     state = bitgen.state
     starts = iter(range(0, trials, _CHUNK))
     lock = threading.Lock()
     counts, errors = [], []
 
-    def count():
+    def count(draws, work):
         try:
             copy = type(bitgen)(0)
             copy.state = state
@@ -243,18 +268,19 @@ def _count_hits(simulate, n, trials, rng) -> int:
                     return
                 copy.advance((start - drawn) * n)
                 rows = min(_CHUNK, trials - start)
-                counts.append(int(np.count_nonzero(simulate(gen.random((rows, n))))))
+                block = gen.random(out=draws[:rows])
+                counts.append(int(np.count_nonzero(simulate(block, work))))
                 drawn = start + rows
         except BaseException as exc:  # re-raised in the calling thread
             errors.append(exc)
 
     started = []
     try:
-        for _ in range(threads - 1):
-            thread = threading.Thread(target=count)
+        for args in arrays[1:]:
+            thread = threading.Thread(target=count, args=args)
             thread.start()
             started.append(thread)
-        count()
+        count(*arrays[0])
     finally:
         for thread in started:
             thread.join()
@@ -281,17 +307,19 @@ def order_prob_monte_carlo(strategy, n, alpha, target_order, trials, rng):
     ``target_order`` that is not a permutation of ``range(n)``.
 
     Trials are drawn and tested in blocks of ``_CHUNK`` rows, so memory is
-    O(``_CHUNK`` * n) per thread however many trials run.  The blocks take
-    consecutive ``rng.random((rows, n))`` draws, which equal one
-    ``rng.random((trials, n))`` draw row for row, so the estimate does not
-    depend on the block size.  ``rng`` must be a ``Generator`` over ``PCG64``
-    or ``PCG64DXSM``, the bit generators whose ``advance(k)`` skips exactly
-    k doubles; any other rng, a duck type too, is a ``ContractError``.  The
-    blocks are counted by one thread per usable CPU (up to ``_MAX_THREADS``),
-    each drawing a block from its own copy of the bit generator jumped ahead
-    to the block's first row (``advance``).  Each row still gets the same
-    draws, and ``rng`` ends in the state a serial pass leaves, so neither
-    the estimate nor the generator's end state depends on the CPU count.
+    O(``_CHUNK`` * n) per thread however many trials run: each thread's
+    arrays, about 1.2 MiB at n = 4, are made once per estimate and hold
+    every block it counts.  The blocks take consecutive ``rng.random((rows,
+    n))`` draws, which equal one ``rng.random((trials, n))`` draw row for
+    row, so the estimate does not depend on the block size.  ``rng`` must be
+    a ``Generator`` over ``PCG64`` or ``PCG64DXSM``, the bit generators whose
+    ``advance(k)`` skips exactly k doubles; any other rng, a duck type too,
+    is a ``ContractError``.  The blocks are counted by one thread per usable
+    CPU (up to ``_MAX_THREADS``), each drawing a block from its own copy of
+    the bit generator jumped ahead to the block's first row (``advance``).
+    Each row still gets the same draws, and ``rng`` ends in the state a
+    serial pass leaves, so neither the estimate nor the generator's end
+    state depends on the CPU count.
     """
     if trials < MIN_MONTE_CARLO_TRIALS:
         raise ContractError(f"need at least {MIN_MONTE_CARLO_TRIALS} trials for a usable estimate")

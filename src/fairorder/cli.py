@@ -25,7 +25,10 @@ from .sro import Backend, RevealRequest, SroConfig, SroError, SroHandle, verify
 
 def _cmd_simulate(args) -> int:
     config = parse_config(args.config)
-    result = run_experiment(config)
+    try:
+        result = run_experiment(config)
+    except ConfigError as exc:  # a value only the run can check: name the file too
+        raise ConfigError(f"{args.config}: {exc}") from exc
     output = args.output or config.output
     if output:
         emit_csv(result, output)

@@ -10,12 +10,14 @@ determined by (config, seed): reruns produce byte-identical output files.
 Policy specs are strings, read by ``consensus.OrderingPolicy.parse``:
 ``pompe``, ``receive``, ``leader:<period_ms>``, ``bercow:<noise_ms>``.
 ``policies``, ``alphas`` and ``bounds_n`` must each list at least one entry,
-and every ``bounds_n`` entry must lie in [1, ``MAX_BOUNDS_N``].  No entry
-may repeat, as parsed, in ``policies``, ``alphas``, ``bounds_n``, ``gaps_ms``
-or a geo_bias run's ``origins``.  An alpha is an exact ratio, never a
-float.  A config is frozen: it parses each spec and alpha once, when it is
-built, and keeps the results (``parsed_policies``, ``parsed_alphas``); no
-run parses them again.
+every ``alphas`` entry must lie in (0, 1], the range
+``analysis.order_prob_bounds`` accepts, and every ``bounds_n`` entry must
+lie in [1, ``MAX_BOUNDS_N``].  No entry may repeat, as parsed, in
+``policies``, ``alphas``, ``bounds_n``, ``gaps_ms`` or a geo_bias run's
+``origins``.  An alpha is an exact ratio, never a float.  A config is
+frozen: it parses each spec and alpha once, when it is built, and keeps
+the results (``parsed_policies``, ``parsed_alphas``); no run parses them
+again.
 
 Each scenario is one entry of one table, ``_SCENARIOS``: a cells
 function, a table function and the config-file keys it reads.
@@ -118,6 +120,9 @@ class ExperimentConfig:
         parsed = tuple(OrderingPolicy.parse(spec) for spec in self.policies)
         object.__setattr__(self, "parsed_policies", parsed)
         object.__setattr__(self, "parsed_alphas", tuple(parse_alpha(a) for a in self.alphas))
+        outside = [str(a) for a in self.parsed_alphas if not 0 < a <= 1]
+        if outside:  # the range analysis.order_prob_bounds accepts
+            raise ConfigError(f"alphas entries must be in (0, 1], got {outside}")
         for key, values in (
             ("policies", self.parsed_policies), ("alphas", self.parsed_alphas),
             ("bounds_n", self.bounds_n), ("gaps_ms", self.gaps_ms),

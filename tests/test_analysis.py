@@ -2,6 +2,7 @@ import sys
 import threading
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 from importlib import resources
 from itertools import permutations
 from math import factorial, sqrt
@@ -17,6 +18,7 @@ from fairorder.analysis import (
     ADAPTIVE_UPPER,
     LOWER_BOUND,
     _CHUNK,
+    _block_arrays,
     _simulate_adaptive_upper,
     _simulate_fixed,
     delta_linearizability,
@@ -38,6 +40,11 @@ widths = st.one_of(
 )
 # a stamp as the integrator takes it: an int, a Fraction or a ratio string
 stamp_forms = st.sampled_from((round, Fraction, str))
+
+
+def work_for(draws):
+    """The work arrays ``_count_hits`` gives a kernel for a block of ``draws``."""
+    return _block_arrays(*draws.shape)[1]
 
 
 @st.composite
@@ -288,7 +295,7 @@ class TestMonteCarlo:
         rows = np.array(
             [[0.10, 0.05, 0.009], [0.21, 0.005, 0.5], [0.21, 0.02, 0.5], [0.10, 0.15, 0.01]]
         )
-        hits = _simulate_adaptive_upper(0.2, rows)
+        hits = _simulate_adaptive_upper(0.2, rows, work_for(rows))
         assert hits.tolist() == [True, False, True, False]
 
     def test_adaptive_chain_boundaries(self):
@@ -298,7 +305,9 @@ class TestMonteCarlo:
         # command at 0.25 + 0.25 ties the previous value, which is not later
         rows = [[0.25, 0.0, 0.125], [0.125, 0.125, 0.0], [0.5, 0.25, 0.5]]
         blocks = [np.array([row]) for row in rows]
-        hits = [_simulate_adaptive_upper(0.25, block).tolist() for block in blocks]
+        hits = [
+            _simulate_adaptive_upper(0.25, block, work_for(block)).tolist() for block in blocks
+        ]
         assert hits == [[True], [True], [False]]
         assert [block[0].tolist() for block in blocks] == rows  # draws left as drawn
 
@@ -316,9 +325,31 @@ class TestMonteCarlo:
             noise = np.random.default_rng(case).random((2000, n))
             # the same noise on a grid of quarters: many exact ties
             for draws in (noise, np.floor(noise * 4) / 4):
-                got = _simulate_fixed(ats, order, draws)
+                got = _simulate_fixed(ats, order, draws, work_for(draws))
                 want = diff_reference(ats, order, draws)
                 assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            partial(_simulate_fixed, (0.2, 0.0, 0.2), (2, 0, 1)),
+            partial(_simulate_adaptive_upper, 0.2),
+        ],
+        ids=["fixed", "adaptive"],
+    )
+    def test_one_set_of_arrays_serves_a_full_then_a_ragged_block(self, kernel):
+        # as in _count_hits: one thread's arrays hold a full block, then the
+        # shorter last one in their first rows, over the full block's stale tail
+        full = np.random.default_rng(10).random((64, 3))
+        ragged = np.random.default_rng(11).random((37, 3))
+        draws, work = _block_arrays(64, 3)
+        for block in (full, ragged):
+            draws[: len(block)] = block
+            hits = kernel(draws[: len(block)], work)
+            # each block's own hits, as from arrays made for it alone
+            assert hits.tolist() == kernel(block, work_for(block)).tolist()
+            assert draws[: len(block)].tolist() == block.tolist()  # draws left as drawn
+        assert draws[37:].tolist() == full[37:].tolist()
 
     @pytest.mark.parametrize(
         "strategy, n, alpha, target",
@@ -446,10 +477,15 @@ class TestThreadedBlocks:
         # rng itself, no blocks and no jumped copies
         serial = self.primed(bit_generator, trials)
         ats, order = (0.2, 0.0, 0.2, 0.2), (3, 0, 2, 1)
+
+        def whole_array(simulate, *args):
+            draws = serial.random((trials, 4))
+            return np.count_nonzero(simulate(*args, draws, work_for(draws)))
+
         want = [
-            np.count_nonzero(_simulate_fixed(ats, order, serial.random((trials, 4)))),
-            np.count_nonzero(_simulate_adaptive_upper(0.2, serial.random((trials, 4)))),
-            np.count_nonzero(_simulate_fixed(ats, order, serial.random((trials, 4)))),
+            whole_array(_simulate_fixed, ats, order),
+            whole_array(_simulate_adaptive_upper, 0.2),
+            whole_array(_simulate_fixed, ats, order),
         ]
         want_state, want_after = finish(serial)
         blocks = -(-trials // _CHUNK)
@@ -480,6 +516,30 @@ class TestThreadedBlocks:
             sys.setswitchinterval(interval)
         assert many[:2] == one[:2]
         assert many[2] == analysis._MAX_THREADS
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_each_thread_draws_every_block_into_one_array(self, monkeypatch, cpus):
+        # ten blocks, the last one ragged: every block a thread counts is
+        # drawn into that thread's one array, which the calling thread made
+        trials = 9 * _CHUNK + 7
+        estimate = partial(order_prob_monte_carlo, LOWER_BOUND, 4, 0.2, (3, 0, 2, 1), trials)
+        want = estimate(np.random.default_rng(6))
+        original = analysis._simulate_fixed
+        drawn = {}  # thread -> the draws of every block it counted, kept alive
+
+        def simulate(ats, order, draws, *rest):
+            drawn.setdefault(threading.get_ident(), []).append(draws)
+            return original(ats, order, draws, *rest)
+
+        monkeypatch.setattr(analysis, "_simulate_fixed", simulate)
+        started = self.spy_threads(monkeypatch, cpus)
+        assert estimate(np.random.default_rng(6)) == want
+        assert 1 + len(started) == cpus
+        blocks = [block for blocks in drawn.values() for block in blocks]
+        assert sorted(map(len, blocks)) == [7] + [_CHUNK] * 9
+        assert max(map(len, drawn.values())) > 1
+        for first, *rest in drawn.values():
+            assert all(np.shares_memory(first, block) for block in rest)
 
     @pytest.mark.parametrize(
         "make_rng",
@@ -530,13 +590,13 @@ class TestThreadedBlocks:
         caller = threading.get_ident()
         failed = threading.Event()
 
-        def simulate(*args):
+        def simulate(*args, **kwargs):
             if (threading.get_ident() == caller) == (failing == "caller"):
                 failed.set()
                 raise RuntimeError(f"{failing} failed")
             # no block is counted before a failing thread has drawn one
             assert failed.wait(timeout=30), "no failing thread drew a block"
-            return original(*args)
+            return original(*args, **kwargs)
 
         monkeypatch.setattr(analysis, "_simulate_fixed", simulate)
         monkeypatch.setattr(analysis, "_usable_cpus", lambda: 4)

@@ -1273,8 +1273,33 @@ class TestCli:
         assert capsys.readouterr().err == "error category=internal: MemoryError\n"
 
     def test_bad_alpha_is_config_error(self, tmp_path, capsys):
-        assert simulate(tmp_path, "scenario = bounds_table\nbounds_n = 2\nalphas = 3\n") == 3
-        assert "category=config" in capsys.readouterr().err
+        # an alpha outside (0, 1] is rejected as the config is read, and the
+        # error names the file as every other bad value's does
+        for alpha in ("3", "0", "-1/5"):
+            text = f"scenario = bounds_table\nbounds_n = 2\nalphas = {alpha}\n"
+            assert simulate(tmp_path, text) == 3
+            err = capsys.readouterr().err
+            assert err.startswith(f"error category=config: {tmp_path / 'run.cfg'}: ")
+            assert "(0, 1]" in err
+            with pytest.raises(ConfigError, match=r"alphas entries must be in \(0, 1\]"):
+                parse_config(tmp_path / "run.cfg")  # never a config that cannot run
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("scenario = geo_bias\npolicies = pompe\norigins = tokyo\n",
+             "geo_bias needs at least two origin cities"),
+            ("scenario = sandwich\npolicies = pompe\norigins = munich,london\ncolluders = 30\n",
+             "colluders must be in [0, f=26]"),
+        ],
+        ids=["one-origin", "colluders-past-f"],
+    )
+    def test_run_time_config_error_names_the_file(self, tmp_path, capsys, text, message):
+        # values only the run can check (the topology's f, a scenario's
+        # origin count) are reported with the file, as parse errors are
+        assert simulate(tmp_path, text) == 3
+        path = tmp_path / "run.cfg"
+        assert capsys.readouterr().err == f"error category=config: {path}: {message}\n"
 
     @pytest.mark.parametrize(
         "config_line",
